@@ -9,6 +9,8 @@ transition table; payloads carry the condition snapshot that fired the rule.
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .hierarchy import Hierarchy
@@ -66,8 +68,14 @@ class Dag:
         }
         return cls(node_names=names, deps=deps, root_id=h.root_id)
 
-    def children(self, v: int) -> list[int]:
-        return sorted(u for u, d in self.deps.items() if v in d)
+    def dependents(self) -> dict[int, list[int]]:
+        """Reverse of ``deps``: for each node, the ascending ids of the nodes
+        that depend on it, as ``deps`` stands now."""
+        out: dict[int, list[int]] = {v: [] for v in self.deps}
+        for v in sorted(self.deps):
+            for u in self.deps[v]:
+                out.setdefault(u, []).append(v)
+        return out
 
     def add_dependency_node(self, name: str, dependent: int) -> int:
         """Materialize a fresh node that ``dependent`` depends on."""
@@ -106,21 +114,25 @@ def run_dad(dag: Dag, scenario: Scenario | None = None) -> Trace:
     trace = Trace("dad")
     pending_missing = {v: list(names) for v, names in scenario.dad_missing_deps.items()}
 
+    # Built once per run rather than cached on the Dag, whose deps callers
+    # may edit between runs; kept current on every scripted extension.
+    dependents = dag.dependents()
     processed: set[int] = set()
     queued: set[int] = {dag.root_id}
-    queue: list[int] = [dag.root_id]
+    queue: deque[int] = deque([dag.root_id])
     trace.emit("DA1", "S0", "S1", {"root": dag.root_id, "nodes": len(dag.node_names)})
 
     def ready(v: int) -> bool:
         return all(u in processed for u in dag.deps[v])
 
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         queued.discard(v)
         trace.emit("DA2", "S1", "S2", {"node": v, "deps": sorted(dag.deps[v])})
         if pending_missing.get(v):
             name = pending_missing[v].pop(0)
             new_id = dag.add_dependency_node(name, v)
+            dependents[new_id] = [v]
             if not dag.is_acyclic():
                 raise AcyclicityViolationError(
                     f"extension for node {v} introduced a cycle"
@@ -143,7 +155,7 @@ def run_dad(dag: Dag, scenario: Scenario | None = None) -> Trace:
                     queued.add(w)
             continue
         processed.add(v)
-        enq = [c for c in dag.children(v) if c not in processed and ready(c) and c not in queued]
+        enq = [c for c in dependents[v] if c not in processed and ready(c) and c not in queued]
         trace.emit("DA3", "S2", "S1", {"node": v, "children_enqueued": enq})
         for c in enq:
             queue.append(c)
@@ -167,11 +179,15 @@ def run_dfd(h: Hierarchy) -> Trace:
     def order(node_id: int) -> list[int]:
         return [c.id for c in h.children(node_id)]
 
+    # One cursor per backtrack point over its children.  Children are only
+    # ever added to ``processed``, so the ones a cursor has passed stay done.
+    cursors: dict[int, Iterator[int]] = {}
+
     def next_unprocessed_child(b: int) -> int | None:
-        for c in order(b):
-            if c not in processed:
-                return c
-        return None
+        cursor = cursors.get(b)
+        if cursor is None:
+            cursor = cursors[b] = iter(order(b))
+        return next((c for c in cursor if c not in processed), None)
 
     current: int | None = h.root_id
     while current is not None:

@@ -10,6 +10,7 @@ Identical inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -90,11 +91,13 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def _scenario_from_args(args) -> Scenario:
     sc = load_scenario(args.scenario) if args.scenario else Scenario()
+    overrides = {}
     if getattr(args, "rmax", None) is not None:
-        sc.r_max = args.rmax
+        overrides["r_max"] = args.rmax
     if getattr(args, "seed", None) is not None:
-        sc.seed = args.seed
-    return sc
+        overrides["seed"] = args.seed
+    # replace() builds a new Scenario, so the overrides are validated too.
+    return dataclasses.replace(sc, **overrides) if overrides else sc
 
 
 def _dump_trace(trace: Trace, out: str | None) -> None:

@@ -169,6 +169,8 @@ def load_hierarchy(source: str | Path | list[dict]) -> Hierarchy:
             cur = nodes[cur.parent_id]
 
     children: dict[int, list[int]] = {}
+    # One int per parent with a bit set for every child_index taken so far.
+    occupied: dict[int, int] = {}
     for n in sorted(nodes.values(), key=lambda x: x.id):
         if n.parent_id is None:
             continue
@@ -186,12 +188,15 @@ def load_hierarchy(source: str | Path | list[dict]) -> Hierarchy:
                 f"{parent.width_class.capacity} of parent {parent.id}"
             )
         siblings = children.setdefault(parent.id, [])
-        for sib in siblings:
-            if nodes[sib].child_index == n.child_index:
-                raise HierarchyError(
-                    f"child_index collision under parent {parent.id}: "
-                    f"{sib} and {n.id} both at {n.child_index}"
-                )
+        bit = 1 << n.child_index
+        taken = occupied.get(parent.id, 0)
+        if taken & bit:
+            sib = next(c for c in siblings if nodes[c].child_index == n.child_index)
+            raise HierarchyError(
+                f"child_index collision under parent {parent.id}: "
+                f"{sib} and {n.id} both at {n.child_index}"
+            )
+        occupied[parent.id] = taken | bit
         siblings.append(n.id)
     for c in children.values():
         c.sort(key=lambda i: nodes[i].child_index)

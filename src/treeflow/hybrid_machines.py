@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .hierarchy import Hierarchy
-from .measure import TraceContext, measure_of, trace_length_cap
+from .measure import Measure, TraceContext, compose_measure, trace_length_cap
 from .scenario import (
     Scenario,
     UndefinedTraceOriginError,
@@ -65,6 +65,15 @@ class _State:
 
 
 class _Engine:
+    """One run's mutable state.
+
+    Besides the statuses and attempt counters, the engine keeps the number
+    of unfinalized nodes and of unvisited nodes per level up to date as
+    statuses change, so that computing M costs O(L) rather than O(nodes).
+    The monitors never see these counters: they recompute M from each
+    event's payload snapshot.
+    """
+
     def __init__(self, methodology: str, h: Hierarchy, scenario: Scenario):
         self.methodology = methodology
         self.h = h
@@ -73,6 +82,10 @@ class _Engine:
         self.L = h.max_level
         self.statuses: dict[int, int] = {n: 0 for n in h.nodes}
         self.attempts: dict[int, int] = {l: 0 for l in range(1, self.L + 1)}
+        # Snapshot keys in the iteration order of the two maps above, whose
+        # key sets never change during a run.
+        self._status_keys = [str(n) for n in self.statuses]
+        self._attempt_keys = [str(l) for l in self.attempts]
         self.state = _State()
         self.trace = Trace(methodology)
         self.reason: str | None = None
@@ -84,6 +97,9 @@ class _Engine:
             r_max=scenario.r_max,
             k_thresholds=dict(scenario.k_thresholds),
         )
+        self._unfinalized = len(self.statuses)
+        self._unvisited = {k: len(ids) for k, ids in self.ctx.levels.items()}
+        self._measure = self.measure()
 
     # -- snapshots -----------------------------------------------------------
 
@@ -94,15 +110,20 @@ class _Engine:
             "j": self.state.j,
             "i_orig": self.state.i_orig,
             "origin_phase": self.state.origin_phase,
-            "attempts": {str(l): c for l, c in self.attempts.items()},
-            "statuses": {str(n): s for n, s in self.statuses.items()},
+            "attempts": dict(zip(self._attempt_keys, self.attempts.values())),
+            "statuses": dict(zip(self._status_keys, self.statuses.values())),
         }
 
-    def measure(self) -> tuple[int, int, int, int]:
-        return measure_of(self.snapshot(), self.ctx)
+    def measure(self) -> Measure:
+        st = self.state
+        k2 = sum(self.ctx.r_max - c for c in self.attempts.values())
+        unvisited = self._unvisited.get(st.i, 0) if st.phase == "S1" else 0
+        return compose_measure(
+            self.ctx, st.phase, st.i, st.j, st.i_orig, self._unfinalized, k2, unvisited
+        )
 
     def level_ids(self, k: int) -> list[int]:
-        return [n.id for n in self.h.level(k)]
+        return list(self.ctx.level_ids(k))
 
     # -- event emission --------------------------------------------------------
 
@@ -114,16 +135,18 @@ class _Engine:
         mutate: Any = None,
     ) -> None:
         """Fire one rule: the measure is sampled before the operational step
-        (``mutate``) runs, then after the state change."""
+        (``mutate``) runs, then after the state change.  Nothing changes the
+        measured state between two events, so the pre-measure is the
+        previous event's post-measure."""
         if len(self.trace) >= self.cap:
             raise HybridRunError(
                 f"trace exceeded the measure-derived cap of {self.cap} events"
             )
-        pre = self.measure()
+        pre = self._measure
         from_label = self.state.label()
         extra = mutate() if mutate is not None else None
         self.state = new_state
-        post = self.measure()
+        post = self._measure = self.measure()
         full = dict(payload)
         if extra:
             full.update(extra)
@@ -142,7 +165,10 @@ class _Engine:
     def mark_in_progress(self, ids: list[int]) -> list[int]:
         touched = []
         for n in ids:
-            if self.statuses[n] != 2:
+            s = self.statuses[n]
+            if s != 2:
+                if s == 0:
+                    self._unvisited[self.h.nodes[n].level] -= 1
                 self.statuses[n] = 1
                 touched.append(n)
         return touched
@@ -150,8 +176,12 @@ class _Engine:
     def finalize(self, ids: list[int]) -> list[int]:
         newly = []
         for n in ids:
-            if self.statuses[n] != 2:
+            s = self.statuses[n]
+            if s != 2:
+                if s == 0:
+                    self._unvisited[self.h.nodes[n].level] -= 1
                 self.statuses[n] = 2
+                self._unfinalized -= 1
                 newly.append(n)
         return newly
 

@@ -33,22 +33,20 @@ PHASE_ORDINAL = {
 }
 
 
+class MeasureError(ValueError):
+    """A measure component came out negative: the run parameters (for
+    example a negative refinement budget) admit no well-founded descent."""
+
+
 @dataclass(frozen=True)
 class TraceContext:
-    """Static run parameters recovered from the first trace event.
-
-    ``k2_touched_only`` switches the budget component to sum only levels
-    whose counter has moved.  The default (all levels) keeps k2 monotone
-    non-increasing and is what the engines and monitors use; the narrower
-    reading is available for comparison only.
-    """
+    """Static run parameters recovered from the first trace event."""
 
     methodology: str
     levels: dict[int, tuple[int, ...]]
     max_level: int
     r_max: int
     k_thresholds: dict[int, int]
-    k2_touched_only: bool = False
 
     @classmethod
     def from_payload(cls, methodology: str, payload: dict[str, Any]) -> "TraceContext":
@@ -75,29 +73,41 @@ def measure_of(snapshot: dict[str, Any], ctx: TraceContext) -> Measure:
     statuses = {int(k): int(v) for k, v in snapshot["statuses"].items()}
     attempts = {int(k): int(v) for k, v in snapshot["attempts"].items()}
     phase = snapshot["phase"]
+    i = snapshot.get("i")
     k1 = sum(1 for v in statuses.values() if v != 2)
-    if ctx.k2_touched_only:
-        k2 = sum(
-            ctx.r_max - c for l, c in attempts.items() if c > 0 and l <= ctx.max_level
-        )
-    else:
-        k2 = sum(ctx.r_max - attempts.get(l, 0) for l in range(1, ctx.max_level + 1))
-    k3 = PHASE_ORDINAL[phase]
-    k4 = _k4(snapshot, ctx, statuses)
-    m = (k1, k2, k3, k4)
-    assert all(c >= 0 for c in m), f"measure components must be non-negative: {m}"
+    k2 = sum(ctx.r_max - attempts.get(l, 0) for l in range(1, ctx.max_level + 1))
+    unvisited = 0
+    if phase == "S1":
+        unvisited = sum(1 for n in ctx.level_ids(int(i)) if statuses.get(n, 0) == 0)
+    return compose_measure(
+        ctx, phase, i, snapshot.get("j"), snapshot.get("i_orig"), k1, k2, unvisited
+    )
+
+
+def compose_measure(
+    ctx: TraceContext,
+    phase: str,
+    i: Any,
+    j: Any,
+    i_orig: Any,
+    k1: int,
+    k2: int,
+    unvisited: int,
+) -> Measure:
+    """M from its counted parts: the unfinalized-node count ``k1``, the
+    remaining budget ``k2`` and, for phase S1, the unvisited nodes of level
+    ``i``.  The phase and indices give k3 and the rest of k4."""
+    m = (k1, k2, PHASE_ORDINAL[phase], _k4(ctx, phase, i, j, i_orig, unvisited))
+    if min(m) < 0:
+        raise MeasureError(f"measure components must be non-negative: {m}")
     return m
 
 
-def _k4(snapshot: dict[str, Any], ctx: TraceContext, statuses: dict[int, int]) -> int:
-    phase = snapshot["phase"]
-    i = snapshot.get("i")
-    j = snapshot.get("j")
-    i_orig = snapshot.get("i_orig")
+def _k4(ctx: TraceContext, phase: str, i: Any, j: Any, i_orig: Any, unvisited: int) -> int:
     if phase == "S0":
         return len(ctx.level_ids(1)) + 1
     if phase == "S1":
-        return sum(1 for n in ctx.level_ids(int(i)) if statuses.get(n, 0) == 0)
+        return unvisited
     if phase == "S2":
         return 0
     if phase == "S1R":
@@ -111,10 +121,6 @@ def _k4(snapshot: dict[str, Any], ctx: TraceContext, statuses: dict[int, int]) -
     if phase == "S4":
         return ctx.max_level - int(i)
     return 0  # S5, T
-
-
-def lex_less(a: Measure, b: Measure) -> bool:
-    return a < b
 
 
 def trace_length_cap(n_nodes: int, max_level: int, r_max: int) -> int:

@@ -126,6 +126,14 @@ class Scenario:
         default_factory=dict, repr=False
     )
 
+    def __post_init__(self) -> None:
+        if self.r_max < 0:
+            raise ScenarioError(f"r_max must be >= 0, got {self.r_max}")
+        if not 0.0 <= self.random_failure_rate <= 1.0:
+            raise ScenarioError(
+                f"random_failure_rate must be in [0, 1], got {self.random_failure_rate}"
+            )
+
     def reset_counters(self) -> None:
         self._attempt_counters.clear()
 

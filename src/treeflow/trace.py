@@ -14,6 +14,10 @@ from pathlib import Path
 from typing import Any, Iterable
 
 
+class TraceFormatError(ValueError):
+    """A persisted trace line that is not a valid event record."""
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     seq: int
@@ -40,15 +44,24 @@ class TraceEvent:
 
     @classmethod
     def from_record(cls, rec: dict[str, Any]) -> "TraceEvent":
+        try:
+            seq, rule, from_state, to_state = rec["seq"], rec["rule"], rec["from"], rec["to"]
+        except KeyError as exc:
+            raise TraceFormatError(f"event missing field {exc.args[0]!r}") from None
+        except TypeError:  # not a mapping: a JSON array, string or number
+            raise TraceFormatError(
+                f"event must be a JSON object, got {type(rec).__name__}"
+            ) from None
+
         def _measure(key: str) -> tuple[int, int, int, int] | None:
             raw = rec.get(key)
             return None if raw is None else tuple(raw)  # type: ignore[return-value]
 
         return cls(
-            seq=rec["seq"],
-            rule=rec["rule"],
-            from_state=rec["from"],
-            to_state=rec["to"],
+            seq=seq,
+            rule=rule,
+            from_state=from_state,
+            to_state=to_state,
             payload=rec.get("payload", {}),
             measure_pre=_measure("measure_pre"),
             measure_post=_measure("measure_post"),
@@ -106,9 +119,15 @@ class Trace:
     @classmethod
     def read_jsonl(cls, path: str | Path, methodology: str = "") -> "Trace":
         events = []
-        for line in Path(path).read_text().splitlines():
-            if line.strip():
+        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
                 events.append(TraceEvent.from_record(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise TraceFormatError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
+            except TraceFormatError as exc:
+                raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
         return cls(methodology, events)
 
 

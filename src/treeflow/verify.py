@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .hierarchy import Hierarchy
-from .measure import Measure, TraceContext, lex_less, measure_of
+from .measure import Measure, TraceContext, measure_of
 from .scenario import Scenario, TraceOriginStrategy
 from .trace import Trace, TraceEvent, check_chaining
 
@@ -239,7 +239,6 @@ def _legality_problem(
     rule = ev.rule
     p = ev.payload
     attempts = _attempts(p)
-    statuses = _statuses(p)
     failing = p.get("failing", [])
     level = p.get("level")
 
@@ -272,6 +271,7 @@ def _legality_problem(
     if rule == "PD2b":
         i = int(level)
         k_i = ctx.k_thresholds.get(i, len(ctx.level_ids(i)))
+        statuses = _statuses(p)
         done = sum(1 for n in ctx.level_ids(i) if statuses.get(n) == 2)
         if done < k_i:
             return f"advance from level {i} with {done} finalized < K={k_i}"
@@ -282,7 +282,7 @@ def _legality_problem(
         if i != ctx.max_level and ctx.level_ids(i + 1):
             return "bottom-up entry with a non-empty next level"
     if rule in ("PD7", "PB8"):
-        if any(v != 2 for v in statuses.values()):
+        if any(v != 2 for v in _statuses(p).values()):
             return f"{rule} with unfinalized nodes"
         if int(level) != ctx.max_level:
             return f"{rule} before the last level"
@@ -297,6 +297,7 @@ def _legality_problem(
             return "pattern derivation at the last level"
         if not p.get("next_pattern"):
             return "pattern derivation with no children"
+        statuses = _statuses(p)
         if any(statuses.get(n) != 2 for n in ctx.level_ids(i)):
             return "pattern derivation from unfinalized nodes"
     if rule in ("PD8", "PB9") and p.get("reason") == "refinement_exhausted":
@@ -352,7 +353,7 @@ def check_measure_descent(trace: Trace, methodology: str | None = None) -> Verdi
             post = tuple(ev.measure_post or ())
             if len(pre) != 4 or len(post) != 4:
                 return Verdict(name, False, "missing measure snapshot", ev.seq)
-            if not lex_less(post, pre):
+            if not post < pre:
                 return Verdict(
                     name, False, f"{ev.rule} did not decrease M: {pre} -> {post}", ev.seq
                 )

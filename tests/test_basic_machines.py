@@ -196,6 +196,29 @@ class TestDad:
         assert dag.is_acyclic()
         _assert_dependency_completeness(dag, trace)
 
+    def test_deps_edited_after_construction_with_extensions(self):
+        """run_dad reads the dependency map as it stands at run time, and
+        keeps its dependents index current across scripted extensions."""
+        dag = Dag.from_hierarchy(perfect_tree(2, 3))
+        assert dag.deps[5] == {1} and dag.deps[6] == {2}
+        dag.deps[6].add(3)       # a cross edge added after construction
+        dag.deps[5].discard(1)   # and one moved: 5 now hangs off 4
+        dag.deps[5].add(4)
+        sc = Scenario(dad_missing_deps={3: ["cfg"], 5: ["schema"]})
+        trace = run_dad(dag, sc)
+        assert trace.final_state == "T"
+        _assert_dependency_completeness(dag, trace)
+        order = [e.payload["node"] for e in trace if e.rule == "DA3"]
+        extensions = {e.payload["node"]: e.payload["new_node"]
+                      for e in trace if e.rule == "DA4" and "new_node" in e.payload}
+        assert sorted(extensions) == [3, 5]
+        assert order.index(extensions[3]) < order.index(3) < order.index(6)
+        assert order.index(4) < order.index(extensions[5]) < order.index(5)
+        enqueued_by = {e.payload["node"]: e.payload["children_enqueued"]
+                       for e in trace if e.rule == "DA3"}
+        assert 5 not in enqueued_by[1]            # the removed edge is gone
+        assert extensions[3] not in enqueued_by[0]
+
     @pytest.mark.parametrize("seed", range(30))
     def test_dependency_completeness_against_topological_oracle(self, seed):
         h = random_tree(random.Random(seed))

@@ -78,6 +78,21 @@ class TestValidationErrors:
         with pytest.raises(HierarchyError, match="collision"):
             load_hierarchy(GOOD + [row(9, 1, 0, 2)])
 
+    def test_collision_names_the_earlier_sibling(self):
+        # Rows are checked in id order, so the first collision reported is
+        # the one between the two lowest ids sharing a slot.
+        rows = GOOD + [row(5, 1, 7, 2), row(9, 1, 7, 2), row(8, 1, 1, 2),
+                       row(6, 1, 40, 2, width="int64"), row(7, 1, 31, 2)]
+        rows[0] = row(1, None, 0, 1, width="int64")
+        with pytest.raises(HierarchyError) as err:
+            load_hierarchy(rows)
+        assert str(err.value) == "child_index collision under parent 1: 3 and 8 both at 1"
+
+    def test_wide_parent_without_collisions_loads(self):
+        kids = [row(10 + k, 1, k, 2) for k in range(200)]
+        h = load_hierarchy([row(1, None, 0, 1, width="var:200")] + kids)
+        assert [c.child_index for c in h.children(1)] == list(range(200))
+
     def test_child_index_at_capacity(self):
         with pytest.raises(HierarchyError, match="capacity"):
             load_hierarchy(GOOD + [row(9, 1, 32, 2)])

@@ -1,0 +1,122 @@
+"""Golden traces: the JSONL bytes every machine writes are pinned by SHA-256.
+
+The engines keep incremental counters for speed; these hashes show that the
+emitted traces (payload snapshots, measures, rule sequence) stay exactly
+what the straightforward full-recompute implementation produced.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from treeflow.basic_machines import Dag, run_bfd, run_cdd, run_dad, run_dfd
+from treeflow.fixtures import (
+    geo_hierarchy,
+    pbfd_mvp_scenario,
+    pdfd_mvp_scenario,
+    visited_places_hierarchy,
+)
+from treeflow.hierarchy import Hierarchy, load_hierarchy
+from treeflow.hybrid_machines import run_pbfd, run_pdfd
+from treeflow.scenario import CddScript, Scenario, TraceOriginStrategy
+
+
+def uneven_tree(seed: int, level_sizes=(1, 8, 60, 300, 700)) -> Hierarchy:
+    """Each node picks a random parent on the level above, so fanouts are
+    uneven and some inner nodes are leaves."""
+    rng = random.Random(seed)
+    rows: list[dict] = []
+    parents: list[int] = []
+    fanout: dict[int, int] = {}
+    for depth, count in enumerate(level_sizes, start=1):
+        level = []
+        for _ in range(count):
+            pid = rng.choice(parents) if parents else None
+            ci = fanout.get(pid, 0)
+            fanout[pid] = ci + 1
+            level.append(len(rows))
+            rows.append({"id": len(rows), "name": f"n{len(rows)}", "name_type_id": depth,
+                         "width_class": "int32", "parent_id": pid, "child_index": ci,
+                         "level": depth})
+        parents = level
+    for row in rows:
+        n = fanout.get(row["id"], 0)
+        row["width_class"] = "int32" if n <= 32 else ("int64" if n <= 64 else f"var:{n}")
+    return load_hierarchy(rows)
+
+
+def _hybrid_scenario(h: Hierarchy, seed: int) -> Scenario:
+    return Scenario(r_max=3, trace_origin=TraceOriginStrategy.fixed(2), seed=seed,
+                    random_failure_rate=2.0 / len(h))
+
+
+def _cdd_scenario(h: Hierarchy) -> Scenario:
+    ids = sorted(h.nodes)
+    return Scenario(
+        r_max=3,
+        cdd=CddScript(test_failures={ids[1]: 1}, feedback_cycles={ids[2]: 1},
+                      refine_iterations={ids[1]: 2, ids[2]: 3}),
+        increments=[[n.id for n in h.level(k)] for k in h.levels()],
+    )
+
+
+def _trace(machine: str, h: Hierarchy, hybrid: dict[str, Scenario]):
+    if machine == "pdfd":
+        return run_pdfd(h, hybrid["pdfd"]).trace
+    if machine == "pbfd":
+        return run_pbfd(h, hybrid["pbfd"]).trace
+    if machine == "dad":
+        extend = sorted(h.nodes)[1::max(1, len(h) // 3)][:3]
+        return run_dad(Dag.from_hierarchy(h),
+                       Scenario(dad_missing_deps={v: [f"ext{v}"] for v in extend}))
+    if machine == "dfd":
+        return run_dfd(h)
+    if machine == "bfd":
+        return run_bfd(h)
+    return run_cdd(sorted(h.nodes), 3, _cdd_scenario(h))
+
+
+def _inputs(name: str) -> tuple[Hierarchy, dict[str, Scenario]]:
+    """The tree and its hybrid scenarios.  The two bundled replay profiles
+    cover the completion sweep (PD5-PD7, PB7-PB8); the seeded failures
+    cover exhaustion and path-less failures."""
+    if name == "geo":
+        h = geo_hierarchy()
+        return h, {"pdfd": _hybrid_scenario(h, 11), "pbfd": pbfd_mvp_scenario()}
+    if name == "visited":
+        return visited_places_hierarchy(), {"pdfd": pdfd_mvp_scenario()}
+    h = uneven_tree(2026)
+    return h, {"pdfd": _hybrid_scenario(h, 11), "pbfd": _hybrid_scenario(h, 23)}
+
+
+GOLDEN = {
+    "geo:bfd": "463a45efa40b996a76827ec91d16fee2699469cf410c7bd8286000b62307dd5a",
+    "geo:cdd": "b3b418f473592aad9df5adb3c33c5a65d62a0d4c6ac41a4f2ef3dd66f4f2e308",
+    "geo:dad": "bc466a99627481a3615584f8e310f7cc55a56c4bb90ad96c114282ee8bb51100",
+    "geo:dfd": "0d2b5b951e50c590da2957bfcc68195ed9630c4fbd2d934d0083465243e0ecb8",
+    "geo:pbfd": "8748907d38d6b2cdd955ef510207c0e5c5c261019643382978fa3cf1684c9d74",
+    "geo:pdfd": "f428ad6d7ae2f57e741b03a9f2fd7ce7ff050731ca05e1b97e9c95e7bd5b416d",
+    "uneven:bfd": "8887861120f580519e3531641f7b4a231edb7554bcfc5f002403a8b90226e4f9",
+    "uneven:cdd": "7b2d284dc2d7be68db3570e3d9a5c26bf301a48db45a25a73222e4caa00e5511",
+    "uneven:dad": "f74491c8b3b26c2bd6571eb8f89ea4f06c9a58926cc9123c0561fce50a79c13c",
+    "uneven:dfd": "d63db88c964cf8039669313b5a12196111ef8971fe39df4e24a864455523a477",
+    "uneven:pbfd": "e256ef01aef69c6eeefb7a60dc6be13471bcb6bd0a3011f98558ae143dac1585",
+    "uneven:pdfd": "5d5bff6b5ec284a0e87055682f27ddcfb238aeb0b3dc772572b3a6ea644cd239",
+    "visited:pdfd": "7a6ae6e26e1b4eb0e3a8b4038894e1b0ee6e49d5d3ff6912f77f465c6ac702b1",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_trace_bytes_match_golden_hash(key, tmp_path):
+    tree, machine = key.split(":")
+    h, hybrid = _inputs(tree)
+    path = tmp_path / "trace.jsonl"
+    _trace(machine, h, hybrid).write_jsonl(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[key]
+
+
+def test_golden_set_covers_every_machine_on_both_trees():
+    machines = ("bfd", "cdd", "dad", "dfd", "pbfd", "pdfd")
+    expected = [f"{t}:{m}" for t in ("geo", "uneven") for m in machines] + ["visited:pdfd"]
+    assert sorted(GOLDEN) == sorted(expected)

@@ -11,8 +11,9 @@ from treeflow.fixtures import (
     uniform_hierarchy,
     visited_places_hierarchy,
 )
+from treeflow import hybrid_machines
 from treeflow.hybrid_machines import run_pbfd, run_pdfd
-from treeflow.measure import TraceContext, measure_of, trace_length_cap
+from treeflow.measure import MeasureError, TraceContext, measure_of, trace_length_cap
 from treeflow.scenario import Scenario, TraceOriginStrategy
 from treeflow.trace import Trace, TraceEvent
 from treeflow.verify import (
@@ -79,15 +80,16 @@ class TestMeasureOf:
         ev = next(e for e in res.trace if e.rule == "PD2a")
         assert ev.measure_pre[1] - ev.measure_post[1] == 1
 
-    def test_touched_only_budget_variant(self):
-        """The narrower budget reading counts only levels with spent attempts."""
+    def test_budget_counts_every_level(self):
         _h, ctx = seven_node_ctx()
-        from dataclasses import replace
-
-        narrow = replace(ctx, k2_touched_only=True)
         snap = snapshot("S1", i=1, attempts={1: 0, 2: 1, 3: 0}, ctx=ctx)
         assert measure_of(snap, ctx)[1] == 8      # 3x3 budget minus one spent
-        assert measure_of(snap, narrow)[1] == 2   # only the touched level counts
+
+    def test_negative_component_is_a_typed_error(self):
+        _h, ctx = seven_node_ctx()
+        snap = snapshot("S1", i=1, attempts={1: 10, 2: 0, 3: 0}, ctx=ctx)  # k2 = 9 - 10
+        with pytest.raises(MeasureError, match="must be non-negative"):
+            measure_of(snap, ctx)
 
 
 class TestDescent:
@@ -288,6 +290,31 @@ class TestMonitorPurity:
             assert (first.ok, first.detail, first.first_violation_seq) == (
                 second.ok, second.detail, second.first_violation_seq
             )
+
+
+class TestMonitorIndependence:
+    """The engine counts unfinalized and unvisited nodes incrementally; the
+    descent monitor must recompute M from the payload, not echo the engine."""
+
+    @pytest.mark.parametrize("run", [run_pdfd, run_pbfd])
+    def test_skewed_engine_counter_is_caught(self, run, monkeypatch):
+        original = hybrid_machines._Engine.finalize
+
+        def skewed_finalize(self, ids):
+            newly = original(self, ids)
+            if not getattr(self, "_skewed", False):
+                self._unfinalized += 1
+                self._skewed = True
+            return newly
+
+        monkeypatch.setattr(hybrid_machines._Engine, "finalize", skewed_finalize)
+        res = run(visited_places_hierarchy(), pdfd_mvp_scenario())
+        first_finalizing = next(e for e in res.trace if e.payload.get("finalized"))
+        verdict = check_measure_descent(res.trace)
+        assert not verdict.ok
+        assert verdict.first_violation_seq == first_finalizing.seq
+        assert verdict.detail.startswith("recorded post-measure")
+        assert "!= recomputed" in verdict.detail
 
 
 class TestTraceLengthCap:
