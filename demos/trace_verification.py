@@ -1,8 +1,10 @@
 """Walkthrough: trace monitors catching a forged event.
 
 Every hybrid-machine event carries the progress measure before and after the
-step plus a committed-status snapshot, so the monitors work from the trace
-alone.  Run top to bottom:  python3 demos/trace_verification.py
+step plus the committed statuses: the first event holds the full status map,
+each later one only the nodes its step changed (``status_changes``).  The
+monitors fold those changes and work from the trace alone.
+Run top to bottom:  python3 demos/trace_verification.py
 """
 
 from treeflow.csp import annotate_trace, check_csp_conformance
@@ -28,20 +30,22 @@ print("\n== event-level annotation (first ten) ==")
 for seq, name in annotate_trace(trace)[:10]:
     print(f"  event {seq}: {name}")
 
-# Forge a demotion: flip one finalized node back to unprocessed in the last
-# committed snapshot.  The invariance monitor pinpoints the event.
+print("\n== status changes of the first finalizing event ==")
+ev = next(e for e in trace if e.payload.get("finalized"))
+print(f"event {ev.seq} ({ev.rule}): {ev.payload['status_changes']}")
+
+# Forge a demotion: the last event flips one finalized node back to
+# unprocessed.  The invariance monitor pinpoints the event.
 print("\n== forged status demotion ==")
 events = list(trace)
 last = events[-1]
-statuses = dict(last.payload["statuses"])
-victim = next(iter(statuses))
-statuses[victim] = 0
+victim = next(iter(events[0].payload["statuses"]))  # finalized by the end
 events[-1] = TraceEvent(
     seq=last.seq,
     rule=last.rule,
     from_state=last.from_state,
     to_state=last.to_state,
-    payload=dict(last.payload, statuses=statuses),
+    payload=dict(last.payload, status_changes={victim: 0}),
     measure_pre=last.measure_pre,
     measure_post=last.measure_post,
 )

@@ -104,8 +104,7 @@ def _dump_trace(trace: Trace, out: str | None) -> None:
     if out:
         trace.write_jsonl(out)
     else:
-        for ev in trace:
-            sys.stdout.write(json.dumps(ev.to_record(), sort_keys=True) + "\n")
+        sys.stdout.write(trace.to_jsonl())
 
 
 def _summary(result) -> str:

@@ -158,15 +158,25 @@ def load_hierarchy(source: str | Path | list[dict]) -> Hierarchy:
         if n.parent_id is not None and n.parent_id not in nodes:
             raise HierarchyError(f"node {n.id} has dangling parent {n.parent_id}")
 
-    # Cycle check on the parent links before relying on levels.
-    for n in nodes.values():
-        seen = {n.id}
-        cur = n
-        while cur.parent_id is not None:
-            if cur.parent_id in seen:
-                raise HierarchyError(f"cycle detected through node {cur.parent_id}")
-            seen.add(cur.parent_id)
-            cur = nodes[cur.parent_id]
+    # Cycle check on the parent links before relying on levels.  Levels that
+    # rise by one along every parent link rule out a cycle (it would need a
+    # node deeper than itself), so the walk runs only when some link breaks
+    # that; the level error itself is raised below, after the walk has had
+    # the chance to report a cycle first.
+    levels_consistent = all(
+        nodes[n.parent_id].level == n.level - 1
+        for n in nodes.values()
+        if n.parent_id is not None
+    )
+    if not levels_consistent:
+        for n in nodes.values():
+            seen = {n.id}
+            cur = n
+            while cur.parent_id is not None:
+                if cur.parent_id in seen:
+                    raise HierarchyError(f"cycle detected through node {cur.parent_id}")
+                seen.add(cur.parent_id)
+                cur = nodes[cur.parent_id]
 
     children: dict[int, list[int]] = {}
     # One int per parent with a bit set for every child_index taken so far.

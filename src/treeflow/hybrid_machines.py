@@ -12,8 +12,10 @@ Shared semantics
   pass entering that level (episode entry, in-range progression, and
   retries).  A pass whose entry brings the counter to the cap terminates the
   run through the exhaustion rule of the machine.
-* Every event carries the measure before/after plus a full snapshot, so the
-  monitors can re-derive everything from the trace alone.
+* Every event carries the measure before/after, the phase, indices and
+  attempt counters, and the statuses as trace format 2: the full map on the
+  first event, then only the nodes each step changed.  The monitors fold
+  those changes and re-derive everything from the trace alone.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .scenario import (
     UndefinedTraceOriginError,
     resolve_trace_origin,
 )
-from .trace import Trace
+from .trace import TRACE_FORMAT, Trace
 
 
 class HybridRunError(RuntimeError):
@@ -70,8 +72,8 @@ class _Engine:
     Besides the statuses and attempt counters, the engine keeps the number
     of unfinalized nodes and of unvisited nodes per level up to date as
     statuses change, so that computing M costs O(L) rather than O(nodes).
-    The monitors never see these counters: they recompute M from each
-    event's payload snapshot.
+    The monitors never see these counters: they fold each event's status
+    changes themselves and recompute M.
     """
 
     def __init__(self, methodology: str, h: Hierarchy, scenario: Scenario):
@@ -82,10 +84,10 @@ class _Engine:
         self.L = h.max_level
         self.statuses: dict[int, int] = {n: 0 for n in h.nodes}
         self.attempts: dict[int, int] = {l: 0 for l in range(1, self.L + 1)}
-        # Snapshot keys in the iteration order of the two maps above, whose
-        # key sets never change during a run.
-        self._status_keys = [str(n) for n in self.statuses]
+        # Snapshot keys in the iteration order of the attempt counters, whose
+        # key set never changes during a run.
         self._attempt_keys = [str(l) for l in self.attempts]
+        self._changed: list[int] = []  # nodes whose status the step changed
         self.state = _State()
         self.trace = Trace(methodology)
         self.reason: str | None = None
@@ -104,6 +106,7 @@ class _Engine:
     # -- snapshots -----------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
+        """Phase, indices and attempt counters; statuses travel apart."""
         return {
             "phase": self.state.phase,
             "i": self.state.i,
@@ -111,7 +114,6 @@ class _Engine:
             "i_orig": self.state.i_orig,
             "origin_phase": self.state.origin_phase,
             "attempts": dict(zip(self._attempt_keys, self.attempts.values())),
-            "statuses": dict(zip(self._status_keys, self.statuses.values())),
         }
 
     def measure(self) -> Measure:
@@ -151,6 +153,12 @@ class _Engine:
         if extra:
             full.update(extra)
         full.update(self.snapshot())
+        if self.trace.events:
+            full["status_changes"] = {str(n): self.statuses[n] for n in self._changed}
+        else:
+            full["statuses"] = {str(n): s for n, s in self.statuses.items()}
+            full["trace_format"] = TRACE_FORMAT
+        self._changed.clear()
         self.trace.emit(
             rule,
             from_label,
@@ -169,7 +177,8 @@ class _Engine:
             if s != 2:
                 if s == 0:
                     self._unvisited[self.h.nodes[n].level] -= 1
-                self.statuses[n] = 1
+                    self.statuses[n] = 1
+                    self._changed.append(n)
                 touched.append(n)
         return touched
 
@@ -182,6 +191,7 @@ class _Engine:
                     self._unvisited[self.h.nodes[n].level] -= 1
                 self.statuses[n] = 2
                 self._unfinalized -= 1
+                self._changed.append(n)
                 newly.append(n)
         return newly
 
@@ -216,7 +226,7 @@ class _Engine:
 
 def _init_payload(eng: _Engine) -> dict[str, Any]:
     return {
-        "levels": {str(k): eng.ctx.level_ids(k) for k in sorted(eng.ctx.levels)},
+        "levels": {str(k): list(eng.ctx.level_ids(k)) for k in sorted(eng.ctx.levels)},
         "L": eng.L,
         "r_max": eng.sc.r_max,
         "k": {str(k): v for k, v in eng.sc.k_thresholds.items()},

@@ -68,19 +68,25 @@ class TraceContext:
         return sum(len(v) for v in self.levels.values())
 
 
-def measure_of(snapshot: dict[str, Any], ctx: TraceContext) -> Measure:
-    """Recompute M from a state snapshot (phase, indices, attempts, statuses)."""
-    statuses = {int(k): int(v) for k, v in snapshot["statuses"].items()}
-    attempts = {int(k): int(v) for k, v in snapshot["attempts"].items()}
-    phase = snapshot["phase"]
-    i = snapshot.get("i")
-    k1 = sum(1 for v in statuses.values() if v != 2)
+def measure_with_counts(
+    payload: dict[str, Any], ctx: TraceContext, k1: int, unvisited: dict[int, int]
+) -> Measure:
+    """M from a payload's phase, indices and attempt counters, given the
+    status-derived counts: ``k1`` unfinalized nodes and the unvisited nodes
+    of each level (a node missing from the status map counts as unvisited)."""
+    attempts = {int(k): int(v) for k, v in payload["attempts"].items()}
+    phase = payload["phase"]
+    i = payload.get("i")
     k2 = sum(ctx.r_max - attempts.get(l, 0) for l in range(1, ctx.max_level + 1))
-    unvisited = 0
-    if phase == "S1":
-        unvisited = sum(1 for n in ctx.level_ids(int(i)) if statuses.get(n, 0) == 0)
     return compose_measure(
-        ctx, phase, i, snapshot.get("j"), snapshot.get("i_orig"), k1, k2, unvisited
+        ctx,
+        phase,
+        i,
+        payload.get("j"),
+        payload.get("i_orig"),
+        k1,
+        k2,
+        unvisited.get(int(i), 0) if phase == "S1" else 0,
     )
 
 

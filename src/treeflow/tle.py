@@ -54,6 +54,10 @@ class ShallowHierarchyError(TleError):
     """Hierarchies with fewer than three levels have no storable unit."""
 
 
+class SnapshotError(TleError):
+    """A store snapshot that is not valid JSON or does not fit the schema."""
+
+
 @dataclass(frozen=True)
 class TleUnit:
     """One grandparent table: ordered parent columns with per-column widths."""
@@ -345,16 +349,40 @@ class TleStore:
 
     @classmethod
     def load_snapshot(cls, hierarchy: Hierarchy, path: str | Path) -> "TleStore":
-        doc = json.loads(Path(path).read_text())
+        """Rebuild a store saved by ``save_snapshot``.  Raises SnapshotError
+        naming the file, the record index and the field
+        (``store.json: records[0].unit_id: unknown unit 999``)."""
+        try:
+            doc = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise SnapshotError(f"{path}: invalid JSON: {exc.msg}") from None
+        records = doc.get("records") if isinstance(doc, dict) else None
+        if not isinstance(records, list):
+            raise SnapshotError(f"{path}: missing field 'records' (a list)")
         store = cls(hierarchy)
-        for raw in doc["records"]:
-            subject = int(raw["subject_id"])
-            unit_id = int(raw["unit_id"])
-            unit = store.schema.units[unit_id]
-            rec = store._empty_record(subject, unit)
-            for col_text, value in raw["cells"].items():
-                col = int(col_text)
-                rec.cells[col] = Bitmask.deserialize(unit.child_widths[col], value)
+        for index, raw in enumerate(records):
+            where = f"{path}: records[{index}]"
+            if not isinstance(raw, dict):
+                raise SnapshotError(f"{where}: not an object")
+            field = "subject_id"
+            try:
+                subject = int(raw[field])
+                field = "unit_id"
+                unit_id = int(raw[field])
+                unit = store.schema.units.get(unit_id)
+                if unit is None:
+                    raise ValueError(f"unknown unit {unit_id}")
+                field = "cells"
+                rec = store._empty_record(subject, unit)
+                for col_text, value in raw[field].items():
+                    col = int(col_text)
+                    if col not in unit.child_widths:
+                        raise ValueError(f"unknown column {col} of unit {unit_id}")
+                    rec.cells[col] = Bitmask.deserialize(unit.child_widths[col], value)
+            except KeyError:
+                raise SnapshotError(f"{where}: missing field {field!r}") from None
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise SnapshotError(f"{where}.{field}: {exc}") from None
             store.records[(subject, unit_id)] = rec
             store.subjects.add(subject)
         return store

@@ -2,8 +2,14 @@
 
 One event per fired transition rule.  Events chain: ``to_state`` of event n
 equals ``from_state`` of event n+1.  Hybrid-machine events additionally carry
-the lexicographic measure before and after the step plus a committed-status
-snapshot, which is what the verification monitors consume.
+the lexicographic measure before and after the step plus the committed node
+statuses, which is what the verification monitors consume.
+
+Statuses travel as deltas (``TRACE_FORMAT`` 2): the first event's payload
+holds the full ``statuses`` map and ``"trace_format": 2``, and every later
+event holds ``status_changes``, the new status of exactly the nodes that step
+changed.  ``fold_statuses`` rebuilds each event's map.  It also reads format
+1, where every event carries the full map.
 """
 
 from __future__ import annotations
@@ -11,11 +17,28 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
+
+TRACE_FORMAT = 2
+
+# One encoder for every line: json.dumps(sort_keys=True) builds a new one per
+# call, with byte-identical output.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+# The decoder's scanner without json.loads's whitespace handling around it.
+_scan = json.JSONDecoder().scan_once
 
 
 class TraceFormatError(ValueError):
     """A persisted trace line that is not a valid event record."""
+
+
+class StatusFoldError(TraceFormatError):
+    """A status map or delta the fold cannot apply; ``seq`` names the event."""
+
+    def __init__(self, seq: Any, detail: str):
+        super().__init__(f"event {seq}: {detail}")
+        self.seq = seq
+        self.detail = detail
 
 
 @dataclass(frozen=True)
@@ -45,27 +68,32 @@ class TraceEvent:
     @classmethod
     def from_record(cls, rec: dict[str, Any]) -> "TraceEvent":
         try:
-            seq, rule, from_state, to_state = rec["seq"], rec["rule"], rec["from"], rec["to"]
+            rec["seq"], rec["rule"], rec["from"], rec["to"]
         except KeyError as exc:
             raise TraceFormatError(f"event missing field {exc.args[0]!r}") from None
         except TypeError:  # not a mapping: a JSON array, string or number
             raise TraceFormatError(
                 f"event must be a JSON object, got {type(rec).__name__}"
             ) from None
+        return _event(rec, cls)
 
-        def _measure(key: str) -> tuple[int, int, int, int] | None:
-            raw = rec.get(key)
-            return None if raw is None else tuple(raw)  # type: ignore[return-value]
 
-        return cls(
-            seq=seq,
-            rule=rule,
-            from_state=from_state,
-            to_state=to_state,
-            payload=rec.get("payload", {}),
-            measure_pre=_measure("measure_pre"),
-            measure_post=_measure("measure_post"),
-        )
+def _event(rec: dict[str, Any], cls: type[TraceEvent] = TraceEvent) -> TraceEvent:
+    """The event of one parsed record, built without the frozen dataclass's
+    per-field ``__setattr__``; still immutable and equal to a constructed one."""
+    ev = object.__new__(cls)
+    fields = {
+        "seq": rec["seq"],
+        "rule": rec["rule"],
+        "from_state": rec["from"],
+        "to_state": rec["to"],
+        "payload": rec.get("payload", {}),
+    }
+    pre, post = rec.get("measure_pre"), rec.get("measure_post")
+    fields["measure_pre"] = None if pre is None else tuple(pre)
+    fields["measure_post"] = None if post is None else tuple(post)
+    object.__setattr__(ev, "__dict__", fields)
+    return ev
 
 
 class Trace:
@@ -112,18 +140,31 @@ class Trace:
     def __getitem__(self, i):
         return self.events[i]
 
+    def to_jsonl(self) -> str:
+        """One sorted-key JSON record per line, newline-terminated."""
+        encode = _ENCODER.encode
+        lines = [encode(e.to_record()) for e in self.events]
+        return "\n".join(lines) + ("\n" if lines else "")
+
     def write_jsonl(self, path: str | Path) -> None:
-        lines = [json.dumps(e.to_record(), sort_keys=True) for e in self.events]
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+        Path(path).write_text(self.to_jsonl())
 
     @classmethod
     def read_jsonl(cls, path: str | Path, methodology: str = "") -> "Trace":
+        """Events of a JSONL file; blank lines are skipped.  A bad line
+        raises TraceFormatError naming the file and line."""
         events = []
         for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            if not line.strip():
-                continue
+            try:  # the common case: one record that fills its line
+                rec, end = _scan(line, 0)
+            except (StopIteration, ValueError):
+                end = -1
             try:
-                events.append(TraceEvent.from_record(json.loads(line)))
+                if end != len(line):  # blank, padded or faulty: json.loads decides
+                    if not line.strip():
+                        continue
+                    rec = json.loads(line)
+                events.append(TraceEvent.from_record(rec))
             except json.JSONDecodeError as exc:
                 raise TraceFormatError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
             except TraceFormatError as exc:
@@ -137,3 +178,62 @@ def check_chaining(trace: Trace) -> int | None:
         if cur.from_state != prev.to_state:
             return cur.seq
     return None
+
+
+def fold_statuses(
+    events: Iterable[TraceEvent],
+) -> Iterator[tuple[TraceEvent, dict[int, int], dict[int, int | None]]]:
+    """Rebuild a hybrid trace's committed node statuses, event by event.
+
+    Yields ``(event, statuses, prior)``.  ``statuses`` is the map after the
+    event; it is updated in place, so copy it to keep it past the next step.
+    ``prior`` maps each node whose status the event changed to its status
+    before (None for a node the map did not hold).  A ``statuses`` payload
+    replaces the map (the first event of format 2; every event of format 1
+    or of a hand-made trace), then ``status_changes`` patches it.  A delta
+    before any full map, one naming a node the map lacks, a non-integer
+    status, an event with neither key, or a ``trace_format`` other than 1
+    or ``TRACE_FORMAT`` raises StatusFoldError."""
+    statuses: dict[int, int] | None = None
+    for ev in events:
+        p = ev.payload
+        version = p.get("trace_format", TRACE_FORMAT)
+        if version not in (1, TRACE_FORMAT):
+            raise StatusFoldError(ev.seq, f"unsupported trace_format {version!r}")
+        full, changes = p.get("statuses"), p.get("status_changes")
+        if full is None and changes is None:
+            raise StatusFoldError(ev.seq, "no statuses or status_changes")
+        prior: dict[int, int | None] = {}
+        if full is not None:
+            new = dict(_int_items(full, ev.seq, "statuses"))
+            old_map = statuses or {}
+            for n, s in new.items():
+                old = old_map.get(n)
+                if old != s:
+                    prior[n] = old
+            for n, old in old_map.items():
+                if n not in new:
+                    prior[n] = old
+            statuses = new
+        if changes is not None:
+            if statuses is None:
+                raise StatusFoldError(ev.seq, "status_changes before any full status map")
+            for n, s in _int_items(changes, ev.seq, "status_changes"):
+                old = statuses.get(n)
+                if old is None:
+                    raise StatusFoldError(ev.seq, f"status_changes names unknown node {n}")
+                if old == s:
+                    continue
+                if n not in prior:
+                    prior[n] = old
+                elif prior[n] == s:  # a full map and a delta in one event cancel
+                    del prior[n]
+                statuses[n] = s
+        yield ev, statuses, prior  # type: ignore[misc]
+
+
+def _int_items(raw: Any, seq: Any, key: str) -> list[tuple[int, int]]:
+    try:
+        return [(int(k), int(v)) for k, v in raw.items()]
+    except (AttributeError, TypeError, ValueError):
+        raise StatusFoldError(seq, f"{key} must map node ids to integer statuses") from None

@@ -4,16 +4,20 @@ Checks provided, all pure over immutable traces:
 
 * well-formedness: events chain and every rule is known for the methodology;
 * rule legality: each rule's firing condition is re-evaluated from the
-  previous event's snapshot and the event payload;
+  previous event's payload, the event payload and the folded statuses;
 * measure descent: every non-terminal transition strictly decreases the
   lexicographic measure, with per-component deltas matching the rule's
-  expected pattern; recorded measures are recomputed from snapshots;
+  expected pattern; recorded measures are recomputed from the payloads and
+  from counts the monitor keeps over the folded status changes;
 * bounded refinement: per-level attempt counters never exceed the cap and
   the total number of increments is at most levels x cap;
-* finalization invariance: committed statuses never leave FINALIZED;
+* finalization invariance: no status change moves a FINALIZED node;
 * deadlock freeness: static rule-table coverage plus bounded exhaustive
   enumeration of reachable machine configurations over all validation
   outcomes.
+
+The status monitors read statuses through ``trace.fold_statuses``, so they
+accept both the delta-encoded format and full per-event snapshots.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .hierarchy import Hierarchy
-from .measure import Measure, TraceContext, measure_of
+from .measure import Measure, TraceContext, measure_with_counts
 from .scenario import Scenario, TraceOriginStrategy
-from .trace import Trace, TraceEvent, check_chaining
+from .trace import StatusFoldError, Trace, TraceEvent, check_chaining, fold_statuses
 
 
 class Delta(enum.Enum):
@@ -200,15 +204,11 @@ def check_well_formed(trace: Trace, methodology: str | None = None) -> Verdict:
     return Verdict(name, True)
 
 
-# -- rule legality against payload snapshots -----------------------------------
+# -- rule legality against payloads and folded statuses --------------------------
 
 
 def _attempts(payload: dict[str, Any]) -> dict[int, int]:
     return {int(k): int(v) for k, v in payload["attempts"].items()}
-
-
-def _statuses(payload: dict[str, Any]) -> dict[int, int]:
-    return {int(k): int(v) for k, v in payload["statuses"].items()}
 
 
 def check_rule_legality(trace: Trace, methodology: str | None = None) -> Verdict:
@@ -222,19 +222,22 @@ def check_rule_legality(trace: Trace, methodology: str | None = None) -> Verdict
         return Verdict(name, False, wf.detail, wf.first_violation_seq)
     ctx = context_of(trace, methodology)
     prev_payload: dict[str, Any] | None = None
-    for ev in trace:
-        problem = _legality_problem(ev, prev_payload, ctx, methodology)
-        if problem:
-            return Verdict(name, False, problem, ev.seq)
-        prev_payload = ev.payload
+    try:
+        for ev, statuses, _prior in fold_statuses(trace):
+            problem = _legality_problem(ev, prev_payload, statuses, ctx)
+            if problem:
+                return Verdict(name, False, problem, ev.seq)
+            prev_payload = ev.payload
+    except StatusFoldError as err:
+        return Verdict(name, False, err.detail, err.seq)
     return Verdict(name, True)
 
 
 def _legality_problem(
     ev: TraceEvent,
     prev_payload: dict[str, Any] | None,
+    statuses: dict[int, int],
     ctx: TraceContext,
-    methodology: str,
 ) -> str | None:
     rule = ev.rule
     p = ev.payload
@@ -271,7 +274,6 @@ def _legality_problem(
     if rule == "PD2b":
         i = int(level)
         k_i = ctx.k_thresholds.get(i, len(ctx.level_ids(i)))
-        statuses = _statuses(p)
         done = sum(1 for n in ctx.level_ids(i) if statuses.get(n) == 2)
         if done < k_i:
             return f"advance from level {i} with {done} finalized < K={k_i}"
@@ -282,7 +284,7 @@ def _legality_problem(
         if i != ctx.max_level and ctx.level_ids(i + 1):
             return "bottom-up entry with a non-empty next level"
     if rule in ("PD7", "PB8"):
-        if any(v != 2 for v in _statuses(p).values()):
+        if any(v != 2 for v in statuses.values()):
             return f"{rule} with unfinalized nodes"
         if int(level) != ctx.max_level:
             return f"{rule} before the last level"
@@ -297,7 +299,6 @@ def _legality_problem(
             return "pattern derivation at the last level"
         if not p.get("next_pattern"):
             return "pattern derivation with no children"
-        statuses = _statuses(p)
         if any(statuses.get(n) != 2 for n in ctx.level_ids(i)):
             return "pattern derivation from unfinalized nodes"
     if rule in ("PD8", "PB9") and p.get("reason") == "refinement_exhausted":
@@ -325,19 +326,40 @@ def _delta_ok(kind: Delta, pre: int, post: int) -> bool:
 def check_measure_descent(trace: Trace, methodology: str | None = None) -> Verdict:
     """Strict lexicographic descent on every non-terminal transition, with
     per-component deltas matching the rule's expected pattern, and recorded
-    measures agreeing with recomputation from the snapshots."""
+    measures agreeing with recomputation.
+
+    The monitor counts unfinalized nodes and unvisited nodes per level
+    itself, from the folded status changes, and never trusts the engine's
+    counters."""
     name = "measure-descent"
     methodology = methodology or trace.methodology
     rules = RULE_TABLES.get(methodology)
     if rules is None:
         return Verdict(name, True, "no measure defined for basic machines")
     ctx = context_of(trace, methodology)
+    try:
+        return _descent(name, trace, rules, ctx)
+    except StatusFoldError as err:
+        return Verdict(name, False, err.detail, err.seq)
+
+
+def _descent(name: str, trace: Trace, rules: dict[str, RuleSpec], ctx: TraceContext) -> Verdict:
+    level_of = {n: k for k, ids in ctx.levels.items() for n in ids}
+    unfinalized = 0
+    # Nodes the status map lacks count as unvisited, so every level starts full.
+    unvisited = {k: len(ids) for k, ids in ctx.levels.items()}
     prev_measure: Measure | None = None
-    for ev in trace:
+    for ev, statuses, prior in fold_statuses(trace):
+        for n, old in prior.items():
+            new = statuses.get(n)
+            unfinalized += (new is not None and new != 2) - (old is not None and old != 2)
+            k = level_of.get(n)
+            if k is not None:
+                unvisited[k] += (not new) - (not old)
         spec = rules.get(ev.rule)
         if spec is None:
             return Verdict(name, False, f"unknown rule {ev.rule}", ev.seq)
-        recomputed = measure_of(ev.payload, ctx)
+        recomputed = measure_with_counts(ev.payload, ctx, unfinalized, unvisited)
         if ev.measure_post is not None and tuple(ev.measure_post) != recomputed:
             return Verdict(
                 name,
@@ -411,18 +433,20 @@ def check_bounded_refinement(trace: Trace, r_max: int | None = None) -> Verdict:
 
 
 def check_finalization(trace: Trace) -> Verdict:
-    """Once a committed snapshot reports FINALIZED, every later snapshot must."""
+    """Once a node's committed status is FINALIZED, no later event may change
+    it (a full status map that drops the node changes it too)."""
     name = "finalization-invariance"
-    finalized: set[int] = set()
-    for ev in trace:
-        statuses = _statuses(ev.payload)
-        for n in finalized:
-            if statuses.get(n) != 2:
-                return Verdict(
-                    name, False, f"node {n} left FINALIZED", ev.seq
-                )
-        finalized.update(n for n, s in statuses.items() if s == 2)
-    return Verdict(name, True, f"{len(finalized)} nodes finalized")
+    finalized = 0
+    try:
+        for ev, statuses, prior in fold_statuses(trace):
+            for n, old in prior.items():
+                if old == 2:
+                    return Verdict(name, False, f"node {n} left FINALIZED", ev.seq)
+                if statuses.get(n) == 2:
+                    finalized += 1
+    except StatusFoldError as err:
+        return Verdict(name, False, err.detail, err.seq)
+    return Verdict(name, True, f"{finalized} nodes finalized")
 
 
 # -- deadlock freeness --------------------------------------------------------------

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from treeflow.cli import main
-from treeflow.fixtures import VISITED_PLACES_ROWS
+from treeflow.fixtures import GEO_ROWS, VISITED_PLACES_ROWS, geo_store
+from treeflow.hierarchy import load_hierarchy
 from treeflow.scenario import Scenario, ScenarioError, load_scenario
+from treeflow.tle import SnapshotError, TleStore
 from treeflow.trace import Trace, TraceFormatError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -94,3 +96,51 @@ class TestTraceLoader:
         rc = main(["verify", "--trace", str(path), "--methodology", "dfd"])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {path}:1: event missing field 'to'\n"
+
+
+class TestSnapshotLoader:
+    @pytest.fixture()
+    def files(self, tmp_path):
+        tree = tmp_path / "geo.json"
+        tree.write_text(json.dumps(GEO_ROWS))
+        snap = tmp_path / "snap.json"
+        geo_store().save_snapshot(snap)
+        return tree, snap
+
+    def _edit(self, snap, edit):
+        doc = json.loads(snap.read_text())
+        edit(doc["records"][1])
+        snap.write_text(json.dumps(doc))
+
+    def _load(self, tree, snap):
+        return TleStore.load_snapshot(load_hierarchy(tree), snap)
+
+    def test_unknown_unit(self, files):
+        tree, snap = files
+        self._edit(snap, lambda rec: rec.update(unit_id=999))
+        with pytest.raises(SnapshotError) as err:
+            self._load(tree, snap)
+        assert str(err.value) == f"{snap}: records[1].unit_id: unknown unit 999"
+
+    def test_unknown_column(self, files):
+        tree, snap = files
+        self._edit(snap, lambda rec: rec["cells"].update({"4242": "0"}))
+        with pytest.raises(SnapshotError, match=r"records\[1\]\.cells: unknown column 4242 of unit"):
+            self._load(tree, snap)
+
+    def test_missing_key(self, files):
+        tree, snap = files
+        self._edit(snap, lambda rec: rec.pop("subject_id"))
+        with pytest.raises(SnapshotError) as err:
+            self._load(tree, snap)
+        assert str(err.value) == f"{snap}: records[1]: missing field 'subject_id'"
+
+    def test_cli_report_prints_one_error_line(self, files, capsys):
+        tree, snap = files
+        self._edit(snap, lambda rec: rec.update(unit_id=999))
+        rc = main(["report", "--hierarchy", str(tree), "--snapshot", str(snap)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {snap}: records[1].unit_id: unknown unit 999\n"
+        assert "Traceback" not in captured.err

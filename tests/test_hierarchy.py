@@ -110,6 +110,25 @@ class TestValidationErrors:
         with pytest.raises(HierarchyError, match="cycle"):
             load_hierarchy(rows)
 
+    def test_cycle_message(self):
+        rows = [row(1, None, 0, 1), row(2, 3, 0, 2), row(3, 2, 0, 3)]
+        with pytest.raises(HierarchyError) as err:
+            load_hierarchy(rows)
+        assert str(err.value) == "cycle detected through node 2"
+
+    def test_cycle_reported_before_an_earlier_level_error(self):
+        """The level check skips the cycle walk only when every link is
+        consistent; a cycle still wins over a level error, as before."""
+        rows = [row(1, None, 0, 1), row(2, 1, 0, 3), row(5, 6, 0, 2), row(6, 5, 0, 3)]
+        with pytest.raises(HierarchyError) as err:
+            load_hierarchy(rows)
+        assert str(err.value) == "cycle detected through node 5"
+
+    def test_level_inconsistency_message(self):
+        with pytest.raises(HierarchyError) as err:
+            load_hierarchy(GOOD + [row(9, 1, 5, 3)])
+        assert str(err.value) == "node 9 level 3 inconsistent with parent 1 level 1"
+
     def test_missing_field(self):
         bad = dict(GOOD[0])
         del bad["child_index"]

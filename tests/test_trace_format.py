@@ -1,0 +1,223 @@
+"""Trace format 2 (delta-encoded hybrid statuses), the monitors' status
+fold, and the JSONL codec."""
+
+import dataclasses
+import json
+from pathlib import Path
+
+import pytest
+
+from treeflow.cli import main
+from treeflow.fixtures import (
+    GEO_ROWS,
+    pdfd_mvp_scenario,
+    visited_places_hierarchy,
+)
+from treeflow.hybrid_machines import run_pbfd, run_pdfd
+from treeflow.trace import (
+    TRACE_FORMAT,
+    StatusFoldError,
+    Trace,
+    TraceEvent,
+    fold_statuses,
+)
+from treeflow.verify import (
+    check_finalization,
+    check_measure_descent,
+    check_rule_legality,
+    run_all_checks,
+)
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def mvp_trace() -> Trace:
+    return run_pdfd(visited_places_hierarchy(), pdfd_mvp_scenario()).trace
+
+
+def replace_payload(trace: Trace, index: int, **payload) -> Trace:
+    events = list(trace)
+    events[index] = dataclasses.replace(events[index], payload=dict(events[index].payload, **payload))
+    return Trace(trace.methodology, events)
+
+
+class TestEngineOutput:
+    @pytest.mark.parametrize("run", [run_pdfd, run_pbfd])
+    def test_full_map_first_then_only_changes(self, run):
+        res = run(visited_places_hierarchy(), pdfd_mvp_scenario())
+        first, *rest = res.trace
+        assert first.payload["trace_format"] == TRACE_FORMAT == 2
+        assert set(first.payload["statuses"]) == {str(n) for n in res.statuses}
+        assert "status_changes" not in first.payload
+        for ev in rest:
+            assert "statuses" not in ev.payload and "trace_format" not in ev.payload
+            assert "status_changes" in ev.payload
+
+    @pytest.mark.parametrize("run", [run_pdfd, run_pbfd])
+    def test_changes_are_exactly_the_changed_nodes(self, run):
+        res = run(visited_places_hierarchy(), pdfd_mvp_scenario())
+        for ev, statuses, prior in fold_statuses(res.trace):
+            if ev.seq > 1:
+                assert set(ev.payload["status_changes"]) == {str(n) for n in prior}
+        assert statuses == res.statuses
+
+    @pytest.mark.parametrize("run", [run_pdfd, run_pbfd])
+    def test_payload_equals_its_json_round_trip(self, run):
+        res = run(visited_places_hierarchy(), pdfd_mvp_scenario())
+        for ev in res.trace:
+            assert json.loads(json.dumps(ev.payload)) == ev.payload
+
+    def test_monitors_agree_on_a_run_and_its_read_back(self, tmp_path):
+        trace = mvp_trace()
+        path = tmp_path / "t.jsonl"
+        trace.write_jsonl(path)
+        back = Trace.read_jsonl(path, "pdfd")
+        assert back.events == trace.events
+        assert [v.line() for v in run_all_checks(back)] == [v.line() for v in run_all_checks(trace)]
+
+
+class TestFold:
+    def test_forged_demotion_flagged_at_its_seq(self):
+        trace = mvp_trace()
+        idx, ev = next((i, e) for i, e in enumerate(trace) if e.payload.get("finalized"))
+        node = ev.payload["finalized"][0]
+        later = trace[idx + 1]
+        forged = replace_payload(trace, idx + 1, status_changes={str(node): 1})
+        fin = check_finalization(forged)
+        assert (fin.ok, fin.first_violation_seq, fin.detail) == (
+            False, later.seq, f"node {node} left FINALIZED")
+        descent = check_measure_descent(forged)
+        assert not descent.ok and descent.first_violation_seq == later.seq
+
+    def test_unknown_node_is_a_failed_verdict(self):
+        trace = mvp_trace()
+        forged = replace_payload(trace, 3, status_changes={"9999": 2})
+        seq = trace[3].seq
+        for check in (check_rule_legality, check_measure_descent, check_finalization):
+            verdict = check(forged)
+            assert not verdict.ok
+            assert verdict.first_violation_seq == seq
+            assert verdict.detail == "status_changes names unknown node 9999"
+
+    def test_changes_before_a_full_map(self):
+        trace = mvp_trace()
+        first = trace[0]
+        payload = {k: v for k, v in first.payload.items() if k != "statuses"}
+        events = [dataclasses.replace(first, payload=dict(payload, status_changes={}))]
+        verdict = check_finalization(Trace("pdfd", events + trace.events[1:]))
+        assert (verdict.ok, verdict.first_violation_seq) == (False, 1)
+        assert verdict.detail == "status_changes before any full status map"
+
+    def test_unknown_trace_format_is_a_failed_verdict(self):
+        """A later format may give status_changes another meaning: the fold
+        refuses it instead of reading it as format 2."""
+        forged = replace_payload(mvp_trace(), 0, trace_format=3)
+        for check in (check_rule_legality, check_measure_descent, check_finalization):
+            verdict = check(forged)
+            assert (verdict.ok, verdict.first_violation_seq) == (False, 1)
+            assert verdict.detail == "unsupported trace_format 3"
+
+    @pytest.mark.parametrize("bad", [["0"], {"0": "two"}, {"x": 1}])
+    def test_malformed_changes(self, bad):
+        forged = replace_payload(mvp_trace(), 2, status_changes=bad)
+        with pytest.raises(StatusFoldError, match="status_changes must map node ids"):
+            list(fold_statuses(forged))
+
+    def test_full_maps_replace_the_fold(self):
+        """Format-1 events carry a full map each; the fold diffs them."""
+        base = {"attempts": {}, "phase": "S1", "i": 1}
+        events = [
+            TraceEvent(1, "PD1", "S0", "S1", dict(base, statuses={"1": 0, "2": 0})),
+            TraceEvent(2, "PD2", "S1", "S2", dict(base, statuses={"1": 2, "2": 0})),
+            TraceEvent(3, "PD2", "S1", "S2", dict(base, statuses={"1": 2})),
+        ]
+        seen = [(dict(s), p) for _ev, s, p in fold_statuses(events)]
+        assert seen == [
+            ({1: 0, 2: 0}, {1: None, 2: None}),
+            ({1: 2, 2: 0}, {1: 0}),
+            ({1: 2}, {2: 0}),
+        ]
+
+    def test_full_map_and_delta_in_one_event_cancel(self):
+        base = {"attempts": {}}
+        events = [
+            TraceEvent(1, "PD1", "S0", "S1", dict(base, statuses={"1": 2})),
+            TraceEvent(2, "PD2", "S1", "S2",
+                       dict(base, statuses={"1": 1}, status_changes={"1": 2})),
+        ]
+        assert [p for _ev, _s, p in fold_statuses(events)] == [{1: None}, {}]
+
+
+class TestFormatOneTraces:
+    """Full-snapshot traces written before the delta format, with the
+    verdict lines the full-snapshot monitors gave them."""
+
+    EXPECTED = {
+        ("pdfd_mvp_format1.jsonl", "pdfd"): [
+            "PASS well-formed",
+            "PASS rule-legality",
+            "PASS measure-descent",
+            "PASS bounded-refinement",
+            "PASS finalization-invariance",
+            "PASS deadlock-freeness[pdfd]",
+            "PASS csp-conformance[pdfd]",
+        ],
+        ("pbfd_mvp_format1_demoted.jsonl", "pbfd"): [
+            "PASS well-formed",
+            "PASS rule-legality",
+            "FAIL measure-descent (event 17: recorded post-measure (31, 347, 3, 11) "
+            "!= recomputed (32, 347, 3, 11))",
+            "PASS bounded-refinement",
+            "FAIL finalization-invariance (event 17: node 0 left FINALIZED)",
+            "PASS deadlock-freeness[pbfd]",
+            "PASS csp-conformance[pbfd]",
+        ],
+    }
+
+    @pytest.mark.parametrize("name,methodology", sorted(EXPECTED))
+    def test_verify_all_prints_the_same_verdicts(self, name, methodology, capsys):
+        code = main(["verify", "--trace", str(DATA / name), "--methodology", methodology,
+                     "--check", "all"])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == self.EXPECTED[(name, methodology)]
+        assert code == (0 if all(l.startswith("PASS") for l in lines) else 2)
+
+
+class TestCodec:
+    def test_blank_and_padded_lines_read_like_before(self, tmp_path):
+        trace = mvp_trace()
+        lines = trace.to_jsonl().splitlines()
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n" + "\n\n".join(lines[:3]) + "  \n" + "\n".join(lines[3:]) + "\n")
+        assert Trace.read_jsonl(path).events == trace.events
+
+    def test_read_back_events_are_frozen_tuples(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        mvp_trace().write_jsonl(path)
+        ev = Trace.read_jsonl(path)[1]
+        assert isinstance(ev.measure_pre, tuple) and isinstance(ev.measure_post, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ev.rule = "PD9"  # type: ignore[misc]
+
+    def test_lines_that_only_parse_joined_are_rejected(self, tmp_path):
+        """A record split over two lines is an error at its first line, even
+        when the whole text would parse as one JSON sequence."""
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"seq": 1, "rule": "DF1", "from": "S0", "to": "S1",\n"payload": {}}\n')
+        with pytest.raises(ValueError, match=r"t\.jsonl:1: invalid JSON"):
+            Trace.read_jsonl(path)
+
+
+class TestCliStdout:
+    @pytest.mark.parametrize("methodology", ["pbfd", "dfd"])
+    def test_stdout_equals_out_file(self, methodology, tmp_path, capsys):
+        tree = tmp_path / "geo.json"
+        tree.write_text(json.dumps(GEO_ROWS))
+        out = tmp_path / "trace.jsonl"
+        args = ["run", "--methodology", methodology, "--hierarchy", str(tree), "--rmax", "5"]
+        assert main(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        assert printed and printed == out.read_text()
+

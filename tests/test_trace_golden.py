@@ -2,9 +2,15 @@
 
 The engines keep incremental counters for speed; these hashes show that the
 emitted traces (payload snapshots, measures, rule sequence) stay exactly
-what the straightforward full-recompute implementation produced.
+what the straightforward full-recompute implementation produced.  The
+hybrid machines write delta-encoded statuses (trace format 2): their
+``GOLDEN`` pins cover the written trace read back and expanded to a full
+status map per event by the monitors' fold, which is the earlier format's
+bytes, so the deltas lose nothing; ``GOLDEN_FORMAT2`` pins the bytes as
+written.
 """
 
+import dataclasses
 import hashlib
 import random
 
@@ -20,6 +26,9 @@ from treeflow.fixtures import (
 from treeflow.hierarchy import Hierarchy, load_hierarchy
 from treeflow.hybrid_machines import run_pbfd, run_pdfd
 from treeflow.scenario import CddScript, Scenario, TraceOriginStrategy
+from treeflow.trace import Trace, fold_statuses
+
+HYBRID = ("pdfd", "pbfd")
 
 
 def uneven_tree(seed: int, level_sizes=(1, 8, 60, 300, 700)) -> Hierarchy:
@@ -107,16 +116,52 @@ GOLDEN = {
 }
 
 
+GOLDEN_FORMAT2 = {
+    "geo:pbfd": "dc0222f4f75dffa9dd6b6edb4798b1e070dbd7d4ce3e3ab2018d4a0e23a32708",
+    "geo:pdfd": "a0442fef6664d1ad1169e853123a529472cb2b31b52a3c4af6ee358a58a11127",
+    "uneven:pbfd": "b3072f8d635be1dd83362a9d8efbb253950de8b25d65e1325f49cc2d14e9f4b5",
+    "uneven:pdfd": "a50f090a0eae4349d87c54207a8d244e3e11a539e7f79939a2c6dd63344ee6cb",
+    "visited:pdfd": "7c076c889e267f62e5767ff2d8c637f2169979ac4e0a4dbadbb1d913fdadfaf7",
+}
+
+
+def _full_snapshots(trace: Trace) -> Trace:
+    """The trace with each event's folded status map written out in full,
+    as the earlier full-snapshot format carried it."""
+    events = []
+    for ev, statuses, _prior in fold_statuses(trace):
+        payload = {k: v for k, v in ev.payload.items()
+                   if k not in ("status_changes", "trace_format")}
+        payload["statuses"] = {str(n): s for n, s in statuses.items()}
+        events.append(dataclasses.replace(ev, payload=payload))
+    return Trace(trace.methodology, events)
+
+
+def _sha256(trace: Trace, path) -> str:
+    trace.write_jsonl(path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_trace_bytes_match_golden_hash(key, tmp_path):
     tree, machine = key.split(":")
-    h, hybrid = _inputs(tree)
+    trace = _trace(machine, *_inputs(tree))
     path = tmp_path / "trace.jsonl"
-    _trace(machine, h, hybrid).write_jsonl(path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[key]
+    if machine in HYBRID:
+        trace.write_jsonl(path)
+        trace = _full_snapshots(Trace.read_jsonl(path, machine))
+    assert _sha256(trace, tmp_path / "hashed.jsonl") == GOLDEN[key]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_FORMAT2))
+def test_format2_bytes_match_golden_hash(key, tmp_path):
+    tree, machine = key.split(":")
+    trace = _trace(machine, *_inputs(tree))
+    assert _sha256(trace, tmp_path / "trace.jsonl") == GOLDEN_FORMAT2[key]
 
 
 def test_golden_set_covers_every_machine_on_both_trees():
     machines = ("bfd", "cdd", "dad", "dfd", "pbfd", "pdfd")
     expected = [f"{t}:{m}" for t in ("geo", "uneven") for m in machines] + ["visited:pdfd"]
     assert sorted(GOLDEN) == sorted(expected)
+    assert sorted(GOLDEN_FORMAT2) == sorted(k for k in expected if k.split(":")[1] in HYBRID)

@@ -13,7 +13,7 @@ from treeflow.fixtures import (
 )
 from treeflow import hybrid_machines
 from treeflow.hybrid_machines import run_pbfd, run_pdfd
-from treeflow.measure import MeasureError, TraceContext, measure_of, trace_length_cap
+from treeflow.measure import MeasureError, TraceContext, measure_with_counts, trace_length_cap
 from treeflow.scenario import Scenario, TraceOriginStrategy
 from treeflow.trace import Trace, TraceEvent
 from treeflow.verify import (
@@ -54,6 +54,16 @@ def snapshot(phase, i=1, j=None, i_orig=None, statuses=None, attempts=None, ctx=
         "attempts": {str(k): v for k, v in attempts.items()},
         "statuses": {str(k): v for k, v in statuses.items()},
     }
+
+
+def measure_of(snap, ctx):
+    """M of a full snapshot, with the status counts taken from its map."""
+    statuses = {int(k): v for k, v in snap["statuses"].items()}
+    unfinalized = sum(1 for v in statuses.values() if v != 2)
+    unvisited = {
+        k: sum(1 for n in ids if statuses.get(n, 0) == 0) for k, ids in ctx.levels.items()
+    }
+    return measure_with_counts(snap, ctx, unfinalized, unvisited)
 
 
 class TestMeasureOf:
@@ -213,13 +223,11 @@ class TestFinalization:
         res = run_pdfd(perfect_tree(2, 3), Scenario(r_max=1, trace_origin=TraceOriginStrategy.fixed(1)))
         events = list(res.trace)
         victim = events[-1]
-        statuses = dict(victim.payload["statuses"])
-        demoted = next(iter(statuses))
-        statuses[demoted] = 0
+        demoted = next(iter(events[0].payload["statuses"]))  # finalized by the end
         events[-1] = TraceEvent(
             seq=victim.seq, rule=victim.rule, from_state=victim.from_state,
             to_state=victim.to_state,
-            payload=dict(victim.payload, statuses=statuses),
+            payload=dict(victim.payload, status_changes={demoted: 0}),
             measure_pre=victim.measure_pre, measure_post=victim.measure_post,
         )
         verdict = check_finalization(Trace("pdfd", events))
@@ -237,10 +245,11 @@ class TestLegality:
         events = list(res.trace)
         idx = next(i for i, e in enumerate(events) if e.rule == "PD2b")
         ev = events[idx]
-        statuses = {k: 0 for k in ev.payload["statuses"]}
+        # The level's nodes are finalized by this very event; forge them back.
+        changes = {k: 0 for k in ev.payload["status_changes"]}
         events[idx] = TraceEvent(
             seq=ev.seq, rule=ev.rule, from_state=ev.from_state, to_state=ev.to_state,
-            payload=dict(ev.payload, statuses=statuses),
+            payload=dict(ev.payload, status_changes=changes),
             measure_pre=ev.measure_pre, measure_post=ev.measure_post,
         )
         verdict = check_rule_legality(Trace("pdfd", events))
