@@ -17,6 +17,11 @@ from .hierarchy import Hierarchy
 from .tle import TleStore
 
 
+class StepCountError(RuntimeError):
+    """A single lookup or update took a number of steps that depends on
+    which node it probed, so the constant-work claim does not hold."""
+
+
 @dataclass
 class StepSample:
     scale: str
@@ -68,9 +73,11 @@ def _measure_store(h: Hierarchy, scale: str, probes: int = 64, seed: int = 7) ->
         before = store.counter.steps
         store.update(subject, t, True)
         update_counts.add(store.counter.steps - before)
-    assert len(lookup_counts) == 1 and len(update_counts) == 1, (
-        "step counts must be probe-independent"
-    )
+    if len(lookup_counts) != 1 or len(update_counts) != 1:
+        raise StepCountError(
+            f"step counts must be probe-independent: lookup {sorted(lookup_counts)}, "
+            f"update {sorted(update_counts)} on the {scale} tree"
+        )
 
     before = store.counter.steps
     matches = store.batch_query(lambda unit, col, mask: not mask.is_empty())

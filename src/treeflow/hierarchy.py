@@ -100,19 +100,31 @@ class Hierarchy:
         return len(self.nodes)
 
 
-def _parse_row(row: dict) -> HierarchyNode:
+def _parse_row(row: dict, widths: dict[str, WidthClass]) -> HierarchyNode:
+    """``widths`` caches each ``width_class`` string already parsed."""
     required = ("id", "name", "parent_id", "child_index", "level", "width_class")
     for key in required:
         if key not in row:
             raise HierarchyError(f"row missing field {key!r}: {row!r}")
+    # Fields are converted in the order id, name, width_class, parent_id,
+    # child_index, level, so a row with several bad fields always reports
+    # the first of them; positional arguments keep the frozen dataclass's
+    # __init__ cheap.
+    node_id = int(row["id"])
+    name = str(row["name"])
+    name_type_id = row.get("name_type_id")
+    text = row["width_class"]
+    width = widths.get(text) if text.__class__ is str else None
+    if width is None:
+        width = widths[text] = WidthClass.parse(text)
     return HierarchyNode(
-        id=int(row["id"]),
-        name=str(row["name"]),
-        name_type_id=row.get("name_type_id"),
-        width_class=WidthClass.parse(row["width_class"]),
-        parent_id=None if row["parent_id"] is None else int(row["parent_id"]),
-        child_index=int(row["child_index"]),
-        level=int(row["level"]),
+        node_id,
+        name,
+        width,
+        None if row["parent_id"] is None else int(row["parent_id"]),
+        int(row["child_index"]),
+        int(row["level"]),
+        name_type_id,
     )
 
 
@@ -137,8 +149,9 @@ def load_hierarchy(source: str | Path | list[dict]) -> Hierarchy:
         raise HierarchyError("hierarchy document must be a non-empty list of rows")
 
     nodes: dict[int, HierarchyNode] = {}
+    widths: dict[str, WidthClass] = {}
     for row in rows:
-        node = _parse_row(row)
+        node = _parse_row(row, widths)
         if node.id in nodes:
             raise HierarchyError(f"duplicate node id {node.id}")
         nodes[node.id] = node

@@ -80,7 +80,10 @@ class _Engine:
         self.methodology = methodology
         self.h = h
         self.sc = scenario
-        scenario.reset_counters()
+        # Validation queries so far per (phase, index); the next query's
+        # attempt number is one more.  Kept here, not on the scenario, so a
+        # scenario stays an input that any number of runs can share.
+        self.queries: dict[tuple[str, int], int] = {}
         self.L = h.max_level
         self.statuses: dict[int, int] = {n: 0 for n in h.nodes}
         self.attempts: dict[int, int] = {l: 0 for l in range(1, self.L + 1)}
@@ -200,8 +203,12 @@ class _Engine:
 
     # -- scenario hooks ----------------------------------------------------------
 
+    def next_attempt(self, phase_tag: str, index: int) -> int:
+        """The attempt number the next validation at (phase, index) gets."""
+        return self.queries.get((phase_tag, index), 0) + 1
+
     def validate(self, phase_tag: str, index: int, candidates: list[int]):
-        attempt = self.sc.next_attempt(phase_tag, index)
+        attempt = self.queries[(phase_tag, index)] = self.next_attempt(phase_tag, index)
         failing = self.sc.failing_nodes(phase_tag, index, attempt, candidates)
         return attempt, sorted(failing)
 
@@ -483,7 +490,7 @@ def _pbfd_refinement_process(eng: _Engine) -> None:
         return
     pattern = eng.level_ids(j)
     already_done = all(eng.statuses[n] == 2 for n in pattern)
-    if already_done and not eng.sc.has_script_for("refine", j):
+    if already_done and not eng.sc.has_script_for("refine", j, eng.next_attempt("refine", j)):
         eng.emit(
             "PB3b",
             _State(phase="S3R", i=st.i, j=j, i_orig=st.i_orig, origin_phase=st.origin_phase),

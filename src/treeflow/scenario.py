@@ -3,8 +3,9 @@
 Validation is an external oracle for the machines: a run consults the
 scenario at every validation point, keyed by (phase, index, attempt).  The
 attempt number for a given (phase, index) starts at 1 and advances on every
-query, which makes runs fully reproducible.  A seeded random failure mode is
-available for fuzzing.
+query; each run counts its own queries, so a scenario is a plain input that
+runs can share, and runs are fully reproducible.  A seeded random failure
+mode is available for fuzzing.
 """
 
 from __future__ import annotations
@@ -122,10 +123,6 @@ class Scenario:
     cdd: CddScript = field(default_factory=CddScript)
     increments: list[list[int]] | None = None
 
-    _attempt_counters: dict[tuple[str, int], int] = field(
-        default_factory=dict, repr=False
-    )
-
     def __post_init__(self) -> None:
         if self.r_max < 0:
             raise ScenarioError(f"r_max must be >= 0, got {self.r_max}")
@@ -133,9 +130,6 @@ class Scenario:
             raise ScenarioError(
                 f"random_failure_rate must be in [0, 1], got {self.random_failure_rate}"
             )
-
-    def reset_counters(self) -> None:
-        self._attempt_counters.clear()
 
     def k_for(self, level: int, level_size: int) -> int:
         k = self.k_thresholds.get(level, level_size)
@@ -145,14 +139,8 @@ class Scenario:
             )
         return k
 
-    def next_attempt(self, phase: str, index: int) -> int:
-        key = (phase, index)
-        self._attempt_counters[key] = self._attempt_counters.get(key, 0) + 1
-        return self._attempt_counters[key]
-
-    def has_script_for(self, phase: str, index: int) -> bool:
-        """True when the next attempt at (phase, index) has a scripted entry."""
-        attempt = self._attempt_counters.get((phase, index), 0) + 1
+    def has_script_for(self, phase: str, index: int, attempt: int) -> bool:
+        """True when ``attempt`` at (phase, index) has a scripted entry."""
         return (phase, index, attempt) in self.validation_script
 
     def failing_nodes(

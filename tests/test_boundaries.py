@@ -1,5 +1,6 @@
 """Bad inputs fail at the boundary with a typed error, never an assert."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from treeflow import bench
 from treeflow.cli import main
-from treeflow.fixtures import GEO_ROWS, VISITED_PLACES_ROWS, geo_store
+from treeflow.fixtures import GEO_ROWS, VISITED_PLACES_ROWS, geo_store, uniform_hierarchy
 from treeflow.hierarchy import load_hierarchy
 from treeflow.scenario import Scenario, ScenarioError, load_scenario
 from treeflow.tle import SnapshotError, TleStore
@@ -144,3 +146,18 @@ class TestSnapshotLoader:
         assert captured.out == ""
         assert captured.err == f"error: {snap}: records[1].unit_id: unknown unit 999\n"
         assert "Traceback" not in captured.err
+
+
+class TestBenchStepProbe:
+    def test_probe_dependent_step_counts_raise(self, monkeypatch):
+        """A raised error, not an assert, so ``python -O`` keeps the check."""
+        calls, lookup = itertools.count(), TleStore.lookup
+
+        def varying(self, subject, node):
+            if next(calls) % 2:
+                self.counter.tick()
+            return lookup(self, subject, node)
+
+        monkeypatch.setattr(TleStore, "lookup", varying)
+        with pytest.raises(bench.StepCountError, match="must be probe-independent: lookup"):
+            bench._measure_store(uniform_hierarchy([1, 1, 4, 16]), "tiny")

@@ -1,0 +1,280 @@
+"""Verdict pins for the CSP recognizers.
+
+For every machine, on the GEO fixture and on a seeded uneven tree, the
+annotated event sequence is mutated (every adjacent transposition, deletion
+and duplication, sampled on long sequences, plus parameters forged as a
+float and as a dotted string) and run through ``accept_events``; the trace
+itself is mutated (events swapped, dropped, duplicated, rules and states
+renamed, payload parameters forged or removed) and run through
+``check_csp_conformance``.  The SHA-256 of the resulting lines is pinned,
+so any change to what the recognizers accept or reject, where they reject,
+or the verdict text shows here.  A raised exception is part of the pinned
+behaviour.
+"""
+
+import dataclasses
+import hashlib
+import random
+
+import pytest
+
+from test_trace_golden import _inputs, _trace, uneven_tree
+from treeflow.csp import ALPHABETS, TABLES, accept_events, annotate_trace, check_csp_conformance
+from treeflow.fixtures import geo_hierarchy
+from treeflow.tle import TleStore, TraversalPage, tle_traverse
+from treeflow.trace import Trace
+
+MACHINES = ("bfd", "cdd", "dad", "dfd", "pbfd", "pdfd", "tle")
+HYBRID = ("pdfd", "pbfd")
+
+# Every payload key an annotator reads.
+PAYLOAD_KEYS = (
+    "node", "root", "level", "j", "range_end", "backtrack_point", "subtree_root",
+    "to", "component", "increment", "levels", "new_node", "refine_iterations",
+    "reason", "L",
+)
+FORGED_VALUES = (1.5, "a.b", "x", None, -1, 7, "3", "", True, "2.3")
+FORGED_PARAMS = ("1.5", "a.b")
+
+# Above this many items, mutation positions are a seeded sample.
+FULL_LIMIT = 120
+SAMPLE = 16
+FORGE_EVENTS_SHORT = 40
+FORGE_EVENTS_LONG = 3
+
+
+def _tle_trace(tree: str) -> Trace:
+    if tree == "geo":
+        store = TleStore(geo_hierarchy())
+        pages = [TraversalPage((1,), {2: True}), TraversalPage((2,), {9: True})]
+        return tle_traverse(store, 1, pages)
+    h = uneven_tree(2026)
+    # Select one node per level down a root-to-leaf path, one page per level.
+    path = [next(n for n in h.level(4) if h.children(n.id))]
+    while path[0].level > 2:
+        path.insert(0, h.parent(path[0].id))
+    path.append(h.children(path[-1].id)[0])
+    pages = [TraversalPage((a.id,), {b.id: True}) for a, b in zip(path, path[1:])]
+    return tle_traverse(TleStore(h), 1, pages)
+
+
+def _golden_trace(key: str) -> Trace:
+    tree, machine = key.split(":")
+    if machine == "tle":
+        return _tle_trace(tree)
+    return _trace(machine, *_inputs(tree))
+
+
+def _domain(machine: str, trace: Trace):
+    return int(trace.events[0].payload["L"]) if machine in HYBRID else None
+
+
+def _positions(rng: random.Random, n: int, limit: int = FULL_LIMIT, sample: int = SAMPLE):
+    if n <= limit:
+        return list(range(n))
+    return sorted(rng.sample(range(n), sample))
+
+
+def _event_mutants(events: list[str], rng: random.Random):
+    n = len(events)
+    for pos in _positions(rng, n - 1):
+        swapped = list(events)
+        swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]
+        yield f"swap {pos}", swapped
+    for pos in _positions(rng, n):
+        yield f"drop {pos}", events[:pos] + events[pos + 1:]
+    for pos in _positions(rng, n):
+        yield f"dup {pos}", events[:pos + 1] + events[pos:]
+    for pos in _positions(rng, n):
+        name = events[pos].split(".")[0]
+        for param in FORGED_PARAMS:
+            yield f"forge {pos} {param}", events[:pos] + [f"{name}.{param}"] + events[pos + 1:]
+
+
+def _replace(trace: Trace, events) -> Trace:
+    return Trace(trace.methodology, list(events))
+
+
+def _trace_mutants(trace: Trace, rng: random.Random):
+    evs = trace.events
+    n = len(evs)
+    yield "as is", trace
+    for pos in _positions(rng, n - 1, sample=SAMPLE // 3):
+        yield f"swap {pos}", _replace(trace, evs[:pos] + [evs[pos + 1], evs[pos]] + evs[pos + 2:])
+    for pos in _positions(rng, n, sample=SAMPLE // 3):
+        yield f"drop {pos}", _replace(trace, evs[:pos] + evs[pos + 1:])
+        yield f"dup {pos}", _replace(trace, evs[:pos + 1] + evs[pos:])
+    many = FORGE_EVENTS_SHORT if n <= FULL_LIMIT else FORGE_EVENTS_LONG
+    for pos in _positions(rng, n, limit=many, sample=many):
+        ev = evs[pos]
+        edits = [("rule", dataclasses.replace(ev, rule=ev.rule + "x")),
+                 ("to", dataclasses.replace(ev, to_state="S1(x)")),
+                 ("from", dataclasses.replace(ev, from_state="S3(1)"))]
+        for key in PAYLOAD_KEYS:
+            if key not in ev.payload:
+                continue
+            payload = {k: v for k, v in ev.payload.items() if k != key}
+            edits.append((f"del {key}", dataclasses.replace(ev, payload=payload)))
+            for value in FORGED_VALUES:
+                payload = dict(ev.payload, **{key: value})
+                edits.append((f"{key}={value!r}", dataclasses.replace(ev, payload=payload)))
+        for label, forged in edits:
+            yield f"forge {pos} {label}", _replace(trace, evs[:pos] + [forged] + evs[pos + 1:])
+
+
+def _digest(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def accept_lines(machine: str, trace: Trace) -> list[str]:
+    events = [name for _seq, name in annotate_trace(trace, machine)]
+    domain = _domain(machine, trace)
+    rng = random.Random(f"accept:{machine}:{len(events)}")
+    lines = []
+    for label, mutant in [("as is", events)] + list(_event_mutants(events, rng)):
+        try:
+            res = accept_events(machine, mutant, domain)
+            lines.append(f"{label}\t{res.accepted}\t{res.reject_index}\t{res.first_illegal_event}")
+        except Exception as exc:  # the exception type is part of the pin
+            lines.append(f"{label}\traise {type(exc).__name__}")
+    return lines
+
+
+def verdict_lines(machine: str, trace: Trace) -> list[str]:
+    rng = random.Random(f"verdict:{machine}:{len(trace.events)}")
+    lines = []
+    for label, mutant in _trace_mutants(trace, rng):
+        try:
+            v = check_csp_conformance(mutant, machine)
+            lines.append(f"{label}\t{v.ok}\t{v.detail}\t{v.first_violation_seq}")
+        except Exception as exc:  # the exception type is part of the pin
+            lines.append(f"{label}\traise {type(exc).__name__}")
+    return lines
+
+
+# key -> (sha256 of accept_events lines, sha256 of verdict lines)
+GOLDEN = {
+    "geo:bfd": (
+        "05a2ea4381f66f013b819355a2d4cd860b3718d778de80006b5fb924395f7e0b",
+        "0cd3628f66110244489607214a94a27f08b7d3c75a40c82317406529b0203192",
+    ),
+    "geo:cdd": (
+        "026c117187ba310ce004fec7242113b171ddf955679a991a35845a36746b25a1",
+        "1eb4326afac511360070004a32dafa03605ba3630cf298a7173a4f2e2965f34a",
+    ),
+    "geo:dad": (
+        "c7943a9a26f5196f8098282d08e789789c71a2164eb5ffeea5cd41ac2075f52a",
+        "5d6c9ca9d374ee20d08009b73e97f29c001a1e38197217687b00f1a5654bc2bd",
+    ),
+    "geo:dfd": (
+        "3819bb64c3111e07a9c8dc7be66a159968b56e7c5e3a06ff1831bc19c46dbde5",
+        "b6956aa0c1953917529a5bfb9934f4a3c6dc10054e451a41ddd92fd9676617c5",
+    ),
+    "geo:pbfd": (
+        "49b337bcaf35776313db322f9c2070d4c5e47b9ccf5b73b4273409402d169d31",
+        "dab3dc7ba1dc14a4ebb09fd91eeb05775f7418b0f9255b07c172c4aee0179a1d",
+    ),
+    "geo:pdfd": (
+        "dfc6fcc1c5cac32717dbf42cecb07d060c6d51499f50d395ca82ff90dbbd1780",
+        "e4c24336df4d352c8aa7f4b0fa1a9a6d8111b1888a0a6f780f4c6691d332fac2",
+    ),
+    "geo:tle": (
+        "adde2ea87cdc1200fdbff076eb99bfdea7e0a64754292240326ba6446e9226ea",
+        "1c0b6e2d15e2a94524ce4d18b2bd222c9099233fad5686ad56b966a7885bef9e",
+    ),
+    "uneven:bfd": (
+        "ecf8aa25ebeb0b49e2ec5d389a9545e96bc3b7f1d73f664b0b10b48702933cd0",
+        "5714d31551f0e46b9d4bea8d4bebc7f264255cdf3c6bde473d8c13a4524f0d5f",
+    ),
+    "uneven:cdd": (
+        "0030c07ea2d0c5bf899241e04d212bd4fc73d65bcb13bf92f84ce67521f7bf0b",
+        "f22f855f7b5567f722ee88e048dc6e89258f16899311b2d11ab0c9d92099f1d0",
+    ),
+    "uneven:dad": (
+        "ca161f6ef07bff71e3e4438ec6425272ad6f9c23d2dfd8ae6e06e460d36f173c",
+        "97627a52fb4462cdc8589333f32231de0a83c70e0d27c55a383128c876210a58",
+    ),
+    "uneven:dfd": (
+        "94ff9bf86b373bf99170dd7a381e8f4ab6f209eea957d74c53def9f97d074336",
+        "f0c7690ff1e55e51aff9161121b8763e0af6b1df87dcf64c00baae22cf45bc26",
+    ),
+    "uneven:pbfd": (
+        "eb6ab552ac519fb910941de46b0955fa21f5f1e34a4ce937dfc5a1d8fff40fd2",
+        "8157ce6d30f27c652f1297d05742f7bc8e5f0c35611f665b196132083e393eb2",
+    ),
+    "uneven:pdfd": (
+        "467402ab04c02f7fab6f20fbc309ca70b1e9c899254d2921d47908ee183d3dc3",
+        "99d62a9f7a7e4b3e1e40379915898098823e4bddee912415b793298a93d29fc5",
+    ),
+    "uneven:tle": (
+        "37be2ea5a04e9b4aaf2254840afad992994536bae17cea0a5108c6fa7eea9661",
+        "a8aad991087ccf33b014bb01ced6ea2dd915428082ffa866784075942547b19c",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_accept_events_match_golden_hash(key):
+    machine = key.split(":")[1]
+    assert _digest(accept_lines(machine, _golden_trace(key))) == GOLDEN[key][0]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_verdicts_match_golden_hash(key):
+    machine = key.split(":")[1]
+    assert _digest(verdict_lines(machine, _golden_trace(key))) == GOLDEN[key][1]
+
+
+def test_golden_set_covers_every_machine_on_both_trees():
+    assert sorted(GOLDEN) == sorted(f"{t}:{m}" for t in ("geo", "uneven") for m in MACHINES)
+
+
+def test_forged_float_and_dotted_parameters_are_rejected():
+    trace = _golden_trace("geo:dfd")
+    pos = next(i for i, ev in enumerate(trace.events) if ev.rule == "DF2")
+    for value in (1.5, "a.b"):
+        ev = trace.events[pos]
+        forged = dataclasses.replace(ev, payload=dict(ev.payload, node=value))
+        events = trace.events[:pos] + [forged] + trace.events[pos + 1:]
+        v = check_csp_conformance(Trace("dfd", events), "dfd")
+        assert not v.ok
+        assert v.first_violation_seq == ev.seq
+        assert v.detail == f"illegal event 'stack_not_empty.{value}'"
+
+
+@pytest.mark.parametrize("value", ["*", "$x"])
+@pytest.mark.parametrize("machine,rule,key", [("dad", "DA2", "node"), ("bfd", "BF3", "level"),
+                                              ("cdd", "CD3a", "component")])
+def test_captured_values_are_compared_not_read_as_patterns(machine, rule, key, value):
+    """A captured parameter spelled like a wildcard or a capture matches
+    only itself later in the process, so a forged trace stays rejected."""
+    trace = _golden_trace(f"geo:{machine}")
+    pos = next(i for i, ev in enumerate(trace.events) if ev.rule == rule)
+    ev = trace.events[pos]
+    forged = dataclasses.replace(ev, payload=dict(ev.payload, **{key: value}))
+    events = trace.events[:pos] + [forged] + trace.events[pos + 1:]
+    v = check_csp_conformance(Trace(machine, events), machine)
+    assert not v.ok
+    assert v.first_violation_seq > ev.seq
+
+
+def test_annotation_failure_wins_over_an_earlier_illegal_event():
+    trace = _golden_trace("geo:dfd")
+    evs = list(trace.events)
+    evs[1], evs[2] = evs[2], evs[1]
+    last = max(i for i, ev in enumerate(evs) if "node" in ev.payload)
+    evs[last] = dataclasses.replace(
+        evs[last], payload={k: v for k, v in evs[last].payload.items() if k != "node"})
+    v = check_csp_conformance(Trace("dfd", evs), "dfd")
+    assert not v.ok
+    assert v.detail == "annotation failed: 'node'"
+    assert v.first_violation_seq is None
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_every_table_event_is_in_the_alphabet(machine):
+    for entries in TABLES[machine].values():
+        for event, entry in entries.items():
+            assert event in ALPHABETS[machine]
+            templates = entry[0] if isinstance(entry, tuple) else ()
+            assert {t[0] for t in templates} <= ALPHABETS[machine]

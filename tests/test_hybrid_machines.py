@@ -1,6 +1,8 @@
 """Depth-led and breadth-led machines: replay profiles, trace-origin
 resolution, refinement exhaustion, and order-independence."""
 
+import copy
+
 import pytest
 
 from treeflow.fixtures import (
@@ -291,3 +293,15 @@ class TestDeterminism:
         b = runner(h, sc)
         assert [e.to_record() for e in a.trace] == [e.to_record() for e in b.trace]
         assert check_well_formed(a.trace).ok
+
+    @pytest.mark.parametrize("runner,hierarchy,scenario", [
+        (run_pdfd, visited_places_hierarchy, pdfd_mvp_scenario),
+        (run_pbfd, geo_hierarchy, pbfd_mvp_scenario),
+    ])
+    def test_a_run_leaves_its_scenario_unchanged(self, runner, hierarchy, scenario):
+        h, sc = hierarchy(), scenario()
+        before = copy.deepcopy(sc)
+        a = runner(h, sc)
+        assert sc == before
+        b = runner(h, sc)
+        assert [e.to_record() for e in a.trace] == [e.to_record() for e in b.trace]
