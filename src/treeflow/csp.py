@@ -1,98 +1,28 @@
-"""Event-level conformance: alphabets and table-driven recognizers.
+"""Event-level conformance: table-driven recognizers over the rules' events.
 
-Each trace rule expands into a short sequence of named events (the
-annotation).  Each methodology's process definitions are one transition
-table, written here and built once at import; a recognizer walks the table
-and accepts exactly the event sequences the process allows, prefix-closed;
-rejection reports the first illegal event.  The tables describe the process
-definitions, not the engines, so the engines are checked against something
-they do not own.  Parameterized events serialize as ``name.param[.param]``;
-level parameters are bounded by the recognizer's level domain (default 5,
-configurable for deeper trees).
+Each trace rule expands into a short sequence of named events, its
+annotation: the ``events`` of the rule's row in ``verify.RULE_TABLES``,
+rendered from the event payload.  Each methodology's process definitions
+are one transition table, written here and built once at import, and its
+alphabet is the set of event names the table can consume.  A recognizer
+walks the table and accepts exactly the event sequences the process allows,
+prefix-closed; rejection reports the first illegal event.  The tables
+describe the process definitions, not the engines, and the alphabets come
+from the tables, not from the rule rows, so the engines and the
+annotations are checked against something they do not own.  Parameterized
+events serialize as ``name.param[.param]``; level parameters are bounded by
+the recognizer's level domain (default 5, configurable for deeper trees).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 from .trace import Trace, TraceEvent
-from .verify import Verdict
+from .verify import HYBRID, RULE_TABLES, Pick, RuleSpec, Verdict, split_templates
 
 DEFAULT_LEVEL_DOMAIN = 5
-
-ALPHABETS: dict[str, set[str]] = {
-    "dad": {
-        "load_dag_actual", "initialize_queue_actual", "queue_not_empty",
-        "dequeue_actual", "process_actual", "validate_dependencies_actual",
-        "all_dependencies_processed", "missing_dependency", "extend_graph_actual",
-        "enqueue_nodes_actual", "generate_children_actual", "all_nodes_processed",
-        "perform_final_validation_actual", "terminate_successfully_actual",
-        "terminate_with_error_actual",
-    },
-    "dfd": {
-        "load_tree_actual", "initialize_stack_actual", "stack_is_empty",
-        "stack_not_empty", "dequeue_actual", "process_actual", "is_non_leaf",
-        "process_child_actual", "push_children_actual", "is_leaf",
-        "set_backtrack_point_actual", "has_unprocessed_sibling",
-        "get_unprocessed_sibling_actual", "push_sibling_actual",
-        "no_unprocessed_sibling", "validate_subtree_actual", "subtree_validated",
-        "backtrack_to_actual", "no_more_backtrack_points_above",
-        "terminate_successfully_actual", "terminate_with_error_actual",
-    },
-    "bfd": {
-        "load_project_actual", "initialize_queue_actual", "dequeue_actual",
-        "develop_actual", "enqueue_children_actual", "current_level_processed_actual",
-        "validate_level_actual", "not_last_level_actual", "advance_level_actual",
-        "last_level_actual", "terminate_successfully_actual",
-        "terminate_with_error_actual",
-    },
-    "cdd": {
-        "load_graph_actual", "initialize_dependencies_actual", "process_node_actual",
-        "test_failed", "feedback_cycle_detected", "refine_component_actual",
-        "trigger_revision_actual", "refactor_complete_actual",
-        "all_components_written_actual", "validate_increment_actual",
-        "feedback_received_actual", "validation_failed_actual", "identify_flaw_actual",
-        "flaw_identified_actual", "all_increments_validated_actual",
-        "final_deployment_actual", "terminate_successfully_actual",
-        "terminate_with_error_actual",
-    },
-    "pdfd": {
-        "load_tree_actual", "initialize_refinement_attempts_actual",
-        "determine_ki_actual", "process_level_actual", "get_trace_origin_actual",
-        "increment_refinement_attempts_actual", "finalize_subtrees_actual",
-        "finalize_unprocessed_nodes_actual", "is_level_validation_failed",
-        "level_validation_successful", "is_refactor_validation_successful",
-        "is_bottom_up_validation_failed", "bottom_up_validation_successful",
-        "is_top_down_validation_failed", "top_down_validation_successful",
-        "has_exhausted_rmax_for_level", "can_attempt_refinement",
-        "cond_threshold_met", "cond_has_no_children",
-        "cond_all_descendants_validated", "top_down_reaches_L5",
-        "refinement_failed_no_retry", "no_refinement_path_available",
-        "terminate_with_error_actual", "terminate_successfully_actual",
-    },
-    "pbfd": {
-        "load_tree_actual", "initialize_refinement_attempts_actual",
-        "process_pattern_actual", "validate_pattern_actual", "resolve_depth_actual",
-        "process_refinement_pattern_actual", "validate_refinement_pattern_actual",
-        "resolve_refinement_depth_actual", "finalize_pattern_actual",
-        "increment_refinement_attempts_actual", "terminate_success_actual",
-        "terminate_failure_actual", "cond_all_validated", "cond_not_all_validated",
-        "cond_i_lt_L", "cond_i_eq_L", "cond_pattern_next_empty",
-        "cond_pattern_next_nonempty", "cond_ref_attempts_lt_Rmax",
-        "cond_ref_attempts_ge_Rmax", "cond_j_exists_for_i", "cond_j_not_exists_for_i",
-        "cond_j_lt_i", "cond_j_eq_i", "cond_all_processed", "cond_not_all_processed",
-        "cond_trace_origin_exists_for_unprocessed",
-        "cond_trace_origin_not_exists_for_unprocessed",
-    },
-    "tle": {
-        "start_actual", "load_page_actual", "parent_nodes_received_actual",
-        "resolve_grandparent_actual", "load_grandparent_table_actual",
-        "resolve_child_actual", "preset_child_status_actual", "update_bitmask_actual",
-        "more_pages_exist_actual", "no_more_pages_exist_actual",
-        "finalize_process_actual",
-    },
-}
 
 
 # -- annotation: engine rule -> events -------------------------------------------------
@@ -112,356 +42,34 @@ def annotate_trace(trace: Trace, methodology: str | None = None) -> list[tuple[i
 
 def _annotate(trace: Trace, methodology: str) -> list[tuple[int, list[tuple[str, ...]]]]:
     """The events of every trace event, as (seq, events) per trace event."""
-    fn = _ANNOTATORS[methodology]
-    ctx: dict[str, Any] = {}
+    rules = RULE_TABLES[methodology]
+    L = None
     if trace.events and "L" in trace.events[0].payload:
-        ctx["L"] = int(trace.events[0].payload["L"])
-    return [(ev.seq, fn(ev, ctx)) for ev in trace]
+        L = int(trace.events[0].payload["L"])
+    return [(ev.seq, _expand(rules.get(ev.rule), ev, L, methodology)) for ev in trace]
 
 
-def _annotate_pdfd(ev: TraceEvent, ctx: dict) -> list[tuple[str, ...]]:
-    p = ev.payload
-    r = ev.rule
-    i = str(p.get("level"))
-    j = str(p.get("j"))
-    if r == "PD1":
-        return [("load_tree_actual",), ("initialize_refinement_attempts_actual",)]
-    if r == "PD2" or r == "PD3":
-        if r == "PD2":
-            i = str(int(ev.to_state[3:-1]))
-        return [("determine_ki_actual", i), ("process_level_actual", i)]
-    if r == "PD2a":
-        return [
-            ("is_level_validation_failed", i),
-            ("get_trace_origin_actual", i, j),
-            ("can_attempt_refinement", j),
-            ("increment_refinement_attempts_actual", j),
-        ]
-    if r == "PD2b":
-        return [("level_validation_successful", i), ("cond_threshold_met", i)]
-    if r == "PD4":
-        level = p.get("level")
-        if int(level) == ctx.get("L", level):
-            return [("level_validation_successful", i), ("cond_threshold_met", i)]
-        return [("level_validation_successful", i), ("cond_has_no_children", i)]
-    if r == "PD3a":
-        end = str(p["range_end"])
-        return [
-            ("is_refactor_validation_successful", i, end),
-            ("increment_refinement_attempts_actual", str(int(p.get("level")) + 1)),
-        ]
-    if r == "PD3b":
-        return [("is_refactor_validation_successful", i, str(p["range_end"]))]
-    if r == "PD3c":
-        return [
-            ("refinement_failed_no_retry", i, str(p["range_end"])),
-            ("can_attempt_refinement", i),
-            ("increment_refinement_attempts_actual", i),
-        ]
-    if r == "PD4a" or r == "PD5":
-        return [
-            ("finalize_subtrees_actual", i),
-            ("bottom_up_validation_successful", i),
-            ("cond_all_descendants_validated", i),
-        ]
-    if r == "PD4b":
-        return [
-            ("finalize_subtrees_actual", i),
-            ("is_bottom_up_validation_failed", i),
-            ("get_trace_origin_actual", i, j),
-            ("can_attempt_refinement", j),
-            ("increment_refinement_attempts_actual", j),
-        ]
-    if r == "PD6":
-        return [("finalize_unprocessed_nodes_actual", i), ("top_down_validation_successful", i)]
-    if r == "PD6a":
-        return [
-            ("finalize_unprocessed_nodes_actual", i),
-            ("is_top_down_validation_failed", i),
-            ("get_trace_origin_actual", i, j),
-            ("can_attempt_refinement", j),
-            ("increment_refinement_attempts_actual", j),
-        ]
-    if r == "PD6b":
-        return [
-            ("finalize_unprocessed_nodes_actual", i),
-            ("is_top_down_validation_failed", i),
-            ("no_refinement_path_available", i),
-            ("terminate_with_error_actual",),
-        ]
-    if r == "PD7":
-        return [
-            ("finalize_unprocessed_nodes_actual", i),
-            ("top_down_validation_successful", i),
-            ("top_down_reaches_L5", i),
-            ("terminate_successfully_actual",),
-        ]
-    if r == "PD8":
-        if p.get("reason") == "refinement_exhausted":
-            return [("has_exhausted_rmax_for_level", i), ("terminate_with_error_actual",)]
-        from_fam = ev.from_state.split("(")[0]
-        prefix = []
-        if from_fam == "S2":
-            prefix = [("is_level_validation_failed", i)]
-        elif from_fam == "S3":
-            prefix = [("finalize_subtrees_actual", i), ("is_bottom_up_validation_failed", i)]
-        return prefix + [("no_refinement_path_available", i), ("terminate_with_error_actual",)]
-    raise ValueError(f"unknown rule {r}")
-
-
-def _annotate_pbfd(ev: TraceEvent, ctx: dict) -> list[tuple[str, ...]]:
-    p = ev.payload
-    r = ev.rule
-    i = str(p.get("level"))
-    j = str(p.get("j"))
-    if r == "PB1":
-        return [("load_tree_actual",), ("initialize_refinement_attempts_actual",)]
-    if r == "PB2" or r == "PB2a":
-        i = str(int(ev.to_state[3:-1]))
-        cond = "cond_not_all_validated" if r == "PB2" else "cond_all_validated"
-        return [("process_pattern_actual", i), (cond, i)]
-    if r == "PB4":
-        return [("validate_pattern_actual", i), ("cond_all_validated", i)]
-    if r == "PB3":
-        return [
-            ("validate_pattern_actual", i),
-            ("cond_not_all_validated", i),
-            ("cond_j_exists_for_i", i, j),
-            ("cond_ref_attempts_lt_Rmax", j),
-            ("increment_refinement_attempts_actual", j),
-        ]
-    if r == "PB3c":
-        return [
-            ("validate_pattern_actual", i),
-            ("cond_not_all_validated", i),
-            ("cond_j_not_exists_for_i", i),
-            ("terminate_failure_actual",),
-        ]
-    if r == "PB9":
-        return [("cond_ref_attempts_ge_Rmax", i), ("terminate_failure_actual",)]
-    if r == "PB3a":
-        return [("process_refinement_pattern_actual", i), ("cond_not_all_validated", i)]
-    if r == "PB3b":
-        return [("process_refinement_pattern_actual", i), ("cond_all_validated", i)]
-    if r == "PB3a1":
-        return [("validate_refinement_pattern_actual", i), ("cond_all_validated", i)]
-    if r == "PB3a2":
-        return [
-            ("validate_refinement_pattern_actual", i),
-            ("cond_not_all_validated", i),
-            ("cond_ref_attempts_lt_Rmax", i),
-            ("increment_refinement_attempts_actual", i),
-        ]
-    if r == "PB5":
-        nxt = str(int(p.get("level")) + 1)
-        return [
-            ("resolve_refinement_depth_actual", i),
-            ("cond_j_lt_i", i, str(p["range_end"])),
-            ("increment_refinement_attempts_actual", nxt),
-        ]
-    if r == "PB6":
-        return [
-            ("resolve_refinement_depth_actual", i),
-            ("cond_j_eq_i", i, str(p["range_end"])),
-        ]
-    if r == "PB4a":
-        return [
-            ("resolve_depth_actual", i),
-            ("cond_i_lt_L", i),
-            ("cond_pattern_next_nonempty", i),
-        ]
-    if r == "PB4b":
-        level = p.get("level")
-        if int(level) == ctx.get("L", level):
-            return [("resolve_depth_actual", i), ("cond_i_eq_L", i)]
-        return [("resolve_depth_actual", i), ("cond_pattern_next_empty", i)]
-    if r == "PB7":
-        return [("finalize_pattern_actual", i), ("cond_all_processed", i), ("cond_i_lt_L", i)]
-    if r == "PB7a":
-        return [
-            ("finalize_pattern_actual", i),
-            ("cond_not_all_processed", i),
-            ("cond_trace_origin_exists_for_unprocessed", i, j),
-            ("cond_ref_attempts_lt_Rmax", j),
-            ("increment_refinement_attempts_actual", j),
-        ]
-    if r == "PB7b":
-        return [
-            ("finalize_pattern_actual", i),
-            ("cond_not_all_processed", i),
-            ("cond_trace_origin_not_exists_for_unprocessed", i),
-            ("terminate_failure_actual",),
-        ]
-    if r == "PB8":
-        return [
-            ("finalize_pattern_actual", i),
-            ("cond_all_processed", i),
-            ("cond_i_eq_L", i),
-            ("terminate_success_actual",),
-        ]
-    raise ValueError(f"unknown rule {r}")
-
-
-def _annotate_dad(ev: TraceEvent, ctx: dict) -> list[tuple[str, ...]]:
-    p = ev.payload
-    r = ev.rule
-    if r == "DA2":
-        v = str(p["node"])
-        return [
-            ("queue_not_empty",),
-            ("dequeue_actual", v),
-            ("process_actual", v),
-            ("validate_dependencies_actual", v),
-        ]
-    if r == "DA3":
-        v = str(p["node"])
-        return [
-            ("all_dependencies_processed", v),
-            ("generate_children_actual", v),
-            ("enqueue_nodes_actual",),
-        ]
-    if r == "DA5":
-        return [("enqueue_nodes_actual",)]
-    if r == "DA4":
-        v = str(p["node"])
-        if "new_node" in p:
-            return [("missing_dependency", v), ("extend_graph_actual", v, str(p["new_node"]))]
-        return [("missing_dependency", v)]
-    if r == "DA1":
-        return [("load_dag_actual",), ("initialize_queue_actual", str(p["root"]))]
-    if r == "DA6":
-        return [
-            ("all_nodes_processed",),
-            ("perform_final_validation_actual",),
-            ("terminate_successfully_actual",),
-        ]
-    raise ValueError(f"unknown rule {r}")
-
-
-def _annotate_dfd(ev: TraceEvent, ctx: dict) -> list[tuple[str, ...]]:
-    p = ev.payload
-    r = ev.rule
-    if r == "DF2":
-        c = str(p["node"])
-        return [
-            ("stack_not_empty", c),
-            ("dequeue_actual", c),
-            ("process_actual", c),
-            ("is_non_leaf", c),
-            ("process_child_actual", c),
-            ("push_children_actual", c),
-        ]
-    if r == "DF3":
-        c = str(p["node"])
-        return [
-            ("stack_not_empty", c),
-            ("dequeue_actual", c),
-            ("process_actual", c),
-            ("is_leaf", c),
-            ("set_backtrack_point_actual", c),
-        ]
-    if r == "DF4":
-        b = str(p["backtrack_point"])
-        return [
-            ("has_unprocessed_sibling", b),
-            ("get_unprocessed_sibling_actual", b),
-            ("push_sibling_actual", b),
-        ]
-    if r == "DF5":
-        b = str(p["subtree_root"])
-        return [("no_unprocessed_sibling", b), ("validate_subtree_actual", b)]
-    if r == "DF6":
-        b = str(p["subtree_root"])
-        return [("subtree_validated", b), ("backtrack_to_actual", str(p["to"]))]
-    if r == "DF1":
-        return [("load_tree_actual",), ("initialize_stack_actual", str(p["root"]))]
-    if r == "DF7":
-        return [
-            ("no_more_backtrack_points_above", str(p["backtrack_point"])),
-            ("terminate_successfully_actual",),
-        ]
-    raise ValueError(f"unknown rule {r}")
-
-
-def _annotate_bfd(ev: TraceEvent, ctx: dict) -> list[tuple[str, ...]]:
-    p = ev.payload
-    r = ev.rule
-    if r == "BF2":
-        c = str(p["node"])
-        return [("dequeue_actual", c), ("develop_actual", c), ("enqueue_children_actual", c)]
-    if r == "BF3":
-        return [("current_level_processed_actual",), ("validate_level_actual", str(p["level"]))]
-    if r == "BF4":
-        k = str(p["level"] - 1)
-        return [("not_last_level_actual", k), ("advance_level_actual", k)]
-    if r == "BF1":
-        return [("load_project_actual",), ("initialize_queue_actual", str(p["root"]))]
-    if r == "BF5":
-        return [("last_level_actual", str(p["levels"])), ("terminate_successfully_actual",)]
-    raise ValueError(f"unknown rule {r}")
-
-
-def _annotate_cdd(ev: TraceEvent, ctx: dict) -> list[tuple[str, ...]]:
-    p = ev.payload
-    r = ev.rule
-    if r == "CD2":
-        return [("process_node_actual", str(p["component"]))]
-    if r == "CD3a":
-        c = str(p["component"])
-        return [("test_failed", c), ("refine_component_actual", c)]
-    if r == "CD3b":
-        c = str(p["component"])
-        return [("feedback_cycle_detected", c), ("trigger_revision_actual", c)]
-    if r == "CD4":
-        c = str(p["component"])
-        extra = max(int(p.get("refine_iterations", 1)) - 1, 0)
-        return [("refine_component_actual", c)] * extra + [("refactor_complete_actual", c)]
-    if r == "CD5":
-        k = str(p["increment"])
-        return [("all_components_written_actual", k), ("validate_increment_actual", k)]
-    if r == "CD6":
-        return [
-            ("feedback_received_actual",),
-            ("identify_flaw_actual",),
-            ("flaw_identified_actual", str(p["component"])),
-        ]
-    if r == "CD1":
-        return [("load_graph_actual",), ("initialize_dependencies_actual",)]
-    if r == "CD7":
-        return [
-            ("all_increments_validated_actual",),
-            ("final_deployment_actual",),
-            ("terminate_successfully_actual",),
-        ]
-    raise ValueError(f"unknown rule {r}")
-
-
-_TLE_EVENTS: dict[str, list[tuple[str, ...]]] = {
-    "TLE1": [("start_actual",)],
-    "TLE2": [("load_page_actual",), ("parent_nodes_received_actual",)],
-    "TLE3": [("resolve_grandparent_actual",)],
-    "TLE4": [("load_grandparent_table_actual",)],
-    "TLE5": [("resolve_child_actual",), ("preset_child_status_actual",)],
-    "TLE6": [("update_bitmask_actual",)],
-    "TLE7": [("more_pages_exist_actual",)],
-    "TLE8": [("no_more_pages_exist_actual",)],
-    "TLE9": [("finalize_process_actual",)],
-}
-
-
-def _annotate_tle(ev: TraceEvent, ctx: dict) -> list[tuple[str, ...]]:
-    return _TLE_EVENTS[ev.rule]
-
-
-_ANNOTATORS: dict[str, Callable[[TraceEvent, dict], list[tuple[str, ...]]]] = {
-    "pdfd": _annotate_pdfd,
-    "pbfd": _annotate_pbfd,
-    "dad": _annotate_dad,
-    "dfd": _annotate_dfd,
-    "bfd": _annotate_bfd,
-    "cdd": _annotate_cdd,
-    "tle": _annotate_tle,
-}
+def _expand(
+    spec: RuleSpec | None, ev: TraceEvent, L: int | None, methodology: str
+) -> list[tuple[str, ...]]:
+    """Render one rule row's events from the event's payload."""
+    events = None if spec is None else spec.events
+    if events is None:
+        if methodology == "tle":  # tle verdicts name an unknown rule by its bare key
+            raise KeyError(ev.rule)
+        raise ValueError(f"unknown rule {ev.rule}")
+    fields = ev.payload
+    if events.__class__ is Pick:
+        events, fields = events.fn(ev, L, *events.alternatives)
+    out = []
+    for event in events:
+        if len(event) == 1:
+            out.append(event)
+        elif len(event) == 2:
+            out.append((event[0], str(event[1](fields))))
+        else:
+            out.append((event[0], *[str(get(fields)) for get in event[1:]]))
+    return out
 
 
 # -- transition tables: one per methodology ---------------------------------------
@@ -482,11 +90,12 @@ _ANNOTATORS: dict[str, Callable[[TraceEvent, dict], list[tuple[str, ...]]]] = {
 #
 # ``next`` is the state once the branch is consumed: a state tuple, or a
 # function ``(state, captures) -> state`` whose captures are keyed "$x".
-# A branch that depends on the state's values is ``_When(name, fn)``: the
+# A branch that depends on the state's values is ``_When(names, fn)``: the
 # function of ``(state, L)``, L the level domain, returns ``(templates,
-# next)`` with the values written in.  A kind with no branch for
-# an event, like STOP, refuses it.  At import every templates string is
-# split once into tuples of segments (``{k}`` becomes the int k).
+# next)`` with the values written in, and ``names`` lists the event names
+# those templates can use, the first one selecting the branch.  A kind with
+# no branch for an event, like STOP, refuses it.  At import every templates
+# string is split once into tuples of segments (``{k}`` becomes the int k).
 
 Template = tuple[Any, ...]
 Entry = Any
@@ -497,17 +106,18 @@ _NO_ENTRIES: dict[str, Entry] = {}
 
 
 def _templates(text: str) -> tuple[Template, ...]:
-    return tuple(
-        tuple(int(seg[1:-1]) if seg[0] == "{" else seg for seg in template.split("."))
-        for template in text.split()
-    )
+    return split_templates(text, int)
 
 
-class _When(NamedTuple):
+class _When:
     """A branch whose templates or next state depend on the state's values."""
 
-    event: str
-    fn: Callable[[tuple, int], tuple[str, Any]]
+    def __init__(self, names: str, fn: Callable[[tuple, int], tuple[str, Any]]):
+        self.names = tuple(names.split())
+        self.fn = fn
+
+    def __call__(self, state: tuple, L: int) -> tuple[str, Any]:
+        return self.fn(state, L)
 
 
 def _table(spec: dict[str, list]) -> dict[str, dict[str, Entry]]:
@@ -517,7 +127,7 @@ def _table(spec: dict[str, list]) -> dict[str, dict[str, Entry]]:
         entries = table[kind] = {}
         for branch in branches:
             if isinstance(branch, _When):
-                event, entry = branch
+                event, entry = branch.names[0], branch
             else:
                 entry = (_templates(branch[0]), branch[1])
                 event = entry[0][0][0]
@@ -592,15 +202,18 @@ PDFD_TABLE = _table({
             ("no_refinement_path_available.* terminate_with_error_actual", STOP)],
     "S1R": [("has_exhausted_rmax_for_level.{1} terminate_with_error_actual", STOP),
             ("determine_ki_actual.{1} process_level_actual.{1}", _as("S2R"))],
-    "S2R": [_When("is_refactor_validation_successful", _pdfd_refactor_checked),
+    "S2R": [_When("is_refactor_validation_successful increment_refinement_attempts_actual",
+                 _pdfd_refactor_checked),
             ("refinement_failed_no_retry.{1}.{2}", _as("RAL"))],
     "S3": [("finalize_subtrees_actual.{1}", _as("S3v"))],
     "S3v": [("is_bottom_up_validation_failed.{1}", _as("S3fail")),
-            _When("bottom_up_validation_successful", _pdfd_bottom_up_ok)],
+            _When("bottom_up_validation_successful cond_all_descendants_validated",
+                  _pdfd_bottom_up_ok)],
     "S3fail": [("get_trace_origin_actual.{1}.$j", _refine("RAL", "S3")), _NO_PATH],
     "S4": [("finalize_unprocessed_nodes_actual.{1}", _as("S4v"))],
     "S4v": [("is_top_down_validation_failed.{1}", _as("S4fail")),
-            _When("top_down_validation_successful", _pdfd_top_down_ok)],
+            _When("top_down_validation_successful top_down_reaches_L5 "
+                  "terminate_successfully_actual", _pdfd_top_down_ok)],
     "S4fail": [("get_trace_origin_actual.{1}.$j", _refine("RAL", "S4")), _NO_PATH],
 })
 
@@ -640,7 +253,7 @@ PBFD_TABLE = _table({
     "S2Rc": [("cond_all_validated.{1}", _as("S3R")),
              ("cond_not_all_validated.{1}", _as("Retry"))],
     "S3R": [("resolve_refinement_depth_actual.{1}", _as("S3Rc"))],
-    "S3Rc": [_When("cond_j_lt_i", _pbfd_depth_below),
+    "S3Rc": [_When("cond_j_lt_i increment_refinement_attempts_actual", _pbfd_depth_below),
              _When("cond_j_eq_i", _pbfd_depth_reached)],
     "S3": [("resolve_depth_actual.{1}", _as("S3c"))],
     "S3c": [("cond_i_lt_L.{1} cond_pattern_next_nonempty.{1}", _next_level("S1")),
@@ -735,6 +348,21 @@ TABLES: dict[str, dict[str, dict[str, Entry]]] = {
 }
 
 
+def _alphabet(table: dict[str, dict[str, Entry]]) -> set[str]:
+    """The event names a table can consume: those of its branches' templates
+    and those its ``_When`` branches list."""
+    names: set[str] = set()
+    for entries in table.values():
+        for entry in entries.values():
+            names.update(entry.names if isinstance(entry, _When) else (t[0] for t in entry[0]))
+    return names
+
+
+# The alphabet of a process is its table's, never the rule rows': an
+# annotation that names any other event is refused as outside the alphabet.
+ALPHABETS: dict[str, set[str]] = {m: _alphabet(table) for m, table in TABLES.items()}
+
+
 # -- the recognizer ----------------------------------------------------------------
 
 
@@ -825,7 +453,7 @@ class Recognizer:
 
 
 def make_recognizer(methodology: str, level_domain: int | None = None) -> Recognizer:
-    if methodology in ("pdfd", "pbfd"):
+    if methodology in HYBRID:
         return Recognizer(methodology, level_domain or DEFAULT_LEVEL_DOMAIN)
     return Recognizer(methodology)
 
@@ -861,7 +489,7 @@ def check_csp_conformance(
     reported even after an earlier illegal event."""
     methodology = methodology or trace.methodology
     name = f"csp-conformance[{methodology}]"
-    if methodology in ("pdfd", "pbfd") and level_domain is None and trace.events:
+    if methodology in HYBRID and level_domain is None and trace.events:
         level_domain = int(trace.events[0].payload.get("L", DEFAULT_LEVEL_DOMAIN))
     try:
         annotated = _annotate(trace, methodology)

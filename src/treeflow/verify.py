@@ -1,4 +1,10 @@
-"""Post-hoc trace monitors for the hybrid machines' formal guarantees.
+"""Rule tables and post-hoc trace monitors for the machines' guarantees.
+
+Each machine has one rule table in ``RULE_TABLES``.  A row holds what is
+known about one rule: the state families it fires from and moves to, its
+kind, the measure's expected per-component deltas (hybrid machines) and
+its CSP expansion, which ``csp`` renders from each event's payload and runs
+through the process tables.  ``HYBRID`` names the machines with a measure.
 
 Checks provided, all pure over immutable traces:
 
@@ -24,7 +30,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable
+from operator import itemgetter, methodcaller
+from typing import Any, Callable, NamedTuple
 
 from .hierarchy import Hierarchy
 from .measure import Measure, TraceContext, measure_with_counts
@@ -40,114 +47,309 @@ class Delta(enum.Enum):
     NONINC = "<="
 
 
+# -- event templates ------------------------------------------------------------------
+#
+# A rule's CSP expansion and a process table's branches share one template
+# syntax: space-separated ``name.param[.param]``, split once at import into
+# tuples of segments.  What a ``{...}`` parameter means is up to the reader:
+# in a rule row ``{field}`` is the event payload's ``p[field]`` and
+# ``{field?}`` is ``p.get(field)``; in a process table ``{k}`` is the state's
+# k-th value.
+
+
+Templates = tuple[tuple[Any, ...], ...]
+
+
+def split_templates(text: str, param: Callable[[str], Any]) -> Templates:
+    """Split templates into tuples of segments; each ``{...}`` segment
+    becomes ``param`` of its contents."""
+    return tuple(
+        tuple(param(seg[1:-1]) if seg[0] == "{" else seg for seg in template.split("."))
+        for template in text.split()
+    )
+
+
+def _field(name: str) -> Callable[[dict], Any]:
+    return methodcaller("get", name[:-1]) if name[-1] == "?" else itemgetter(name)
+
+
+def _rule_events(text: str) -> Templates:
+    events = split_templates(text, _field)
+    if any(seg.__class__ is str for event in events for seg in event[1:]):
+        raise ValueError(f"a rule event's parameters are payload fields: {text!r}")
+    return events
+
+
+class Pick(NamedTuple):
+    """A rule whose events depend on more than one payload field.
+
+    ``fn(event, L, *alternatives)`` returns the templates to render, chosen
+    from the listed ones, and the mapping their fields are read from: the
+    payload, or values computed from it.  L is the first event's level
+    count, or None."""
+
+    fn: Callable[..., tuple[Templates, dict[str, Any]]]
+    alternatives: tuple[Templates, ...]
+
+
+def _pick(fn: Callable[..., Any], *texts: str) -> Pick:
+    return Pick(fn, tuple(_rule_events(text) for text in texts))
+
+
+def _to_level(ev: TraceEvent, L: int | None, events):
+    """The level is the one the rule enters, read from its target state."""
+    return events, {"to_level": str(int(ev.to_state[3:-1]))}
+
+
+def _next_level(ev: TraceEvent, L: int | None, events):
+    return events, dict(ev.payload, next_level=str(int(ev.payload.get("level")) + 1))
+
+
+def _prev_level(ev: TraceEvent, L: int | None, events):
+    return events, {"prev_level": str(ev.payload["level"] - 1)}
+
+
+def _at_last_level(ev: TraceEvent, L: int | None, last, other):
+    level = ev.payload.get("level")
+    return (last if int(level) == (level if L is None else L) else other), ev.payload
+
+
+def _pd8(ev: TraceEvent, L: int | None, exhausted, from_s2, from_s3, other):
+    """Exhaustion, or no refinement path after a failed level (S2) or
+    bottom-up (S3) validation."""
+    if ev.payload.get("reason") == "refinement_exhausted":
+        return exhausted, ev.payload
+    return {"S2": from_s2, "S3": from_s3}.get(_family(ev.from_state), other), ev.payload
+
+
+def _repeated(ev: TraceEvent, L: int | None, refine, done):
+    """One refine event per iteration after the first, then completion."""
+    return refine * max(int(ev.payload.get("refine_iterations", 1)) - 1, 0) + done, ev.payload
+
+
+def _extended(ev: TraceEvent, L: int | None, extended, missing):
+    return (extended if "new_node" in ev.payload else missing), ev.payload
+
+
+# -- rule tables: one per machine ------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class RuleSpec:
-    source: str
+    """One rule: the state families it fires from and moves to, its kind,
+    the measure's expected per-component deltas (hybrid steps) and its CSP
+    expansion, a templates string or a ``Pick``."""
+
+    sources: tuple[str, ...]
     targets: tuple[str, ...]
     kind: str = "step"  # "step" | "terminal" | "initial"
     deltas: tuple[Delta, Delta, Delta, Delta] | None = None
+    events: Any = None
+
+    def __post_init__(self) -> None:
+        if isinstance(self.events, str):
+            object.__setattr__(self, "events", _rule_events(self.events))
 
 
 E, D, U, A, N = Delta.EQ, Delta.DOWN, Delta.UP, Delta.ANY, Delta.NONINC
 
 PDFD_RULES: dict[str, RuleSpec] = {
-    "PD1": RuleSpec("S0", ("S1",), kind="initial"),
-    "PD2": RuleSpec("S1", ("S2",), deltas=(E, E, D, D)),
-    "PD2a": RuleSpec("S2", ("S1R",), deltas=(E, D, U, A)),
-    "PD2b": RuleSpec("S2", ("S1",), deltas=(D, E, A, A)),
-    "PD3": RuleSpec("S1R", ("S2R",), deltas=(E, E, D, D)),
-    "PD3a": RuleSpec("S2R", ("S1R",), deltas=(E, D, A, E)),
-    "PD3b": RuleSpec("S2R", ("S2", "S3", "S4"), deltas=(E, E, N, A)),
-    "PD3c": RuleSpec("S2R", ("S1R",), deltas=(E, D, U, A)),
-    "PD4": RuleSpec("S2", ("S3",), deltas=(D, E, D, A)),
-    "PD4a": RuleSpec("S3", ("S3",), deltas=(E, E, E, D)),
-    "PD4b": RuleSpec("S3", ("S1R",), deltas=(E, D, U, A)),
-    "PD5": RuleSpec("S3", ("S4",), deltas=(E, E, D, A)),
-    "PD6": RuleSpec("S4", ("S4",), deltas=(E, E, E, D)),
-    "PD6a": RuleSpec("S4", ("S1R",), deltas=(E, D, U, A)),
-    "PD6b": RuleSpec("S4", ("S5",), kind="terminal"),
-    "PD7": RuleSpec("S4", ("T",), kind="terminal"),
-    "PD8": RuleSpec("S1R", ("S5",), kind="terminal"),
+    "PD1": RuleSpec(("S0",), ("S1",), "initial",
+                    events="load_tree_actual initialize_refinement_attempts_actual"),
+    "PD2": RuleSpec(("S1",), ("S2",), deltas=(E, E, D, D), events=_pick(
+        _to_level, "determine_ki_actual.{to_level} process_level_actual.{to_level}")),
+    "PD2a": RuleSpec(("S2",), ("S1R",), deltas=(E, D, U, A), events=(
+        "is_level_validation_failed.{level?} get_trace_origin_actual.{level?}.{j?} "
+        "can_attempt_refinement.{j?} increment_refinement_attempts_actual.{j?}")),
+    "PD2b": RuleSpec(("S2",), ("S1",), deltas=(D, E, A, A), events=(
+        "level_validation_successful.{level?} cond_threshold_met.{level?}")),
+    "PD3": RuleSpec(("S1R",), ("S2R",), deltas=(E, E, D, D), events=(
+        "determine_ki_actual.{level?} process_level_actual.{level?}")),
+    "PD3a": RuleSpec(("S2R",), ("S1R",), deltas=(E, D, A, E), events=_pick(
+        _next_level, "is_refactor_validation_successful.{level?}.{range_end} "
+        "increment_refinement_attempts_actual.{next_level}")),
+    "PD3b": RuleSpec(("S2R",), ("S2", "S3", "S4"), deltas=(E, E, N, A), events=(
+        "is_refactor_validation_successful.{level?}.{range_end}")),
+    "PD3c": RuleSpec(("S2R",), ("S1R",), deltas=(E, D, U, A), events=(
+        "refinement_failed_no_retry.{level?}.{range_end} can_attempt_refinement.{level?} "
+        "increment_refinement_attempts_actual.{level?}")),
+    "PD4": RuleSpec(("S2",), ("S3",), deltas=(D, E, D, A), events=_pick(
+        _at_last_level, "level_validation_successful.{level?} cond_threshold_met.{level?}",
+        "level_validation_successful.{level?} cond_has_no_children.{level?}")),
+    "PD4a": RuleSpec(("S3",), ("S3",), deltas=(E, E, E, D), events=(
+        "finalize_subtrees_actual.{level?} bottom_up_validation_successful.{level?} "
+        "cond_all_descendants_validated.{level?}")),
+    "PD4b": RuleSpec(("S3",), ("S1R",), deltas=(E, D, U, A), events=(
+        "finalize_subtrees_actual.{level?} is_bottom_up_validation_failed.{level?} "
+        "get_trace_origin_actual.{level?}.{j?} can_attempt_refinement.{j?} "
+        "increment_refinement_attempts_actual.{j?}")),
+    "PD5": RuleSpec(("S3",), ("S4",), deltas=(E, E, D, A), events=(
+        "finalize_subtrees_actual.{level?} bottom_up_validation_successful.{level?} "
+        "cond_all_descendants_validated.{level?}")),
+    "PD6": RuleSpec(("S4",), ("S4",), deltas=(E, E, E, D), events=(
+        "finalize_unprocessed_nodes_actual.{level?} top_down_validation_successful.{level?}")),
+    "PD6a": RuleSpec(("S4",), ("S1R",), deltas=(E, D, U, A), events=(
+        "finalize_unprocessed_nodes_actual.{level?} is_top_down_validation_failed.{level?} "
+        "get_trace_origin_actual.{level?}.{j?} can_attempt_refinement.{j?} "
+        "increment_refinement_attempts_actual.{j?}")),
+    "PD6b": RuleSpec(("S4",), ("S5",), "terminal", events=(
+        "finalize_unprocessed_nodes_actual.{level?} is_top_down_validation_failed.{level?} "
+        "no_refinement_path_available.{level?} terminate_with_error_actual")),
+    "PD7": RuleSpec(("S4",), ("T",), "terminal", events=(
+        "finalize_unprocessed_nodes_actual.{level?} top_down_validation_successful.{level?} "
+        "top_down_reaches_L5.{level?} terminate_successfully_actual")),
+    # Exhaustion and path-less failures also end the validation phases.
+    "PD8": RuleSpec(("S1R", "S2", "S2R", "S3"), ("S5",), "terminal", events=_pick(
+        _pd8, "has_exhausted_rmax_for_level.{level?} terminate_with_error_actual",
+        "is_level_validation_failed.{level?} no_refinement_path_available.{level?} "
+        "terminate_with_error_actual",
+        "finalize_subtrees_actual.{level?} is_bottom_up_validation_failed.{level?} "
+        "no_refinement_path_available.{level?} terminate_with_error_actual",
+        "no_refinement_path_available.{level?} terminate_with_error_actual")),
 }
-
-# Exhaustion and path-less failures surface as PD8 from validation phases as
-# well; the generic table places PD8 under the refinement-process state.
-PDFD_PD8_SOURCES = ("S1R", "S2", "S2R", "S3")
 
 PBFD_RULES: dict[str, RuleSpec] = {
-    "PB1": RuleSpec("S0", ("S1",), kind="initial"),
-    "PB2": RuleSpec("S1", ("S2",), deltas=(E, E, D, D)),
-    "PB2a": RuleSpec("S1", ("S3",), deltas=(E, E, D, A)),
-    "PB3": RuleSpec("S2", ("S1R",), deltas=(E, D, U, A)),
-    "PB3a": RuleSpec("S1R", ("S2R",), deltas=(E, E, D, D)),
-    "PB3a1": RuleSpec("S2R", ("S3R",), deltas=(E, E, D, E)),
-    "PB3a2": RuleSpec("S2R", ("S1R",), deltas=(E, D, U, A)),
-    "PB3a3": RuleSpec("S2R", ("S5",), kind="terminal"),
-    "PB3b": RuleSpec("S1R", ("S3R",), deltas=(E, E, D, D)),
-    "PB3c": RuleSpec("S2", ("S5",), kind="terminal"),
-    "PB4": RuleSpec("S2", ("S3",), deltas=(E, E, D, E)),
-    "PB4a": RuleSpec("S3", ("S1",), deltas=(D, E, A, A)),
-    "PB4b": RuleSpec("S3", ("S4",), deltas=(D, E, D, A)),
-    "PB5": RuleSpec("S3R", ("S1R",), deltas=(E, D, A, E)),
-    "PB6": RuleSpec("S3R", ("S3", "S4"), deltas=(E, E, N, A)),
-    "PB7": RuleSpec("S4", ("S4",), deltas=(E, E, E, D)),
-    "PB7a": RuleSpec("S4", ("S1R",), deltas=(E, D, U, A)),
-    "PB7b": RuleSpec("S4", ("S5",), kind="terminal"),
-    "PB8": RuleSpec("S4", ("T",), kind="terminal"),
-    "PB9": RuleSpec("S1R", ("S5",), kind="terminal"),
+    "PB1": RuleSpec(("S0",), ("S1",), "initial",
+                    events="load_tree_actual initialize_refinement_attempts_actual"),
+    "PB2": RuleSpec(("S1",), ("S2",), deltas=(E, E, D, D), events=_pick(
+        _to_level, "process_pattern_actual.{to_level} cond_not_all_validated.{to_level}")),
+    "PB2a": RuleSpec(("S1",), ("S3",), deltas=(E, E, D, A), events=_pick(
+        _to_level, "process_pattern_actual.{to_level} cond_all_validated.{to_level}")),
+    "PB3": RuleSpec(("S2",), ("S1R",), deltas=(E, D, U, A), events=(
+        "validate_pattern_actual.{level?} cond_not_all_validated.{level?} "
+        "cond_j_exists_for_i.{level?}.{j?} cond_ref_attempts_lt_Rmax.{j?} "
+        "increment_refinement_attempts_actual.{j?}")),
+    "PB3a": RuleSpec(("S1R",), ("S2R",), deltas=(E, E, D, D), events=(
+        "process_refinement_pattern_actual.{level?} cond_not_all_validated.{level?}")),
+    "PB3a1": RuleSpec(("S2R",), ("S3R",), deltas=(E, E, D, E), events=(
+        "validate_refinement_pattern_actual.{level?} cond_all_validated.{level?}")),
+    "PB3a2": RuleSpec(("S2R",), ("S1R",), deltas=(E, D, U, A), events=(
+        "validate_refinement_pattern_actual.{level?} cond_not_all_validated.{level?} "
+        "cond_ref_attempts_lt_Rmax.{level?} increment_refinement_attempts_actual.{level?}")),
+    # No engine emits PB3a3 and no process event stands for it.
+    "PB3a3": RuleSpec(("S2R",), ("S5",), "terminal"),
+    "PB3b": RuleSpec(("S1R",), ("S3R",), deltas=(E, E, D, D), events=(
+        "process_refinement_pattern_actual.{level?} cond_all_validated.{level?}")),
+    "PB3c": RuleSpec(("S2",), ("S5",), "terminal", events=(
+        "validate_pattern_actual.{level?} cond_not_all_validated.{level?} "
+        "cond_j_not_exists_for_i.{level?} terminate_failure_actual")),
+    "PB4": RuleSpec(("S2",), ("S3",), deltas=(E, E, D, E), events=(
+        "validate_pattern_actual.{level?} cond_all_validated.{level?}")),
+    "PB4a": RuleSpec(("S3",), ("S1",), deltas=(D, E, A, A), events=(
+        "resolve_depth_actual.{level?} cond_i_lt_L.{level?} cond_pattern_next_nonempty.{level?}")),
+    "PB4b": RuleSpec(("S3",), ("S4",), deltas=(D, E, D, A), events=_pick(
+        _at_last_level, "resolve_depth_actual.{level?} cond_i_eq_L.{level?}",
+        "resolve_depth_actual.{level?} cond_pattern_next_empty.{level?}")),
+    "PB5": RuleSpec(("S3R",), ("S1R",), deltas=(E, D, A, E), events=_pick(
+        _next_level, "resolve_refinement_depth_actual.{level?} cond_j_lt_i.{level?}.{range_end} "
+        "increment_refinement_attempts_actual.{next_level}")),
+    "PB6": RuleSpec(("S3R",), ("S3", "S4"), deltas=(E, E, N, A), events=(
+        "resolve_refinement_depth_actual.{level?} cond_j_eq_i.{level?}.{range_end}")),
+    "PB7": RuleSpec(("S4",), ("S4",), deltas=(E, E, E, D), events=(
+        "finalize_pattern_actual.{level?} cond_all_processed.{level?} cond_i_lt_L.{level?}")),
+    "PB7a": RuleSpec(("S4",), ("S1R",), deltas=(E, D, U, A), events=(
+        "finalize_pattern_actual.{level?} cond_not_all_processed.{level?} "
+        "cond_trace_origin_exists_for_unprocessed.{level?}.{j?} cond_ref_attempts_lt_Rmax.{j?} "
+        "increment_refinement_attempts_actual.{j?}")),
+    "PB7b": RuleSpec(("S4",), ("S5",), "terminal", events=(
+        "finalize_pattern_actual.{level?} cond_not_all_processed.{level?} "
+        "cond_trace_origin_not_exists_for_unprocessed.{level?} terminate_failure_actual")),
+    "PB8": RuleSpec(("S4",), ("T",), "terminal", events=(
+        "finalize_pattern_actual.{level?} cond_all_processed.{level?} cond_i_eq_L.{level?} "
+        "terminate_success_actual")),
+    "PB9": RuleSpec(("S1R",), ("S5",), "terminal", events=(
+        "cond_ref_attempts_ge_Rmax.{level?} terminate_failure_actual")),
 }
 
-RULE_TABLES = {"pdfd": PDFD_RULES, "pbfd": PBFD_RULES}
-
-BASIC_RULES: dict[str, dict[str, RuleSpec]] = {
+RULE_TABLES: dict[str, dict[str, RuleSpec]] = {
+    "pdfd": PDFD_RULES,
+    "pbfd": PBFD_RULES,
     "dad": {
-        "DA1": RuleSpec("S0", ("S1",), kind="initial"),
-        "DA2": RuleSpec("S1", ("S2",)),
-        "DA3": RuleSpec("S2", ("S1",)),
-        "DA4": RuleSpec("S2", ("S3",)),
-        "DA5": RuleSpec("S3", ("S1",)),
-        "DA6": RuleSpec("S1", ("T",), kind="terminal"),
+        "DA1": RuleSpec(("S0",), ("S1",), "initial",
+                        events="load_dag_actual initialize_queue_actual.{root}"),
+        "DA2": RuleSpec(("S1",), ("S2",), events=(
+            "queue_not_empty dequeue_actual.{node} process_actual.{node} "
+            "validate_dependencies_actual.{node}")),
+        "DA3": RuleSpec(("S2",), ("S1",), events=(
+            "all_dependencies_processed.{node} generate_children_actual.{node} "
+            "enqueue_nodes_actual")),
+        "DA4": RuleSpec(("S2",), ("S3",), events=_pick(
+            _extended, "missing_dependency.{node} extend_graph_actual.{node}.{new_node}",
+            "missing_dependency.{node}")),
+        "DA5": RuleSpec(("S3",), ("S1",), events="enqueue_nodes_actual"),
+        "DA6": RuleSpec(("S1",), ("T",), "terminal", events=(
+            "all_nodes_processed perform_final_validation_actual terminate_successfully_actual")),
     },
     "dfd": {
-        "DF1": RuleSpec("S0", ("S1",), kind="initial"),
-        "DF2": RuleSpec("S1", ("S1",)),
-        "DF3": RuleSpec("S1", ("S2",)),
-        "DF4": RuleSpec("S2", ("S1",)),
-        "DF5": RuleSpec("S2", ("S3",)),
-        "DF6": RuleSpec("S3", ("S2",)),
-        "DF7": RuleSpec("S3", ("T",), kind="terminal"),
+        "DF1": RuleSpec(("S0",), ("S1",), "initial",
+                        events="load_tree_actual initialize_stack_actual.{root}"),
+        "DF2": RuleSpec(("S1",), ("S1",), events=(
+            "stack_not_empty.{node} dequeue_actual.{node} process_actual.{node} "
+            "is_non_leaf.{node} process_child_actual.{node} push_children_actual.{node}")),
+        "DF3": RuleSpec(("S1",), ("S2",), events=(
+            "stack_not_empty.{node} dequeue_actual.{node} process_actual.{node} "
+            "is_leaf.{node} set_backtrack_point_actual.{node}")),
+        "DF4": RuleSpec(("S2",), ("S1",), events=(
+            "has_unprocessed_sibling.{backtrack_point} "
+            "get_unprocessed_sibling_actual.{backtrack_point} "
+            "push_sibling_actual.{backtrack_point}")),
+        "DF5": RuleSpec(("S2",), ("S3",), events=(
+            "no_unprocessed_sibling.{subtree_root} validate_subtree_actual.{subtree_root}")),
+        "DF6": RuleSpec(("S3",), ("S2",), events=(
+            "subtree_validated.{subtree_root} backtrack_to_actual.{to}")),
+        "DF7": RuleSpec(("S3",), ("T",), "terminal", events=(
+            "no_more_backtrack_points_above.{backtrack_point} terminate_successfully_actual")),
     },
     "bfd": {
-        "BF1": RuleSpec("S0", ("S1",), kind="initial"),
-        "BF2": RuleSpec("S1", ("S1",)),
-        "BF3": RuleSpec("S1", ("S2",)),
-        "BF4": RuleSpec("S2", ("S1",)),
-        "BF5": RuleSpec("S2", ("T",), kind="terminal"),
+        "BF1": RuleSpec(("S0",), ("S1",), "initial",
+                        events="load_project_actual initialize_queue_actual.{root}"),
+        "BF2": RuleSpec(("S1",), ("S1",), events=(
+            "dequeue_actual.{node} develop_actual.{node} enqueue_children_actual.{node}")),
+        "BF3": RuleSpec(("S1",), ("S2",), events=(
+            "current_level_processed_actual validate_level_actual.{level}")),
+        "BF4": RuleSpec(("S2",), ("S1",), events=_pick(
+            _prev_level, "not_last_level_actual.{prev_level} advance_level_actual.{prev_level}")),
+        "BF5": RuleSpec(("S2",), ("T",), "terminal",
+                        events="last_level_actual.{levels} terminate_successfully_actual"),
     },
     "cdd": {
-        "CD1": RuleSpec("S0", ("S1",), kind="initial"),
-        "CD2": RuleSpec("S1", ("S1",)),
-        "CD3a": RuleSpec("S1", ("S2",)),
-        "CD3b": RuleSpec("S1", ("S2",)),
-        "CD4": RuleSpec("S2", ("S1",)),
-        "CD5": RuleSpec("S1", ("S3",)),
-        "CD6": RuleSpec("S3", ("S2",)),
-        "CD7": RuleSpec("S3", ("T",), kind="terminal"),
+        "CD1": RuleSpec(("S0",), ("S1",), "initial",
+                        events="load_graph_actual initialize_dependencies_actual"),
+        "CD2": RuleSpec(("S1",), ("S1",), events="process_node_actual.{component}"),
+        "CD3a": RuleSpec(("S1",), ("S2",), events=(
+            "test_failed.{component} refine_component_actual.{component}")),
+        "CD3b": RuleSpec(("S1",), ("S2",), events=(
+            "feedback_cycle_detected.{component} trigger_revision_actual.{component}")),
+        "CD4": RuleSpec(("S2",), ("S1",), events=_pick(
+            _repeated, "refine_component_actual.{component}",
+            "refactor_complete_actual.{component}")),
+        "CD5": RuleSpec(("S1",), ("S3",), events=(
+            "all_components_written_actual.{increment} validate_increment_actual.{increment}")),
+        "CD6": RuleSpec(("S3",), ("S2",), events=(
+            "feedback_received_actual identify_flaw_actual flaw_identified_actual.{component}")),
+        "CD7": RuleSpec(("S3",), ("T",), "terminal", events=(
+            "all_increments_validated_actual final_deployment_actual "
+            "terminate_successfully_actual")),
     },
     "tle": {
-        "TLE1": RuleSpec("start", ("S0",), kind="initial"),
-        "TLE2": RuleSpec("S0", ("S1",)),
-        "TLE3": RuleSpec("S1", ("S2",)),
-        "TLE4": RuleSpec("S2", ("S3",)),
-        "TLE5": RuleSpec("S3", ("S4",)),
-        "TLE6": RuleSpec("S4", ("S5",)),
-        "TLE7": RuleSpec("S5", ("S0",)),
-        "TLE8": RuleSpec("S5", ("S6",)),
-        "TLE9": RuleSpec("S6", ("end",), kind="terminal"),
+        "TLE1": RuleSpec(("start",), ("S0",), "initial", events="start_actual"),
+        "TLE2": RuleSpec(("S0",), ("S1",),
+                         events="load_page_actual parent_nodes_received_actual"),
+        "TLE3": RuleSpec(("S1",), ("S2",), events="resolve_grandparent_actual"),
+        "TLE4": RuleSpec(("S2",), ("S3",), events="load_grandparent_table_actual"),
+        "TLE5": RuleSpec(("S3",), ("S4",),
+                         events="resolve_child_actual preset_child_status_actual"),
+        "TLE6": RuleSpec(("S4",), ("S5",), events="update_bitmask_actual"),
+        "TLE7": RuleSpec(("S5",), ("S0",), events="more_pages_exist_actual"),
+        # A run with zero pages finalizes straight from the waiting state.
+        "TLE8": RuleSpec(("S5", "S0"), ("S6",), events="no_more_pages_exist_actual"),
+        "TLE9": RuleSpec(("S6",), ("end",), "terminal", events="finalize_process_actual"),
     },
 }
-# A run with zero pages finalizes straight from the waiting state.
-TLE8_SOURCES = ("S5", "S0")
+
+# The machines with a measure: rule legality, measure descent, bounded
+# refinement, finalization and deadlock freeness apply to their traces.
+HYBRID = frozenset({"pdfd", "pbfd"})
 
 
 @dataclass
@@ -181,7 +383,7 @@ def check_well_formed(trace: Trace, methodology: str | None = None) -> Verdict:
     """Chaining plus rule-id membership and state-family agreement."""
     name = "well-formed"
     methodology = methodology or trace.methodology
-    rules = RULE_TABLES.get(methodology) or BASIC_RULES.get(methodology)
+    rules = RULE_TABLES.get(methodology)
     if rules is None:
         return Verdict(name, False, f"unknown methodology {methodology!r}")
     broken = check_chaining(trace)
@@ -192,12 +394,7 @@ def check_well_formed(trace: Trace, methodology: str | None = None) -> Verdict:
         if spec is None:
             return Verdict(name, False, f"unknown rule {ev.rule}", ev.seq)
         src = _family(ev.from_state)
-        legal_sources = (spec.source,)
-        if methodology == "pdfd" and ev.rule == "PD8":
-            legal_sources = PDFD_PD8_SOURCES
-        if methodology == "tle" and ev.rule == "TLE8":
-            legal_sources = TLE8_SOURCES
-        if src not in legal_sources:
+        if src not in spec.sources:
             return Verdict(name, False, f"{ev.rule} fired from {src}", ev.seq)
         if _family(ev.to_state) not in spec.targets:
             return Verdict(name, False, f"{ev.rule} targeted {ev.to_state}", ev.seq)
@@ -215,7 +412,7 @@ def check_rule_legality(trace: Trace, methodology: str | None = None) -> Verdict
     """Re-evaluate each hybrid rule's condition from the event payloads."""
     name = "rule-legality"
     methodology = methodology or trace.methodology
-    if methodology not in RULE_TABLES:
+    if methodology not in HYBRID:
         return Verdict(name, True, "basic machine: covered by well-formedness")
     wf = check_well_formed(trace, methodology)
     if not wf.ok:
@@ -333,12 +530,11 @@ def check_measure_descent(trace: Trace, methodology: str | None = None) -> Verdi
     counters."""
     name = "measure-descent"
     methodology = methodology or trace.methodology
-    rules = RULE_TABLES.get(methodology)
-    if rules is None:
+    if methodology not in HYBRID:
         return Verdict(name, True, "no measure defined for basic machines")
     ctx = context_of(trace, methodology)
     try:
-        return _descent(name, trace, rules, ctx)
+        return _descent(name, trace, RULE_TABLES[methodology], ctx)
     except StatusFoldError as err:
         return Verdict(name, False, err.detail, err.seq)
 
@@ -528,7 +724,7 @@ def check_deadlock_freeness(
     T or S5 with a legal, measure-decreasing trace."""
     name = f"deadlock-freeness[{methodology}]"
     rules = RULE_TABLES[methodology]
-    sources = {s.source for s in rules.values()}
+    sources = {src for s in rules.values() for src in s.sources}
     targets = {t for s in rules.values() for t in s.targets}
     families = sources | targets
     for fam in families:
@@ -543,7 +739,7 @@ def check_deadlock_freeness(
     if hierarchy is not None:
         from .hybrid_machines import run_pbfd, run_pdfd
 
-        run = run_pdfd if methodology == "pdfd" else run_pbfd
+        run = {"pdfd": run_pdfd, "pbfd": run_pbfd}[methodology]
         base = Scenario(r_max=r_max, trace_origin=TraceOriginStrategy.fixed(1))
 
         def runner(sc: Scenario):
@@ -566,7 +762,7 @@ def run_all_checks(
 ) -> list[Verdict]:
     methodology = methodology or trace.methodology
     out = [check_well_formed(trace, methodology)]
-    if methodology in RULE_TABLES:
+    if methodology in HYBRID:
         out.append(check_rule_legality(trace, methodology))
         out.append(check_measure_descent(trace, methodology))
         out.append(check_bounded_refinement(trace, r_max))

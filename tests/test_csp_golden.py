@@ -23,6 +23,7 @@ from treeflow.csp import ALPHABETS, TABLES, accept_events, annotate_trace, check
 from treeflow.fixtures import geo_hierarchy
 from treeflow.tle import TleStore, TraversalPage, tle_traverse
 from treeflow.trace import Trace
+from treeflow.verify import RULE_TABLES, Pick
 
 MACHINES = ("bfd", "cdd", "dad", "dfd", "pbfd", "pdfd", "tle")
 HYBRID = ("pdfd", "pbfd")
@@ -278,3 +279,31 @@ def test_every_table_event_is_in_the_alphabet(machine):
             assert event in ALPHABETS[machine]
             templates = entry[0] if isinstance(entry, tuple) else ()
             assert {t[0] for t in templates} <= ALPHABETS[machine]
+
+
+def _row_event_names(spec) -> set[str]:
+    alternatives = spec.events.alternatives if isinstance(spec.events, Pick) else (spec.events,)
+    return {template[0] for templates in alternatives for template in templates}
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_every_rule_row_emits_only_alphabet_events(machine):
+    for rule, spec in RULE_TABLES[machine].items():
+        if rule == "PB3a3":  # no engine emits it and no process event stands for it
+            assert spec.events is None
+            continue
+        assert spec.events, rule
+        assert _row_event_names(spec) <= ALPHABETS[machine], rule
+
+
+def test_a_row_event_outside_the_process_alphabet_is_refused(monkeypatch):
+    """The alphabet comes from the process table, so a rule row cannot
+    widen it."""
+    trace = _golden_trace("geo:bfd")
+    row = RULE_TABLES["bfd"]["BF2"]
+    monkeypatch.setitem(RULE_TABLES["bfd"], "BF2", dataclasses.replace(row, events="bogus.{node}"))
+    v = check_csp_conformance(trace, "bfd")
+    first = next(ev for ev in trace.events if ev.rule == "BF2")
+    assert not v.ok
+    assert v.detail == f"event 'bogus.{first.payload['node']}' outside alphabet"
+    assert v.first_violation_seq == first.seq

@@ -273,7 +273,7 @@ class TestDeadlock:
 
     def test_sink_states(self):
         for rules in (PDFD_RULES, PBFD_RULES):
-            sources = {s.source for s in rules.values()}
+            sources = {src for s in rules.values() for src in s.sources}
             targets = {t for s in rules.values() for t in s.targets}
             assert (targets - sources) <= {"T", "S5"}
 
