@@ -31,10 +31,6 @@ class StepSample:
     batch_steps: int
     batch_records: int
 
-    @property
-    def batch_constant(self) -> float:
-        return self.batch_steps / self.batch_records if self.batch_records else 0.0
-
 
 @dataclass
 class BatchSample:

@@ -25,12 +25,14 @@ from .scenario import Scenario, load_scenario
 from .tle import TleStore, TraversalPage, tle_traverse
 from .trace import Trace
 from .verify import (
+    HYBRID,
     check_bounded_refinement,
     check_deadlock_freeness,
     check_finalization,
     check_measure_descent,
     check_rule_legality,
     check_well_formed,
+    run_all_checks,
 )
 
 METHODOLOGIES = ("dad", "dfd", "bfd", "cdd", "pdfd", "pbfd")
@@ -121,7 +123,7 @@ def cmd_run(args) -> int:
         print("run: --hierarchy is required", file=sys.stderr)
         return 1
     scenario = _scenario_from_args(args)
-    if args.methodology in ("pdfd", "pbfd"):
+    if args.methodology in HYBRID:
         h = load_hierarchy(Path(args.hierarchy))
         result = (run_pdfd if args.methodology == "pdfd" else run_pbfd)(h, scenario)
         if args.format == "text-report":
@@ -168,24 +170,27 @@ def cmd_replay(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    trace = Trace.read_jsonl(args.trace, methodology=args.methodology)
-    checks = [check_well_formed(trace, args.methodology)] if args.check == "all" else []
-    wanted = args.check
-    if wanted in ("measure", "all") and args.methodology in ("pdfd", "pbfd"):
-        checks.append(check_rule_legality(trace, args.methodology))
-        checks.append(check_measure_descent(trace, args.methodology))
-    if wanted in ("bounds", "all") and args.methodology in ("pdfd", "pbfd"):
-        checks.append(check_bounded_refinement(trace, args.rmax))
-    if wanted in ("finalization", "all") and args.methodology in ("pdfd", "pbfd"):
-        checks.append(check_finalization(trace))
-    if wanted in ("deadlock", "all") and args.methodology in ("pdfd", "pbfd"):
-        checks.append(check_deadlock_freeness(args.methodology))
-    if wanted in ("csp", "all"):
-        checks.append(check_csp_conformance(trace, args.methodology))
-    if not checks:
-        # e.g. measure/bounds requested for a basic machine: fall back to
-        # structural validation so the command always reports something.
-        checks.append(check_well_formed(trace, args.methodology))
+    m = args.methodology
+    trace = Trace.read_jsonl(args.trace, methodology=m)
+    if args.check == "all":
+        checks = run_all_checks(trace, m, args.rmax)
+        if m in HYBRID:
+            checks.append(check_deadlock_freeness(m))
+        checks.append(check_csp_conformance(trace, m))
+    elif args.check == "csp":
+        checks = [check_csp_conformance(trace, m)]
+    elif m not in HYBRID:
+        # The other checks need a measure: a basic machine gets structural
+        # validation, so the command always reports something.
+        checks = [check_well_formed(trace, m)]
+    elif args.check == "measure":
+        checks = [check_rule_legality(trace, m), check_measure_descent(trace, m)]
+    elif args.check == "bounds":
+        checks = [check_bounded_refinement(trace, args.rmax)]
+    elif args.check == "finalization":
+        checks = [check_finalization(trace)]
+    else:  # deadlock
+        checks = [check_deadlock_freeness(m)]
     for verdict in checks:
         print(verdict.line())
     return 0 if all(v.ok for v in checks) else 2

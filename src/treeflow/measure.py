@@ -64,9 +64,6 @@ class TraceContext:
     def level_ids(self, k: int) -> tuple[int, ...]:
         return self.levels.get(k, ())
 
-    def node_count(self) -> int:
-        return sum(len(v) for v in self.levels.values())
-
 
 def measure_with_counts(
     payload: dict[str, Any], ctx: TraceContext, k1: int, unvisited: dict[int, int]

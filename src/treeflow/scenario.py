@@ -175,51 +175,72 @@ def _origin_from_json(obj: dict[str, Any]) -> TraceOriginStrategy:
     raise ScenarioError(f"unknown trace origin strategy {kind!r}")
 
 
+def _int_map(value: dict) -> dict[int, int]:
+    return {int(k): int(v) for k, v in value.items()}
+
+
+# Top-level scenario document keys: the Scenario field and its conversion.
+_FIELDS: dict[str, tuple[str, Any]] = {
+    "r_max": ("r_max", int),
+    "k": ("k_thresholds", _int_map),
+    "implicated_nodes": ("implicated_nodes", lambda v: {int(n) for n in v}),
+    "seed": ("seed", int),
+    "random_failure_rate": ("random_failure_rate", float),
+    "dad_missing_deps": ("dad_missing_deps", lambda v: {int(k): list(d) for k, d in v.items()}),
+    "increments": ("increments", lambda v: [[int(c) for c in inc] for inc in v]),
+}
+_CDD_FIELDS = ("test_failures", "feedback_cycles", "refine_iterations", "increment_feedback")
+
+
 def load_scenario(source: str | Path | dict) -> Scenario:
-    """Load a scenario JSON document (path, JSON text, or parsed object)."""
-    if isinstance(source, Path):
-        obj = json.loads(source.read_text())
-    elif isinstance(source, str):
-        p = Path(source)
-        obj = json.loads(p.read_text() if p.exists() else source)
-    else:
-        obj = source
+    """Load a scenario JSON document (path, JSON text, or parsed object).
 
-    script: dict[tuple[str, int, int], set[int]] = {}
-    for entry in obj.get("validation_script", []):
-        key = (str(entry["phase"]), int(entry["index"]), int(entry["attempt"]))
-        script[key] = {int(n) for n in entry["failing_node_ids"]}
+    Raises ScenarioError naming the source and the field
+    (``sc.json: validation_script[0]: missing field 'phase'``)."""
+    name = "scenario"
+    try:
+        if isinstance(source, Path):
+            name = str(source)
+            obj = json.loads(source.read_text())
+        elif isinstance(source, str):
+            p = Path(source)
+            if p.exists():
+                name = source
+            obj = json.loads(p.read_text() if p.exists() else source)
+        else:
+            obj = source
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{name}: invalid JSON: {exc.msg}") from None
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{name}: a scenario is a JSON object, got {type(obj).__name__}")
 
-    cdd_obj = obj.get("cdd", {})
-    cdd = CddScript(
-        test_failures={int(k): int(v) for k, v in cdd_obj.get("test_failures", {}).items()},
-        feedback_cycles={
-            int(k): int(v) for k, v in cdd_obj.get("feedback_cycles", {}).items()
-        },
-        refine_iterations={
-            int(k): int(v) for k, v in cdd_obj.get("refine_iterations", {}).items()
-        },
-        increment_feedback={
-            int(k): int(v) for k, v in cdd_obj.get("increment_feedback", {}).items()
-        },
-    )
-
-    return Scenario(
-        r_max=int(obj.get("r_max", 1)),
-        k_thresholds={int(k): int(v) for k, v in obj.get("k", {}).items()},
-        trace_origin=_origin_from_json(obj.get("trace_origin", {"strategy": "fixed", "level": 1})),
-        validation_script=script,
-        implicated_nodes={int(n) for n in obj.get("implicated_nodes", [])},
-        seed=int(obj.get("seed", 0)),
-        random_failure_rate=float(obj.get("random_failure_rate", 0.0)),
-        dad_missing_deps={
-            int(k): list(v) for k, v in obj.get("dad_missing_deps", {}).items()
-        },
-        cdd=cdd,
-        increments=[[int(c) for c in inc] for inc in obj["increments"]]
-        if "increments" in obj
-        else None,
-    )
+    fields: dict[str, Any] = {}
+    field = "validation_script"
+    try:
+        script = fields["validation_script"] = {}
+        for index, entry in enumerate(obj.get(field, [])):
+            field = f"validation_script[{index}]"
+            key = (str(entry["phase"]), int(entry["index"]), int(entry["attempt"]))
+            script[key] = {int(n) for n in entry["failing_node_ids"]}
+        cdd_obj, cdd = obj.get("cdd", {}), {}
+        for part in _CDD_FIELDS:
+            field = f"cdd.{part}"
+            cdd[part] = _int_map(cdd_obj.get(part, {}))
+        fields["cdd"] = CddScript(**cdd)
+        field = "trace_origin"
+        if field in obj:
+            fields["trace_origin"] = _origin_from_json(obj[field])
+        for field, (attr, convert) in _FIELDS.items():
+            if field in obj:
+                fields[attr] = convert(obj[field])
+    except KeyError as exc:
+        raise ScenarioError(f"{name}: {field}: missing field {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"{name}: {field}: {exc}") from None
+    try:
+        return Scenario(**fields)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{name}: {exc}") from None
 
 
 def dump_scenario(s: Scenario) -> dict[str, Any]:

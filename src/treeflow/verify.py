@@ -648,13 +648,6 @@ def check_finalization(trace: Trace) -> Verdict:
 # -- deadlock freeness --------------------------------------------------------------
 
 
-@dataclass
-class _ForkPoint:
-    decisions: list[bool]
-    cursor: int = 0
-    overflow_default: bool = False
-
-
 class _ForkingScenario(Scenario):
     """Scenario that replays a fixed pass/fail decision prefix, then passes.
 

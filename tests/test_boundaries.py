@@ -40,6 +40,29 @@ class TestScenarioValidation:
             load_scenario({"r_max": -2})
 
 
+class TestScenarioLoader:
+    @pytest.mark.parametrize("doc,message", [
+        ({"validation_script": [{"index": 1, "attempt": 1, "failing_node_ids": [2]}]},
+         "validation_script[0]: missing field 'phase'"),
+        ({"trace_origin": {"strategy": "fixed"}}, "trace_origin: missing field 'level'"),
+        ([1, 2], "a scenario is a JSON object, got list"),
+    ])
+    def test_cli_run_prints_one_error_line(self, tmp_path, capsys, doc, message):
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(VISITED_PLACES_ROWS))
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps(doc))
+        rc = main(["run", "--methodology", "pdfd", "--hierarchy", str(tree), "--scenario", str(sc)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {sc}: {message}\n"
+
+    def test_loader_raises_scenario_error(self):
+        with pytest.raises(ScenarioError, match=r"^scenario: cdd\.test_failures: "):
+            load_scenario({"cdd": {"test_failures": {"x": 1}}})
+
+
 class TestCliOverride:
     def test_negative_rmax_override_is_a_usage_error(self, tmp_path, capsys):
         tree = tmp_path / "tree.json"

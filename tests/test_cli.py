@@ -117,6 +117,49 @@ class TestVerify:
         assert "FAIL" in capsys.readouterr().out
 
 
+_HYBRID_CHECKS = {
+    "measure": ["PASS rule-legality", "PASS measure-descent"],
+    "bounds": ["PASS bounded-refinement"],
+    "finalization": ["PASS finalization-invariance"],
+    "deadlock": ["PASS deadlock-freeness[{m}]"],
+    "csp": ["PASS csp-conformance[{m}]"],
+    "all": ["PASS well-formed", "PASS rule-legality", "PASS measure-descent",
+            "PASS bounded-refinement", "PASS finalization-invariance",
+            "PASS deadlock-freeness[{m}]", "PASS csp-conformance[{m}]"],
+}
+# A basic machine has no measure: the hybrid-only checks fall back to
+# structural validation.
+_BASIC_CHECKS = {
+    "measure": ["PASS well-formed"],
+    "bounds": ["PASS well-formed"],
+    "finalization": ["PASS well-formed"],
+    "deadlock": ["PASS well-formed"],
+    "csp": ["PASS csp-conformance[{m}]"],
+    "all": ["PASS well-formed", "PASS csp-conformance[{m}]"],
+}
+
+
+class TestVerifyCheckSelection:
+    @pytest.fixture()
+    def traces(self, tmp_path, tree_file):
+        files = {m: tmp_path / f"{m}.jsonl" for m in ("pdfd", "pbfd", "dfd")}
+        for m in ("pdfd", "pbfd"):
+            main(["replay", "--fixture", f"{m}-mvp", "--format", "jsonl-trace",
+                  "--out", str(files[m])])
+        main(["run", "--methodology", "dfd", "--hierarchy", str(tree_file),
+              "--out", str(files["dfd"])])
+        return files
+
+    @pytest.mark.parametrize("check", sorted(_HYBRID_CHECKS))
+    @pytest.mark.parametrize("m", ["pdfd", "pbfd", "dfd"])
+    def test_each_check_prints_exactly_its_verdicts(self, traces, capsys, m, check):
+        capsys.readouterr()
+        code = main(["verify", "--trace", str(traces[m]), "--methodology", m, "--check", check])
+        expected = (_BASIC_CHECKS if m == "dfd" else _HYBRID_CHECKS)[check]
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [line.format(m=m) for line in expected]
+
+
 class TestReportAndBench:
     def test_report_from_fixture(self, capsys):
         assert main(["report", "--fixture", "pbfd-mvp"]) == 0
