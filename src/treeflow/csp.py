@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .trace import Trace, TraceEvent
-from .verify import HYBRID, RULE_TABLES, Pick, RuleSpec, Verdict, split_templates
+from .verify import HYBRID, RULE_TABLES, Pick, Verdict, split_templates
 
 DEFAULT_LEVEL_DOMAIN = 5
 
@@ -33,26 +33,21 @@ DEFAULT_LEVEL_DOMAIN = 5
 
 def annotate_trace(trace: Trace, methodology: str | None = None) -> list[tuple[int, str]]:
     """Expand each trace event into (seq, csp_event) pairs."""
-    return [
-        (seq, ".".join(event))
-        for seq, events in _annotate(trace, methodology or trace.methodology)
-        for event in events
-    ]
+    methodology = methodology or trace.methodology
+    L = _level_count(trace)
+    return [(ev.seq, ".".join(event)) for ev in trace for event in _expand(methodology, ev, L)]
 
 
-def _annotate(trace: Trace, methodology: str) -> list[tuple[int, list[tuple[str, ...]]]]:
-    """The events of every trace event, as (seq, events) per trace event."""
-    rules = RULE_TABLES[methodology]
-    L = None
+def _level_count(trace: Trace) -> int | None:
+    """The first event's level count L, or None when it has none."""
     if trace.events and "L" in trace.events[0].payload:
-        L = int(trace.events[0].payload["L"])
-    return [(ev.seq, _expand(rules.get(ev.rule), ev, L, methodology)) for ev in trace]
+        return int(trace.events[0].payload["L"])
+    return None
 
 
-def _expand(
-    spec: RuleSpec | None, ev: TraceEvent, L: int | None, methodology: str
-) -> list[tuple[str, ...]]:
-    """Render one rule row's events from the event's payload."""
+def _expand(methodology: str, ev: TraceEvent, L: int | None) -> list[tuple[str, ...]]:
+    """Render the events of the event's rule row from its payload."""
+    spec = RULE_TABLES[methodology].get(ev.rule)
     events = None if spec is None else spec.events
     if events is None:
         if methodology == "tle":  # tle verdicts name an unknown rule by its bare key
@@ -89,7 +84,8 @@ def _expand(
 #     *     any one segment
 #
 # ``next`` is the state once the branch is consumed: a state tuple, or a
-# function ``(state, captures) -> state`` whose captures are keyed "$x".
+# function ``(state, captures) -> state`` whose captures are keyed "$x";
+# a function that returns None refuses the branch's last event.
 # A branch that depends on the state's values is ``_When(names, fn)``: the
 # function of ``(state, L)``, L the level domain, returns ``(templates,
 # next)`` with the values written in, and ``names`` lists the event names
@@ -115,9 +111,6 @@ class _When:
     def __init__(self, names: str, fn: Callable[[tuple, int], tuple[str, Any]]):
         self.names = tuple(names.split())
         self.fn = fn
-
-    def __call__(self, state: tuple, L: int) -> tuple[str, Any]:
-        return self.fn(state, L)
 
 
 def _table(spec: dict[str, list]) -> dict[str, dict[str, Entry]]:
@@ -146,10 +139,19 @@ def _next_level(kind: str) -> Callable[[tuple, dict], tuple]:
     return lambda s, _b: (kind, _inc(s[1]))
 
 
-def _refine(kind: str, origin: str) -> Callable[[tuple, dict], tuple]:
+def _refine(kind: str, origin: str) -> Callable[[tuple, dict], tuple | None]:
     """Next state after a failure at level i traced back to the captured
-    level $j: refine from j up to i, then resume in the origin phase."""
-    return lambda s, b: (kind, str(int(b["$j"])), s[1], origin)
+    level $j: refine from j up to i, then resume in the origin phase.  A
+    captured level that is not an integer refuses the event (None)."""
+
+    def nxt(s: tuple, b: dict) -> tuple | None:
+        try:
+            j = int(b["$j"])
+        except ValueError:
+            return None
+        return (kind, str(j), s[1], origin)
+
+    return nxt
 
 
 def _inc(value: str) -> str:
@@ -437,16 +439,20 @@ class Recognizer:
                 if entry.__class__ is tuple:
                     branch, nxt = entry
                 else:
-                    text, nxt = entry(state, domain)
+                    text, nxt = entry.fn(state, domain)
                     branch = _templates(text)
                 pos = 0
                 captures = {}
             if not _fits(branch[pos], event, state, captures):
                 refused = idx
                 break
+            if pos + 1 == len(branch):
+                after = nxt if nxt.__class__ is tuple else nxt(state, captures)
+                if after is None:
+                    refused = idx
+                    break
+                state = after
             pos += 1
-            if pos == len(branch):
-                state = nxt if nxt.__class__ is tuple else nxt(state, captures)
         self.state, self.branch, self.pos, self.next, self.captures = (
             state, branch, pos, nxt, captures)
         return refused
@@ -486,15 +492,25 @@ def check_csp_conformance(
     """Annotate the trace and run it through the methodology's recognizer.
 
     The whole trace is annotated first, so an annotation failure is
-    reported even after an earlier illegal event."""
+    reported even after an earlier illegal event.  A level count L that is
+    not an integer fails on the first event."""
     methodology = methodology or trace.methodology
     name = f"csp-conformance[{methodology}]"
-    if methodology in HYBRID and level_domain is None and trace.events:
-        level_domain = int(trace.events[0].payload.get("L", DEFAULT_LEVEL_DOMAIN))
     try:
-        annotated = _annotate(trace, methodology)
-    except (KeyError, ValueError) as exc:
-        return Verdict(name, False, f"annotation failed: {exc}")
+        L = _level_count(trace)
+    except (TypeError, ValueError):
+        first = trace.events[0]
+        return Verdict(name, False, f"L={first.payload['L']!r} is not an integer", first.seq)
+    if methodology in HYBRID and level_domain is None and trace.events:
+        level_domain = DEFAULT_LEVEL_DOMAIN if L is None else L
+    annotated = []
+    for ev in trace:
+        try:
+            annotated.append((ev.seq, _expand(methodology, ev, L)))
+        except (KeyError, ValueError) as exc:
+            return Verdict(name, False, f"annotation failed: {exc}")
+        except TypeError as exc:  # a payload value of the wrong type
+            return Verdict(name, False, f"annotation failed: {exc}", ev.seq)
     events = [event for _seq, group in annotated for event in group]
     idx = make_recognizer(methodology, level_domain).feed(events)
     if idx is None:

@@ -421,7 +421,10 @@ def check_rule_legality(trace: Trace, methodology: str | None = None) -> Verdict
     prev_payload: dict[str, Any] | None = None
     try:
         for ev, statuses, _prior in fold_statuses(trace):
-            problem = _legality_problem(ev, prev_payload, statuses, ctx)
+            try:
+                problem = _legality_problem(ev, prev_payload, statuses, ctx)
+            except (KeyError, TypeError, ValueError) as exc:
+                problem = f"{ev.rule} payload unreadable: {exc}"
             if problem:
                 return Verdict(name, False, problem, ev.seq)
             prev_payload = ev.payload
@@ -555,7 +558,10 @@ def _descent(name: str, trace: Trace, rules: dict[str, RuleSpec], ctx: TraceCont
         spec = rules.get(ev.rule)
         if spec is None:
             return Verdict(name, False, f"unknown rule {ev.rule}", ev.seq)
-        recomputed = measure_with_counts(ev.payload, ctx, unfinalized, unvisited)
+        try:
+            recomputed = measure_with_counts(ev.payload, ctx, unfinalized, unvisited)
+        except (KeyError, TypeError, ValueError) as exc:
+            return Verdict(name, False, f"{ev.rule} payload unreadable: {exc}", ev.seq)
         if ev.measure_post is not None and tuple(ev.measure_post) != recomputed:
             return Verdict(
                 name,

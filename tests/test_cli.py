@@ -160,6 +160,66 @@ class TestVerifyCheckSelection:
         assert capsys.readouterr().out.splitlines() == [line.format(m=m) for line in expected]
 
 
+class TestVerifyForgedPayloads:
+    """A payload value of the wrong type is a FAIL line naming the event,
+    exit 2, never a traceback or a bare error."""
+
+    def _forge(self, path, rule, **values):
+        lines = path.read_text().splitlines()
+        pos = next(i for i, line in enumerate(lines) if json.loads(line)["rule"] == rule)
+        rec = json.loads(lines[pos])
+        rec["payload"].update(values)
+        lines[pos] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        return rec
+
+    def _verify(self, capsys, path, m, check="all"):
+        capsys.readouterr()
+        code = main(["verify", "--trace", str(path), "--methodology", m, "--check", check])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return code, captured.out.splitlines()
+
+    def test_bfd_string_level(self, tree_file, tmp_path, capsys):
+        path = tmp_path / "bfd.jsonl"
+        main(["run", "--methodology", "bfd", "--hierarchy", str(tree_file), "--out", str(path)])
+        seq = self._forge(path, "BF4", level="x")["seq"]
+        code, out = self._verify(capsys, path, "bfd")
+        assert code == 2
+        assert out == [
+            "PASS well-formed",
+            f"FAIL csp-conformance[bfd] (event {seq}: annotation failed: "
+            "unsupported operand type(s) for -: 'str' and 'int')",
+        ]
+
+    def test_pdfd_string_origin_level(self, tmp_path, capsys):
+        path = tmp_path / "pdfd.jsonl"
+        main(["replay", "--fixture", "pdfd-mvp", "--format", "jsonl-trace", "--out", str(path)])
+        rec = self._forge(path, "PD2a", j="x")
+        seq, level = rec["seq"], rec["payload"]["level"]
+        code, out = self._verify(capsys, path, "pdfd")
+        unreadable = f"(event {seq}: PD2a payload unreadable: invalid literal for int() with base 10: 'x')"
+        assert code == 2
+        assert out == [
+            "PASS well-formed",
+            f"FAIL rule-legality {unreadable}",
+            f"FAIL measure-descent {unreadable}",
+            "PASS bounded-refinement",
+            "PASS finalization-invariance",
+            "PASS deadlock-freeness[pdfd]",
+            f"FAIL csp-conformance[pdfd] (event {seq}: illegal event "
+            f"'get_trace_origin_actual.{level}.x')",
+        ]
+
+    def test_pdfd_string_level_count(self, tmp_path, capsys):
+        path = tmp_path / "pdfd.jsonl"
+        main(["replay", "--fixture", "pdfd-mvp", "--format", "jsonl-trace", "--out", str(path)])
+        self._forge(path, "PD1", L="x")
+        code, out = self._verify(capsys, path, "pdfd", check="csp")
+        assert code == 2
+        assert out == ["FAIL csp-conformance[pdfd] (event 1: L='x' is not an integer)"]
+
+
 class TestReportAndBench:
     def test_report_from_fixture(self, capsys):
         assert main(["report", "--fixture", "pbfd-mvp"]) == 0

@@ -157,11 +157,11 @@ def verdict_lines(machine: str, trace: Trace) -> list[str]:
 GOLDEN = {
     "geo:bfd": (
         "05a2ea4381f66f013b819355a2d4cd860b3718d778de80006b5fb924395f7e0b",
-        "0cd3628f66110244489607214a94a27f08b7d3c75a40c82317406529b0203192",
+        "b244bd37f8ab0ddae21719085404632cf5f894f047c98a1634e6a198cad92b47",
     ),
     "geo:cdd": (
         "026c117187ba310ce004fec7242113b171ddf955679a991a35845a36746b25a1",
-        "1eb4326afac511360070004a32dafa03605ba3630cf298a7173a4f2e2965f34a",
+        "844574d5a89ab78ba224250c2d31bc487415ca4c1f3761cd91a1cb0616751022",
     ),
     "geo:dad": (
         "c7943a9a26f5196f8098282d08e789789c71a2164eb5ffeea5cd41ac2075f52a",
@@ -173,11 +173,11 @@ GOLDEN = {
     ),
     "geo:pbfd": (
         "49b337bcaf35776313db322f9c2070d4c5e47b9ccf5b73b4273409402d169d31",
-        "dab3dc7ba1dc14a4ebb09fd91eeb05775f7418b0f9255b07c172c4aee0179a1d",
+        "d3ff7ebb00c7f064269e9455c61a8b1bbf3278f0f5bc1cab550bea335716041c",
     ),
     "geo:pdfd": (
         "dfc6fcc1c5cac32717dbf42cecb07d060c6d51499f50d395ca82ff90dbbd1780",
-        "e4c24336df4d352c8aa7f4b0fa1a9a6d8111b1888a0a6f780f4c6691d332fac2",
+        "9fca2031df38938307fdb29cf62aa64bea9e65cd3f663acaf7dd219f04e63438",
     ),
     "geo:tle": (
         "adde2ea87cdc1200fdbff076eb99bfdea7e0a64754292240326ba6446e9226ea",
@@ -201,11 +201,11 @@ GOLDEN = {
     ),
     "uneven:pbfd": (
         "eb6ab552ac519fb910941de46b0955fa21f5f1e34a4ce937dfc5a1d8fff40fd2",
-        "8157ce6d30f27c652f1297d05742f7bc8e5f0c35611f665b196132083e393eb2",
+        "c1dff8b07113eddd7db8ac08f914fcb041dd87b1e4b7588d9a2bc83478ca1e06",
     ),
     "uneven:pdfd": (
         "467402ab04c02f7fab6f20fbc309ca70b1e9c899254d2921d47908ee183d3dc3",
-        "99d62a9f7a7e4b3e1e40379915898098823e4bddee912415b793298a93d29fc5",
+        "630e02d1be282c1a96f6c008ac31dfc0127e38bc406eb7d21a16cf98b4e51246",
     ),
     "uneven:tle": (
         "37be2ea5a04e9b4aaf2254840afad992994536bae17cea0a5108c6fa7eea9661",
