@@ -57,11 +57,14 @@ def _expand(methodology: str, ev: TraceEvent, L: int | None) -> list[tuple[str, 
     if events.__class__ is Pick:
         events, fields = events.fn(ev, L, *events.alternatives)
     out = []
+    last = value = None
     for event in events:
         if len(event) == 1:
             out.append(event)
         elif len(event) == 2:
-            out.append((event[0], str(event[1](fields))))
+            if event[1] is not last:  # consecutive events share one field's text
+                last, value = event[1], str(event[1](fields))
+            out.append((event[0], value))
         else:
             out.append((event[0], *[str(get(fields)) for get in event[1:]]))
     return out

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 from operator import itemgetter, methodcaller
 from typing import Any, Callable, NamedTuple
 
@@ -69,7 +70,9 @@ def split_templates(text: str, param: Callable[[str], Any]) -> Templates:
     )
 
 
+@cache
 def _field(name: str) -> Callable[[dict], Any]:
+    """One getter per field name, so a renderer can tell repeated fields."""
     return methodcaller("get", name[:-1]) if name[-1] == "?" else itemgetter(name)
 
 
