@@ -35,7 +35,7 @@ def annotate_trace(trace: Trace, methodology: str | None = None) -> list[tuple[i
     """Expand each trace event into (seq, csp_event) pairs."""
     methodology = methodology or trace.methodology
     L = _level_count(trace)
-    return [(ev.seq, ".".join(event)) for ev in trace for event in _expand(methodology, ev, L)]
+    return [(ev.seq, ".".join(event)) for ev in trace for event in _annotate(methodology, ev, L)]
 
 
 def _level_count(trace: Trace) -> int | None:
@@ -45,7 +45,7 @@ def _level_count(trace: Trace) -> int | None:
     return None
 
 
-def _expand(methodology: str, ev: TraceEvent, L: int | None) -> list[tuple[str, ...]]:
+def _annotate(methodology: str, ev: TraceEvent, L: int | None) -> list[tuple[str, ...]]:
     """Render the events of the event's rule row from its payload."""
     spec = RULE_TABLES[methodology].get(ev.rule)
     events = None if spec is None else spec.events
@@ -509,7 +509,7 @@ def check_csp_conformance(
     annotated = []
     for ev in trace:
         try:
-            annotated.append((ev.seq, _expand(methodology, ev, L)))
+            annotated.append((ev.seq, _annotate(methodology, ev, L)))
         except (KeyError, ValueError) as exc:
             return Verdict(name, False, f"annotation failed: {exc}")
         except TypeError as exc:  # a payload value of the wrong type

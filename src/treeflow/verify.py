@@ -84,7 +84,8 @@ def _rule_events(text: str) -> Templates:
 
 
 class Pick(NamedTuple):
-    """A rule whose events depend on more than one payload field.
+    """A rule whose events are not one fixed template: they depend on a
+    computed value or on more than one payload field.
 
     ``fn(event, L, *alternatives)`` returns the templates to render, chosen
     from the listed ones, and the mapping their fields are read from: the
