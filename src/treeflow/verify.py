@@ -76,13 +76,6 @@ def _field(name: str) -> Callable[[dict], Any]:
     return methodcaller("get", name[:-1]) if name[-1] == "?" else itemgetter(name)
 
 
-def _rule_events(text: str) -> Templates:
-    events = split_templates(text, _field)
-    if any(seg.__class__ is str for event in events for seg in event[1:]):
-        raise ValueError(f"a rule event's parameters are payload fields: {text!r}")
-    return events
-
-
 class Pick(NamedTuple):
     """A rule whose events are not one fixed template: they depend on a
     computed value or on more than one payload field.
@@ -97,7 +90,7 @@ class Pick(NamedTuple):
 
 
 def _pick(fn: Callable[..., Any], *texts: str) -> Pick:
-    return Pick(fn, tuple(_rule_events(text) for text in texts))
+    return Pick(fn, tuple(split_templates(text, _field) for text in texts))
 
 
 def _to_level(ev: TraceEvent, L: int | None, events):
@@ -152,7 +145,7 @@ class RuleSpec:
 
     def __post_init__(self) -> None:
         if isinstance(self.events, str):
-            object.__setattr__(self, "events", _rule_events(self.events))
+            object.__setattr__(self, "events", split_templates(self.events, _field))
 
 
 E, D, U, A, N = Delta.EQ, Delta.DOWN, Delta.UP, Delta.ANY, Delta.NONINC

@@ -281,9 +281,9 @@ def test_every_table_event_is_in_the_alphabet(machine):
             assert {t[0] for t in templates} <= ALPHABETS[machine]
 
 
-def _row_event_names(spec) -> set[str]:
+def _row_templates(spec):
     alternatives = spec.events.alternatives if isinstance(spec.events, Pick) else (spec.events,)
-    return {template[0] for templates in alternatives for template in templates}
+    return [template for templates in alternatives for template in templates]
 
 
 @pytest.mark.parametrize("machine", MACHINES)
@@ -293,7 +293,10 @@ def test_every_rule_row_emits_only_alphabet_events(machine):
             assert spec.events is None
             continue
         assert spec.events, rule
-        assert _row_event_names(spec) <= ALPHABETS[machine], rule
+        templates = _row_templates(spec)
+        assert {template[0] for template in templates} <= ALPHABETS[machine], rule
+        # Every parameter is a payload field, read by a getter.
+        assert all(callable(seg) for template in templates for seg in template[1:]), rule
 
 
 def test_a_row_event_outside_the_process_alphabet_is_refused(monkeypatch):
