@@ -7,7 +7,8 @@ hybrid machines write delta-encoded statuses (trace format 2): their
 ``GOLDEN`` pins cover the written trace read back and expanded to a full
 status map per event by the monitors' fold, which is the earlier format's
 bytes, so the deltas lose nothing; ``GOLDEN_FORMAT2`` pins the bytes as
-written.
+written.  ``GOLDEN_SCRIPTED`` pins both forms for scripted hybrid runs that
+take the failure and dead-end rules the seeded runs never reach.
 """
 
 import dataclasses
@@ -17,16 +18,19 @@ import random
 import pytest
 
 from treeflow.basic_machines import Dag, run_bfd, run_cdd, run_dad, run_dfd
+from treeflow.csp import check_csp_conformance
 from treeflow.fixtures import (
     geo_hierarchy,
     pbfd_mvp_scenario,
     pdfd_mvp_scenario,
+    perfect_tree,
     visited_places_hierarchy,
 )
 from treeflow.hierarchy import Hierarchy, load_hierarchy
 from treeflow.hybrid_machines import run_pbfd, run_pdfd
 from treeflow.scenario import CddScript, Scenario, TraceOriginStrategy
 from treeflow.trace import Trace, fold_statuses
+from treeflow.verify import RULE_TABLES, run_all_checks
 
 HYBRID = ("pdfd", "pbfd")
 
@@ -165,3 +169,67 @@ def test_golden_set_covers_every_machine_on_both_trees():
     expected = [f"{t}:{m}" for t in ("geo", "uneven") for m in machines] + ["visited:pdfd"]
     assert sorted(GOLDEN) == sorted(expected)
     assert sorted(GOLDEN_FORMAT2) == sorted(k for k in expected if k.split(":")[1] in HYBRID)
+
+
+def _scripted(name: str) -> Trace:
+    """Scripted runs on a seven-node tree, one per group of failure paths:
+    a completion-sweep failure that backtracks (PD6a) and one with no origin
+    (PD6b); a failing refinement retry (PB3a2) followed by a completion
+    failure with no origin (PB7b); a pattern failure with no origin (PB3c)."""
+    h = perfect_tree(2, 3)
+    level = {k: {n.id for n in h.level(k)} for k in h.levels()}
+    if name == "top-down:pdfd":
+        return run_pdfd(h, Scenario(
+            r_max=3, trace_origin=TraceOriginStrategy.scripted_map({2: 1}),
+            validation_script={("top_down", 2, 1): level[2], ("top_down", 3, 1): level[3]},
+        )).trace
+    if name == "refine:pbfd":
+        return run_pbfd(h, Scenario(
+            r_max=3, trace_origin=TraceOriginStrategy.scripted_map({2: 1}),
+            validation_script={("pattern", 2, 1): level[2], ("refine", 1, 1): level[1],
+                               ("top_down", 3, 1): level[3]},
+        )).trace
+    return run_pbfd(h, Scenario(
+        r_max=3, trace_origin=TraceOriginStrategy.scripted_map({}),
+        validation_script={("pattern", 2, 1): level[2]},
+    )).trace
+
+
+# key -> (sha256 of the expanded format-1 bytes, sha256 of the written bytes)
+GOLDEN_SCRIPTED = {
+    "pattern:pbfd": (
+        "d6db92a57943c7e4efac8542441e044c17bbbcc6adc9ad99703826849d8362cb",
+        "0fa8f34432c351ec6294166a6e47b3dab47ab997c31bd7039a21e0b82bff9d18",
+    ),
+    "refine:pbfd": (
+        "4ff1d1b0191656e22e56ac685cfa78672698c012ad3ff1c60deea410c673e700",
+        "98d420c2e52f9f8bf3d21ef46f23e9152227b1faaf78286d9bdce8c8a9cbd4eb",
+    ),
+    "top-down:pdfd": (
+        "525a360baca81d153e036394ffc56d0800686edb2b48015a5ed2e708c0b8e59a",
+        "6256cd8afc13effe4e95a90edcf17610285116eb6f8e2c4c283bb2127bb17168",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_SCRIPTED))
+def test_scripted_failure_paths_match_golden_hashes(key, tmp_path):
+    trace = _scripted(key)
+    written = _sha256(trace, tmp_path / "trace.jsonl")
+    expanded = _full_snapshots(Trace.read_jsonl(tmp_path / "trace.jsonl", trace.methodology))
+    assert (_sha256(expanded, tmp_path / "hashed.jsonl"), written) == GOLDEN_SCRIPTED[key]
+    verdicts = run_all_checks(trace) + [check_csp_conformance(trace)]
+    assert [v.line() for v in verdicts if not v.ok] == []
+
+
+def test_golden_traces_fire_every_hybrid_rule_the_engines_take():
+    """PB2a and PB3a3 are process-only rules: the breadth-led process
+    allows them, and the engine never takes them."""
+    fired: dict[str, set[str]] = {m: set() for m in HYBRID}
+    for key in GOLDEN_FORMAT2:
+        tree, machine = key.split(":")
+        fired[machine] |= set(_trace(machine, *_inputs(tree)).rules())
+    for key in GOLDEN_SCRIPTED:
+        fired[key.split(":")[1]] |= set(_scripted(key).rules())
+    for machine in HYBRID:
+        assert fired[machine] == set(RULE_TABLES[machine]) - {"PB2a", "PB3a3"}
