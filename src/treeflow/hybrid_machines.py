@@ -16,11 +16,32 @@ Shared semantics
   attempt counters, and the statuses as trace format 2: the full map on the
   first event, then only the nodes each step changed.  The monitors fold
   those changes and re-derive everything from the trace alone.
+
+Refinement episodes
+-------------------
+Both machines share one episode mechanism, each step written once.
+``_validated`` validates the current level and on failure backtracks to
+the traced origin j (PD2a, PD4b, PD6a, PB3, PB7a) or, with no origin,
+dead-ends (PD8, PD6b, PB3c, PB7b).  ``_enter_refinement`` is the one place
+an attempt is burned: on that backtrack, on a failed rework (PD3c, PB3a2,
+from ``_refinement_validated``) and on each step up the range [j, i] (PD3a,
+PB5).  ``_exhausted`` ends a pass whose level has no budget left (PD8,
+PB9); ``_return_state`` resumes the failed phase (PD3b, PB6).
+
+Two invariants keep the breadth-led machine free of bookkeeping:
+
+* Pattern i is level i: pattern 1 is the root level, and the children of
+  every level-i node are all of level i+1, which PB4a derives.
+* S1(i) precedes any finalization of level i: S1(i) is entered once per
+  level (PB1, PB4a), level i is finalized only at S3(i), and episodes
+  resume at S3 or S4, never at S1.  So no pattern is finalized on entry,
+  and PB2a, which the process allows for that case, never fires.  Like
+  PB3a3, it is a process-only rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from .hierarchy import Hierarchy
@@ -240,6 +261,89 @@ def _init_payload(eng: _Engine) -> dict[str, Any]:
     }
 
 
+# -- refinement episodes: the steps both machines share ------------------------------
+
+
+def _terminal_error(eng: _Engine, rule: str, reason: str, extra: dict) -> None:
+    eng.reason = reason
+    eng.emit(rule, _State(phase="S5"), dict(extra, reason=reason))
+
+
+def _enter_refinement(
+    eng: _Engine, rule: str, j: int, i_orig: int, origin_phase: str, payload: dict
+) -> None:
+    """Move into the refinement pass at level j, burning one attempt there.
+    The snapshot adds the new ``j`` to the payload."""
+
+    def burn():
+        eng.attempts[j] += 1
+
+    eng.emit(
+        rule,
+        _State(phase="S1R", i=i_orig, j=j, i_orig=i_orig, origin_phase=origin_phase),
+        payload,
+        mutate=burn,
+    )
+
+
+def _validated(eng: _Engine, tag: str, fail_rule: str, dead_rule: str) -> dict | None:
+    """Validate the current level.  On success return the payload the next
+    rule carries; on failure backtrack to the traced origin (``fail_rule``)
+    or, with no origin, dead-end (``dead_rule``), and return None."""
+    st = eng.state
+    attempt, failing = eng.validate(tag, st.i, eng.level_ids(st.i))
+    base = {"level": st.i, "attempt": attempt, "failing": failing}
+    if not failing:
+        return base
+    try:
+        j = eng.origin_for(st.i, failing)
+    except UndefinedTraceOriginError:
+        _terminal_error(eng, dead_rule, "no_refinement_path", base)
+    else:
+        _enter_refinement(eng, fail_rule, j, st.i, st.phase, base)
+    return None
+
+
+def _exhausted(eng: _Engine, rule: str) -> bool:
+    """At a refinement pass entry: end the run if level j has no budget left."""
+    j = eng.state.j
+    if eng.attempts[j] < eng.sc.r_max:
+        return False
+    _terminal_error(eng, rule, "refinement_exhausted", {"level": j, "attempts": eng.attempts[j]})
+    return True
+
+
+def _refinement_validated(eng: _Engine, fail_rule: str) -> dict | None:
+    """Validate the reworked level j.  On failure retry it (``fail_rule``)
+    and return None; on success return the payload the next rule carries."""
+    st = eng.state
+    attempt, failing = eng.validate("refine", st.j, eng.level_ids(st.j))
+    base = {"level": st.j, "attempt": attempt, "failing": failing, "range_end": st.i_orig}
+    if not failing:
+        return base
+    _enter_refinement(eng, fail_rule, st.j, st.i_orig, st.origin_phase, base)
+    return None
+
+
+def _return_state(eng: _Engine) -> _State:
+    """Episode complete: resume the phase that detected the failure."""
+    st = eng.state
+    return _State(phase=st.origin_phase, i=st.i_orig)
+
+
+def _top_down(eng: _Engine, fail_rule: str, dead_rule: str, forward_rule: str, done_rule: str) -> None:
+    base = _validated(eng, "top_down", fail_rule, dead_rule)
+    if base is None:
+        return
+    i = eng.state.i
+    if i < eng.L:
+        eng.emit(forward_rule, _State(phase="S4", i=i + 1), base)
+    else:
+        unfinalized = [n for n, s in eng.statuses.items() if s != 2]
+        assert not unfinalized, f"termination with unfinalized nodes {unfinalized}"
+        eng.emit(done_rule, _State(phase="T"), base)
+
+
 # -- depth-led machine ------------------------------------------------------------
 
 
@@ -265,9 +369,14 @@ def run_pdfd(h: Hierarchy, scenario: Scenario) -> RunResult:
                 mutate=lambda: {"processed": eng.mark_in_progress(batch)},
             )
         elif st.phase == "S2":
-            _forward_validation(eng, st.i)
+            _forward_validation(eng)
         elif st.phase == "S1R":
-            _refinement_process(eng, exhaust_rule="PD8", validate_rule="PD3")
+            if not _exhausted(eng, "PD8"):
+                eng.emit(
+                    "PD3",
+                    replace(st, phase="S2R"),
+                    {"level": st.j, "reworked": eng.level_ids(st.j)},
+                )
         elif st.phase == "S2R":
             _pdfd_refinement_validation(eng)
         elif st.phase == "S3":
@@ -279,40 +388,12 @@ def run_pdfd(h: Hierarchy, scenario: Scenario) -> RunResult:
     return eng.result()
 
 
-def _enter_refinement(eng: _Engine, rule: str, j: int, i_orig: int, origin_phase: str, extra: dict) -> None:
-    """Transition into a refinement pass at level j, burning one attempt."""
-
-    def burn():
-        eng.attempts[j] += 1
-        return None
-
-    eng.emit(
-        rule,
-        _State(phase="S1R", i=i_orig, j=j, i_orig=i_orig, origin_phase=origin_phase),
-        dict(extra, j=j),
-        mutate=burn,
-    )
-
-
-def _terminal_error(eng: _Engine, rule: str, reason: str, extra: dict) -> None:
-    eng.reason = reason
-    payload = dict(extra)
-    payload["reason"] = reason
-    eng.emit(rule, _State(phase="S5"), payload)
-
-
-def _forward_validation(eng: _Engine, i: int) -> None:
-    candidates = eng.level_ids(i)
-    attempt, failing = eng.validate("level", i, candidates)
-    base = {"level": i, "attempt": attempt, "failing": failing}
-    if failing:
-        try:
-            j = eng.origin_for(i, failing)
-        except UndefinedTraceOriginError:
-            _terminal_error(eng, "PD8", "no_refinement_path", base)
-            return
-        _enter_refinement(eng, "PD2a", j, i, "S2", base)
+def _forward_validation(eng: _Engine) -> None:
+    base = _validated(eng, "level", "PD2a", "PD8")
+    if base is None:
         return
+    i = eng.state.i
+    candidates = eng.level_ids(i)
     k_i = eng.sc.k_for(i, len(candidates))
 
     def commit():
@@ -328,96 +409,26 @@ def _forward_validation(eng: _Engine, i: int) -> None:
         eng.emit("PD4", _State(phase="S3", i=i), payload, mutate=commit)
 
 
-def _refinement_process(eng: _Engine, exhaust_rule: str, validate_rule: str) -> None:
-    st = eng.state
-    j = st.j
-    assert j is not None and st.i_orig is not None
-    if eng.attempts[j] >= eng.sc.r_max:
-        _terminal_error(
-            eng,
-            exhaust_rule,
-            "refinement_exhausted",
-            {"level": j, "attempts": eng.attempts[j]},
-        )
-        return
-    reworked = eng.level_ids(j)
-    eng.emit(
-        validate_rule,
-        _State(phase="S2R", i=st.i, j=j, i_orig=st.i_orig, origin_phase=st.origin_phase),
-        {"level": j, "reworked": reworked},
-    )
-
-
-def _return_state(eng: _Engine) -> _State:
-    """Episode complete: resume the phase that detected the failure."""
-    st = eng.state
-    assert st.i_orig is not None and st.origin_phase is not None
-    return _State(phase=st.origin_phase, i=st.i_orig)
-
-
 def _pdfd_refinement_validation(eng: _Engine) -> None:
-    st = eng.state
-    j, i_orig = st.j, st.i_orig
-    assert j is not None and i_orig is not None
-    attempt, failing = eng.validate("refine", j, eng.level_ids(j))
-    base = {"level": j, "attempt": attempt, "failing": failing, "range_end": i_orig}
-    if failing:
-        _enter_refinement(eng, "PD3c", j, i_orig, st.origin_phase or "S2", base)
+    base = _refinement_validated(eng, "PD3c")
+    if base is None:
         return
-    if j < i_orig:
-
-        def burn():
-            eng.attempts[j + 1] += 1
-            return None
-
-        eng.emit(
-            "PD3a",
-            _State(phase="S1R", i=st.i, j=j + 1, i_orig=i_orig, origin_phase=st.origin_phase),
-            base,
-            mutate=burn,
-        )
+    st = eng.state
+    if st.j < st.i_orig:
+        _enter_refinement(eng, "PD3a", st.j + 1, st.i_orig, st.origin_phase, base)
     else:
         eng.emit("PD3b", _return_state(eng), base)
 
 
 def _bottom_up(eng: _Engine) -> None:
-    i = eng.state.i
-    candidates = eng.level_ids(i)
-    attempt, failing = eng.validate("bottom_up", i, candidates)
-    base = {"level": i, "attempt": attempt, "failing": failing}
-    if failing:
-        try:
-            j = eng.origin_for(i, failing)
-        except UndefinedTraceOriginError:
-            _terminal_error(eng, "PD8", "no_refinement_path", base)
-            return
-        _enter_refinement(eng, "PD4b", j, i, "S3", base)
+    base = _validated(eng, "bottom_up", "PD4b", "PD8")
+    if base is None:
         return
+    i = eng.state.i
     if i > 2:
         eng.emit("PD4a", _State(phase="S3", i=i - 1), base)
     else:
         eng.emit("PD5", _State(phase="S4", i=1), base)
-
-
-def _top_down(eng: _Engine, fail_rule: str, dead_rule: str, forward_rule: str, done_rule: str) -> None:
-    i = eng.state.i
-    candidates = eng.level_ids(i)
-    attempt, failing = eng.validate("top_down", i, candidates)
-    base = {"level": i, "attempt": attempt, "failing": failing}
-    if failing:
-        try:
-            j = eng.origin_for(i, failing)
-        except UndefinedTraceOriginError:
-            _terminal_error(eng, dead_rule, "no_refinement_path", base)
-            return
-        _enter_refinement(eng, fail_rule, j, i, "S4", base)
-        return
-    if i < eng.L:
-        eng.emit(forward_rule, _State(phase="S4", i=i + 1), base)
-    else:
-        unfinalized = [n for n, s in eng.statuses.items() if s != 2]
-        assert not unfinalized, f"termination with unfinalized nodes {unfinalized}"
-        eng.emit(done_rule, _State(phase="T"), base)
 
 
 # -- breadth-led machine -------------------------------------------------------------
@@ -432,46 +443,33 @@ def run_pbfd(h: Hierarchy, scenario: Scenario) -> RunResult:
     the depth resolution (or the completion sweep) they interrupted.
     """
     eng = _Engine("pbfd", h, scenario)
-    patterns: dict[int, list[int]] = {1: eng.level_ids(1)}
-    eng.emit("PB1", _State(phase="S1", i=1), dict(_init_payload(eng), pattern=patterns[1]))
-
-    def pattern_for(level: int) -> list[int]:
-        return patterns.get(level, eng.level_ids(level))
+    eng.emit("PB1", _State(phase="S1", i=1), dict(_init_payload(eng), pattern=eng.level_ids(1)))
 
     while eng.state.phase not in ("T", "S5"):
         st = eng.state
         if st.phase == "S1":
-            batch = pattern_for(st.i)
-            if batch and all(eng.statuses[n] == 2 for n in batch):
-                eng.emit("PB2a", _State(phase="S3", i=st.i), {"pattern": batch})
-                continue
+            batch = eng.level_ids(st.i)
             eng.emit(
                 "PB2",
                 _State(phase="S2", i=st.i),
                 {"pattern": batch},
-                mutate=lambda b=batch: {"processed": eng.mark_in_progress(b)},
+                mutate=lambda: {"processed": eng.mark_in_progress(batch)},
             )
         elif st.phase == "S2":
-            candidates = pattern_for(st.i)
-            attempt, failing = eng.validate("pattern", st.i, candidates)
-            base = {"level": st.i, "attempt": attempt, "failing": failing}
-            if failing:
-                try:
-                    j = eng.origin_for(st.i, failing)
-                except UndefinedTraceOriginError:
-                    _terminal_error(eng, "PB3c", "no_refinement_path", base)
-                    continue
-                _enter_refinement(eng, "PB3", j, st.i, "S2", base)
-            else:
+            base = _validated(eng, "pattern", "PB3", "PB3c")
+            if base is not None:
                 eng.emit("PB4", _State(phase="S3", i=st.i), base)
         elif st.phase == "S1R":
-            _pbfd_refinement_process(eng)
+            if not _exhausted(eng, "PB9"):
+                _pbfd_refinement_process(eng)
         elif st.phase == "S2R":
-            _pbfd_refinement_validation(eng)
+            base = _refinement_validated(eng, "PB3a2")
+            if base is not None:
+                eng.emit("PB3a1", replace(st, phase="S3R"), base)
         elif st.phase == "S3R":
             _pbfd_refinement_depth(eng)
         elif st.phase == "S3":
-            _pbfd_depth_resolution(eng, patterns, pattern_for)
+            _pbfd_depth_resolution(eng)
         elif st.phase == "S4":
             _top_down(eng, fail_rule="PB7a", dead_rule="PB7b", forward_rule="PB7", done_rule="PB8")
         else:  # pragma: no cover - defensive
@@ -482,84 +480,39 @@ def run_pbfd(h: Hierarchy, scenario: Scenario) -> RunResult:
 def _pbfd_refinement_process(eng: _Engine) -> None:
     st = eng.state
     j = st.j
-    assert j is not None and st.i_orig is not None
-    if eng.attempts[j] >= eng.sc.r_max:
-        _terminal_error(
-            eng, "PB9", "refinement_exhausted", {"level": j, "attempts": eng.attempts[j]}
-        )
-        return
     pattern = eng.level_ids(j)
     already_done = all(eng.statuses[n] == 2 for n in pattern)
     if already_done and not eng.sc.has_script_for("refine", j, eng.next_attempt("refine", j)):
-        eng.emit(
-            "PB3b",
-            _State(phase="S3R", i=st.i, j=j, i_orig=st.i_orig, origin_phase=st.origin_phase),
-            {"level": j, "pattern": pattern},
-        )
-        return
-    eng.emit(
-        "PB3a",
-        _State(phase="S2R", i=st.i, j=j, i_orig=st.i_orig, origin_phase=st.origin_phase),
-        {"level": j, "reworked": pattern},
-    )
-
-
-def _pbfd_refinement_validation(eng: _Engine) -> None:
-    st = eng.state
-    j, i_orig = st.j, st.i_orig
-    assert j is not None and i_orig is not None
-    attempt, failing = eng.validate("refine", j, eng.level_ids(j))
-    base = {"level": j, "attempt": attempt, "failing": failing, "range_end": i_orig}
-    if failing:
-        _enter_refinement(eng, "PB3a2", j, i_orig, st.origin_phase or "S2", base)
-        return
-    eng.emit(
-        "PB3a1",
-        _State(phase="S3R", i=st.i, j=j, i_orig=i_orig, origin_phase=st.origin_phase),
-        base,
-    )
+        eng.emit("PB3b", replace(st, phase="S3R"), {"level": j, "pattern": pattern})
+    else:
+        eng.emit("PB3a", replace(st, phase="S2R"), {"level": j, "reworked": pattern})
 
 
 def _pbfd_refinement_depth(eng: _Engine) -> None:
     st = eng.state
-    j, i_orig = st.j, st.i_orig
-    assert j is not None and i_orig is not None
-    base = {"level": j, "range_end": i_orig}
-    if j < i_orig:
-
-        def burn():
-            eng.attempts[j + 1] += 1
-            return None
-
-        eng.emit(
-            "PB5",
-            _State(phase="S1R", i=st.i, j=j + 1, i_orig=i_orig, origin_phase=st.origin_phase),
-            base,
-            mutate=burn,
-        )
-    else:
-        target = _return_state(eng)
-        # An episode opened during forward validation resumes at the depth
-        # resolution of the origin pattern (its validation succeeded inside
-        # the episode); completion-phase episodes resume the sweep.
-        if target.phase == "S2":
-            target = _State(phase="S3", i=i_orig)
-        eng.emit("PB6", target, base)
+    base = {"level": st.j, "range_end": st.i_orig}
+    if st.j < st.i_orig:
+        _enter_refinement(eng, "PB5", st.j + 1, st.i_orig, st.origin_phase, base)
+        return
+    target = _return_state(eng)
+    # An episode opened during forward validation resumes at the depth
+    # resolution of the origin pattern (its validation succeeded inside
+    # the episode); completion-phase episodes resume the sweep.
+    if target.phase == "S2":
+        target = _State(phase="S3", i=st.i_orig)
+    eng.emit("PB6", target, base)
 
 
-def _pbfd_depth_resolution(eng: _Engine, patterns: dict[int, list[int]], pattern_for) -> None:
+def _pbfd_depth_resolution(eng: _Engine) -> None:
     i = eng.state.i
-    pattern = pattern_for(i)
-    next_ids = sorted(c.id for n in pattern for c in eng.h.children(n))
+    pattern = eng.level_ids(i)
+    next_pattern = eng.level_ids(i + 1)  # the children of every level-i node
 
     def commit():
-        newly = eng.finalize(pattern)
-        assert all(eng.statuses[n] == 2 for n in pattern)
-        return {"finalized": newly}
+        return {"finalized": eng.finalize(pattern)}
 
-    base = {"level": i, "next_pattern": next_ids}
-    if i < eng.L and next_ids:
-        patterns[i + 1] = next_ids
+    base = {"level": i, "next_pattern": next_pattern}
+    if next_pattern:
         eng.emit("PB4a", _State(phase="S1", i=i + 1), base, mutate=commit)
     else:
         eng.emit("PB4b", _State(phase="S4", i=1), base, mutate=commit)
