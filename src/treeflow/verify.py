@@ -376,6 +376,26 @@ def context_of(trace: Trace, methodology: str | None = None) -> TraceContext:
     return TraceContext.from_payload(methodology, trace.events[0].payload)
 
 
+# What reading a forged payload value raises: int("x"), int(None), a list
+# where a map belongs, a missing key.
+UNREADABLE = (AttributeError, KeyError, TypeError, ValueError)
+
+
+def _unreadable(name: str, ev: TraceEvent, exc: Exception) -> Verdict:
+    return Verdict(name, False, f"{ev.rule} payload unreadable: {exc}", ev.seq)
+
+
+def _context(name: str, trace: Trace, methodology: str | None) -> TraceContext | Verdict:
+    """The run parameters of the first event, or a FAIL naming that event
+    when they are unreadable.  An empty trace still raises."""
+    try:
+        return context_of(trace, methodology)
+    except UNREADABLE as exc:
+        if not trace.events:
+            raise
+        return _unreadable(name, trace.events[0], exc)
+
+
 def check_well_formed(trace: Trace, methodology: str | None = None) -> Verdict:
     """Chaining plus rule-id membership and state-family agreement."""
     name = "well-formed"
@@ -414,14 +434,16 @@ def check_rule_legality(trace: Trace, methodology: str | None = None) -> Verdict
     wf = check_well_formed(trace, methodology)
     if not wf.ok:
         return Verdict(name, False, wf.detail, wf.first_violation_seq)
-    ctx = context_of(trace, methodology)
+    ctx = _context(name, trace, methodology)
+    if isinstance(ctx, Verdict):
+        return ctx
     prev_payload: dict[str, Any] | None = None
     try:
         for ev, statuses, _prior in fold_statuses(trace):
             try:
                 problem = _legality_problem(ev, prev_payload, statuses, ctx)
-            except (KeyError, TypeError, ValueError) as exc:
-                problem = f"{ev.rule} payload unreadable: {exc}"
+            except UNREADABLE as exc:
+                return _unreadable(name, ev, exc)
             if problem:
                 return Verdict(name, False, problem, ev.seq)
             prev_payload = ev.payload
@@ -532,7 +554,9 @@ def check_measure_descent(trace: Trace, methodology: str | None = None) -> Verdi
     methodology = methodology or trace.methodology
     if methodology not in HYBRID:
         return Verdict(name, True, "no measure defined for basic machines")
-    ctx = context_of(trace, methodology)
+    ctx = _context(name, trace, methodology)
+    if isinstance(ctx, Verdict):
+        return ctx
     try:
         return _descent(name, trace, RULE_TABLES[methodology], ctx)
     except StatusFoldError as err:
@@ -557,8 +581,8 @@ def _descent(name: str, trace: Trace, rules: dict[str, RuleSpec], ctx: TraceCont
             return Verdict(name, False, f"unknown rule {ev.rule}", ev.seq)
         try:
             recomputed = measure_with_counts(ev.payload, ctx, unfinalized, unvisited)
-        except (KeyError, TypeError, ValueError) as exc:
-            return Verdict(name, False, f"{ev.rule} payload unreadable: {exc}", ev.seq)
+        except UNREADABLE as exc:
+            return _unreadable(name, ev, exc)
         if ev.measure_post is not None and tuple(ev.measure_post) != recomputed:
             return Verdict(
                 name,
@@ -602,12 +626,17 @@ def classify_rules(methodology: str) -> dict[str, str]:
 
 def check_bounded_refinement(trace: Trace, r_max: int | None = None) -> Verdict:
     name = "bounded-refinement"
-    ctx = context_of(trace)
+    ctx = _context(name, trace, None)
+    if isinstance(ctx, Verdict):
+        return ctx
     cap = r_max if r_max is not None else ctx.r_max
     total = 0
     prev: dict[int, int] = {}
     for ev in trace:
-        attempts = _attempts(ev.payload)
+        try:
+            attempts = _attempts(ev.payload)
+        except UNREADABLE as exc:
+            return _unreadable(name, ev, exc)
         for l, c in attempts.items():
             if c > cap:
                 return Verdict(

@@ -1,6 +1,10 @@
 """End-to-end command-line behavior and exit-code conventions."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,8 @@ from treeflow.fixtures import GEO, GEO_REPORT_LINES, GEO_ROWS, geo_store
 from treeflow.hierarchy import dump_hierarchy
 from treeflow.fixtures import perfect_tree
 from treeflow.scenario import Scenario, TraceOriginStrategy, dump_scenario
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -164,9 +170,12 @@ class TestVerifyForgedPayloads:
     """A payload value of the wrong type is a FAIL line naming the event,
     exit 2, never a traceback or a bare error."""
 
-    def _forge(self, path, rule, **values):
+    def _forge(self, path, rule, seq=None, **values):
+        """Set ``values`` in the payload of the first ``rule`` event, or of
+        event ``seq``."""
         lines = path.read_text().splitlines()
-        pos = next(i for i, line in enumerate(lines) if json.loads(line)["rule"] == rule)
+        pos = next(i for i, line in enumerate(lines)
+                   if json.loads(line)["rule"] == rule or json.loads(line)["seq"] == seq)
         rec = json.loads(lines[pos])
         rec["payload"].update(values)
         lines[pos] = json.dumps(rec)
@@ -218,6 +227,47 @@ class TestVerifyForgedPayloads:
         code, out = self._verify(capsys, path, "pdfd", check="csp")
         assert code == 2
         assert out == ["FAIL csp-conformance[pdfd] (event 1: L='x' is not an integer)"]
+
+    def _forged_run_parameters(self, tmp_path, forged):
+        """The replayed pdfd trace with ``L`` forged on its first event, or
+        ``attempts`` forged on its fourth, and the lines ``--check all``
+        must print for it."""
+        path = tmp_path / "pdfd.jsonl"
+        main(["replay", "--fixture", "pdfd-mvp", "--format", "jsonl-trace", "--out", str(path)])
+        if forged == "L":
+            self._forge(path, "PD1", L="x")
+            rule, seq, csp = "PD1", 1, "FAIL csp-conformance[pdfd] (event 1: L='x' is not an integer)"
+        else:
+            rule, seq = self._forge(path, None, seq=4, attempts={"1": "x"})["rule"], 4
+            csp = "PASS csp-conformance[pdfd]"
+        unreadable = f"(event {seq}: {rule} payload unreadable: invalid literal for int() with base 10: 'x')"
+        return path, [
+            "PASS well-formed",
+            f"FAIL rule-legality {unreadable}",
+            f"FAIL measure-descent {unreadable}",
+            f"FAIL bounded-refinement {unreadable}",
+            "PASS finalization-invariance",
+            "PASS deadlock-freeness[pdfd]",
+            csp,
+        ]
+
+    @pytest.mark.parametrize("forged", ["L", "attempts"])
+    def test_pdfd_unreadable_run_parameters(self, tmp_path, capsys, forged):
+        path, expected = self._forged_run_parameters(tmp_path, forged)
+        assert self._verify(capsys, path, "pdfd") == (2, expected)
+
+    def test_pdfd_unreadable_level_count_without_asserts(self, tmp_path):
+        """Under ``python -O`` asserts vanish; the verdicts must not need them."""
+        path, expected = self._forged_run_parameters(tmp_path, "L")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "treeflow.cli", "verify", "--trace", str(path),
+             "--methodology", "pdfd", "--check", "all"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert proc.stdout.splitlines() == expected
 
 
 class TestReportAndBench:
