@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .trace import Trace, TraceEvent
-from .verify import HYBRID, RULE_TABLES, Pick, Verdict, split_templates
+from .verify import HYBRID, RULE_TABLES, UNREADABLE, Pick, Verdict, split_templates
 
 DEFAULT_LEVEL_DOMAIN = 5
 
@@ -50,8 +50,6 @@ def _annotate(methodology: str, ev: TraceEvent, L: int | None) -> list[tuple[str
     spec = RULE_TABLES[methodology].get(ev.rule)
     events = None if spec is None else spec.events
     if events is None:
-        if methodology == "tle":  # tle verdicts name an unknown rule by its bare key
-            raise KeyError(ev.rule)
         raise ValueError(f"unknown rule {ev.rule}")
     fields = ev.payload
     if events.__class__ is Pick:
@@ -510,9 +508,7 @@ def check_csp_conformance(
     for ev in trace:
         try:
             annotated.append((ev.seq, _annotate(methodology, ev, L)))
-        except (KeyError, ValueError) as exc:
-            return Verdict(name, False, f"annotation failed: {exc}")
-        except TypeError as exc:  # a payload value of the wrong type
+        except UNREADABLE as exc:
             return Verdict(name, False, f"annotation failed: {exc}", ev.seq)
     events = [event for _seq, group in annotated for event in group]
     idx = make_recognizer(methodology, level_domain).feed(events)

@@ -157,59 +157,59 @@ def verdict_lines(machine: str, trace: Trace) -> list[str]:
 GOLDEN = {
     "geo:bfd": (
         "05a2ea4381f66f013b819355a2d4cd860b3718d778de80006b5fb924395f7e0b",
-        "b244bd37f8ab0ddae21719085404632cf5f894f047c98a1634e6a198cad92b47",
+        "39bfa276cbe5db44d02736c49fcf5acd5e01364a292d7c57081adec0de91e036",
     ),
     "geo:cdd": (
         "026c117187ba310ce004fec7242113b171ddf955679a991a35845a36746b25a1",
-        "844574d5a89ab78ba224250c2d31bc487415ca4c1f3761cd91a1cb0616751022",
+        "d82d4ed90703241e4d81868377c0990771beb0d8d630a6f6f44d0a639ce8ab79",
     ),
     "geo:dad": (
         "c7943a9a26f5196f8098282d08e789789c71a2164eb5ffeea5cd41ac2075f52a",
-        "5d6c9ca9d374ee20d08009b73e97f29c001a1e38197217687b00f1a5654bc2bd",
+        "108f08b6469f3e15af39b28f70992d48a24ef956b47b746e4c93508ad4aaecb7",
     ),
     "geo:dfd": (
         "3819bb64c3111e07a9c8dc7be66a159968b56e7c5e3a06ff1831bc19c46dbde5",
-        "b6956aa0c1953917529a5bfb9934f4a3c6dc10054e451a41ddd92fd9676617c5",
+        "a05e39f2d8200a176a392f07ccf56e50ae02871619f6aea3484d0697610ddb16",
     ),
     "geo:pbfd": (
         "49b337bcaf35776313db322f9c2070d4c5e47b9ccf5b73b4273409402d169d31",
-        "d3ff7ebb00c7f064269e9455c61a8b1bbf3278f0f5bc1cab550bea335716041c",
+        "bdb6736439ddec1ad8918056c614c7266e33b4816253358e62ab9b2c63dfae6a",
     ),
     "geo:pdfd": (
         "dfc6fcc1c5cac32717dbf42cecb07d060c6d51499f50d395ca82ff90dbbd1780",
-        "9fca2031df38938307fdb29cf62aa64bea9e65cd3f663acaf7dd219f04e63438",
+        "60d6bb3af4d76a9e1482409486068e5c4109be3299210b0d3abcc150871d4092",
     ),
     "geo:tle": (
         "adde2ea87cdc1200fdbff076eb99bfdea7e0a64754292240326ba6446e9226ea",
-        "1c0b6e2d15e2a94524ce4d18b2bd222c9099233fad5686ad56b966a7885bef9e",
+        "deec53aae14e76345040dc979aa26d5bb69f7208be4e4f2ee75823fe727faf2a",
     ),
     "uneven:bfd": (
         "ecf8aa25ebeb0b49e2ec5d389a9545e96bc3b7f1d73f664b0b10b48702933cd0",
-        "5714d31551f0e46b9d4bea8d4bebc7f264255cdf3c6bde473d8c13a4524f0d5f",
+        "1a728171d51f541f8685fc5b2f0db1ba72dc1c8c8413f0e43cebc63c8d80e6b1",
     ),
     "uneven:cdd": (
         "0030c07ea2d0c5bf899241e04d212bd4fc73d65bcb13bf92f84ce67521f7bf0b",
-        "f22f855f7b5567f722ee88e048dc6e89258f16899311b2d11ab0c9d92099f1d0",
+        "85cbfc9c70d59a5801100ff5152d40a5e82d5b0ff71ff66d674f775ca2917f84",
     ),
     "uneven:dad": (
         "ca161f6ef07bff71e3e4438ec6425272ad6f9c23d2dfd8ae6e06e460d36f173c",
-        "97627a52fb4462cdc8589333f32231de0a83c70e0d27c55a383128c876210a58",
+        "7e86f73b678db9617cc0d5490692c713b1469641a3f723114aaf598086b181c4",
     ),
     "uneven:dfd": (
         "94ff9bf86b373bf99170dd7a381e8f4ab6f209eea957d74c53def9f97d074336",
-        "f0c7690ff1e55e51aff9161121b8763e0af6b1df87dcf64c00baae22cf45bc26",
+        "5bdc7d7f75c84a46725969be2fefd6775376b4888d0b453cde39eb00b18d9a20",
     ),
     "uneven:pbfd": (
         "eb6ab552ac519fb910941de46b0955fa21f5f1e34a4ce937dfc5a1d8fff40fd2",
-        "c1dff8b07113eddd7db8ac08f914fcb041dd87b1e4b7588d9a2bc83478ca1e06",
+        "cf2d3ee38b5757642acd902dde2dc99727cb4876325489747fda3769fa6f4603",
     ),
     "uneven:pdfd": (
         "467402ab04c02f7fab6f20fbc309ca70b1e9c899254d2921d47908ee183d3dc3",
-        "630e02d1be282c1a96f6c008ac31dfc0127e38bc406eb7d21a16cf98b4e51246",
+        "f7a4a15a83cd8c9f5e8343dea0e24e9f33c205ac45d04195b382e99535d42e40",
     ),
     "uneven:tle": (
         "37be2ea5a04e9b4aaf2254840afad992994536bae17cea0a5108c6fa7eea9661",
-        "a8aad991087ccf33b014bb01ced6ea2dd915428082ffa866784075942547b19c",
+        "d721b822cee452c052bd6474710478293e8f7a2ae42cb73da9906180817572a2",
     ),
 }
 
@@ -269,7 +269,7 @@ def test_annotation_failure_wins_over_an_earlier_illegal_event():
     v = check_csp_conformance(Trace("dfd", evs), "dfd")
     assert not v.ok
     assert v.detail == "annotation failed: 'node'"
-    assert v.first_violation_seq is None
+    assert v.first_violation_seq == evs[last].seq
 
 
 @pytest.mark.parametrize("machine", MACHINES)
