@@ -470,7 +470,6 @@ class ConformanceResult:
     accepted: bool
     events: list[str]
     reject_index: int | None = None
-    reject_seq: int | None = None
 
     @property
     def first_illegal_event(self) -> str | None:
@@ -480,11 +479,8 @@ class ConformanceResult:
 def accept_events(
     methodology: str, events: list[str], level_domain: int | None = None
 ) -> ConformanceResult:
-    rec = make_recognizer(methodology, level_domain)
-    idx = rec.feed(name.split(".") for name in events)
-    if idx is not None:
-        return ConformanceResult(False, events, reject_index=idx)
-    return ConformanceResult(True, events)
+    idx = make_recognizer(methodology, level_domain).feed(name.split(".") for name in events)
+    return ConformanceResult(idx is None, events, reject_index=idx)
 
 
 def check_csp_conformance(

@@ -376,8 +376,7 @@ def context_of(trace: Trace, methodology: str | None = None) -> TraceContext:
     return TraceContext.from_payload(methodology, trace.events[0].payload)
 
 
-# What reading a forged payload value raises: int("x"), int(None), a list
-# where a map belongs, a missing key.
+# What reading a forged payload value raises: int("x"), a list for a map, a missing key.
 UNREADABLE = (AttributeError, KeyError, TypeError, ValueError)
 
 
@@ -648,12 +647,8 @@ def check_bounded_refinement(trace: Trace, r_max: int | None = None) -> Verdict:
             total += inc
         prev = attempts
     if total > ctx.max_level * cap:
-        return Verdict(
-            name,
-            False,
-            f"total increments {total} exceed levels x cap = {ctx.max_level * cap}",
-            trace.events[-1].seq if trace.events else None,
-        )
+        detail = f"total increments {total} exceed levels x cap = {ctx.max_level * cap}"
+        return Verdict(name, False, detail, trace.events[-1].seq)
     return Verdict(name, True, f"max total increments {total}")
 
 
@@ -681,56 +676,42 @@ def check_finalization(trace: Trace) -> Verdict:
 
 
 class _ForkingScenario(Scenario):
-    """Scenario that replays a fixed pass/fail decision prefix, then passes.
+    """Scenario that replays a fixed pass/fail decision prefix, then passes;
+    a failing query fails every candidate.
 
     Used to enumerate every reachable branching of a machine run."""
 
-    def __init__(self, base: Scenario, decisions: list[bool], failing_pool: dict[int, list[int]]):
+    def __init__(self, base: Scenario, decisions: list[bool]):
         super().__init__(
             r_max=base.r_max,
             k_thresholds=dict(base.k_thresholds),
             trace_origin=base.trace_origin,
         )
         self._decisions = decisions
-        self._cursor = 0
         self.queries = 0
-        self._pool = failing_pool
 
     def failing_nodes(self, phase, index, attempt, candidates):
+        fail = self.queries < len(self._decisions) and self._decisions[self.queries]
         self.queries += 1
-        if self._cursor < len(self._decisions):
-            fail = self._decisions[self._cursor]
-            self._cursor += 1
-        else:
-            fail = False
-        if not fail:
-            return set()
-        pool = [n for n in candidates if n in set(self._pool.get(index, candidates))]
-        return set(pool or candidates)
+        return set(candidates) if fail else set()
 
 
-def enumerate_runs(
-    runner: Callable[[Scenario], Any],
-    base: Scenario,
-    max_depth: int = 64,
-) -> tuple[list[Any], int]:
+# Decision prefixes are not extended past this many validation queries.
+_MAX_FORK_DEPTH = 64
+
+
+def enumerate_runs(runner: Callable[[Scenario], Any], base: Scenario) -> tuple[list[Any], int]:
     """Run the machine under every pass/fail decision sequence (bounded).
 
     Returns (results, distinct runs)."""
     results = []
     stack: list[list[bool]] = [[]]
-    seen_prefixes: set[tuple[bool, ...]] = set()
     while stack:
         prefix = stack.pop()
-        key = tuple(prefix)
-        if key in seen_prefixes:
-            continue
-        seen_prefixes.add(key)
-        sc = _ForkingScenario(base, prefix, {})
-        result = runner(sc)
-        results.append(result)
+        sc = _ForkingScenario(base, prefix)
+        results.append(runner(sc))
         # Fork deeper on every query answered by the default (pass).
-        if len(prefix) < max_depth and sc.queries > len(prefix):
+        if len(prefix) < _MAX_FORK_DEPTH and sc.queries > len(prefix):
             stack.append(prefix + [True])
             stack.append(prefix + [False])
     return results, len(results)
@@ -767,10 +748,7 @@ def check_deadlock_freeness(
         run = {"pdfd": run_pdfd, "pbfd": run_pbfd}[methodology]
         base = Scenario(r_max=r_max, trace_origin=TraceOriginStrategy.fixed(1))
 
-        def runner(sc: Scenario):
-            return run(hierarchy, sc)
-
-        results, n = enumerate_runs(runner, base)
+        results, n = enumerate_runs(lambda sc: run(hierarchy, sc), base)
         for res in results:
             if res.outcome not in ("T", "S5"):
                 return Verdict(name, False, f"run ended in {res.outcome}")
