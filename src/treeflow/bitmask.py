@@ -9,7 +9,8 @@ share between threads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 
 class BitmaskError(ValueError):
@@ -34,21 +35,25 @@ class WidthKind(enum.Enum):
     WVAR = "var"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WidthClass:
     """Capacity class of a mask: 32-bit, 64-bit, or arbitrary ``var:<n>``."""
 
     kind: WidthKind
     var_bits: int | None = None
+    # Derived from the two fields above when the class is built.
+    capacity: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def capacity(self) -> int:
-        if self.kind is WidthKind.W32:
-            return 32
-        if self.kind is WidthKind.W64:
-            return 64
-        assert self.var_bits is not None
-        return self.var_bits
+    def __post_init__(self) -> None:
+        if self.kind is WidthKind.WVAR:
+            if self.var_bits is None or self.var_bits <= 0:
+                raise BitmaskError(f"variable width must be positive, got {self.var_bits}")
+            capacity = self.var_bits
+        elif self.var_bits is not None:
+            raise BitmaskError(f"{self.kind.value} width takes no var_bits")
+        else:
+            capacity = 32 if self.kind is WidthKind.W32 else 64
+        object.__setattr__(self, "capacity", capacity)
 
     @classmethod
     def parse(cls, text: str) -> "WidthClass":
@@ -58,10 +63,7 @@ class WidthClass:
         if text == "int64":
             return W64
         if text.startswith("var:"):
-            n = int(text.split(":", 1)[1])
-            if n <= 0:
-                raise BitmaskError(f"variable width must be positive, got {n}")
-            return cls(WidthKind.WVAR, n)
+            return cls(WidthKind.WVAR, int(text.split(":", 1)[1]))
         raise BitmaskError(f"unknown width class {text!r}")
 
     def serialize(self) -> str:
@@ -83,7 +85,7 @@ W32 = WidthClass(WidthKind.W32)
 W64 = WidthClass(WidthKind.W64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bitmask:
     """An immutable bit vector of exactly ``width.capacity`` positions."""
 
@@ -151,7 +153,10 @@ class Bitmask:
         return cls(width, value)
 
 
+@functools.cache
 def empty(width: WidthClass) -> Bitmask:
+    """The empty mask of ``width``.  Masks are immutable, so every caller
+    shares one instance per width."""
     return Bitmask(width, 0)
 
 

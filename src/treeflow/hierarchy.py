@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .bitmask import WidthClass
 
@@ -31,8 +32,9 @@ class NodeStatus(enum.IntEnum):
     FINALIZED = 2
 
 
-@dataclass(frozen=True)
-class HierarchyNode:
+class HierarchyNode(NamedTuple):
+    """One node row; a tuple, so it is immutable, hashable and equal by value."""
+
     id: int
     name: str
     width_class: WidthClass
@@ -108,8 +110,7 @@ def _parse_row(row: dict, widths: dict[str, WidthClass]) -> HierarchyNode:
             raise HierarchyError(f"row missing field {key!r}: {row!r}")
     # Fields are converted in the order id, name, width_class, parent_id,
     # child_index, level, so a row with several bad fields always reports
-    # the first of them; positional arguments keep the frozen dataclass's
-    # __init__ cheap.
+    # the first of them.
     node_id = int(row["id"])
     name = str(row["name"])
     name_type_id = row.get("name_type_id")
@@ -134,6 +135,11 @@ def load_hierarchy(source: str | Path | list[dict]) -> Hierarchy:
     Raises HierarchyError on: duplicate ids, dangling parents, child-index
     collisions, child_index beyond the parent's capacity, level inconsistent
     with the parent, multiple roots, or parent-link cycles.
+
+    Three passes: the rows in document order (parse, duplicate ids, roots),
+    the nodes in document order (dangling parents, level consistency), and
+    the nodes in id order (level, child_index, capacity and collisions,
+    filling the children and levels indexes).
     """
     if isinstance(source, Path):
         rows = json.loads(source.read_text())
@@ -150,13 +156,15 @@ def load_hierarchy(source: str | Path | list[dict]) -> Hierarchy:
 
     nodes: dict[int, HierarchyNode] = {}
     widths: dict[str, WidthClass] = {}
+    roots: list[HierarchyNode] = []
     for row in rows:
         node = _parse_row(row, widths)
         if node.id in nodes:
             raise HierarchyError(f"duplicate node id {node.id}")
         nodes[node.id] = node
+        if node.parent_id is None:
+            roots.append(node)
 
-    roots = [n for n in nodes.values() if n.parent_id is None]
     if not roots:
         raise HierarchyError("no root node (every node has a parent)")
     if len(roots) > 1:
@@ -167,20 +175,20 @@ def load_hierarchy(source: str | Path | list[dict]) -> Hierarchy:
     if root.level != 1:
         raise HierarchyError(f"root {root.id} must be level 1, got {root.level}")
 
+    levels_consistent = True
     for n in nodes.values():
-        if n.parent_id is not None and n.parent_id not in nodes:
-            raise HierarchyError(f"node {n.id} has dangling parent {n.parent_id}")
+        if n.parent_id is not None:
+            parent = nodes.get(n.parent_id)
+            if parent is None:
+                raise HierarchyError(f"node {n.id} has dangling parent {n.parent_id}")
+            if parent.level != n.level - 1:
+                levels_consistent = False
 
     # Cycle check on the parent links before relying on levels.  Levels that
     # rise by one along every parent link rule out a cycle (it would need a
     # node deeper than itself), so the walk runs only when some link breaks
     # that; the level error itself is raised below, after the walk has had
     # the chance to report a cycle first.
-    levels_consistent = all(
-        nodes[n.parent_id].level == n.level - 1
-        for n in nodes.values()
-        if n.parent_id is not None
-    )
     if not levels_consistent:
         for n in nodes.values():
             seen = {n.id}
@@ -192,43 +200,48 @@ def load_hierarchy(source: str | Path | list[dict]) -> Hierarchy:
                 cur = nodes[cur.parent_id]
 
     children: dict[int, list[int]] = {}
-    # One int per parent with a bit set for every child_index taken so far.
+    # Per parent: its capacity, read once, and one int with a bit set for
+    # every child_index taken so far.
+    capacity: dict[int, int] = {}
     occupied: dict[int, int] = {}
-    for n in sorted(nodes.values(), key=lambda x: x.id):
-        if n.parent_id is None:
-            continue
-        parent = nodes[n.parent_id]
-        if n.level != parent.level + 1:
-            raise HierarchyError(
-                f"node {n.id} level {n.level} inconsistent with parent "
-                f"{parent.id} level {parent.level}"
-            )
-        if n.child_index < 0:
-            raise HierarchyError(f"node {n.id} has negative child_index")
-        if n.child_index >= parent.width_class.capacity:
-            raise HierarchyError(
-                f"node {n.id} child_index {n.child_index} >= capacity "
-                f"{parent.width_class.capacity} of parent {parent.id}"
-            )
-        siblings = children.setdefault(parent.id, [])
-        bit = 1 << n.child_index
-        taken = occupied.get(parent.id, 0)
-        if taken & bit:
-            sib = next(c for c in siblings if nodes[c].child_index == n.child_index)
-            raise HierarchyError(
-                f"child_index collision under parent {parent.id}: "
-                f"{sib} and {n.id} both at {n.child_index}"
-            )
-        occupied[parent.id] = taken | bit
-        siblings.append(n.id)
+    levels: dict[int, list[int]] = {}
+    for node_id in sorted(nodes):
+        n = nodes[node_id]
+        pid = n.parent_id
+        if pid is not None:
+            parent = nodes[pid]
+            if n.level != parent.level + 1:
+                raise HierarchyError(
+                    f"node {node_id} level {n.level} inconsistent with parent "
+                    f"{pid} level {parent.level}"
+                )
+            ci = n.child_index
+            if ci < 0:
+                raise HierarchyError(f"node {node_id} has negative child_index")
+            siblings = children.get(pid)
+            if siblings is None:
+                siblings = children[pid] = []
+                capacity[pid] = parent.width_class.capacity
+                occupied[pid] = 0
+            if ci >= capacity[pid]:
+                raise HierarchyError(
+                    f"node {node_id} child_index {ci} >= capacity "
+                    f"{capacity[pid]} of parent {pid}"
+                )
+            bit = 1 << ci
+            taken = occupied[pid]
+            if taken & bit:
+                sib = next(c for c in siblings if nodes[c].child_index == ci)
+                raise HierarchyError(
+                    f"child_index collision under parent {pid}: "
+                    f"{sib} and {node_id} both at {ci}"
+                )
+            occupied[pid] = taken | bit
+            siblings.append(node_id)
+        levels.setdefault(n.level, []).append(node_id)
     for c in children.values():
         c.sort(key=lambda i: nodes[i].child_index)
 
-    levels: dict[int, list[int]] = {}
-    for n in nodes.values():
-        levels.setdefault(n.level, []).append(n.id)
-    for ids in levels.values():
-        ids.sort()
     max_level = max(levels)
     for k in range(1, max_level + 1):
         if k not in levels:

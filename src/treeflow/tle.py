@@ -19,7 +19,7 @@ tests is single-threaded.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -65,28 +65,19 @@ class TleUnit:
     grandparent_id: int
     parent_column_ids: tuple[int, ...]
     child_widths: dict[int, WidthClass]
+    # Every column's shared empty mask, in column order; a new record's
+    # cells start as a copy of this dict.
+    blank: dict[int, Bitmask] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        blank = {col: empty(self.child_widths[col]) for col in self.parent_column_ids}
+        object.__setattr__(self, "blank", blank)
 
 
 @dataclass(frozen=True)
 class TleSchema:
     units: dict[int, TleUnit]
     embedded_levels: tuple[int, int]
-
-    def unit_for_child(self, h: Hierarchy, child_id: int) -> tuple[TleUnit, int]:
-        """Resolve a selectable node to (unit, parent column id)."""
-        node = h.node(child_id)
-        if node.level < MIN_SELECTABLE_LEVEL:
-            raise UnknownChildError(
-                f"node {child_id} at level {node.level} has no ancestor unit"
-            )
-        parent = h.parent(child_id)
-        assert parent is not None
-        grandparent = h.parent(parent.id)
-        assert grandparent is not None
-        unit = self.units.get(grandparent.id)
-        if unit is None or parent.id not in unit.child_widths:
-            raise UnknownChildError(f"no unit column for node {child_id}")
-        return unit, parent.id
 
 
 def generate_schema(h: Hierarchy) -> TleSchema:
@@ -117,7 +108,7 @@ def generate_schema(h: Hierarchy) -> TleSchema:
     return TleSchema(units=units, embedded_levels=(h.max_level - 1, h.max_level))
 
 
-@dataclass
+@dataclass(slots=True)
 class TleRecord:
     subject_id: int
     unit_id: int
@@ -145,74 +136,67 @@ class TleStore:
     # -- record plumbing ----------------------------------------------------
 
     def _empty_record(self, subject: int, unit: TleUnit) -> TleRecord:
-        return TleRecord(
-            subject_id=subject,
-            unit_id=unit.grandparent_id,
-            cells={
-                col: empty(unit.child_widths[col]) for col in unit.parent_column_ids
-            },
-        )
+        return TleRecord(subject, unit.grandparent_id, dict(unit.blank))
 
-    def _fetch(self, subject: int, unit: TleUnit, create: bool) -> TleRecord | None:
-        self.counter.tick()  # record fetch
+    def _record(self, subject: int, unit: TleUnit) -> TleRecord:
+        """The subject's record of ``unit``, allocated on first use."""
         key = (subject, unit.grandparent_id)
         rec = self.records.get(key)
-        if rec is None and create:
-            rec = self._empty_record(subject, unit)
-            self.records[key] = rec
+        if rec is None:
+            rec = self.records[key] = self._empty_record(subject, unit)
             self.subjects.add(subject)
         return rec
 
-    def _is_selected(self, subject: int, node: HierarchyNode) -> bool:
-        """Raw bit test; structural levels count as always selected."""
-        if node.level < MIN_SELECTABLE_LEVEL:
-            return True
-        unit, column = self.schema.unit_for_child(self.hierarchy, node.id)
-        rec = self._fetch(subject, unit, create=False)
-        self.counter.tick()  # cell fetch
-        cell = rec.cells[column] if rec is not None else empty(unit.child_widths[column])
-        self.counter.tick()  # bit test
-        return cell.test(node.child_index)
-
-    # -- public operations --------------------------------------------------
-
-    def _selectable(self, child_id: int) -> "HierarchyNode":
-        if child_id not in self.hierarchy.nodes:
+    def _locate(self, child_id: int) -> tuple[HierarchyNode, HierarchyNode, TleUnit]:
+        """A selectable node, its parent (the column) and the grandparent's
+        unit.  A selectable node sits at level 3 or deeper of a validated
+        hierarchy, so its parent and grandparent exist."""
+        nodes = self.hierarchy.nodes
+        node = nodes.get(child_id)
+        if node is None:
             raise UnknownChildError(f"unknown node id {child_id}")
-        node = self.hierarchy.node(child_id)
         if node.level < MIN_SELECTABLE_LEVEL:
             raise UnknownChildError(
                 f"node {child_id} at level {node.level} is structural"
             )
-        return node
+        parent = nodes[node.parent_id]
+        unit = self.schema.units.get(parent.parent_id)
+        if unit is None or parent.id not in unit.child_widths:
+            raise UnknownChildError(f"no unit column for node {child_id}")
+        return node, parent, unit
+
+    # -- public operations --------------------------------------------------
 
     def lookup(self, subject: int, child_id: int) -> bool:
         """Selection status of one node; constant elementary steps."""
-        return self._is_selected(subject, self._selectable(child_id))
+        node, parent, unit = self._locate(child_id)
+        self.counter.steps += LOOKUP_STEP_BUDGET  # record fetch, cell fetch, bit test
+        rec = self.records.get((subject, unit.grandparent_id))
+        return rec is not None and (rec.cells[parent.id].value >> node.child_index) & 1 == 1
 
     def update(self, subject: int, child_id: int, selected: bool) -> None:
         """Set or clear one selection bit.
 
         Selecting checks that the parent is live (mirrors the normalized
-        store's orphan rule); deselecting touches only the single bit, the
-        cascading wipe is ``reset_subtree``.
+        store's orphan rule) with a lookup of the parent; deselecting
+        touches only the single bit, the cascading wipe is
+        ``reset_subtree``.
         """
-        node = self._selectable(child_id)
-        unit, column = self.schema.unit_for_child(self.hierarchy, node.id)
-        if selected:
-            parent = self.hierarchy.parent(child_id)
-            assert parent is not None
-            if not self._is_selected(subject, parent):
-                raise OrphanSelectionError(
-                    f"parent {parent.id} of node {child_id} is not selected"
-                )
-        rec = self._fetch(subject, unit, create=True)
-        assert rec is not None
-        self.counter.tick()  # cell fetch
-        cell = rec.cells[column]
-        self.counter.tick()  # bit write
-        rec.cells[column] = cell.set(node.child_index) if selected else cell.clear(
-            node.child_index
+        node, parent, unit = self._locate(child_id)
+        if (
+            selected
+            and parent.level >= MIN_SELECTABLE_LEVEL
+            and not self.lookup(subject, parent.id)
+        ):
+            raise OrphanSelectionError(
+                f"parent {parent.id} of node {child_id} is not selected"
+            )
+        self.counter.steps += 3  # record fetch, cell fetch, bit write
+        cells = self._record(subject, unit).cells
+        cell = cells[parent.id]
+        bit = 1 << node.child_index
+        cells[parent.id] = Bitmask(
+            cell.width, cell.value | bit if selected else cell.value & ~bit
         )
 
     def reset_subtree(self, subject: int, node_id: int) -> None:
@@ -225,10 +209,10 @@ class TleStore:
         for (subj, unit_id), rec in self.records.items():
             if subj != subject:
                 continue
-            unit = self.schema.units[unit_id]
-            for col in unit.parent_column_ids:
-                if col in subtree and not rec.cells[col].is_empty():
-                    rec.cells[col] = empty(unit.child_widths[col])
+            blank = self.schema.units[unit_id].blank
+            for col, mask in rec.cells.items():
+                if col in subtree and mask.value:
+                    rec.cells[col] = blank[col]
 
     def batch_query(
         self, predicate: Callable[[int, int, Bitmask], bool]
@@ -256,11 +240,11 @@ class TleStore:
         if first.level < MIN_SELECTABLE_LEVEL:
             # children are structural too; all "selected"
             return children
-        unit, column = self.schema.unit_for_child(self.hierarchy, first.id)
+        _, column, unit = self._locate(first.id)
         rec = self.records.get((subject, unit.grandparent_id))
         if rec is None:
             return []
-        mask = rec.cells[column]
+        mask = rec.cells[column.id]
         return [c for c in children if mask.test(c.child_index)]
 
     def selection_set(self, subject: int) -> set[int]:
@@ -442,7 +426,8 @@ def tle_traverse(
             grandparents.append(g.id)
         trace.emit("TLE3", "S1", "S2", {"page": page_no, "grandparents": grandparents})
         for g in grandparents:
-            store._fetch(subject, store.schema.units[g], create=True)
+            store.counter.tick()  # record fetch
+            store._record(subject, store.schema.units[g])
         trace.emit("TLE4", "S2", "S3", {"page": page_no, "units": grandparents})
         preset: dict[int, bool] = {}
         for p in parents:
