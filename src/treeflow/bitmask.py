@@ -63,7 +63,11 @@ class WidthClass:
         if text == "int64":
             return W64
         if text.startswith("var:"):
-            return cls(WidthKind.WVAR, int(text.split(":", 1)[1]))
+            try:
+                bits = int(text[4:])
+            except ValueError:
+                raise BitmaskError(f"unknown width class {text!r}") from None
+            return cls(WidthKind.WVAR, bits)
         raise BitmaskError(f"unknown width class {text!r}")
 
     def serialize(self) -> str:

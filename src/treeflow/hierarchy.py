@@ -13,9 +13,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
-from .bitmask import WidthClass
+from .bitmask import BitmaskError, WidthClass
 
 # Guard for remaining_after_prune: inputs whose totals would not fit a signed
 # 64-bit integer are rejected rather than silently growing unbounded.
@@ -102,63 +102,103 @@ class Hierarchy:
         return len(self.nodes)
 
 
-def _parse_row(row: dict, widths: dict[str, WidthClass]) -> HierarchyNode:
-    """``widths`` caches each ``width_class`` string already parsed."""
-    required = ("id", "name", "parent_id", "child_index", "level", "width_class")
-    for key in required:
+# Checked in this order, so a row with several problems reports the first.
+_REQUIRED = ("id", "name", "parent_id", "child_index", "level", "width_class")
+_INTEGERS = (("id", False), ("parent_id", True), ("child_index", False), ("level", False),
+             ("name_type_id", True))
+
+
+def _integer_error(index: int, row: dict) -> HierarchyError:
+    """Names the first field of ``_INTEGERS`` whose value has the wrong type."""
+    for key, nullable in _INTEGERS:
+        value = row.get(key)
+        if value.__class__ is not int and not (nullable and value is None):
+            break
+    kind = "an integer or null" if nullable else "an integer"
+    return HierarchyError(f"rows[{index}].{key}: must be {kind}, got {value!r}")
+
+
+def _parse_row(index: int, row: dict, widths: dict[str, WidthClass]) -> HierarchyNode:
+    """Row ``index`` of the document as a node; ``widths`` caches each
+    ``width_class`` string already parsed.  Errors name the row and the
+    field: ``rows[3].level: must be an integer, got None``."""
+    if not isinstance(row, dict):
+        raise HierarchyError(f"rows[{index}]: must be an object, got {type(row).__name__}")
+    for key in _REQUIRED:
         if key not in row:
-            raise HierarchyError(f"row missing field {key!r}: {row!r}")
-    # Fields are converted in the order id, name, width_class, parent_id,
-    # child_index, level, so a row with several bad fields always reports
-    # the first of them.
-    node_id = int(row["id"])
-    name = str(row["name"])
+            raise HierarchyError(f"rows[{index}]: missing field {key!r}")
+    node_id, parent_id = row["id"], row["parent_id"]
+    child_index, level = row["child_index"], row["level"]
     name_type_id = row.get("name_type_id")
+    # bool is a subclass of int, so the exact class is tested.
+    if not (
+        node_id.__class__ is int
+        and (parent_id is None or parent_id.__class__ is int)
+        and child_index.__class__ is int
+        and level.__class__ is int
+        and (name_type_id is None or name_type_id.__class__ is int)
+    ):
+        raise _integer_error(index, row)
+    name = row["name"]
+    if name.__class__ is not str:
+        raise HierarchyError(f"rows[{index}].name: must be a string, got {name!r}")
     text = row["width_class"]
-    width = widths.get(text) if text.__class__ is str else None
+    if text.__class__ is not str:
+        raise HierarchyError(f"rows[{index}].width_class: must be a string, got {text!r}")
+    width = widths.get(text)
     if width is None:
-        width = widths[text] = WidthClass.parse(text)
-    return HierarchyNode(
-        node_id,
-        name,
-        width,
-        None if row["parent_id"] is None else int(row["parent_id"]),
-        int(row["child_index"]),
-        int(row["level"]),
-        name_type_id,
-    )
+        try:
+            width = widths[text] = WidthClass.parse(text)
+        except BitmaskError as exc:
+            raise HierarchyError(f"rows[{index}].width_class: {exc}") from None
+    return HierarchyNode(node_id, name, width, parent_id, child_index, level, name_type_id)
 
 
 def load_hierarchy(source: str | Path | list[dict]) -> Hierarchy:
     """Load and validate a hierarchy from JSON text, a path, or parsed rows.
 
-    Raises HierarchyError on: duplicate ids, dangling parents, child-index
-    collisions, child_index beyond the parent's capacity, level inconsistent
-    with the parent, multiple roots, or parent-link cycles.
-
-    Three passes: the rows in document order (parse, duplicate ids, roots),
-    the nodes in document order (dangling parents, level consistency), and
-    the nodes in id order (level, child_index, capacity and collisions,
-    filling the children and levels indexes).
+    Raises HierarchyError on: invalid JSON, a row that is not an object,
+    lacks a field or has a field of the wrong type (naming the row index and
+    the field), duplicate ids, dangling parents, child-index collisions,
+    child_index beyond the parent's capacity, level inconsistent with the
+    parent, multiple roots, or parent-link cycles.  Errors of a document
+    read from a file start with its path:
+    ``tree.json: rows[3].level: must be an integer, got None``.
     """
-    if isinstance(source, Path):
-        rows = json.loads(source.read_text())
-    elif isinstance(source, str):
+    if isinstance(source, str):
         stripped = source.lstrip()
         if stripped.startswith("[") or stripped.startswith("{"):
-            rows = json.loads(source)
-        else:
-            rows = json.loads(Path(source).read_text())
-    else:
-        rows = source
+            return _build(_decode(source))
+        source = Path(source)
+    if isinstance(source, Path):
+        try:
+            return _build(_decode(source.read_text()))
+        except HierarchyError as exc:
+            raise HierarchyError(f"{source}: {exc}") from None
+    return _build(source)
+
+
+def _decode(text: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise HierarchyError(f"invalid JSON: {exc.msg}") from None
+
+
+def _build(rows: Any) -> Hierarchy:
+    """Validate parsed rows in three passes: the rows in document order
+    (parse, duplicate ids, roots), the nodes in document order (dangling
+    parents, level consistency), and the nodes in id order (level,
+    child_index, capacity and collisions, filling the children and levels
+    indexes)."""
     if not isinstance(rows, list) or not rows:
         raise HierarchyError("hierarchy document must be a non-empty list of rows")
 
     nodes: dict[int, HierarchyNode] = {}
     widths: dict[str, WidthClass] = {}
     roots: list[HierarchyNode] = []
-    for row in rows:
-        node = _parse_row(row, widths)
+    for index, row in enumerate(rows):
+        node = _parse_row(index, row, widths)
         if node.id in nodes:
             raise HierarchyError(f"duplicate node id {node.id}")
         nodes[node.id] = node

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from treeflow.bitmask import (
     Bitmask,
+    BitmaskError,
     BitPositionError,
     CombineOp,
     W32,
     W64,
     WidthClass,
+    WidthKind,
     WidthMismatchError,
     combine,
     empty,
@@ -154,6 +156,30 @@ class TestWidthClasses:
         var = Bitmask(WidthClass.parse("var:120"), 268435520)
         assert var.serialize() == "0x10000040"
         assert Bitmask.deserialize(WidthClass.parse("var:120"), "0x10000040").value == 268435520
+
+    def test_empty_mask_is_shared_per_width(self):
+        for width in (W32, W64, WidthClass.parse("var:7")):
+            assert empty(width) is empty(width)
+            assert empty(width) == Bitmask(width, 0)
+        assert empty(WidthClass.parse("var:7")) is empty(WidthClass.parse("var:7"))
+        assert empty(W32).set(3) is not empty(W32)
+        assert empty(W32).value == 0
+
+    @pytest.mark.parametrize("kind,bits,message", [
+        (WidthKind.WVAR, None, "variable width must be positive, got None"),
+        (WidthKind.WVAR, 0, "variable width must be positive, got 0"),
+        (WidthKind.W32, 5, "int32 width takes no var_bits"),
+    ])
+    def test_inconsistent_width_class_is_a_typed_error(self, kind, bits, message):
+        with pytest.raises(BitmaskError) as err:
+            WidthClass(kind, bits)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text", ["var:x", "var:", "int16", "var:1.5"])
+    def test_unknown_width_text(self, text):
+        with pytest.raises(BitmaskError) as err:
+            WidthClass.parse(text)
+        assert str(err.value) == f"unknown width class {text!r}"
 
     def test_width_for_child_count(self):
         assert WidthClass.for_child_count(32) == W32

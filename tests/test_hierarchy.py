@@ -136,6 +136,78 @@ class TestValidationErrors:
             load_hierarchy([bad])
 
 
+def _with(index, **fields):
+    rows = [dict(r) for r in GOOD]
+    rows[index].update(fields)
+    return rows
+
+
+class TestRowErrors:
+    """Every row error is a HierarchyError naming the row index and field."""
+
+    @pytest.mark.parametrize("rows,message", [
+        (_with(3, level=None), "rows[3].level: must be an integer, got None"),
+        (_with(1, parent_id=[1]), "rows[1].parent_id: must be an integer or null, got [1]"),
+        (_with(2, width_class=5), "rows[2].width_class: must be a string, got 5"),
+        (_with(0, id="x"), "rows[0].id: must be an integer, got 'x'"),
+        (_with(2, child_index=1.0), "rows[2].child_index: must be an integer, got 1.0"),
+        (_with(2, child_index=True), "rows[2].child_index: must be an integer, got True"),
+        (_with(1, name_type_id="city"), "rows[1].name_type_id: must be an integer or null, got 'city'"),
+        (_with(1, name=7), "rows[1].name: must be a string, got 7"),
+        (_with(1, width_class="int16"), "rows[1].width_class: unknown width class 'int16'"),
+        (_with(1, width_class="var:x"), "rows[1].width_class: unknown width class 'var:x'"),
+        (_with(1, width_class="var:0"), "rows[1].width_class: variable width must be positive, got 0"),
+        (GOOD[:2] + [[3, 1, 1, 2]], "rows[2]: must be an object, got list"),
+        (GOOD + [None], "rows[4]: must be an object, got NoneType"),
+        ([{"id": 1}], "rows[0]: missing field 'name'"),
+    ])
+    def test_message(self, rows, message):
+        with pytest.raises(HierarchyError) as err:
+            load_hierarchy(rows)
+        assert str(err.value) == message
+
+    def test_first_bad_field_wins(self):
+        rows = _with(2, id="x", level=None, width_class=5)
+        with pytest.raises(HierarchyError, match=r"^rows\[2\]\.id: "):
+            load_hierarchy(rows)
+
+    def test_file_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(_with(3, level=None)))
+        with pytest.raises(HierarchyError) as err:
+            load_hierarchy(path)
+        assert str(err.value) == f"{path}: rows[3].level: must be an integer, got None"
+        path.write_text(json.dumps(GOOD + [row(2, 1, 5, 2)]))
+        with pytest.raises(HierarchyError) as err:
+            load_hierarchy(str(path))
+        assert str(err.value) == f"{path}: duplicate node id 2"
+
+    def test_invalid_json(self, tmp_path):
+        path = tmp_path / "tree.json"
+        path.write_text("[{")
+        with pytest.raises(HierarchyError, match=r"tree\.json: invalid JSON: "):
+            load_hierarchy(path)
+        with pytest.raises(HierarchyError, match=r"^invalid JSON: "):
+            load_hierarchy("[{")
+
+    def test_cli_prints_one_error_line(self, tmp_path, capsys):
+        from treeflow.cli import main
+
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(_with(3, level=None)))
+        assert main(["run", "--methodology", "dfd", "--hierarchy", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: rows[3].level: must be an integer, got None\n"
+
+    def test_cli_directory_is_a_usage_error(self, tmp_path, capsys):
+        from treeflow.cli import main
+
+        assert main(["run", "--methodology", "dfd", "--hierarchy", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def level_sum_remaining(n: int, h: int) -> int:
     """Independent oracle: count the surviving levels one by one."""
     return sum(n**k for k in range(0, h - 1))

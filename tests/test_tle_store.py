@@ -165,6 +165,33 @@ class TestLookupUpdate:
         with pytest.raises(OrphanSelectionError):
             s.update(1, GEO["united_states"], True)  # continent unselected
 
+    def test_new_records_do_not_share_cells(self, geo):
+        s = TleStore(geo)
+        s.update(1, GEO["asia"], True)
+        s.update(2, GEO["europe"], True)
+        first, second = s.records[(1, GEO["root"])], s.records[(2, GEO["root"])]
+        assert first.cells is not second.cells
+        assert first.cells[GEO["anchor"]] != second.cells[GEO["anchor"]]
+        blank = s.schema.units[GEO["root"]].blank
+        assert blank[GEO["anchor"]].value == 0
+        assert first.cells is not blank
+
+    def test_exact_step_counts(self, geo):
+        s = TleStore(geo)
+
+        def steps(fn, *args):
+            before = s.counter.steps
+            fn(*args)
+            return s.counter.steps - before
+
+        assert steps(s.lookup, 1, GEO["maryland"]) == LOOKUP_STEP_BUDGET
+        assert steps(s.update, 1, GEO["north_america"], True) == 3  # structural parent
+        assert steps(s.update, 1, GEO["united_states"], True) == 6  # parent checked
+        assert steps(s.update, 1, GEO["united_states"], False) == 3
+        with pytest.raises(OrphanSelectionError):
+            s.update(1, GEO["maryland"], True)
+        assert s.counter.steps == 3 + 3 + 6 + 3 + 3  # the refused select's parent lookup
+
     def test_step_budgets(self, store):
         before = store.counter.steps
         store.lookup(1, GEO["ellicott_city"])
