@@ -701,7 +701,13 @@ _MAX_FORK_DEPTH = 64
 
 
 def enumerate_runs(runner: Callable[[Scenario], Any], base: Scenario) -> tuple[list[Any], int]:
-    """Run the machine under every pass/fail decision sequence (bounded).
+    """Run the machine once under each distinct pass/fail decision sequence
+    (bounded).
+
+    An unanswered query passes, so a decision list that ends in a pass
+    repeats the run of its shorter prefix.  Each run therefore forks once
+    per query it answered by default, below ``_MAX_FORK_DEPTH``: the fork
+    keeps the prefix, passes the queries up to that one, and fails it.
 
     Returns (results, distinct runs)."""
     results = []
@@ -710,10 +716,8 @@ def enumerate_runs(runner: Callable[[Scenario], Any], base: Scenario) -> tuple[l
         prefix = stack.pop()
         sc = _ForkingScenario(base, prefix)
         results.append(runner(sc))
-        # Fork deeper on every query answered by the default (pass).
-        if len(prefix) < _MAX_FORK_DEPTH and sc.queries > len(prefix):
-            stack.append(prefix + [True])
-            stack.append(prefix + [False])
+        for depth in range(len(prefix), min(sc.queries, _MAX_FORK_DEPTH)):
+            stack.append(prefix + [False] * (depth - len(prefix)) + [True])
     return results, len(results)
 
 

@@ -25,8 +25,11 @@ from treeflow.verify import (
     check_measure_descent,
     check_rule_legality,
     check_well_formed,
+    _MAX_FORK_DEPTH,
+    _ForkingScenario,
     classify_rules,
     context_of,
+    enumerate_runs,
 )
 
 
@@ -279,9 +282,38 @@ class TestDeadlock:
 
     def test_bounded_enumeration(self):
         h = uniform_hierarchy([1, 2, 2])
-        for methodology in ("pdfd", "pbfd"):
+        for methodology, runs in (("pdfd", 9), ("pbfd", 7)):
             v = check_deadlock_freeness(methodology, h, r_max=1)
             assert v.ok, v.detail
+            assert v.detail == f"{runs} enumerated runs, all reached T or S5"
+
+
+def _forking_both_ways(runner, base):
+    """Reference enumeration: fork every default-answered query into a fail
+    and an explicit pass.  A trailing pass replays the shorter prefix's run,
+    so this meets every run, most of them more than once."""
+    results, stack = [], [[]]
+    while stack:
+        prefix = stack.pop()
+        sc = _ForkingScenario(base, prefix)
+        results.append(runner(sc))
+        if len(prefix) < _MAX_FORK_DEPTH and sc.queries > len(prefix):
+            stack += [prefix + [True], prefix + [False]]
+    return results
+
+
+class TestEnumerateRuns:
+    @pytest.mark.parametrize("tree", [[1, 2], [1, 2, 2], [1, 2, 3], [1, 2, 2, 2]], ids=str)
+    @pytest.mark.parametrize("r_max", [1, 2])
+    @pytest.mark.parametrize("run", [run_pdfd, run_pbfd], ids=["pdfd", "pbfd"])
+    def test_each_distinct_run_once(self, tree, r_max, run):
+        h = uniform_hierarchy(tree)
+        base = Scenario(r_max=r_max, trace_origin=TraceOriginStrategy.fixed(1))
+        results, n = enumerate_runs(lambda sc: run(h, sc), base)
+        traces = [r.trace.to_jsonl() for r in results]
+        assert n == len(traces) == len(set(traces))
+        reference = {r.trace.to_jsonl() for r in _forking_both_ways(lambda sc: run(h, sc), base)}
+        assert set(traces) == reference
 
 
 class TestMonitorPurity:
