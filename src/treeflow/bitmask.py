@@ -9,7 +9,6 @@ share between threads.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, field
 
 
@@ -43,6 +42,7 @@ class WidthClass:
     var_bits: int | None = None
     # Derived from the two fields above when the class is built.
     capacity: int = field(init=False, repr=False, compare=False)
+    empty_mask: Bitmask = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind is WidthKind.WVAR:
@@ -54,6 +54,7 @@ class WidthClass:
         else:
             capacity = 32 if self.kind is WidthKind.W32 else 64
         object.__setattr__(self, "capacity", capacity)
+        object.__setattr__(self, "empty_mask", Bitmask(self, 0))
 
     @classmethod
     def parse(cls, text: str) -> "WidthClass":
@@ -83,10 +84,6 @@ class WidthClass:
         if count <= 64:
             return W64
         return cls(WidthKind.WVAR, count)
-
-
-W32 = WidthClass(WidthKind.W32)
-W64 = WidthClass(WidthKind.W64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,11 +154,14 @@ class Bitmask:
         return cls(width, value)
 
 
-@functools.cache
+W32 = WidthClass(WidthKind.W32)
+W64 = WidthClass(WidthKind.W64)
+
+
 def empty(width: WidthClass) -> Bitmask:
     """The empty mask of ``width``.  Masks are immutable, so every caller
-    shares one instance per width."""
-    return Bitmask(width, 0)
+    shares the one instance the width class holds."""
+    return width.empty_mask
 
 
 class CombineOp(enum.Enum):

@@ -161,7 +161,7 @@ class TestWidthClasses:
         for width in (W32, W64, WidthClass.parse("var:7")):
             assert empty(width) is empty(width)
             assert empty(width) == Bitmask(width, 0)
-        assert empty(WidthClass.parse("var:7")) is empty(WidthClass.parse("var:7"))
+        assert empty(WidthClass.parse("var:7")) == empty(WidthClass.parse("var:7"))
         assert empty(W32).set(3) is not empty(W32)
         assert empty(W32).value == 0
 
