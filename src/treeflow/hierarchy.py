@@ -239,11 +239,9 @@ def _build(rows: Any) -> Hierarchy:
                 seen.add(cur.parent_id)
                 cur = nodes[cur.parent_id]
 
-    children: dict[int, list[int]] = {}
-    # Per parent: its capacity, read once, and one int with a bit set for
-    # every child_index taken so far.
+    # Per parent: its capacity, read once, and its children by child_index.
     capacity: dict[int, int] = {}
-    occupied: dict[int, int] = {}
+    slots: dict[int, dict[int, int]] = {}
     levels: dict[int, list[int]] = {}
     for node_id in sorted(nodes):
         n = nodes[node_id]
@@ -258,29 +256,23 @@ def _build(rows: Any) -> Hierarchy:
             ci = n.child_index
             if ci < 0:
                 raise HierarchyError(f"node {node_id} has negative child_index")
-            siblings = children.get(pid)
-            if siblings is None:
-                siblings = children[pid] = []
+            taken = slots.get(pid)
+            if taken is None:
+                taken = slots[pid] = {}
                 capacity[pid] = parent.width_class.capacity
-                occupied[pid] = 0
             if ci >= capacity[pid]:
                 raise HierarchyError(
                     f"node {node_id} child_index {ci} >= capacity "
                     f"{capacity[pid]} of parent {pid}"
                 )
-            bit = 1 << ci
-            taken = occupied[pid]
-            if taken & bit:
-                sib = next(c for c in siblings if nodes[c].child_index == ci)
+            if ci in taken:
                 raise HierarchyError(
                     f"child_index collision under parent {pid}: "
-                    f"{sib} and {node_id} both at {ci}"
+                    f"{taken[ci]} and {node_id} both at {ci}"
                 )
-            occupied[pid] = taken | bit
-            siblings.append(node_id)
+            taken[ci] = node_id
         levels.setdefault(n.level, []).append(node_id)
-    for c in children.values():
-        c.sort(key=lambda i: nodes[i].child_index)
+    children = {pid: [taken[ci] for ci in sorted(taken)] for pid, taken in slots.items()}
 
     max_level = max(levels)
     for k in range(1, max_level + 1):

@@ -54,6 +54,14 @@ class TestLoading:
         p.write_text(text)
         assert len(load_hierarchy(p)) == 4
 
+    def test_child_index_far_beyond_32_bits(self):
+        """The collision check keeps child indexes, not a bit per index."""
+        wide = f"var:{10**21}"
+        h = load_hierarchy([row(1, None, 0, 1, width=wide), row(2, 1, 10**20, 2), row(3, 1, 5, 2)])
+        assert [n.id for n in h.children(1)] == [3, 2]
+        with pytest.raises(HierarchyError, match=f"collision under parent 1: 2 and 3 both at {10**20}"):
+            load_hierarchy([row(1, None, 0, 1, width=wide), row(2, 1, 10**20, 2), row(3, 1, 10**20, 2)])
+
     def test_dump_round_trip(self):
         h = load_hierarchy(GOOD)
         again = load_hierarchy(dump_hierarchy(h))
