@@ -2,6 +2,8 @@
 instrumentation, subtree reset, batch scans, storage accounting, paged
 traversal, path report, and snapshots."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -374,6 +376,25 @@ class TestSnapshot:
         again = TleStore.load_snapshot(geo, path)
         assert again.selection_set(1) == store.selection_set(1)
         assert again.report_paths(1) == GEO_REPORT_LINES
+
+    # (size, sha256) of the exact snapshot bytes: the worked state, whose
+    # var:120 Virginia cell is "0x10000040", and the same state after
+    # resetting the United States, which writes that cell back as "0x0".
+    PINNED = {
+        "worked": (3466, "3a70c028bc8e5b553857322539dc494c7b6d088c3440ed94635b803cdc6f31fe"),
+        "us_reset": (3449, "2ed3323650f7d351d928ac368248f6d13d9d61867dcaf36fdac0bc9f296d7d6f"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_bytes_pinned(self, store, geo, tmp_path, case):
+        if case == "us_reset":
+            store.reset_subtree(1, GEO["united_states"])
+        path, again = tmp_path / "snap.json", tmp_path / "again.json"
+        store.save_snapshot(path)
+        data = path.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == self.PINNED[case]
+        TleStore.load_snapshot(geo, path).save_snapshot(again)
+        assert again.read_bytes() == data
 
 
 class TestHierarchicalConsistency:
