@@ -23,7 +23,7 @@ print("\n== selecting continents ==")
 for name in ("north_america", "europe", "asia"):
     store.update(person, GEO[name], True)
 mask = store.records[(person, GEO["root"])].cells[GEO["anchor"]]
-print(f"continent mask: {mask.value} (binary {mask.value:08b})")
+print(f"continent mask: {mask} (binary {mask:08b})")
 print("decoded:", sorted(n.name for n in decode(mask, h.node(GEO["anchor"]), h)))
 
 # Down the tree: two countries, two states each for the US and Canada.
@@ -34,7 +34,8 @@ for name in (
 ):
     store.update(person, GEO[name], True)
 us_mask = store.records[(person, GEO["north_america"])].cells[GEO["united_states"]]
-print(f"state mask for the US column: {us_mask.value} (bits {us_mask.bits()})")
+us_bits = [i for i in range(us_mask.bit_length()) if (us_mask >> i) & 1]
+print(f"state mask for the US column: {us_mask} (bits {us_bits})")
 print(f"lookup(maryland) -> {store.lookup(person, GEO['maryland'])}")
 print(f"steps so far: {store.counter.steps} (every lookup costs exactly 3)")
 
@@ -47,7 +48,7 @@ for line in store.report_paths(person):
 print("\n== cascading reset ==")
 store.reset_subtree(person, GEO["north_america"])
 mask = store.records[(person, GEO["root"])].cells[GEO["anchor"]]
-print(f"continent mask after reset: {mask.value}")
+print(f"continent mask after reset: {mask}")
 print("report now:")
 for line in store.report_paths(person):
     print(" ", line)

@@ -76,7 +76,7 @@ def _measure_store(h: Hierarchy, scale: str, probes: int = 64, seed: int = 7) ->
         )
 
     before = store.counter.steps
-    matches = store.batch_query(lambda unit, col, mask: not mask.is_empty())
+    matches = store.batch_query(lambda unit, col, mask: mask != 0)
     batch_steps = store.counter.steps - before
     del matches
     return StepSample(
@@ -107,7 +107,7 @@ def batch_scaling_table(subject_counts: tuple[int, ...] = (1, 8, 64)) -> list[Ba
             for node in h.level(4):
                 store.update(s, node.id, True)
         before = store.counter.steps
-        store.batch_query(lambda unit, col, mask: not mask.is_empty())
+        store.batch_query(lambda unit, col, mask: mask != 0)
         steps = store.counter.steps - before
         out.append(BatchSample(subjects=subjects, records=len(store.records), steps=steps))
     return out

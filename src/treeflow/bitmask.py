@@ -28,6 +28,11 @@ class DanglingBitError(BitmaskError):
     """A set bit has no corresponding child node."""
 
 
+# Widest ``var:<n>`` class: a bound on ``1 << child_index`` and on every
+# mask value, so no hierarchy can ask for a multi-gigabit int.
+MAX_VAR_BITS = 2**20
+
+
 class WidthKind(enum.Enum):
     W32 = "int32"
     W64 = "int64"
@@ -42,19 +47,21 @@ class WidthClass:
     var_bits: int | None = None
     # Derived from the two fields above when the class is built.
     capacity: int = field(init=False, repr=False, compare=False)
-    empty_mask: Bitmask = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind is WidthKind.WVAR:
             if self.var_bits is None or self.var_bits <= 0:
                 raise BitmaskError(f"variable width must be positive, got {self.var_bits}")
+            if self.var_bits > MAX_VAR_BITS:
+                raise BitmaskError(
+                    f"variable width must be at most {MAX_VAR_BITS}, got {self.var_bits}"
+                )
             capacity = self.var_bits
         elif self.var_bits is not None:
             raise BitmaskError(f"{self.kind.value} width takes no var_bits")
         else:
             capacity = 32 if self.kind is WidthKind.W32 else 64
         object.__setattr__(self, "capacity", capacity)
-        object.__setattr__(self, "empty_mask", Bitmask(self, 0))
 
     @classmethod
     def parse(cls, text: str) -> "WidthClass":
@@ -159,9 +166,7 @@ W64 = WidthClass(WidthKind.W64)
 
 
 def empty(width: WidthClass) -> Bitmask:
-    """The empty mask of ``width``.  Masks are immutable, so every caller
-    shares the one instance the width class holds."""
-    return width.empty_mask
+    return Bitmask(width)
 
 
 class CombineOp(enum.Enum):

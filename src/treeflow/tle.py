@@ -6,25 +6,27 @@ children, and each column's bitmask encodes the selection of the column
 node's own children.  The bottom two levels are therefore embedded as
 columns/bits of level L-2 units and never get units of their own.
 
-Selection state lives per subject (e.g. a person).  ``lookup`` and ``update``
-touch exactly one record cell; an instrumented step counter provides the
+Selection state lives per subject (e.g. a person).  A record's cells map
+each column id to its mask as a plain int; the column's width lives only in
+the schema (``TleUnit.child_widths``).  ``lookup`` and ``update`` touch
+exactly one record cell; an instrumented step counter provides the
 constant-work evidence used by the benchmark suite.
 
 Concurrency: a single writer per (subject, unit) record with any number of
-readers is safe because bitmask values are immutable ints and records swap
-whole cell values; torn reads cannot occur.  The reference mode used by all
+readers is safe because cells are immutable ints and records swap whole
+cell values; torn reads cannot occur.  The reference mode used by all
 tests is single-threaded.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from .bitmask import Bitmask, WidthClass, empty
+from .bitmask import Bitmask, DanglingBitError, WidthClass
 from .hierarchy import Hierarchy, HierarchyNode
 from .trace import Trace
 
@@ -65,13 +67,6 @@ class TleUnit:
     grandparent_id: int
     parent_column_ids: tuple[int, ...]
     child_widths: dict[int, WidthClass]
-    # Every column's shared empty mask, in column order; a new record's
-    # cells start as a copy of this dict.
-    blank: dict[int, Bitmask] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        blank = {col: empty(self.child_widths[col]) for col in self.parent_column_ids}
-        object.__setattr__(self, "blank", blank)
 
 
 @dataclass(frozen=True)
@@ -112,7 +107,7 @@ def generate_schema(h: Hierarchy) -> TleSchema:
 class TleRecord:
     subject_id: int
     unit_id: int
-    cells: dict[int, Bitmask]
+    cells: dict[int, int]  # column id -> mask value
 
 
 class StepCounter:
@@ -136,7 +131,7 @@ class TleStore:
     # -- record plumbing ----------------------------------------------------
 
     def _empty_record(self, subject: int, unit: TleUnit) -> TleRecord:
-        return TleRecord(subject, unit.grandparent_id, dict(unit.blank))
+        return TleRecord(subject, unit.grandparent_id, dict.fromkeys(unit.parent_column_ids, 0))
 
     def _record(self, subject: int, unit: TleUnit) -> TleRecord:
         """The subject's record of ``unit``, allocated on first use."""
@@ -172,7 +167,7 @@ class TleStore:
         node, parent, unit = self._locate(child_id)
         self.counter.steps += LOOKUP_STEP_BUDGET  # record fetch, cell fetch, bit test
         rec = self.records.get((subject, unit.grandparent_id))
-        return rec is not None and (rec.cells[parent.id].value >> node.child_index) & 1 == 1
+        return rec is not None and (rec.cells[parent.id] >> node.child_index) & 1 == 1
 
     def update(self, subject: int, child_id: int, selected: bool) -> None:
         """Set or clear one selection bit.
@@ -193,11 +188,9 @@ class TleStore:
             )
         self.counter.steps += 3  # record fetch, cell fetch, bit write
         cells = self._record(subject, unit).cells
-        cell = cells[parent.id]
         bit = 1 << node.child_index
-        cells[parent.id] = Bitmask(
-            cell.width, cell.value | bit if selected else cell.value & ~bit
-        )
+        cell = cells[parent.id]
+        cells[parent.id] = cell | bit if selected else cell & ~bit
 
     def reset_subtree(self, subject: int, node_id: int) -> None:
         """Clear the node's own bit and zero every cell whose column lies in
@@ -209,14 +202,13 @@ class TleStore:
         for (subj, unit_id), rec in self.records.items():
             if subj != subject:
                 continue
-            blank = self.schema.units[unit_id].blank
             for col, mask in rec.cells.items():
-                if col in subtree and mask.value:
-                    rec.cells[col] = blank[col]
+                if mask and col in subtree:
+                    rec.cells[col] = 0
 
     def batch_query(
-        self, predicate: Callable[[int, int, Bitmask], bool]
-    ) -> list[tuple[int, int, int, Bitmask]]:
+        self, predicate: Callable[[int, int, int], bool]
+    ) -> list[tuple[int, int, int, int]]:
         """Visit every stored cell once; matches are
         (subject, unit, column, mask) tuples.  Work is linear in records."""
         matches = []
@@ -245,7 +237,7 @@ class TleStore:
         if rec is None:
             return []
         mask = rec.cells[column.id]
-        return [c for c in children if mask.test(c.child_index)]
+        return [c for c in children if (mask >> c.child_index) & 1]
 
     def selection_set(self, subject: int) -> set[int]:
         """Selected nodes reachable from the root through selected bits.
@@ -288,10 +280,11 @@ class TleStore:
             raise TleError("key_bits must be >= 1")
         tle_bits = 0
         selected = 0
-        for rec in self.records.values():
-            for mask in rec.cells.values():
-                tle_bits += mask.width.capacity
-                selected += mask.popcount()
+        for (_, unit_id), rec in self.records.items():
+            widths = self.schema.units[unit_id].child_widths
+            for col, mask in rec.cells.items():
+                tle_bits += widths[col].capacity
+                selected += mask.bit_count()
         traditional = selected * key_bits
         ratio = Fraction(tle_bits, traditional) if traditional else None
         return {
@@ -304,6 +297,7 @@ class TleStore:
     # -- persistence -----------------------------------------------------------
 
     def save_snapshot(self, path: str | Path) -> None:
+        units = self.schema.units
         doc = {
             "schema": {
                 "embedded_levels": list(self.schema.embedded_levels),
@@ -315,7 +309,7 @@ class TleStore:
                             for c in u.parent_column_ids
                         ],
                     }
-                    for u in self.schema.units.values()
+                    for u in units.values()
                 ],
             },
             "records": [
@@ -323,7 +317,8 @@ class TleStore:
                     "subject_id": rec.subject_id,
                     "unit_id": rec.unit_id,
                     "cells": {
-                        str(col): mask.serialize() for col, mask in rec.cells.items()
+                        str(col): Bitmask(units[rec.unit_id].child_widths[col], mask).serialize()
+                        for col, mask in rec.cells.items()
                     },
                 }
                 for rec in self.records.values()
@@ -362,7 +357,7 @@ class TleStore:
                     col = int(col_text)
                     if col not in unit.child_widths:
                         raise ValueError(f"unknown column {col} of unit {unit_id}")
-                    rec.cells[col] = Bitmask.deserialize(unit.child_widths[col], value)
+                    rec.cells[col] = Bitmask.deserialize(unit.child_widths[col], value).value
             except KeyError:
                 raise SnapshotError(f"{where}: missing field {field!r}") from None
             except (AttributeError, TypeError, ValueError) as exc:
@@ -372,15 +367,14 @@ class TleStore:
         return store
 
 
-def decode(mask: Bitmask, parent: HierarchyNode, h: Hierarchy) -> set[HierarchyNode]:
-    """Children of ``parent`` whose bit is set in ``mask``.
+def decode(mask: int, parent: HierarchyNode, h: Hierarchy) -> set[HierarchyNode]:
+    """Children of ``parent`` whose bit is set in the cell value ``mask``,
+    read at the parent's width class.
 
     Raises DanglingBitError when a set bit has no corresponding child."""
-    from .bitmask import DanglingBitError
-
     by_index = {c.child_index: c for c in h.children(parent.id)}
     out = set()
-    for i in mask.bits():
+    for i in Bitmask(parent.width_class, mask).bits():
         if i not in by_index:
             raise DanglingBitError(
                 f"bit {i} set but parent {parent.id} has no child at that index"

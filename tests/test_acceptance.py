@@ -83,42 +83,43 @@ def test_01_bit_exact_decode_of_worked_values():
             return {n.name for n in decode(mask, h.node(GEO[parent]), h)}
 
         # Continent mask 21 names exactly the three continents.
-        assert cell("root", "anchor").value == 21
+        assert cell("root", "anchor") == 21
         assert names(cell("root", "anchor"), "anchor") == {
             "North America", "Europe", "Asia"
         }
         # Country masks 3 / 3 / 0.
-        assert cell("anchor", "north_america").value == 3
+        assert cell("anchor", "north_america") == 3
         assert names(cell("anchor", "north_america"), "north_america") == {
             "United States", "Canada"
         }
-        assert cell("anchor", "europe").value == 3
+        assert cell("anchor", "europe") == 3
         assert names(cell("anchor", "europe"), "europe") == {
             "United Kingdom", "France"
         }
-        assert cell("anchor", "asia").value == 0
+        assert cell("anchor", "asia") == 0
         # State masks: 264192 has bits 11 and 18; 4097 decodes to the two
         # selected provinces.
-        assert cell("north_america", "united_states").value == 264192
-        assert cell("north_america", "united_states").bits() == [11, 18]
+        assert cell("north_america", "united_states") == 264192
+        us = cell("north_america", "united_states")
+        assert [i for i in range(us.bit_length()) if (us >> i) & 1] == [11, 18]
         assert names(cell("north_america", "united_states"), "united_states") == {
             "Virginia", "Maryland"
         }
-        assert cell("north_america", "canada").value == 4097
+        assert cell("north_america", "canada") == 4097
         assert names(cell("north_america", "canada"), "canada") == {
             "Ontario", "Nunavut"
         }
         # City masks 3/3 and 257/0.
-        assert cell("maryland", "baltimore_county").value == 3
-        assert cell("maryland", "howard_county").value == 3
+        assert cell("maryland", "baltimore_county") == 3
+        assert cell("maryland", "howard_county") == 3
         assert names(cell("maryland", "howard_county"), "howard_county") == {
             "Columbia MD", "Ellicott City"
         }
-        assert cell("virginia", "arlington_county").value == 257
+        assert cell("virginia", "arlington_county") == 257
         assert names(cell("virginia", "arlington_county"), "arlington_county") == {
             "Arlington", "Virginia Square"
         }
-        assert cell("virginia", "fairfax_county").value == 0
+        assert cell("virginia", "fairfax_county") == 0
         # Continent encoding identity: first + fifth bit = 17.
         assert empty(W32).set(0).set(4).value == 17
     report(1, "all worked bitmask values decode bit-exactly")
@@ -196,7 +197,7 @@ def test_04_constant_step_counts_across_sizes():
                 for n in h.level(3):
                     store.update(s, n.id, True)
             before = store.counter.steps
-            store.batch_query(lambda u, c, m: not m.is_empty())
+            store.batch_query(lambda u, c, m: m != 0)
             steps = store.counter.steps - before
             records = len(store.records)
             assert steps <= (1 + 8) * records  # 1 visit + up to 8 columns
@@ -218,7 +219,7 @@ def test_05_oracle_equivalence():
 
         def key_of(store, oracle):
             cells = tuple(
-                (k, tuple(sorted((c, m.value) for c, m in rec.cells.items())))
+                (k, tuple(sorted((c, m) for c, m in rec.cells.items())))
                 for k, rec in sorted(store.records.items())
             )
             rows = tuple((r.node_id, r.is_deleted) for r in oracle.rows)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from treeflow.bitmask import (
     Bitmask,
     BitmaskError,
+    MAX_VAR_BITS,
     BitPositionError,
     CombineOp,
     W32,
@@ -131,6 +132,7 @@ class TestWidthClasses:
         assert W32.capacity == 32
         assert W64.capacity == 64
         assert WidthClass.parse("var:120").capacity == 120
+        assert WidthClass.parse(f"var:{MAX_VAR_BITS}").capacity == MAX_VAR_BITS == 2**20
 
     def test_parse_round_trip(self):
         for text in ("int32", "int64", "var:7"):
@@ -157,18 +159,12 @@ class TestWidthClasses:
         assert var.serialize() == "0x10000040"
         assert Bitmask.deserialize(WidthClass.parse("var:120"), "0x10000040").value == 268435520
 
-    def test_empty_mask_is_shared_per_width(self):
-        for width in (W32, W64, WidthClass.parse("var:7")):
-            assert empty(width) is empty(width)
-            assert empty(width) == Bitmask(width, 0)
-        assert empty(WidthClass.parse("var:7")) == empty(WidthClass.parse("var:7"))
-        assert empty(W32).set(3) is not empty(W32)
-        assert empty(W32).value == 0
-
     @pytest.mark.parametrize("kind,bits,message", [
         (WidthKind.WVAR, None, "variable width must be positive, got None"),
         (WidthKind.WVAR, 0, "variable width must be positive, got 0"),
         (WidthKind.W32, 5, "int32 width takes no var_bits"),
+        (WidthKind.WVAR, 2**20 + 1, "variable width must be at most 1048576, got 1048577"),
+        (WidthKind.WVAR, 10**21, f"variable width must be at most 1048576, got {10**21}"),
     ])
     def test_inconsistent_width_class_is_a_typed_error(self, kind, bits, message):
         with pytest.raises(BitmaskError) as err:

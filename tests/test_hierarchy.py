@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from treeflow.bitmask import MAX_VAR_BITS
 from treeflow.hierarchy import (
     Hierarchy,
     HierarchyError,
@@ -56,11 +57,21 @@ class TestLoading:
 
     def test_child_index_far_beyond_32_bits(self):
         """The collision check keeps child indexes, not a bit per index."""
-        wide = f"var:{10**21}"
-        h = load_hierarchy([row(1, None, 0, 1, width=wide), row(2, 1, 10**20, 2), row(3, 1, 5, 2)])
+        wide, far = f"var:{MAX_VAR_BITS}", MAX_VAR_BITS - 1
+        h = load_hierarchy([row(1, None, 0, 1, width=wide), row(2, 1, far, 2), row(3, 1, 5, 2)])
         assert [n.id for n in h.children(1)] == [3, 2]
-        with pytest.raises(HierarchyError, match=f"collision under parent 1: 2 and 3 both at {10**20}"):
-            load_hierarchy([row(1, None, 0, 1, width=wide), row(2, 1, 10**20, 2), row(3, 1, 10**20, 2)])
+        with pytest.raises(HierarchyError, match=f"collision under parent 1: 2 and 3 both at {far}"):
+            load_hierarchy([row(1, None, 0, 1, width=wide), row(2, 1, far, 2), row(3, 1, far, 2)])
+
+    def test_var_width_above_the_bound_is_refused(self):
+        """A var width past MAX_VAR_BITS would let ``1 << child_index``
+        build an int of that many bits on the first select."""
+        rows = [row(1, None, 0, 1, width=f"var:{10**21}"), row(2, 1, 10**20, 2), row(3, 2, 0, 3)]
+        with pytest.raises(HierarchyError) as err:
+            load_hierarchy(rows)
+        assert str(err.value) == (
+            f"rows[0].width_class: variable width must be at most {MAX_VAR_BITS}, got {10**21}"
+        )
 
     def test_dump_round_trip(self):
         h = load_hierarchy(GOOD)

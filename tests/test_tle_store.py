@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treeflow.bitmask import DanglingBitError, Bitmask, W32
+from treeflow.bitmask import DanglingBitError
 from treeflow.fixtures import (
     GEO,
     GEO_REPORT_LINES,
@@ -77,31 +77,31 @@ class TestSchema:
 class TestWorkedSelectionState:
     def test_continent_mask_is_21(self, store):
         rec = store.records[(1, GEO["root"])]
-        assert rec.cells[GEO["anchor"]].value == 21
+        assert rec.cells[GEO["anchor"]] == 21
 
     def test_country_masks(self, store):
         rec = store.records[(1, GEO["anchor"])]
-        assert rec.cells[GEO["north_america"]].value == 3
-        assert rec.cells[GEO["europe"]].value == 3
-        assert rec.cells[GEO["asia"]].value == 0
+        assert rec.cells[GEO["north_america"]] == 3
+        assert rec.cells[GEO["europe"]] == 3
+        assert rec.cells[GEO["asia"]] == 0
 
     def test_state_masks(self, store):
         rec = store.records[(1, GEO["north_america"])]
-        assert rec.cells[GEO["united_states"]].value == 264192
-        assert rec.cells[GEO["canada"]].value == 4097
+        assert rec.cells[GEO["united_states"]] == 264192
+        assert rec.cells[GEO["canada"]] == 4097
 
     def test_county_masks(self, store):
         rec = store.records[(1, GEO["united_states"])]
-        assert rec.cells[GEO["maryland"]].value == 4100
-        assert rec.cells[GEO["virginia"]].value == 268435520
+        assert rec.cells[GEO["maryland"]] == 4100
+        assert rec.cells[GEO["virginia"]] == 268435520
 
     def test_city_masks(self, store):
         md = store.records[(1, GEO["maryland"])]
-        assert md.cells[GEO["baltimore_county"]].value == 3
-        assert md.cells[GEO["howard_county"]].value == 3
+        assert md.cells[GEO["baltimore_county"]] == 3
+        assert md.cells[GEO["howard_county"]] == 3
         va = store.records[(1, GEO["virginia"])]
-        assert va.cells[GEO["arlington_county"]].value == 257
-        assert va.cells[GEO["fairfax_county"]].value == 0
+        assert va.cells[GEO["arlington_county"]] == 257
+        assert va.cells[GEO["fairfax_county"]] == 0
 
 
 class TestDecode:
@@ -121,7 +121,7 @@ class TestDecode:
 
     def test_dangling_bit(self, geo):
         with pytest.raises(DanglingBitError):
-            decode(Bitmask(W32, 1 << 9), geo.node(GEO["howard_county"]), geo)
+            decode(1 << 9, geo.node(GEO["howard_county"]), geo)
 
     @given(st.sets(st.sampled_from([0, 1, 3]), max_size=3))
     def test_round_trip_encode_decode(self, positions):
@@ -129,7 +129,7 @@ class TestDecode:
         h = geo_hierarchy()
         parent = h.node(GEO["howard_county"])
         by_index = {c.child_index: c for c in h.children(parent.id)}
-        mask = Bitmask(W32, sum(1 << p for p in positions))
+        mask = sum(1 << p for p in positions)
         got = decode(mask, parent, h)
         assert {c.child_index for c in got} == positions
         assert got == {by_index[p] for p in positions}
@@ -160,7 +160,7 @@ class TestLookupUpdate:
         s = TleStore(geo)
         for node in ("asia", "europe", "north_america"):
             s.update(7, GEO[node], True)
-        assert s.records[(7, GEO["root"])].cells[GEO["anchor"]].value == 21
+        assert s.records[(7, GEO["root"])].cells[GEO["anchor"]] == 21
 
     def test_orphan_selection_rejected(self, geo):
         s = TleStore(geo)
@@ -174,9 +174,6 @@ class TestLookupUpdate:
         first, second = s.records[(1, GEO["root"])], s.records[(2, GEO["root"])]
         assert first.cells is not second.cells
         assert first.cells[GEO["anchor"]] != second.cells[GEO["anchor"]]
-        blank = s.schema.units[GEO["root"]].blank
-        assert blank[GEO["anchor"]].value == 0
-        assert first.cells is not blank
 
     def test_exact_step_counts(self, geo):
         s = TleStore(geo)
@@ -206,13 +203,13 @@ class TestLookupUpdate:
 class TestResetSubtree:
     def test_deselect_north_america_cascades(self, store):
         store.reset_subtree(1, GEO["north_america"])
-        assert store.records[(1, GEO["root"])].cells[GEO["anchor"]].value == 20
-        assert store.records[(1, GEO["anchor"])].cells[GEO["north_america"]].value == 0
+        assert store.records[(1, GEO["root"])].cells[GEO["anchor"]] == 20
+        assert store.records[(1, GEO["anchor"])].cells[GEO["north_america"]] == 0
         us = store.records[(1, GEO["north_america"])]
-        assert us.cells[GEO["united_states"]].value == 0
-        assert us.cells[GEO["canada"]].value == 0
-        assert store.records[(1, GEO["united_states"])].cells[GEO["maryland"]].value == 0
-        assert store.records[(1, GEO["maryland"])].cells[GEO["howard_county"]].value == 0
+        assert us.cells[GEO["united_states"]] == 0
+        assert us.cells[GEO["canada"]] == 0
+        assert store.records[(1, GEO["united_states"])].cells[GEO["maryland"]] == 0
+        assert store.records[(1, GEO["maryland"])].cells[GEO["howard_county"]] == 0
         for node in ("maryland", "howard_county", "ellicott_city", "ontario"):
             assert not store.lookup(1, GEO[node])
         # Other continents untouched.
@@ -220,14 +217,14 @@ class TestResetSubtree:
 
     def test_reset_leaf_is_clear_bit_only(self, store):
         store.reset_subtree(1, GEO["ellicott_city"])
-        assert store.records[(1, GEO["maryland"])].cells[GEO["howard_county"]].value == 1
+        assert store.records[(1, GEO["maryland"])].cells[GEO["howard_county"]] == 1
         assert store.lookup(1, GEO["columbia_md"])
         assert not store.lookup(1, GEO["ellicott_city"])
 
 
 class TestBatchQuery:
     def test_any_bit_set_returns_nonempty_cells(self, store):
-        matches = store.batch_query(lambda unit, col, mask: not mask.is_empty())
+        matches = store.batch_query(lambda unit, col, mask: mask != 0)
         got = {(unit, col) for (_s, unit, col, _m) in matches}
         expected = {
             (GEO["root"], GEO["anchor"]),
@@ -248,7 +245,7 @@ class TestBatchQuery:
 
     def test_matches_equal_decode_filter(self, store, geo):
         """Brute-force oracle: decode every cell and filter."""
-        matches = store.batch_query(lambda u, c, m: m.popcount() >= 2)
+        matches = store.batch_query(lambda u, c, m: m.bit_count() >= 2)
         brute = []
         for (subject, unit_id), rec in store.records.items():
             for col, mask in rec.cells.items():
@@ -282,7 +279,8 @@ class TestStorageReport:
         rep = store.storage_report(32)
         cells = sum(len(r.cells) for r in store.records.values())
         capacity = sum(
-            m.width.capacity for r in store.records.values() for m in r.cells.values()
+            store.schema.units[u].child_widths[c].capacity
+            for (_, u), r in store.records.items() for c in r.cells
         )
         assert rep["tle_bits"] == capacity
         c_hat = rep["selected"] / cells
@@ -334,7 +332,7 @@ class TestTraversal:
         applied = next(e.payload["applied"] for e in trace if e.rule == "TLE6")
         assert applied == {GEO["asia"]: False}
         assert not store.lookup(1, GEO["asia"])
-        assert store.records[(1, GEO["root"])].cells[GEO["anchor"]].value == 5
+        assert store.records[(1, GEO["root"])].cells[GEO["anchor"]] == 5
 
     def test_unknown_parent_page(self, geo):
         with pytest.raises(Exception, match="unknown|grandparent"):
