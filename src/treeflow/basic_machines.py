@@ -12,8 +12,11 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Any
 
-from .hierarchy import Hierarchy
+from .hierarchy import Hierarchy, load_hierarchy
+from .jsondoc import JSONDocumentError, decode_json
 from .scenario import Scenario
 from .trace import Trace
 
@@ -24,6 +27,10 @@ class MachineError(RuntimeError):
 
 class AcyclicityViolationError(MachineError):
     """A cycle was found at load or after a graph extension."""
+
+
+class GraphError(ValueError):
+    """A dad graph document that is not valid JSON or does not fit the schema."""
 
 
 class LoopUnboundedError(MachineError):
@@ -54,10 +61,44 @@ class Dag:
             self.deps.setdefault(v, set())
 
     @classmethod
-    def from_rows(cls, rows: list[dict], root_id: int) -> "Dag":
-        names = {int(r["id"]): str(r.get("name", r["id"])) for r in rows}
-        deps = {int(r["id"]): {int(d) for d in r.get("deps", [])} for r in rows}
-        return cls(node_names=names, deps=deps, root_id=root_id)
+    def from_rows(cls, rows: Any, root: Any) -> "Dag":
+        """A graph from ``{"id", "name"?, "deps"?}`` rows and a root id.
+        Raises GraphError naming the row and the field
+        (``nodes[0].deps: unknown node 2``), and on a cycle."""
+        if not isinstance(rows, list):
+            raise GraphError(f"nodes: must be a list, got {type(rows).__name__}")
+        names: dict[int, str] = {}
+        deps: dict[int, set[int]] = {}
+        for index, row in enumerate(rows):
+            if not isinstance(row, dict):
+                raise GraphError(f"nodes[{index}]: must be an object, got {type(row).__name__}")
+            field = "id"
+            try:
+                v = int(row[field])
+                if v in names:
+                    raise ValueError(f"duplicate node id {v}")
+                field = "name"
+                names[v] = str(row.get(field, v))
+                field = "deps"
+                deps[v] = {int(d) for d in row.get(field, [])}
+            except KeyError:
+                raise GraphError(f"nodes[{index}]: missing field {field!r}") from None
+            except (TypeError, ValueError) as exc:
+                raise GraphError(f"nodes[{index}].{field}: {exc}") from None
+        for index, node_deps in enumerate(deps.values()):
+            unknown = sorted(node_deps - names.keys())
+            if unknown:
+                raise GraphError(f"nodes[{index}].deps: unknown node {unknown[0]}")
+        try:
+            root_id = int(root)
+        except (TypeError, ValueError) as exc:
+            raise GraphError(f"root: {exc}") from None
+        if root_id not in names:
+            raise GraphError(f"root: unknown node {root_id}")
+        dag = cls(node_names=names, deps=deps, root_id=root_id)
+        if not dag.is_acyclic():
+            raise GraphError("nodes: the dependencies form a cycle")
+        return dag
 
     @classmethod
     def from_hierarchy(cls, h: Hierarchy) -> "Dag":
@@ -87,18 +128,37 @@ class Dag:
         return new_id
 
     def is_acyclic(self) -> bool:
-        color: dict[int, int] = {}
+        """Kahn's algorithm, without recursion, so a long chain is fine:
+        every node drains exactly when there is no cycle."""
+        waiting = {v: len(d) for v, d in self.deps.items()}
+        drained = [v for v, n in waiting.items() if n == 0]
+        dependents = self.dependents()
+        for v in drained:  # grows while it is walked
+            for w in dependents[v]:
+                waiting[w] -= 1
+                if not waiting[w]:
+                    drained.append(w)
+        return len(drained) == len(waiting)
 
-        def visit(v: int) -> bool:
-            color[v] = 1
-            for u in self.deps[v]:
-                state = color.get(u, 0)
-                if state == 1 or (state == 0 and not visit(u)):
-                    return False
-            color[v] = 2
-            return True
 
-        return all(visit(v) for v in self.node_names if color.get(v, 0) == 0)
+def load_dag(path: str | Path) -> Dag:
+    """The dad input at ``path``: a graph document
+    ``{"nodes": [{"id": 1, "name": "a", "deps": [2]}, ...], "root": 1}``, or
+    else a hierarchy document, in which each node depends on its parent.
+    Graph errors name the file, the node index and the field
+    (``g.json: nodes[0].deps: unknown node 2``)."""
+    try:
+        doc = decode_json(Path(path).read_text())
+    except JSONDocumentError as exc:
+        raise GraphError(f"{path}: {exc}") from None
+    if not (isinstance(doc, dict) and "nodes" in doc):
+        return Dag.from_hierarchy(load_hierarchy(Path(path)))
+    try:
+        if "root" not in doc:
+            raise GraphError("missing field 'root'")
+        return Dag.from_rows(doc["nodes"], doc["root"])
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from None
 
 
 def run_dad(dag: Dag, scenario: Scenario | None = None) -> Trace:

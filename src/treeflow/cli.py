@@ -11,18 +11,26 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from . import bench as bench_mod
 from . import fixtures
-from .basic_machines import Dag, LoopUnboundedError, run_bfd, run_cdd, run_dad, run_dfd
+from .basic_machines import (
+    GraphError,
+    LoopUnboundedError,
+    MachineError,
+    load_dag,
+    run_bfd,
+    run_cdd,
+    run_dad,
+    run_dfd,
+)
 from .csp import check_csp_conformance
 from .hierarchy import load_hierarchy
 from .hybrid_machines import run_pbfd, run_pdfd
 from .scenario import Scenario, load_scenario
-from .tle import TleStore, TraversalPage, tle_traverse
+from .tle import TleStore, load_pages, tle_traverse
 from .trace import Trace
 from .verify import (
     HYBRID,
@@ -132,12 +140,11 @@ def cmd_run(args) -> int:
             _dump_trace(result.trace, args.out)
         return 0 if result.succeeded else 2
     if args.methodology == "dad":
-        doc = json.loads(Path(args.hierarchy).read_text())
-        if isinstance(doc, dict) and "nodes" in doc:
-            dag = Dag.from_rows(doc["nodes"], int(doc["root"]))
-        else:
-            dag = Dag.from_hierarchy(load_hierarchy(Path(args.hierarchy)))
-        trace = run_dad(dag, scenario)
+        dag = load_dag(args.hierarchy)
+        try:
+            trace = run_dad(dag, scenario)
+        except MachineError as err:  # a node the run never reaches
+            raise GraphError(f"{args.hierarchy}: {err}") from None
     elif args.methodology == "dfd":
         trace = run_dfd(load_hierarchy(Path(args.hierarchy)))
     elif args.methodology == "bfd":
@@ -220,14 +227,7 @@ def cmd_report(args) -> int:
 
 def cmd_tle(args) -> int:
     h = load_hierarchy(Path(args.hierarchy))
-    raw = json.loads(Path(args.pages).read_text())
-    pages = [
-        TraversalPage(
-            parent_ids=tuple(int(p) for p in page["parents"]),
-            selections={int(k): bool(v) for k, v in page.get("selections", {}).items()},
-        )
-        for page in raw
-    ]
+    pages = load_pages(args.pages)
     store = TleStore(h)
     trace = tle_traverse(store, args.subject, pages)
     _dump_trace(trace, args.out)

@@ -9,13 +9,13 @@ is the capacity of the node's *own* children bitmask.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, NamedTuple
 
 from .bitmask import BitmaskError, WidthClass
+from .jsondoc import JSONDocumentError, decode_json
 
 # Guard for remaining_after_prune: inputs whose totals would not fit a signed
 # 64-bit integer are rejected rather than silently growing unbounded.
@@ -180,9 +180,9 @@ def load_hierarchy(source: str | Path | list[dict]) -> Hierarchy:
 
 def _decode(text: str) -> Any:
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise HierarchyError(f"invalid JSON: {exc.msg}") from None
+        return decode_json(text)
+    except JSONDocumentError as exc:
+        raise HierarchyError(str(exc)) from None
 
 
 def _build(rows: Any) -> Hierarchy:

@@ -11,13 +11,13 @@ mode is available for fuzzing.
 from __future__ import annotations
 
 import enum
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from .hierarchy import Hierarchy
+from .jsondoc import JSONDocumentError, decode_json
 
 
 class ScenarioError(ValueError):
@@ -130,6 +130,8 @@ class Scenario:
             raise ScenarioError(
                 f"random_failure_rate must be in [0, 1], got {self.random_failure_rate}"
             )
+        if self.increments is not None and not all(self.increments):
+            raise ScenarioError("increments: every increment needs at least one component")
 
     def k_for(self, level: int, level_size: int) -> int:
         k = self.k_thresholds.get(level, level_size)
@@ -201,16 +203,16 @@ def load_scenario(source: str | Path | dict) -> Scenario:
     try:
         if isinstance(source, Path):
             name = str(source)
-            obj = json.loads(source.read_text())
+            obj = decode_json(source.read_text())
         elif isinstance(source, str):
             p = Path(source)
             if p.exists():
                 name = source
-            obj = json.loads(p.read_text() if p.exists() else source)
+            obj = decode_json(p.read_text() if p.exists() else source)
         else:
             obj = source
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{name}: invalid JSON: {exc.msg}") from None
+    except JSONDocumentError as exc:
+        raise ScenarioError(f"{name}: {exc}") from None
     if not isinstance(obj, dict):
         raise ScenarioError(f"{name}: a scenario is a JSON object, got {type(obj).__name__}")
 

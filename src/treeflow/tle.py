@@ -28,6 +28,7 @@ from typing import Any, Callable, Iterable
 
 from .bitmask import Bitmask, DanglingBitError, WidthClass
 from .hierarchy import Hierarchy, HierarchyNode
+from .jsondoc import JSONDocumentError, decode_json
 from .trace import Trace
 
 # A node is selectable iff it sits at or below this depth: the top two levels
@@ -58,6 +59,10 @@ class ShallowHierarchyError(TleError):
 
 class SnapshotError(TleError):
     """A store snapshot that is not valid JSON or does not fit the schema."""
+
+
+class PagesError(TleError):
+    """A pages document that is not valid JSON or does not fit the schema."""
 
 
 @dataclass(frozen=True)
@@ -332,9 +337,9 @@ class TleStore:
         naming the file, the record index and the field
         (``store.json: records[0].unit_id: unknown unit 999``)."""
         try:
-            doc = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise SnapshotError(f"{path}: invalid JSON: {exc.msg}") from None
+            doc = decode_json(Path(path).read_text())
+        except JSONDocumentError as exc:
+            raise SnapshotError(f"{path}: {exc}") from None
         records = doc.get("records") if isinstance(doc, dict) else None
         if not isinstance(records, list):
             raise SnapshotError(f"{path}: missing field 'records' (a list)")
@@ -392,6 +397,34 @@ class TraversalPage:
 
     parent_ids: tuple[int, ...]
     selections: dict[int, bool]
+
+
+def load_pages(path: str | Path) -> list[TraversalPage]:
+    """Pages of a JSON list ``[{"parents": [ids], "selections": {id: bool}}]``.
+    Raises PagesError naming the file, the page index and the field
+    (``pages.json: pages[0]: missing field 'parents'``)."""
+    try:
+        raw = decode_json(Path(path).read_text())
+    except JSONDocumentError as exc:
+        raise PagesError(f"{path}: {exc}") from None
+    if not isinstance(raw, list):
+        raise PagesError(f"{path}: a pages document is a JSON list, got {type(raw).__name__}")
+    pages = []
+    for index, page in enumerate(raw):
+        where = f"{path}: pages[{index}]"
+        if not isinstance(page, dict):
+            raise PagesError(f"{where}: must be an object, got {type(page).__name__}")
+        field = "parents"
+        try:
+            parents = tuple(int(p) for p in page[field])
+            field = "selections"
+            selections = {int(k): bool(v) for k, v in page.get(field, {}).items()}
+        except KeyError:
+            raise PagesError(f"{where}: missing field {field!r}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise PagesError(f"{where}.{field}: {exc}") from None
+        pages.append(TraversalPage(parents, selections))
+    return pages
 
 
 def tle_traverse(

@@ -19,13 +19,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+from .jsondoc import DECODER, JSONDocumentError, decode_json
+
 TRACE_FORMAT = 2
 
 # One encoder for every line: json.dumps(sort_keys=True) builds a new one per
 # call, with byte-identical output.
 _ENCODER = json.JSONEncoder(sort_keys=True)
 # The decoder's scanner without json.loads's whitespace handling around it.
-_scan = json.JSONDecoder().scan_once
+_scan = DECODER.scan_once
 
 
 class TraceFormatError(ValueError):
@@ -75,6 +77,13 @@ class TraceEvent:
             raise TraceFormatError(
                 f"event must be a JSON object, got {type(rec).__name__}"
             ) from None
+        for key in ("rule", "from", "to"):
+            if rec[key].__class__ is not str:
+                raise TraceFormatError(f"{key} must be a string, got {type(rec[key]).__name__}")
+        if rec.get("payload", {}).__class__ is not dict:
+            raise TraceFormatError(
+                f"payload must be a JSON object, got {type(rec['payload']).__name__}"
+            )
         return _event(rec, cls)
 
 
@@ -90,8 +99,11 @@ def _event(rec: dict[str, Any], cls: type[TraceEvent] = TraceEvent) -> TraceEven
         "payload": rec.get("payload", {}),
     }
     pre, post = rec.get("measure_pre"), rec.get("measure_post")
-    fields["measure_pre"] = None if pre is None else tuple(pre)
-    fields["measure_post"] = None if post is None else tuple(post)
+    try:
+        fields["measure_pre"] = None if pre is None else tuple(pre)
+        fields["measure_post"] = None if post is None else tuple(post)
+    except TypeError:
+        raise TraceFormatError("measure_pre and measure_post must be lists") from None
     object.__setattr__(ev, "__dict__", fields)
     return ev
 
@@ -157,17 +169,15 @@ class Trace:
         for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
             try:  # the common case: one record that fills its line
                 rec, end = _scan(line, 0)
-            except (StopIteration, ValueError):
+            except (StopIteration, ValueError, RecursionError):
                 end = -1
             try:
-                if end != len(line):  # blank, padded or faulty: json.loads decides
+                if end != len(line):  # blank, padded or faulty: decode_json decides
                     if not line.strip():
                         continue
-                    rec = json.loads(line)
+                    rec = decode_json(line)
                 events.append(TraceEvent.from_record(rec))
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
-            except TraceFormatError as exc:
+            except (JSONDocumentError, TraceFormatError) as exc:
                 raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
         return cls(methodology, events)
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from treeflow import bench
+from treeflow.basic_machines import Dag, GraphError
 from treeflow.cli import main
 from treeflow.fixtures import GEO_ROWS, VISITED_PLACES_ROWS, geo_store, uniform_hierarchy
 from treeflow.hierarchy import load_hierarchy
@@ -169,6 +170,93 @@ class TestSnapshotLoader:
         assert captured.out == ""
         assert captured.err == f"error: {snap}: records[1].unit_id: unknown unit 999\n"
         assert "Traceback" not in captured.err
+
+
+def _cli_error(tmp_path, capsys, name, text, argv):
+    """Exit code and stderr of one CLI call reading ``text`` from ``name``."""
+    path = tmp_path / name
+    path.write_text(text)
+    rc = main([arg.replace("{doc}", str(path)) for arg in argv])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return rc, captured.err, path
+
+
+class TestPagesLoader:
+    @pytest.mark.parametrize("text,message", [
+        ("[5]", "pages[0]: must be an object, got int"),
+        ("[{}]", "pages[0]: missing field 'parents'"),
+        ('[{"parents": [4], "selections": [1]}]',
+         "pages[0].selections: 'list' object has no attribute 'items'"),
+        ('[{"parents": ["x"]}]', "pages[0].parents: invalid literal for int() with base 10: 'x'"),
+        ('{"parents": [4]}', "a pages document is a JSON list, got dict"),
+    ])
+    def test_cli_tle_prints_one_error_line(self, tmp_path, capsys, text, message):
+        tree = tmp_path / "geo.json"
+        tree.write_text(json.dumps(GEO_ROWS))
+        rc, err, path = _cli_error(tmp_path, capsys, "pages.json", text,
+                                   ["tle", "--hierarchy", str(tree), "--pages", "{doc}"])
+        assert rc == 1
+        assert err == f"error: {path}: {message}\n"
+
+
+class TestGraphLoader:
+    @pytest.mark.parametrize("doc,message", [
+        ({"nodes": [5], "root": 1}, "nodes[0]: must be an object, got int"),
+        ({"nodes": [{"id": 1, "deps": [2]}], "root": 1}, "nodes[0].deps: unknown node 2"),
+        ({"nodes": [{"id": 1}]}, "missing field 'root'"),
+        ({"nodes": [{"name": "a"}], "root": 1}, "nodes[0]: missing field 'id'"),
+        ({"nodes": [{"id": 1}, {"id": 1}], "root": 1}, "nodes[1].id: duplicate node id 1"),
+        ({"nodes": [{"id": 1}], "root": 7}, "root: unknown node 7"),
+        ({"nodes": {"id": 1}, "root": 1}, "nodes: must be a list, got dict"),
+        ({"nodes": [{"id": 1, "deps": [2]}, {"id": 2, "deps": [1]}], "root": 1},
+         "nodes: the dependencies form a cycle"),
+        ({"nodes": [{"id": 1}, {"id": 2, "deps": [3]}, {"id": 3}], "root": 1},
+         "queue drained with 2 nodes unprocessed"),
+    ])
+    def test_cli_dad_prints_one_error_line(self, tmp_path, capsys, doc, message):
+        rc, err, path = _cli_error(tmp_path, capsys, "graph.json", json.dumps(doc),
+                                   ["run", "--methodology", "dad", "--hierarchy", "{doc}"])
+        assert rc == 1
+        assert err == f"error: {path}: {message}\n"
+
+    def test_long_dependency_chain_is_checked_without_recursion(self):
+        n = 5000
+        rows = [{"id": i, "deps": [i - 1] if i > 1 else []} for i in range(1, n + 1)]
+        assert Dag.from_rows(rows, 1).is_acyclic()
+        rows[0]["deps"] = [n]
+        with pytest.raises(GraphError, match="cycle"):
+            Dag.from_rows(rows, 1)
+
+
+class TestJsonBoundary:
+    """Every JSON loader refuses text nested past the decoder's recursion
+    limit, and numbers JSON cannot hold, with its own one-line error."""
+
+    CASES = {
+        "hierarchy": ("tree.json", ["run", "--methodology", "dfd", "--hierarchy", "{doc}"], ""),
+        "scenario": ("sc.json", ["run", "--methodology", "pdfd", "--hierarchy", "{tree}",
+                                 "--scenario", "{doc}"], ""),
+        "trace": ("trace.jsonl", ["verify", "--methodology", "dfd", "--trace", "{doc}"], ":1"),
+        "snapshot": ("snap.json", ["report", "--hierarchy", "{tree}", "--snapshot", "{doc}"], ""),
+        "pages": ("pages.json", ["tle", "--hierarchy", "{tree}", "--pages", "{doc}"], ""),
+        "graph": ("graph.json", ["run", "--methodology", "dad", "--hierarchy", "{doc}"], ""),
+    }
+
+    @pytest.mark.parametrize("text,reason", [
+        ("[" * 100_000, "nested too deeply"),
+        ("[Infinity]", "Infinity is not a finite number"),
+        ('{"nodes": [{"id": 1e999}], "root": NaN}', "1e999 is not a finite number"),
+    ])
+    @pytest.mark.parametrize("loader", sorted(CASES))
+    def test_one_typed_error_naming_the_file(self, tmp_path, capsys, loader, text, reason):
+        name, argv, line = self.CASES[loader]
+        tree = tmp_path / "geo.json"
+        tree.write_text(json.dumps(GEO_ROWS))
+        argv = [arg.replace("{tree}", str(tree)) for arg in argv]
+        rc, err, path = _cli_error(tmp_path, capsys, name, text, argv)
+        assert rc == 1
+        assert err == f"error: {path}{line}: invalid JSON: {reason}\n"
 
 
 class TestBenchStepProbe:
