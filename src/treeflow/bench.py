@@ -76,9 +76,8 @@ def _measure_store(h: Hierarchy, scale: str, probes: int = 64, seed: int = 7) ->
         )
 
     before = store.counter.steps
-    matches = store.batch_query(lambda unit, col, mask: mask != 0)
+    store.batch_query(lambda unit, col, mask: mask != 0)
     batch_steps = store.counter.steps - before
-    del matches
     return StepSample(
         scale=scale,
         nodes=len(h),

@@ -30,7 +30,8 @@ from .csp import check_csp_conformance
 from .hierarchy import load_hierarchy
 from .hybrid_machines import run_pbfd, run_pdfd
 from .scenario import Scenario, load_scenario
-from .tle import TleStore, load_pages, tle_traverse
+from .jsondoc import JSONDocumentError, decode_json
+from .tle import TleStore, TraversalPage, tle_traverse
 from .trace import Trace
 from .verify import (
     HYBRID,
@@ -44,6 +45,10 @@ from .verify import (
 )
 
 METHODOLOGIES = ("dad", "dfd", "bfd", "cdd", "pdfd", "pbfd")
+
+
+class PagesError(ValueError):
+    """A ``tle --pages`` document that is not valid JSON or does not fit the schema."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -223,6 +228,34 @@ def cmd_report(args) -> int:
     lines = store.report_paths(args.subject)
     _write_or_print("\n".join(lines) if lines else "", args.out)
     return 0
+
+
+def load_pages(path: str | Path) -> list[TraversalPage]:
+    """Pages of a JSON list ``[{"parents": [ids], "selections": {id: bool}}]``.
+    Raises PagesError naming the file, the page index and the field
+    (``pages.json: pages[0]: missing field 'parents'``)."""
+    try:
+        raw = decode_json(Path(path).read_text())
+    except JSONDocumentError as exc:
+        raise PagesError(f"{path}: {exc}") from None
+    if not isinstance(raw, list):
+        raise PagesError(f"{path}: a pages document is a JSON list, got {type(raw).__name__}")
+    pages = []
+    for index, page in enumerate(raw):
+        where = f"{path}: pages[{index}]"
+        if not isinstance(page, dict):
+            raise PagesError(f"{where}: must be an object, got {type(page).__name__}")
+        field = "parents"
+        try:
+            parents = tuple(int(p) for p in page[field])
+            field = "selections"
+            selections = {int(k): bool(v) for k, v in page.get(field, {}).items()}
+        except KeyError:
+            raise PagesError(f"{where}: missing field {field!r}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise PagesError(f"{where}.{field}: {exc}") from None
+        pages.append(TraversalPage(parents, selections))
+    return pages
 
 
 def cmd_tle(args) -> int:

@@ -61,10 +61,6 @@ class SnapshotError(TleError):
     """A store snapshot that is not valid JSON or does not fit the schema."""
 
 
-class PagesError(TleError):
-    """A pages document that is not valid JSON or does not fit the schema."""
-
-
 @dataclass(frozen=True)
 class TleUnit:
     """One grandparent table: ordered parent columns with per-column widths."""
@@ -397,34 +393,6 @@ class TraversalPage:
 
     parent_ids: tuple[int, ...]
     selections: dict[int, bool]
-
-
-def load_pages(path: str | Path) -> list[TraversalPage]:
-    """Pages of a JSON list ``[{"parents": [ids], "selections": {id: bool}}]``.
-    Raises PagesError naming the file, the page index and the field
-    (``pages.json: pages[0]: missing field 'parents'``)."""
-    try:
-        raw = decode_json(Path(path).read_text())
-    except JSONDocumentError as exc:
-        raise PagesError(f"{path}: {exc}") from None
-    if not isinstance(raw, list):
-        raise PagesError(f"{path}: a pages document is a JSON list, got {type(raw).__name__}")
-    pages = []
-    for index, page in enumerate(raw):
-        where = f"{path}: pages[{index}]"
-        if not isinstance(page, dict):
-            raise PagesError(f"{where}: must be an object, got {type(page).__name__}")
-        field = "parents"
-        try:
-            parents = tuple(int(p) for p in page[field])
-            field = "selections"
-            selections = {int(k): bool(v) for k, v in page.get(field, {}).items()}
-        except KeyError:
-            raise PagesError(f"{where}: missing field {field!r}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise PagesError(f"{where}.{field}: {exc}") from None
-        pages.append(TraversalPage(parents, selections))
-    return pages
 
 
 def tle_traverse(
