@@ -72,30 +72,28 @@ class Dag:
         for index, row in enumerate(rows):
             if not isinstance(row, dict):
                 raise GraphError(f"nodes[{index}]: must be an object, got {type(row).__name__}")
-            field = "id"
-            try:
-                v = int(row[field])
-                if v in names:
-                    raise ValueError(f"duplicate node id {v}")
-                field = "name"
-                names[v] = str(row.get(field, v))
-                field = "deps"
-                deps[v] = {int(d) for d in row.get(field, [])}
-            except KeyError:
-                raise GraphError(f"nodes[{index}]: missing field {field!r}") from None
-            except (TypeError, ValueError) as exc:
-                raise GraphError(f"nodes[{index}].{field}: {exc}") from None
+            if "id" not in row:
+                raise GraphError(f"nodes[{index}]: missing field 'id'")
+            v, name, node_deps = row["id"], row.get("name", str(row["id"])), row.get("deps", [])
+            # bool is a subclass of int, so the exact class is tested.
+            if v.__class__ is not int:
+                raise GraphError(f"nodes[{index}].id: must be an integer, got {v!r}")
+            if v in names:
+                raise GraphError(f"nodes[{index}].id: duplicate node id {v}")
+            if name.__class__ is not str:
+                raise GraphError(f"nodes[{index}].name: must be a string, got {name!r}")
+            if node_deps.__class__ is not list or any(u.__class__ is not int for u in node_deps):
+                raise GraphError(
+                    f"nodes[{index}].deps: must be a list of node ids, got {node_deps!r}"
+                )
+            names[v], deps[v] = name, set(node_deps)
         for index, node_deps in enumerate(deps.values()):
             unknown = sorted(node_deps - names.keys())
             if unknown:
                 raise GraphError(f"nodes[{index}].deps: unknown node {unknown[0]}")
-        try:
-            root_id = int(root)
-        except (TypeError, ValueError) as exc:
-            raise GraphError(f"root: {exc}") from None
-        if root_id not in names:
-            raise GraphError(f"root: unknown node {root_id}")
-        dag = cls(node_names=names, deps=deps, root_id=root_id)
+        if root.__class__ is not int or root not in names:
+            raise GraphError(f"root: unknown node {root!r}")
+        dag = cls(node_names=names, deps=deps, root_id=root)
         if not dag.is_acyclic():
             raise GraphError("nodes: the dependencies form a cycle")
         return dag

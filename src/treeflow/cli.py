@@ -245,16 +245,25 @@ def load_pages(path: str | Path) -> list[TraversalPage]:
         where = f"{path}: pages[{index}]"
         if not isinstance(page, dict):
             raise PagesError(f"{where}: must be an object, got {type(page).__name__}")
-        field = "parents"
+        if "parents" not in page:
+            raise PagesError(f"{where}: missing field 'parents'")
+        parents, selections = page["parents"], page.get("selections", {})
+        # bool is a subclass of int, so the exact class is tested.
+        if parents.__class__ is not list or any(p.__class__ is not int for p in parents):
+            raise PagesError(f"{where}.parents: must be a list of node ids, got {parents!r}")
+        if selections.__class__ is not dict or any(
+            v.__class__ is not bool for v in selections.values()
+        ):
+            raise PagesError(
+                f"{where}.selections: must map node ids to true or false, got {selections!r}"
+            )
         try:
-            parents = tuple(int(p) for p in page[field])
-            field = "selections"
-            selections = {int(k): bool(v) for k, v in page.get(field, {}).items()}
-        except KeyError:
-            raise PagesError(f"{where}: missing field {field!r}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise PagesError(f"{where}.{field}: {exc}") from None
-        pages.append(TraversalPage(parents, selections))
+            selected = {int(k): v for k, v in selections.items()}
+        except ValueError:
+            raise PagesError(
+                f"{where}.selections: keys must be node ids, got {selections!r}"
+            ) from None
+        pages.append(TraversalPage(tuple(parents), selected))
     return pages
 
 

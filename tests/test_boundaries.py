@@ -187,8 +187,13 @@ class TestPagesLoader:
         ("[5]", "pages[0]: must be an object, got int"),
         ("[{}]", "pages[0]: missing field 'parents'"),
         ('[{"parents": [4], "selections": [1]}]',
-         "pages[0].selections: 'list' object has no attribute 'items'"),
-        ('[{"parents": ["x"]}]', "pages[0].parents: invalid literal for int() with base 10: 'x'"),
+         "pages[0].selections: must map node ids to true or false, got [1]"),
+        ('[{"parents": [4], "selections": {"5": "no"}}]',
+         "pages[0].selections: must map node ids to true or false, got {'5': 'no'}"),
+        ('[{"parents": [4], "selections": {"x": true}}]',
+         "pages[0].selections: keys must be node ids, got {'x': True}"),
+        ('[{"parents": ["4"]}]', "pages[0].parents: must be a list of node ids, got ['4']"),
+        ('[{"parents": "4"}]', "pages[0].parents: must be a list of node ids, got '4'"),
         ('{"parents": [4]}', "a pages document is a JSON list, got dict"),
     ])
     def test_cli_tle_prints_one_error_line(self, tmp_path, capsys, text, message):
@@ -208,6 +213,12 @@ class TestGraphLoader:
         ({"nodes": [{"name": "a"}], "root": 1}, "nodes[0]: missing field 'id'"),
         ({"nodes": [{"id": 1}, {"id": 1}], "root": 1}, "nodes[1].id: duplicate node id 1"),
         ({"nodes": [{"id": 1}], "root": 7}, "root: unknown node 7"),
+        ({"nodes": [{"id": 1}], "root": True}, "root: unknown node True"),
+        ({"nodes": [{"id": 1}], "root": [1]}, "root: unknown node [1]"),
+        ({"nodes": [{"id": "1"}], "root": 1}, "nodes[0].id: must be an integer, got '1'"),
+        ({"nodes": [{"id": 1, "name": 5}], "root": 1}, "nodes[0].name: must be a string, got 5"),
+        ({"nodes": [{"id": 1, "deps": "2"}], "root": 1},
+         "nodes[0].deps: must be a list of node ids, got '2'"),
         ({"nodes": {"id": 1}, "root": 1}, "nodes: must be a list, got dict"),
         ({"nodes": [{"id": 1, "deps": [2]}, {"id": 2, "deps": [1]}], "root": 1},
          "nodes: the dependencies form a cycle"),
