@@ -29,8 +29,8 @@ from .basic_machines import (
 from .csp import check_csp_conformance
 from .hierarchy import load_hierarchy
 from .hybrid_machines import run_pbfd, run_pdfd
-from .scenario import Scenario, load_scenario
 from .jsondoc import JSONDocumentError, decode_json
+from .scenario import Scenario, load_scenario
 from .tle import TleStore, TraversalPage, tle_traverse
 from .trace import Trace
 from .verify import (
