@@ -14,6 +14,7 @@ behaviour.
 
 import dataclasses
 import hashlib
+import json
 import random
 
 import pytest
@@ -279,6 +280,18 @@ def test_every_table_event_is_in_the_alphabet(machine):
             assert event in ALPHABETS[machine]
             templates = entry[0] if isinstance(entry, tuple) else ()
             assert {t[0] for t in templates} <= ALPHABETS[machine]
+
+
+ALPHABET_SIZES = {"pdfd": 25, "pbfd": 28, "dad": 14, "dfd": 20, "bfd": 11, "cdd": 17, "tle": 11}
+ALPHABETS_SHA256 = "cb9efa1b4f6e6b24e89a498cae79e1d235994ce8a148cf4a257f682bfe3342f1"
+
+
+def test_alphabets_are_pinned():
+    """Every alphabet, as the SHA-256 of its sorted JSON: a change to how
+    the alphabets are derived from the tables may not change them."""
+    assert {m: len(names) for m, names in ALPHABETS.items()} == ALPHABET_SIZES
+    text = json.dumps({m: sorted(names) for m, names in ALPHABETS.items()}, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == ALPHABETS_SHA256
 
 
 def _row_templates(spec):
