@@ -85,33 +85,21 @@ def _annotate(methodology: str, ev: TraceEvent, L: int | None) -> list[tuple[str
 #     *     any one segment
 #
 # ``next`` is the state once the branch is consumed: a state tuple, or a
-# function ``(state, captures) -> state`` whose captures are keyed "$x";
-# a function that returns None refuses the branch's last event.
-# A branch that depends on the state's values is ``_When(names, fn)``: the
-# function of ``(state, L)``, L the level domain, returns ``(templates,
-# next)`` with the values written in, and ``names`` lists the event names
-# those templates can use, the first one selecting the branch.  A kind with
-# no branch for an event, like STOP, refuses it.  At import every templates
-# string is split once into tuples of segments (``{k}`` becomes the int k).
+# function ``(state, captures, L) -> state`` whose captures are keyed "$x"
+# and whose L is the level domain; a function that returns None refuses the
+# branch's last event.  Whatever depends on the state's values beyond
+# ``{k}`` lives in that function: where a later event depends on them, the
+# function moves to an intermediate kind with a one-event branch.  A kind
+# with no branch for an event, like STOP, refuses it.  At import every
+# templates string is split once into tuples of segments (``{k}`` becomes
+# the int k), and the alphabet is the set of the templates' event names.
 
 Template = tuple[Any, ...]
-Entry = Any
+Entry = tuple[tuple[Template, ...], Any]
 ANY = "*"
 START = ("start",)
 STOP = ("STOP",)
 _NO_ENTRIES: dict[str, Entry] = {}
-
-
-def _templates(text: str) -> tuple[Template, ...]:
-    return split_templates(text, int)
-
-
-class _When:
-    """A branch whose templates or next state depend on the state's values."""
-
-    def __init__(self, names: str, fn: Callable[[tuple, int], tuple[str, Any]]):
-        self.names = tuple(names.split())
-        self.fn = fn
 
 
 def _table(spec: dict[str, list]) -> dict[str, dict[str, Entry]]:
@@ -119,33 +107,30 @@ def _table(spec: dict[str, list]) -> dict[str, dict[str, Entry]]:
     table: dict[str, dict[str, Entry]] = {}
     for kind, branches in spec.items():
         entries = table[kind] = {}
-        for branch in branches:
-            if isinstance(branch, _When):
-                event, entry = branch.names[0], branch
-            else:
-                entry = (_templates(branch[0]), branch[1])
-                event = entry[0][0][0]
+        for text, nxt in branches:
+            templates = split_templates(text, int)
+            event = templates[0][0]
             if event in entries:
                 raise ValueError(f"two {kind} branches start with {event}")
-            entries[event] = entry
+            entries[event] = (templates, nxt)
     return table
 
 
-def _as(kind: str) -> Callable[[tuple, dict], tuple]:
+def _as(kind: str) -> Callable[[tuple, dict, Any], tuple]:
     """Next state: the same values under another kind."""
-    return lambda s, _b: (kind, *s[1:])
+    return lambda s, _b, _L: (kind, *s[1:])
 
 
-def _next_level(kind: str) -> Callable[[tuple, dict], tuple]:
-    return lambda s, _b: (kind, _inc(s[1]))
+def _next_level(kind: str) -> Callable[[tuple, dict, Any], tuple]:
+    return lambda s, _b, _L: (kind, _inc(s[1]))
 
 
-def _refine(kind: str, origin: str) -> Callable[[tuple, dict], tuple | None]:
+def _refine(kind: str, origin: str) -> Callable[[tuple, dict, Any], tuple | None]:
     """Next state after a failure at level i traced back to the captured
     level $j: refine from j up to i, then resume in the origin phase.  A
     captured level that is not an integer refuses the event (None)."""
 
-    def nxt(s: tuple, b: dict) -> tuple | None:
+    def nxt(s: tuple, b: dict, _L: Any) -> tuple | None:
         try:
             j = int(b["$j"])
         except ValueError:
@@ -159,81 +144,59 @@ def _inc(value: str) -> str:
     return str(int(value) + 1)
 
 
-def _pdfd_threshold_met(s: tuple, L: int):
-    i = int(s[1])
-    return f"cond_threshold_met.{i}", ("S1", str(i + 1)) if i < L else ("S3", s[1])
+def _pdfd_threshold_met(s: tuple, _b: dict, L: int) -> tuple:
+    return ("S1", _inc(s[1])) if int(s[1]) < L else ("S3", s[1])
 
 
-def _pdfd_refactor_checked(s: tuple, L: int):
+def _pdfd_refactor_checked(s: tuple, _b: dict, _L: int) -> tuple:
     _, j, i, origin = s
-    if int(j) < int(i):
-        nxt = _inc(j)
-        return (f"is_refactor_validation_successful.{j}.{i} "
-                f"increment_refinement_attempts_actual.{nxt}", ("S1R", nxt, i, origin))
-    return f"is_refactor_validation_successful.{j}.{i}", (origin, i)
+    return ("S2Rnext", _inc(j), i, origin) if int(j) < int(i) else (origin, i)
 
 
-def _pdfd_bottom_up_ok(s: tuple, L: int):
+def _pdfd_bottom_up_ok(s: tuple, _b: dict, _L: int) -> tuple:
     i = int(s[1])
-    return (f"bottom_up_validation_successful.{i} cond_all_descendants_validated.{i}",
-            ("S4", "1") if i <= 2 else ("S3", str(i - 1)))
+    return ("S4", "1") if i <= 2 else ("S3", str(i - 1))
 
 
-def _pdfd_top_down_ok(s: tuple, L: int):
-    k = s[1]
-    if int(k) == L:
-        return (f"top_down_validation_successful.{k} top_down_reaches_L5.{k} "
-                "terminate_successfully_actual", STOP)
-    return f"top_down_validation_successful.{k}", ("S4", _inc(k))
+def _pdfd_top_down_ok(s: tuple, _b: dict, L: int) -> tuple:
+    return ("S4last", s[1]) if int(s[1]) == L else ("S4", _inc(s[1]))
 
 
 _NO_PATH = ("no_refinement_path_available.{1} terminate_with_error_actual", STOP)
 
-# S1..S4 (i) are the level phases; RAL, S1R and S2R (j, i, origin) refine
-# from level j back up to the failing level i, then resume in the origin
-# phase.
+# S1..S4 (i) are the level phases, and S4last (L) ends the top-down phase;
+# RAL, S1R, S2R and S2Rnext (j, i, origin) refine from level j back up to
+# the failing level i, then resume in the origin phase.
 PDFD_TABLE = _table({
     "start": [("load_tree_actual initialize_refinement_attempts_actual", ("S1", "1"))],
     "S1": [("determine_ki_actual.{1} process_level_actual.{1}", _as("S2"))],
     "S2": [("is_level_validation_failed.{1}", _as("S2fail")),
            ("level_validation_successful.{1}", _as("S2ok"))],
     "S2fail": [("get_trace_origin_actual.{1}.$j", _refine("RAL", "S2")), _NO_PATH],
-    "S2ok": [_When("cond_threshold_met", _pdfd_threshold_met),
+    "S2ok": [("cond_threshold_met.{1}", _pdfd_threshold_met),
              ("cond_has_no_children.{1}", _as("S3")), _NO_PATH],
     "RAL": [("has_exhausted_rmax_for_level.{1} terminate_with_error_actual", STOP),
             ("can_attempt_refinement.{1} increment_refinement_attempts_actual.{1}", _as("S1R")),
             ("no_refinement_path_available.* terminate_with_error_actual", STOP)],
     "S1R": [("has_exhausted_rmax_for_level.{1} terminate_with_error_actual", STOP),
             ("determine_ki_actual.{1} process_level_actual.{1}", _as("S2R"))],
-    "S2R": [_When("is_refactor_validation_successful increment_refinement_attempts_actual",
-                 _pdfd_refactor_checked),
+    "S2R": [("is_refactor_validation_successful.{1}.{2}", _pdfd_refactor_checked),
             ("refinement_failed_no_retry.{1}.{2}", _as("RAL"))],
+    "S2Rnext": [("increment_refinement_attempts_actual.{1}", _as("S1R"))],
     "S3": [("finalize_subtrees_actual.{1}", _as("S3v"))],
     "S3v": [("is_bottom_up_validation_failed.{1}", _as("S3fail")),
-            _When("bottom_up_validation_successful cond_all_descendants_validated",
-                  _pdfd_bottom_up_ok)],
+            ("bottom_up_validation_successful.{1} cond_all_descendants_validated.{1}",
+             _pdfd_bottom_up_ok)],
     "S3fail": [("get_trace_origin_actual.{1}.$j", _refine("RAL", "S3")), _NO_PATH],
     "S4": [("finalize_unprocessed_nodes_actual.{1}", _as("S4v"))],
     "S4v": [("is_top_down_validation_failed.{1}", _as("S4fail")),
-            _When("top_down_validation_successful top_down_reaches_L5 "
-                  "terminate_successfully_actual", _pdfd_top_down_ok)],
+            ("top_down_validation_successful.{1}", _pdfd_top_down_ok)],
+    "S4last": [("top_down_reaches_L5.{1} terminate_successfully_actual", STOP)],
     "S4fail": [("get_trace_origin_actual.{1}.$j", _refine("RAL", "S4")), _NO_PATH],
 })
 
 
-def _pbfd_depth_below(s: tuple, L: int):
-    _, j, i, origin = s
-    nxt = _inc(j)
-    return (f"cond_j_lt_i.{j}.{i} increment_refinement_attempts_actual.{nxt}",
-            ("S1R", nxt, i, origin))
-
-
-def _pbfd_depth_reached(s: tuple, L: int):
-    _, j, i, origin = s
-    return f"cond_j_eq_i.{j}.{i}", ("S3" if origin == "S2" else "S4", i)
-
-
-# S1..S4 (i) are the pattern phases; Retry and S1R..S3Rc (j, i, origin)
+# S1..S4 (i) are the pattern phases; Retry and S1R..S3Rnext (j, i, origin)
 # refine from level j back up to the failing level i, then resume in the
 # origin phase.
 PBFD_TABLE = _table({
@@ -256,8 +219,10 @@ PBFD_TABLE = _table({
     "S2Rc": [("cond_all_validated.{1}", _as("S3R")),
              ("cond_not_all_validated.{1}", _as("Retry"))],
     "S3R": [("resolve_refinement_depth_actual.{1}", _as("S3Rc"))],
-    "S3Rc": [_When("cond_j_lt_i increment_refinement_attempts_actual", _pbfd_depth_below),
-             _When("cond_j_eq_i", _pbfd_depth_reached)],
+    "S3Rc": [("cond_j_lt_i.{1}.{2}", lambda s, _b, _L: ("S3Rnext", _inc(s[1]), *s[2:])),
+             ("cond_j_eq_i.{1}.{2}",
+              lambda s, _b, _L: ("S3" if s[3] == "S2" else "S4", s[2]))],
+    "S3Rnext": [("increment_refinement_attempts_actual.{1}", _as("S1R"))],
     "S3": [("resolve_depth_actual.{1}", _as("S3c"))],
     "S3c": [("cond_i_lt_L.{1} cond_pattern_next_nonempty.{1}", _next_level("S1")),
             ("cond_i_eq_L.{1}", ("S4", "1")),
@@ -277,7 +242,7 @@ DAD_TABLE = _table({
     "S1": [("all_nodes_processed perform_final_validation_actual "
             "terminate_successfully_actual", STOP),
            ("queue_not_empty dequeue_actual.$v process_actual.$v "
-            "validate_dependencies_actual.$v", lambda _s, b: ("S2", b["$v"]))],
+            "validate_dependencies_actual.$v", lambda _s, b, _L: ("S2", b["$v"]))],
     "S2": [("all_dependencies_processed.{1} generate_children_actual.{1} enqueue_nodes_actual",
             ("S1",)),
            ("missing_dependency.{1}", _as("S3"))],
@@ -288,7 +253,7 @@ DFD_TABLE = _table({
     "start": [("load_tree_actual initialize_stack_actual.*", ("S1",))],
     "S1": [("stack_is_empty terminate_successfully_actual", STOP),
            ("stack_not_empty.$c dequeue_actual.$c process_actual.$c",
-            lambda _s, b: ("S1p", b["$c"]))],
+            lambda _s, b, _L: ("S1p", b["$c"]))],
     "S1p": [("is_non_leaf.{1} process_child_actual.{1} push_children_actual.{1}", ("S1",)),
             ("is_leaf.{1} set_backtrack_point_actual.{1}", ("S2",))],
     "S2": [("has_unprocessed_sibling.$b get_unprocessed_sibling_actual.$b push_sibling_actual.$b",
@@ -302,13 +267,13 @@ BFD_TABLE = _table({
     "start": [("load_project_actual initialize_queue_actual.*", ("S1",))],
     "S1": [("dequeue_actual.$c develop_actual.$c enqueue_children_actual.$c", ("S1",)),
            ("current_level_processed_actual validate_level_actual.$k",
-            lambda _s, b: ("S2", b["$k"]))],
+            lambda _s, b, _L: ("S2", b["$k"]))],
     "S2": [("not_last_level_actual.{1} advance_level_actual.{1}", ("S1",)),
            ("last_level_actual.{1} terminate_successfully_actual", STOP)],
 })
 
 
-def _component(_s: tuple, b: dict) -> tuple:
+def _component(_s: tuple, b: dict, _L: Any) -> tuple:
     return ("S2", b["$c"])
 
 
@@ -352,13 +317,9 @@ TABLES: dict[str, dict[str, dict[str, Entry]]] = {
 
 
 def _alphabet(table: dict[str, dict[str, Entry]]) -> set[str]:
-    """The event names a table can consume: those of its branches' templates
-    and those its ``_When`` branches list."""
-    names: set[str] = set()
-    for entries in table.values():
-        for entry in entries.values():
-            names.update(entry.names if isinstance(entry, _When) else (t[0] for t in entry[0]))
-    return names
+    """The event names a table can consume: those of its branches' templates."""
+    return {t[0] for entries in table.values() for templates, _ in entries.values()
+            for t in templates}
 
 
 # The alphabet of a process is its table's, never the rule rows': an
@@ -437,18 +398,14 @@ class Recognizer:
                 if entry is None:
                     refused = idx
                     break
-                if entry.__class__ is tuple:
-                    branch, nxt = entry
-                else:
-                    text, nxt = entry.fn(state, domain)
-                    branch = _templates(text)
+                branch, nxt = entry
                 pos = 0
                 captures = {}
             if not _fits(branch[pos], event, state, captures):
                 refused = idx
                 break
             if pos + 1 == len(branch):
-                after = nxt if nxt.__class__ is tuple else nxt(state, captures)
+                after = nxt if nxt.__class__ is tuple else nxt(state, captures, domain)
                 if after is None:
                     refused = idx
                     break

@@ -278,8 +278,7 @@ def test_every_table_event_is_in_the_alphabet(machine):
     for entries in TABLES[machine].values():
         for event, entry in entries.items():
             assert event in ALPHABETS[machine]
-            templates = entry[0] if isinstance(entry, tuple) else ()
-            assert {t[0] for t in templates} <= ALPHABETS[machine]
+            assert {t[0] for t in entry[0]} <= ALPHABETS[machine]
 
 
 ALPHABET_SIZES = {"pdfd": 25, "pbfd": 28, "dad": 14, "dfd": 20, "bfd": 11, "cdd": 17, "tle": 11}
