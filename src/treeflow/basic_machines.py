@@ -203,14 +203,15 @@ def run_dad(dag: Dag, scenario: Scenario | None = None) -> Trace:
                     queued.add(w)
             continue
         if not ready(v):
-            # An unprocessed in-graph dependency: schedule it ahead of v.
+            # Unprocessed in-graph dependencies: schedule those not yet
+            # queued.  v itself waits for DA3 of its last dependency, so a
+            # chain is traced once per node rather than once per link left.
             missing = sorted(u for u in dag.deps[v] if u not in processed)
+            enqueued = [u for u in missing if u not in queued]
             trace.emit("DA4", "S2", "S3", {"node": v, "unresolved": missing})
-            trace.emit("DA5", "S3", "S1", {"enqueued": missing + [v]})
-            for w in missing + [v]:
-                if w not in queued and w not in processed:
-                    queue.append(w)
-                    queued.add(w)
+            trace.emit("DA5", "S3", "S1", {"enqueued": enqueued})
+            queue.extend(enqueued)
+            queued.update(enqueued)
             continue
         processed.add(v)
         enq = [c for c in dependents[v] if c not in processed and ready(c) and c not in queued]

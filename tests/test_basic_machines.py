@@ -17,7 +17,8 @@ from treeflow.basic_machines import (
 from treeflow.fixtures import perfect_tree, uniform_hierarchy
 from treeflow.hierarchy import Hierarchy, load_hierarchy
 from treeflow.scenario import CddScript, Scenario
-from treeflow.verify import check_well_formed
+from treeflow.csp import check_csp_conformance
+from treeflow.verify import check_well_formed, run_all_checks
 
 
 def random_tree(rng: random.Random, max_nodes: int = 25) -> Hierarchy:
@@ -218,6 +219,20 @@ class TestDad:
                        for e in trace if e.rule == "DA3"}
         assert 5 not in enqueued_by[1]            # the removed edge is gone
         assert extensions[3] not in enqueued_by[0]
+
+    def test_chain_away_from_the_root_is_traced_once_per_node(self):
+        """Node i depends on node i+1 and the root is node 1: a node that is
+        not ready waits for its dependency's DA3 instead of being re-queued,
+        so the trace stays linear in the chain."""
+        n = 200
+        dag = Dag(node_names={i: str(i) for i in range(1, n + 1)},
+                  deps={i: {i + 1} if i < n else set() for i in range(1, n + 1)},
+                  root_id=1)
+        trace = run_dad(dag)
+        assert len(trace.events) <= 6 * n
+        assert [e.payload["node"] for e in trace if e.rule == "DA3"] == list(range(n, 0, -1))
+        assert all(v.ok for v in run_all_checks(trace))
+        assert check_csp_conformance(trace).ok
 
     @pytest.mark.parametrize("seed", range(30))
     def test_dependency_completeness_against_topological_oracle(self, seed):

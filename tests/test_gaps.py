@@ -31,6 +31,19 @@ class TestDagDocuments:
         rules = [json.loads(l)["rule"] for l in out.read_text().splitlines()]
         assert rules[-1] == "DA6"
 
+    def test_cli_runs_a_long_chain_away_from_the_root(self, tmp_path):
+        n = 3000
+        doc = {"root": 1, "nodes": [{"id": i, "deps": [i + 1] if i < n else []}
+                                    for i in range(1, n + 1)]}
+        p = tmp_path / "chain.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "t.jsonl"
+        assert main(["run", "--methodology", "dad", "--hierarchy", str(p),
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) < 5 * n
+        assert json.loads(lines[-1])["payload"] == {"processed": n}
+
     def test_unreachable_node_is_an_error(self):
         dag = Dag(
             node_names={1: "root", 2: "floating"},
