@@ -74,7 +74,9 @@ def measure_with_counts(
     attempts = {int(k): int(v) for k, v in payload["attempts"].items()}
     phase = payload["phase"]
     i = payload.get("i")
-    k2 = sum(ctx.r_max - attempts.get(l, 0) for l in range(1, ctx.max_level + 1))
+    # The budget left over levels 1..L, in time independent of L.
+    L = ctx.max_level
+    k2 = ctx.r_max * max(L, 0) - sum(n for l, n in attempts.items() if 1 <= l <= L)
     return compose_measure(
         ctx,
         phase,

@@ -269,6 +269,33 @@ class TestVerifyForgedPayloads:
         assert (proc.returncode, proc.stderr) == (2, "")
         assert proc.stdout.splitlines() == expected
 
+    def test_pdfd_huge_level_count_checks_in_bounded_time(self, tmp_path):
+        """The measure's budget over levels 1..L takes time independent of L:
+        L forged to 10**30 gets the verdicts of any large L, and only the
+        recomputed budget differs."""
+        path = tmp_path / "pdfd.jsonl"
+        main(["replay", "--fixture", "pdfd-mvp", "--format", "jsonl-trace", "--out", str(path)])
+        L = 10**30
+        r_max = self._forge(path, "PD1", L=L)["payload"]["r_max"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "treeflow.cli", "verify", "--trace", str(path),
+             "--methodology", "pdfd", "--check", "all"],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert proc.stdout.splitlines() == [
+            "PASS well-formed",
+            "FAIL rule-legality (event 45: PD7 before the last level)",
+            "FAIL measure-descent (event 1: recorded post-measure (11, 360, 3, 1) "
+            f"!= recomputed (11, {r_max * L}, 3, 1))",
+            "PASS bounded-refinement",
+            "PASS finalization-invariance",
+            "PASS deadlock-freeness[pdfd]",
+            "FAIL csp-conformance[pdfd] (event 45: illegal event 'top_down_reaches_L5.6')",
+        ]
+
 
 class TestReportAndBench:
     def test_report_from_fixture(self, capsys):
