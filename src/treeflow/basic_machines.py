@@ -205,7 +205,7 @@ def run_dad(dag: Dag, scenario: Scenario | None = None) -> Trace:
         if not ready(v):
             # Unprocessed in-graph dependencies: schedule those not yet
             # queued.  v itself waits for DA3 of its last dependency, so a
-            # chain is traced once per node rather than once per link left.
+            # chain costs a few events per node, not a re-trace per link left.
             missing = sorted(u for u in dag.deps[v] if u not in processed)
             enqueued = [u for u in missing if u not in queued]
             trace.emit("DA4", "S2", "S3", {"node": v, "unresolved": missing})

@@ -89,8 +89,8 @@ def _annotate(methodology: str, ev: TraceEvent, L: int | None) -> list[tuple[str
 # and whose L is the level domain; a function that returns None refuses the
 # branch's last event.  Whatever depends on the state's values beyond
 # ``{k}`` lives in that function: where a later event depends on them, the
-# function moves to an intermediate kind with a one-event branch.  A kind
-# with no branch for an event, like STOP, refuses it.  At import every
+# function returns an intermediate kind whose one branch consumes that
+# event.  A kind with no branch for an event, like STOP, refuses it.  At import every
 # templates string is split once into tuples of segments (``{k}`` becomes
 # the int k), and the alphabet is the set of the templates' event names.
 
