@@ -5,7 +5,6 @@ from .bitmask import Bitmask, CombineOp, W32, W64, WidthClass, combine
 from .hierarchy import (
     Hierarchy,
     HierarchyNode,
-    NodeStatus,
     load_hierarchy,
     remaining_after_prune,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "combine",
     "Hierarchy",
     "HierarchyNode",
-    "NodeStatus",
     "load_hierarchy",
     "remaining_after_prune",
     "RunResult",

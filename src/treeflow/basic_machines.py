@@ -26,7 +26,7 @@ class MachineError(RuntimeError):
 
 
 class AcyclicityViolationError(MachineError):
-    """A cycle was found at load or after a graph extension."""
+    """The input graph of a dad run has a cycle."""
 
 
 class GraphError(ValueError):
@@ -165,6 +165,12 @@ def run_dad(dag: Dag, scenario: Scenario | None = None) -> Trace:
     Nodes become ready once all dependencies are processed; a scripted
     missing dependency triggers one extend/enqueue cycle (DA4/DA5) before the
     node is re-queued.  Ends with DA6 when every node is processed.
+
+    ``waiting[v]`` counts v's unprocessed dependencies: DA3 of a node lowers
+    it for each dependent and an extension raises it, so telling whether a
+    node is ready costs O(1), not a scan of its dependencies.  The graph is
+    checked for cycles once, at the start; an extension adds a node with no
+    dependencies, which cannot close a cycle.
     """
     scenario = scenario or Scenario()
     if not dag.is_acyclic():
@@ -175,13 +181,11 @@ def run_dad(dag: Dag, scenario: Scenario | None = None) -> Trace:
     # Built once per run rather than cached on the Dag, whose deps callers
     # may edit between runs; kept current on every scripted extension.
     dependents = dag.dependents()
+    waiting = {v: len(d) for v, d in dag.deps.items()}
     processed: set[int] = set()
     queued: set[int] = {dag.root_id}
     queue: deque[int] = deque([dag.root_id])
     trace.emit("DA1", "S0", "S1", {"root": dag.root_id, "nodes": len(dag.node_names)})
-
-    def ready(v: int) -> bool:
-        return all(u in processed for u in dag.deps[v])
 
     while queue:
         v = queue.popleft()
@@ -191,10 +195,8 @@ def run_dad(dag: Dag, scenario: Scenario | None = None) -> Trace:
             name = pending_missing[v].pop(0)
             new_id = dag.add_dependency_node(name, v)
             dependents[new_id] = [v]
-            if not dag.is_acyclic():
-                raise AcyclicityViolationError(
-                    f"extension for node {v} introduced a cycle"
-                )
+            waiting[new_id] = 0
+            waiting[v] += 1
             trace.emit("DA4", "S2", "S3", {"node": v, "new_node": new_id, "name": name})
             trace.emit("DA5", "S3", "S1", {"enqueued": [new_id, v]})
             for w in (new_id, v):
@@ -202,7 +204,7 @@ def run_dad(dag: Dag, scenario: Scenario | None = None) -> Trace:
                     queue.append(w)
                     queued.add(w)
             continue
-        if not ready(v):
+        if waiting[v]:
             # Unprocessed in-graph dependencies: schedule those not yet
             # queued.  v itself waits for DA3 of its last dependency, so a
             # chain costs a few events per node, not a re-trace per link left.
@@ -214,7 +216,11 @@ def run_dad(dag: Dag, scenario: Scenario | None = None) -> Trace:
             queued.update(enqueued)
             continue
         processed.add(v)
-        enq = [c for c in dependents[v] if c not in processed and ready(c) and c not in queued]
+        enq = []
+        for c in dependents[v]:
+            waiting[c] -= 1
+            if not waiting[c] and c not in queued:
+                enq.append(c)
         trace.emit("DA3", "S2", "S1", {"node": v, "children_enqueued": enq})
         for c in enq:
             queue.append(c)

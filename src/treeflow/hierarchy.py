@@ -8,7 +8,6 @@ is the capacity of the node's *own* children bitmask.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -24,12 +23,6 @@ INT_RANGE_MAX = 2**63 - 1
 
 class HierarchyError(ValueError):
     """Invalid hierarchy document."""
-
-
-class NodeStatus(enum.IntEnum):
-    UNPROCESSED = 0
-    IN_PROGRESS = 1
-    FINALIZED = 2
 
 
 class HierarchyNode(NamedTuple):

@@ -153,29 +153,20 @@ class _Engine:
 
     # -- event emission --------------------------------------------------------
 
-    def emit(
-        self,
-        rule: str,
-        new_state: _State,
-        payload: dict[str, Any],
-        mutate: Any = None,
-    ) -> None:
-        """Fire one rule: the measure is sampled before the operational step
-        (``mutate``) runs, then after the state change.  Nothing changes the
-        measured state between two events, so the pre-measure is the
-        previous event's post-measure."""
+    def emit(self, rule: str, new_state: _State, payload: dict[str, Any]) -> None:
+        """Fire one rule whose operational step (status marks, an attempt
+        burn) has already run, its result in ``payload``.  The pre-measure
+        is the previous event's cached post-measure, so the step may run
+        first; the post-measure is sampled after the state change."""
         if len(self.trace) >= self.cap:
             raise HybridRunError(
                 f"trace exceeded the measure-derived cap of {self.cap} events"
             )
         pre = self._measure
         from_label = self.state.label()
-        extra = mutate() if mutate is not None else None
         self.state = new_state
         post = self._measure = self.measure()
         full = dict(payload)
-        if extra:
-            full.update(extra)
         full.update(self.snapshot())
         if self.trace.events:
             full["status_changes"] = {str(n): self.statuses[n] for n in self._changed}
@@ -274,15 +265,9 @@ def _enter_refinement(
 ) -> None:
     """Move into the refinement pass at level j, burning one attempt there.
     The snapshot adds the new ``j`` to the payload."""
-
-    def burn():
-        eng.attempts[j] += 1
-
+    eng.attempts[j] += 1
     eng.emit(
-        rule,
-        _State(phase="S1R", i=i_orig, j=j, i_orig=i_orig, origin_phase=origin_phase),
-        payload,
-        mutate=burn,
+        rule, _State(phase="S1R", i=i_orig, j=j, i_orig=i_orig, origin_phase=origin_phase), payload
     )
 
 
@@ -362,12 +347,8 @@ def run_pdfd(h: Hierarchy, scenario: Scenario) -> RunResult:
         st = eng.state
         if st.phase == "S1":
             batch = eng.level_ids(st.i)
-            eng.emit(
-                "PD2",
-                _State(phase="S2", i=st.i),
-                {"batch": batch},
-                mutate=lambda: {"processed": eng.mark_in_progress(batch)},
-            )
+            processed = eng.mark_in_progress(batch)
+            eng.emit("PD2", _State(phase="S2", i=st.i), {"batch": batch, "processed": processed})
         elif st.phase == "S2":
             _forward_validation(eng)
         elif st.phase == "S1R":
@@ -395,18 +376,14 @@ def _forward_validation(eng: _Engine) -> None:
     i = eng.state.i
     candidates = eng.level_ids(i)
     k_i = eng.sc.k_for(i, len(candidates))
-
-    def commit():
-        newly = eng.finalize(candidates)
-        gate = eng.finalized_count(i)
-        assert gate >= k_i, "advance gate must hold at finalization"
-        return {"finalized": newly, "finalized_count": gate}
-
-    payload = dict(base, k=k_i)
+    newly = eng.finalize(candidates)
+    gate = eng.finalized_count(i)
+    assert gate >= k_i, "advance gate must hold at finalization"
+    payload = dict(base, k=k_i, finalized=newly, finalized_count=gate)
     if i < eng.L and eng.level_ids(i + 1):
-        eng.emit("PD2b", _State(phase="S1", i=i + 1), payload, mutate=commit)
+        eng.emit("PD2b", _State(phase="S1", i=i + 1), payload)
     else:
-        eng.emit("PD4", _State(phase="S3", i=i), payload, mutate=commit)
+        eng.emit("PD4", _State(phase="S3", i=i), payload)
 
 
 def _pdfd_refinement_validation(eng: _Engine) -> None:
@@ -449,12 +426,8 @@ def run_pbfd(h: Hierarchy, scenario: Scenario) -> RunResult:
         st = eng.state
         if st.phase == "S1":
             batch = eng.level_ids(st.i)
-            eng.emit(
-                "PB2",
-                _State(phase="S2", i=st.i),
-                {"pattern": batch},
-                mutate=lambda: {"processed": eng.mark_in_progress(batch)},
-            )
+            processed = eng.mark_in_progress(batch)
+            eng.emit("PB2", _State(phase="S2", i=st.i), {"pattern": batch, "processed": processed})
         elif st.phase == "S2":
             base = _validated(eng, "pattern", "PB3", "PB3c")
             if base is not None:
@@ -507,12 +480,8 @@ def _pbfd_depth_resolution(eng: _Engine) -> None:
     i = eng.state.i
     pattern = eng.level_ids(i)
     next_pattern = eng.level_ids(i + 1)  # the children of every level-i node
-
-    def commit():
-        return {"finalized": eng.finalize(pattern)}
-
-    base = {"level": i, "next_pattern": next_pattern}
+    base = {"level": i, "next_pattern": next_pattern, "finalized": eng.finalize(pattern)}
     if next_pattern:
-        eng.emit("PB4a", _State(phase="S1", i=i + 1), base, mutate=commit)
+        eng.emit("PB4a", _State(phase="S1", i=i + 1), base)
     else:
-        eng.emit("PB4b", _State(phase="S4", i=1), base, mutate=commit)
+        eng.emit("PB4b", _State(phase="S4", i=1), base)

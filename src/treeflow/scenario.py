@@ -20,6 +20,11 @@ from .hierarchy import Hierarchy
 from .jsondoc import JSONDocumentError, decode_json
 
 
+# The largest per-level refinement budget a scenario may ask for.  A run's
+# length grows with it, so a document cannot ask for an arbitrarily long run.
+MAX_R_MAX = 1000
+
+
 class ScenarioError(ValueError):
     """Invalid scenario document or inconsistent parameters."""
 
@@ -126,6 +131,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.r_max < 0:
             raise ScenarioError(f"r_max must be >= 0, got {self.r_max}")
+        if self.r_max > MAX_R_MAX:
+            raise ScenarioError(f"r_max must be <= {MAX_R_MAX}, got {self.r_max}")
         if not 0.0 <= self.random_failure_rate <= 1.0:
             raise ScenarioError(
                 f"random_failure_rate must be in [0, 1], got {self.random_failure_rate}"

@@ -15,9 +15,8 @@ changed.  ``fold_statuses`` rebuilds each event's map.  It also reads format
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from .jsondoc import DECODER, JSONDocumentError, decode_json
 
@@ -43,13 +42,16 @@ class StatusFoldError(TraceFormatError):
         self.detail = detail
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One fired rule; a tuple, so it is immutable and equal by value.
+    ``payload`` has no default: a ``{}`` default would be one dict shared by
+    every event built without it."""
+
     seq: int
     rule: str
     from_state: str
     to_state: str
-    payload: dict[str, Any] = field(default_factory=dict)
+    payload: dict[str, Any]
     measure_pre: tuple[int, int, int, int] | None = None
     measure_post: tuple[int, int, int, int] | None = None
 
@@ -70,7 +72,7 @@ class TraceEvent:
     @classmethod
     def from_record(cls, rec: dict[str, Any]) -> "TraceEvent":
         try:
-            rec["seq"], rec["rule"], rec["from"], rec["to"]
+            seq, rule, from_state, to_state = rec["seq"], rec["rule"], rec["from"], rec["to"]
         except KeyError as exc:
             raise TraceFormatError(f"event missing field {exc.args[0]!r}") from None
         except TypeError:  # not a mapping: a JSON array, string or number
@@ -80,32 +82,16 @@ class TraceEvent:
         for key in ("rule", "from", "to"):
             if rec[key].__class__ is not str:
                 raise TraceFormatError(f"{key} must be a string, got {type(rec[key]).__name__}")
-        if rec.get("payload", {}).__class__ is not dict:
-            raise TraceFormatError(
-                f"payload must be a JSON object, got {type(rec['payload']).__name__}"
-            )
-        return _event(rec, cls)
-
-
-def _event(rec: dict[str, Any], cls: type[TraceEvent] = TraceEvent) -> TraceEvent:
-    """The event of one parsed record, built without the frozen dataclass's
-    per-field ``__setattr__``; still immutable and equal to a constructed one."""
-    ev = object.__new__(cls)
-    fields = {
-        "seq": rec["seq"],
-        "rule": rec["rule"],
-        "from_state": rec["from"],
-        "to_state": rec["to"],
-        "payload": rec.get("payload", {}),
-    }
-    pre, post = rec.get("measure_pre"), rec.get("measure_post")
-    try:
-        fields["measure_pre"] = None if pre is None else tuple(pre)
-        fields["measure_post"] = None if post is None else tuple(post)
-    except TypeError:
-        raise TraceFormatError("measure_pre and measure_post must be lists") from None
-    object.__setattr__(ev, "__dict__", fields)
-    return ev
+        payload = rec.get("payload", {})
+        if payload.__class__ is not dict:
+            raise TraceFormatError(f"payload must be a JSON object, got {type(payload).__name__}")
+        pre, post = rec.get("measure_pre"), rec.get("measure_post")
+        try:
+            pre = None if pre is None else tuple(pre)
+            post = None if post is None else tuple(post)
+        except TypeError:
+            raise TraceFormatError("measure_pre and measure_post must be lists") from None
+        return cls(seq, rule, from_state, to_state, payload, pre, post)
 
 
 class Trace:
@@ -124,15 +110,8 @@ class Trace:
         measure_pre: tuple[int, int, int, int] | None = None,
         measure_post: tuple[int, int, int, int] | None = None,
     ) -> TraceEvent:
-        ev = TraceEvent(
-            seq=len(self.events) + 1,
-            rule=rule,
-            from_state=from_state,
-            to_state=to_state,
-            payload=payload or {},
-            measure_pre=measure_pre,
-            measure_post=measure_post,
-        )
+        ev = TraceEvent(len(self.events) + 1, rule, from_state, to_state,
+                        payload or {}, measure_pre, measure_post)
         self.events.append(ev)
         return ev
 

@@ -234,6 +234,19 @@ class TestDad:
         assert all(v.ok for v in run_all_checks(trace))
         assert check_csp_conformance(trace).ok
 
+    def test_root_with_a_wide_fan_in(self):
+        """The root depends on 10,000 leaves: each leaf's DA3 lowers the
+        root's count of unprocessed dependencies, and only the last one
+        enqueues it."""
+        n = 10_000
+        dag = Dag(node_names={i: str(i) for i in range(n + 1)},
+                  deps={0: set(range(1, n + 1))}, root_id=0)
+        trace = run_dad(dag)
+        assert len(trace.events) == 20_007  # DA1, root DA2 DA4 DA5, 2 per leaf, root DA2 DA3, DA6
+        assert trace.final_state == "T"
+        enqueued = [e.payload["children_enqueued"] for e in trace if e.rule == "DA3"]
+        assert enqueued[:-2] == [[]] * (n - 1) and enqueued[-2:] == [[0], []]
+
     @pytest.mark.parametrize("seed", range(30))
     def test_dependency_completeness_against_topological_oracle(self, seed):
         h = random_tree(random.Random(seed))

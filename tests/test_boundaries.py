@@ -14,7 +14,7 @@ from treeflow.basic_machines import Dag, GraphError
 from treeflow.cli import main
 from treeflow.fixtures import GEO_ROWS, VISITED_PLACES_ROWS, geo_store, uniform_hierarchy
 from treeflow.hierarchy import load_hierarchy
-from treeflow.scenario import Scenario, ScenarioError, load_scenario
+from treeflow.scenario import MAX_R_MAX, Scenario, ScenarioError, load_scenario
 from treeflow.tle import SnapshotError, TleStore
 from treeflow.trace import Trace, TraceFormatError
 
@@ -39,6 +39,11 @@ class TestScenarioValidation:
     def test_loaded_document_is_validated(self):
         with pytest.raises(ScenarioError, match="r_max"):
             load_scenario({"r_max": -2})
+
+    def test_budget_above_the_maximum_rejected(self):
+        assert Scenario(r_max=MAX_R_MAX).r_max == MAX_R_MAX
+        with pytest.raises(ScenarioError, match=f"^scenario: r_max must be <= {MAX_R_MAX}, got"):
+            load_scenario({"r_max": MAX_R_MAX + 1})
 
 
 class TestScenarioLoader:
@@ -86,6 +91,27 @@ class TestCliOverride:
         assert proc.returncode == 1
         assert proc.stderr == "error: r_max must be >= 0, got -1\n"
         assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["asserts", "no-asserts"])
+    @pytest.mark.parametrize("source", ["document", "flag"])
+    def test_budget_above_the_maximum_is_one_error_line(self, tmp_path, source, optimize):
+        """A document or ``--rmax`` cannot ask for an arbitrarily long run."""
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(VISITED_PLACES_ROWS))
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"r_max": MAX_R_MAX + 1, "random_failure_rate": 1}))
+        args = ["--scenario", str(sc)] if source == "document" else ["--rmax", str(MAX_R_MAX + 1)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, *optimize, "-m", "treeflow.cli", "run", "--methodology", "pdfd",
+             "--hierarchy", str(tree), *args],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        prefix = f"error: {sc}: " if source == "document" else "error: "
+        assert proc.returncode == 1
+        assert proc.stderr == f"{prefix}r_max must be <= {MAX_R_MAX}, got {MAX_R_MAX + 1}\n"
         assert proc.stdout == ""
 
 

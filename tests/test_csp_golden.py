@@ -109,17 +109,17 @@ def _trace_mutants(trace: Trace, rng: random.Random):
     many = FORGE_EVENTS_SHORT if n <= FULL_LIMIT else FORGE_EVENTS_LONG
     for pos in _positions(rng, n, limit=many, sample=many):
         ev = evs[pos]
-        edits = [("rule", dataclasses.replace(ev, rule=ev.rule + "x")),
-                 ("to", dataclasses.replace(ev, to_state="S1(x)")),
-                 ("from", dataclasses.replace(ev, from_state="S3(1)"))]
+        edits = [("rule", ev._replace(rule=ev.rule + "x")),
+                 ("to", ev._replace(to_state="S1(x)")),
+                 ("from", ev._replace(from_state="S3(1)"))]
         for key in PAYLOAD_KEYS:
             if key not in ev.payload:
                 continue
             payload = {k: v for k, v in ev.payload.items() if k != key}
-            edits.append((f"del {key}", dataclasses.replace(ev, payload=payload)))
+            edits.append((f"del {key}", ev._replace(payload=payload)))
             for value in FORGED_VALUES:
                 payload = dict(ev.payload, **{key: value})
-                edits.append((f"{key}={value!r}", dataclasses.replace(ev, payload=payload)))
+                edits.append((f"{key}={value!r}", ev._replace(payload=payload)))
         for label, forged in edits:
             yield f"forge {pos} {label}", _replace(trace, evs[:pos] + [forged] + evs[pos + 1:])
 
@@ -236,7 +236,7 @@ def test_forged_float_and_dotted_parameters_are_rejected():
     pos = next(i for i, ev in enumerate(trace.events) if ev.rule == "DF2")
     for value in (1.5, "a.b"):
         ev = trace.events[pos]
-        forged = dataclasses.replace(ev, payload=dict(ev.payload, node=value))
+        forged = ev._replace(payload=dict(ev.payload, node=value))
         events = trace.events[:pos] + [forged] + trace.events[pos + 1:]
         v = check_csp_conformance(Trace("dfd", events), "dfd")
         assert not v.ok
@@ -253,7 +253,7 @@ def test_captured_values_are_compared_not_read_as_patterns(machine, rule, key, v
     trace = _golden_trace(f"geo:{machine}")
     pos = next(i for i, ev in enumerate(trace.events) if ev.rule == rule)
     ev = trace.events[pos]
-    forged = dataclasses.replace(ev, payload=dict(ev.payload, **{key: value}))
+    forged = ev._replace(payload=dict(ev.payload, **{key: value}))
     events = trace.events[:pos] + [forged] + trace.events[pos + 1:]
     v = check_csp_conformance(Trace(machine, events), machine)
     assert not v.ok
@@ -265,8 +265,8 @@ def test_annotation_failure_wins_over_an_earlier_illegal_event():
     evs = list(trace.events)
     evs[1], evs[2] = evs[2], evs[1]
     last = max(i for i, ev in enumerate(evs) if "node" in ev.payload)
-    evs[last] = dataclasses.replace(
-        evs[last], payload={k: v for k, v in evs[last].payload.items() if k != "node"})
+    evs[last] = evs[last]._replace(
+        payload={k: v for k, v in evs[last].payload.items() if k != "node"})
     v = check_csp_conformance(Trace("dfd", evs), "dfd")
     assert not v.ok
     assert v.detail == "annotation failed: 'node'"

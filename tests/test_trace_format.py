@@ -1,7 +1,6 @@
 """Trace format 2 (delta-encoded hybrid statuses), the monitors' status
 fold, and the JSONL codec."""
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -37,7 +36,7 @@ def mvp_trace() -> Trace:
 
 def replace_payload(trace: Trace, index: int, **payload) -> Trace:
     events = list(trace)
-    events[index] = dataclasses.replace(events[index], payload=dict(events[index].payload, **payload))
+    events[index] = events[index]._replace(payload=dict(events[index].payload, **payload))
     return Trace(trace.methodology, events)
 
 
@@ -103,7 +102,7 @@ class TestFold:
         trace = mvp_trace()
         first = trace[0]
         payload = {k: v for k, v in first.payload.items() if k != "statuses"}
-        events = [dataclasses.replace(first, payload=dict(payload, status_changes={}))]
+        events = [first._replace(payload=dict(payload, status_changes={}))]
         verdict = check_finalization(Trace("pdfd", events + trace.events[1:]))
         assert (verdict.ok, verdict.first_violation_seq) == (False, 1)
         assert verdict.detail == "status_changes before any full status map"
@@ -196,8 +195,18 @@ class TestCodec:
         mvp_trace().write_jsonl(path)
         ev = Trace.read_jsonl(path)[1]
         assert isinstance(ev.measure_pre, tuple) and isinstance(ev.measure_post, tuple)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             ev.rule = "PD9"  # type: ignore[misc]
+
+    def test_emit_record_and_constructor_build_equal_events(self):
+        payload = {"node": 3}
+        emitted = Trace("pdfd").emit("PD2", "S1(1)", "S2(1)", payload, (1, 2, 3, 4), (1, 2, 3, 3))
+        read = TraceEvent.from_record(json.loads(json.dumps(emitted.to_record())))
+        built = TraceEvent(1, "PD2", "S1(1)", "S2(1)", payload, (1, 2, 3, 4), (1, 2, 3, 3))
+        assert emitted == read == built
+        assert type(emitted) is type(read) is type(built) is TraceEvent
+        with pytest.raises(TypeError):
+            TraceEvent(1, "PD2", "S1(1)", "S2(1)")  # type: ignore[call-arg]
 
     def test_lines_that_only_parse_joined_are_rejected(self, tmp_path):
         """A record split over two lines is an error at its first line, even

@@ -11,7 +11,6 @@ written.  ``GOLDEN_SCRIPTED`` pins both forms for scripted hybrid runs that
 take the failure and dead-end rules the seeded runs never reach.
 """
 
-import dataclasses
 import hashlib
 import random
 
@@ -137,7 +136,7 @@ def _full_snapshots(trace: Trace) -> Trace:
         payload = {k: v for k, v in ev.payload.items()
                    if k not in ("status_changes", "trace_format")}
         payload["statuses"] = {str(n): s for n, s in statuses.items()}
-        events.append(dataclasses.replace(ev, payload=payload))
+        events.append(ev._replace(payload=payload))
     return Trace(trace.methodology, events)
 
 
