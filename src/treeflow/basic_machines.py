@@ -297,18 +297,14 @@ def dfd_visit_order(trace: Trace) -> list[int]:
     return order
 
 
-def run_bfd(h: Hierarchy, within_level_order: str = "asc") -> Trace:
+def run_bfd(h: Hierarchy) -> Trace:
     """Level-synchronized breadth-first processing: every node of level k is
     processed (BF2) and the level validated (BF3) before level k+1 starts."""
-    if within_level_order not in ("asc", "desc"):
-        raise ValueError("within_level_order must be 'asc' or 'desc'")
     trace = Trace("bfd")
     max_level = h.max_level
     trace.emit("BF1", "S0", "S1", {"root": h.root_id, "max_level": max_level})
     for k in range(1, max_level + 1):
         nodes = [n.id for n in h.level(k)]
-        if within_level_order == "desc":
-            nodes = nodes[::-1]
         for v in nodes:
             children = [c.id for c in h.children(v)]
             trace.emit("BF2", "S1", "S1", {"node": v, "level": k, "enqueued": children})
@@ -340,17 +336,16 @@ def run_cdd(components: list[int], m_cap: int, scenario: Scenario | None = None)
     remaining_feedback = dict(scenario.cdd.feedback_cycles)
 
     def refine(component: int, reason: str) -> None:
-        needed = scenario.cdd.refine_iterations.get(component, 1)
-        for iteration in range(1, m_cap + 1):
-            if iteration >= needed:
-                trace.emit(
-                    "CD4",
-                    "S2",
-                    "S1",
-                    {"component": component, "refine_iterations": iteration, "reason": reason},
-                )
-                return
-        raise LoopUnboundedError(component, m_cap, trace)
+        # Refinement converges at the first iteration that reaches ``needed``.
+        iteration = max(scenario.cdd.refine_iterations.get(component, 1), 1)
+        if iteration > m_cap:
+            raise LoopUnboundedError(component, m_cap, trace)
+        trace.emit(
+            "CD4",
+            "S2",
+            "S1",
+            {"component": component, "refine_iterations": iteration, "reason": reason},
+        )
 
     for inc_index, increment in enumerate(increments, start=1):
         for component in increment:

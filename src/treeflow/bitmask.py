@@ -1,27 +1,21 @@
-"""Fixed- and variable-width bitmasks encoding a parent's child selections.
+"""Width classes of the store's bitmask cells, and the cell codec.
 
-Bit ``i`` has weight ``2**i`` (LSB-first), so decimal values printed by the
-store match the encoding used throughout the hierarchy fixtures.  Values are
-immutable; every operation returns a new mask, which also makes them safe to
-share between threads.
+A cell is a plain non-negative int encoding a parent's child selections:
+bit ``i`` has weight ``2**i`` (LSB-first), so decimal values printed by the
+store match the encoding used throughout the hierarchy fixtures.  The
+parent's width class bounds the value and picks its snapshot form: decimal
+for int32/int64, ``0x``-hex for ``var:<n>``.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 
 
 class BitmaskError(ValueError):
     """Base class for bitmask usage errors."""
-
-
-class BitPositionError(BitmaskError):
-    """Bit position outside the mask's capacity."""
-
-
-class WidthMismatchError(BitmaskError):
-    """Two masks of different width classes were combined."""
 
 
 class DanglingBitError(BitmaskError):
@@ -31,6 +25,9 @@ class DanglingBitError(BitmaskError):
 # Widest ``var:<n>`` class: a bound on ``1 << child_index`` and on every
 # mask value, so no hierarchy can ask for a multi-gigabit int.
 MAX_VAR_BITS = 2**20
+
+_HEX_MASK = re.compile(r"0x[0-9a-f]+")
+_PRINTABLE_BITS = 1024
 
 
 class WidthKind(enum.Enum):
@@ -83,111 +80,33 @@ class WidthClass:
             return f"var:{self.var_bits}"
         return self.kind.value
 
-    @classmethod
-    def for_child_count(cls, count: int) -> "WidthClass":
-        """Smallest class able to hold ``count`` children (schema-time choice)."""
-        if count <= 32:
-            return W32
-        if count <= 64:
-            return W64
-        return cls(WidthKind.WVAR, count)
-
-
-@dataclass(frozen=True, slots=True)
-class Bitmask:
-    """An immutable bit vector of exactly ``width.capacity`` positions."""
-
-    width: WidthClass
-    value: int = 0
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
+    def check(self, value: int) -> int:
+        """``value`` itself when it fits this width; BitmaskError otherwise."""
+        if value < 0:
             raise BitmaskError("mask value must be non-negative")
-        if self.value >> self.width.capacity:
-            raise BitmaskError(
-                f"value {self.value} exceeds {self.width.capacity}-bit capacity"
-            )
+        if value >> self.capacity:
+            # A value too wide to print in decimal is named by its bit length.
+            bits = value.bit_length()
+            shown = value if bits <= _PRINTABLE_BITS else f"of {bits} bits"
+            raise BitmaskError(f"value {shown} exceeds {self.capacity}-bit capacity")
+        return value
 
-    def _check(self, i: int) -> None:
-        if not 0 <= i < self.width.capacity:
-            raise BitPositionError(
-                f"bit {i} out of range for {self.width.serialize()} mask"
-            )
+    def dump_mask(self, value: int) -> int | str:
+        """Snapshot form of a cell: decimal for int32/int64, ``0x``-hex for
+        variable widths."""
+        if self.kind is WidthKind.WVAR:
+            return f"0x{value:x}"
+        return value
 
-    def set(self, i: int) -> "Bitmask":
-        self._check(i)
-        return Bitmask(self.width, self.value | (1 << i))
-
-    def clear(self, i: int) -> "Bitmask":
-        self._check(i)
-        return Bitmask(self.width, self.value & ~(1 << i))
-
-    def toggle(self, i: int) -> "Bitmask":
-        self._check(i)
-        return Bitmask(self.width, self.value ^ (1 << i))
-
-    def test(self, i: int) -> bool:
-        self._check(i)
-        return bool((self.value >> i) & 1)
-
-    def popcount(self) -> int:
-        return self.value.bit_count()
-
-    def bits(self) -> list[int]:
-        """Positions of all set bits, ascending."""
-        out = []
-        v = self.value
-        while v:
-            low = v & -v
-            out.append(low.bit_length() - 1)
-            v ^= low
-        return out
-
-    def is_empty(self) -> bool:
-        return self.value == 0
-
-    def serialize(self) -> str | int:
-        """Decimal for int32/int64, ``0x``-hex for variable widths."""
-        if self.width.kind is WidthKind.WVAR:
-            return f"0x{self.value:x}"
-        return self.value
-
-    @classmethod
-    def deserialize(cls, width: WidthClass, raw: str | int) -> "Bitmask":
-        if isinstance(raw, str):
-            value = int(raw, 16) if raw.startswith("0x") else int(raw)
-        else:
-            value = int(raw)
-        return cls(width, value)
+    def load_mask(self, raw: object) -> int:
+        """A cell read back from its snapshot form: an exact JSON integer
+        (never a bool) or ``0x``-hex text, checked against the capacity."""
+        if raw.__class__ is int:
+            return self.check(raw)
+        if raw.__class__ is str and _HEX_MASK.fullmatch(raw):
+            return self.check(int(raw, 16))
+        raise BitmaskError(f"mask must be an integer or 0x hex text, got {raw!r}")
 
 
 W32 = WidthClass(WidthKind.W32)
 W64 = WidthClass(WidthKind.W64)
-
-
-def empty(width: WidthClass) -> Bitmask:
-    return Bitmask(width)
-
-
-class CombineOp(enum.Enum):
-    UNION = "union"
-    INTERSECT = "intersect"
-
-
-def combine(a: Bitmask, b: Bitmask, op: CombineOp) -> Bitmask:
-    """Bitwise OR / AND of two masks with identical width class."""
-    if a.width != b.width:
-        raise WidthMismatchError(
-            f"cannot combine {a.width.serialize()} with {b.width.serialize()}"
-        )
-    if op is CombineOp.UNION:
-        return Bitmask(a.width, a.value | b.value)
-    return Bitmask(a.width, a.value & b.value)
-
-
-def encode_children(width: WidthClass, positions: list[int]) -> Bitmask:
-    """Fold of set() over child bit positions."""
-    m = empty(width)
-    for i in positions:
-        m = m.set(i)
-    return m

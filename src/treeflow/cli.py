@@ -30,7 +30,7 @@ from .csp import check_csp_conformance
 from .hierarchy import load_hierarchy
 from .hybrid_machines import run_pbfd, run_pdfd
 from .jsondoc import JSONDocumentError, decode_json
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, check_r_max, load_scenario
 from .tle import TleStore, TraversalPage, tle_traverse
 from .trace import Trace
 from .verify import (
@@ -182,6 +182,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.rmax is not None:
+        check_r_max(args.rmax)
     m = args.methodology
     trace = Trace.read_jsonl(args.trace, methodology=m)
     if args.check == "all":

@@ -33,6 +33,14 @@ class UndefinedTraceOriginError(ScenarioError):
     """A scripted origin map has no entry for the failing level."""
 
 
+def check_r_max(r_max: int) -> None:
+    """Raise ScenarioError unless ``r_max`` is a budget a scenario may hold."""
+    if r_max < 0:
+        raise ScenarioError(f"r_max must be >= 0, got {r_max}")
+    if r_max > MAX_R_MAX:
+        raise ScenarioError(f"r_max must be <= {MAX_R_MAX}, got {r_max}")
+
+
 class OriginKind(enum.Enum):
     FIXED = "fixed"
     SCRIPTED = "scripted"
@@ -129,10 +137,7 @@ class Scenario:
     increments: list[list[int]] | None = None
 
     def __post_init__(self) -> None:
-        if self.r_max < 0:
-            raise ScenarioError(f"r_max must be >= 0, got {self.r_max}")
-        if self.r_max > MAX_R_MAX:
-            raise ScenarioError(f"r_max must be <= {MAX_R_MAX}, got {self.r_max}")
+        check_r_max(self.r_max)
         if not 0.0 <= self.random_failure_rate <= 1.0:
             raise ScenarioError(
                 f"random_failure_rate must be in [0, 1], got {self.random_failure_rate}"

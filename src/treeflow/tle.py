@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from .bitmask import Bitmask, DanglingBitError, WidthClass
+from .bitmask import BitmaskError, DanglingBitError, WidthClass
 from .hierarchy import Hierarchy, HierarchyNode
 from .jsondoc import JSONDocumentError, decode_json
 from .trace import Trace
@@ -59,6 +59,13 @@ class ShallowHierarchyError(TleError):
 
 class SnapshotError(TleError):
     """A store snapshot that is not valid JSON or does not fit the schema."""
+
+
+def _json_int(value: object) -> int:
+    # bool is a subclass of int, so the exact class is tested.
+    if value.__class__ is not int:
+        raise ValueError(f"must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -318,7 +325,7 @@ class TleStore:
                     "subject_id": rec.subject_id,
                     "unit_id": rec.unit_id,
                     "cells": {
-                        str(col): Bitmask(units[rec.unit_id].child_widths[col], mask).serialize()
+                        str(col): units[rec.unit_id].child_widths[col].dump_mask(mask)
                         for col, mask in rec.cells.items()
                     },
                 }
@@ -346,22 +353,28 @@ class TleStore:
                 raise SnapshotError(f"{where}: not an object")
             field = "subject_id"
             try:
-                subject = int(raw[field])
+                subject = _json_int(raw[field])
                 field = "unit_id"
-                unit_id = int(raw[field])
+                unit_id = _json_int(raw[field])
                 unit = store.schema.units.get(unit_id)
                 if unit is None:
                     raise ValueError(f"unknown unit {unit_id}")
                 field = "cells"
+                cells = raw[field]
+                if cells.__class__ is not dict:
+                    raise ValueError(f"must be an object, got {cells!r}")
+                columns = {str(col): col for col in unit.parent_column_ids}
                 rec = store._empty_record(subject, unit)
-                for col_text, value in raw[field].items():
-                    col = int(col_text)
-                    if col not in unit.child_widths:
-                        raise ValueError(f"unknown column {col} of unit {unit_id}")
-                    rec.cells[col] = Bitmask.deserialize(unit.child_widths[col], value).value
+                for col_text, value in cells.items():
+                    col = columns.get(col_text)
+                    if col is None:
+                        raise ValueError(f"unknown column {col_text} of unit {unit_id}")
+                    rec.cells[col] = unit.child_widths[col].load_mask(value)
             except KeyError:
                 raise SnapshotError(f"{where}: missing field {field!r}") from None
-            except (AttributeError, TypeError, ValueError) as exc:
+            except BitmaskError as exc:
+                raise SnapshotError(f"{where}.cells.{col}: {exc}") from None
+            except ValueError as exc:
                 raise SnapshotError(f"{where}.{field}: {exc}") from None
             store.records[(subject, unit_id)] = rec
             store.subjects.add(subject)
@@ -372,15 +385,21 @@ def decode(mask: int, parent: HierarchyNode, h: Hierarchy) -> set[HierarchyNode]
     """Children of ``parent`` whose bit is set in the cell value ``mask``,
     read at the parent's width class.
 
-    Raises DanglingBitError when a set bit has no corresponding child."""
+    Raises BitmaskError when ``mask`` is negative or wider than the parent's
+    width class, and DanglingBitError when a set bit has no corresponding
+    child."""
+    parent.width_class.check(mask)
     by_index = {c.child_index: c for c in h.children(parent.id)}
     out = set()
-    for i in Bitmask(parent.width_class, mask).bits():
+    while mask:
+        low = mask & -mask
+        i = low.bit_length() - 1
         if i not in by_index:
             raise DanglingBitError(
                 f"bit {i} set but parent {parent.id} has no child at that index"
             )
         out.add(by_index[i])
+        mask ^= low
     return out
 
 

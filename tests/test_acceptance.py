@@ -20,7 +20,6 @@ from treeflow.basic_machines import (
     run_dad,
     run_dfd,
 )
-from treeflow.bitmask import W32, empty
 from treeflow.csp import accept_events, annotate_trace, check_csp_conformance
 from treeflow.fixtures import (
     GEO,
@@ -120,8 +119,12 @@ def test_01_bit_exact_decode_of_worked_values():
             "Arlington", "Virginia Square"
         }
         assert cell("virginia", "fairfax_county") == 0
-        # Continent encoding identity: first + fifth bit = 17.
-        assert empty(W32).set(0).set(4).value == 17
+        # Continent encoding identity: first + fifth bit = 17.  North America
+        # and Asia are the continents at bits 0 and 4.
+        fresh = TleStore(h)
+        fresh.update(1, GEO["north_america"], True)
+        fresh.update(1, GEO["asia"], True)
+        assert fresh.records[(1, GEO["root"])].cells[GEO["anchor"]] == 17
     report(1, "all worked bitmask values decode bit-exactly")
 
 

@@ -138,18 +138,6 @@ class TestBfd:
         for k in h.levels():
             assert processed[k] == {n.id for n in h.level(k)}
 
-    def test_within_level_order_is_effect_free(self):
-        h = perfect_tree(3, 3)
-        asc, desc = run_bfd(h, "asc"), run_bfd(h, "desc")
-        def per_level(trace):
-            out = {}
-            for e in trace:
-                if e.rule == "BF2":
-                    out.setdefault(e.payload["level"], set()).add(e.payload["node"])
-            return out
-        assert per_level(asc) == per_level(desc)
-        assert sorted(asc.rules()) == sorted(desc.rules())
-
 
 class TestDad:
     def test_chain_processes_in_topological_order(self):

@@ -115,6 +115,38 @@ class TestCliOverride:
         assert proc.stdout == ""
 
 
+class TestVerifyRmax:
+    """``verify --rmax`` is held to the scenario's own bound, as ``run --rmax`` is."""
+
+    @pytest.fixture()
+    def trace(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        main(["replay", "--fixture", "pdfd-mvp", "--format", "jsonl-trace", "--out", str(path)])
+        return path
+
+    @pytest.mark.parametrize("check", ["bounds", "all"])
+    @pytest.mark.parametrize("rmax,message", [
+        (-1, "r_max must be >= 0, got -1"),
+        (5000, f"r_max must be <= {MAX_R_MAX}, got 5000"),
+    ])
+    def test_out_of_range_is_one_error_line(self, trace, capsys, rmax, message, check):
+        rc = main(["verify", "--trace", str(trace), "--methodology", "pdfd",
+                   "--check", check, "--rmax", str(rmax)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("rmax", [0, MAX_R_MAX])
+    def test_bounds_of_the_range_are_accepted(self, trace, capsys, rmax):
+        rc = main(["verify", "--trace", str(trace), "--methodology", "pdfd",
+                   "--check", "bounds", "--rmax", str(rmax)])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("PASS bounded-refinement" if rmax else "FAIL bounded-refinement")
+        assert rc == (0 if rmax else 2)
+
+
 class TestTraceLoader:
     def _write(self, tmp_path, lines):
         path = tmp_path / "trace.jsonl"
@@ -186,6 +218,45 @@ class TestSnapshotLoader:
         with pytest.raises(SnapshotError) as err:
             self._load(tree, snap)
         assert str(err.value) == f"{snap}: records[1]: missing field 'subject_id'"
+
+    # records[1] is unit 1 (ContinentParent); its columns 2..8 are int32.
+    @pytest.mark.parametrize("edit,message", [
+        (lambda rec: rec.update(unit_id=0.9), "records[1].unit_id: must be an integer, got 0.9"),
+        (lambda rec: rec.update(unit_id=1.0), "records[1].unit_id: must be an integer, got 1.0"),
+        (lambda rec: rec.update(unit_id="1"), "records[1].unit_id: must be an integer, got '1'"),
+        (lambda rec: rec.update(subject_id=True),
+         "records[1].subject_id: must be an integer, got True"),
+        (lambda rec: rec.update(subject_id=None),
+         "records[1].subject_id: must be an integer, got None"),
+        (lambda rec: rec.update(cells=[3]), "records[1].cells: must be an object, got [3]"),
+        (lambda rec: rec["cells"].update({" 3 ": 0}), "records[1].cells: unknown column  3  of unit 1"),
+        (lambda rec: rec["cells"].update({"03": 0}), "records[1].cells: unknown column 03 of unit 1"),
+        *[
+            (lambda rec, raw=raw: rec["cells"].update({"2": raw}),
+             f"records[1].cells.2: mask must be an integer or 0x hex text, got {raw!r}")
+            for raw in (1.5, " 3 ", "1_0", "21", True, None, "0XF", "0x")
+        ],
+        (lambda rec: rec["cells"].update({"2": 2**32}),
+         f"records[1].cells.2: value {2**32} exceeds 32-bit capacity"),
+        (lambda rec: rec["cells"].update({"2": "0x100000000"}),
+         f"records[1].cells.2: value {2**32} exceeds 32-bit capacity"),
+        (lambda rec: rec["cells"].update({"2": -1}),
+         "records[1].cells.2: mask value must be non-negative"),
+    ])
+    def test_fields_must_be_exact(self, files, edit, message):
+        """No float, bool or loose text reads as an id or a cell."""
+        tree, snap = files
+        self._edit(snap, edit)
+        with pytest.raises(SnapshotError) as err:
+            self._load(tree, snap)
+        assert str(err.value) == f"{snap}: {message}"
+
+    def test_hex_cells_load_in_any_width(self, files):
+        """A cell may be an exact integer or 0x hex text, whatever its width."""
+        tree, snap = files
+        self._edit(snap, lambda rec: rec["cells"].update({"2": "0x3", "4": 3}))
+        store = self._load(tree, snap)
+        assert store.records[(1, 1)].cells[2] == store.records[(1, 1)].cells[4] == 3
 
     def test_cli_report_prints_one_error_line(self, files, capsys):
         tree, snap = files

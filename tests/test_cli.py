@@ -31,6 +31,17 @@ def tree_file(tmp_path):
     return p
 
 
+def test_importing_the_package_loads_no_submodule():
+    """Each command imports what it needs; the package itself imports nothing."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, treeflow; print(sorted(m for m in sys.modules if m.startswith('treeflow.')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 class TestRun:
     def test_pbfd_failure_free_exit_zero(self, geo_file, tmp_path, capsys):
         out = tmp_path / "trace.jsonl"

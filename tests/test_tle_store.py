@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treeflow.bitmask import DanglingBitError
+from treeflow.bitmask import BitmaskError, DanglingBitError
 from treeflow.fixtures import (
     GEO,
     GEO_REPORT_LINES,
@@ -118,6 +118,17 @@ class TestDecode:
         mask = store.records[(1, GEO["maryland"])].cells[GEO["howard_county"]]
         names = {n.name for n in decode(mask, geo.node(GEO["howard_county"]), geo)}
         assert names == {"Columbia MD", "Ellicott City"}
+
+    @pytest.mark.parametrize("column,mask,message", [
+        ("howard_county", -1, "mask value must be non-negative"),
+        ("howard_county", 1 << 32, f"value {1 << 32} exceeds 32-bit capacity"),
+        ("united_states", 1 << 64, f"value {1 << 64} exceeds 64-bit capacity"),
+        ("virginia", 1 << 120, f"value {1 << 120} exceeds 120-bit capacity"),
+    ])
+    def test_refuses_a_mask_outside_the_width(self, geo, column, mask, message):
+        with pytest.raises(BitmaskError) as err:
+            decode(mask, geo.node(GEO[column]), geo)
+        assert str(err.value) == message
 
     def test_dangling_bit(self, geo):
         with pytest.raises(DanglingBitError):
