@@ -62,7 +62,9 @@ class WidthClass:
 
     @classmethod
     def parse(cls, text: str) -> "WidthClass":
-        """Parse the serialized form: ``int32``, ``int64`` or ``var:<n>``."""
+        """Parse the serialized form: ``int32``, ``int64`` or ``var:<n>``,
+        exactly as ``serialize`` writes it, so ``var:08``, ``var:+8`` or
+        ``var: 8`` is refused rather than read back as ``var:8``."""
         if text == "int32":
             return W32
         if text == "int64":
@@ -71,8 +73,10 @@ class WidthClass:
             try:
                 bits = int(text[4:])
             except ValueError:
-                raise BitmaskError(f"unknown width class {text!r}") from None
-            return cls(WidthKind.WVAR, bits)
+                pass
+            else:
+                if text == f"var:{bits}":
+                    return cls(WidthKind.WVAR, bits)
         raise BitmaskError(f"unknown width class {text!r}")
 
     def serialize(self) -> str:

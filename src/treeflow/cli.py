@@ -10,39 +10,20 @@ Identical inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import bench as bench_mod
-from . import fixtures
-from .basic_machines import (
-    GraphError,
-    LoopUnboundedError,
-    MachineError,
-    load_dag,
-    run_bfd,
-    run_cdd,
-    run_dad,
-    run_dfd,
-)
-from .csp import check_csp_conformance
-from .hierarchy import load_hierarchy
-from .hybrid_machines import run_pbfd, run_pdfd
-from .jsondoc import JSONDocumentError, decode_json
-from .scenario import Scenario, check_r_max, load_scenario
-from .tle import TleStore, TraversalPage, tle_traverse
-from .trace import Trace
-from .verify import (
-    HYBRID,
-    check_bounded_refinement,
-    check_deadlock_freeness,
-    check_finalization,
-    check_measure_descent,
-    check_rule_legality,
-    check_well_formed,
-    run_all_checks,
-)
+from .jsondoc import JSONDocumentError, decode_json, write_text
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
+    from .tle import TraversalPage
+    from .trace import Trace
+
+# Each command imports the modules it runs in its handler, so a call pays
+# only for its own imports: ``verify --check csp`` loads no store, bench or
+# fixture module.
 
 METHODOLOGIES = ("dad", "dfd", "bfd", "cdd", "pdfd", "pbfd")
 
@@ -86,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--hierarchy")
     report.add_argument("--snapshot")
     report.add_argument("--fixture", choices=("pbfd-mvp",))
-    report.add_argument("--subject", type=int, default=fixtures.GEO_SUBJECT)
+    report.add_argument("--subject", type=int)
     report.add_argument("--out")
 
     tle = sub.add_parser("tle", help="run a paged store traversal")
@@ -98,13 +79,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_or_print(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
+        write_text(out, text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _scenario_from_args(args) -> Scenario:
+    import dataclasses
+
+    from .scenario import Scenario, load_scenario
+
     sc = load_scenario(args.scenario) if args.scenario else Scenario()
     overrides = {}
     if getattr(args, "rmax", None) is not None:
@@ -136,7 +122,10 @@ def cmd_run(args) -> int:
         print("run: --hierarchy is required", file=sys.stderr)
         return 1
     scenario = _scenario_from_args(args)
-    if args.methodology in HYBRID:
+    if args.methodology in ("pdfd", "pbfd"):
+        from .hierarchy import load_hierarchy
+        from .hybrid_machines import run_pbfd, run_pdfd
+
         h = load_hierarchy(Path(args.hierarchy))
         result = (run_pdfd if args.methodology == "pdfd" else run_pbfd)(h, scenario)
         if args.format == "text-report":
@@ -144,6 +133,18 @@ def cmd_run(args) -> int:
         else:
             _dump_trace(result.trace, args.out)
         return 0 if result.succeeded else 2
+    from .basic_machines import (
+        GraphError,
+        LoopUnboundedError,
+        MachineError,
+        load_dag,
+        run_bfd,
+        run_cdd,
+        run_dad,
+        run_dfd,
+    )
+    from .hierarchy import load_hierarchy
+
     if args.methodology == "dad":
         dag = load_dag(args.hierarchy)
         try:
@@ -168,6 +169,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from . import fixtures
+    from .hybrid_machines import run_pbfd, run_pdfd
+
     if args.fixture == "pdfd-mvp":
         h = fixtures.visited_places_hierarchy()
         result = run_pdfd(h, fixtures.pdfd_mvp_scenario())
@@ -182,6 +186,20 @@ def cmd_replay(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .csp import check_csp_conformance
+    from .scenario import check_r_max
+    from .trace import Trace
+    from .verify import (
+        HYBRID,
+        check_bounded_refinement,
+        check_deadlock_freeness,
+        check_finalization,
+        check_measure_descent,
+        check_rule_legality,
+        check_well_formed,
+        run_all_checks,
+    )
+
     if args.rmax is not None:
         check_r_max(args.rmax)
     m = args.methodology
@@ -211,6 +229,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench as bench_mod
+
     samples = bench_mod.step_count_table()
     batches = bench_mod.batch_scaling_table()
     rows = [bench_mod.empty_store_row()] + bench_mod.storage_table()
@@ -219,15 +239,21 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import fixtures
+
     if args.fixture == "pbfd-mvp":
         store = fixtures.geo_store()
     else:
         if not (args.hierarchy and args.snapshot):
             print("report: need --fixture or both --hierarchy and --snapshot", file=sys.stderr)
             return 1
+        from .hierarchy import load_hierarchy
+        from .tle import TleStore
+
         h = load_hierarchy(Path(args.hierarchy))
         store = TleStore.load_snapshot(h, args.snapshot)
-    lines = store.report_paths(args.subject)
+    subject = fixtures.GEO_SUBJECT if args.subject is None else args.subject
+    lines = store.report_paths(subject)
     _write_or_print("\n".join(lines) if lines else "", args.out)
     return 0
 
@@ -236,6 +262,8 @@ def load_pages(path: str | Path) -> list[TraversalPage]:
     """Pages of a JSON list ``[{"parents": [ids], "selections": {id: bool}}]``.
     Raises PagesError naming the file, the page index and the field
     (``pages.json: pages[0]: missing field 'parents'``)."""
+    from .tle import TraversalPage
+
     try:
         raw = decode_json(Path(path).read_text())
     except JSONDocumentError as exc:
@@ -270,6 +298,9 @@ def load_pages(path: str | Path) -> list[TraversalPage]:
 
 
 def cmd_tle(args) -> int:
+    from .hierarchy import load_hierarchy
+    from .tle import TleStore, tle_traverse
+
     h = load_hierarchy(Path(args.hierarchy))
     pages = load_pages(args.pages)
     store = TleStore(h)

@@ -1,9 +1,13 @@
-"""JSON decoding shared by every document loader."""
+"""JSON decoding shared by every document loader, and the one writer of
+output files."""
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import stat
+from pathlib import Path
 from typing import Any
 
 
@@ -33,3 +37,25 @@ def decode_json(text: str) -> Any:
         raise JSONDocumentError(f"invalid JSON: {exc.msg}") from None
     except RecursionError:
         raise JSONDocumentError("invalid JSON: nested too deeply") from None
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 over ``path``, in place.
+
+    The file is opened without ``O_TRUNC`` and written from its start; a
+    regular file is then cut to the written length.  Truncating an ext4 file
+    that holds data and writing it again makes ext4 flush the new data when
+    the file is closed (``auto_da_alloc``); writing in place does not.  An
+    existing file keeps its inode, mode, hard links and symlink target.  A
+    FIFO or a device such as ``/dev/null`` is only written to.  The write is
+    not atomic: a reader may see old and new bytes mixed."""
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)

@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterable
 
 from .bitmask import BitmaskError, DanglingBitError, WidthClass
 from .hierarchy import Hierarchy, HierarchyNode
-from .jsondoc import JSONDocumentError, decode_json
+from .jsondoc import JSONDocumentError, decode_json, write_text
 from .trace import Trace
 
 # A node is selectable iff it sits at or below this depth: the top two levels
@@ -305,6 +305,9 @@ class TleStore:
     # -- persistence -----------------------------------------------------------
 
     def save_snapshot(self, path: str | Path) -> None:
+        """Write the schema and every record as sorted-key JSON through
+        ``jsondoc.write_text``: an existing file is overwritten in place,
+        keeping its inode and mode."""
         units = self.schema.units
         doc = {
             "schema": {
@@ -332,7 +335,7 @@ class TleStore:
                 for rec in self.records.values()
             ],
         }
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load_snapshot(cls, hierarchy: Hierarchy, path: str | Path) -> "TleStore":

@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple
 
-from .jsondoc import DECODER, JSONDocumentError, decode_json
+from .jsondoc import DECODER, JSONDocumentError, decode_json, write_text
 
 TRACE_FORMAT = 2
 
@@ -138,7 +138,9 @@ class Trace:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def write_jsonl(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_jsonl())
+        """Write ``to_jsonl()`` to ``path`` through ``jsondoc.write_text``: an
+        existing file is overwritten in place, keeping its inode and mode."""
+        write_text(path, self.to_jsonl())
 
     @classmethod
     def read_jsonl(cls, path: str | Path, methodology: str = "") -> "Trace":

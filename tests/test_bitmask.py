@@ -220,7 +220,7 @@ class TestWidthClasses:
         assert WidthClass.parse(f"var:{MAX_VAR_BITS}").capacity == MAX_VAR_BITS == 2**20
 
     def test_parse_round_trip(self):
-        for text in ("int32", "int64", "var:7"):
+        for text in ("int32", "int64", "var:1", "var:7", "var:10", f"var:{MAX_VAR_BITS}"):
             assert WidthClass.parse(text).serialize() == text
 
     def test_position_out_of_range(self):
@@ -253,11 +253,26 @@ class TestWidthClasses:
             WidthClass(kind, bits)
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("text", ["var:x", "var:", "int16", "var:1.5"])
+    @pytest.mark.parametrize("text", [
+        "var:x", "var:", "int16", "var:1.5",
+        # int() reads these, but serialize() would write them back as
+        # another text: only the canonical form loads.
+        "var: 8", "var:8 ", "var:1_0", "var:+5", "var:\uff18", "var:08", "var:-0", "var:-01",
+    ])
     def test_unknown_width_text(self, text):
         with pytest.raises(BitmaskError) as err:
             WidthClass.parse(text)
         assert str(err.value) == f"unknown width class {text!r}"
+
+    @pytest.mark.parametrize("text,message", [
+        ("var:0", "variable width must be positive, got 0"),
+        ("var:-1", "variable width must be positive, got -1"),
+        ("var:1048577", "variable width must be at most 1048576, got 1048577"),
+    ])
+    def test_canonical_width_out_of_range(self, text, message):
+        with pytest.raises(BitmaskError) as err:
+            WidthClass.parse(text)
+        assert str(err.value) == message
 
 
 WIDTHS = ["int32", "int64", "var:1", "var:120", f"var:{2**20}"]

@@ -2,12 +2,14 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from treeflow.basic_machines import run_dfd
 from treeflow.cli import main
 from treeflow.fixtures import GEO, GEO_REPORT_LINES, GEO_ROWS, geo_store
 from treeflow.hierarchy import dump_hierarchy
@@ -40,6 +42,74 @@ def test_importing_the_package_loads_no_submodule():
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_verify_csp_imports_no_store_bench_or_fixture_module(tmp_path):
+    """``verify`` imports its monitors only, not every command's modules."""
+    trace = tmp_path / "trace.jsonl"
+    run_dfd(perfect_tree(2, 3)).write_jsonl(trace)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "import json, sys\n"
+        "from treeflow.cli import main\n"
+        f"code = main(['verify', '--methodology', 'dfd', '--check', 'csp', '--trace', {str(trace)!r}])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('treeflow.'))]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    verdict, last = proc.stdout.splitlines()
+    assert verdict == "PASS csp-conformance[dfd]"
+    code, loaded = json.loads(last)
+    assert code == 0 and "treeflow.csp" in loaded
+    assert not set(loaded) & {"treeflow.tle", "treeflow.bench", "treeflow.fixtures"}
+
+
+class TestOutFile:
+    """``--out`` writes exactly what the command prints, over any old file."""
+
+    def _commands(self, geo_file, tree_file, tmp_path):
+        pages = tmp_path / "pages.json"
+        pages.write_text(json.dumps([{"parents": [GEO["anchor"]], "selections": {}}]))
+        return {
+            "run": ["run", "--methodology", "dfd", "--hierarchy", str(tree_file)],
+            "run-report": ["run", "--methodology", "pdfd", "--hierarchy", str(geo_file),
+                           "--format", "text-report"],
+            "replay": ["replay", "--fixture", "pbfd-mvp", "--format", "jsonl-trace"],
+            "replay-report": ["replay", "--fixture", "pdfd-mvp"],
+            "report": ["report", "--fixture", "pbfd-mvp"],
+            "tle": ["tle", "--hierarchy", str(geo_file), "--pages", str(pages)],
+            "bench": ["bench"],
+        }
+
+    @pytest.mark.parametrize("name", [
+        "run", "run-report", "replay", "replay-report", "report", "tle", "bench",
+    ])
+    def test_out_file_equals_stdout(self, name, geo_file, tree_file, tmp_path, capsys):
+        argv = self._commands(geo_file, tree_file, tmp_path)[name]
+        code = main(argv)
+        printed = capsys.readouterr().out
+        out = tmp_path / "out.txt"
+        out.write_text("stale line\n" * 20_000)
+        assert main(argv + ["--out", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
+
+    def test_out_dev_null_stays_a_device(self, tree_file, capsys):
+        code = main(["run", "--methodology", "dfd", "--hierarchy", str(tree_file),
+                     "--out", os.devnull])
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    @pytest.mark.parametrize("name", ["run", "report"])
+    def test_out_directory_is_one_error_line(self, name, geo_file, tree_file, tmp_path, capsys):
+        argv = self._commands(geo_file, tree_file, tmp_path)[name]
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
 
 class TestRun:

@@ -219,6 +219,16 @@ class TestRowErrors:
         assert captured.out == ""
         assert captured.err == f"error: {path}: rows[3].level: must be an integer, got None\n"
 
+    def test_cli_refuses_a_width_text_that_does_not_round_trip(self, tmp_path, capsys):
+        from treeflow.cli import main
+
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(_with(1, width_class="var:08")))
+        assert main(["run", "--methodology", "dfd", "--hierarchy", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: rows[1].width_class: unknown width class 'var:08'\n"
+
     def test_cli_directory_is_a_usage_error(self, tmp_path, capsys):
         from treeflow.cli import main
 

@@ -1,0 +1,133 @@
+"""Complexity guards that count Python calls instead of timing.
+
+Each guard runs one layer at size n and 2n on an adversarial shape and
+compares cProfile's total call counts, which are exact and the same on every
+host.  A linear layer may at most double its calls, with a margin for fixed
+costs (ratio <= 2.2); a layer that must not depend on the size stays at
+ratio ~1.  A quadratic cost shows as a ratio near 4.
+"""
+
+import cProfile
+import pstats
+
+import pytest
+
+from treeflow.basic_machines import Dag, run_dad, run_dfd
+from treeflow.fixtures import pdfd_mvp_scenario, perfect_tree, visited_places_hierarchy
+from treeflow.hierarchy import load_hierarchy
+from treeflow.hybrid_machines import run_pdfd
+from treeflow.trace import Trace
+from treeflow.verify import check_bounded_refinement, check_measure_descent
+
+LINEAR = 2.2
+
+
+def calls(fn, *args) -> int:
+    """Total Python and builtin calls made by ``fn(*args)``."""
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        fn(*args)
+    finally:
+        profile.disable()
+    return pstats.Stats(profile).total_calls
+
+
+def ratio(build, layer, n: int) -> float:
+    """Calls of ``layer`` on ``build(2n)`` over its calls on ``build(n)``;
+    the inputs are built outside the counted region."""
+    small, large = build(n), build(2 * n)
+    return calls(layer, large) / calls(layer, small)
+
+
+def star(n: int) -> Dag:
+    """A root that depends on n leaves."""
+    return Dag(node_names={i: str(i) for i in range(n + 1)},
+               deps={0: set(range(1, n + 1))}, root_id=0)
+
+
+def chain(n: int) -> Dag:
+    """Node i depends on node i+1, and the root is node 1."""
+    return Dag(node_names={i: str(i) for i in range(1, n + 1)},
+               deps={i: {i + 1} if i < n else set() for i in range(1, n + 1)},
+               root_id=1)
+
+
+def _row(id, parent, ci, level, width="int32"):
+    return {"id": id, "name": f"n{id}", "name_type_id": None, "width_class": width,
+            "parent_id": parent, "child_index": ci, "level": level}
+
+
+def deep_rows(n: int) -> list[dict]:
+    """A path of n nodes, one per level."""
+    return [_row(i, i - 1 if i > 1 else None, 0, i) for i in range(1, n + 1)]
+
+
+def wide_rows(n: int) -> list[dict]:
+    """A root with n children, so its width is ``var:n``."""
+    return [_row(0, None, 0, 1, width=f"var:{n}")] + [
+        _row(i, 0, i - 1, 2) for i in range(1, n + 1)
+    ]
+
+
+def dfd_trace(levels: int) -> Trace:
+    return run_dfd(perfect_tree(2, levels))
+
+
+def pdfd_with_level_count(L: int) -> Trace:
+    """The pdfd-mvp trace with ``L`` forged on its first event and every
+    recorded budget raised to match, so the monitors read past its start."""
+    trace = run_pdfd(visited_places_hierarchy(), pdfd_mvp_scenario()).trace
+    first = trace.events[0].payload
+    shift = first["r_max"] * (L - first["L"])
+
+    def lift(m):
+        return None if m is None else (m[0], m[1] + shift, m[2], m[3])
+
+    events = [ev._replace(measure_pre=lift(ev.measure_pre), measure_post=lift(ev.measure_post))
+              for ev in trace.events]
+    events[0] = events[0]._replace(payload={**first, "L": L})
+    return Trace("pdfd", events)
+
+
+def measure_monitors(trace: Trace) -> None:
+    check_measure_descent(trace, "pdfd")
+    check_bounded_refinement(trace)
+
+
+class TestLinearLayers:
+    @pytest.mark.parametrize("shape", [star, chain])
+    def test_run_dad(self, shape):
+        assert ratio(shape, run_dad, 500) <= LINEAR
+
+    @pytest.mark.parametrize("rows", [deep_rows, wide_rows])
+    def test_load_hierarchy(self, rows):
+        assert ratio(rows, load_hierarchy, 1000) <= LINEAR
+
+    def test_trace_to_jsonl(self):
+        # perfect_tree(2, levels + 1) has twice the nodes, plus one.
+        small, large = dfd_trace(9), dfd_trace(10)
+        assert calls(Trace.to_jsonl, large) / calls(Trace.to_jsonl, small) <= LINEAR
+
+    def test_trace_read_jsonl(self, tmp_path):
+        small, large = tmp_path / "small.jsonl", tmp_path / "large.jsonl"
+        dfd_trace(9).write_jsonl(small)
+        dfd_trace(10).write_jsonl(large)
+        assert calls(Trace.read_jsonl, large) / calls(Trace.read_jsonl, small) <= LINEAR
+
+
+class TestSizeIndependentLayers:
+    def test_measure_with_a_forged_level_count(self):
+        """The budget over levels 1..L is not summed level by level: a
+        trace claiming L = 2 * 10**4 costs what one claiming 10**4 does."""
+        small, large = pdfd_with_level_count(10**4), pdfd_with_level_count(2 * 10**4)
+        assert calls(measure_monitors, large) == pytest.approx(
+            calls(measure_monitors, small), rel=0.01)
+
+    def test_forged_trace_is_read_past_its_start(self):
+        """The guard above counts a pass over the events, not a failure at
+        the first one: the first mismatch is ``k4 = L - i`` in phase S4."""
+        trace = pdfd_with_level_count(10**4)
+        verdict = check_measure_descent(trace, "pdfd")
+        assert verdict.first_violation_seq > len(trace) // 2, verdict.line()
+        assert check_bounded_refinement(trace).ok
