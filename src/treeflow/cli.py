@@ -121,9 +121,10 @@ def cmd_run(args) -> int:
     if not args.hierarchy:
         print("run: --hierarchy is required", file=sys.stderr)
         return 1
+    from .hierarchy import load_hierarchy
+
     scenario = _scenario_from_args(args)
     if args.methodology in ("pdfd", "pbfd"):
-        from .hierarchy import load_hierarchy
         from .hybrid_machines import run_pbfd, run_pdfd
 
         h = load_hierarchy(Path(args.hierarchy))
@@ -143,7 +144,6 @@ def cmd_run(args) -> int:
         run_dad,
         run_dfd,
     )
-    from .hierarchy import load_hierarchy
 
     if args.methodology == "dad":
         dag = load_dag(args.hierarchy)
