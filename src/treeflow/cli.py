@@ -287,12 +287,18 @@ def load_pages(path: str | Path) -> list[TraversalPage]:
             raise PagesError(
                 f"{where}.selections: must map node ids to true or false, got {selections!r}"
             )
-        try:
-            selected = {int(k): v for k, v in selections.items()}
-        except ValueError:
-            raise PagesError(
-                f"{where}.selections: keys must be node ids, got {selections!r}"
-            ) from None
+        selected = {}
+        for k, v in selections.items():
+            try:
+                n = int(k)
+            except ValueError:
+                raise PagesError(
+                    f"{where}.selections: keys must be node ids, got {selections!r}"
+                ) from None
+            # int() also reads " 3", "+3", "03", "1_0" and non-ASCII digits.
+            if str(n) != k:
+                raise PagesError(f"{where}.selections: key {k!r} must be written {str(n)!r}")
+            selected[n] = v
         pages.append(TraversalPage(tuple(parents), selected))
     return pages
 

@@ -182,9 +182,10 @@ def fold_statuses(
     before (None for a node the map did not hold).  A ``statuses`` payload
     replaces the map (the first event of format 2; every event of format 1
     or of a hand-made trace), then ``status_changes`` patches it.  A delta
-    before any full map, one naming a node the map lacks, a non-integer
-    status, an event with neither key, or a ``trace_format`` other than 1
-    or ``TRACE_FORMAT`` raises StatusFoldError."""
+    before any full map, one naming a node the map lacks, a node id not
+    written as ``str(int)`` writes it, a non-integer status, an event with
+    neither key, or a ``trace_format`` other than 1 or ``TRACE_FORMAT``
+    raises StatusFoldError."""
     statuses: dict[int, int] | None = None
     for ev in events:
         p = ev.payload
@@ -225,6 +226,11 @@ def fold_statuses(
 
 def _int_items(raw: Any, seq: Any, key: str) -> list[tuple[int, int]]:
     try:
-        return [(int(k), int(v)) for k, v in raw.items()]
+        items = [(int(k), int(v)) for k, v in raw.items()]
     except (AttributeError, TypeError, ValueError):
         raise StatusFoldError(seq, f"{key} must map node ids to integer statuses") from None
+    # int() also reads " 3", "+3", "03", "1_0" and non-ASCII digits.
+    for (n, _s), k in zip(items, raw):
+        if str(n) != k:
+            raise StatusFoldError(seq, f"{key} key {k!r} must be written {str(n)!r}")
+    return items

@@ -301,6 +301,20 @@ class TestPagesLoader:
         assert rc == 1
         assert err == f"error: {path}: {message}\n"
 
+    @pytest.mark.parametrize("key,node", [
+        (" 3", 3), ("3 ", 3), ("+3", 3), ("03", 3), ("٣", 3), ("1_0", 10), ("-0", 0),
+    ])
+    def test_key_must_be_written_as_a_node_id(self, tmp_path, capsys, key, node):
+        """int() reads each of these keys as a node id; the loader refuses
+        them instead of selecting that node."""
+        tree = tmp_path / "geo.json"
+        tree.write_text(json.dumps(GEO_ROWS))
+        text = json.dumps([{"parents": [4], "selections": {"5": True, key: True}}])
+        rc, err, path = _cli_error(tmp_path, capsys, "pages.json", text,
+                                   ["tle", "--hierarchy", str(tree), "--pages", "{doc}"])
+        assert rc == 1
+        assert err == f"error: {path}: pages[0].selections: key {key!r} must be written '{node}'\n"
+
 
 class TestGraphLoader:
     @pytest.mark.parametrize("doc,message", [

@@ -2,6 +2,7 @@
 fold, and the JSONL codec."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,30 @@ class TestFold:
         forged = replace_payload(mvp_trace(), 2, status_changes=bad)
         with pytest.raises(StatusFoldError, match="status_changes must map node ids"):
             list(fold_statuses(forged))
+
+    @pytest.mark.parametrize("key,node", [(" 3", 3), ("+3", 3), ("03", 3), ("٣", 3), ("1_0", 10)])
+    def test_key_must_be_written_as_a_node_id(self, key, node):
+        """int() reads each of these keys as a node id: a forged delta that
+        spells one differently fails the monitors at its event."""
+        trace = mvp_trace()
+        forged = replace_payload(trace, 3, status_changes={key: 2})
+        detail = f"status_changes key {key!r} must be written '{node}'"
+        with pytest.raises(StatusFoldError, match=re.escape(detail)):
+            list(fold_statuses(forged))
+        for check in (check_rule_legality, check_measure_descent, check_finalization):
+            verdict = check(forged)
+            assert (verdict.ok, verdict.first_violation_seq, verdict.detail) == (
+                False, trace[3].seq, detail)
+
+    def test_full_map_key_must_be_written_as_a_node_id(self):
+        trace = mvp_trace()
+        statuses = dict(trace[0].payload["statuses"])
+        first = next(iter(statuses))
+        statuses["0" + first] = statuses.pop(first)
+        forged = replace_payload(trace, 0, statuses=statuses)
+        verdict = check_finalization(forged)
+        assert (verdict.ok, verdict.first_violation_seq, verdict.detail) == (
+            False, 1, f"statuses key {'0' + first!r} must be written {first!r}")
 
     def test_full_maps_replace_the_fold(self):
         """Format-1 events carry a full map each; the fold diffs them."""
