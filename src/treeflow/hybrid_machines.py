@@ -16,6 +16,11 @@ Shared semantics
   attempt counters, and the statuses as trace format 2: the full map on the
   first event, then only the nodes each step changed.  The monitors fold
   those changes and re-derive everything from the trace alone.
+* A run is ``start_run`` followed by ``_Engine.step`` until T or S5.  Each
+  step fires one rule and asks at most one validation query, before it
+  changes any state, so a fork of the engine taken at the query is the
+  state before that step: the run enumerator in ``verify`` forks there to
+  explore the other answer.
 
 Refinement episodes
 -------------------
@@ -42,7 +47,7 @@ Two invariants keep the breadth-led machine free of bookkeeping:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, Callable
 
 from .hierarchy import Hierarchy
 from .measure import Measure, TraceContext, compose_measure, trace_length_cap
@@ -95,6 +100,10 @@ class _Engine:
     statuses change, so that computing M costs O(L) rather than O(nodes).
     The monitors never see these counters: they fold each event's status
     changes themselves and recompute M.
+
+    ``fork`` copies only what a step changes in place; the hierarchy, the
+    scenario, the context and the ``_State`` (replaced, never mutated) are
+    shared.
     """
 
     def __init__(self, methodology: str, h: Hierarchy, scenario: Scenario):
@@ -105,6 +114,9 @@ class _Engine:
         # attempt number is one more.  Kept here, not on the scenario, so a
         # scenario stays an input that any number of runs can share.
         self.queries: dict[tuple[str, int], int] = {}
+        # Answers each query with its failing nodes: (phase tag, index,
+        # attempt, candidates) -> ids.  The run enumerator replaces it.
+        self.answer: Callable[[str, int, int, list[int]], Any] = scenario.failing_nodes
         self.L = h.max_level
         self.statuses: dict[int, int] = {n: 0 for n in h.nodes}
         self.attempts: dict[int, int] = {l: 0 for l in range(1, self.L + 1)}
@@ -126,6 +138,33 @@ class _Engine:
         self._unfinalized = len(self.statuses)
         self._unvisited = {k: len(ids) for k, ids in self.ctx.levels.items()}
         self._measure = self.measure()
+
+    # -- stepping ----------------------------------------------------------------
+
+    @property
+    def done(self) -> bool:
+        return self.state.phase in ("T", "S5")
+
+    def step(self) -> None:
+        """Fire the next rule of the machine."""
+        _MACHINES[self.methodology][1](self)
+
+    def finish(self) -> RunResult:
+        while not self.done:
+            self.step()
+        return self.result()
+
+    def fork(self) -> "_Engine":
+        """An independent copy of this run, to be stepped apart from it."""
+        other = object.__new__(_Engine)
+        other.__dict__.update(self.__dict__)
+        other.queries = dict(self.queries)
+        other.statuses = dict(self.statuses)
+        other.attempts = dict(self.attempts)
+        other._unvisited = dict(self._unvisited)
+        other._changed = []
+        other.trace = Trace(self.methodology, self.trace.events)
+        return other
 
     # -- snapshots -----------------------------------------------------------
 
@@ -220,8 +259,10 @@ class _Engine:
         return self.queries.get((phase_tag, index), 0) + 1
 
     def validate(self, phase_tag: str, index: int, candidates: list[int]):
-        attempt = self.queries[(phase_tag, index)] = self.next_attempt(phase_tag, index)
-        failing = self.sc.failing_nodes(phase_tag, index, attempt, candidates)
+        attempt = self.next_attempt(phase_tag, index)
+        # Asked before the query is counted: the engine is still as the step found it.
+        failing = self.answer(phase_tag, index, attempt, candidates)
+        self.queries[(phase_tag, index)] = attempt
         return attempt, sorted(failing)
 
     def origin_for(self, level: int, failing: list[int]) -> int:
@@ -340,33 +381,36 @@ def run_pdfd(h: Hierarchy, scenario: Scenario) -> RunResult:
     [origin, failing]; the episode then resumes at the phase that failed.
     Exhausting the per-level budget ends the run in the error state.
     """
-    eng = _Engine("pdfd", h, scenario)
+    return start_run("pdfd", h, scenario).finish()
+
+
+def _pdfd_start(eng: _Engine) -> None:
     eng.emit("PD1", _State(phase="S1", i=1), _init_payload(eng))
 
-    while eng.state.phase not in ("T", "S5"):
-        st = eng.state
-        if st.phase == "S1":
-            batch = eng.level_ids(st.i)
-            processed = eng.mark_in_progress(batch)
-            eng.emit("PD2", _State(phase="S2", i=st.i), {"batch": batch, "processed": processed})
-        elif st.phase == "S2":
-            _forward_validation(eng)
-        elif st.phase == "S1R":
-            if not _exhausted(eng, "PD8"):
-                eng.emit(
-                    "PD3",
-                    replace(st, phase="S2R"),
-                    {"level": st.j, "reworked": eng.level_ids(st.j)},
-                )
-        elif st.phase == "S2R":
-            _pdfd_refinement_validation(eng)
-        elif st.phase == "S3":
-            _bottom_up(eng)
-        elif st.phase == "S4":
-            _top_down(eng, fail_rule="PD6a", dead_rule="PD6b", forward_rule="PD6", done_rule="PD7")
-        else:  # pragma: no cover - defensive
-            raise HybridRunError(f"stuck in phase {st.phase}")
-    return eng.result()
+
+def _pdfd_step(eng: _Engine) -> None:
+    st = eng.state
+    if st.phase == "S1":
+        batch = eng.level_ids(st.i)
+        processed = eng.mark_in_progress(batch)
+        eng.emit("PD2", _State(phase="S2", i=st.i), {"batch": batch, "processed": processed})
+    elif st.phase == "S2":
+        _forward_validation(eng)
+    elif st.phase == "S1R":
+        if not _exhausted(eng, "PD8"):
+            eng.emit(
+                "PD3",
+                replace(st, phase="S2R"),
+                {"level": st.j, "reworked": eng.level_ids(st.j)},
+            )
+    elif st.phase == "S2R":
+        _pdfd_refinement_validation(eng)
+    elif st.phase == "S3":
+        _bottom_up(eng)
+    elif st.phase == "S4":
+        _top_down(eng, fail_rule="PD6a", dead_rule="PD6b", forward_rule="PD6", done_rule="PD7")
+    else:  # pragma: no cover - defensive
+        raise HybridRunError(f"stuck in phase {st.phase}")
 
 
 def _forward_validation(eng: _Engine) -> None:
@@ -419,35 +463,38 @@ def run_pbfd(h: Hierarchy, scenario: Scenario) -> RunResult:
     backtrack to the origin pattern and reprocess the range, then resume with
     the depth resolution (or the completion sweep) they interrupted.
     """
-    eng = _Engine("pbfd", h, scenario)
+    return start_run("pbfd", h, scenario).finish()
+
+
+def _pbfd_start(eng: _Engine) -> None:
     eng.emit("PB1", _State(phase="S1", i=1), dict(_init_payload(eng), pattern=eng.level_ids(1)))
 
-    while eng.state.phase not in ("T", "S5"):
-        st = eng.state
-        if st.phase == "S1":
-            batch = eng.level_ids(st.i)
-            processed = eng.mark_in_progress(batch)
-            eng.emit("PB2", _State(phase="S2", i=st.i), {"pattern": batch, "processed": processed})
-        elif st.phase == "S2":
-            base = _validated(eng, "pattern", "PB3", "PB3c")
-            if base is not None:
-                eng.emit("PB4", _State(phase="S3", i=st.i), base)
-        elif st.phase == "S1R":
-            if not _exhausted(eng, "PB9"):
-                _pbfd_refinement_process(eng)
-        elif st.phase == "S2R":
-            base = _refinement_validated(eng, "PB3a2")
-            if base is not None:
-                eng.emit("PB3a1", replace(st, phase="S3R"), base)
-        elif st.phase == "S3R":
-            _pbfd_refinement_depth(eng)
-        elif st.phase == "S3":
-            _pbfd_depth_resolution(eng)
-        elif st.phase == "S4":
-            _top_down(eng, fail_rule="PB7a", dead_rule="PB7b", forward_rule="PB7", done_rule="PB8")
-        else:  # pragma: no cover - defensive
-            raise HybridRunError(f"stuck in phase {st.phase}")
-    return eng.result()
+
+def _pbfd_step(eng: _Engine) -> None:
+    st = eng.state
+    if st.phase == "S1":
+        batch = eng.level_ids(st.i)
+        processed = eng.mark_in_progress(batch)
+        eng.emit("PB2", _State(phase="S2", i=st.i), {"pattern": batch, "processed": processed})
+    elif st.phase == "S2":
+        base = _validated(eng, "pattern", "PB3", "PB3c")
+        if base is not None:
+            eng.emit("PB4", _State(phase="S3", i=st.i), base)
+    elif st.phase == "S1R":
+        if not _exhausted(eng, "PB9"):
+            _pbfd_refinement_process(eng)
+    elif st.phase == "S2R":
+        base = _refinement_validated(eng, "PB3a2")
+        if base is not None:
+            eng.emit("PB3a1", replace(st, phase="S3R"), base)
+    elif st.phase == "S3R":
+        _pbfd_refinement_depth(eng)
+    elif st.phase == "S3":
+        _pbfd_depth_resolution(eng)
+    elif st.phase == "S4":
+        _top_down(eng, fail_rule="PB7a", dead_rule="PB7b", forward_rule="PB7", done_rule="PB8")
+    else:  # pragma: no cover - defensive
+        raise HybridRunError(f"stuck in phase {st.phase}")
 
 
 def _pbfd_refinement_process(eng: _Engine) -> None:
@@ -485,3 +532,22 @@ def _pbfd_depth_resolution(eng: _Engine) -> None:
         eng.emit("PB4a", _State(phase="S1", i=i + 1), base)
     else:
         eng.emit("PB4b", _State(phase="S4", i=1), base)
+
+
+# Each hybrid machine's initial rule and step.
+_MACHINES: dict[str, tuple[Callable[[_Engine], None], Callable[[_Engine], None]]] = {
+    "pdfd": (_pdfd_start, _pdfd_step),
+    "pbfd": (_pbfd_start, _pbfd_step),
+}
+
+
+def start_run(methodology: str, h: Hierarchy, scenario: Scenario) -> _Engine:
+    """A run of the hybrid machine ``methodology`` that has fired its
+    initial rule; ``step`` it until ``done``.  A basic machine or an unknown
+    name raises ValueError."""
+    machine = _MACHINES.get(methodology)
+    if machine is None:
+        raise ValueError(f"{methodology!r} is not a hybrid machine (pdfd, pbfd)")
+    eng = _Engine(methodology, h, scenario)
+    machine[0](eng)
+    return eng

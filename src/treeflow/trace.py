@@ -8,8 +8,9 @@ statuses, which is what the verification monitors consume.
 Statuses travel as deltas (``TRACE_FORMAT`` 2): the first event's payload
 holds the full ``statuses`` map and ``"trace_format": 2``, and every later
 event holds ``status_changes``, the new status of exactly the nodes that step
-changed.  ``fold_statuses`` rebuilds each event's map.  It also reads format
-1, where every event carries the full map.
+changed.  ``StatusFold`` rebuilds each event's map, one event at a time,
+and ``fold_statuses`` runs it over a trace.  It also reads format 1, where
+every event carries the full map.
 """
 
 from __future__ import annotations
@@ -163,31 +164,34 @@ class Trace:
         return cls(methodology, events)
 
 
-def check_chaining(trace: Trace) -> int | None:
-    """Index (seq) of the first event whose from_state breaks the chain."""
-    for prev, cur in zip(trace.events, trace.events[1:]):
-        if cur.from_state != prev.to_state:
-            return cur.seq
-    return None
+class StatusFold:
+    """Rebuild a hybrid trace's committed node statuses, one event at a time.
 
+    ``step(event)`` applies the event and returns ``prior``: each node whose
+    status the event changed, mapped to its status before (None for a node
+    the map did not hold).  ``statuses`` is then the map after the event; it
+    is updated in place, so copy it to keep it past the next step.  ``copy``
+    gives an independent fold at the same point of the trace.
 
-def fold_statuses(
-    events: Iterable[TraceEvent],
-) -> Iterator[tuple[TraceEvent, dict[int, int], dict[int, int | None]]]:
-    """Rebuild a hybrid trace's committed node statuses, event by event.
+    A ``statuses`` payload replaces the map (the first event of format 2;
+    every event of format 1 or of a hand-made trace), then
+    ``status_changes`` patches it.  A delta before any full map, one naming
+    a node the map lacks, a node id not written as ``str(int)`` writes it, a
+    non-integer status, an event with neither key, or a ``trace_format``
+    other than 1 or ``TRACE_FORMAT`` raises StatusFoldError."""
 
-    Yields ``(event, statuses, prior)``.  ``statuses`` is the map after the
-    event; it is updated in place, so copy it to keep it past the next step.
-    ``prior`` maps each node whose status the event changed to its status
-    before (None for a node the map did not hold).  A ``statuses`` payload
-    replaces the map (the first event of format 2; every event of format 1
-    or of a hand-made trace), then ``status_changes`` patches it.  A delta
-    before any full map, one naming a node the map lacks, a node id not
-    written as ``str(int)`` writes it, a non-integer status, an event with
-    neither key, or a ``trace_format`` other than 1 or ``TRACE_FORMAT``
-    raises StatusFoldError."""
-    statuses: dict[int, int] | None = None
-    for ev in events:
+    __slots__ = ("statuses",)
+
+    def __init__(self) -> None:
+        self.statuses: dict[int, int] | None = None
+
+    def copy(self) -> "StatusFold":
+        other = StatusFold()
+        if self.statuses is not None:
+            other.statuses = dict(self.statuses)
+        return other
+
+    def step(self, ev: TraceEvent) -> dict[int, int | None]:
         p = ev.payload
         version = p.get("trace_format", TRACE_FORMAT)
         if version not in (1, TRACE_FORMAT):
@@ -195,18 +199,21 @@ def fold_statuses(
         full, changes = p.get("statuses"), p.get("status_changes")
         if full is None and changes is None:
             raise StatusFoldError(ev.seq, "no statuses or status_changes")
+        statuses = self.statuses
         prior: dict[int, int | None] = {}
         if full is not None:
             new = dict(_int_items(full, ev.seq, "statuses"))
-            old_map = statuses or {}
-            for n, s in new.items():
-                old = old_map.get(n)
-                if old != s:
-                    prior[n] = old
-            for n, old in old_map.items():
-                if n not in new:
-                    prior[n] = old
-            statuses = new
+            if statuses is None:  # the first map: every node is new
+                prior = dict.fromkeys(new)
+            else:
+                for n, s in new.items():
+                    old = statuses.get(n)
+                    if old != s:
+                        prior[n] = old
+                for n, old in statuses.items():
+                    if n not in new:
+                        prior[n] = old
+            statuses = self.statuses = new
         if changes is not None:
             if statuses is None:
                 raise StatusFoldError(ev.seq, "status_changes before any full status map")
@@ -221,16 +228,44 @@ def fold_statuses(
                 elif prior[n] == s:  # a full map and a delta in one event cancel
                     del prior[n]
                 statuses[n] = s
-        yield ev, statuses, prior  # type: ignore[misc]
+        return prior
+
+
+def fold_statuses(
+    events: Iterable[TraceEvent],
+) -> Iterator[tuple[TraceEvent, dict[int, int], dict[int, int | None]]]:
+    """``StatusFold`` over ``events``: yields ``(event, statuses, prior)``
+    after each step, and raises its StatusFoldError."""
+    fold = StatusFold()
+    for ev in events:
+        prior = fold.step(ev)
+        yield ev, fold.statuses, prior  # type: ignore[misc]
+
+
+# The node id of each status-map key already read and found canonical.  Keys
+# repeat across the events of a trace and across the monitors that fold it,
+# so most keys skip int() and its check.  Bounded: past the cap, new keys
+# are still read and checked, just not kept.
+_NODE_IDS: dict[Any, int] = {}
+_NODE_IDS_CAP = 1 << 16
 
 
 def _int_items(raw: Any, seq: Any, key: str) -> list[tuple[int, int]]:
     try:
-        items = [(int(k), int(v)) for k, v in raw.items()]
+        ids = list(map(_NODE_IDS.get, raw))
+        if None in ids:
+            ids = list(map(int, raw))
+            fresh = True
+        else:
+            fresh = False
+        items = list(zip(ids, map(int, raw.values())))
     except (AttributeError, TypeError, ValueError):
         raise StatusFoldError(seq, f"{key} must map node ids to integer statuses") from None
-    # int() also reads " 3", "+3", "03", "1_0" and non-ASCII digits.
-    for (n, _s), k in zip(items, raw):
-        if str(n) != k:
+    if fresh:
+        # int() also reads " 3", "+3", "03", "1_0" and non-ASCII digits.
+        if list(map(str, ids)) != list(raw):
+            k, n = next((k, n) for k, n in zip(raw, ids) if str(n) != k)
             raise StatusFoldError(seq, f"{key} key {k!r} must be written {str(n)!r}")
+        if len(_NODE_IDS) < _NODE_IDS_CAP:
+            _NODE_IDS.update(zip(raw, ids))
     return items

@@ -22,8 +22,12 @@ Checks provided, all pure over immutable traces:
   enumeration of reachable machine configurations over all validation
   outcomes.
 
-The status monitors read statuses through ``trace.fold_statuses``, so they
-accept both the delta-encoded format and full per-event snapshots.
+Well-formedness and measure descent are folds, ``WellFormedFold`` and
+``DescentFold``: fed one event at a time, copied at a branch point, read
+for a verdict at any point.  Their ``check_*`` functions run the fold over a
+whole trace, and the run enumerator forks them with the engine.  The status
+monitors read statuses through ``trace.StatusFold``, so they accept both the
+delta-encoded format and full per-event snapshots.
 """
 
 from __future__ import annotations
@@ -32,12 +36,12 @@ import enum
 from dataclasses import dataclass
 from functools import cache
 from operator import itemgetter, methodcaller
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .hierarchy import Hierarchy
 from .measure import Measure, TraceContext, measure_with_counts
 from .scenario import Scenario, TraceOriginStrategy
-from .trace import StatusFoldError, Trace, TraceEvent, check_chaining, fold_statuses
+from .trace import StatusFold, StatusFoldError, Trace, TraceEvent, fold_statuses
 
 
 class Delta(enum.Enum):
@@ -397,24 +401,69 @@ def _context(name: str, trace: Trace, methodology: str | None) -> TraceContext |
 
 def check_well_formed(trace: Trace, methodology: str | None = None) -> Verdict:
     """Chaining plus rule-id membership and state-family agreement."""
-    name = "well-formed"
-    methodology = methodology or trace.methodology
-    rules = RULE_TABLES.get(methodology)
-    if rules is None:
-        return Verdict(name, False, f"unknown methodology {methodology!r}")
-    broken = check_chaining(trace)
-    if broken is not None:
-        return Verdict(name, False, "state chain broken", broken)
-    for ev in trace:
-        spec = rules.get(ev.rule)
-        if spec is None:
-            return Verdict(name, False, f"unknown rule {ev.rule}", ev.seq)
-        src = _family(ev.from_state)
-        if src not in spec.sources:
-            return Verdict(name, False, f"{ev.rule} fired from {src}", ev.seq)
-        if _family(ev.to_state) not in spec.targets:
-            return Verdict(name, False, f"{ev.rule} targeted {ev.to_state}", ev.seq)
-    return Verdict(name, True)
+    fold = WellFormedFold(methodology or trace.methodology)
+    fold.feed(trace.events)
+    return fold.verdict()
+
+
+_START = object()  # the state before the first event
+
+
+class WellFormedFold:
+    """``check_well_formed`` as a fold: ``feed`` it the next events of a
+    trace, in order, ``copy`` it at a branch point, read its ``verdict`` at
+    any point.
+
+    A broken chain anywhere wins over an earlier rule problem, so after the
+    first rule problem the fold still follows the chain."""
+
+    __slots__ = ("methodology", "rules", "_prev", "_broken", "_problem")
+
+    def __init__(self, methodology: str):
+        self.methodology = methodology
+        self.rules = RULE_TABLES.get(methodology)
+        self._prev: Any = _START  # the last event's to_state
+        self._broken: int | None = None  # seq of the first chain break
+        self._problem: tuple[str, int] | None = None  # the first rule problem
+
+    def copy(self) -> "WellFormedFold":
+        other = WellFormedFold.__new__(WellFormedFold)
+        other.methodology, other.rules = self.methodology, self.rules
+        other._prev, other._broken, other._problem = self._prev, self._broken, self._problem
+        return other
+
+    def feed(self, events: Iterable[TraceEvent]) -> None:
+        rules = self.rules
+        if self._broken is not None or rules is None:
+            return
+        prev, problem = self._prev, self._problem
+        for ev in events:
+            if ev.from_state != prev and prev is not _START:
+                self._broken = ev.seq
+                return
+            prev = ev.to_state
+            if problem is not None:
+                continue
+            spec = rules.get(ev.rule)
+            if spec is None:
+                problem = (f"unknown rule {ev.rule}", ev.seq)
+                continue
+            src = _family(ev.from_state)
+            if src not in spec.sources:
+                problem = (f"{ev.rule} fired from {src}", ev.seq)
+            elif _family(prev) not in spec.targets:
+                problem = (f"{ev.rule} targeted {prev}", ev.seq)
+        self._prev, self._problem = prev, problem
+
+    def verdict(self) -> Verdict:
+        name = "well-formed"
+        if self.rules is None:
+            return Verdict(name, False, f"unknown methodology {self.methodology!r}")
+        if self._broken is not None:
+            return Verdict(name, False, "state chain broken", self._broken)
+        if self._problem is not None:
+            return Verdict(name, False, *self._problem)
+        return Verdict(name, True)
 
 
 # -- rule legality against payloads and folded statuses --------------------------
@@ -544,75 +593,122 @@ def _delta_ok(kind: Delta, pre: int, post: int) -> bool:
 def check_measure_descent(trace: Trace, methodology: str | None = None) -> Verdict:
     """Strict lexicographic descent on every non-terminal transition, with
     per-component deltas matching the rule's expected pattern, and recorded
-    measures agreeing with recomputation.
-
-    The monitor counts unfinalized nodes and unvisited nodes per level
-    itself, from the folded status changes, and never trusts the engine's
-    counters."""
-    name = "measure-descent"
-    methodology = methodology or trace.methodology
-    if methodology not in HYBRID:
-        return Verdict(name, True, "no measure defined for basic machines")
-    ctx = _context(name, trace, methodology)
-    if isinstance(ctx, Verdict):
-        return ctx
-    try:
-        return _descent(name, trace, RULE_TABLES[methodology], ctx)
-    except StatusFoldError as err:
-        return Verdict(name, False, err.detail, err.seq)
+    measures agreeing with recomputation.  An empty hybrid trace raises
+    ValueError."""
+    fold = DescentFold(methodology or trace.methodology)
+    fold.feed(trace.events)
+    return fold.verdict()
 
 
-def _descent(name: str, trace: Trace, rules: dict[str, RuleSpec], ctx: TraceContext) -> Verdict:
-    level_of = {n: k for k, ids in ctx.levels.items() for n in ids}
-    unfinalized = 0
-    # Nodes the status map lacks count as unvisited, so every level starts full.
-    unvisited = {k: len(ids) for k, ids in ctx.levels.items()}
-    prev_measure: Measure | None = None
-    for ev, statuses, prior in fold_statuses(trace):
-        for n, old in prior.items():
-            new = statuses.get(n)
-            unfinalized += (new is not None and new != 2) - (old is not None and old != 2)
-            k = level_of.get(n)
-            if k is not None:
-                unvisited[k] += (not new) - (not old)
-        spec = rules.get(ev.rule)
-        if spec is None:
-            return Verdict(name, False, f"unknown rule {ev.rule}", ev.seq)
-        try:
-            recomputed = measure_with_counts(ev.payload, ctx, unfinalized, unvisited)
-        except UNREADABLE as exc:
-            return _unreadable(name, ev, exc)
-        if ev.measure_post is not None and tuple(ev.measure_post) != recomputed:
-            return Verdict(
-                name,
-                False,
-                f"recorded post-measure {ev.measure_post} != recomputed {recomputed}",
-                ev.seq,
-            )
-        if prev_measure is not None and ev.measure_pre is not None:
-            if tuple(ev.measure_pre) != prev_measure:
-                return Verdict(name, False, "measure chain broken", ev.seq)
-        if spec.kind == "step":
-            pre = tuple(ev.measure_pre or ())
-            post = tuple(ev.measure_post or ())
-            if len(pre) != 4 or len(post) != 4:
-                return Verdict(name, False, "missing measure snapshot", ev.seq)
-            if not post < pre:
-                return Verdict(
-                    name, False, f"{ev.rule} did not decrease M: {pre} -> {post}", ev.seq
-                )
-            assert spec.deltas is not None
-            for idx, kind in enumerate(spec.deltas):
-                if not _delta_ok(kind, pre[idx], post[idx]):
-                    return Verdict(
-                        name,
-                        False,
-                        f"{ev.rule} component k{idx + 1} broke pattern "
-                        f"{kind.value}: {pre[idx]} -> {post[idx]}",
-                        ev.seq,
-                    )
-        prev_measure = recomputed
-    return Verdict(name, True)
+class DescentFold:
+    """``check_measure_descent`` as a fold, fed, copied and read like
+    ``WellFormedFold``.
+
+    The fold counts unfinalized nodes and unvisited nodes per level itself,
+    from the folded status changes, and never trusts the engine's counters.
+    The first event gives the run parameters; the first failure settles the
+    verdict."""
+
+    __slots__ = ("methodology", "rules", "_ctx", "_level_of", "_statuses",
+                 "_unfinalized", "_unvisited", "_prev", "_failure")
+
+    def __init__(self, methodology: str):
+        self.methodology = methodology
+        self.rules = RULE_TABLES[methodology] if methodology in HYBRID else None
+        self._ctx: TraceContext | None = None
+        self._level_of: dict[int, int] = {}
+        self._statuses = StatusFold()
+        self._unfinalized = 0
+        self._unvisited: dict[int, int] = {}
+        self._prev: Measure | None = None
+        self._failure: Verdict | None = None
+
+    def copy(self) -> "DescentFold":
+        other = DescentFold.__new__(DescentFold)
+        other.methodology, other.rules = self.methodology, self.rules
+        other._ctx, other._level_of = self._ctx, self._level_of
+        other._statuses = self._statuses.copy()
+        other._unfinalized = self._unfinalized
+        other._unvisited = dict(self._unvisited)
+        other._prev, other._failure = self._prev, self._failure
+        return other
+
+    def feed(self, events: Iterable[TraceEvent]) -> None:
+        rules = self.rules
+        if self._failure is not None or rules is None:
+            return
+        self._failure = self._fold(rules, events)
+
+    def _fold(self, rules: dict[str, RuleSpec], events: Iterable[TraceEvent]) -> Verdict | None:
+        name = "measure-descent"
+        ctx, level_of, unvisited = self._ctx, self._level_of, self._unvisited
+        unfinalized, prev = self._unfinalized, self._prev
+        fold = self._statuses
+        for ev in events:
+            if ctx is None:
+                try:
+                    ctx = self._ctx = TraceContext.from_payload(self.methodology, ev.payload)
+                except UNREADABLE as exc:
+                    return _unreadable(name, ev, exc)
+                level_of = self._level_of = {n: k for k, ids in ctx.levels.items() for n in ids}
+                # Nodes the status map lacks count as unvisited, so every level starts full.
+                unvisited = self._unvisited = {k: len(ids) for k, ids in ctx.levels.items()}
+            try:
+                prior = fold.step(ev)
+            except StatusFoldError as err:
+                return Verdict(name, False, err.detail, err.seq)
+            if prior:
+                statuses = fold.statuses
+                for n, old in prior.items():
+                    new = statuses.get(n)
+                    unfinalized += (new is not None and new != 2) - (old is not None and old != 2)
+                    k = level_of.get(n)
+                    if k is not None:
+                        unvisited[k] += (not new) - (not old)
+            spec = rules.get(ev.rule)
+            if spec is None:
+                return Verdict(name, False, f"unknown rule {ev.rule}", ev.seq)
+            try:
+                recomputed = measure_with_counts(ev.payload, ctx, unfinalized, unvisited)
+            except UNREADABLE as exc:
+                return _unreadable(name, ev, exc)
+            problem = _descent_problem(ev, spec, recomputed, prev)
+            if problem is not None:
+                return Verdict(name, False, problem, ev.seq)
+            prev = recomputed
+        self._unfinalized, self._prev = unfinalized, prev
+        return None
+
+    def verdict(self) -> Verdict:
+        name = "measure-descent"
+        if self.rules is None:
+            return Verdict(name, True, "no measure defined for basic machines")
+        if self._failure is not None:
+            return self._failure
+        if self._ctx is None:
+            raise ValueError("empty trace")
+        return Verdict(name, True)
+
+
+def _descent_problem(
+    ev: TraceEvent, spec: RuleSpec, recomputed: Measure, prev: Measure | None
+) -> str | None:
+    if ev.measure_post is not None and tuple(ev.measure_post) != recomputed:
+        return f"recorded post-measure {ev.measure_post} != recomputed {recomputed}"
+    if prev is not None and ev.measure_pre is not None and tuple(ev.measure_pre) != prev:
+        return "measure chain broken"
+    if spec.kind == "step":
+        pre = tuple(ev.measure_pre or ())
+        post = tuple(ev.measure_post or ())
+        if len(pre) != 4 or len(post) != 4:
+            return "missing measure snapshot"
+        if not post < pre:
+            return f"{ev.rule} did not decrease M: {pre} -> {post}"
+        for idx, kind in enumerate(spec.deltas or ()):
+            if not _delta_ok(kind, pre[idx], post[idx]):
+                return (f"{ev.rule} component k{idx + 1} broke pattern "
+                        f"{kind.value}: {pre[idx]} -> {post[idx]}")
+    return None
 
 
 def classify_rules(methodology: str) -> dict[str, str]:
@@ -675,50 +771,64 @@ def check_finalization(trace: Trace) -> Verdict:
 # -- deadlock freeness --------------------------------------------------------------
 
 
-class _ForkingScenario(Scenario):
-    """Scenario that replays a fixed pass/fail decision prefix, then passes;
-    a failing query fails every candidate.
-
-    Used to enumerate every reachable branching of a machine run."""
-
-    def __init__(self, base: Scenario, decisions: list[bool]):
-        super().__init__(
-            r_max=base.r_max,
-            k_thresholds=dict(base.k_thresholds),
-            trace_origin=base.trace_origin,
-        )
-        self._decisions = decisions
-        self.queries = 0
-
-    def failing_nodes(self, phase, index, attempt, candidates):
-        fail = self.queries < len(self._decisions) and self._decisions[self.queries]
-        self.queries += 1
-        return set(candidates) if fail else set()
-
-
-# Decision prefixes are not extended past this many validation queries.
+# Forks are not kept past this many validation queries in one run.
 _MAX_FORK_DEPTH = 64
 
 
-def enumerate_runs(runner: Callable[[Scenario], Any], base: Scenario) -> tuple[list[Any], int]:
-    """Run the machine once under each distinct pass/fail decision sequence
-    (bounded).
+def enumerate_runs(
+    methodology: str, hierarchy: Hierarchy, base: Scenario, folds: tuple = ()
+) -> Iterator[tuple[Any, tuple]]:
+    """Every run of a hybrid machine over the pass and fail answers to its
+    validation queries, bounded, each distinct run once.
 
-    An unanswered query passes, so a decision list that ends in a pass
-    repeats the run of its shorter prefix.  Each run therefore forks once
-    per query it answered by default, below ``_MAX_FORK_DEPTH``: the fork
-    keeps the prefix, passes the queries up to that one, and fails it.
+    The walk visits the run tree once.  A run answers its queries pass; at
+    each of its first ``_MAX_FORK_DEPTH`` queries not yet forked it keeps a
+    fork of the engine, taken before that step, and of each fold.  The fork
+    fails that query (every candidate fails) and goes on from there.  The
+    last fork kept runs next, so runs come in depth-first order, the run
+    that passes everything first.  Every event is emitted once, and each
+    fold is fed it once, as it is emitted.
 
-    Returns (results, distinct runs)."""
-    results = []
-    stack: list[list[bool]] = [[]]
-    while stack:
-        prefix = stack.pop()
-        sc = _ForkingScenario(base, prefix)
-        results.append(runner(sc))
-        for depth in range(len(prefix), min(sc.queries, _MAX_FORK_DEPTH)):
-            stack.append(prefix + [False] * (depth - len(prefix)) + [True])
-    return results, len(results)
+    Only ``base``'s budget, thresholds and origin strategy are used.  Yields
+    ``(result, folds)`` as each run reaches T or S5: its ``RunResult`` and
+    its own copies of ``folds`` (each with ``feed`` and ``copy``), fed every
+    event of the run.  A basic machine raises ValueError here, before the
+    first run."""
+    from .hybrid_machines import start_run
+
+    sc = Scenario(r_max=base.r_max, k_thresholds=dict(base.k_thresholds),
+                  trace_origin=base.trace_origin)
+    return _walk(start_run(methodology, hierarchy, sc), tuple(f.copy() for f in folds))
+
+
+def _walk(root, root_folds: tuple) -> Iterator[tuple[Any, tuple]]:
+    # The run being stepped: its engine, folds, queries so far, and whether
+    # its next query is the one its fork was kept to fail.
+    eng, folds, queries, fail = root, root_folds, 0, False
+
+    def answer(phase_tag, index, attempt, candidates):
+        nonlocal queries, fail
+        query, queries = queries, queries + 1
+        if fail:
+            fail = False
+            return candidates
+        if query < _MAX_FORK_DEPTH:
+            forks.append((eng.fork(), tuple(f.copy() for f in folds), query, True))
+        return ()
+
+    root.answer = answer  # forks share it
+    for fold in root_folds:
+        fold.feed(root.trace.events)
+    forks = [(root, root_folds, 0, False)]
+    while forks:
+        eng, folds, queries, fail = forks.pop()
+        events = eng.trace.events
+        while not eng.done:
+            fed = len(events)
+            eng.step()
+            for fold in folds:
+                fold.feed(events[fed:])
+        yield eng.result(), folds
 
 
 def check_deadlock_freeness(
@@ -731,9 +841,19 @@ def check_deadlock_freeness(
     Statically, every non-terminal state family needs an outgoing rule and
     the only sink families are T and S5.  When a hierarchy is supplied, all
     validation-outcome assignments are enumerated and every run must end in
-    T or S5 with a legal, measure-decreasing trace."""
+    T or S5 with a well-formed, measure-decreasing trace; the first run in
+    enumeration order that is not gives the verdict.  An unknown
+    methodology is a FAIL; a basic machine with a hierarchy raises
+    ValueError."""
     name = f"deadlock-freeness[{methodology}]"
-    rules = RULE_TABLES[methodology]
+    rules = RULE_TABLES.get(methodology)
+    if rules is None:
+        return Verdict(name, False, f"unknown methodology {methodology!r}")
+    runs = None
+    if hierarchy is not None:
+        base = Scenario(r_max=r_max, trace_origin=TraceOriginStrategy.fixed(1))
+        monitors = (WellFormedFold(methodology), DescentFold(methodology))
+        runs = enumerate_runs(methodology, hierarchy, base, monitors)
     sources = {src for s in rules.values() for src in s.sources}
     targets = {t for s in rules.values() for t in s.targets}
     families = sources | targets
@@ -745,23 +865,16 @@ def check_deadlock_freeness(
     sinks = {f for f in families if f not in sources}
     if sinks - {"T", "S5"}:
         return Verdict(name, False, f"unexpected sink states {sinks - {'T', 'S5'}}")
-
-    if hierarchy is not None:
-        from .hybrid_machines import run_pbfd, run_pdfd
-
-        run = {"pdfd": run_pdfd, "pbfd": run_pbfd}[methodology]
-        base = Scenario(r_max=r_max, trace_origin=TraceOriginStrategy.fixed(1))
-
-        results, n = enumerate_runs(lambda sc: run(hierarchy, sc), base)
-        for res in results:
-            if res.outcome not in ("T", "S5"):
-                return Verdict(name, False, f"run ended in {res.outcome}")
-            for chk in (check_well_formed, check_measure_descent):
-                v = chk(res.trace, methodology)
-                if not v.ok:
-                    return Verdict(name, False, f"enumerated run: {v.detail}", v.first_violation_seq)
-        return Verdict(name, True, f"{n} enumerated runs, all reached T or S5")
-    return Verdict(name, True, "static rule coverage only")
+    if runs is None:
+        return Verdict(name, True, "static rule coverage only")
+    n = 0
+    for _result, monitors in runs:
+        n += 1
+        for monitor in monitors:
+            v = monitor.verdict()
+            if not v.ok:
+                return Verdict(name, False, f"enumerated run: {v.detail}", v.first_violation_seq)
+    return Verdict(name, True, f"{n} enumerated runs, all reached T or S5")
 
 
 def run_all_checks(

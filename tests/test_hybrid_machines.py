@@ -202,8 +202,8 @@ class TestPbfdShapes:
         """All validation outcomes on a small tree: T or S5, never stuck."""
         h = uniform_hierarchy([1, 2])
         base = Scenario(r_max=1, trace_origin=TraceOriginStrategy.fixed(1))
-        results, n = enumerate_runs(lambda sc: run_pbfd(h, sc), base)
-        assert n >= 3
+        results = [r for r, _folds in enumerate_runs("pbfd", h, base)]
+        assert len(results) >= 3
         assert {r.outcome for r in results} <= {"T", "S5"}
 
     def test_retry_failure_path(self):

@@ -5,19 +5,36 @@ compares cProfile's total call counts, which are exact and the same on every
 host.  A linear layer may at most double its calls, with a margin for fixed
 costs (ratio <= 2.2); a layer that must not depend on the size stays at
 ratio ~1.  A quadratic cost shows as a ratio near 4.
+
+Bounded run enumeration is guarded by counting its work directly: each
+distinct event is emitted once and fed to each monitor once.
 """
 
 import cProfile
 import pstats
+from collections import Counter
 
 import pytest
 
+from test_verification import replay_runs
 from treeflow.basic_machines import Dag, run_dad, run_dfd
-from treeflow.fixtures import pdfd_mvp_scenario, perfect_tree, visited_places_hierarchy
+from treeflow.fixtures import (
+    pdfd_mvp_scenario,
+    perfect_tree,
+    uniform_hierarchy,
+    visited_places_hierarchy,
+)
 from treeflow.hierarchy import load_hierarchy
 from treeflow.hybrid_machines import run_pdfd
+from treeflow.scenario import Scenario, TraceOriginStrategy
 from treeflow.trace import Trace
-from treeflow.verify import check_bounded_refinement, check_measure_descent
+from treeflow.verify import (
+    DescentFold,
+    WellFormedFold,
+    check_bounded_refinement,
+    check_deadlock_freeness,
+    check_measure_descent,
+)
 
 LINEAR = 2.2
 
@@ -131,3 +148,43 @@ class TestSizeIndependentLayers:
         verdict = check_measure_descent(trace, "pdfd")
         assert verdict.first_violation_seq > len(trace) // 2, verdict.line()
         assert check_bounded_refinement(trace).ok
+
+
+def distinct_prefixes(results) -> int:
+    """The number of distinct event prefixes over the runs' traces: the
+    nodes of the run tree."""
+    nodes: dict[tuple[int, str], int] = {}
+    for res in results:
+        node = 0
+        for line in res.trace.to_jsonl().splitlines():
+            node = nodes.setdefault((node, line), len(nodes) + 1)
+    return len(nodes)
+
+
+class TestEnumerationWork:
+    @pytest.mark.parametrize("tree", [[1, 2, 2], [1, 2, 3, 2]], ids=str)
+    @pytest.mark.parametrize("methodology", ["pdfd", "pbfd"])
+    def test_each_distinct_event_emitted_and_fed_once(self, monkeypatch, methodology, tree):
+        h = uniform_hierarchy(tree)
+        base = Scenario(r_max=1, trace_origin=TraceOriginStrategy.fixed(1))
+        runs = replay_runs(methodology, h, base)
+        expected = distinct_prefixes(runs)
+        assert expected < sum(len(r.trace) for r in runs)  # replay re-emits shared prefixes
+
+        counts = Counter()
+        emit = Trace.emit
+
+        def counted_emit(self, *args, **kwargs):
+            counts["emit"] += 1
+            return emit(self, *args, **kwargs)
+
+        monkeypatch.setattr(Trace, "emit", counted_emit)
+        for cls in (WellFormedFold, DescentFold):
+            def counted_feed(self, events, feed=cls.feed, key=cls.__name__):
+                counts[key] += len(events)
+                return feed(self, events)
+
+            monkeypatch.setattr(cls, "feed", counted_feed)
+        verdict = check_deadlock_freeness(methodology, h, r_max=1)
+        assert verdict.detail == f"{len(runs)} enumerated runs, all reached T or S5"
+        assert counts == {"emit": expected, "WellFormedFold": expected, "DescentFold": expected}

@@ -26,7 +26,9 @@ from treeflow.verify import (
     check_rule_legality,
     check_well_formed,
     _MAX_FORK_DEPTH,
-    _ForkingScenario,
+    DescentFold,
+    Verdict,
+    WellFormedFold,
     classify_rules,
     context_of,
     enumerate_runs,
@@ -268,6 +270,18 @@ class TestLegality:
         )
         assert not check_well_formed(Trace("pdfd", events)).ok
 
+    def test_chain_break_wins_over_an_earlier_unknown_rule(self):
+        res = run_pdfd(perfect_tree(2, 3), Scenario(r_max=1, trace_origin=TraceOriginStrategy.fixed(1)))
+        events = list(res.trace)
+        events[1] = events[1]._replace(rule="PDX")
+        events[4] = events[4]._replace(from_state="S4(9)")
+        verdict = check_well_formed(Trace("pdfd", events))
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
+            False, "state chain broken", events[4].seq)
+        del events[4:]
+        verdict = check_well_formed(Trace("pdfd", events))
+        assert (verdict.detail, verdict.first_violation_seq) == ("unknown rule PDX", events[1].seq)
+
 
 class TestDeadlock:
     def test_static_rule_coverage(self):
@@ -287,33 +301,179 @@ class TestDeadlock:
             assert v.ok, v.detail
             assert v.detail == f"{runs} enumerated runs, all reached T or S5"
 
+    @pytest.mark.parametrize("h", [None, uniform_hierarchy([1, 2])], ids=["static", "enumerated"])
+    def test_unknown_methodology_is_a_failed_verdict(self, h):
+        v = check_deadlock_freeness("xyz", h)
+        assert (v.ok, v.line()) == (False, "FAIL deadlock-freeness[xyz] (event None: "
+                                           "unknown methodology 'xyz')")
 
-def _forking_both_ways(runner, base):
-    """Reference enumeration: fork every default-answered query into a fail
-    and an explicit pass.  A trailing pass replays the shorter prefix's run,
-    so this meets every run, most of them more than once."""
+    @pytest.mark.parametrize("methodology", ["dad", "dfd", "bfd", "cdd", "tle"])
+    def test_basic_machine_with_a_hierarchy_is_a_value_error(self, methodology):
+        with pytest.raises(ValueError, match=f"^'{methodology}' is not a hybrid machine"):
+            check_deadlock_freeness(methodology, uniform_hierarchy([1, 2]))
+
+
+# -- the replay enumerator, kept as the oracle of enumerate_runs ----------------------
+
+
+class _ForkingScenario(Scenario):
+    """Scenario that replays a fixed pass/fail decision prefix, then passes;
+    a failing query fails every candidate."""
+
+    def __init__(self, base: Scenario, decisions: list[bool]):
+        super().__init__(
+            r_max=base.r_max,
+            k_thresholds=dict(base.k_thresholds),
+            trace_origin=base.trace_origin,
+        )
+        self._decisions = decisions
+        self.queries = 0
+
+    def failing_nodes(self, phase, index, attempt, candidates):
+        fail = self.queries < len(self._decisions) and self._decisions[self.queries]
+        self.queries += 1
+        return set(candidates) if fail else set()
+
+
+RUNNERS = {"pdfd": run_pdfd, "pbfd": run_pbfd}
+
+
+def replay_runs(methodology, h, base):
+    """Each distinct run, replayed from its first event under its decision
+    prefix, in depth-first order: a run forks once per query it answered by
+    default, below ``_MAX_FORK_DEPTH``, and the deepest fork runs next."""
+    runner = RUNNERS[methodology]
     results, stack = [], [[]]
     while stack:
         prefix = stack.pop()
         sc = _ForkingScenario(base, prefix)
-        results.append(runner(sc))
+        results.append(runner(h, sc))
+        for depth in range(len(prefix), min(sc.queries, _MAX_FORK_DEPTH)):
+            stack.append(prefix + [False] * (depth - len(prefix)) + [True])
+    return results
+
+
+def _forking_both_ways(methodology, h, base):
+    """Fork every default-answered query into a fail and an explicit pass.
+    A trailing pass replays the shorter prefix's run, so this meets every
+    run, most of them more than once."""
+    results, stack = [], [[]]
+    while stack:
+        prefix = stack.pop()
+        sc = _ForkingScenario(base, prefix)
+        results.append(RUNNERS[methodology](h, sc))
         if len(prefix) < _MAX_FORK_DEPTH and sc.queries > len(prefix):
             stack += [prefix + [True], prefix + [False]]
     return results
 
 
+def replay_verdict(methodology, h, r_max):
+    """check_deadlock_freeness's verdict from the replayed runs: well-formed,
+    then measure descent, on each run; the first failing run decides."""
+    base = Scenario(r_max=r_max, trace_origin=TraceOriginStrategy.fixed(1))
+    results = replay_runs(methodology, h, base)
+    name = f"deadlock-freeness[{methodology}]"
+    for res in results:
+        for check in (check_well_formed, check_measure_descent):
+            v = check(res.trace, methodology)
+            if not v.ok:
+                return Verdict(name, False, f"enumerated run: {v.detail}", v.first_violation_seq)
+    return Verdict(name, True, f"{len(results)} enumerated runs, all reached T or S5")
+
+
+def _verdict_key(v: Verdict):
+    return v.ok, v.detail, v.first_violation_seq
+
+
 class TestEnumerateRuns:
     @pytest.mark.parametrize("tree", [[1, 2], [1, 2, 2], [1, 2, 3], [1, 2, 2, 2]], ids=str)
     @pytest.mark.parametrize("r_max", [1, 2])
-    @pytest.mark.parametrize("run", [run_pdfd, run_pbfd], ids=["pdfd", "pbfd"])
-    def test_each_distinct_run_once(self, tree, r_max, run):
+    @pytest.mark.parametrize("methodology", ["pdfd", "pbfd"])
+    def test_each_distinct_run_once(self, tree, r_max, methodology):
+        """The same runs in the same order as the replay, each once."""
         h = uniform_hierarchy(tree)
         base = Scenario(r_max=r_max, trace_origin=TraceOriginStrategy.fixed(1))
-        results, n = enumerate_runs(lambda sc: run(h, sc), base)
-        traces = [r.trace.to_jsonl() for r in results]
-        assert n == len(traces) == len(set(traces))
-        reference = {r.trace.to_jsonl() for r in _forking_both_ways(lambda sc: run(h, sc), base)}
+        traces = [r.trace.to_jsonl() for r, _folds in enumerate_runs(methodology, h, base)]
+        assert traces == [r.trace.to_jsonl() for r in replay_runs(methodology, h, base)]
+        assert len(traces) == len(set(traces))
+        reference = {r.trace.to_jsonl() for r in _forking_both_ways(methodology, h, base)}
         assert set(traces) == reference
+
+    @pytest.mark.parametrize("methodology,levels", [("pdfd", 24), ("pbfd", 34)])
+    def test_runs_past_the_fork_depth(self, methodology, levels):
+        """A chain this deep asks more than ``_MAX_FORK_DEPTH`` queries in
+        its passing run (pdfd three per level, pbfd two), so the cut decides
+        which forks are kept."""
+        h = uniform_hierarchy([1] * levels)
+        base = Scenario(r_max=1, trace_origin=TraceOriginStrategy.fixed(1))
+        runs = list(enumerate_runs(methodology, h, base))
+        first = runs[0][0].trace
+        assert sum(1 for ev in first if "failing" in ev.payload) > _MAX_FORK_DEPTH
+        assert [r.trace.to_jsonl() for r, _ in runs] == [
+            r.trace.to_jsonl() for r in replay_runs(methodology, h, base)]
+
+    @pytest.mark.parametrize("r_max", [1, 2])
+    @pytest.mark.parametrize("methodology", ["pdfd", "pbfd"])
+    def test_each_run_has_its_own_folds(self, methodology, r_max):
+        """The folds forked with the engine end in the verdicts the checks
+        give on the finished trace."""
+        h = uniform_hierarchy([1, 2, 3])
+        base = Scenario(r_max=r_max, trace_origin=TraceOriginStrategy.fixed(1))
+        folds = (WellFormedFold(methodology), DescentFold(methodology))
+        for res, (wf, md) in enumerate_runs(methodology, h, base, folds):
+            assert wf.verdict() == check_well_formed(res.trace, methodology)
+            assert md.verdict() == check_measure_descent(res.trace, methodology)
+        assert folds[1].verdict  # the folds passed in are templates, never fed
+        with pytest.raises(ValueError, match="empty trace"):
+            folds[1].verdict()
+
+
+def _inject(monkeypatch, skew_origin: bool, misname_end: bool):
+    """Faults on some branches only.  ``skew_origin`` raises ``i_orig`` on
+    each event that failed a level-2 query, which breaks the recorded
+    post-measure; ``misname_end`` gives the last event of every run that
+    burned an attempt a rule that cannot fire there."""
+    original = hybrid_machines._Engine.emit
+
+    def emit(self, rule, new_state, payload):
+        original(self, rule, new_state, payload)
+        ev = self.trace.events[-1]
+        p = ev.payload
+        if skew_origin and p.get("failing") and p.get("level") == 2 and p.get("i_orig"):
+            ev = ev._replace(payload=dict(p, i_orig=p["i_orig"] + 1))
+        if misname_end and self.done and any(self.attempts.values()):
+            ev = ev._replace(rule="PB2" if self.methodology == "pbfd" else "PD2")
+        self.trace.events[-1] = ev
+
+    monkeypatch.setattr(hybrid_machines._Engine, "emit", emit)
+
+
+class TestEnumeratedFaults:
+    @pytest.mark.parametrize("faults", [(True, False), (False, True), (True, True)],
+                             ids=["descent", "well-formed", "both"])
+    @pytest.mark.parametrize("tree", [[1, 2, 2], [1, 2, 3], [1, 2, 2, 2]], ids=str)
+    @pytest.mark.parametrize("methodology", ["pdfd", "pbfd"])
+    def test_same_failure_as_replay(self, monkeypatch, methodology, tree, faults):
+        _inject(monkeypatch, *faults)
+        h = uniform_hierarchy(tree)
+        for r_max in (1, 2):
+            verdict = check_deadlock_freeness(methodology, h, r_max)
+            assert not verdict.ok
+            assert _verdict_key(verdict) == _verdict_key(replay_verdict(methodology, h, r_max))
+
+    def test_well_formed_decides_a_run_that_fails_both(self, monkeypatch):
+        """Descent fails earlier in the first failing run; well-formedness
+        is reported, at its later event."""
+        _inject(monkeypatch, True, True)
+        h = uniform_hierarchy([1, 2])  # the first fork fails the level-2 top-down query
+        base = Scenario(r_max=1, trace_origin=TraceOriginStrategy.fixed(1))
+        folds = (WellFormedFold("pdfd"), DescentFold("pdfd"))
+        wf, md = next(f for _r, f in enumerate_runs("pdfd", h, base, folds)
+                      if not all(fold.verdict().ok for fold in f))
+        assert md.verdict().first_violation_seq < wf.verdict().first_violation_seq
+        verdict = check_deadlock_freeness("pdfd", h)
+        assert (verdict.detail, verdict.first_violation_seq) == (
+            f"enumerated run: {wf.verdict().detail}", wf.verdict().first_violation_seq)
 
 
 class TestMonitorPurity:
