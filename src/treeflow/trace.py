@@ -16,6 +16,7 @@ every event carries the full map.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple
 
@@ -242,30 +243,27 @@ def fold_statuses(
         yield ev, fold.statuses, prior  # type: ignore[misc]
 
 
-# The node id of each status-map key already read and found canonical.  Keys
-# repeat across the events of a trace and across the monitors that fold it,
-# so most keys skip int() and its check.  Bounded: past the cap, new keys
-# are still read and checked, just not kept.
-_NODE_IDS: dict[Any, int] = {}
-_NODE_IDS_CAP = 1 << 16
+class _Misspelled(Exception):
+    """A key that int() reads but that is not the id's decimal form."""
+
+
+@lru_cache(maxsize=1 << 15)
+def _node_id(key: Any) -> int:
+    """The node id a status-map key spells.  int() also reads " 3", "+3",
+    "03", "1_0" and non-ASCII digits; such a key raises _Misspelled.  A
+    memo: keys repeat across a trace's events and across the monitors that
+    fold it, and a hit returns what a miss computes."""
+    n = int(key)
+    if str(n) != key:
+        raise _Misspelled(key, n)
+    return n
 
 
 def _int_items(raw: Any, seq: Any, key: str) -> list[tuple[int, int]]:
     try:
-        ids = list(map(_NODE_IDS.get, raw))
-        if None in ids:
-            ids = list(map(int, raw))
-            fresh = True
-        else:
-            fresh = False
-        items = list(zip(ids, map(int, raw.values())))
+        return list(zip(map(_node_id, raw), map(int, raw.values())))
+    except _Misspelled as exc:
+        k, n = exc.args
+        raise StatusFoldError(seq, f"{key} key {k!r} must be written {str(n)!r}") from None
     except (AttributeError, TypeError, ValueError):
         raise StatusFoldError(seq, f"{key} must map node ids to integer statuses") from None
-    if fresh:
-        # int() also reads " 3", "+3", "03", "1_0" and non-ASCII digits.
-        if list(map(str, ids)) != list(raw):
-            k, n = next((k, n) for k, n in zip(raw, ids) if str(n) != k)
-            raise StatusFoldError(seq, f"{key} key {k!r} must be written {str(n)!r}")
-        if len(_NODE_IDS) < _NODE_IDS_CAP:
-            _NODE_IDS.update(zip(raw, ids))
-    return items
