@@ -16,7 +16,6 @@ every event carries the full map.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple
 
@@ -243,27 +242,16 @@ def fold_statuses(
         yield ev, fold.statuses, prior  # type: ignore[misc]
 
 
-class _Misspelled(Exception):
-    """A key that int() reads but that is not the id's decimal form."""
-
-
-@lru_cache(maxsize=1 << 15)
-def _node_id(key: Any) -> int:
-    """The node id a status-map key spells.  int() also reads " 3", "+3",
-    "03", "1_0" and non-ASCII digits; such a key raises _Misspelled.  A
-    memo: keys repeat across a trace's events and across the monitors that
-    fold it, and a hit returns what a miss computes."""
-    n = int(key)
-    if str(n) != key:
-        raise _Misspelled(key, n)
-    return n
-
-
 def _int_items(raw: Any, seq: Any, key: str) -> list[tuple[int, int]]:
+    items = []
     try:
-        return list(zip(map(_node_id, raw), map(int, raw.values())))
-    except _Misspelled as exc:
-        k, n = exc.args
-        raise StatusFoldError(seq, f"{key} key {k!r} must be written {str(n)!r}") from None
+        for k, v in raw.items():
+            n = int(k)
+            if str(n) != k:  # int() also reads " 3", "+3", "03", "1_0" and non-ASCII digits
+                raise StatusFoldError(seq, f"{key} key {k!r} must be written {str(n)!r}")
+            items.append((n, int(v)))
+    except StatusFoldError:
+        raise
     except (AttributeError, TypeError, ValueError):
         raise StatusFoldError(seq, f"{key} must map node ids to integer statuses") from None
+    return items
