@@ -155,9 +155,19 @@ class _Engine:
         return self.result()
 
     def fork(self) -> "_Engine":
-        """An independent copy of this run, to be stepped apart from it."""
+        """An independent copy of this run, to be stepped apart from it.
+        Every field is named here, so a field added to ``__init__`` and not
+        here is missing on a fork rather than shared by mistake."""
         other = object.__new__(_Engine)
-        other.__dict__.update(self.__dict__)
+        # Never changed in place during a run: shared.
+        other.methodology, other.h, other.sc, other.answer = (
+            self.methodology, self.h, self.sc, self.answer)
+        other.L, other.cap, other.ctx, other._attempt_keys = (
+            self.L, self.cap, self.ctx, self._attempt_keys)
+        # Replaced, never mutated: the new run rebinds its own.
+        other.state, other.reason, other._unfinalized, other._measure = (
+            self.state, self.reason, self._unfinalized, self._measure)
+        # Changed in place by a step: copied.
         other.queries = dict(self.queries)
         other.statuses = dict(self.statuses)
         other.attempts = dict(self.attempts)

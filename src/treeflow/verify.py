@@ -791,14 +791,14 @@ def enumerate_runs(
 
     Only ``base``'s budget, thresholds and origin strategy are used.  Yields
     ``(result, folds)`` as each run reaches T or S5: its ``RunResult`` and
-    its own copies of ``folds`` (each with ``feed`` and ``copy``), fed every
-    event of the run.  A basic machine raises ValueError here, before the
-    first run."""
+    its own ``folds`` (each with ``feed`` and ``copy``), fed every event of
+    the run.  The folds passed in are the first run's, so they are consumed.
+    A basic machine raises ValueError here, before the first run."""
     from .hybrid_machines import start_run
 
     sc = Scenario(r_max=base.r_max, k_thresholds=dict(base.k_thresholds),
                   trace_origin=base.trace_origin)
-    return _walk(start_run(methodology, hierarchy, sc), tuple(f.copy() for f in folds))
+    return _walk(start_run(methodology, hierarchy, sc), tuple(folds))
 
 
 def _walk(root, root_folds: tuple) -> Iterator[tuple[Any, tuple]]:
@@ -849,11 +849,8 @@ def check_deadlock_freeness(
     rules = RULE_TABLES.get(methodology)
     if rules is None:
         return Verdict(name, False, f"unknown methodology {methodology!r}")
-    runs = None
-    if hierarchy is not None:
-        base = Scenario(r_max=r_max, trace_origin=TraceOriginStrategy.fixed(1))
-        monitors = (WellFormedFold(methodology), DescentFold(methodology))
-        runs = enumerate_runs(methodology, hierarchy, base, monitors)
+    if hierarchy is not None and methodology not in HYBRID:
+        raise ValueError(f"{methodology!r} is not a hybrid machine (pdfd, pbfd)")
     sources = {src for s in rules.values() for src in s.sources}
     targets = {t for s in rules.values() for t in s.targets}
     families = sources | targets
@@ -865,12 +862,14 @@ def check_deadlock_freeness(
     sinks = {f for f in families if f not in sources}
     if sinks - {"T", "S5"}:
         return Verdict(name, False, f"unexpected sink states {sinks - {'T', 'S5'}}")
-    if runs is None:
+    if hierarchy is None:
         return Verdict(name, True, "static rule coverage only")
+    base = Scenario(r_max=r_max, trace_origin=TraceOriginStrategy.fixed(1))
+    monitors = (WellFormedFold(methodology), DescentFold(methodology))
     n = 0
-    for _result, monitors in runs:
+    for _result, folds in enumerate_runs(methodology, hierarchy, base, monitors):
         n += 1
-        for monitor in monitors:
+        for monitor in folds:
             v = monitor.verdict()
             if not v.ok:
                 return Verdict(name, False, f"enumerated run: {v.detail}", v.first_violation_seq)

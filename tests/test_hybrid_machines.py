@@ -14,7 +14,7 @@ from treeflow.fixtures import (
     uniform_hierarchy,
     visited_places_hierarchy,
 )
-from treeflow.hybrid_machines import run_pbfd, run_pdfd
+from treeflow.hybrid_machines import run_pbfd, run_pdfd, start_run
 from treeflow.scenario import (
     Scenario,
     TraceOriginStrategy,
@@ -305,3 +305,31 @@ class TestDeterminism:
         assert sc == before
         b = runner(h, sc)
         assert [e.to_record() for e in a.trace] == [e.to_record() for e in b.trace]
+
+
+class TestFork:
+    @pytest.mark.parametrize("methodology", ["pdfd", "pbfd"])
+    def test_a_fork_has_every_field_and_owns_what_a_step_changes(self, methodology):
+        sc = Scenario(r_max=2, trace_origin=TraceOriginStrategy.fixed(1), seed=3,
+                      random_failure_rate=0.3)
+        eng = start_run(methodology, perfect_tree(2, 3), sc)
+        for _ in range(5):
+            eng.step()
+        fork = eng.fork()
+        assert vars(fork).keys() == vars(eng).keys()
+        for field in ("queries", "statuses", "attempts", "_unvisited", "_changed"):
+            assert getattr(fork, field) == getattr(eng, field) or field == "_changed"
+            assert getattr(fork, field) is not getattr(eng, field), field
+        assert fork.trace.events == eng.trace.events
+        assert fork.trace.events is not eng.trace.events
+
+    @pytest.mark.parametrize("methodology", ["pdfd", "pbfd"])
+    def test_stepping_a_fork_leaves_its_origin_unchanged(self, methodology):
+        h = perfect_tree(2, 3)
+        sc = Scenario(r_max=2, trace_origin=TraceOriginStrategy.fixed(1), seed=3,
+                      random_failure_rate=0.3)
+        eng = start_run(methodology, h, sc)
+        eng.step()
+        eng.fork().finish()
+        alone = {"pdfd": run_pdfd, "pbfd": run_pbfd}[methodology](h, sc)
+        assert eng.finish().trace.to_jsonl() == alone.trace.to_jsonl()
