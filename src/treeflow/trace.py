@@ -180,15 +180,21 @@ class StatusFold:
     non-integer status, an event with neither key, or a ``trace_format``
     other than 1 or ``TRACE_FORMAT`` raises StatusFoldError."""
 
-    __slots__ = ("statuses",)
+    __slots__ = ("statuses", "_ids")
 
     def __init__(self) -> None:
         self.statuses: dict[int, int] | None = None
+        # The node id of each key of the last full map, by its checked
+        # spelling; replaced, never changed in place.  Every delta key must
+        # name a node of that map, so a key found here needs no int() and
+        # no spelling check.
+        self._ids: dict[str, int] = {}
 
     def copy(self) -> "StatusFold":
         other = StatusFold()
         if self.statuses is not None:
             other.statuses = dict(self.statuses)
+        other._ids = self._ids
         return other
 
     def step(self, ev: TraceEvent) -> dict[int, int | None]:
@@ -203,6 +209,7 @@ class StatusFold:
         prior: dict[int, int | None] = {}
         if full is not None:
             new = dict(_int_items(full, ev.seq, "statuses"))
+            self._ids = dict(zip(full, new))
             if statuses is None:  # the first map: every node is new
                 prior = dict.fromkeys(new)
             else:
@@ -217,7 +224,12 @@ class StatusFold:
         if changes is not None:
             if statuses is None:
                 raise StatusFoldError(ev.seq, "status_changes before any full status map")
-            for n, s in _int_items(changes, ev.seq, "status_changes"):
+            ids = self._ids
+            try:
+                items = [(ids[k], int(v)) for k, v in changes.items()]
+            except (AttributeError, KeyError, TypeError, ValueError):
+                items = _int_items(changes, ev.seq, "status_changes")
+            for n, s in items:
                 old = statuses.get(n)
                 if old is None:
                     raise StatusFoldError(ev.seq, f"status_changes names unknown node {n}")

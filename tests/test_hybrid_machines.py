@@ -317,9 +317,10 @@ class TestFork:
             eng.step()
         fork = eng.fork()
         assert vars(fork).keys() == vars(eng).keys()
-        for field in ("queries", "statuses", "attempts", "_unvisited", "_changed"):
-            assert getattr(fork, field) == getattr(eng, field) or field == "_changed"
+        for field in ("queries", "statuses", "attempts", "_unvisited"):
+            assert getattr(fork, field) == getattr(eng, field), field
             assert getattr(fork, field) is not getattr(eng, field), field
+        assert fork._changed is not eng._changed
         assert fork.trace.events == eng.trace.events
         assert fork.trace.events is not eng.trace.events
 

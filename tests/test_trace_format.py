@@ -162,6 +162,20 @@ class TestFold:
             ({1: 2}, {2: 0}),
         ]
 
+    def test_deltas_name_nodes_of_the_last_full_map(self):
+        base = {"attempts": {}}
+        events = [
+            TraceEvent(1, "PD1", "S0", "S1", dict(base, statuses={"1": 0, "2": 0})),
+            TraceEvent(2, "PD2", "S1", "S2", dict(base, statuses={"1": 1, "3": 0})),
+            TraceEvent(3, "PD2", "S1", "S2", dict(base, status_changes={"3": 2})),
+            TraceEvent(4, "PD2", "S1", "S2", dict(base, status_changes={"2": 2})),
+        ]
+        folded = fold_statuses(events)
+        assert [dict(next(folded)[1]) for _ in range(3)] == [
+            {1: 0, 2: 0}, {1: 1, 3: 0}, {1: 1, 3: 2}]
+        with pytest.raises(StatusFoldError, match="^event 4: status_changes names unknown node 2$"):
+            next(folded)
+
     def test_full_map_and_delta_in_one_event_cancel(self):
         base = {"attempts": {}}
         events = [
