@@ -221,6 +221,29 @@ class TestFormatOneTraces:
         assert code == (0 if all(l.startswith("PASS") for l in lines) else 2)
 
 
+class TestRestatedFormatTwoTraces:
+    """Format-2 replays of the two fixtures written while hybrid events
+    still restated the level map and their status changes in payload fields
+    (``batch``, ``processed``, ``pattern``, ``reworked``, ``finalized``,
+    ``finalized_count``, ``next_pattern`` and a per-event ``k``): they verify
+    as today's replay of the same fixture does."""
+
+    @pytest.mark.parametrize("methodology", ["pdfd", "pbfd"])
+    def test_verify_all_prints_todays_verdicts(self, methodology, tmp_path, capsys):
+        fresh = tmp_path / "trace.jsonl"
+        assert main(["replay", "--fixture", f"{methodology}-mvp", "--format", "jsonl-trace",
+                     "--out", str(fresh)]) == 0
+        lines = {}
+        for path in (DATA / f"{methodology}_mvp_format2_restated.jsonl", fresh):
+            capsys.readouterr()
+            code = main(["verify", "--trace", str(path), "--methodology", methodology,
+                         "--check", "all"])
+            lines[path] = (code, capsys.readouterr().out.splitlines())
+        old, new = lines.values()
+        assert old == new
+        assert new[0] == 0 and len(new[1]) == 7
+
+
 class TestCodec:
     def test_blank_and_padded_lines_read_like_before(self, tmp_path):
         trace = mvp_trace()
