@@ -31,7 +31,7 @@ for seq, name in annotate_trace(trace)[:10]:
     print(f"  event {seq}: {name}")
 
 print("\n== status changes of the first finalizing event ==")
-ev = next(e for e in trace if e.payload.get("finalized"))
+ev = next(e for e in trace if 2 in e.payload.get("status_changes", {}).values())
 print(f"event {ev.seq} ({ev.rule}): {ev.payload['status_changes']}")
 
 # Forge a demotion: the last event flips one finalized node back to

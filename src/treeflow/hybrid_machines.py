@@ -6,16 +6,24 @@ Shared semantics
 ----------------
 * Statuses are committed monotonically: a node reaches FINALIZED only on the
   forward finalization rules, and never regresses in committed snapshots.
-  Refinement passes rework nodes in a shadow sense (recorded in payloads)
-  without touching committed FINALIZED statuses.
+  Refinement passes rework a level without touching committed FINALIZED
+  statuses; the trace records the pass by its rule and level alone.
 * Refinement attempts are counted per level, once for every reprocessing
   pass entering that level (episode entry, in-range progression, and
   retries).  A pass whose entry brings the counter to the cap terminates the
   run through the exhaustion rule of the machine.
-* Every event carries the measure before/after, the phase, indices and
-  attempt counters, and the statuses as trace format 2: the full map on the
-  first event, then only the nodes each step changed.  The monitors fold
-  those changes and re-derive everything from the trace alone.
+* Every event carries the measure before/after and the snapshot: ``phase``,
+  ``i``, ``j``, ``i_orig``, ``origin_phase`` and the ``attempts`` map.  The
+  statuses travel as trace format 2: the full map on the first event, then
+  only the nodes each step changed.  The first event also holds the run
+  parameters (``levels``, ``L``, ``r_max``, the ``k`` thresholds).  Beyond
+  that a payload holds only what the trace cannot give otherwise: the
+  ``level`` a rule acts on, a validation query's ``attempt`` and
+  ``failing`` nodes, an episode's ``range_end`` and a dead end's
+  ``reason``.  The nodes a step processes or finalizes are its level's ids
+  in ``levels`` and the changes in its statuses, so no payload repeats
+  them.  The monitors fold the changes and re-derive everything from the
+  trace alone.
 * A run is ``start_run`` followed by ``_Engine.step`` until T or S5.  Each
   step fires one rule and asks at most one validation query, before it
   changes any state, so a fork of the engine taken at the query is the
@@ -197,9 +205,6 @@ class _Engine:
             self.ctx, st.phase, st.i, st.j, st.i_orig, self._unfinalized, k2, unvisited
         )
 
-    def level_ids(self, k: int) -> list[int]:
-        return list(self.ctx.level_ids(k))
-
     # -- event emission --------------------------------------------------------
 
     def emit(self, rule: str, new_state: _State, payload: dict[str, Any]) -> None:
@@ -234,20 +239,14 @@ class _Engine:
 
     # -- status mutation helpers -----------------------------------------------
 
-    def mark_in_progress(self, ids: list[int]) -> list[int]:
-        touched = []
+    def mark_in_progress(self, ids: tuple[int, ...]) -> None:
         for n in ids:
-            s = self.statuses[n]
-            if s != 2:
-                if s == 0:
-                    self._unvisited[self.h.nodes[n].level] -= 1
-                    self.statuses[n] = 1
-                    self._changed.append(n)
-                touched.append(n)
-        return touched
+            if self.statuses[n] == 0:
+                self._unvisited[self.h.nodes[n].level] -= 1
+                self.statuses[n] = 1
+                self._changed.append(n)
 
-    def finalize(self, ids: list[int]) -> list[int]:
-        newly = []
+    def finalize(self, ids: tuple[int, ...]) -> None:
         for n in ids:
             s = self.statuses[n]
             if s != 2:
@@ -256,11 +255,6 @@ class _Engine:
                 self.statuses[n] = 2
                 self._unfinalized -= 1
                 self._changed.append(n)
-                newly.append(n)
-        return newly
-
-    def finalized_count(self, level: int) -> int:
-        return sum(1 for n in self.level_ids(level) if self.statuses[n] == 2)
 
     # -- scenario hooks ----------------------------------------------------------
 
@@ -268,10 +262,12 @@ class _Engine:
         """The attempt number the next validation at (phase, index) gets."""
         return self.queries.get((phase_tag, index), 0) + 1
 
-    def validate(self, phase_tag: str, index: int, candidates: list[int]):
+    def validate(self, phase_tag: str, index: int):
+        """Ask the validation query at (phase, index); its candidates are
+        the level's nodes."""
         attempt = self.next_attempt(phase_tag, index)
         # Asked before the query is counted: the engine is still as the step found it.
-        failing = self.answer(phase_tag, index, attempt, candidates)
+        failing = self.answer(phase_tag, index, attempt, list(self.ctx.level_ids(index)))
         self.queries[(phase_tag, index)] = attempt
         return attempt, sorted(failing)
 
@@ -327,7 +323,7 @@ def _validated(eng: _Engine, tag: str, fail_rule: str, dead_rule: str) -> dict |
     rule carries; on failure backtrack to the traced origin (``fail_rule``)
     or, with no origin, dead-end (``dead_rule``), and return None."""
     st = eng.state
-    attempt, failing = eng.validate(tag, st.i, eng.level_ids(st.i))
+    attempt, failing = eng.validate(tag, st.i)
     base = {"level": st.i, "attempt": attempt, "failing": failing}
     if not failing:
         return base
@@ -345,7 +341,7 @@ def _exhausted(eng: _Engine, rule: str) -> bool:
     j = eng.state.j
     if eng.attempts[j] < eng.sc.r_max:
         return False
-    _terminal_error(eng, rule, "refinement_exhausted", {"level": j, "attempts": eng.attempts[j]})
+    _terminal_error(eng, rule, "refinement_exhausted", {"level": j})
     return True
 
 
@@ -353,7 +349,7 @@ def _refinement_validated(eng: _Engine, fail_rule: str) -> dict | None:
     """Validate the reworked level j.  On failure retry it (``fail_rule``)
     and return None; on success return the payload the next rule carries."""
     st = eng.state
-    attempt, failing = eng.validate("refine", st.j, eng.level_ids(st.j))
+    attempt, failing = eng.validate("refine", st.j)
     base = {"level": st.j, "attempt": attempt, "failing": failing, "range_end": st.i_orig}
     if not failing:
         return base
@@ -401,18 +397,13 @@ def _pdfd_start(eng: _Engine) -> None:
 def _pdfd_step(eng: _Engine) -> None:
     st = eng.state
     if st.phase == "S1":
-        batch = eng.level_ids(st.i)
-        processed = eng.mark_in_progress(batch)
-        eng.emit("PD2", _State(phase="S2", i=st.i), {"batch": batch, "processed": processed})
+        eng.mark_in_progress(eng.ctx.level_ids(st.i))
+        eng.emit("PD2", _State(phase="S2", i=st.i), {})
     elif st.phase == "S2":
         _forward_validation(eng)
     elif st.phase == "S1R":
         if not _exhausted(eng, "PD8"):
-            eng.emit(
-                "PD3",
-                replace(st, phase="S2R"),
-                {"level": st.j, "reworked": eng.level_ids(st.j)},
-            )
+            eng.emit("PD3", replace(st, phase="S2R"), {"level": st.j})
     elif st.phase == "S2R":
         _pdfd_refinement_validation(eng)
     elif st.phase == "S3":
@@ -428,16 +419,13 @@ def _forward_validation(eng: _Engine) -> None:
     if base is None:
         return
     i = eng.state.i
-    candidates = eng.level_ids(i)
-    k_i = eng.sc.k_for(i, len(candidates))
-    newly = eng.finalize(candidates)
-    gate = eng.finalized_count(i)
-    assert gate >= k_i, "advance gate must hold at finalization"
-    payload = dict(base, k=k_i, finalized=newly, finalized_count=gate)
-    if i < eng.L and eng.level_ids(i + 1):
-        eng.emit("PD2b", _State(phase="S1", i=i + 1), payload)
+    level = eng.ctx.level_ids(i)
+    eng.sc.k_for(i, len(level))  # a threshold above the level's size is refused
+    eng.finalize(level)
+    if i < eng.L and eng.ctx.level_ids(i + 1):
+        eng.emit("PD2b", _State(phase="S1", i=i + 1), base)
     else:
-        eng.emit("PD4", _State(phase="S3", i=i), payload)
+        eng.emit("PD4", _State(phase="S3", i=i), base)
 
 
 def _pdfd_refinement_validation(eng: _Engine) -> None:
@@ -477,15 +465,14 @@ def run_pbfd(h: Hierarchy, scenario: Scenario) -> RunResult:
 
 
 def _pbfd_start(eng: _Engine) -> None:
-    eng.emit("PB1", _State(phase="S1", i=1), dict(_init_payload(eng), pattern=eng.level_ids(1)))
+    eng.emit("PB1", _State(phase="S1", i=1), _init_payload(eng))
 
 
 def _pbfd_step(eng: _Engine) -> None:
     st = eng.state
     if st.phase == "S1":
-        batch = eng.level_ids(st.i)
-        processed = eng.mark_in_progress(batch)
-        eng.emit("PB2", _State(phase="S2", i=st.i), {"pattern": batch, "processed": processed})
+        eng.mark_in_progress(eng.ctx.level_ids(st.i))
+        eng.emit("PB2", _State(phase="S2", i=st.i), {})
     elif st.phase == "S2":
         base = _validated(eng, "pattern", "PB3", "PB3c")
         if base is not None:
@@ -510,12 +497,11 @@ def _pbfd_step(eng: _Engine) -> None:
 def _pbfd_refinement_process(eng: _Engine) -> None:
     st = eng.state
     j = st.j
-    pattern = eng.level_ids(j)
-    already_done = all(eng.statuses[n] == 2 for n in pattern)
+    already_done = all(eng.statuses[n] == 2 for n in eng.ctx.level_ids(j))
     if already_done and not eng.sc.has_script_for("refine", j, eng.next_attempt("refine", j)):
-        eng.emit("PB3b", replace(st, phase="S3R"), {"level": j, "pattern": pattern})
+        eng.emit("PB3b", replace(st, phase="S3R"), {"level": j})
     else:
-        eng.emit("PB3a", replace(st, phase="S2R"), {"level": j, "reworked": pattern})
+        eng.emit("PB3a", replace(st, phase="S2R"), {"level": j})
 
 
 def _pbfd_refinement_depth(eng: _Engine) -> None:
@@ -535,13 +521,11 @@ def _pbfd_refinement_depth(eng: _Engine) -> None:
 
 def _pbfd_depth_resolution(eng: _Engine) -> None:
     i = eng.state.i
-    pattern = eng.level_ids(i)
-    next_pattern = eng.level_ids(i + 1)  # the children of every level-i node
-    base = {"level": i, "next_pattern": next_pattern, "finalized": eng.finalize(pattern)}
-    if next_pattern:
-        eng.emit("PB4a", _State(phase="S1", i=i + 1), base)
+    eng.finalize(eng.ctx.level_ids(i))
+    if eng.ctx.level_ids(i + 1):  # the children of every level-i node
+        eng.emit("PB4a", _State(phase="S1", i=i + 1), {"level": i})
     else:
-        eng.emit("PB4b", _State(phase="S4", i=1), base)
+        eng.emit("PB4b", _State(phase="S4", i=1), {"level": i})
 
 
 # Each hybrid machine's initial rule and step.

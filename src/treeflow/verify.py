@@ -564,7 +564,7 @@ def _legality_problem(
         i = int(level)
         if i >= ctx.max_level:
             return "pattern derivation at the last level"
-        if not p.get("next_pattern"):
+        if not ctx.level_ids(i + 1):
             return "pattern derivation with no children"
         if any(statuses.get(n) != 2 for n in ctx.level_ids(i)):
             return "pattern derivation from unfinalized nodes"

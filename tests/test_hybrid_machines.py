@@ -255,11 +255,12 @@ class TestPbfdShapes:
         pattern or inside the completion sweep."""
         h = geo_hierarchy()
         res = run_pbfd(h, pbfd_mvp_scenario())
+        levels = res.trace[0].payload["levels"]
         derived: set[int] = set()
         swept_levels: set[int] = set()
         for e in res.trace:
             if e.rule in ("PB4a", "PB4b"):
-                derived.update(e.payload["next_pattern"])
+                derived.update(levels.get(str(e.payload["level"] + 1), ()))
             if e.rule in ("PB7", "PB8"):
                 swept_levels.add(e.payload["level"])
         for n in h.nodes.values():

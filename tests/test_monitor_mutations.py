@@ -80,15 +80,13 @@ PINNED: dict[str, dict[str, tuple[int, int]]] = {
         "to": (28, 28),
     },
     "pbfd": {
-        "L": (2, 0), "attempt": (30, 30), "failing": (16, 9), "finalized": (14, 14),
-        "i": (72, 45), "i_orig": (14, 0), "j": (14, 0), "level": (56, 0),
-        "next_pattern": (13, 12), "pattern": (20, 20), "processed": (14, 14), "r_max": (2, 0),
-        "range_end": (8, 2), "reworked": (2, 2), "trace_format": (2, 1),
+        "L": (2, 0), "attempt": (30, 30), "failing": (16, 9), "i": (72, 45), "i_orig": (14, 0),
+        "j": (14, 0), "level": (56, 0), "r_max": (2, 0), "range_end": (8, 2),
+        "trace_format": (2, 1),
     },
     "pdfd": {
-        "L": (2, 0), "attempt": (40, 40), "batch": (14, 14), "failing": (20, 8),
-        "finalized": (14, 14), "finalized_count": (14, 14), "i": (56, 18), "k": (14, 14),
-        "level": (40, 0), "processed": (14, 14), "r_max": (2, 0), "trace_format": (2, 1),
+        "L": (2, 0), "attempt": (40, 40), "failing": (20, 8), "i": (56, 18), "level": (40, 0),
+        "r_max": (2, 0), "trace_format": (2, 1),
     },
 }
 

@@ -10,6 +10,8 @@ import pytest
 from treeflow.cli import main
 from treeflow.fixtures import (
     GEO_ROWS,
+    geo_hierarchy,
+    pbfd_mvp_scenario,
     pdfd_mvp_scenario,
     visited_places_hierarchy,
 )
@@ -79,8 +81,8 @@ class TestEngineOutput:
 class TestFold:
     def test_forged_demotion_flagged_at_its_seq(self):
         trace = mvp_trace()
-        idx, ev = next((i, e) for i, e in enumerate(trace) if e.payload.get("finalized"))
-        node = ev.payload["finalized"][0]
+        idx, node = next((i, int(n)) for i, e in enumerate(trace)
+                         for n, s in e.payload.get("status_changes", {}).items() if s == 2)
         later = trace[idx + 1]
         forged = replace_payload(trace, idx + 1, status_changes={str(node): 1})
         fin = check_finalization(forged)
@@ -242,6 +244,23 @@ class TestRestatedFormatTwoTraces:
         old, new = lines.values()
         assert old == new
         assert new[0] == 0 and len(new[1]) == 7
+
+    @pytest.mark.parametrize("methodology", ["pdfd", "pbfd"])
+    def test_todays_replay_is_the_old_one_without_the_copies(self, methodology):
+        restated = {"batch", "processed", "pattern", "reworked", "finalized",
+                    "finalized_count", "next_pattern"}
+        old = Trace.read_jsonl(DATA / f"{methodology}_mvp_format2_restated.jsonl")
+        assert any(restated & set(ev.payload) for ev in old)
+        projected = [
+            ev._replace(payload={k: v for k, v in ev.payload.items()
+                                 if k not in restated and (k != "k" or ev.seq == 1)})
+            for ev in old
+        ]
+        if methodology == "pdfd":
+            result = run_pdfd(visited_places_hierarchy(), pdfd_mvp_scenario())
+        else:
+            result = run_pbfd(geo_hierarchy(), pbfd_mvp_scenario())
+        assert result.trace.events == projected
 
 
 class TestCodec:

@@ -107,24 +107,24 @@ GOLDEN = {
     "geo:cdd": "b3b418f473592aad9df5adb3c33c5a65d62a0d4c6ac41a4f2ef3dd66f4f2e308",
     "geo:dad": "bc466a99627481a3615584f8e310f7cc55a56c4bb90ad96c114282ee8bb51100",
     "geo:dfd": "0d2b5b951e50c590da2957bfcc68195ed9630c4fbd2d934d0083465243e0ecb8",
-    "geo:pbfd": "8748907d38d6b2cdd955ef510207c0e5c5c261019643382978fa3cf1684c9d74",
-    "geo:pdfd": "f428ad6d7ae2f57e741b03a9f2fd7ce7ff050731ca05e1b97e9c95e7bd5b416d",
+    "geo:pbfd": "eb050a3e7b63c58f7093ce15a8eb260f48fba3583e0fddd06454289dee769420",
+    "geo:pdfd": "e28dfcb3c1875fe73ba3a1da04bcc38a5bf1d3039449e9403aa8ce2e5f1b7588",
     "uneven:bfd": "8887861120f580519e3531641f7b4a231edb7554bcfc5f002403a8b90226e4f9",
     "uneven:cdd": "7b2d284dc2d7be68db3570e3d9a5c26bf301a48db45a25a73222e4caa00e5511",
     "uneven:dad": "f74491c8b3b26c2bd6571eb8f89ea4f06c9a58926cc9123c0561fce50a79c13c",
     "uneven:dfd": "d63db88c964cf8039669313b5a12196111ef8971fe39df4e24a864455523a477",
-    "uneven:pbfd": "e256ef01aef69c6eeefb7a60dc6be13471bcb6bd0a3011f98558ae143dac1585",
-    "uneven:pdfd": "5d5bff6b5ec284a0e87055682f27ddcfb238aeb0b3dc772572b3a6ea644cd239",
-    "visited:pdfd": "7a6ae6e26e1b4eb0e3a8b4038894e1b0ee6e49d5d3ff6912f77f465c6ac702b1",
+    "uneven:pbfd": "dcde8fb4d1ab49fb5282dd52fcd924a9357cdcb74d992e383cd1179fcd75ef17",
+    "uneven:pdfd": "81f7794cbd53c3ba3962fe3ba54cb74a1fc1080220b16d92440ea509077b2e1c",
+    "visited:pdfd": "f05e9a0d028fe4324e014250d918abbaa75b2a1503eab2fc07d0c6f471ba3623",
 }
 
 
 GOLDEN_FORMAT2 = {
-    "geo:pbfd": "dc0222f4f75dffa9dd6b6edb4798b1e070dbd7d4ce3e3ab2018d4a0e23a32708",
-    "geo:pdfd": "a0442fef6664d1ad1169e853123a529472cb2b31b52a3c4af6ee358a58a11127",
-    "uneven:pbfd": "b3072f8d635be1dd83362a9d8efbb253950de8b25d65e1325f49cc2d14e9f4b5",
-    "uneven:pdfd": "a50f090a0eae4349d87c54207a8d244e3e11a539e7f79939a2c6dd63344ee6cb",
-    "visited:pdfd": "7c076c889e267f62e5767ff2d8c637f2169979ac4e0a4dbadbb1d913fdadfaf7",
+    "geo:pbfd": "48af02963daa74ee720e5a2451aa50a1d58aa2f38392d439ad7f516eb7a6e71b",
+    "geo:pdfd": "5b78638dc420e2a80f1d797bf133b645b13caa353a962ea217de40e2d6039bda",
+    "uneven:pbfd": "9beb4b8bfe57b7574a510f1fc2fb8132c574f7924b34000e7b7a2f7bc6e9193d",
+    "uneven:pdfd": "5ff2c0bb8e2be8f34c589cce1b8389b06b5d1f51e1d367ab3bb652fc6085a5aa",
+    "visited:pdfd": "f763f75ba842af319f515caaadd473c195701e20d1e843afbb5de4dbdf2ead97",
 }
 
 
@@ -197,16 +197,16 @@ def _scripted(name: str) -> Trace:
 # key -> (sha256 of the expanded format-1 bytes, sha256 of the written bytes)
 GOLDEN_SCRIPTED = {
     "pattern:pbfd": (
-        "d6db92a57943c7e4efac8542441e044c17bbbcc6adc9ad99703826849d8362cb",
-        "0fa8f34432c351ec6294166a6e47b3dab47ab997c31bd7039a21e0b82bff9d18",
+        "f6babef2b1027728b0bdfbdcb7ed98869224dba552cdcf7cd3406fb8e5a91610",
+        "c5085c42e6098ab9b1a044d13028d05f308df010b03f5813917c1aa40e4b7459",
     ),
     "refine:pbfd": (
-        "4ff1d1b0191656e22e56ac685cfa78672698c012ad3ff1c60deea410c673e700",
-        "98d420c2e52f9f8bf3d21ef46f23e9152227b1faaf78286d9bdce8c8a9cbd4eb",
+        "9e9debd000a6b4541c95f5adb3c1b96aa86fdefb38e48b558b31c4360a3b8465",
+        "2755daaa563a1812f0d398d8b7c5c256707077dc4e9e73780e83c94a98940651",
     ),
     "top-down:pdfd": (
-        "525a360baca81d153e036394ffc56d0800686edb2b48015a5ed2e708c0b8e59a",
-        "6256cd8afc13effe4e95a90edcf17610285116eb6f8e2c4c283bb2127bb17168",
+        "e2803c71ad0a2cb6b4e28471345bd5b13e929740b5498a8f6dcdbc24ddd692e1",
+        "a92789748204c729e81938e54848519815d8ef45de99f897a759076405b22b90",
     ),
 }
 

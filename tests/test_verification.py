@@ -260,6 +260,21 @@ class TestLegality:
         verdict = check_rule_legality(Trace("pdfd", events))
         assert not verdict.ok
 
+    def test_pattern_derivation_reads_the_next_level_from_the_level_map(self):
+        """PB4a needs a non-empty next level in the first event's ``levels``;
+        a ``next_pattern`` field, which traces once carried, is not read."""
+        res = run_pbfd(perfect_tree(2, 3), Scenario(r_max=1))
+        events = list(res.trace)
+        idx = next(i for i, e in enumerate(events) if e.rule == "PB4a")
+        events[idx] = events[idx]._replace(payload=dict(events[idx].payload, next_pattern=[]))
+        assert check_rule_legality(Trace("pbfd", events)).ok
+        levels = dict(events[0].payload["levels"])
+        del levels[str(events[idx].payload["level"] + 1)]
+        events[0] = events[0]._replace(payload=dict(events[0].payload, levels=levels))
+        verdict = check_rule_legality(Trace("pbfd", events))
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
+            False, "pattern derivation with no children", events[idx].seq)
+
     def test_broken_chain_flagged(self):
         res = run_pdfd(perfect_tree(2, 3), Scenario(r_max=1, trace_origin=TraceOriginStrategy.fixed(1)))
         events = list(res.trace)
@@ -500,15 +515,15 @@ class TestMonitorIndependence:
         original = hybrid_machines._Engine.finalize
 
         def skewed_finalize(self, ids):
-            newly = original(self, ids)
+            original(self, ids)
             if not getattr(self, "_skewed", False):
                 self._unfinalized += 1
                 self._skewed = True
-            return newly
 
         monkeypatch.setattr(hybrid_machines._Engine, "finalize", skewed_finalize)
         res = run(visited_places_hierarchy(), pdfd_mvp_scenario())
-        first_finalizing = next(e for e in res.trace if e.payload.get("finalized"))
+        first_finalizing = next(
+            e for e in res.trace if 2 in e.payload.get("status_changes", {}).values())
         verdict = check_measure_descent(res.trace)
         assert not verdict.ok
         assert verdict.first_violation_seq == first_finalizing.seq
