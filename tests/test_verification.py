@@ -19,6 +19,8 @@ from treeflow.trace import Trace, TraceEvent
 from treeflow.verify import (
     PBFD_RULES,
     PDFD_RULES,
+    RULE_TABLES,
+    RuleSpec,
     check_bounded_refinement,
     check_deadlock_freeness,
     check_finalization,
@@ -308,6 +310,22 @@ class TestDeadlock:
             sources = {src for s in rules.values() for src in s.sources}
             targets = {t for s in rules.values() for t in s.targets}
             assert (targets - sources) <= {"T", "S5"}
+
+    @pytest.mark.parametrize("methodology", sorted(RULE_TABLES))
+    def test_static_check_passes_every_machine(self, methodology):
+        v = check_deadlock_freeness(methodology)
+        assert (v.ok, v.detail) == (True, "static rule coverage only")
+
+    def test_final_families_are_the_terminal_rules_targets(self, monkeypatch):
+        """A family only a step rule moves to is stuck; the same family as a
+        terminal rule's target is final."""
+        rules = dict(RULE_TABLES["dfd"])
+        monkeypatch.setitem(RULE_TABLES, "dfd", rules)
+        rules["DF8"] = RuleSpec(("S2",), ("S9",))
+        v = check_deadlock_freeness("dfd")
+        assert (v.ok, v.detail) == (False, "state family S9 has no outgoing rule")
+        rules["DF8"] = RuleSpec(("S2",), ("S9",), "terminal")
+        assert check_deadlock_freeness("dfd").ok
 
     def test_bounded_enumeration(self):
         h = uniform_hierarchy([1, 2, 2])
