@@ -176,32 +176,52 @@ class Scenario:
         return set()
 
 
+def _int(value: Any, what: str = "") -> int:
+    """``value`` when it is a JSON integer, else a ScenarioError; ``what``
+    names the value within its field."""
+    # bool is a subclass of int, so the exact class is tested.
+    if value.__class__ is not int:
+        subject = f"{what} " if what else ""
+        raise ScenarioError(f"{subject}must be an integer, got {value!r}")
+    return value
+
+
+def _int_key(key: str) -> int:
+    """A map key that writes an integer as ``str(int)`` writes it."""
+    try:
+        n = int(key)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"key {key!r} must be an integer") from None
+    # int() also reads " 3", "+3", "03", "1_0" and non-ASCII digits.
+    if str(n) != key:
+        raise ScenarioError(f"key {key!r} must be written {str(n)!r}")
+    return n
+
+
+def _int_map(value: dict) -> dict[int, int]:
+    return {_int_key(k): _int(v, f"value of {k!r}") for k, v in value.items()}
+
+
 def _origin_from_json(obj: dict[str, Any]) -> TraceOriginStrategy:
     kind = obj.get("strategy", "fixed")
     if kind == "fixed":
-        return TraceOriginStrategy.fixed(int(obj["level"]))
+        return TraceOriginStrategy.fixed(_int(obj["level"], "level"))
     if kind == "scripted":
-        return TraceOriginStrategy.scripted_map(
-            {int(k): int(v) for k, v in obj["map"].items()}
-        )
+        return TraceOriginStrategy.scripted_map(_int_map(obj["map"]))
     if kind == "dependency_min":
         return TraceOriginStrategy.dependency_min()
     raise ScenarioError(f"unknown trace origin strategy {kind!r}")
 
 
-def _int_map(value: dict) -> dict[int, int]:
-    return {int(k): int(v) for k, v in value.items()}
-
-
 # Top-level scenario document keys: the Scenario field and its conversion.
 _FIELDS: dict[str, tuple[str, Any]] = {
-    "r_max": ("r_max", int),
+    "r_max": ("r_max", _int),
     "k": ("k_thresholds", _int_map),
-    "implicated_nodes": ("implicated_nodes", lambda v: {int(n) for n in v}),
-    "seed": ("seed", int),
+    "implicated_nodes": ("implicated_nodes", lambda v: {_int(n, "node id") for n in v}),
+    "seed": ("seed", _int),
     "random_failure_rate": ("random_failure_rate", float),
-    "dad_missing_deps": ("dad_missing_deps", lambda v: {int(k): list(d) for k, d in v.items()}),
-    "increments": ("increments", lambda v: [[int(c) for c in inc] for inc in v]),
+    "dad_missing_deps": ("dad_missing_deps", lambda v: {_int_key(k): list(d) for k, d in v.items()}),
+    "increments": ("increments", lambda v: [[_int(c, "component") for c in inc] for inc in v]),
 }
 _CDD_FIELDS = ("test_failures", "feedback_cycles", "refine_iterations", "increment_feedback")
 
@@ -234,8 +254,9 @@ def load_scenario(source: str | Path | dict) -> Scenario:
         script = fields["validation_script"] = {}
         for index, entry in enumerate(obj.get(field, [])):
             field = f"validation_script[{index}]"
-            key = (str(entry["phase"]), int(entry["index"]), int(entry["attempt"]))
-            script[key] = {int(n) for n in entry["failing_node_ids"]}
+            key = (str(entry["phase"]), _int(entry["index"], "index"),
+                   _int(entry["attempt"], "attempt"))
+            script[key] = {_int(n, "failing node id") for n in entry["failing_node_ids"]}
         cdd_obj, cdd = obj.get("cdd", {}), {}
         for part in _CDD_FIELDS:
             field = f"cdd.{part}"

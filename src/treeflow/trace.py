@@ -177,8 +177,9 @@ class StatusFold:
     every event of format 1 or of a hand-made trace), then
     ``status_changes`` patches it.  A delta before any full map, one naming
     a node the map lacks, a node id not written as ``str(int)`` writes it, a
-    non-integer status, an event with neither key, or a ``trace_format``
-    other than 1 or ``TRACE_FORMAT`` raises StatusFoldError."""
+    status other than the JSON integers 0, 1 and 2, an event with neither
+    key, or a ``trace_format`` other than 1 or ``TRACE_FORMAT`` raises
+    StatusFoldError."""
 
     __slots__ = ("statuses", "_ids")
 
@@ -225,8 +226,13 @@ class StatusFold:
             if statuses is None:
                 raise StatusFoldError(ev.seq, "status_changes before any full status map")
             ids = self._ids
+            items = []
             try:
-                items = [(ids[k], int(v)) for k, v in changes.items()]
+                for k, v in changes.items():
+                    # bool is a subclass of int, so the exact class is tested.
+                    if v.__class__ is not int or not 0 <= v <= 2:
+                        raise ValueError
+                    items.append((ids[k], v))
             except (AttributeError, KeyError, TypeError, ValueError):
                 items = _int_items(changes, ev.seq, "status_changes")
             for n, s in items:
@@ -255,15 +261,20 @@ def fold_statuses(
 
 
 def _int_items(raw: Any, seq: Any, key: str) -> list[tuple[int, int]]:
+    """The (node, status) pairs of a status map or delta; every status is
+    the JSON integer 0, 1 or 2."""
     items = []
     try:
         for k, v in raw.items():
             n = int(k)
             if str(n) != k:  # int() also reads " 3", "+3", "03", "1_0" and non-ASCII digits
                 raise StatusFoldError(seq, f"{key} key {k!r} must be written {str(n)!r}")
-            items.append((n, int(v)))
+            if v.__class__ is not int or not 0 <= v <= 2:  # not a bool, float or string
+                raise StatusFoldError(
+                    seq, f"{key} must map node ids to statuses 0, 1 or 2, got {v!r} for {k!r}")
+            items.append((n, v))
     except StatusFoldError:
         raise
     except (AttributeError, TypeError, ValueError):
-        raise StatusFoldError(seq, f"{key} must map node ids to integer statuses") from None
+        raise StatusFoldError(seq, f"{key} must map node ids to statuses 0, 1 or 2") from None
     return items

@@ -64,6 +64,42 @@ class TestScenarioLoader:
         assert captured.out == ""
         assert captured.err == f"error: {sc}: {message}\n"
 
+    @pytest.mark.parametrize("doc,message", [
+        # int() once read this document as thresholds {2: 1, 3: 1}, seed 7
+        # and the script key ('level', 2, 1) failing node 3.
+        ({"k": {"0_2": 1, " 3": 1}, "seed": "7", "validation_script": [
+            {"phase": "level", "index": "0_2", "attempt": 1.9, "failing_node_ids": ["٣"]}]},
+         "validation_script[0]: index must be an integer, got '0_2'"),
+        ({"k": {"0_2": 1}}, "k: key '0_2' must be written '2'"),
+        ({"k": {" 3": 1}}, "k: key ' 3' must be written '3'"),
+        ({"k": {"x": 1}}, "k: key 'x' must be an integer"),
+        ({"k": {"2": 1.5}}, "k: value of '2' must be an integer, got 1.5"),
+        ({"seed": "7"}, "seed: must be an integer, got '7'"),
+        ({"seed": True}, "seed: must be an integer, got True"),
+        ({"r_max": 2.0}, "r_max: must be an integer, got 2.0"),
+        ({"validation_script": [{"phase": "level", "index": 2, "attempt": 1.9,
+                                 "failing_node_ids": [3]}]},
+         "validation_script[0]: attempt must be an integer, got 1.9"),
+        ({"validation_script": [{"phase": "level", "index": 2, "attempt": 1,
+                                 "failing_node_ids": ["٣"]}]},
+         "validation_script[0]: failing node id must be an integer, got '٣'"),
+        ({"trace_origin": {"strategy": "fixed", "level": "2"}},
+         "trace_origin: level must be an integer, got '2'"),
+        ({"trace_origin": {"strategy": "scripted", "map": {"03": 1}}},
+         "trace_origin: key '03' must be written '3'"),
+        ({"trace_origin": {"strategy": "scripted", "map": {"3": True}}},
+         "trace_origin: value of '3' must be an integer, got True"),
+        ({"implicated_nodes": [2, "4"]}, "implicated_nodes: node id must be an integer, got '4'"),
+        ({"increments": [[1, 2.0]]}, "increments: component must be an integer, got 2.0"),
+        ({"cdd": {"test_failures": {"2": True}}},
+         "cdd.test_failures: value of '2' must be an integer, got True"),
+        ({"dad_missing_deps": {"01": ["x"]}}, "dad_missing_deps: key '01' must be written '1'"),
+    ])
+    def test_integers_are_exact(self, doc, message):
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(doc)
+        assert str(err.value) == f"scenario: {message}"
+
     def test_loader_raises_scenario_error(self):
         with pytest.raises(ScenarioError, match=r"^scenario: cdd\.test_failures: "):
             load_scenario({"cdd": {"test_failures": {"x": 1}}})

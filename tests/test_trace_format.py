@@ -125,6 +125,24 @@ class TestFold:
         with pytest.raises(StatusFoldError, match="status_changes must map node ids"):
             list(fold_statuses(forged))
 
+    @pytest.mark.parametrize("status", [1.9, 2.0, "2", True, False, None, 3, -1])
+    def test_statuses_are_the_integers_0_1_and_2(self, status):
+        """int() reads 1.9, "2" and true as statuses 1, 2 and 1: a forged
+        delta or full map holding one fails the monitors at its event."""
+        trace = mvp_trace()
+        first = dict(trace[0].payload["statuses"])
+        node = next(iter(first))
+        detail = f"must map node ids to statuses 0, 1 or 2, got {status!r} for {node!r}"
+        first[node] = status
+        for index, key, value in ((3, "status_changes", {node: status}), (0, "statuses", first)):
+            forged = replace_payload(trace, index, **{key: value})
+            with pytest.raises(StatusFoldError, match=re.escape(f"{key} {detail}")):
+                list(fold_statuses(forged))
+            for check in (check_rule_legality, check_measure_descent, check_finalization):
+                verdict = check(forged)
+                assert (verdict.ok, verdict.first_violation_seq, verdict.detail) == (
+                    False, trace[index].seq, f"{key} {detail}")
+
     @pytest.mark.parametrize("key,node", [(" 3", 3), ("+3", 3), ("03", 3), ("٣", 3), ("1_0", 10)])
     def test_key_must_be_written_as_a_node_id(self, key, node):
         """int() reads each of these keys as a node id: a forged delta that
