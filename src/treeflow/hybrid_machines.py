@@ -12,18 +12,14 @@ Shared semantics
   pass entering that level (episode entry, in-range progression, and
   retries).  A pass whose entry brings the counter to the cap terminates the
   run through the exhaustion rule of the machine.
-* Every event carries the measure before/after and the snapshot: ``phase``,
-  ``i``, ``j``, ``i_orig``, ``origin_phase`` and the ``attempts`` map.  The
-  statuses travel as trace format 2: the full map on the first event, then
-  only the nodes each step changed.  The first event also holds the run
-  parameters (``levels``, ``L``, ``r_max``, the ``k`` thresholds).  Beyond
-  that a payload holds only what the trace cannot give otherwise: the
-  ``level`` a rule acts on, a validation query's ``attempt`` and
-  ``failing`` nodes, an episode's ``range_end`` and a dead end's
-  ``reason``.  The nodes a step processes or finalizes are its level's ids
-  in ``levels`` and the changes in its statuses, so no payload repeats
-  them.  The monitors fold the changes and re-derive everything from the
-  trace alone.
+* Every event carries the measure before/after, the phase, indices and
+  attempt counters, and the statuses as trace format 2: the full map on the
+  first event, then only the nodes each step changed.  The first event also
+  holds the run parameters, the level map among them; beyond those, an
+  event holds only its ``level``, a query's ``attempt`` and ``failing``
+  nodes, an episode's ``range_end`` or a ``reason``, never a copy of its
+  level's ids or of its status changes.  The monitors fold those changes
+  and re-derive everything from the trace alone.
 * A run is ``start_run`` followed by ``_Engine.step`` until T or S5.  Each
   step fires one rule and asks at most one validation query, before it
   changes any state, so a fork of the engine taken at the query is the
@@ -123,7 +119,7 @@ class _Engine:
         # scenario stays an input that any number of runs can share.
         self.queries: dict[tuple[str, int], int] = {}
         # Answers each query with its failing nodes: (phase tag, index,
-        # attempt, candidates) -> ids.  The run enumerator replaces it.
+        # attempt, the level's ids) -> ids.  The run enumerator replaces it.
         self.answer: Callable[[str, int, int, list[int]], Any] = scenario.failing_nodes
         self.L = h.max_level
         self.statuses: dict[int, int] = {n: 0 for n in h.nodes}
@@ -209,9 +205,9 @@ class _Engine:
 
     def emit(self, rule: str, new_state: _State, payload: dict[str, Any]) -> None:
         """Fire one rule whose operational step (status marks, an attempt
-        burn) has already run, its result in ``payload``.  The pre-measure
-        is the previous event's cached post-measure, so the step may run
-        first; the post-measure is sampled after the state change."""
+        burn) has already run; the event records its status changes.  The
+        pre-measure is the previous event's cached post-measure, so the step
+        may run first; the post-measure is sampled after the state change."""
         if len(self.trace) >= self.cap:
             raise HybridRunError(
                 f"trace exceeded the measure-derived cap of {self.cap} events"
@@ -263,8 +259,6 @@ class _Engine:
         return self.queries.get((phase_tag, index), 0) + 1
 
     def validate(self, phase_tag: str, index: int):
-        """Ask the validation query at (phase, index); its candidates are
-        the level's nodes."""
         attempt = self.next_attempt(phase_tag, index)
         # Asked before the query is counted: the engine is still as the step found it.
         failing = self.answer(phase_tag, index, attempt, list(self.ctx.level_ids(index)))

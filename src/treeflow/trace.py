@@ -261,8 +261,6 @@ def fold_statuses(
 
 
 def _int_items(raw: Any, seq: Any, key: str) -> list[tuple[int, int]]:
-    """The (node, status) pairs of a status map or delta; every status is
-    the JSON integer 0, 1 or 2."""
     items = []
     try:
         for k, v in raw.items():
