@@ -253,13 +253,13 @@ class TestRestatedFormatTwoTraces:
         fresh = tmp_path / "trace.jsonl"
         assert main(["replay", "--fixture", f"{methodology}-mvp", "--format", "jsonl-trace",
                      "--out", str(fresh)]) == 0
-        lines = {}
+        results = []
         for path in (DATA / f"{methodology}_mvp_format2_restated.jsonl", fresh):
             capsys.readouterr()
             code = main(["verify", "--trace", str(path), "--methodology", methodology,
                          "--check", "all"])
-            lines[path] = (code, capsys.readouterr().out.splitlines())
-        old, new = lines.values()
+            results.append((code, capsys.readouterr().out.splitlines()))
+        old, new = results
         assert old == new
         assert new[0] == 0 and len(new[1]) == 7
 
