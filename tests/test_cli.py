@@ -187,6 +187,18 @@ class TestVerify:
         assert out.count("PASS") >= 6
         assert "FAIL" not in out
 
+    def test_bounds_under_a_lower_cap_name_the_first_level_over_it(self, tmp_path, capsys):
+        """The replay spends two attempts at level 2 by event 14."""
+        trace_file = tmp_path / "t.jsonl"
+        main(["replay", "--fixture", "pdfd-mvp", "--format", "jsonl-trace",
+              "--out", str(trace_file)])
+        capsys.readouterr()
+        code = main(["verify", "--trace", str(trace_file), "--methodology", "pdfd",
+                     "--check", "bounds", "--rmax", "1"])
+        assert code == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL bounded-refinement (event 14: attempts[2]=2 exceeds cap 1)"]
+
     def test_tampered_trace_fails(self, tmp_path, capsys):
         trace_file = tmp_path / "t.jsonl"
         main(["replay", "--fixture", "pdfd-mvp", "--format", "jsonl-trace",

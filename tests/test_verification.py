@@ -6,6 +6,8 @@ import random
 import pytest
 
 from treeflow.fixtures import (
+    geo_hierarchy,
+    pbfd_mvp_scenario,
     pdfd_mvp_scenario,
     perfect_tree,
     uniform_hierarchy,
@@ -276,6 +278,38 @@ class TestLegality:
         verdict = check_rule_legality(Trace("pbfd", events))
         assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
             False, "pattern derivation with no children", events[idx].seq)
+
+    @pytest.mark.parametrize("run,r_max,expected", [
+        (run_pdfd, 1, (False, "PD2a exceeded the attempt cap", 14)),
+        (run_pbfd, 0, (False, "PB3 exceeded the attempt cap", 9)),
+    ], ids=["pdfd", "pbfd"])
+    def test_forged_lower_budget_exceeds_the_attempt_cap(self, run, r_max, expected):
+        """The bundled replays with the first event's ``r_max`` forged below
+        the attempts they spend."""
+        h = visited_places_hierarchy() if run is run_pdfd else geo_hierarchy()
+        sc = pdfd_mvp_scenario() if run is run_pdfd else pbfd_mvp_scenario()
+        trace = run(h, sc).trace
+        events = list(trace)
+        events[0] = events[0]._replace(payload=dict(events[0].payload, r_max=r_max))
+        verdict = check_rule_legality(Trace(trace.methodology, events))
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == expected
+
+    @pytest.mark.parametrize("run,rule", [(run_pdfd, "PD8"), (run_pbfd, "PB9")])
+    def test_forged_higher_budget_leaves_exhaustion_with_budget(self, run, rule):
+        """A run that exhausts its budget of one at level 2, with the first
+        event's ``r_max`` forged to 2."""
+        h = perfect_tree(2, 3)
+        fails = {n.id for n in h.level(2)}
+        sc = Scenario(r_max=1, trace_origin=TraceOriginStrategy.fixed(2),
+                      validation_script={("level", 2, 1): fails, ("pattern", 2, 1): fails})
+        res = run(h, sc)
+        assert (res.outcome, res.reason, res.trace.events[-1].rule) == (
+            "S5", "refinement_exhausted", rule)
+        events = list(res.trace)
+        events[0] = events[0]._replace(payload=dict(events[0].payload, r_max=2))
+        verdict = check_rule_legality(Trace(res.trace.methodology, events))
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
+            False, f"{rule} with remaining budget at level 2", events[-1].seq)
 
     def test_broken_chain_flagged(self):
         res = run_pdfd(perfect_tree(2, 3), Scenario(r_max=1, trace_origin=TraceOriginStrategy.fixed(1)))
