@@ -11,10 +11,12 @@ Shared semantics
 * Refinement attempts are counted per level, once for every reprocessing
   pass entering that level (episode entry, in-range progression, and
   retries).  A pass whose entry brings the counter to the cap terminates the
-  run through the exhaustion rule of the machine.
-* Every event carries the measure before/after, the phase, indices and
-  attempt counters, and the statuses as trace format 2: the full map on the
-  first event, then only the nodes each step changed.  The first event also
+  run through the exhaustion rule of the machine.  Entering level j is an
+  event whose target is S1R(j), so the trace carries no counters: the
+  monitors count those entries.
+* Every event carries the measure before/after, the phase and indices, and
+  the statuses as trace format 2: the full map on the first event, then
+  only the nodes each step changed.  The first event also
   holds the run parameters, the level map among them; beyond those, an
   event holds only its ``level``, a query's ``attempt`` and ``failing``
   nodes, an episode's ``range_end`` or a ``reason``, never a copy of its
@@ -124,9 +126,6 @@ class _Engine:
         self.L = h.max_level
         self.statuses: dict[int, int] = {n: 0 for n in h.nodes}
         self.attempts: dict[int, int] = {l: 0 for l in range(1, self.L + 1)}
-        # Snapshot keys in the iteration order of the attempt counters, whose
-        # key set never changes during a run.
-        self._attempt_keys = [str(l) for l in self.attempts]
         self._changed: list[int] = []  # nodes whose status the step changed
         self.state = _State()
         self.trace = Trace(methodology)
@@ -166,8 +165,7 @@ class _Engine:
         # Never changed in place during a run: shared.
         other.methodology, other.h, other.sc, other.answer = (
             self.methodology, self.h, self.sc, self.answer)
-        other.L, other.cap, other.ctx, other._attempt_keys = (
-            self.L, self.cap, self.ctx, self._attempt_keys)
+        other.L, other.cap, other.ctx = self.L, self.cap, self.ctx
         # Replaced, never mutated: the new run rebinds its own.
         other.state, other.reason, other._unfinalized, other._measure = (
             self.state, self.reason, self._unfinalized, self._measure)
@@ -183,14 +181,13 @@ class _Engine:
     # -- snapshots -----------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
-        """Phase, indices and attempt counters; statuses travel apart."""
+        """Phase and indices; statuses travel apart."""
         return {
             "phase": self.state.phase,
             "i": self.state.i,
             "j": self.state.j,
             "i_orig": self.state.i_orig,
             "origin_phase": self.state.origin_phase,
-            "attempts": dict(zip(self._attempt_keys, self.attempts.values())),
         }
 
     def measure(self) -> Measure:

@@ -66,17 +66,14 @@ class TraceContext:
 
 
 def measure_with_counts(
-    payload: dict[str, Any], ctx: TraceContext, k1: int, unvisited: dict[int, int]
+    payload: dict[str, Any], ctx: TraceContext, k1: int, spent: int, unvisited: dict[int, int]
 ) -> Measure:
-    """M from a payload's phase, indices and attempt counters, given the
-    status-derived counts: ``k1`` unfinalized nodes and the unvisited nodes
-    of each level (a node missing from the status map counts as unvisited)."""
-    attempts = {int(k): int(v) for k, v in payload["attempts"].items()}
+    """M from a payload's phase and indices, given the counts a monitor
+    keeps over the trace: ``k1`` unfinalized nodes, ``spent`` refinement
+    attempts and the unvisited nodes of each level (a node missing from the
+    status map counts as unvisited)."""
     phase = payload["phase"]
     i = payload.get("i")
-    # The budget left over levels 1..L, in time independent of L.
-    L = ctx.max_level
-    k2 = ctx.r_max * max(L, 0) - sum(n for l, n in attempts.items() if 1 <= l <= L)
     return compose_measure(
         ctx,
         phase,
@@ -84,7 +81,7 @@ def measure_with_counts(
         payload.get("j"),
         payload.get("i_orig"),
         k1,
-        k2,
+        ctx.r_max * max(ctx.max_level, 0) - spent,
         unvisited.get(int(i), 0) if phase == "S1" else 0,
     )
 

@@ -10,13 +10,15 @@ Checks provided, all pure over immutable traces:
 
 * well-formedness: events chain and every rule is known for the methodology;
 * rule legality: each rule's firing condition is re-evaluated from the
-  previous event's payload, the event payload and the folded statuses;
+  event payload, its target label, the attempts spent so far and the folded
+  statuses;
 * measure descent: every non-terminal transition strictly decreases the
   lexicographic measure, with per-component deltas matching the rule's
   expected pattern; recorded measures are recomputed from the payloads and
-  from counts the monitor keeps over the folded status changes;
-* bounded refinement: per-level attempt counters never exceed the cap and
-  the total number of increments is at most levels x cap;
+  from counts the monitor keeps over the folded status changes and the
+  attempts spent;
+* bounded refinement: no level spends more attempts than the cap, and all
+  levels together at most levels x cap;
 * finalization invariance: no status change moves a FINALIZED node;
 * deadlock freeness: static rule-table coverage plus bounded exhaustive
   enumeration of reachable machine configurations over all validation
@@ -28,6 +30,10 @@ for a verdict at any point.  Their ``check_*`` functions run the fold over a
 whole trace, and the run enumerator forks them with the engine.  The status
 monitors read statuses through ``trace.StatusFold``, so they accept both the
 delta-encoded format and full per-event snapshots.
+
+The trace holds no attempt counters: a refinement pass entering level j is
+an event whose target is S1R(j), and that entry is the attempt spent.  Each
+monitor that needs the counts keeps them from the labels (``_label``).
 """
 
 from __future__ import annotations
@@ -469,8 +475,11 @@ class WellFormedFold:
 # -- rule legality against payloads and folded statuses --------------------------
 
 
-def _attempts(payload: dict[str, Any]) -> dict[int, int]:
-    return {int(k): int(v) for k, v in payload["attempts"].items()}
+def _label(state: str) -> tuple[str, int | None]:
+    """A state label's family and index: ``S1R(2)`` reads ("S1R", 2), ``T``
+    reads ("T", None).  A target ``S1R(j)`` spends one attempt at level j."""
+    family, _, index = state.partition("(")
+    return family, int(index[:-1]) if index else None
 
 
 def check_rule_legality(trace: Trace, methodology: str | None = None) -> Verdict:
@@ -485,16 +494,15 @@ def check_rule_legality(trace: Trace, methodology: str | None = None) -> Verdict
     ctx = _context(name, trace, methodology)
     if isinstance(ctx, Verdict):
         return ctx
-    prev_payload: dict[str, Any] | None = None
+    spent: dict[int, int] = {}
     try:
         for ev, statuses, _prior in fold_statuses(trace):
             try:
-                problem = _legality_problem(ev, prev_payload, statuses, ctx)
+                problem = _legality_problem(ev, spent, statuses, ctx)
             except UNREADABLE as exc:
                 return _unreadable(name, ev, exc)
             if problem:
                 return Verdict(name, False, problem, ev.seq)
-            prev_payload = ev.payload
     except StatusFoldError as err:
         return Verdict(name, False, err.detail, err.seq)
     return Verdict(name, True)
@@ -502,21 +510,21 @@ def check_rule_legality(trace: Trace, methodology: str | None = None) -> Verdict
 
 def _legality_problem(
     ev: TraceEvent,
-    prev_payload: dict[str, Any] | None,
+    spent: dict[int, int],
     statuses: dict[int, int],
     ctx: TraceContext,
 ) -> str | None:
+    """The problem with ``ev``, or None.  ``spent`` holds the attempts each
+    level spent before ``ev``; an S1R entry adds its own."""
     rule = ev.rule
     p = ev.payload
-    attempts = _attempts(p)
     failing = p.get("failing", [])
     level = p.get("level")
-
-    def attempts_pre(l: int) -> int:
-        if prev_payload is None:
-            return 0
-        return _attempts(prev_payload).get(l, 0)
-
+    family, index = _label(ev.to_state)
+    if family == "S1R":
+        spent[index] = spent.get(index, 0) + 1
+        if spent[index] > ctx.r_max:
+            return f"{rule} exceeded the attempt cap"
     backtracks = {"PD2a", "PD3c", "PD4b", "PD6a", "PB3", "PB3a2", "PB7a"}
     if rule in backtracks:
         j = int(p["j"])
@@ -524,17 +532,9 @@ def _legality_problem(
             return f"{rule} without failing nodes"
         if not 1 <= j <= int(level):
             return f"{rule} origin {j} outside [1, {level}]"
-        if attempts.get(j, 0) != attempts_pre(j) + 1:
-            return f"{rule} must burn exactly one attempt at level {j}"
-        if attempts.get(j, 0) > ctx.r_max:
-            return f"{rule} exceeded the attempt cap"
     if rule in ("PD3a", "PB5"):
-        j = int(p["j"])
-        end = int(p["range_end"])
-        if not j <= end:
+        if not int(p["j"]) <= int(p["range_end"]):
             return f"{rule} progressed past the episode range"
-        if attempts.get(j, 0) != attempts_pre(j) + 1:
-            return f"{rule} must burn exactly one attempt at level {j}"
     if rule in ("PD3b", "PB6"):
         if int(p["level"]) != int(p["range_end"]):
             return f"{rule} before the episode range was complete"
@@ -570,7 +570,7 @@ def _legality_problem(
             return "pattern derivation from unfinalized nodes"
     if rule in ("PD8", "PB9") and p.get("reason") == "refinement_exhausted":
         j = int(p["level"])
-        if attempts.get(j, 0) < ctx.r_max:
+        if spent.get(j, 0) < ctx.r_max:
             return f"{rule} with remaining budget at level {j}"
     return None
 
@@ -605,12 +605,13 @@ class DescentFold:
     ``WellFormedFold``.
 
     The fold counts unfinalized nodes and unvisited nodes per level itself,
-    from the folded status changes, and never trusts the engine's counters.
+    from the folded status changes, and the attempts spent, from the S1R
+    targets; it never trusts the engine's counters.
     The first event gives the run parameters; the first failure settles the
     verdict."""
 
     __slots__ = ("methodology", "rules", "_ctx", "_level_of", "_statuses",
-                 "_unfinalized", "_unvisited", "_prev", "_failure")
+                 "_unfinalized", "_unvisited", "_spent", "_prev", "_failure")
 
     def __init__(self, methodology: str):
         self.methodology = methodology
@@ -620,6 +621,7 @@ class DescentFold:
         self._statuses = StatusFold()
         self._unfinalized = 0
         self._unvisited: dict[int, int] = {}
+        self._spent = 0
         self._prev: Measure | None = None
         self._failure: Verdict | None = None
 
@@ -628,7 +630,7 @@ class DescentFold:
         other.methodology, other.rules = self.methodology, self.rules
         other._ctx, other._level_of = self._ctx, self._level_of
         other._statuses = self._statuses.copy()
-        other._unfinalized = self._unfinalized
+        other._unfinalized, other._spent = self._unfinalized, self._spent
         other._unvisited = dict(self._unvisited)
         other._prev, other._failure = self._prev, self._failure
         return other
@@ -642,7 +644,7 @@ class DescentFold:
     def _fold(self, rules: dict[str, RuleSpec], events: Iterable[TraceEvent]) -> Verdict | None:
         name = "measure-descent"
         ctx, level_of, unvisited = self._ctx, self._level_of, self._unvisited
-        unfinalized, prev = self._unfinalized, self._prev
+        unfinalized, spent, prev = self._unfinalized, self._spent, self._prev
         fold = self._statuses
         for ev in events:
             if ctx is None:
@@ -669,14 +671,15 @@ class DescentFold:
             if spec is None:
                 return Verdict(name, False, f"unknown rule {ev.rule}", ev.seq)
             try:
-                recomputed = measure_with_counts(ev.payload, ctx, unfinalized, unvisited)
+                spent += _label(ev.to_state)[0] == "S1R"
+                recomputed = measure_with_counts(ev.payload, ctx, unfinalized, spent, unvisited)
             except UNREADABLE as exc:
                 return _unreadable(name, ev, exc)
             problem = _descent_problem(ev, spec, recomputed, prev)
             if problem is not None:
                 return Verdict(name, False, problem, ev.seq)
             prev = recomputed
-        self._unfinalized, self._prev = unfinalized, prev
+        self._unfinalized, self._spent, self._prev = unfinalized, spent, prev
         return None
 
     def verdict(self) -> Verdict:
@@ -725,23 +728,17 @@ def check_bounded_refinement(trace: Trace, r_max: int | None = None) -> Verdict:
     if isinstance(ctx, Verdict):
         return ctx
     cap = r_max if r_max is not None else ctx.r_max
-    total = 0
-    prev: dict[int, int] = {}
+    spent: dict[int, int] = {}
     for ev in trace:
         try:
-            attempts = _attempts(ev.payload)
+            family, j = _label(ev.to_state)
         except UNREADABLE as exc:
             return _unreadable(name, ev, exc)
-        for l, c in attempts.items():
+        if family == "S1R":
+            c = spent[j] = spent.get(j, 0) + 1
             if c > cap:
-                return Verdict(
-                    name, False, f"attempts[{l}]={c} exceeds cap {cap}", ev.seq
-                )
-            inc = c - prev.get(l, 0)
-            if inc < 0:
-                return Verdict(name, False, f"attempts[{l}] decreased", ev.seq)
-            total += inc
-        prev = attempts
+                return Verdict(name, False, f"attempts[{j}]={c} exceeds cap {cap}", ev.seq)
+    total = sum(spent.values())
     if total > ctx.max_level * cap:
         detail = f"total increments {total} exceed levels x cap = {ctx.max_level * cap}"
         return Verdict(name, False, detail, trace.events[-1].seq)

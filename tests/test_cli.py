@@ -323,15 +323,19 @@ class TestVerifyForgedPayloads:
 
     def _forged_run_parameters(self, tmp_path, forged):
         """The replayed pdfd trace with ``L`` forged on its first event, or
-        ``attempts`` forged on its fourth, and the lines ``--check all``
-        must print for it."""
+        the label of its first refinement entry forged to ``S1R(x)``, and
+        the lines ``--check all`` must print for it."""
         path = tmp_path / "pdfd.jsonl"
         main(["replay", "--fixture", "pdfd-mvp", "--format", "jsonl-trace", "--out", str(path)])
         if forged == "L":
             self._forge(path, "PD1", L="x")
             rule, seq, csp = "PD1", 1, "FAIL csp-conformance[pdfd] (event 1: L='x' is not an integer)"
         else:
-            rule, seq = self._forge(path, None, seq=4, attempts={"1": "x"})["rule"], 4
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+            pos = next(i for i, rec in enumerate(records) if rec["to"].startswith("S1R("))
+            records[pos]["to"] = records[pos + 1]["from"] = "S1R(x)"
+            path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+            rule, seq = records[pos]["rule"], records[pos]["seq"]
             csp = "PASS csp-conformance[pdfd]"
         unreadable = f"(event {seq}: {rule} payload unreadable: invalid literal for int() with base 10: 'x')"
         return path, [
@@ -344,7 +348,7 @@ class TestVerifyForgedPayloads:
             csp,
         ]
 
-    @pytest.mark.parametrize("forged", ["L", "attempts"])
+    @pytest.mark.parametrize("forged", ["L", "label"])
     def test_pdfd_unreadable_run_parameters(self, tmp_path, capsys, forged):
         path, expected = self._forged_run_parameters(tmp_path, forged)
         assert self._verify(capsys, path, "pdfd") == (2, expected)

@@ -1,8 +1,8 @@
 """Complexity guards that count Python calls instead of timing.
 
 Each guard runs one layer at size n and 2n on an adversarial shape and
-compares cProfile's total call counts, which are exact and the same on every
-host.  A linear layer may at most double its calls, with a margin for fixed
+compares cProfile's total call counts, or the bytes a trace takes, which are
+exact and the same on every host.  A linear layer may at most double its calls, with a margin for fixed
 costs (ratio <= 2.2); a layer that must not depend on the size stays at
 ratio ~1.  A quadratic cost shows as a ratio near 4.
 
@@ -25,7 +25,7 @@ from treeflow.fixtures import (
     visited_places_hierarchy,
 )
 from treeflow.hierarchy import load_hierarchy
-from treeflow.hybrid_machines import run_pdfd
+from treeflow.hybrid_machines import run_pbfd, run_pdfd
 from treeflow.scenario import Scenario, TraceOriginStrategy
 from treeflow.trace import Trace
 from treeflow.verify import (
@@ -125,6 +125,14 @@ class TestLinearLayers:
         # perfect_tree(2, levels + 1) has twice the nodes, plus one.
         small, large = dfd_trace(9), dfd_trace(10)
         assert calls(Trace.to_jsonl, large) / calls(Trace.to_jsonl, small) <= LINEAR
+
+    @pytest.mark.parametrize("run", [run_pdfd, run_pbfd])
+    def test_hybrid_trace_bytes_on_a_path(self, run):
+        """No event but the first carries a map over the levels."""
+        def size(levels: int) -> int:
+            return len(run(load_hierarchy(deep_rows(levels)), Scenario()).trace.to_jsonl())
+
+        assert size(500) / size(250) <= LINEAR
 
     def test_trace_read_jsonl(self, tmp_path):
         small, large = tmp_path / "small.jsonl", tmp_path / "large.jsonl"

@@ -245,8 +245,9 @@ class TestRestatedFormatTwoTraces:
     """Format-2 replays of the two fixtures written while hybrid events
     still restated the level map and their status changes in payload fields
     (``batch``, ``processed``, ``pattern``, ``reworked``, ``finalized``,
-    ``finalized_count``, ``next_pattern`` and a per-event ``k``): they verify
-    as today's replay of the same fixture does."""
+    ``finalized_count``, ``next_pattern`` and a per-event ``k``), and the
+    engine's per-level ``attempts`` map: they verify as today's replay of
+    the same fixture does."""
 
     @pytest.mark.parametrize("methodology", ["pdfd", "pbfd"])
     def test_verify_all_prints_todays_verdicts(self, methodology, tmp_path, capsys):
@@ -266,7 +267,7 @@ class TestRestatedFormatTwoTraces:
     @pytest.mark.parametrize("methodology", ["pdfd", "pbfd"])
     def test_todays_replay_is_the_old_one_without_the_copies(self, methodology):
         restated = {"batch", "processed", "pattern", "reworked", "finalized",
-                    "finalized_count", "next_pattern"}
+                    "finalized_count", "next_pattern", "attempts"}
         old = Trace.read_jsonl(DATA / f"{methodology}_mvp_format2_restated.jsonl")
         assert any(restated & set(ev.payload) for ev in old)
         projected = [

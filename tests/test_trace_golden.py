@@ -107,24 +107,24 @@ GOLDEN = {
     "geo:cdd": "b3b418f473592aad9df5adb3c33c5a65d62a0d4c6ac41a4f2ef3dd66f4f2e308",
     "geo:dad": "bc466a99627481a3615584f8e310f7cc55a56c4bb90ad96c114282ee8bb51100",
     "geo:dfd": "0d2b5b951e50c590da2957bfcc68195ed9630c4fbd2d934d0083465243e0ecb8",
-    "geo:pbfd": "eb050a3e7b63c58f7093ce15a8eb260f48fba3583e0fddd06454289dee769420",
-    "geo:pdfd": "e28dfcb3c1875fe73ba3a1da04bcc38a5bf1d3039449e9403aa8ce2e5f1b7588",
+    "geo:pbfd": "14e7f2c7c9c165e0607fd4e6163ab3f7772021d69f0c19d413eb6a106ca199a2",
+    "geo:pdfd": "c8470f241c1ed3831c3adb90739a0f323596205d1e5a6e45a8480d7e0c910cca",
     "uneven:bfd": "8887861120f580519e3531641f7b4a231edb7554bcfc5f002403a8b90226e4f9",
     "uneven:cdd": "7b2d284dc2d7be68db3570e3d9a5c26bf301a48db45a25a73222e4caa00e5511",
     "uneven:dad": "f74491c8b3b26c2bd6571eb8f89ea4f06c9a58926cc9123c0561fce50a79c13c",
     "uneven:dfd": "d63db88c964cf8039669313b5a12196111ef8971fe39df4e24a864455523a477",
-    "uneven:pbfd": "dcde8fb4d1ab49fb5282dd52fcd924a9357cdcb74d992e383cd1179fcd75ef17",
-    "uneven:pdfd": "81f7794cbd53c3ba3962fe3ba54cb74a1fc1080220b16d92440ea509077b2e1c",
-    "visited:pdfd": "f05e9a0d028fe4324e014250d918abbaa75b2a1503eab2fc07d0c6f471ba3623",
+    "uneven:pbfd": "d96aecb371cb02faf3c4d10fefd042eb99e6dc50e9f4ac450132f9b5560d2273",
+    "uneven:pdfd": "f78767c95120c4f7766f5e372cc83c325e742c07ce8c7bc2fa099e780c904948",
+    "visited:pdfd": "ff67c450b00ccf521b1adbe5959f10ee3c1d345efc40f157ce011602744704bc",
 }
 
 
 GOLDEN_FORMAT2 = {
-    "geo:pbfd": "48af02963daa74ee720e5a2451aa50a1d58aa2f38392d439ad7f516eb7a6e71b",
-    "geo:pdfd": "5b78638dc420e2a80f1d797bf133b645b13caa353a962ea217de40e2d6039bda",
-    "uneven:pbfd": "9beb4b8bfe57b7574a510f1fc2fb8132c574f7924b34000e7b7a2f7bc6e9193d",
-    "uneven:pdfd": "5ff2c0bb8e2be8f34c589cce1b8389b06b5d1f51e1d367ab3bb652fc6085a5aa",
-    "visited:pdfd": "f763f75ba842af319f515caaadd473c195701e20d1e843afbb5de4dbdf2ead97",
+    "geo:pbfd": "187385e80f1edc81beef1153b483473a7c0843e4e65ebd7833c8d15bf16a99fa",
+    "geo:pdfd": "73600c35c0dc2494fc07286ace8084824b8c02c524e412f63b370101c0f9cffb",
+    "uneven:pbfd": "70c71c212244cf0f9de17f2cd97e68b92e1744b3977b69c29a6fdf9570fe845e",
+    "uneven:pdfd": "d919231f4c6fbe4edf874189b306968d9a9341a34944bc4aa8773f58eaf09787",
+    "visited:pdfd": "a7159bad804732d84aa3d7b45e205f09c38d66b4080a0303047740ef0639e447",
 }
 
 
@@ -197,16 +197,16 @@ def _scripted(name: str) -> Trace:
 # key -> (sha256 of the expanded format-1 bytes, sha256 of the written bytes)
 GOLDEN_SCRIPTED = {
     "pattern:pbfd": (
-        "f6babef2b1027728b0bdfbdcb7ed98869224dba552cdcf7cd3406fb8e5a91610",
-        "c5085c42e6098ab9b1a044d13028d05f308df010b03f5813917c1aa40e4b7459",
+        "d080fc55e96f4cc52f78ada2874b6efa945949e3fbcfd56f799460099eb37e6d",
+        "d08e27d5f48a16f0dd773895bba4991ed83791f22073f9621fdcbbcf984c3d63",
     ),
     "refine:pbfd": (
-        "9e9debd000a6b4541c95f5adb3c1b96aa86fdefb38e48b558b31c4360a3b8465",
-        "2755daaa563a1812f0d398d8b7c5c256707077dc4e9e73780e83c94a98940651",
+        "9892c344dd2c3eeb651a7138ba0b91a675a492db3faf8bab8e960ef10eba58c7",
+        "cd7d0bb3d3c986bfe1fc3b101a26daa49c61e07d354e5b25554cfffc2c954444",
     ),
     "top-down:pdfd": (
-        "e2803c71ad0a2cb6b4e28471345bd5b13e929740b5498a8f6dcdbc24ddd692e1",
-        "a92789748204c729e81938e54848519815d8ef45de99f897a759076405b22b90",
+        "1118c5d4d310866f3f5ce748f848e67c572979b96b0ae4b9d5b9a0df49c20db2",
+        "1ff38ac48d848b26b36f3d68f287dbbc1ddcc001098153ab57295dc257346cc2",
     ),
 }
 

@@ -50,29 +50,28 @@ def seven_node_ctx():
     )
 
 
-def snapshot(phase, i=1, j=None, i_orig=None, statuses=None, attempts=None, ctx=None):
+def snapshot(phase, i=1, j=None, i_orig=None, statuses=None, ctx=None):
     nodes = [n for ids in ctx.levels.values() for n in ids]
     statuses = statuses or {n: 0 for n in nodes}
-    attempts = attempts or {l: 0 for l in range(1, ctx.max_level + 1)}
     return {
         "phase": phase,
         "i": i,
         "j": j,
         "i_orig": i_orig,
         "origin_phase": None,
-        "attempts": {str(k): v for k, v in attempts.items()},
         "statuses": {str(k): v for k, v in statuses.items()},
     }
 
 
-def measure_of(snap, ctx):
-    """M of a full snapshot, with the status counts taken from its map."""
+def measure_of(snap, ctx, spent=0):
+    """M of a full snapshot, with the status counts taken from its map and
+    ``spent`` refinement attempts."""
     statuses = {int(k): v for k, v in snap["statuses"].items()}
     unfinalized = sum(1 for v in statuses.values() if v != 2)
     unvisited = {
         k: sum(1 for n in ids if statuses.get(n, 0) == 0) for k, ids in ctx.levels.items()
     }
-    return measure_with_counts(snap, ctx, unfinalized, unvisited)
+    return measure_with_counts(snap, ctx, unfinalized, spent, unvisited)
 
 
 class TestMeasureOf:
@@ -101,14 +100,14 @@ class TestMeasureOf:
 
     def test_budget_counts_every_level(self):
         _h, ctx = seven_node_ctx()
-        snap = snapshot("S1", i=1, attempts={1: 0, 2: 1, 3: 0}, ctx=ctx)
-        assert measure_of(snap, ctx)[1] == 8      # 3x3 budget minus one spent
+        snap = snapshot("S1", i=1, ctx=ctx)
+        assert measure_of(snap, ctx, spent=1)[1] == 8      # 3x3 budget minus one spent
 
     def test_negative_component_is_a_typed_error(self):
         _h, ctx = seven_node_ctx()
-        snap = snapshot("S1", i=1, attempts={1: 10, 2: 0, 3: 0}, ctx=ctx)  # k2 = 9 - 10
+        snap = snapshot("S1", i=1, ctx=ctx)
         with pytest.raises(MeasureError, match="must be non-negative"):
-            measure_of(snap, ctx)
+            measure_of(snap, ctx, spent=10)  # k2 = 9 - 10
 
 
 class TestDescent:
