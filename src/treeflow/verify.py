@@ -521,6 +521,10 @@ def _legality_problem(
     failing = p.get("failing", [])
     level = p.get("level")
     family, index = _label(ev.to_state)
+    # The snapshot's index is the one its target label names.
+    key = "j" if family in ("S1R", "S2R", "S3R") else "i"
+    if index is not None and int(p[key]) != index:
+        return f"{rule} recorded {key}={p[key]} for target {ev.to_state}"
     if family == "S1R":
         spent[index] = spent.get(index, 0) + 1
         if spent[index] > ctx.r_max:

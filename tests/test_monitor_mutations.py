@@ -80,12 +80,12 @@ PINNED: dict[str, dict[str, tuple[int, int]]] = {
         "to": (28, 28),
     },
     "pbfd": {
-        "L": (2, 0), "attempt": (30, 30), "failing": (16, 9), "i": (72, 45), "i_orig": (14, 0),
+        "L": (2, 0), "attempt": (30, 30), "failing": (16, 9), "i": (72, 16), "i_orig": (14, 0),
         "j": (14, 0), "level": (56, 0), "r_max": (2, 0), "range_end": (8, 2),
         "trace_format": (2, 1),
     },
     "pdfd": {
-        "L": (2, 0), "attempt": (40, 40), "failing": (20, 8), "i": (56, 18), "level": (40, 0),
+        "L": (2, 0), "attempt": (40, 40), "failing": (20, 8), "i": (56, 2), "level": (40, 0),
         "r_max": (2, 0), "trace_format": (2, 1),
     },
 }

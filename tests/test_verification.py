@@ -278,6 +278,20 @@ class TestLegality:
         assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
             False, "pattern derivation with no children", events[idx].seq)
 
+    @pytest.mark.parametrize("rule,key,expected", [
+        ("PD2", "i", "PD2 recorded i=2 for target S2(1)"),
+        ("PD3", "j", "PD3 recorded j=3 for target S2R(2)"),
+    ])
+    def test_snapshot_index_is_the_target_labels(self, rule, key, expected):
+        """``i`` names the level of an S1-S4 target, ``j`` that of an R phase."""
+        events = list(run_pdfd(visited_places_hierarchy(), pdfd_mvp_scenario()).trace)
+        idx = next(i for i, e in enumerate(events) if e.rule == rule)
+        payload = events[idx].payload
+        events[idx] = events[idx]._replace(payload=dict(payload, **{key: payload[key] + 1}))
+        verdict = check_rule_legality(Trace("pdfd", events))
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
+            False, expected, events[idx].seq)
+
     @pytest.mark.parametrize("run,r_max,expected", [
         (run_pdfd, 1, (False, "PD2a exceeded the attempt cap", 14)),
         (run_pbfd, 0, (False, "PB3 exceeded the attempt cap", 9)),
