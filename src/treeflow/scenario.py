@@ -176,14 +176,18 @@ class Scenario:
         return set()
 
 
-def _int(value: Any, what: str = "") -> int:
-    """``value`` when it is a JSON integer, else a ScenarioError; ``what``
-    names the value within its field."""
+def _exact(value: Any, types: tuple[type, ...], noun: str, what: str = "") -> Any:
+    """``value`` when its class is one of ``types``, else a ScenarioError
+    saying it must be ``noun``; ``what`` names the value within its field."""
     # bool is a subclass of int, so the exact class is tested.
-    if value.__class__ is not int:
+    if value.__class__ not in types:
         subject = f"{what} " if what else ""
-        raise ScenarioError(f"{subject}must be an integer, got {value!r}")
+        raise ScenarioError(f"{subject}must be {noun}, got {value!r}")
     return value
+
+
+def _int(value: Any, what: str = "") -> int:
+    return _exact(value, (int,), "an integer", what)
 
 
 def _int_key(key: str) -> int:
@@ -196,6 +200,14 @@ def _int_key(key: str) -> int:
 
 def _int_map(value: dict) -> dict[int, int]:
     return {_int_key(k): _int(v, f"value of {k!r}") for k, v in value.items()}
+
+
+def _deps_map(value: dict) -> dict[int, list[str]]:
+    return {
+        _int_key(k): [_exact(d, (str,), "a string", "dependency name")
+                      for d in _exact(deps, (list,), "a list", f"value of {k!r}")]
+        for k, deps in value.items()
+    }
 
 
 def _origin_from_json(obj: dict[str, Any]) -> TraceOriginStrategy:
@@ -215,8 +227,9 @@ _FIELDS: dict[str, tuple[str, Any]] = {
     "k": ("k_thresholds", _int_map),
     "implicated_nodes": ("implicated_nodes", lambda v: {_int(n, "node id") for n in v}),
     "seed": ("seed", _int),
-    "random_failure_rate": ("random_failure_rate", float),
-    "dad_missing_deps": ("dad_missing_deps", lambda v: {_int_key(k): list(d) for k, d in v.items()}),
+    "random_failure_rate": ("random_failure_rate",
+                            lambda v: float(_exact(v, (int, float), "a number"))),
+    "dad_missing_deps": ("dad_missing_deps", _deps_map),
     "increments": ("increments", lambda v: [[_int(c, "component") for c in inc] for inc in v]),
 }
 _CDD_FIELDS = ("test_failures", "feedback_cycles", "refine_iterations", "increment_feedback")
@@ -250,8 +263,8 @@ def load_scenario(source: str | Path | dict) -> Scenario:
         script = fields["validation_script"] = {}
         for index, entry in enumerate(obj.get(field, [])):
             field = f"validation_script[{index}]"
-            key = (str(entry["phase"]), _int(entry["index"], "index"),
-                   _int(entry["attempt"], "attempt"))
+            key = (_exact(entry["phase"], (str,), "a string", "phase"),
+                   _int(entry["index"], "index"), _int(entry["attempt"], "attempt"))
             script[key] = {_int(n, "failing node id") for n in entry["failing_node_ids"]}
         cdd_obj, cdd = obj.get("cdd", {}), {}
         for part in _CDD_FIELDS:

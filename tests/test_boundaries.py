@@ -93,11 +93,23 @@ class TestScenarioLoader:
         ({"cdd": {"test_failures": {"2": True}}},
          "cdd.test_failures: value of '2' must be an integer, got True"),
         ({"dad_missing_deps": {"01": ["x"]}}, "dad_missing_deps: key '01' must be written '1'"),
+        # float(), str() and list() once read these as 1.0, 0.5, '3' and ['a', 'b'].
+        ({"random_failure_rate": True}, "random_failure_rate: must be a number, got True"),
+        ({"random_failure_rate": "0.5"}, "random_failure_rate: must be a number, got '0.5'"),
+        ({"validation_script": [{"phase": 3, "index": 2, "attempt": 1, "failing_node_ids": [3]}]},
+         "validation_script[0]: phase must be a string, got 3"),
+        ({"dad_missing_deps": {"1": "ab"}},
+         "dad_missing_deps: value of '1' must be a list, got 'ab'"),
+        ({"dad_missing_deps": {"1": ["a", 2]}},
+         "dad_missing_deps: dependency name must be a string, got 2"),
     ])
     def test_integers_are_exact(self, doc, message):
         with pytest.raises(ScenarioError) as err:
             load_scenario(doc)
         assert str(err.value) == f"scenario: {message}"
+
+    def test_rate_may_be_a_json_integer(self):
+        assert load_scenario({"random_failure_rate": 1}).random_failure_rate == 1.0
 
     def test_loader_raises_scenario_error(self):
         with pytest.raises(ScenarioError, match=r"^scenario: cdd\.test_failures: "):
