@@ -370,9 +370,11 @@ class Verdict:
         return self.ok
 
     def line(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
-        extra = f" (event {self.first_violation_seq}: {self.detail})" if not self.ok else ""
-        return f"{status} {self.name}{extra}"
+        if self.ok:
+            return f"PASS {self.name}"
+        if self.first_violation_seq is None:
+            return f"FAIL {self.name} ({self.detail})"
+        return f"FAIL {self.name} (event {self.first_violation_seq}: {self.detail})"
 
 
 def _family(label: str) -> str:

@@ -384,8 +384,8 @@ class TestDeadlock:
     @pytest.mark.parametrize("h", [None, uniform_hierarchy([1, 2])], ids=["static", "enumerated"])
     def test_unknown_methodology_is_a_failed_verdict(self, h):
         v = check_deadlock_freeness("xyz", h)
-        assert (v.ok, v.line()) == (False, "FAIL deadlock-freeness[xyz] (event None: "
-                                           "unknown methodology 'xyz')")
+        assert (v.ok, v.line()) == (False, "FAIL deadlock-freeness[xyz] "
+                                           "(unknown methodology 'xyz')")
 
     @pytest.mark.parametrize("methodology", ["dad", "dfd", "bfd", "cdd", "tle"])
     def test_basic_machine_with_a_hierarchy_is_a_value_error(self, methodology):
