@@ -11,9 +11,8 @@ Shared semantics
 * Refinement attempts are counted per level, once for every reprocessing
   pass entering that level (episode entry, in-range progression, and
   retries).  A pass whose entry brings the counter to the cap terminates the
-  run through the exhaustion rule of the machine.  Entering level j is an
-  event whose target is S1R(j), so the trace carries no counters: the
-  monitors count those entries.
+  run through the exhaustion rule of the machine.  An entry is an event
+  whose target is S1R(j): the monitors count those, the trace no counters.
 * Every event carries the measure before/after, the phase and indices, and
   the statuses as trace format 2: the full map on the first event, then
   only the nodes each step changed.  The first event also

@@ -68,10 +68,9 @@ class TraceContext:
 def measure_with_counts(
     payload: dict[str, Any], ctx: TraceContext, k1: int, spent: int, unvisited: dict[int, int]
 ) -> Measure:
-    """M from a payload's phase and indices, given the counts a monitor
-    keeps over the trace: ``k1`` unfinalized nodes, ``spent`` refinement
-    attempts and the unvisited nodes of each level (a node missing from the
-    status map counts as unvisited)."""
+    """M from a payload's phase and indices and a monitor's counts: ``k1``
+    unfinalized nodes, ``spent`` refinement attempts and the unvisited nodes
+    of each level (a node missing from the status map counts as unvisited)."""
     phase = payload["phase"]
     i = payload.get("i")
     return compose_measure(

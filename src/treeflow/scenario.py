@@ -202,14 +202,6 @@ def _int_map(value: dict) -> dict[int, int]:
     return {_int_key(k): _int(v, f"value of {k!r}") for k, v in value.items()}
 
 
-def _deps_map(value: dict) -> dict[int, list[str]]:
-    return {
-        _int_key(k): [_exact(d, (str,), "a string", "dependency name")
-                      for d in _exact(deps, (list,), "a list", f"value of {k!r}")]
-        for k, deps in value.items()
-    }
-
-
 def _origin_from_json(obj: dict[str, Any]) -> TraceOriginStrategy:
     kind = obj.get("strategy", "fixed")
     if kind == "fixed":
@@ -229,7 +221,10 @@ _FIELDS: dict[str, tuple[str, Any]] = {
     "seed": ("seed", _int),
     "random_failure_rate": ("random_failure_rate",
                             lambda v: float(_exact(v, (int, float), "a number"))),
-    "dad_missing_deps": ("dad_missing_deps", _deps_map),
+    "dad_missing_deps": ("dad_missing_deps", lambda v: {
+        _int_key(k): [_exact(d, (str,), "a string", "dependency name")
+                      for d in _exact(deps, (list,), "a list", f"value of {k!r}")]
+        for k, deps in v.items()}),
     "increments": ("increments", lambda v: [[_int(c, "component") for c in inc] for inc in v]),
 }
 _CDD_FIELDS = ("test_failures", "feedback_cycles", "refine_iterations", "increment_feedback")

@@ -10,15 +10,15 @@ Checks provided, all pure over immutable traces:
 
 * well-formedness: events chain and every rule is known for the methodology;
 * rule legality: each rule's firing condition is re-evaluated from the
-  event payload, its target label, the attempts spent so far and the folded
-  statuses;
+  event payload and target label, the attempts spent and the statuses;
 * measure descent: every non-terminal transition strictly decreases the
   lexicographic measure, with per-component deltas matching the rule's
   expected pattern; recorded measures are recomputed from the payloads and
   from counts the monitor keeps over the folded status changes and the
   attempts spent;
-* bounded refinement: no level spends more attempts than the cap, and all
-  levels together at most levels x cap;
+* bounded refinement: counted from the labels, as the trace holds no
+  counters (a target S1R(j) spends one attempt at level j), no level spends
+  more than the cap, and all together at most levels x cap;
 * finalization invariance: no status change moves a FINALIZED node;
 * deadlock freeness: static rule-table coverage plus bounded exhaustive
   enumeration of reachable machine configurations over all validation
@@ -30,10 +30,6 @@ for a verdict at any point.  Their ``check_*`` functions run the fold over a
 whole trace, and the run enumerator forks them with the engine.  The status
 monitors read statuses through ``trace.StatusFold``, so they accept both the
 delta-encoded format and full per-event snapshots.
-
-The trace holds no attempt counters: a refinement pass entering level j is
-an event whose target is S1R(j), and that entry is the attempt spent.  Each
-monitor that needs the counts keeps them from the labels (``_label``).
 """
 
 from __future__ import annotations
@@ -372,9 +368,8 @@ class Verdict:
     def line(self) -> str:
         if self.ok:
             return f"PASS {self.name}"
-        if self.first_violation_seq is None:
-            return f"FAIL {self.name} ({self.detail})"
-        return f"FAIL {self.name} (event {self.first_violation_seq}: {self.detail})"
+        at = "" if self.first_violation_seq is None else f"event {self.first_violation_seq}: "
+        return f"FAIL {self.name} ({at}{self.detail})"
 
 
 def _family(label: str) -> str:
@@ -516,8 +511,7 @@ def _legality_problem(
     statuses: dict[int, int],
     ctx: TraceContext,
 ) -> str | None:
-    """The problem with ``ev``, or None.  ``spent`` holds the attempts each
-    level spent before ``ev``; an S1R entry adds its own."""
+    """The problem with ``ev``, or None; an S1R entry adds to ``spent``."""
     rule = ev.rule
     p = ev.payload
     failing = p.get("failing", [])
@@ -525,7 +519,7 @@ def _legality_problem(
     family, index = _label(ev.to_state)
     # The snapshot's index is the one its target label names.
     key = "j" if family in ("S1R", "S2R", "S3R") else "i"
-    if index is not None and int(p[key]) != index:
+    if family not in ("S5", "T") and int(p[key]) != index:
         return f"{rule} recorded {key}={p[key]} for target {ev.to_state}"
     if family == "S1R":
         spent[index] = spent.get(index, 0) + 1

@@ -292,6 +292,15 @@ class TestLegality:
         assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
             False, expected, events[idx].seq)
 
+    def test_target_label_must_name_its_index(self):
+        events = list(run_pdfd(visited_places_hierarchy(), pdfd_mvp_scenario()).trace)
+        idx = next(i for i, e in enumerate(events) if e.to_state.startswith("S1R("))
+        events[idx] = events[idx]._replace(to_state="S1R")
+        events[idx + 1] = events[idx + 1]._replace(from_state="S1R")
+        verdict = check_rule_legality(Trace("pdfd", events))
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
+            False, "PD2a recorded j=2 for target S1R", events[idx].seq)
+
     @pytest.mark.parametrize("run,r_max,expected", [
         (run_pdfd, 1, (False, "PD2a exceeded the attempt cap", 14)),
         (run_pbfd, 0, (False, "PB3 exceeded the attempt cap", 9)),
