@@ -1,41 +1,40 @@
 """Event-level conformance: table-driven recognizers over the rules' events.
 
-Each trace rule expands into a short sequence of named events, its
-annotation: the ``events`` of the rule's row in ``verify.RULE_TABLES``,
-rendered from the event payload.  Each methodology's process definitions
-are one transition table, written here and built once at import, and its
-alphabet is the set of event names the table can consume.  A recognizer
-walks the table and accepts exactly the event sequences the process allows,
-prefix-closed; rejection reports the first illegal event.  The tables
-describe the process definitions, not the engines, and the alphabets come
-from the tables, not from the rule rows, so the engines and the
-annotations are checked against something they do not own.  Parameterized
-events serialize as ``name.param[.param]``; level parameters are bounded by
-the recognizer's level domain (default 5, configurable for deeper trees).
+Each trace rule expands into a short sequence of named events, which the
+``render`` compiled into its row of ``verify.RULE_TABLES`` builds from the
+event payload.  Each methodology's process definitions are one transition
+table, written here and compiled at import into match plans (``_plans``),
+and its alphabet is the set of event names the table can consume.  A
+recognizer walks the table and accepts exactly the event sequences the
+process allows, prefix-closed; rejection reports the first illegal event.
+The tables describe the process definitions, not the engines, and the
+alphabets come from the tables, not from the rule rows, so the engines and
+the annotations are checked against something they do not own.  Events
+serialize as ``name.param[.param]``; level parameters are bounded by the
+recognizer's level domain (default 5, configurable for deeper trees).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable
 
 from .trace import Trace, TraceEvent
-from .verify import HYBRID, RULE_TABLES, UNREADABLE, Pick, Verdict, split_templates
+from .verify import HYBRID, RULE_TABLES, UNREADABLE, Verdict, split_templates
 
 DEFAULT_LEVEL_DOMAIN = 5
 
 
-# -- annotation: engine rule -> events -------------------------------------------------
-#
-# An event is a tuple of segments: the event name, then each parameter as
-# its ``str``.  ``annotate_trace`` joins them into ``name.param[.param]``.
+# -- annotation: engine rule -> events, each a tuple of its str segments -------------
 
 
 def annotate_trace(trace: Trace, methodology: str | None = None) -> list[tuple[int, str]]:
     """Expand each trace event into (seq, csp_event) pairs."""
     methodology = methodology or trace.methodology
     L = _level_count(trace)
-    return [(ev.seq, ".".join(event)) for ev in trace for event in _annotate(methodology, ev, L)]
+    return [(ev.seq, ".".join(event)) for ev in trace for event in _render(methodology, ev, L)]
 
 
 def _level_count(trace: Trace) -> int | None:
@@ -45,27 +44,12 @@ def _level_count(trace: Trace) -> int | None:
     return None
 
 
-def _annotate(methodology: str, ev: TraceEvent, L: int | None) -> list[tuple[str, ...]]:
-    """Render the events of the event's rule row from its payload."""
+def _render(methodology: str, ev: TraceEvent, L: int | None) -> list[tuple[str, ...]]:
+    """The events of the event's rule row, rendered from its payload."""
     spec = RULE_TABLES[methodology].get(ev.rule)
-    events = None if spec is None else spec.events
-    if events is None:
+    if spec is None or spec.render is None:
         raise ValueError(f"unknown rule {ev.rule}")
-    fields = ev.payload
-    if events.__class__ is Pick:
-        events, fields = events.fn(ev, L, *events.alternatives)
-    out = []
-    last = value = None
-    for event in events:
-        if len(event) == 1:
-            out.append(event)
-        elif len(event) == 2:
-            if event[1] is not last:  # consecutive events share one field's text
-                last, value = event[1], str(event[1](fields))
-            out.append((event[0], value))
-        else:
-            out.append((event[0], *[str(get(fields)) for get in event[1:]]))
-    return out
+    return spec.render(ev, L)
 
 
 # -- transition tables: one per methodology ---------------------------------------
@@ -82,7 +66,7 @@ def _annotate(methodology: str, ev: TraceEvent, L: int | None) -> list[tuple[str
 #
 #     {k}   the state's k-th value
 #     $x    a capture: binds on first use in the branch, must agree after
-#     *     any one segment
+#     *     any one segment without a dot
 #
 # ``next`` is the state once the branch is consumed: a state tuple, or a
 # function ``(state, captures, L) -> state`` whose captures are keyed "$x"
@@ -90,30 +74,57 @@ def _annotate(methodology: str, ev: TraceEvent, L: int | None) -> list[tuple[str
 # branch's last event.  Whatever depends on the state's values beyond
 # ``{k}`` lives in that function: where a later event depends on them, the
 # function returns an intermediate kind whose one branch consumes that
-# event.  A kind with no branch for an event, like STOP, refuses it.  At import every
-# templates string is split once into tuples of segments (``{k}`` becomes
-# the int k), and the alphabet is the set of the templates' event names.
+# event.  A kind with no branch for an event, like STOP, refuses it.
 
-Template = tuple[Any, ...]
-Entry = tuple[tuple[Template, ...], Any]
+Plan = tuple[str, int, Any, Any, int, Any, Any, Any]
+Entry = tuple[tuple[Plan, ...], Any]
 ANY = "*"
 START = ("start",)
 STOP = ("STOP",)
-_NO_ENTRIES: dict[str, Entry] = {}
 
 
 def _table(spec: dict[str, list]) -> dict[str, dict[str, Entry]]:
-    """Index each kind's branches by the event that selects them."""
-    table: dict[str, dict[str, Entry]] = {}
+    """Index each kind's branches by the event that selects them; STOP has none."""
+    table: dict[str, dict[str, Entry]] = {STOP[0]: {}}
     for kind, branches in spec.items():
         entries = table[kind] = {}
         for text, nxt in branches:
-            templates = split_templates(text, int)
-            event = templates[0][0]
+            plans = _plans(split_templates(text, int))
+            event = plans[0][0]
             if event in entries:
                 raise ValueError(f"two {kind} branches start with {event}")
-            entries[event] = (templates, nxt)
+            entries[event] = (plans, nxt)
     return table
+
+
+def _plans(templates: tuple[tuple[Any, ...], ...]) -> tuple[Plan, ...]:
+    """Each template of a branch as a match plan: its name and segment
+    count; getters of its ``{k}`` segments and of the state values they
+    must equal (None for none); the index of its one wildcard or new
+    capture (0 for none), which must hold no dot, and that capture; and
+    getters of the segments that repeat a capture and of its value."""
+    bound: set[str | None] = set()
+    plans = []
+    for name, *params in templates:
+        state, free, capture, repeated = [], 0, None, []
+        for k, want in enumerate(params, 1):
+            if want.__class__ is int:
+                state.append((k, want))
+            elif want in bound:
+                repeated.append((k, want))
+            elif (want == ANY or want[0] == "$") and not free:
+                free, capture = k, None if want == ANY else want
+                bound.add(capture)
+            else:
+                raise ValueError(f"{name}: want {{k}}, $x or one new * or $x, got {want!r}")
+        plans.append((name, len(params) + 1, *_getters(state), free, capture,
+                      *_getters(repeated)))
+    return tuple(plans)
+
+
+def _getters(pairs: list[tuple[int, Any]]) -> tuple[Any, Any]:
+    """Getters of the event segments and of the values they must equal."""
+    return tuple(itemgetter(*side) for side in zip(*pairs)) if pairs else (None, None)
 
 
 def _as(kind: str) -> Callable[[tuple, dict, Any], tuple]:
@@ -330,48 +341,20 @@ ALPHABETS: dict[str, set[str]] = {m: _alphabet(table) for m, table in TABLES.ite
 # -- the recognizer ----------------------------------------------------------------
 
 
-def _fits(template: Template, event, state: tuple, captures: dict[str, str]) -> bool:
-    """Whether the event matches the template.  A captured or wildcard
-    segment never contains a dot: joined and split again, such a parameter
-    would be several segments."""
-    if len(template) != len(event) or template[0] != event[0]:
-        return False
-    for k in range(1, len(template)):
-        want = template[k]
-        got = event[k]
-        if want.__class__ is int:
-            if got != state[want]:
-                return False
-        elif want == ANY:
-            if "." in got:
-                return False
-        elif want[0] == "$":
-            bound = captures.get(want)
-            if bound is None:
-                if "." in got:
-                    return False
-                captures[want] = got
-            elif bound != got:
-                return False
-        elif want != got:
-            return False
-    return True
-
-
 class Recognizer:
     """Prefix-closed acceptor over one methodology's transition table.
 
     With no branch in progress, the next event selects one through the
-    table; the branch's templates then consume that event and the ones
+    table; the branch's match plans then consume that event and the ones
     after it.  When the last is consumed, the process moves to the next
-    state.  Level parameters above the level domain are refused."""
+    state.  Level parameters above the level domain are refused, and so is
+    an event outside the alphabet: it selects no branch and fits no plan."""
 
     def __init__(self, methodology: str, level_domain: int | None = None):
-        self.alphabet = ALPHABETS[methodology]
         self.table = TABLES[methodology]
         self.level_domain = level_domain
         self.state: tuple = START
-        self.branch: tuple[Template, ...] = ()
+        self.branch: tuple[Plan, ...] = ()
         self.pos = 0
         self.next: Any = None
         self.captures: dict[str, str] = {}
@@ -381,27 +364,33 @@ class Recognizer:
 
     def feed(self, events) -> int | None:
         """Consume segment sequences in order; the index of the first one
-        refused, or None when all are accepted."""
-        alphabet, table, domain = self.alphabet, self.table, self.level_domain
+        refused, or None when all are accepted.  A captured or wildcard
+        segment holds no dot: joined and split again, it would be several."""
+        table, domain = self.table, self.level_domain
         state, branch, pos, nxt, captures = (
             self.state, self.branch, self.pos, self.next, self.captures)
         refused = None
         for idx, event in enumerate(events):
-            if event[0] not in alphabet or (
-                domain is not None
-                and any(seg.isdigit() and int(seg) > domain for seg in event[1:])
-            ):
+            if domain is not None and any(seg.isdigit() and int(seg) > domain for seg in event[1:]):
                 refused = idx
                 break
             if pos == len(branch):
-                entry = table.get(state[0], _NO_ENTRIES).get(event[0])
+                entry = table[state[0]].get(event[0])
                 if entry is None:
                     refused = idx
                     break
                 branch, nxt = entry
                 pos = 0
                 captures = {}
-            if not _fits(branch[pos], event, state, captures):
+            name, size, at, values, free, capture, at_repeated, captured = branch[pos]
+            if (event[0] != name or len(event) != size
+                    or (at is not None and at(event) != values(state))
+                    or (free and "." in event[free])):
+                refused = idx
+                break
+            if capture is not None:
+                captures[capture] = event[free]
+            if at_repeated is not None and at_repeated(event) != captured(captures):
                 refused = idx
                 break
             if pos + 1 == len(branch):
@@ -445,9 +434,9 @@ def check_csp_conformance(
 ) -> Verdict:
     """Annotate the trace and run it through the methodology's recognizer.
 
-    The whole trace is annotated first, so an annotation failure is
-    reported even after an earlier illegal event.  A level count L that is
-    not an integer fails on the first event."""
+    The whole trace is annotated first, into one list of events, so an
+    annotation failure is reported even after an earlier illegal event.
+    A level count L that is not an integer fails on the first event."""
     methodology = methodology or trace.methodology
     name = f"csp-conformance[{methodology}]"
     try:
@@ -457,21 +446,19 @@ def check_csp_conformance(
         return Verdict(name, False, f"L={first.payload['L']!r} is not an integer", first.seq)
     if methodology in HYBRID and level_domain is None and trace.events:
         level_domain = DEFAULT_LEVEL_DOMAIN if L is None else L
-    annotated = []
-    for ev in trace:
+    events: list[tuple[str, ...]] = []
+    ends = []  # per trace event, the length of ``events`` after its group
+    for ev in trace.events:
         try:
-            annotated.append((ev.seq, _annotate(methodology, ev, L)))
+            events += _render(methodology, ev, L)
         except UNREADABLE as exc:
             return Verdict(name, False, f"annotation failed: {exc}", ev.seq)
-    events = [event for _seq, group in annotated for event in group]
+        ends.append(len(events))
     idx = make_recognizer(methodology, level_domain).feed(events)
     if idx is None:
         return Verdict(name, True, f"{len(events)} events accepted")
     event = events[idx]
-    for seq, group in annotated:
-        if idx < len(group):
-            break
-        idx -= len(group)
+    seq = trace.events[bisect_right(ends, idx)].seq
     text = ".".join(event)
     if event[0] not in ALPHABETS[methodology]:
         return Verdict(name, False, f"event {text!r} outside alphabet", seq)

@@ -101,8 +101,9 @@ class _Engine:
     """One run's mutable state.
 
     Besides the statuses and attempt counters, the engine keeps the number
-    of unfinalized nodes and of unvisited nodes per level up to date as
-    statuses change, so that computing M costs O(L) rather than O(nodes).
+    of unfinalized nodes, of unvisited nodes per level and of attempts
+    spent up to date as the run changes them, so that computing M costs
+    O(1) rather than O(nodes + L).
     The monitors never see these counters: they fold each event's status
     changes themselves and recompute M.
 
@@ -125,6 +126,7 @@ class _Engine:
         self.L = h.max_level
         self.statuses: dict[int, int] = {n: 0 for n in h.nodes}
         self.attempts: dict[int, int] = {l: 0 for l in range(1, self.L + 1)}
+        self.spent = 0  # the sum of ``attempts``, so that M costs no pass over the levels
         self._changed: list[int] = []  # nodes whose status the step changed
         self.state = _State()
         self.trace = Trace(methodology)
@@ -166,8 +168,8 @@ class _Engine:
             self.methodology, self.h, self.sc, self.answer)
         other.L, other.cap, other.ctx = self.L, self.cap, self.ctx
         # Replaced, never mutated: the new run rebinds its own.
-        other.state, other.reason, other._unfinalized, other._measure = (
-            self.state, self.reason, self._unfinalized, self._measure)
+        other.state, other.reason, other._unfinalized, other._measure, other.spent = (
+            self.state, self.reason, self._unfinalized, self._measure, self.spent)
         # Changed in place by a step: copied.
         other.queries = dict(self.queries)
         other.statuses = dict(self.statuses)
@@ -191,7 +193,7 @@ class _Engine:
 
     def measure(self) -> Measure:
         st = self.state
-        k2 = sum(self.ctx.r_max - c for c in self.attempts.values())
+        k2 = self.ctx.r_max * self.L - self.spent
         unvisited = self._unvisited.get(st.i, 0) if st.phase == "S1" else 0
         return compose_measure(
             self.ctx, st.phase, st.i, st.j, st.i_orig, self._unfinalized, k2, unvisited
@@ -303,6 +305,7 @@ def _enter_refinement(
     """Move into the refinement pass at level j, burning one attempt there.
     The snapshot adds the new ``j`` to the payload."""
     eng.attempts[j] += 1
+    eng.spent += 1
     eng.emit(
         rule, _State(phase="S1R", i=i_orig, j=j, i_orig=i_orig, origin_phase=origin_phase), payload
     )

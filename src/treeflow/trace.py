@@ -16,18 +16,33 @@ every event carries the full map.
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .jsondoc import DECODER, JSONDocumentError, decode_json, write_text
 
 TRACE_FORMAT = 2
 
-# One encoder for every line: json.dumps(sort_keys=True) builds a new one per
-# call, with byte-identical output.
+# The settings of every line: json.dumps(sort_keys=True)'s.
 _ENCODER = json.JSONEncoder(sort_keys=True)
+_new_tuple = tuple.__new__
 # The decoder's scanner without json.loads's whitespace handling around it.
 _scan = DECODER.scan_once
+
+
+def _line_encoder() -> Callable[[dict[str, Any]], str]:
+    """``_ENCODER.encode`` for the records of one trace.  That method builds
+    the C encoder anew for each record; this builds it once, with the same
+    arguments and its own circular-reference markers.  Without the C
+    encoder it is ``_ENCODER.encode`` itself."""
+    if c_make_encoder is None:
+        return _ENCODER.encode
+    e = _ENCODER
+    encoder = c_make_encoder({}, e.default, encode_basestring_ascii, e.indent,
+                             e.key_separator, e.item_separator, e.sort_keys,
+                             e.skipkeys, e.allow_nan)
+    return lambda rec: "".join(encoder(rec, 0))
 
 
 class TraceFormatError(ValueError):
@@ -80,19 +95,26 @@ class TraceEvent(NamedTuple):
             raise TraceFormatError(
                 f"event must be a JSON object, got {type(rec).__name__}"
             ) from None
-        for key in ("rule", "from", "to"):
-            if rec[key].__class__ is not str:
-                raise TraceFormatError(f"{key} must be a string, got {type(rec[key]).__name__}")
-        payload = rec.get("payload", {})
+        if not (rule.__class__ is str and from_state.__class__ is str
+                and to_state.__class__ is str):
+            for key, value in (("rule", rule), ("from", from_state), ("to", to_state)):
+                if value.__class__ is not str:
+                    raise TraceFormatError(f"{key} must be a string, got {type(value).__name__}")
+        payload = rec.get("payload")
         if payload.__class__ is not dict:
-            raise TraceFormatError(f"payload must be a JSON object, got {type(payload).__name__}")
+            if payload is not None or "payload" in rec:
+                raise TraceFormatError(
+                    f"payload must be a JSON object, got {type(payload).__name__}")
+            payload = {}
         pre, post = rec.get("measure_pre"), rec.get("measure_post")
-        try:
-            pre = None if pre is None else tuple(pre)
-            post = None if post is None else tuple(post)
-        except TypeError:
-            raise TraceFormatError("measure_pre and measure_post must be lists") from None
-        return cls(seq, rule, from_state, to_state, payload, pre, post)
+        if pre is not None or post is not None:
+            try:
+                pre = None if pre is None else tuple(pre)
+                post = None if post is None else tuple(post)
+            except TypeError:
+                raise TraceFormatError("measure_pre and measure_post must be lists") from None
+        # The tuple itself: the NamedTuple constructor would only add a call.
+        return _new_tuple(cls, (seq, rule, from_state, to_state, payload, pre, post))
 
 
 class Trace:
@@ -134,7 +156,7 @@ class Trace:
 
     def to_jsonl(self) -> str:
         """One sorted-key JSON record per line, newline-terminated."""
-        encode = _ENCODER.encode
+        encode = _line_encoder()
         lines = [encode(e.to_record()) for e in self.events]
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -148,6 +170,7 @@ class Trace:
         """Events of a JSONL file; blank lines are skipped.  A bad line
         raises TraceFormatError naming the file and line."""
         events = []
+        from_record = TraceEvent.from_record
         for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
             try:  # the common case: one record that fills its line
                 rec, end = _scan(line, 0)
@@ -158,7 +181,7 @@ class Trace:
                     if not line.strip():
                         continue
                     rec = decode_json(line)
-                events.append(TraceEvent.from_record(rec))
+                events.append(from_record(rec))
             except (JSONDocumentError, TraceFormatError) as exc:
                 raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
         return cls(methodology, events)

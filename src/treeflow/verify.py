@@ -3,8 +3,8 @@
 Each machine has one rule table in ``RULE_TABLES``.  A row holds what is
 known about one rule: the state families it fires from and moves to, its
 kind, the measure's expected per-component deltas (hybrid machines) and
-its CSP expansion, which ``csp`` renders from each event's payload and runs
-through the process tables.  ``HYBRID`` names the machines with a measure.
+its CSP expansion, compiled once into the row's ``render``, which ``csp``
+calls on each event.  ``HYBRID`` names the machines with a measure.
 
 Checks provided, all pure over immutable traces:
 
@@ -13,31 +13,28 @@ Checks provided, all pure over immutable traces:
   event payload and target label, the attempts spent and the statuses;
 * measure descent: every non-terminal transition strictly decreases the
   lexicographic measure, with per-component deltas matching the rule's
-  expected pattern; recorded measures are recomputed from the payloads and
-  from counts the monitor keeps over the folded status changes and the
-  attempts spent;
-* bounded refinement: counted from the labels, as the trace holds no
-  counters (a target S1R(j) spends one attempt at level j), no level spends
-  more than the cap, and all together at most levels x cap;
+  pattern; recorded measures must equal the monitor's own, computed from
+  the payloads, the folded status changes and the attempts spent;
+* bounded refinement: counted from the labels (a target S1R(j) spends one
+  attempt at level j), no level spends more than the cap, and all together
+  at most levels x cap;
 * finalization invariance: no status change moves a FINALIZED node;
 * deadlock freeness: static rule-table coverage plus bounded exhaustive
-  enumeration of reachable machine configurations over all validation
-  outcomes.
+  enumeration of runs over all validation outcomes.
 
 Well-formedness and measure descent are folds, ``WellFormedFold`` and
 ``DescentFold``: fed one event at a time, copied at a branch point, read
-for a verdict at any point.  Their ``check_*`` functions run the fold over a
-whole trace, and the run enumerator forks them with the engine.  The status
-monitors read statuses through ``trace.StatusFold``, so they accept both the
-delta-encoded format and full per-event snapshots.
+for a verdict at any point; the run enumerator forks them with the engine.
+The status monitors read statuses through ``trace.StatusFold``, so they
+accept both the delta-encoded format and full per-event snapshots.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import cache
-from operator import itemgetter, methodcaller
+from dataclasses import dataclass, field
+from functools import cache, partial
+from operator import eq, ge, gt, itemgetter, lt, methodcaller
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .hierarchy import Hierarchy
@@ -57,11 +54,10 @@ class Delta(enum.Enum):
 # -- event templates ------------------------------------------------------------------
 #
 # A rule's CSP expansion and a process table's branches share one template
-# syntax: space-separated ``name.param[.param]``, split once at import into
-# tuples of segments.  What a ``{...}`` parameter means is up to the reader:
-# in a rule row ``{field}`` is the event payload's ``p[field]`` and
-# ``{field?}`` is ``p.get(field)``; in a process table ``{k}`` is the state's
-# k-th value.
+# syntax: space-separated ``name.param[.param]``, split at import into tuples
+# of segments.  In a rule row ``{field}`` reads the payload's ``p[field]`` and
+# ``{field?}`` its ``p.get(field)``; in a process table ``{k}`` is the state's
+# k-th value.  Each side compiles its templates once.
 
 
 Templates = tuple[tuple[Any, ...], ...]
@@ -83,15 +79,12 @@ def _field(name: str) -> Callable[[dict], Any]:
 
 
 class Pick(NamedTuple):
-    """A rule whose events are not one fixed template: they depend on a
-    computed value or on more than one payload field.
+    """A rule's CSP expansion: the templates it may render, and
+    ``fn(*renderers, event, L)``, which renders the events of the one it
+    chooses, from the payload or from values computed from it.  L is the
+    first event's level count, or None."""
 
-    ``fn(event, L, *alternatives)`` returns the templates to render, chosen
-    from the listed ones, and the mapping their fields are read from: the
-    payload, or values computed from it.  L is the first event's level
-    count, or None."""
-
-    fn: Callable[..., tuple[Templates, dict[str, Any]]]
+    fn: Callable[..., list[tuple[str, ...]]]
     alternatives: tuple[Templates, ...]
 
 
@@ -99,39 +92,59 @@ def _pick(fn: Callable[..., Any], *texts: str) -> Pick:
     return Pick(fn, tuple(split_templates(text, _field) for text in texts))
 
 
-def _to_level(ev: TraceEvent, L: int | None, events):
+def _renderer(templates: Templates) -> Callable[[Any], list[tuple[str, ...]]]:
+    """Compile templates into one function of a fields mapping that returns
+    their events as tuples of ``str`` segments.  It reads each field once,
+    in the order the templates first name it, so the first unreadable field
+    is the one a left-to-right reading would meet."""
+    reads = {get: f"v{n}" for n, get in enumerate(dict.fromkeys(
+        get for template in templates for get in template[1:]))}
+    body = "".join(f"    {v} = str(g{v}(fields))\n" for v in reads.values())
+    events = ", ".join(f"({t[0]!r}, {''.join(reads[get] + ', ' for get in t[1:])})"
+                       for t in templates)
+    scope = {f"g{v}": get for get, v in reads.items()}
+    exec(f"def render(fields):\n{body}    return [{events}]\n", scope)
+    return scope["render"]
+
+
+def _payload(events, ev: TraceEvent, L: int | None):
+    return events(ev.payload)
+
+
+def _to_level(events, ev: TraceEvent, L: int | None):
     """The level is the one the rule enters, read from its target state."""
-    return events, {"to_level": str(int(ev.to_state[3:-1]))}
+    return events({"to_level": str(int(ev.to_state[3:-1]))})
 
 
-def _next_level(ev: TraceEvent, L: int | None, events):
-    return events, dict(ev.payload, next_level=str(int(ev.payload.get("level")) + 1))
+def _next_level(events, ev: TraceEvent, L: int | None):
+    return events(dict(ev.payload, next_level=str(int(ev.payload.get("level")) + 1)))
 
 
-def _prev_level(ev: TraceEvent, L: int | None, events):
-    return events, {"prev_level": str(ev.payload["level"] - 1)}
+def _prev_level(events, ev: TraceEvent, L: int | None):
+    return events({"prev_level": str(ev.payload["level"] - 1)})
 
 
-def _at_last_level(ev: TraceEvent, L: int | None, last, other):
+def _at_last_level(last, other, ev: TraceEvent, L: int | None):
     level = ev.payload.get("level")
-    return (last if int(level) == (level if L is None else L) else other), ev.payload
+    return (last if int(level) == (level if L is None else L) else other)(ev.payload)
 
 
-def _pd8(ev: TraceEvent, L: int | None, exhausted, from_s2, from_s3, other):
+def _pd8(exhausted, from_s2, from_s3, other, ev: TraceEvent, L: int | None):
     """Exhaustion, or no refinement path after a failed level (S2) or
     bottom-up (S3) validation."""
     if ev.payload.get("reason") == "refinement_exhausted":
-        return exhausted, ev.payload
-    return {"S2": from_s2, "S3": from_s3}.get(_family(ev.from_state), other), ev.payload
+        return exhausted(ev.payload)
+    return {"S2": from_s2, "S3": from_s3}.get(_family(ev.from_state), other)(ev.payload)
 
 
-def _repeated(ev: TraceEvent, L: int | None, refine, done):
+def _repeated(refine, done, ev: TraceEvent, L: int | None):
     """One refine event per iteration after the first, then completion."""
-    return refine * max(int(ev.payload.get("refine_iterations", 1)) - 1, 0) + done, ev.payload
+    times = max(int(ev.payload.get("refine_iterations", 1)) - 1, 0)
+    return refine(ev.payload) * times + done(ev.payload)
 
 
-def _extended(ev: TraceEvent, L: int | None, extended, missing):
-    return (extended if "new_node" in ev.payload else missing), ev.payload
+def _extended(extended, missing, ev: TraceEvent, L: int | None):
+    return (extended if "new_node" in ev.payload else missing)(ev.payload)
 
 
 # -- rule tables: one per machine ------------------------------------------------------
@@ -141,17 +154,22 @@ def _extended(ev: TraceEvent, L: int | None, extended, missing):
 class RuleSpec:
     """One rule: the state families it fires from and moves to, its kind,
     the measure's expected per-component deltas (hybrid steps) and its CSP
-    expansion, a templates string or a ``Pick``."""
+    expansion, a ``Pick`` or a templates string rendered from the payload.
+    ``render(event, L)`` is the expansion compiled once (None for none)."""
 
     sources: tuple[str, ...]
     targets: tuple[str, ...]
     kind: str = "step"  # "step" | "terminal" | "initial"
     deltas: tuple[Delta, Delta, Delta, Delta] | None = None
-    events: Any = None
+    events: Pick | None = None
+    render: Callable[[TraceEvent, int | None], list[tuple[str, ...]]] | None = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.events, str):
-            object.__setattr__(self, "events", split_templates(self.events, _field))
+            object.__setattr__(self, "events", _pick(_payload, self.events))
+        render = self.events and partial(self.events.fn, *map(_renderer, self.events.alternatives))
+        object.__setattr__(self, "render", render)
 
 
 E, D, U, A, N = Delta.EQ, Delta.DOWN, Delta.UP, Delta.ANY, Delta.NONINC
@@ -578,16 +596,11 @@ def _legality_problem(
 # -- measure descent --------------------------------------------------------------
 
 
-def _delta_ok(kind: Delta, pre: int, post: int) -> bool:
-    if kind is Delta.EQ:
-        return post == pre
-    if kind is Delta.DOWN:
-        return post < pre
-    if kind is Delta.UP:
-        return post > pre
-    if kind is Delta.NONINC:
-        return post <= pre
-    return True
+# Whether a component's step from pre to post follows each pattern.
+_DELTA_OK: dict[Delta, Callable[[int, int], bool]] = {
+    Delta.EQ: eq, Delta.DOWN: gt, Delta.UP: lt, Delta.NONINC: ge,
+    Delta.ANY: lambda pre, post: True,
+}
 
 
 def check_measure_descent(trace: Trace, methodology: str | None = None) -> Verdict:
@@ -708,7 +721,7 @@ def _descent_problem(
         if not post < pre:
             return f"{ev.rule} did not decrease M: {pre} -> {post}"
         for idx, kind in enumerate(spec.deltas or ()):
-            if not _delta_ok(kind, pre[idx], post[idx]):
+            if not _DELTA_OK[kind](pre[idx], post[idx]):
                 return (f"{ev.rule} component k{idx + 1} broke pattern "
                         f"{kind.value}: {pre[idx]} -> {post[idx]}")
     return None

@@ -23,7 +23,7 @@ from test_trace_golden import _inputs, _trace, uneven_tree
 from treeflow.csp import ALPHABETS, TABLES, accept_events, annotate_trace, check_csp_conformance
 from treeflow.fixtures import geo_hierarchy
 from treeflow.tle import TleStore, TraversalPage, tle_traverse
-from treeflow.trace import Trace
+from treeflow.trace import Trace, TraceEvent
 from treeflow.verify import RULE_TABLES, Pick
 
 MACHINES = ("bfd", "cdd", "dad", "dfd", "pbfd", "pdfd", "tle")
@@ -322,3 +322,18 @@ def test_a_row_event_outside_the_process_alphabet_is_refused(monkeypatch):
     assert not v.ok
     assert v.detail == f"event 'bogus.{first.payload['node']}' outside alphabet"
     assert v.first_violation_seq == first.seq
+
+
+def test_a_replaced_row_renders_its_own_events():
+    """A row's renderer is compiled from its own ``events``: a copy with
+    other events renders those, and the original is unchanged."""
+    row = RULE_TABLES["bfd"]["BF2"]
+    ev = TraceEvent(2, "BF2", "S1", "S1", {"node": 7, "level": 2})
+    before = [("dequeue_actual", "7"), ("develop_actual", "7"), ("enqueue_children_actual", "7")]
+    assert row.render(ev, None) == before
+    other = dataclasses.replace(row, events="a.{level} b c.{node}.{level}")
+    assert other.render(ev, None) == [("a", "2"), ("b",), ("c", "7", "2")]
+    assert row.render(ev, None) == before
+    # The fields are read in the order the templates first name them.
+    with pytest.raises(KeyError, match="'level'"):
+        other.render(ev._replace(payload={}), None)

@@ -18,6 +18,7 @@ import pytest
 
 from test_verification import replay_runs
 from treeflow.basic_machines import Dag, run_dad, run_dfd
+from treeflow.csp import check_csp_conformance
 from treeflow.fixtures import (
     pdfd_mvp_scenario,
     perfect_tree,
@@ -133,6 +134,17 @@ class TestLinearLayers:
             return len(run(load_hierarchy(deep_rows(levels)), Scenario()).trace.to_jsonl())
 
         assert size(500) / size(250) <= LINEAR
+
+    def test_csp_conformance(self):
+        small, large = dfd_trace(9), dfd_trace(10)
+        assert calls(check_csp_conformance, large) / calls(check_csp_conformance, small) <= LINEAR
+
+    @pytest.mark.parametrize("run", [run_pdfd, run_pbfd])
+    def test_hybrid_run_on_a_path(self, run):
+        """The measure is not summed over the levels' attempt counters on
+        every event: the engine keeps a running count of those spent."""
+        small, large = load_hierarchy(deep_rows(250)), load_hierarchy(deep_rows(500))
+        assert calls(run, large, Scenario()) / calls(run, small, Scenario()) <= LINEAR
 
     def test_trace_read_jsonl(self, tmp_path):
         small, large = tmp_path / "small.jsonl", tmp_path / "large.jsonl"

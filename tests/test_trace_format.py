@@ -15,12 +15,14 @@ from treeflow.fixtures import (
     pdfd_mvp_scenario,
     visited_places_hierarchy,
 )
+from treeflow import trace as trace_mod
 from treeflow.hybrid_machines import run_pbfd, run_pdfd
 from treeflow.trace import (
     TRACE_FORMAT,
     StatusFoldError,
     Trace,
     TraceEvent,
+    TraceFormatError,
     fold_statuses,
 )
 from treeflow.verify import (
@@ -315,6 +317,98 @@ class TestCodec:
         path.write_text('{"seq": 1, "rule": "DF1", "from": "S0", "to": "S1",\n"payload": {}}\n')
         with pytest.raises(ValueError, match=r"t\.jsonl:1: invalid JSON"):
             Trace.read_jsonl(path)
+
+
+HAND_MADE = [
+    TraceEvent(1, "DF1", "S0", "S1", {"root": 1, "name": "Zürich ☃ \u2028", "rate": 0.1,
+                                      "big": 1e300, "none": None, "flags": [True, False]}),
+    TraceEvent(2, "PD2", "S1(1)", "S2(1)",
+               {"nested": {"b": [1, {"z": 2.5, "a": -0.0}], "a": {}}, "k": {"10": 1, "9": 2}},
+               (1, 2, 3, 4), (1, 2, 3, 3)),
+    TraceEvent(3, "DF7", "S3", "T", {}),
+]
+
+
+@pytest.fixture(params=["c_encoder", "no_c_encoder"])
+def encoder(request, monkeypatch):
+    """Both ways ``to_jsonl`` encodes: the C encoder built once per trace,
+    and ``JSONEncoder.encode`` when the C encoder is missing."""
+    if request.param == "no_c_encoder":
+        monkeypatch.setattr(trace_mod, "c_make_encoder", None)
+
+
+class TestEncoder:
+    def test_lines_equal_json_dumps(self, encoder):
+        lines = Trace("dfd", HAND_MADE).to_jsonl().splitlines()
+        assert lines == [json.dumps(ev.to_record(), sort_keys=True) for ev in HAND_MADE]
+
+    def test_read_back_values_encode_as_read(self, encoder, tmp_path):
+        """A seq that is not an integer, and a payload key order other than
+        sorted, come back out as ``json.dumps`` writes them."""
+        path = tmp_path / "t.jsonl"
+        records = [{"seq": "7", "rule": "DF1", "from": "S0", "to": "S1", "payload": {"b": 1, "a": "é"}},
+                   {"seq": 2.5, "rule": "DF7", "from": "S1", "to": "T", "payload": {"x": None}}]
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        assert Trace.read_jsonl(path).to_jsonl() == "".join(
+            json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+
+    def test_an_empty_trace_is_empty(self, encoder):
+        assert Trace("dfd").to_jsonl() == ""
+
+    def test_a_circular_payload_is_refused(self, encoder):
+        payload: dict = {"a": 1}
+        payload["self"] = payload
+        trace = Trace("dfd", [HAND_MADE[0], TraceEvent(2, "DF2", "S1", "S1", payload)])
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            trace.to_jsonl()
+        # The markers of the failed encoding are not reused.
+        assert Trace("dfd", HAND_MADE).to_jsonl().count("\n") == len(HAND_MADE)
+
+
+class TestRecordReader:
+    def test_records_without_a_payload_get_their_own(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"seq": 1, "rule": "DF1", "from": "S0", "to": "S1"}\n'
+                        '{"seq": 2, "rule": "DF7", "from": "S1", "to": "T"}\n')
+        first, second = Trace.read_jsonl(path).events
+        assert first.payload == second.payload == {}
+        assert first.payload is not second.payload
+
+    @pytest.mark.parametrize("change, message", [
+        ({"rule": 3}, "rule must be a string, got int"),
+        ({"from": None}, "from must be a string, got NoneType"),
+        ({"to": ["T"]}, "to must be a string, got list"),
+        ({"rule": 3, "to": 4}, "rule must be a string, got int"),
+        ({"from": 1, "to": 2}, "from must be a string, got int"),
+        ({"payload": None}, "payload must be a JSON object, got NoneType"),
+        ({"payload": [1]}, "payload must be a JSON object, got list"),
+        ({"measure_pre": 5}, "measure_pre and measure_post must be lists"),
+        ({"measure_post": 5.5}, "measure_pre and measure_post must be lists"),
+    ])
+    def test_field_errors(self, change, message):
+        rec = {"seq": 1, "rule": "DF1", "from": "S0", "to": "S1", "payload": {}, **change}
+        with pytest.raises(TraceFormatError) as err:
+            TraceEvent.from_record(rec)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("rec, message", [
+        ("DF1", "event must be a JSON object, got str"),
+        (7, "event must be a JSON object, got int"),
+        (None, "event must be a JSON object, got NoneType"),
+        ({"rule": "DF1", "from": "S0", "to": "S1"}, "event missing field 'seq'"),
+    ])
+    def test_record_errors(self, rec, message):
+        with pytest.raises(TraceFormatError) as err:
+            TraceEvent.from_record(rec)
+        assert str(err.value) == message
+
+    def test_read_record_is_the_built_event(self):
+        rec = {"seq": 4, "rule": "PD2", "from": "S1(1)", "to": "S2(1)", "payload": {"a": 1},
+               "measure_pre": [1, 2, 3, 4], "measure_post": [1, 2, 3, 3]}
+        ev = TraceEvent.from_record(rec)
+        assert type(ev) is TraceEvent
+        assert ev == TraceEvent(4, "PD2", "S1(1)", "S2(1)", {"a": 1}, (1, 2, 3, 4), (1, 2, 3, 3))
+        assert ev.payload is rec["payload"]
 
 
 class TestCliStdout:
