@@ -116,7 +116,7 @@ def _plans(templates: tuple[tuple[Any, ...], ...]) -> tuple[Plan, ...]:
                 free, capture = k, None if want == ANY else want
                 bound.add(capture)
             else:
-                raise ValueError(f"{name}: want {{k}}, $x or one new * or $x, got {want!r}")
+                raise ValueError(f"{name}: unsupported parameter {want!r}")
         plans.append((name, len(params) + 1, *_getters(state), free, capture,
                       *_getters(repeated)))
     return tuple(plans)
@@ -371,7 +371,7 @@ class Recognizer:
             self.state, self.branch, self.pos, self.next, self.captures)
         refused = None
         for idx, event in enumerate(events):
-            if domain is not None and any(seg.isdigit() and int(seg) > domain for seg in event[1:]):
+            if domain is not None and any(seg.isdecimal() and int(seg) > domain for seg in event[1:]):
                 refused = idx
                 break
             if pos == len(branch):

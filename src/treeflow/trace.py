@@ -24,7 +24,7 @@ from .jsondoc import DECODER, JSONDocumentError, decode_json, write_text
 
 TRACE_FORMAT = 2
 
-# The settings of every line: json.dumps(sort_keys=True)'s.
+# Every line is encoded as json.dumps(record, sort_keys=True) encodes it.
 _ENCODER = json.JSONEncoder(sort_keys=True)
 _new_tuple = tuple.__new__
 # The decoder's scanner without json.loads's whitespace handling around it.

@@ -120,6 +120,14 @@ class TestRejection:
             "pdfd", prefix + ["determine_ki_actual.1"], level_domain=6
         ).accepted
 
+    @pytest.mark.parametrize("level", ["\u00b2", "\u2460"])  # superscript two, circled one
+    def test_a_digit_int_cannot_read_is_refused_not_raised(self, level):
+        """``str.isdigit`` holds for these, but they are no decimal number:
+        the level-domain check must not hand them to ``int``."""
+        prefix = ["load_tree_actual", "initialize_refinement_attempts_actual"]
+        result = accept_events("pdfd", prefix + [f"determine_ki_actual.{level}"])
+        assert (result.accepted, result.reject_index) == (False, 2)
+
 
 class TestAlphabets:
     @pytest.mark.parametrize("methodology,trace", list(golden_traces()))

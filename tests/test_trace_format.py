@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from treeflow import trace as trace_mod
 from treeflow.cli import main
 from treeflow.fixtures import (
     GEO_ROWS,
@@ -15,7 +16,6 @@ from treeflow.fixtures import (
     pdfd_mvp_scenario,
     visited_places_hierarchy,
 )
-from treeflow import trace as trace_mod
 from treeflow.hybrid_machines import run_pbfd, run_pdfd
 from treeflow.trace import (
     TRACE_FORMAT,
@@ -352,9 +352,6 @@ class TestEncoder:
         assert Trace.read_jsonl(path).to_jsonl() == "".join(
             json.dumps(rec, sort_keys=True) + "\n" for rec in records)
 
-    def test_an_empty_trace_is_empty(self, encoder):
-        assert Trace("dfd").to_jsonl() == ""
-
     def test_a_circular_payload_is_refused(self, encoder):
         payload: dict = {"a": 1}
         payload["self"] = payload
@@ -401,14 +398,6 @@ class TestRecordReader:
         with pytest.raises(TraceFormatError) as err:
             TraceEvent.from_record(rec)
         assert str(err.value) == message
-
-    def test_read_record_is_the_built_event(self):
-        rec = {"seq": 4, "rule": "PD2", "from": "S1(1)", "to": "S2(1)", "payload": {"a": 1},
-               "measure_pre": [1, 2, 3, 4], "measure_post": [1, 2, 3, 3]}
-        ev = TraceEvent.from_record(rec)
-        assert type(ev) is TraceEvent
-        assert ev == TraceEvent(4, "PD2", "S1(1)", "S2(1)", {"a": 1}, (1, 2, 3, 4), (1, 2, 3, 3))
-        assert ev.payload is rec["payload"]
 
 
 class TestCliStdout:
