@@ -99,52 +99,26 @@ class Hierarchy:
 _REQUIRED = ("id", "name", "parent_id", "child_index", "level", "width_class")
 _INTEGERS = (("id", False), ("parent_id", True), ("child_index", False), ("level", False),
              ("name_type_id", True))
+_new_node = tuple.__new__
 
 
-def _integer_error(index: int, row: dict) -> HierarchyError:
-    """Names the first field of ``_INTEGERS`` whose value has the wrong type."""
+def _row_error(index: int, row: Any) -> HierarchyError:
+    """The first fault of a row the row loop refused: its type, then the
+    missing fields in ``_REQUIRED`` order, the integer fields in
+    ``_INTEGERS`` order, then ``name`` and ``width_class``.  Errors name the
+    row and the field: ``rows[3].level: must be an integer, got None``."""
+    if not isinstance(row, dict):
+        return HierarchyError(f"rows[{index}]: must be an object, got {type(row).__name__}")
+    for key in _REQUIRED:
+        if key not in row:
+            return HierarchyError(f"rows[{index}]: missing field {key!r}")
     for key, nullable in _INTEGERS:
         value = row.get(key)
         if value.__class__ is not int and not (nullable and value is None):
-            break
-    kind = "an integer or null" if nullable else "an integer"
-    return HierarchyError(f"rows[{index}].{key}: must be {kind}, got {value!r}")
-
-
-def _parse_row(index: int, row: dict, widths: dict[str, WidthClass]) -> HierarchyNode:
-    """Row ``index`` of the document as a node; ``widths`` caches each
-    ``width_class`` string already parsed.  Errors name the row and the
-    field: ``rows[3].level: must be an integer, got None``."""
-    if not isinstance(row, dict):
-        raise HierarchyError(f"rows[{index}]: must be an object, got {type(row).__name__}")
-    for key in _REQUIRED:
-        if key not in row:
-            raise HierarchyError(f"rows[{index}]: missing field {key!r}")
-    node_id, parent_id = row["id"], row["parent_id"]
-    child_index, level = row["child_index"], row["level"]
-    name_type_id = row.get("name_type_id")
-    # bool is a subclass of int, so the exact class is tested.
-    if not (
-        node_id.__class__ is int
-        and (parent_id is None or parent_id.__class__ is int)
-        and child_index.__class__ is int
-        and level.__class__ is int
-        and (name_type_id is None or name_type_id.__class__ is int)
-    ):
-        raise _integer_error(index, row)
-    name = row["name"]
-    if name.__class__ is not str:
-        raise HierarchyError(f"rows[{index}].name: must be a string, got {name!r}")
-    text = row["width_class"]
-    if text.__class__ is not str:
-        raise HierarchyError(f"rows[{index}].width_class: must be a string, got {text!r}")
-    width = widths.get(text)
-    if width is None:
-        try:
-            width = widths[text] = WidthClass.parse(text)
-        except BitmaskError as exc:
-            raise HierarchyError(f"rows[{index}].width_class: {exc}") from None
-    return HierarchyNode(node_id, name, width, parent_id, child_index, level, name_type_id)
+            kind = "an integer or null" if nullable else "an integer"
+            return HierarchyError(f"rows[{index}].{key}: must be {kind}, got {value!r}")
+    key = "name" if row["name"].__class__ is not str else "width_class"
+    return HierarchyError(f"rows[{index}].{key}: must be a string, got {row[key]!r}")
 
 
 def load_hierarchy(source: str | Path | list[dict]) -> Hierarchy:
@@ -179,11 +153,15 @@ def _decode(text: str) -> Any:
 
 
 def _build(rows: Any) -> Hierarchy:
-    """Validate parsed rows in three passes: the rows in document order
-    (parse, duplicate ids, roots), the nodes in document order (dangling
-    parents, level consistency), and the nodes in id order (level,
-    child_index, capacity and collisions, filling the children and levels
-    indexes)."""
+    """Validate parsed rows in two passes.  The row pass, in document order,
+    reads each row's fields with a few inline checks (a faulty row goes to
+    ``_row_error``), rejects a duplicate id and collects the roots.  The
+    structural pass, in id order, checks each node's parent, level,
+    child_index, capacity (read once per parent) and collisions, and fills
+    the children and levels indexes.  At its first fault, ``_link_error``
+    looks for the faults reported before any in id order: a dangling parent
+    in document order, then a parent-link cycle.  Only a faulty document
+    pays for that second reading."""
     if not isinstance(rows, list) or not rows:
         raise HierarchyError("hierarchy document must be a non-empty list of rows")
 
@@ -191,11 +169,40 @@ def _build(rows: Any) -> Hierarchy:
     widths: dict[str, WidthClass] = {}
     roots: list[HierarchyNode] = []
     for index, row in enumerate(rows):
-        node = _parse_row(index, row, widths)
-        if node.id in nodes:
-            raise HierarchyError(f"duplicate node id {node.id}")
-        nodes[node.id] = node
-        if node.parent_id is None:
+        # A dict subclass is read only once every field is in it: a
+        # defaultdict would make a missing one up.
+        if row.__class__ is not dict and not (
+                isinstance(row, dict) and all(key in row for key in _REQUIRED)):
+            raise _row_error(index, row)
+        try:
+            node_id, name, parent_id = row["id"], row["name"], row["parent_id"]
+            child_index, level, text = row["child_index"], row["level"], row["width_class"]
+        except KeyError:
+            raise _row_error(index, row) from None
+        name_type_id = row.get("name_type_id")
+        # bool is a subclass of int, so the exact class is tested.
+        if not (
+            node_id.__class__ is int
+            and (parent_id is None or parent_id.__class__ is int)
+            and child_index.__class__ is int
+            and level.__class__ is int
+            and (name_type_id is None or name_type_id.__class__ is int)
+            and name.__class__ is str
+            and text.__class__ is str
+        ):
+            raise _row_error(index, row)
+        width = widths.get(text)
+        if width is None:
+            try:
+                width = widths[text] = WidthClass.parse(text)
+            except BitmaskError as exc:
+                raise HierarchyError(f"rows[{index}].width_class: {exc}") from None
+        if node_id in nodes:
+            raise HierarchyError(f"duplicate node id {node_id}")
+        # The tuple itself: the NamedTuple constructor would only add a call.
+        node = nodes[node_id] = _new_node(
+            HierarchyNode, (node_id, name, width, parent_id, child_index, level, name_type_id))
+        if parent_id is None:
             roots.append(node)
 
     if not roots:
@@ -208,77 +215,72 @@ def _build(rows: Any) -> Hierarchy:
     if root.level != 1:
         raise HierarchyError(f"root {root.id} must be level 1, got {root.level}")
 
+    # Per parent: the level its children must have, its capacity and its
+    # children by child_index.
+    slots: dict[int, tuple[int, int, dict[int, int]]] = {}
+    levels: dict[int, list[int]] = {}
+    for node_id in sorted(nodes):
+        _, _, _, pid, ci, level, _ = nodes[node_id]
+        if pid is not None:
+            slot = slots.get(pid)
+            if slot is None:
+                parent = nodes.get(pid)
+                if parent is None:
+                    raise _link_error(nodes)
+                slot = slots[pid] = (parent.level + 1, parent.width_class.capacity, {})
+            want, cap, taken = slot
+            if level != want or ci < 0 or ci >= cap or ci in taken:
+                # A dangling parent or a cycle is reported before any fault
+                # in id order; else this node's first fault.
+                raise _link_error(nodes) or HierarchyError(
+                    f"node {node_id} level {level} inconsistent with parent {pid} level {want - 1}"
+                    if level != want else
+                    f"node {node_id} has negative child_index" if ci < 0 else
+                    f"node {node_id} child_index {ci} >= capacity {cap} of parent {pid}" if ci >= cap else
+                    f"child_index collision under parent {pid}: {taken[ci]} and {node_id} "
+                    f"both at {ci}")
+            taken[ci] = node_id
+        kin = levels.get(level)
+        if kin is None:
+            levels[level] = [node_id]
+        else:
+            kin.append(node_id)
+    children = {pid: [taken[ci] for ci in sorted(taken)] for pid, (_, _, taken) in slots.items()}
+    # No level between 1 and the deepest is empty: each node's ancestors, one
+    # level apart up to the root, fill every level above it.
+    return Hierarchy(
+        nodes=nodes,
+        root_id=root.id,
+        max_level=max(levels),
+        _children=children,
+        _levels=levels,
+    )
+
+
+def _link_error(nodes: dict[int, HierarchyNode]) -> HierarchyError | None:
+    """The first dangling parent of ``nodes`` in document order, else the
+    first parent-link cycle the walk from each node meets, else None."""
     levels_consistent = True
     for n in nodes.values():
         if n.parent_id is not None:
             parent = nodes.get(n.parent_id)
             if parent is None:
-                raise HierarchyError(f"node {n.id} has dangling parent {n.parent_id}")
+                return HierarchyError(f"node {n.id} has dangling parent {n.parent_id}")
             if parent.level != n.level - 1:
                 levels_consistent = False
-
-    # Cycle check on the parent links before relying on levels.  Levels that
-    # rise by one along every parent link rule out a cycle (it would need a
-    # node deeper than itself), so the walk runs only when some link breaks
-    # that; the level error itself is raised below, after the walk has had
-    # the chance to report a cycle first.
+    # Levels that rise by one along every parent link rule out a cycle (it
+    # would need a node deeper than itself), so the walk runs only when some
+    # link breaks that.
     if not levels_consistent:
         for n in nodes.values():
             seen = {n.id}
             cur = n
             while cur.parent_id is not None:
                 if cur.parent_id in seen:
-                    raise HierarchyError(f"cycle detected through node {cur.parent_id}")
+                    return HierarchyError(f"cycle detected through node {cur.parent_id}")
                 seen.add(cur.parent_id)
                 cur = nodes[cur.parent_id]
-
-    # Per parent: its capacity, read once, and its children by child_index.
-    capacity: dict[int, int] = {}
-    slots: dict[int, dict[int, int]] = {}
-    levels: dict[int, list[int]] = {}
-    for node_id in sorted(nodes):
-        n = nodes[node_id]
-        pid = n.parent_id
-        if pid is not None:
-            parent = nodes[pid]
-            if n.level != parent.level + 1:
-                raise HierarchyError(
-                    f"node {node_id} level {n.level} inconsistent with parent "
-                    f"{pid} level {parent.level}"
-                )
-            ci = n.child_index
-            if ci < 0:
-                raise HierarchyError(f"node {node_id} has negative child_index")
-            taken = slots.get(pid)
-            if taken is None:
-                taken = slots[pid] = {}
-                capacity[pid] = parent.width_class.capacity
-            if ci >= capacity[pid]:
-                raise HierarchyError(
-                    f"node {node_id} child_index {ci} >= capacity "
-                    f"{capacity[pid]} of parent {pid}"
-                )
-            if ci in taken:
-                raise HierarchyError(
-                    f"child_index collision under parent {pid}: "
-                    f"{taken[ci]} and {node_id} both at {ci}"
-                )
-            taken[ci] = node_id
-        levels.setdefault(n.level, []).append(node_id)
-    children = {pid: [taken[ci] for ci in sorted(taken)] for pid, taken in slots.items()}
-
-    max_level = max(levels)
-    for k in range(1, max_level + 1):
-        if k not in levels:
-            raise HierarchyError(f"level {k} is empty but max level is {max_level}")
-
-    return Hierarchy(
-        nodes=nodes,
-        root_id=root.id,
-        max_level=max_level,
-        _children=children,
-        _levels=levels,
-    )
+    return None
 
 
 def dump_hierarchy(h: Hierarchy) -> list[dict]:

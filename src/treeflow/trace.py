@@ -108,11 +108,13 @@ class TraceEvent(NamedTuple):
             payload = {}
         pre, post = rec.get("measure_pre"), rec.get("measure_post")
         if pre is not None or post is not None:
-            try:
-                pre = None if pre is None else tuple(pre)
-                post = None if post is None else tuple(post)
-            except TypeError:
-                raise TraceFormatError("measure_pre and measure_post must be lists") from None
+            # Only a JSON list: tuple() would also read a string's characters
+            # or an object's keys as a measure.
+            if not ((pre is None or pre.__class__ is list)
+                    and (post is None or post.__class__ is list)):
+                raise TraceFormatError("measure_pre and measure_post must be lists")
+            pre = None if pre is None else tuple(pre)
+            post = None if post is None else tuple(post)
         # The tuple itself: the NamedTuple constructor would only add a call.
         return _new_tuple(cls, (seq, rule, from_state, to_state, payload, pre, post))
 

@@ -199,6 +199,25 @@ class TestVerify:
         assert capsys.readouterr().out.splitlines() == [
             "FAIL bounded-refinement (event 14: attempts[2]=2 exceeds cap 1)"]
 
+    @pytest.mark.parametrize("forged", ["1234", {"a": 1, "b": 2, "c": 3, "d": 4}])
+    def test_measure_that_is_not_a_list_is_refused_by_the_reader(self, tmp_path, capsys, forged):
+        """A string or object measure is a reader error naming the line, not
+        a broken measure chain read from its characters or keys."""
+        trace_file = tmp_path / "t.jsonl"
+        main(["replay", "--fixture", "pdfd-mvp", "--format", "jsonl-trace",
+              "--out", str(trace_file)])
+        lines = trace_file.read_text().splitlines()
+        rec = json.loads(lines[3])
+        rec["measure_pre"] = forged
+        lines[3] = json.dumps(rec)
+        trace_file.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["verify", "--trace", str(trace_file), "--methodology", "pdfd",
+                     "--check", "measure"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: {trace_file}:4: measure_pre and measure_post must be lists\n"
+
     def test_tampered_trace_fails(self, tmp_path, capsys):
         trace_file = tmp_path / "t.jsonl"
         main(["replay", "--fixture", "pdfd-mvp", "--format", "jsonl-trace",

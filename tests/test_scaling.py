@@ -4,7 +4,8 @@ Each guard runs one layer at size n and 2n on an adversarial shape and
 compares cProfile's total call counts, or the bytes a trace takes, which are
 exact and the same on every host.  A linear layer may at most double its calls, with a margin for fixed
 costs (ratio <= 2.2); a layer that must not depend on the size stays at
-ratio ~1.  A quadratic cost shows as a ratio near 4.
+ratio ~1.  A quadratic cost shows as a ratio near 4.  The loader's calls
+into the package itself must not grow with the rows at all.
 
 Bounded run enumeration is guarded by counting its work directly: each
 distinct event is emitted once and fed to each monitor once.
@@ -13,10 +14,12 @@ distinct event is emitted once and fed to each monitor once.
 import cProfile
 import pstats
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from test_verification import replay_runs
+import treeflow
 from treeflow.basic_machines import Dag, run_dad, run_dfd
 from treeflow.csp import check_csp_conformance
 from treeflow.fixtures import (
@@ -38,17 +41,29 @@ from treeflow.verify import (
 )
 
 LINEAR = 2.2
+PACKAGE = Path(treeflow.__file__).parent
 
 
-def calls(fn, *args) -> int:
-    """Total Python and builtin calls made by ``fn(*args)``."""
+def profiled(fn, *args) -> pstats.Stats:
     profile = cProfile.Profile()
     profile.enable()
     try:
         fn(*args)
     finally:
         profile.disable()
-    return pstats.Stats(profile).total_calls
+    return pstats.Stats(profile)
+
+
+def calls(fn, *args) -> int:
+    """Total Python and builtin calls made by ``fn(*args)``."""
+    return profiled(fn, *args).total_calls
+
+
+def package_calls(fn, *args) -> int:
+    """Calls made by ``fn(*args)`` to functions defined in the treeflow
+    package; builtins and generated code are not counted."""
+    return sum(nc for (filename, _, _), (_, nc, *_) in profiled(fn, *args).stats.items()
+               if Path(filename).parent == PACKAGE)
 
 
 def ratio(build, layer, n: int) -> float:
@@ -121,6 +136,12 @@ class TestLinearLayers:
     @pytest.mark.parametrize("rows", [deep_rows, wide_rows])
     def test_load_hierarchy(self, rows):
         assert ratio(rows, load_hierarchy, 1000) <= LINEAR
+
+    def test_load_hierarchy_calls_no_package_function_per_row(self):
+        """Each row is read and checked inline: twice the rows make the same
+        calls into the package, and only builtin calls grow."""
+        small, large = wide_rows(1000), wide_rows(2000)
+        assert package_calls(load_hierarchy, large) == package_calls(load_hierarchy, small)
 
     def test_trace_to_jsonl(self):
         # perfect_tree(2, levels + 1) has twice the nodes, plus one.

@@ -381,6 +381,11 @@ class TestRecordReader:
         ({"payload": [1]}, "payload must be a JSON object, got list"),
         ({"measure_pre": 5}, "measure_pre and measure_post must be lists"),
         ({"measure_post": 5.5}, "measure_pre and measure_post must be lists"),
+        ({"measure_pre": "1234"}, "measure_pre and measure_post must be lists"),
+        ({"measure_post": {"a": 1, "b": 2, "c": 3, "d": 4}},
+         "measure_pre and measure_post must be lists"),
+        ({"measure_pre": [1, 2, 3, 4], "measure_post": "1234"},
+         "measure_pre and measure_post must be lists"),
     ])
     def test_field_errors(self, change, message):
         rec = {"seq": 1, "rule": "DF1", "from": "S0", "to": "S1", "payload": {}, **change}
