@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any
 
 from .hierarchy import Hierarchy, load_hierarchy
-from .jsondoc import JSONDocumentError, decode_json
+from .jsondoc import JSONDocumentError, decode_json, read_text
 from .scenario import Scenario
 from .trace import Trace
 
@@ -146,7 +146,7 @@ def load_dag(path: str | Path) -> Dag:
     Graph errors name the file, the node index and the field
     (``g.json: nodes[0].deps: unknown node 2``)."""
     try:
-        doc = decode_json(Path(path).read_text())
+        doc = decode_json(read_text(path))
     except JSONDocumentError as exc:
         raise GraphError(f"{path}: {exc}") from None
     if not (isinstance(doc, dict) and "nodes" in doc):

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .jsondoc import JSONDocumentError, decode_json, write_text
+from .jsondoc import JSONDocumentError, decode_json, read_text, write_text
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -265,7 +265,7 @@ def load_pages(path: str | Path) -> list[TraversalPage]:
     from .tle import TraversalPage
 
     try:
-        raw = decode_json(Path(path).read_text())
+        raw = decode_json(read_text(path))
     except JSONDocumentError as exc:
         raise PagesError(f"{path}: {exc}") from None
     if not isinstance(raw, list):

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any, NamedTuple
 
 from .bitmask import BitmaskError, WidthClass
-from .jsondoc import JSONDocumentError, decode_json
+from .jsondoc import JSONDocumentError, decode_json, read_text
 
 # Guard for remaining_after_prune: inputs whose totals would not fit a signed
 # 64-bit integer are rejected rather than silently growing unbounded.
@@ -139,8 +139,8 @@ def load_hierarchy(source: str | Path | list[dict]) -> Hierarchy:
         source = Path(source)
     if isinstance(source, Path):
         try:
-            return _build(_decode(source.read_text()))
-        except HierarchyError as exc:
+            return _build(_decode(read_text(source)))
+        except (HierarchyError, JSONDocumentError) as exc:
             raise HierarchyError(f"{source}: {exc}") from None
     return _build(source)
 

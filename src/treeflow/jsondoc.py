@@ -1,5 +1,5 @@
-"""JSON decoding shared by every document loader, and the one writer of
-output files."""
+"""The UTF-8 reader and JSON decoding shared by every document loader, and
+the one writer of output files."""
 
 from __future__ import annotations
 
@@ -37,6 +37,17 @@ def decode_json(text: str) -> Any:
         raise JSONDocumentError(f"invalid JSON: {exc.msg}") from None
     except RecursionError:
         raise JSONDocumentError("invalid JSON: nested too deeply") from None
+
+
+def read_text(path: str | Path) -> str:
+    """The file at ``path`` decoded as UTF-8, the encoding RFC 8259 requires
+    and ``write_text`` writes, whatever the locale.  Bytes that are not
+    UTF-8 raise JSONDocumentError."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise JSONDocumentError(f"invalid JSON: not UTF-8 at byte {exc.start}") from None
 
 
 def write_text(path: str | Path, text: str) -> None:

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any
 
 from .hierarchy import Hierarchy
-from .jsondoc import JSONDocumentError, decode_json
+from .jsondoc import JSONDocumentError, decode_json, read_text
 
 
 # The largest per-level refinement budget a scenario may ask for.  A run's
@@ -239,12 +239,12 @@ def load_scenario(source: str | Path | dict) -> Scenario:
     try:
         if isinstance(source, Path):
             name = str(source)
-            obj = decode_json(source.read_text())
+            obj = decode_json(read_text(source))
         elif isinstance(source, str):
             p = Path(source)
             if p.exists():
                 name = source
-            obj = decode_json(p.read_text() if p.exists() else source)
+            obj = decode_json(read_text(p) if p.exists() else source)
         else:
             obj = source
     except JSONDocumentError as exc:

@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterable
 
 from .bitmask import BitmaskError, DanglingBitError, WidthClass
 from .hierarchy import Hierarchy, HierarchyNode
-from .jsondoc import JSONDocumentError, decode_json, write_text
+from .jsondoc import JSONDocumentError, decode_json, read_text, write_text
 from .trace import Trace
 
 # A node is selectable iff it sits at or below this depth: the top two levels
@@ -343,7 +343,7 @@ class TleStore:
         naming the file, the record index and the field
         (``store.json: records[0].unit_id: unknown unit 999``)."""
         try:
-            doc = decode_json(Path(path).read_text())
+            doc = decode_json(read_text(path))
         except JSONDocumentError as exc:
             raise SnapshotError(f"{path}: {exc}") from None
         records = doc.get("records") if isinstance(doc, dict) else None

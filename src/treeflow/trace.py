@@ -20,20 +20,20 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
-from .jsondoc import DECODER, JSONDocumentError, decode_json, write_text
+from .jsondoc import DECODER, JSONDocumentError, decode_json, read_text, write_text
 
 TRACE_FORMAT = 2
 
-# Every line is encoded as json.dumps(record, sort_keys=True) encodes it.
+# Values are encoded as json.dumps(value, sort_keys=True) encodes them.
 _ENCODER = json.JSONEncoder(sort_keys=True)
 _new_tuple = tuple.__new__
 # The decoder's scanner without json.loads's whitespace handling around it.
 _scan = DECODER.scan_once
 
 
-def _line_encoder() -> Callable[[dict[str, Any]], str]:
-    """``_ENCODER.encode`` for the records of one trace.  That method builds
-    the C encoder anew for each record; this builds it once, with the same
+def _line_encoder() -> Callable[[Any], str]:
+    """``_ENCODER.encode`` for the values of one trace.  That method builds
+    the C encoder anew for each call; this builds it once, with the same
     arguments and its own circular-reference markers.  Without the C
     encoder it is ``_ENCODER.encode`` itself."""
     if c_make_encoder is None:
@@ -42,7 +42,7 @@ def _line_encoder() -> Callable[[dict[str, Any]], str]:
     encoder = c_make_encoder({}, e.default, encode_basestring_ascii, e.indent,
                              e.key_separator, e.item_separator, e.sort_keys,
                              e.skipkeys, e.allow_nan)
-    return lambda rec: "".join(encoder(rec, 0))
+    return lambda value: "".join(encoder(value, 0))
 
 
 class TraceFormatError(ValueError):
@@ -135,8 +135,8 @@ class Trace:
         measure_pre: tuple[int, int, int, int] | None = None,
         measure_post: tuple[int, int, int, int] | None = None,
     ) -> TraceEvent:
-        ev = TraceEvent(len(self.events) + 1, rule, from_state, to_state,
-                        payload or {}, measure_pre, measure_post)
+        ev = _new_tuple(TraceEvent, (len(self.events) + 1, rule, from_state, to_state,
+                                     payload or {}, measure_pre, measure_post))
         self.events.append(ev)
         return ev
 
@@ -157,10 +157,53 @@ class Trace:
         return self.events[i]
 
     def to_jsonl(self) -> str:
-        """One sorted-key JSON record per line, newline-terminated."""
+        """One line per event, newline-terminated: the line, or the error,
+        that ``json.dumps(event.to_record(), sort_keys=True)`` gives.  The
+        frame, exact ints and strs, None, lists of exact ints and a payload
+        with only exact str keys are written here, in sorted key order, so
+        the first fault in that order raises; other values go to ``encode``."""
         encode = _line_encoder()
-        lines = [encode(e.to_record()) for e in self.events]
-        return "\n".join(lines) + ("\n" if lines else "")
+        esc = encode_basestring_ascii
+        lines = []
+        for seq, rule, frm, to, payload, pre, post in self.events:
+            # to_record lists both measures before any value is encoded.
+            pre = None if pre is None else list(pre)
+            post = None if post is None else list(post)
+            frm = esc(frm) if type(frm) is str else encode(frm)
+            measures = ""
+            if post is not None or pre is not None:
+                for name, m in (("post", post), ("pre", pre)):
+                    if m is not None:
+                        # A list of exact ints reprs as its JSON text.
+                        m = str(m) if {*map(type, m)} <= {int} else encode(m)
+                        measures += f', "measure_{name}": {m}'
+            for k in payload if type(payload) is dict else (None,):
+                if type(k) is not str:  # not a dict, or keys only the encoder sorts
+                    payload = encode(payload)
+                    break
+            else:
+                items = []
+                for k in sorted(payload):
+                    v = payload[k]
+                    c = type(v)
+                    if c is int:
+                        v = str(v)
+                    elif c is str:
+                        v = esc(v)
+                    elif v is None:
+                        v = "null"
+                    elif c is list and {*map(type, v)} <= {int}:
+                        v = str(v)
+                    else:
+                        v = encode(v)
+                    items.append(f"{esc(k)}: {v}")
+                payload = f"{{{', '.join(items)}}}"
+            rule = esc(rule) if type(rule) is str else encode(rule)
+            seq = str(seq) if type(seq) is int else encode(seq)
+            to = esc(to) if type(to) is str else encode(to)
+            lines.append(f'{{"from": {frm}{measures}, "payload": {payload}, '
+                         f'"rule": {rule}, "seq": {seq}, "to": {to}}}\n')
+        return "".join(lines)
 
     def write_jsonl(self, path: str | Path) -> None:
         """Write ``to_jsonl()`` to ``path`` through ``jsondoc.write_text``: an
@@ -173,7 +216,11 @@ class Trace:
         raises TraceFormatError naming the file and line."""
         events = []
         from_record = TraceEvent.from_record
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        try:
+            text = read_text(path)
+        except JSONDocumentError as exc:
+            raise TraceFormatError(f"{path}: {exc}") from None
+        for lineno, line in enumerate(text.splitlines(), start=1):
             try:  # the common case: one record that fills its line
                 rec, end = _scan(line, 0)
             except (StopIteration, ValueError, RecursionError):

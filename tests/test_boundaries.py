@@ -427,6 +427,40 @@ class TestJsonBoundary:
         assert rc == 1
         assert err == f"error: {path}{line}: invalid JSON: {reason}\n"
 
+    @pytest.mark.parametrize("loader", sorted(CASES))
+    def test_bytes_that_are_not_utf8_are_one_typed_error(self, tmp_path, capsys, loader):
+        """A JSON document is UTF-8: a Latin-1 byte is refused, whatever the
+        locale would have made of it."""
+        name, argv, _ = self.CASES[loader]
+        tree = tmp_path / "geo.json"
+        tree.write_text(json.dumps(GEO_ROWS))
+        path = tmp_path / name
+        path.write_bytes(b'[{"name": "Z\xfcrich"}]\n')
+        rc = main([arg.replace("{tree}", str(tree)).replace("{doc}", str(path)) for arg in argv])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "")
+        assert captured.err == f"error: {path}: invalid JSON: not UTF-8 at byte 12\n"
+
+    def test_documents_are_read_as_utf8_under_the_c_locale(self, tmp_path):
+        """The C locale's encoding is ASCII; each reader decodes UTF-8."""
+        rows = [dict(row, name="Zürich") if row["id"] == 3 else row for row in VISITED_PLACES_ROWS]
+        tree = tmp_path / "tree.json"
+        tree.write_bytes(json.dumps(rows, ensure_ascii=False).encode())
+        trace = tmp_path / "trace.jsonl"
+        trace.write_bytes('{"seq": 1, "rule": "DF1", "from": "S0", "to": "S1", '
+                          '"payload": {"name": "Zürich ☃"}}\n'.encode())
+        script = ("import sys; from treeflow.hierarchy import load_hierarchy; "
+                  "from treeflow.trace import Trace; "
+                  "print(ascii(load_hierarchy(sys.argv[1]).node(3).name), "
+                  "ascii(Trace.read_jsonl(sys.argv[2]).events[0].payload['name']))")
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-X", "utf8=0", "-c", script, str(tree), str(trace)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "'Z\\xfcrich' 'Z\\xfcrich \\u2603'\n"
+
 
 class TestBenchStepProbe:
     def test_probe_dependent_step_counts_raise(self, monkeypatch):

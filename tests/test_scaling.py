@@ -148,6 +148,12 @@ class TestLinearLayers:
         small, large = dfd_trace(9), dfd_trace(10)
         assert calls(Trace.to_jsonl, large) / calls(Trace.to_jsonl, small) <= LINEAR
 
+    def test_trace_to_jsonl_calls_no_package_function_per_event(self):
+        """Each record's frame and flat values are written inline: twice the
+        events make the same calls into the package."""
+        small, large = dfd_trace(9), dfd_trace(10)
+        assert package_calls(Trace.to_jsonl, large) == package_calls(Trace.to_jsonl, small)
+
     @pytest.mark.parametrize("run", [run_pdfd, run_pbfd])
     def test_hybrid_trace_bytes_on_a_path(self, run):
         """No event but the first carries a map over the levels."""

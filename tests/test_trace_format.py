@@ -3,9 +3,12 @@ fold, and the JSONL codec."""
 
 import json
 import re
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from treeflow import trace as trace_mod
 from treeflow.cli import main
@@ -329,6 +332,76 @@ HAND_MADE = [
 ]
 
 
+class Colour(IntEnum):
+    RED = 1
+    BLUE = -2
+
+
+class Label(str):
+    pass
+
+
+class Rank(int):
+    """The encoder writes ``int.__repr__``, not this."""
+
+    def __repr__(self) -> str:
+        return f"Rank({int(self)})"
+
+    __str__ = __repr__
+
+
+class Opaque:
+    """Not JSON: the encoder's ``default`` refuses it."""
+
+
+class Other:
+    pass
+
+
+def circular() -> list:
+    loop: list = []
+    loop.append(loop)
+    return loop
+
+
+TEXT = st.text(max_size=4) | st.sampled_from(['"', "\\", "\n", "é", "\u2028", "\x00", "Zürich ☃"])
+INTS = st.integers(-2**70, 2**70) | st.sampled_from([-1, 2**64, 2**64 + 1])
+FLOATS = st.sampled_from([-0.0, 1e300, 0.5]) | st.floats()
+FLAT = (INTS | TEXT | st.none() | st.booleans() | FLOATS | st.sampled_from(Colour)
+        | INTS.map(Rank) | TEXT.map(Label))
+INT_LISTS = st.lists(INTS | st.booleans(), max_size=4)
+FAULTS = st.sampled_from([Opaque(), Other()]) | st.builds(circular)
+
+
+def events(faulty: bool) -> st.SearchStrategy:
+    """Events whose fields may hold any value; if ``faulty``, also values
+    the encoder refuses."""
+    value = st.recursive(FLAT | FAULTS if faulty else FLAT, lambda inner: (
+        st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(TEXT, inner, max_size=3)
+        | st.dictionaries(TEXT | INTS, inner, max_size=3)), max_leaves=6)
+    odd = FAULTS | value if faulty else FLAT
+    measure = (st.none() | st.tuples(INTS, INTS, INTS, INTS) | st.lists(value, max_size=4).map(tuple)
+               | st.lists(INTS | st.booleans(), max_size=4))
+    payload = (st.dictionaries(TEXT, value | INT_LISTS, max_size=5)
+               | st.dictionaries(INTS | TEXT, value, max_size=3)
+               | st.dictionaries(TEXT.map(Label), value, max_size=2)
+               | st.lists(value, max_size=2))
+    return st.builds(
+        TraceEvent, INTS | TEXT | FLOATS | st.booleans() | odd, TEXT | odd, TEXT | odd,
+        TEXT | odd, payload, measure | st.just(5) if faulty else measure, measure)
+
+
+TRACES = st.lists(events(False), max_size=4) | st.lists(events(True), max_size=3)
+
+
+def json_dumps_lines(events) -> tuple[str | None, tuple[type, str] | None]:
+    try:
+        return "".join(json.dumps(ev.to_record(), sort_keys=True) + "\n" for ev in events), None
+    except (TypeError, ValueError) as exc:
+        return None, (type(exc), str(exc))
+
+
 @pytest.fixture(params=["c_encoder", "no_c_encoder"])
 def encoder(request, monkeypatch):
     """Both ways ``to_jsonl`` encodes: the C encoder built once per trace,
@@ -360,6 +433,25 @@ class TestEncoder:
             trace.to_jsonl()
         # The markers of the failed encoding are not reused.
         assert Trace("dfd", HAND_MADE).to_jsonl().count("\n") == len(HAND_MADE)
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(trace=TRACES)
+    @example(trace=[TraceEvent(True, Rank(3), "S0", "S1", {"a": Rank(2), "b": Colour.BLUE, "c": [1, True]},
+                               (1, 2.5, Rank(1), "x"), (Colour.RED, 2, 3, 4))])
+    @example(trace=[TraceEvent(Opaque(), "DF1", "S0", Other(), {})])
+    @example(trace=[TraceEvent(1, "DF1", "S0", "S1", {"a": circular(), "b": Opaque()})])
+    @example(trace=[TraceEvent(Other(), "DF1", "S0", "S1", {}, 5, (Opaque(),))])
+    def test_lines_and_errors_equal_json_dumps(self, encoder, trace):
+        """Every line is ``json.dumps`` of the event's record; a trace it
+        cannot encode raises its error, first fault first."""
+        text, error = json_dumps_lines(trace)
+        if error is None:
+            assert Trace("dfd", trace).to_jsonl() == text
+        else:
+            with pytest.raises(error[0]) as err:
+                Trace("dfd", trace).to_jsonl()
+            assert (type(err.value), str(err.value)) == error
 
 
 class TestRecordReader:
