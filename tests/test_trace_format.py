@@ -355,7 +355,7 @@ class Opaque:
 
 
 class Other:
-    pass
+    """Refused with another message, so two faults in a record differ."""
 
 
 def circular() -> list:
@@ -382,7 +382,7 @@ def events(faulty: bool) -> st.SearchStrategy:
         | st.dictionaries(TEXT | INTS, inner, max_size=3)), max_leaves=6)
     odd = FAULTS | value if faulty else FLAT
     measure = (st.none() | st.tuples(INTS, INTS, INTS, INTS) | st.lists(value, max_size=4).map(tuple)
-               | st.lists(INTS | st.booleans(), max_size=4))
+               | INT_LISTS)
     payload = (st.dictionaries(TEXT, value | INT_LISTS, max_size=5)
                | st.dictionaries(INTS | TEXT, value, max_size=3)
                | st.dictionaries(TEXT.map(Label), value, max_size=2)
