@@ -13,14 +13,14 @@ Shared semantics
   retries).  A pass whose entry brings the counter to the cap terminates the
   run through the exhaustion rule of the machine.  An entry is an event
   whose target is S1R(j): the monitors count those, the trace no counters.
-* Every event carries the measure before/after, the phase and indices, and
-  the statuses as trace format 2: the full map on the first event, then
-  only the nodes each step changed.  The first event also
-  holds the run parameters, the level map among them; beyond those, an
-  event holds only its ``level``, a query's ``attempt`` and ``failing``
-  nodes, an episode's ``range_end`` or a ``reason``, never a copy of its
-  level's ids or of its status changes.  The monitors fold those changes
-  and re-derive everything from the trace alone.
+* An event's labels are the engine's state: the target label names the
+  phase and its level.  Its payload carries the statuses as trace format 2:
+  the full map on the first event, then only the nodes each step changed.
+  The first event also holds the run parameters, the level map among them;
+  beyond those, an event holds only its ``level``, a query's ``attempt``
+  and ``failing`` nodes, an episode's ``range_end`` or a ``reason``.  The
+  engine computes no measure.  The monitors fold the labels and the status
+  changes and re-derive everything, the measure too, from the trace alone.
 * A run is ``start_run`` followed by ``_Engine.step`` until T or S5.  Each
   step fires one rule and asks at most one validation query, before it
   changes any state, so a fork of the engine taken at the query is the
@@ -55,7 +55,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from .hierarchy import Hierarchy
-from .measure import Measure, TraceContext, compose_measure, trace_length_cap
+from .measure import TraceContext, trace_length_cap
 from .scenario import (
     Scenario,
     UndefinedTraceOriginError,
@@ -98,14 +98,9 @@ class _State:
 
 
 class _Engine:
-    """One run's mutable state.
-
-    Besides the statuses and attempt counters, the engine keeps the number
-    of unfinalized nodes, of unvisited nodes per level and of attempts
-    spent up to date as the run changes them, so that computing M costs
-    O(1) rather than O(nodes + L).
-    The monitors never see these counters: they fold each event's status
-    changes themselves and recompute M.
+    """One run's mutable state: the statuses, the attempt counters and the
+    validation queries so far.  The monitors never see them: they fold
+    each event's labels and status changes themselves.
 
     ``fork`` copies only what a step changes in place; the hierarchy, the
     scenario, the context and the ``_State`` (replaced, never mutated) are
@@ -126,7 +121,6 @@ class _Engine:
         self.L = h.max_level
         self.statuses: dict[int, int] = {n: 0 for n in h.nodes}
         self.attempts: dict[int, int] = {l: 0 for l in range(1, self.L + 1)}
-        self.spent = 0  # the sum of ``attempts``, so that M costs no pass over the levels
         self._changed: list[int] = []  # nodes whose status the step changed
         self.state = _State()
         self.trace = Trace(methodology)
@@ -139,9 +133,6 @@ class _Engine:
             r_max=scenario.r_max,
             k_thresholds=dict(scenario.k_thresholds),
         )
-        self._unfinalized = len(self.statuses)
-        self._unvisited = {k: len(ids) for k, ids in self.ctx.levels.items()}
-        self._measure = self.measure()
 
     # -- stepping ----------------------------------------------------------------
 
@@ -168,86 +159,47 @@ class _Engine:
             self.methodology, self.h, self.sc, self.answer)
         other.L, other.cap, other.ctx = self.L, self.cap, self.ctx
         # Replaced, never mutated: the new run rebinds its own.
-        other.state, other.reason, other._unfinalized, other._measure, other.spent = (
-            self.state, self.reason, self._unfinalized, self._measure, self.spent)
+        other.state, other.reason = self.state, self.reason
         # Changed in place by a step: copied.
         other.queries = dict(self.queries)
         other.statuses = dict(self.statuses)
         other.attempts = dict(self.attempts)
-        other._unvisited = dict(self._unvisited)
         other._changed = []
         other.trace = Trace(self.methodology, self.trace.events)
         return other
-
-    # -- snapshots -----------------------------------------------------------
-
-    def snapshot(self) -> dict[str, Any]:
-        """Phase and indices; statuses travel apart."""
-        return {
-            "phase": self.state.phase,
-            "i": self.state.i,
-            "j": self.state.j,
-            "i_orig": self.state.i_orig,
-            "origin_phase": self.state.origin_phase,
-        }
-
-    def measure(self) -> Measure:
-        st = self.state
-        k2 = self.ctx.r_max * self.L - self.spent
-        unvisited = self._unvisited.get(st.i, 0) if st.phase == "S1" else 0
-        return compose_measure(
-            self.ctx, st.phase, st.i, st.j, st.i_orig, self._unfinalized, k2, unvisited
-        )
 
     # -- event emission --------------------------------------------------------
 
     def emit(self, rule: str, new_state: _State, payload: dict[str, Any]) -> None:
         """Fire one rule whose operational step (status marks, an attempt
-        burn) has already run; the event records its status changes.  The
-        pre-measure is the previous event's cached post-measure, so the step
-        may run first; the post-measure is sampled after the state change."""
+        burn) has already run; the event adds its status changes to
+        ``payload``, a dict of its own."""
         if len(self.trace) >= self.cap:
             raise HybridRunError(
                 f"trace exceeded the measure-derived cap of {self.cap} events"
             )
-        pre = self._measure
         from_label = self.state.label()
         self.state = new_state
-        post = self._measure = self.measure()
-        full = dict(payload)
-        full.update(self.snapshot())
         if self.trace.events:
-            full["status_changes"] = {str(n): self.statuses[n] for n in self._changed}
+            payload["status_changes"] = {str(n): self.statuses[n] for n in self._changed}
         else:
-            full["statuses"] = {str(n): s for n, s in self.statuses.items()}
-            full["trace_format"] = TRACE_FORMAT
+            payload["statuses"] = {str(n): s for n, s in self.statuses.items()}
+            payload["trace_format"] = TRACE_FORMAT
         self._changed.clear()
-        self.trace.emit(
-            rule,
-            from_label,
-            new_state.label(),
-            full,
-            measure_pre=pre,
-            measure_post=post,
-        )
+        self.trace.emit(rule, from_label, new_state.label(), payload)
 
     # -- status mutation helpers -----------------------------------------------
 
     def mark_in_progress(self, ids: tuple[int, ...]) -> None:
         for n in ids:
             if self.statuses[n] == 0:
-                self._unvisited[self.h.nodes[n].level] -= 1
                 self.statuses[n] = 1
                 self._changed.append(n)
 
     def finalize(self, ids: tuple[int, ...]) -> None:
         for n in ids:
-            s = self.statuses[n]
-            if s != 2:
-                if s == 0:
-                    self._unvisited[self.h.nodes[n].level] -= 1
+            if self.statuses[n] != 2:
                 self.statuses[n] = 2
-                self._unfinalized -= 1
                 self._changed.append(n)
 
     # -- scenario hooks ----------------------------------------------------------
@@ -302,10 +254,8 @@ def _terminal_error(eng: _Engine, rule: str, reason: str, extra: dict) -> None:
 def _enter_refinement(
     eng: _Engine, rule: str, j: int, i_orig: int, origin_phase: str, payload: dict
 ) -> None:
-    """Move into the refinement pass at level j, burning one attempt there.
-    The snapshot adds the new ``j`` to the payload."""
+    """Move into the refinement pass at level j, burning one attempt there."""
     eng.attempts[j] += 1
-    eng.spent += 1
     eng.emit(
         rule, _State(phase="S1R", i=i_orig, j=j, i_orig=i_orig, origin_phase=origin_phase), payload
     )

@@ -8,8 +8,11 @@ M = (k1, k2, k3, k4):
       processing; remaining range steps inside a refinement episode;
       remaining sweep levels in the bottom-up and completion phases).
 
-Every non-terminal transition of both hybrid machines strictly decreases M,
-which is what the descent monitor checks event by event.
+Every non-terminal transition of both hybrid machines strictly decreases M.
+The engines never compute M and the trace does not record it: the descent
+monitor computes it from each event's target label, the refinement episode's
+origin, which it folds from the labels, and its own counts over the folded
+statuses, and checks the descent event by event.
 """
 
 from __future__ import annotations
@@ -65,63 +68,36 @@ class TraceContext:
         return self.levels.get(k, ())
 
 
-def measure_with_counts(
-    payload: dict[str, Any], ctx: TraceContext, k1: int, spent: int, unvisited: dict[int, int]
-) -> Measure:
-    """M from a payload's phase and indices and a monitor's counts: ``k1``
-    unfinalized nodes, ``spent`` refinement attempts and the unvisited nodes
-    of each level (a node missing from the status map counts as unvisited)."""
-    phase = payload["phase"]
-    i = payload.get("i")
-    return compose_measure(
-        ctx,
-        phase,
-        i,
-        payload.get("j"),
-        payload.get("i_orig"),
-        k1,
-        ctx.r_max * max(ctx.max_level, 0) - spent,
-        unvisited.get(int(i), 0) if phase == "S1" else 0,
-    )
-
-
-def compose_measure(
+def measure(
     ctx: TraceContext,
-    phase: str,
-    i: Any,
-    j: Any,
-    i_orig: Any,
+    family: str,
+    index: int | None,
+    origin: int | None,
     k1: int,
-    k2: int,
-    unvisited: int,
+    spent: int,
+    unvisited: dict[int, int],
 ) -> Measure:
-    """M from its counted parts: the unfinalized-node count ``k1``, the
-    remaining budget ``k2`` and, for phase S1, the unvisited nodes of level
-    ``i``.  The phase and indices give k3 and the rest of k4."""
-    m = (k1, k2, PHASE_ORDINAL[phase], _k4(ctx, phase, i, j, i_orig, unvisited))
+    """M at the state label ``family(index)``, from a monitor's counts:
+    ``k1`` unfinalized nodes, ``spent`` refinement attempts and the
+    unvisited nodes of each level (a node missing from the status map counts
+    as unvisited).  ``origin`` is the level whose failure opened the current
+    refinement episode; only the R phases read it."""
+    if family == "S1":
+        k4 = unvisited.get(index, 0)
+    elif family == "S1R":
+        k4 = origin - index + 2
+    elif family in ("S2R", "S3R"):
+        k4 = origin - index + 1
+    elif family == "S3":
+        k4 = max(index - 2, 0) if ctx.methodology == "pdfd" else 0
+    elif family == "S4":
+        k4 = ctx.max_level - index
+    else:  # S2, S5, T
+        k4 = 0
+    m = (k1, ctx.r_max * max(ctx.max_level, 0) - spent, PHASE_ORDINAL[family], k4)
     if min(m) < 0:
         raise MeasureError(f"measure components must be non-negative: {m}")
     return m
-
-
-def _k4(ctx: TraceContext, phase: str, i: Any, j: Any, i_orig: Any, unvisited: int) -> int:
-    if phase == "S0":
-        return len(ctx.level_ids(1)) + 1
-    if phase == "S1":
-        return unvisited
-    if phase == "S2":
-        return 0
-    if phase == "S1R":
-        return (int(i_orig) - int(j)) + 2
-    if phase == "S2R":
-        return (int(i_orig) - int(j)) + 1
-    if phase == "S3R":
-        return (int(i_orig) - int(j)) + 1
-    if phase == "S3":
-        return max(int(i) - 2, 0) if ctx.methodology == "pdfd" else 0
-    if phase == "S4":
-        return ctx.max_level - int(i)
-    return 0  # S5, T
 
 
 def trace_length_cap(n_nodes: int, max_level: int, r_max: int) -> int:

@@ -1,9 +1,11 @@
 """Trace events emitted by the state machines and the store traversal.
 
 One event per fired transition rule.  Events chain: ``to_state`` of event n
-equals ``from_state`` of event n+1.  Hybrid-machine events additionally carry
-the lexicographic measure before and after the step plus the committed node
-statuses, which is what the verification monitors consume.
+equals ``from_state`` of event n+1.  A record is its rule, its two state
+labels, its sequence number and its payload; hybrid-machine payloads carry
+the committed node statuses, which the verification monitors fold.  Top-level
+keys other than these, such as the ``measure_pre`` and ``measure_post`` of
+older writers, are ignored when read.
 
 Statuses travel as deltas (``TRACE_FORMAT`` 2): the first event's payload
 holds the full ``statuses`` map and ``"trace_format": 2``, and every later
@@ -68,22 +70,10 @@ class TraceEvent(NamedTuple):
     from_state: str
     to_state: str
     payload: dict[str, Any]
-    measure_pre: tuple[int, int, int, int] | None = None
-    measure_post: tuple[int, int, int, int] | None = None
 
     def to_record(self) -> dict[str, Any]:
-        rec: dict[str, Any] = {
-            "seq": self.seq,
-            "rule": self.rule,
-            "from": self.from_state,
-            "to": self.to_state,
-        }
-        if self.measure_pre is not None:
-            rec["measure_pre"] = list(self.measure_pre)
-        if self.measure_post is not None:
-            rec["measure_post"] = list(self.measure_post)
-        rec["payload"] = self.payload
-        return rec
+        return {"seq": self.seq, "rule": self.rule, "from": self.from_state,
+                "to": self.to_state, "payload": self.payload}
 
     @classmethod
     def from_record(cls, rec: dict[str, Any]) -> "TraceEvent":
@@ -106,17 +96,8 @@ class TraceEvent(NamedTuple):
                 raise TraceFormatError(
                     f"payload must be a JSON object, got {type(payload).__name__}")
             payload = {}
-        pre, post = rec.get("measure_pre"), rec.get("measure_post")
-        if pre is not None or post is not None:
-            # Only a JSON list: tuple() would also read a string's characters
-            # or an object's keys as a measure.
-            if not ((pre is None or pre.__class__ is list)
-                    and (post is None or post.__class__ is list)):
-                raise TraceFormatError("measure_pre and measure_post must be lists")
-            pre = None if pre is None else tuple(pre)
-            post = None if post is None else tuple(post)
         # The tuple itself: the NamedTuple constructor would only add a call.
-        return _new_tuple(cls, (seq, rule, from_state, to_state, payload, pre, post))
+        return _new_tuple(cls, (seq, rule, from_state, to_state, payload))
 
 
 class Trace:
@@ -132,11 +113,9 @@ class Trace:
         from_state: str,
         to_state: str,
         payload: dict[str, Any] | None = None,
-        measure_pre: tuple[int, int, int, int] | None = None,
-        measure_post: tuple[int, int, int, int] | None = None,
     ) -> TraceEvent:
         ev = _new_tuple(TraceEvent, (len(self.events) + 1, rule, from_state, to_state,
-                                     payload or {}, measure_pre, measure_post))
+                                     payload or {}))
         self.events.append(ev)
         return ev
 
@@ -165,18 +144,8 @@ class Trace:
         encode = _line_encoder()
         esc = encode_basestring_ascii
         lines = []
-        for seq, rule, frm, to, payload, pre, post in self.events:
-            # to_record lists both measures before any value is encoded.
-            pre = None if pre is None else list(pre)
-            post = None if post is None else list(post)
+        for seq, rule, frm, to, payload in self.events:
             frm = esc(frm) if type(frm) is str else encode(frm)
-            measures = ""
-            if post is not None or pre is not None:
-                for name, m in (("post", post), ("pre", pre)):
-                    if m is not None:
-                        # A list of exact ints reprs as its JSON text.
-                        m = str(m) if {*map(type, m)} <= {int} else encode(m)
-                        measures += f', "measure_{name}": {m}'
             for k in payload if type(payload) is dict else (None,):
                 if type(k) is not str:  # not a dict, or keys only the encoder sorts
                     payload = encode(payload)
@@ -193,7 +162,7 @@ class Trace:
                     elif v is None:
                         v = "null"
                     elif c is list and {*map(type, v)} <= {int}:
-                        v = str(v)
+                        v = str(v)  # a list of exact ints reprs as its JSON text
                     else:
                         v = encode(v)
                     items.append(f"{esc(k)}: {v}")
@@ -201,7 +170,7 @@ class Trace:
             rule = esc(rule) if type(rule) is str else encode(rule)
             seq = str(seq) if type(seq) is int else encode(seq)
             to = esc(to) if type(to) is str else encode(to)
-            lines.append(f'{{"from": {frm}{measures}, "payload": {payload}, '
+            lines.append(f'{{"from": {frm}, "payload": {payload}, '
                          f'"rule": {rule}, "seq": {seq}, "to": {to}}}\n')
         return "".join(lines)
 
@@ -212,15 +181,17 @@ class Trace:
 
     @classmethod
     def read_jsonl(cls, path: str | Path, methodology: str = "") -> "Trace":
-        """Events of a JSONL file; blank lines are skipped.  A bad line
-        raises TraceFormatError naming the file and line."""
+        """Events of a JSONL file; blank lines are skipped.  Lines end at a
+        newline only: JSON allows U+2028, U+2029 and U+0085 raw inside a
+        string, and a carriage return before the newline is JSON whitespace.
+        A bad line raises TraceFormatError naming the file and line."""
         events = []
         from_record = TraceEvent.from_record
         try:
             text = read_text(path)
         except JSONDocumentError as exc:
             raise TraceFormatError(f"{path}: {exc}") from None
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(text.split("\n"), start=1):
             try:  # the common case: one record that fills its line
                 rec, end = _scan(line, 0)
             except (StopIteration, ValueError, RecursionError):

@@ -10,11 +10,12 @@ Checks provided, all pure over immutable traces:
 
 * well-formedness: events chain and every rule is known for the methodology;
 * rule legality: each rule's firing condition is re-evaluated from the
-  event payload and target label, the attempts spent and the statuses;
-* measure descent: every non-terminal transition strictly decreases the
-  lexicographic measure, with per-component deltas matching the rule's
-  pattern; recorded measures must equal the monitor's own, computed from
-  the payloads, the folded status changes and the attempts spent;
+  event payload and labels, the episode origin, the attempts spent and the
+  statuses;
+* measure descent: the monitor computes M after each event from its target
+  label, the episode origin, the folded status changes and the attempts
+  spent; every non-terminal transition strictly decreases it, with
+  per-component deltas matching the rule's pattern;
 * bounded refinement: counted from the labels (a target S1R(j) spends one
   attempt at level j), no level spends more than the cap, and all together
   at most levels x cap;
@@ -26,7 +27,10 @@ Well-formedness and measure descent are folds, ``WellFormedFold`` and
 ``DescentFold``: fed one event at a time, copied at a branch point, read
 for a verdict at any point; the run enumerator forks them with the engine.
 The status monitors read statuses through ``trace.StatusFold``, so they
-accept both the delta-encoded format and full per-event snapshots.
+accept both the delta-encoded format and full per-event snapshots.  The
+episode origin is folded from the labels by ``_next_origin``; what older
+writers recorded beside the labels (a state snapshot, the engine's
+measures) is not read.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from operator import eq, ge, gt, itemgetter, lt, methodcaller
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .hierarchy import Hierarchy
-from .measure import Measure, TraceContext, measure_with_counts
+from .measure import Measure, TraceContext, measure
 from .scenario import Scenario, TraceOriginStrategy
 from .trace import StatusFold, StatusFoldError, Trace, TraceEvent, fold_statuses
 
@@ -116,6 +120,11 @@ def _to_level(events, ev: TraceEvent, L: int | None):
     return events({"to_level": str(int(ev.to_state[3:-1]))})
 
 
+def _to_origin(events, ev: TraceEvent, L: int | None):
+    """The origin j is the level a backtrack enters, read from its target S1R(j)."""
+    return events(dict(ev.payload, j=str(_label(ev.to_state)[1])))
+
+
 def _next_level(events, ev: TraceEvent, L: int | None):
     return events(dict(ev.payload, next_level=str(int(ev.payload.get("level")) + 1)))
 
@@ -179,9 +188,9 @@ PDFD_RULES: dict[str, RuleSpec] = {
                     events="load_tree_actual initialize_refinement_attempts_actual"),
     "PD2": RuleSpec(("S1",), ("S2",), deltas=(E, E, D, D), events=_pick(
         _to_level, "determine_ki_actual.{to_level} process_level_actual.{to_level}")),
-    "PD2a": RuleSpec(("S2",), ("S1R",), deltas=(E, D, U, A), events=(
-        "is_level_validation_failed.{level?} get_trace_origin_actual.{level?}.{j?} "
-        "can_attempt_refinement.{j?} increment_refinement_attempts_actual.{j?}")),
+    "PD2a": RuleSpec(("S2",), ("S1R",), deltas=(E, D, U, A), events=_pick(
+        _to_origin, "is_level_validation_failed.{level?} get_trace_origin_actual.{level?}.{j} "
+        "can_attempt_refinement.{j} increment_refinement_attempts_actual.{j}")),
     "PD2b": RuleSpec(("S2",), ("S1",), deltas=(D, E, A, A), events=(
         "level_validation_successful.{level?} cond_threshold_met.{level?}")),
     "PD3": RuleSpec(("S1R",), ("S2R",), deltas=(E, E, D, D), events=(
@@ -200,19 +209,19 @@ PDFD_RULES: dict[str, RuleSpec] = {
     "PD4a": RuleSpec(("S3",), ("S3",), deltas=(E, E, E, D), events=(
         "finalize_subtrees_actual.{level?} bottom_up_validation_successful.{level?} "
         "cond_all_descendants_validated.{level?}")),
-    "PD4b": RuleSpec(("S3",), ("S1R",), deltas=(E, D, U, A), events=(
-        "finalize_subtrees_actual.{level?} is_bottom_up_validation_failed.{level?} "
-        "get_trace_origin_actual.{level?}.{j?} can_attempt_refinement.{j?} "
-        "increment_refinement_attempts_actual.{j?}")),
+    "PD4b": RuleSpec(("S3",), ("S1R",), deltas=(E, D, U, A), events=_pick(
+        _to_origin, "finalize_subtrees_actual.{level?} is_bottom_up_validation_failed.{level?} "
+        "get_trace_origin_actual.{level?}.{j} can_attempt_refinement.{j} "
+        "increment_refinement_attempts_actual.{j}")),
     "PD5": RuleSpec(("S3",), ("S4",), deltas=(E, E, D, A), events=(
         "finalize_subtrees_actual.{level?} bottom_up_validation_successful.{level?} "
         "cond_all_descendants_validated.{level?}")),
     "PD6": RuleSpec(("S4",), ("S4",), deltas=(E, E, E, D), events=(
         "finalize_unprocessed_nodes_actual.{level?} top_down_validation_successful.{level?}")),
-    "PD6a": RuleSpec(("S4",), ("S1R",), deltas=(E, D, U, A), events=(
-        "finalize_unprocessed_nodes_actual.{level?} is_top_down_validation_failed.{level?} "
-        "get_trace_origin_actual.{level?}.{j?} can_attempt_refinement.{j?} "
-        "increment_refinement_attempts_actual.{j?}")),
+    "PD6a": RuleSpec(("S4",), ("S1R",), deltas=(E, D, U, A), events=_pick(
+        _to_origin, "finalize_unprocessed_nodes_actual.{level?} "
+        "is_top_down_validation_failed.{level?} get_trace_origin_actual.{level?}.{j} "
+        "can_attempt_refinement.{j} increment_refinement_attempts_actual.{j}")),
     "PD6b": RuleSpec(("S4",), ("S5",), "terminal", events=(
         "finalize_unprocessed_nodes_actual.{level?} is_top_down_validation_failed.{level?} "
         "no_refinement_path_available.{level?} terminate_with_error_actual")),
@@ -236,10 +245,10 @@ PBFD_RULES: dict[str, RuleSpec] = {
         _to_level, "process_pattern_actual.{to_level} cond_not_all_validated.{to_level}")),
     "PB2a": RuleSpec(("S1",), ("S3",), deltas=(E, E, D, A), events=_pick(
         _to_level, "process_pattern_actual.{to_level} cond_all_validated.{to_level}")),
-    "PB3": RuleSpec(("S2",), ("S1R",), deltas=(E, D, U, A), events=(
-        "validate_pattern_actual.{level?} cond_not_all_validated.{level?} "
-        "cond_j_exists_for_i.{level?}.{j?} cond_ref_attempts_lt_Rmax.{j?} "
-        "increment_refinement_attempts_actual.{j?}")),
+    "PB3": RuleSpec(("S2",), ("S1R",), deltas=(E, D, U, A), events=_pick(
+        _to_origin, "validate_pattern_actual.{level?} cond_not_all_validated.{level?} "
+        "cond_j_exists_for_i.{level?}.{j} cond_ref_attempts_lt_Rmax.{j} "
+        "increment_refinement_attempts_actual.{j}")),
     "PB3a": RuleSpec(("S1R",), ("S2R",), deltas=(E, E, D, D), events=(
         "process_refinement_pattern_actual.{level?} cond_not_all_validated.{level?}")),
     "PB3a1": RuleSpec(("S2R",), ("S3R",), deltas=(E, E, D, E), events=(
@@ -268,10 +277,10 @@ PBFD_RULES: dict[str, RuleSpec] = {
         "resolve_refinement_depth_actual.{level?} cond_j_eq_i.{level?}.{range_end}")),
     "PB7": RuleSpec(("S4",), ("S4",), deltas=(E, E, E, D), events=(
         "finalize_pattern_actual.{level?} cond_all_processed.{level?} cond_i_lt_L.{level?}")),
-    "PB7a": RuleSpec(("S4",), ("S1R",), deltas=(E, D, U, A), events=(
-        "finalize_pattern_actual.{level?} cond_not_all_processed.{level?} "
-        "cond_trace_origin_exists_for_unprocessed.{level?}.{j?} cond_ref_attempts_lt_Rmax.{j?} "
-        "increment_refinement_attempts_actual.{j?}")),
+    "PB7a": RuleSpec(("S4",), ("S1R",), deltas=(E, D, U, A), events=_pick(
+        _to_origin, "finalize_pattern_actual.{level?} cond_not_all_processed.{level?} "
+        "cond_trace_origin_exists_for_unprocessed.{level?}.{j} cond_ref_attempts_lt_Rmax.{j} "
+        "increment_refinement_attempts_actual.{j}")),
     "PB7b": RuleSpec(("S4",), ("S5",), "terminal", events=(
         "finalize_pattern_actual.{level?} cond_not_all_processed.{level?} "
         "cond_trace_origin_not_exists_for_unprocessed.{level?} terminate_failure_actual")),
@@ -497,8 +506,26 @@ def _label(state: str) -> tuple[str, int | None]:
     return family, int(index[:-1]) if index else None
 
 
+_REFINING = ("S1R", "S2R", "S3R")
+
+
+def _next_origin(
+    origin: tuple[str, int | None] | None, ev: TraceEvent, family: str
+) -> tuple[str, int | None] | None:
+    """The episode origin after ``ev``, whose target is of ``family``:
+    entering a refinement family from another records the source label's
+    family and index, the phase and level whose failure the episode
+    repairs; a target outside those families clears it."""
+    if family not in _REFINING:
+        return None
+    if _family(ev.from_state) in _REFINING:
+        return origin
+    return _label(ev.from_state)
+
+
 def check_rule_legality(trace: Trace, methodology: str | None = None) -> Verdict:
-    """Re-evaluate each hybrid rule's condition from the event payloads."""
+    """Re-evaluate each hybrid rule's condition from the event payloads and
+    labels."""
     name = "rule-legality"
     methodology = methodology or trace.methodology
     if methodology not in HYBRID:
@@ -510,10 +537,13 @@ def check_rule_legality(trace: Trace, methodology: str | None = None) -> Verdict
     if isinstance(ctx, Verdict):
         return ctx
     spent: dict[int, int] = {}
+    origin = None
     try:
         for ev, statuses, _prior in fold_statuses(trace):
             try:
-                problem = _legality_problem(ev, spent, statuses, ctx)
+                family, index = _label(ev.to_state)
+                problem = _legality_problem(ev, family, index, origin, spent, statuses, ctx)
+                origin = _next_origin(origin, ev, family)
             except UNREADABLE as exc:
                 return _unreadable(name, ev, exc)
             if problem:
@@ -523,35 +553,47 @@ def check_rule_legality(trace: Trace, methodology: str | None = None) -> Verdict
     return Verdict(name, True)
 
 
+_BACKTRACKS = frozenset({"PD2a", "PD3c", "PD4b", "PD6a", "PB3", "PB3a2", "PB7a"})
+# A failed validation backtracks or, with no origin, dead-ends: those rules
+# carry failing nodes, and no other rule does.  PD8 also ends an exhausted
+# budget, with no query.
+_FAILED = _BACKTRACKS | {"PD8", "PD6b", "PB3c", "PB7b"}
+
+
 def _legality_problem(
     ev: TraceEvent,
+    family: str,
+    index: int | None,
+    origin: tuple[str, int | None] | None,
     spent: dict[int, int],
     statuses: dict[int, int],
     ctx: TraceContext,
 ) -> str | None:
-    """The problem with ``ev``, or None; an S1R entry adds to ``spent``."""
+    """The problem with ``ev``, whose target label is ``family(index)``, in
+    the episode of ``origin``, or None; an S1R entry adds to ``spent``."""
     rule = ev.rule
     p = ev.payload
     failing = p.get("failing", [])
     level = p.get("level")
-    family, index = _label(ev.to_state)
-    # The snapshot's index is the one its target label names.
-    key = "j" if family in ("S1R", "S2R", "S3R") else "i"
-    if family not in ("S5", "T") and int(p[key]) != index:
-        return f"{rule} recorded {key}={p[key]} for target {ev.to_state}"
+    if index is None and family not in ("S5", "T"):
+        return f"{rule} target {ev.to_state} names no level"
     if family == "S1R":
         spent[index] = spent.get(index, 0) + 1
         if spent[index] > ctx.r_max:
             return f"{rule} exceeded the attempt cap"
-    backtracks = {"PD2a", "PD3c", "PD4b", "PD6a", "PB3", "PB3a2", "PB7a"}
-    if rule in backtracks:
-        j = int(p["j"])
-        if not failing:
-            return f"{rule} without failing nodes"
-        if not 1 <= j <= int(level):
-            return f"{rule} origin {j} outside [1, {level}]"
+    if failing:
+        if not set(failing) <= set(ctx.level_ids(int(level))):
+            return f"{rule} failing nodes outside level {level}"
+        if rule not in _FAILED:
+            return f"{rule} with failing nodes"
+    if "range_end" in p and (origin is None or int(p["range_end"]) != origin[1]):
+        return f"{rule} range_end {p['range_end']} is not the episode origin"
+    if not failing and rule in _FAILED and p.get("reason") != "refinement_exhausted":
+        return f"{rule} without failing nodes"
+    if rule in _BACKTRACKS and not 1 <= index <= int(level):
+        return f"{rule} origin {index} outside [1, {level}]"
     if rule in ("PD3a", "PB5"):
-        if not int(p["j"]) <= int(p["range_end"]):
+        if not index <= int(p["range_end"]):
             return f"{rule} progressed past the episode range"
     if rule in ("PD3b", "PB6"):
         if int(p["level"]) != int(p["range_end"]):
@@ -562,8 +604,6 @@ def _legality_problem(
         done = sum(1 for n in ctx.level_ids(i) if statuses.get(n) == 2)
         if done < k_i:
             return f"advance from level {i} with {done} finalized < K={k_i}"
-        if failing:
-            return "advance with failing nodes"
     if rule == "PD4":
         i = int(level)
         if i != ctx.max_level and ctx.level_ids(i + 1):
@@ -576,8 +616,6 @@ def _legality_problem(
     if rule in ("PD6", "PB7"):
         if int(level) >= ctx.max_level:
             return f"{rule} beyond the last level"
-        if failing:
-            return f"{rule} with failing nodes"
     if rule == "PB4a":
         i = int(level)
         if i >= ctx.max_level:
@@ -604,10 +642,9 @@ _DELTA_OK: dict[Delta, Callable[[int, int], bool]] = {
 
 
 def check_measure_descent(trace: Trace, methodology: str | None = None) -> Verdict:
-    """Strict lexicographic descent on every non-terminal transition, with
-    per-component deltas matching the rule's expected pattern, and recorded
-    measures agreeing with recomputation.  An empty hybrid trace raises
-    ValueError."""
+    """Strict lexicographic descent of the monitor's own M on every
+    non-terminal transition, with per-component deltas matching the rule's
+    expected pattern.  An empty hybrid trace raises ValueError."""
     fold = DescentFold(methodology or trace.methodology)
     fold.feed(trace.events)
     return fold.verdict()
@@ -617,14 +654,16 @@ class DescentFold:
     """``check_measure_descent`` as a fold, fed, copied and read like
     ``WellFormedFold``.
 
-    The fold counts unfinalized nodes and unvisited nodes per level itself,
-    from the folded status changes, and the attempts spent, from the S1R
-    targets; it never trusts the engine's counters.
+    The fold computes M after each event from the event's target label and
+    its own counts: unfinalized nodes and unvisited nodes per level, from the
+    folded status changes; the attempts spent, from the S1R targets; and the
+    episode origin, from the labels.  It never trusts the engine.
+    ``measure`` is M after the last event fed (None before the first).
     The first event gives the run parameters; the first failure settles the
     verdict."""
 
     __slots__ = ("methodology", "rules", "_ctx", "_level_of", "_statuses",
-                 "_unfinalized", "_unvisited", "_spent", "_prev", "_failure")
+                 "_unfinalized", "_unvisited", "_spent", "_origin", "_measure", "_failure")
 
     def __init__(self, methodology: str):
         self.methodology = methodology
@@ -635,8 +674,13 @@ class DescentFold:
         self._unfinalized = 0
         self._unvisited: dict[int, int] = {}
         self._spent = 0
-        self._prev: Measure | None = None
+        self._origin: tuple[str, int | None] | None = None
+        self._measure: Measure | None = None
         self._failure: Verdict | None = None
+
+    @property
+    def measure(self) -> Measure | None:
+        return self._measure
 
     def copy(self) -> "DescentFold":
         other = DescentFold.__new__(DescentFold)
@@ -645,7 +689,7 @@ class DescentFold:
         other._statuses = self._statuses.copy()
         other._unfinalized, other._spent = self._unfinalized, self._spent
         other._unvisited = dict(self._unvisited)
-        other._prev, other._failure = self._prev, self._failure
+        other._origin, other._measure, other._failure = self._origin, self._measure, self._failure
         return other
 
     def feed(self, events: Iterable[TraceEvent]) -> None:
@@ -657,8 +701,8 @@ class DescentFold:
     def _fold(self, rules: dict[str, RuleSpec], events: Iterable[TraceEvent]) -> Verdict | None:
         name = "measure-descent"
         ctx, level_of, unvisited = self._ctx, self._level_of, self._unvisited
-        unfinalized, spent, prev = self._unfinalized, self._spent, self._prev
-        fold = self._statuses
+        unfinalized, spent, origin = self._unfinalized, self._spent, self._origin
+        prev, fold = self._measure, self._statuses
         for ev in events:
             if ctx is None:
                 try:
@@ -684,15 +728,19 @@ class DescentFold:
             if spec is None:
                 return Verdict(name, False, f"unknown rule {ev.rule}", ev.seq)
             try:
-                spent += _label(ev.to_state)[0] == "S1R"
-                recomputed = measure_with_counts(ev.payload, ctx, unfinalized, spent, unvisited)
+                family, index = _label(ev.to_state)
+                spent += family == "S1R"
+                origin = _next_origin(origin, ev, family)
+                m = measure(ctx, family, index, origin and origin[1],
+                            unfinalized, spent, unvisited)
             except UNREADABLE as exc:
                 return _unreadable(name, ev, exc)
-            problem = _descent_problem(ev, spec, recomputed, prev)
+            problem = _descent_problem(ev, spec, prev, m)
             if problem is not None:
                 return Verdict(name, False, problem, ev.seq)
-            prev = recomputed
-        self._unfinalized, self._spent, self._prev = unfinalized, spent, prev
+            prev = m
+        self._unfinalized, self._spent, self._origin, self._measure = (
+            unfinalized, spent, origin, prev)
         return None
 
     def verdict(self) -> Verdict:
@@ -706,24 +754,18 @@ class DescentFold:
         return Verdict(name, True)
 
 
-def _descent_problem(
-    ev: TraceEvent, spec: RuleSpec, recomputed: Measure, prev: Measure | None
-) -> str | None:
-    if ev.measure_post is not None and tuple(ev.measure_post) != recomputed:
-        return f"recorded post-measure {ev.measure_post} != recomputed {recomputed}"
-    if prev is not None and ev.measure_pre is not None and tuple(ev.measure_pre) != prev:
-        return "measure chain broken"
-    if spec.kind == "step":
-        pre = tuple(ev.measure_pre or ())
-        post = tuple(ev.measure_post or ())
-        if len(pre) != 4 or len(post) != 4:
-            return "missing measure snapshot"
-        if not post < pre:
-            return f"{ev.rule} did not decrease M: {pre} -> {post}"
-        for idx, kind in enumerate(spec.deltas or ()):
-            if not _DELTA_OK[kind](pre[idx], post[idx]):
-                return (f"{ev.rule} component k{idx + 1} broke pattern "
-                        f"{kind.value}: {pre[idx]} -> {post[idx]}")
+def _descent_problem(ev: TraceEvent, spec: RuleSpec, pre: Measure | None,
+                     post: Measure) -> str | None:
+    if spec.kind != "step":
+        return None
+    if pre is None:
+        return f"{ev.rule} has no measure before it"
+    if not post < pre:
+        return f"{ev.rule} did not decrease M: {pre} -> {post}"
+    for idx, kind in enumerate(spec.deltas or ()):
+        if not _DELTA_OK[kind](pre[idx], post[idx]):
+            return (f"{ev.rule} component k{idx + 1} broke pattern "
+                    f"{kind.value}: {pre[idx]} -> {post[idx]}")
     return None
 
 

@@ -288,13 +288,13 @@ def test_07_pdfd_mvp_replay():
         pairs = []
         for e in result.trace:
             if e.rule == "PD2a":
-                pairs.append(("fail", e.payload["level"], int(e.payload["j"])))
+                pairs.append(("fail", e.payload["level"], e.to_state))
             elif e.rule == "PD3b":
                 pairs.append(("resume", e.payload["range_end"]))
         assert pairs == [
-            ("fail", 3, 2), ("resume", 3),
-            ("fail", 4, 2), ("resume", 4),
-            ("fail", 5, 2), ("resume", 5),
+            ("fail", 3, "S1R(2)"), ("resume", 3),
+            ("fail", 4, "S1R(2)"), ("resume", 4),
+            ("fail", 5, "S1R(2)"), ("resume", 5),
         ]
     report(7, "depth-led replay: three refine/resume pairs, counters {2:3,3:3,4:2,5:1}, T")
 
@@ -306,7 +306,7 @@ def test_08_pbfd_mvp_replay():
         assert max(result.attempts.values()) == 1
         backtracks = [e for e in result.trace if e.rule == "PB3"]
         assert len(backtracks) == 1
-        assert int(backtracks[0].payload["j"]) == 1
+        assert backtracks[0].to_state == "S1R(1)"
         assert backtracks[0].payload["level"] == 3
     report(8, "breadth-led replay: one refinement cycle, max attempts 1, T")
 

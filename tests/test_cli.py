@@ -200,9 +200,9 @@ class TestVerify:
             "FAIL bounded-refinement (event 14: attempts[2]=2 exceeds cap 1)"]
 
     @pytest.mark.parametrize("forged", ["1234", {"a": 1, "b": 2, "c": 3, "d": 4}])
-    def test_measure_that_is_not_a_list_is_refused_by_the_reader(self, tmp_path, capsys, forged):
-        """A string or object measure is a reader error naming the line, not
-        a broken measure chain read from its characters or keys."""
+    def test_measure_keys_of_older_writers_are_not_read(self, tmp_path, capsys, forged):
+        """The monitors compute the measure; a ``measure_pre`` in a record,
+        as older writers wrote it, is not read, whatever its value."""
         trace_file = tmp_path / "t.jsonl"
         main(["replay", "--fixture", "pdfd-mvp", "--format", "jsonl-trace",
               "--out", str(trace_file)])
@@ -215,8 +215,8 @@ class TestVerify:
         code = main(["verify", "--trace", str(trace_file), "--methodology", "pdfd",
                      "--check", "measure"])
         captured = capsys.readouterr()
-        assert (code, captured.out) == (1, "")
-        assert captured.err == f"error: {trace_file}:4: measure_pre and measure_post must be lists\n"
+        assert (code, captured.err) == (0, "")
+        assert captured.out.splitlines() == ["PASS rule-legality", "PASS measure-descent"]
 
     def test_tampered_trace_fails(self, tmp_path, capsys):
         trace_file = tmp_path / "t.jsonl"
@@ -224,7 +224,8 @@ class TestVerify:
               "--out", str(trace_file)])
         lines = trace_file.read_text().splitlines()
         rec = json.loads(lines[4])
-        rec["measure_post"] = [rec["measure_post"][0] + 7] + rec["measure_post"][1:]
+        assert rec["rule"] == "PD2b" and rec["payload"]["status_changes"]
+        rec["payload"]["status_changes"] = {}  # the level it advances from stays unfinalized
         lines[4] = json.dumps(rec)
         trace_file.write_text("\n".join(lines) + "\n")
         code = main([
@@ -279,8 +280,8 @@ class TestVerifyCheckSelection:
 
 
 class TestVerifyForgedPayloads:
-    """A payload value of the wrong type is a FAIL line naming the event,
-    exit 2, never a traceback or a bare error."""
+    """A payload value of the wrong type that a monitor reads is a FAIL line
+    naming the event, exit 2, never a traceback or a bare error."""
 
     def _forge(self, path, rule, seq=None, **values):
         """Set ``values`` in the payload of the first ``rule`` event, or of
@@ -314,23 +315,20 @@ class TestVerifyForgedPayloads:
         ]
 
     def test_pdfd_string_origin_level(self, tmp_path, capsys):
+        """The origin level is read from the target label S1R(j): a payload
+        ``j``, as older writers wrote it, is not read, whatever its value."""
         path = tmp_path / "pdfd.jsonl"
         main(["replay", "--fixture", "pdfd-mvp", "--format", "jsonl-trace", "--out", str(path)])
-        rec = self._forge(path, "PD2a", j="x")
-        seq, level = rec["seq"], rec["payload"]["level"]
-        code, out = self._verify(capsys, path, "pdfd")
-        unreadable = f"(event {seq}: PD2a payload unreadable: invalid literal for int() with base 10: 'x')"
-        assert code == 2
-        assert out == [
+        self._forge(path, "PD2a", j="x")
+        assert self._verify(capsys, path, "pdfd") == (0, [
             "PASS well-formed",
-            f"FAIL rule-legality {unreadable}",
-            f"FAIL measure-descent {unreadable}",
+            "PASS rule-legality",
+            "PASS measure-descent",
             "PASS bounded-refinement",
             "PASS finalization-invariance",
             "PASS deadlock-freeness[pdfd]",
-            f"FAIL csp-conformance[pdfd] (event {seq}: illegal event "
-            f"'get_trace_origin_actual.{level}.x')",
-        ]
+            "PASS csp-conformance[pdfd]",
+        ])
 
     def test_pdfd_string_level_count(self, tmp_path, capsys):
         path = tmp_path / "pdfd.jsonl"
@@ -355,7 +353,8 @@ class TestVerifyForgedPayloads:
             records[pos]["to"] = records[pos + 1]["from"] = "S1R(x)"
             path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
             rule, seq = records[pos]["rule"], records[pos]["seq"]
-            csp = "PASS csp-conformance[pdfd]"
+            csp = (f"FAIL csp-conformance[pdfd] (event {seq}: annotation failed: "
+                   "invalid literal for int() with base 10: 'x')")
         unreadable = f"(event {seq}: {rule} payload unreadable: invalid literal for int() with base 10: 'x')"
         return path, [
             "PASS well-formed",
@@ -387,12 +386,11 @@ class TestVerifyForgedPayloads:
 
     def test_pdfd_huge_level_count_checks_in_bounded_time(self, tmp_path):
         """The measure's budget over levels 1..L takes time independent of L:
-        L forged to 10**30 gets the verdicts of any large L, and only the
-        recomputed budget differs."""
+        L forged to 10**30 gets the verdicts of any large L, and the
+        monitor's M descends through the whole trace."""
         path = tmp_path / "pdfd.jsonl"
         main(["replay", "--fixture", "pdfd-mvp", "--format", "jsonl-trace", "--out", str(path)])
-        L = 10**30
-        r_max = self._forge(path, "PD1", L=L)["payload"]["r_max"]
+        self._forge(path, "PD1", L=10**30)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
@@ -404,8 +402,7 @@ class TestVerifyForgedPayloads:
         assert proc.stdout.splitlines() == [
             "PASS well-formed",
             "FAIL rule-legality (event 45: PD7 before the last level)",
-            "FAIL measure-descent (event 1: recorded post-measure (11, 360, 3, 1) "
-            f"!= recomputed (11, {r_max * L}, 3, 1))",
+            "PASS measure-descent",
             "PASS bounded-refinement",
             "PASS finalization-invariance",
             "PASS deadlock-freeness[pdfd]",

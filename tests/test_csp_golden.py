@@ -31,7 +31,7 @@ HYBRID = ("pdfd", "pbfd")
 
 # Every payload key an annotator reads.
 PAYLOAD_KEYS = (
-    "node", "root", "level", "j", "range_end", "backtrack_point", "subtree_root",
+    "node", "root", "level", "range_end", "backtrack_point", "subtree_root",
     "to", "component", "increment", "levels", "new_node", "refine_iterations",
     "reason", "L",
 )
@@ -174,11 +174,11 @@ GOLDEN = {
     ),
     "geo:pbfd": (
         "49b337bcaf35776313db322f9c2070d4c5e47b9ccf5b73b4273409402d169d31",
-        "bdb6736439ddec1ad8918056c614c7266e33b4816253358e62ab9b2c63dfae6a",
+        "b18ff3b0e7a07eb1ed07a39ebe646970700fa941535887fff1dd6df37fa87183",
     ),
     "geo:pdfd": (
         "dfc6fcc1c5cac32717dbf42cecb07d060c6d51499f50d395ca82ff90dbbd1780",
-        "60d6bb3af4d76a9e1482409486068e5c4109be3299210b0d3abcc150871d4092",
+        "f0c641008739792f16ad8b4bdfbbea6c99f50f21d825690d4857df54c642d603",
     ),
     "geo:tle": (
         "adde2ea87cdc1200fdbff076eb99bfdea7e0a64754292240326ba6446e9226ea",
@@ -202,11 +202,11 @@ GOLDEN = {
     ),
     "uneven:pbfd": (
         "eb6ab552ac519fb910941de46b0955fa21f5f1e34a4ce937dfc5a1d8fff40fd2",
-        "cf2d3ee38b5757642acd902dde2dc99727cb4876325489747fda3769fa6f4603",
+        "4bd07afa115cc7aeff6b03095f702f0284a5d895dc34f91397864e67f022ebcd",
     ),
     "uneven:pdfd": (
         "467402ab04c02f7fab6f20fbc309ca70b1e9c899254d2921d47908ee183d3dc3",
-        "f7a4a15a83cd8c9f5e8343dea0e24e9f33c205ac45d04195b382e99535d42e40",
+        "255643f59ff985f599176cf95a0cb6a0f6b15c61eb848f47550e73dad35c7775",
     ),
     "uneven:tle": (
         "37be2ea5a04e9b4aaf2254840afad992994536bae17cea0a5108c6fa7eea9661",

@@ -130,7 +130,7 @@ class TestDependencyMinFullRun:
         res = run_pdfd(h, sc)
         assert res.outcome == "T"
         entry = next(e for e in res.trace if e.rule == "PD2a")
-        assert int(entry.payload["j"]) == 1
+        assert entry.to_state == "S1R(1)"
         assert res.attempts == {1: 1, 2: 1, 3: 1, 4: 0}
         assert all_monitors_pass(res.trace)
 
@@ -144,5 +144,5 @@ class TestDependencyMinFullRun:
         res = run_pdfd(h, sc)
         assert res.outcome == "T"
         entry = next(e for e in res.trace if e.rule == "PD2a")
-        assert int(entry.payload["j"]) == 2
+        assert entry.to_state == "S1R(2)"
         assert all_monitors_pass(res.trace)

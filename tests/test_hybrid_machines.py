@@ -81,13 +81,13 @@ class TestPdfdReplay:
         pairs = []
         for e in result.trace:
             if e.rule == "PD2a":
-                pairs.append(("fail", e.payload["level"], e.payload["j"]))
+                pairs.append(("fail", e.payload["level"], e.to_state))
             if e.rule == "PD3b":
                 pairs.append(("resume", e.payload["range_end"]))
         assert pairs == [
-            ("fail", 3, 2), ("resume", 3),
-            ("fail", 4, 2), ("resume", 4),
-            ("fail", 5, 2), ("resume", 5),
+            ("fail", 3, "S1R(2)"), ("resume", 3),
+            ("fail", 4, "S1R(2)"), ("resume", 4),
+            ("fail", 5, "S1R(2)"), ("resume", 5),
         ]
 
     def test_all_nodes_finalized(self, result):
@@ -318,7 +318,7 @@ class TestFork:
             eng.step()
         fork = eng.fork()
         assert vars(fork).keys() == vars(eng).keys()
-        for field in ("queries", "statuses", "attempts", "_unvisited"):
+        for field in ("queries", "statuses", "attempts"):
             assert getattr(fork, field) == getattr(eng, field), field
             assert getattr(fork, field) is not getattr(eng, field), field
         assert fork._changed is not eng._changed

@@ -75,15 +75,15 @@ class TestTraceRoundTrip:
         path = tmp_path / "trace.jsonl"
         result.trace.write_jsonl(path)
         again = Trace.read_jsonl(path, methodology="pdfd")
-        assert len(again) == len(result.trace)
-        for a, b in zip(result.trace, again):
-            assert (a.seq, a.rule, a.from_state, a.to_state) == (
-                b.seq, b.rule, b.from_state, b.to_state
-            )
-            assert a.measure_pre == b.measure_pre
-            assert a.measure_post == b.measure_post
-        from treeflow.verify import run_all_checks
+        assert again.events == result.trace.events
+        from treeflow.verify import DescentFold, run_all_checks
 
+        # The monitor's measure after each event is the same on both sides.
+        folds = DescentFold("pdfd"), DescentFold("pdfd")
+        for a, b in zip(result.trace, again):
+            folds[0].feed([a])
+            folds[1].feed([b])
+            assert folds[0].measure == folds[1].measure is not None
         assert all(v.ok for v in run_all_checks(again))
 
 

@@ -13,7 +13,9 @@ A mutant survives when every ``run_all_checks`` verdict and the
 ``check_csp_conformance`` verdict pass.  ``PINNED`` holds, per (machine,
 field), the number of mutants, exactly, and the number of survivors, as a
 ceiling: a change may lower a survivor count, never raise it.  A field that
-no longer yields mutants loses its row.
+no longer yields mutants loses its row.  An equivalent mutant, a forged
+trace that is the genuine trace of other inputs, cannot be killed: the
+hybrid ``r_max`` survivors are checked to be such.
 """
 
 from collections import Counter
@@ -80,13 +82,12 @@ PINNED: dict[str, dict[str, tuple[int, int]]] = {
         "to": (28, 28),
     },
     "pbfd": {
-        "L": (2, 0), "attempt": (30, 30), "failing": (16, 9), "i": (72, 16), "i_orig": (14, 0),
-        "j": (14, 0), "level": (56, 0), "r_max": (2, 0), "range_end": (8, 2),
-        "trace_format": (2, 1),
+        "L": (2, 0), "attempt": (30, 30), "failing": (16, 1), "level": (56, 0), "r_max": (2, 2),
+        "range_end": (8, 0), "trace_format": (2, 1),
     },
     "pdfd": {
-        "L": (2, 0), "attempt": (40, 40), "failing": (20, 8), "i": (56, 2), "level": (40, 0),
-        "r_max": (2, 0), "trace_format": (2, 1),
+        "L": (2, 0), "attempt": (40, 40), "failing": (20, 0), "level": (40, 0),
+        "r_max": (2, 2), "trace_format": (2, 1),
     },
 }
 
@@ -102,6 +103,20 @@ def test_survivors_stay_within_their_pins(machine):
     assert dict(mutants) == {f: p[0] for f, p in pinned.items()}
     raised = {f: (survivors[f], p[1]) for f, p in pinned.items() if survivors[f] > p[1]}
     assert raised == {}, "survivors above their pins (observed, pinned)"
+
+
+@pytest.mark.parametrize("machine", ["pdfd", "pbfd"])
+def test_budget_survivors_are_the_engines_own_traces(machine):
+    """The hybrid ``r_max`` survivors are equivalent mutants: a budget one
+    lower or higher that no level reaches is the run the engine writes with
+    that budget, event for event."""
+    runner = run_pdfd if machine == "pdfd" else run_pbfd
+    budgets = [mutant for field, mutant in _mutants(_trace(machine)) if field == "r_max"]
+    assert len(budgets) == 2
+    for mutant in budgets:
+        sc = pbfd_mvp_scenario()
+        sc.r_max = mutant.events[0].payload["r_max"]
+        assert runner(geo_hierarchy(), sc).trace.events == mutant.events
 
 
 def test_every_machine_is_pinned():

@@ -36,6 +36,9 @@ from treeflow.verify import (
 )
 
 DATA = Path(__file__).resolve().parent / "data"
+# What hybrid events carried before the labels and the monitors took over.
+SNAPSHOT_KEYS = {"phase", "i", "j", "i_orig", "origin_phase"}
+MEASURE_KEYS = {"measure_pre", "measure_post"}
 
 
 def mvp_trace() -> Trace:
@@ -73,6 +76,15 @@ class TestEngineOutput:
         res = run(visited_places_hierarchy(), pdfd_mvp_scenario())
         for ev in res.trace:
             assert json.loads(json.dumps(ev.payload)) == ev.payload
+
+    @pytest.mark.parametrize("run", [run_pdfd, run_pbfd])
+    def test_events_carry_no_state_snapshot_and_no_measure(self, run):
+        """The target label names the phase and level, and the monitors
+        compute the measure: neither is written beside them."""
+        res = run(visited_places_hierarchy(), pdfd_mvp_scenario())
+        for ev in res.trace:
+            assert not SNAPSHOT_KEYS & set(ev.payload), ev
+            assert set(ev.to_record()) == {"seq", "rule", "from", "to", "payload"}
 
     def test_monitors_agree_on_a_run_and_its_read_back(self, tmp_path):
         trace = mvp_trace()
@@ -213,7 +225,9 @@ class TestFold:
 
 class TestFormatOneTraces:
     """Full-snapshot traces written before the delta format, with the
-    verdict lines the full-snapshot monitors gave them."""
+    verdict lines today's monitors give them.  The demoted trace's node 0
+    leaves FINALIZED at event 17; the monitor's own k1 rises there and falls
+    back at event 18, a PB2, which must keep it equal."""
 
     EXPECTED = {
         ("pdfd_mvp_format1.jsonl", "pdfd"): [
@@ -228,8 +242,7 @@ class TestFormatOneTraces:
         ("pbfd_mvp_format1_demoted.jsonl", "pbfd"): [
             "PASS well-formed",
             "PASS rule-legality",
-            "FAIL measure-descent (event 17: recorded post-measure (31, 347, 3, 11) "
-            "!= recomputed (32, 347, 3, 11))",
+            "FAIL measure-descent (event 18: PB2 component k1 broke pattern =: 32 -> 31)",
             "PASS bounded-refinement",
             "FAIL finalization-invariance (event 17: node 0 left FINALIZED)",
             "PASS deadlock-freeness[pbfd]",
@@ -247,12 +260,16 @@ class TestFormatOneTraces:
 
 
 class TestRestatedFormatTwoTraces:
-    """Format-2 replays of the two fixtures written while hybrid events
-    still restated the level map and their status changes in payload fields
-    (``batch``, ``processed``, ``pattern``, ``reworked``, ``finalized``,
-    ``finalized_count``, ``next_pattern`` and a per-event ``k``), and the
-    engine's per-level ``attempts`` map: they verify as today's replay of
-    the same fixture does."""
+    """Format-2 replays of the two fixtures written by earlier engines:
+    ``*_restated`` while hybrid events still restated the level map and
+    their status changes in payload fields (``batch``, ``processed``,
+    ``pattern``, ``reworked``, ``finalized``, ``finalized_count``,
+    ``next_pattern`` and a per-event ``k``) and carried the per-level
+    ``attempts`` map, and ``*_snapshot`` while they still carried the
+    engine's state snapshot (``phase``, ``i``, ``j``, ``i_orig``,
+    ``origin_phase``) and its ``measure_pre``/``measure_post``.  Both verify
+    as today's replay of the same fixture does, and today's replay is each
+    one without those fields."""
 
     @pytest.mark.parametrize("methodology", ["pdfd", "pbfd"])
     def test_verify_all_prints_todays_verdicts(self, methodology, tmp_path, capsys):
@@ -260,19 +277,20 @@ class TestRestatedFormatTwoTraces:
         assert main(["replay", "--fixture", f"{methodology}-mvp", "--format", "jsonl-trace",
                      "--out", str(fresh)]) == 0
         results = []
-        for path in (DATA / f"{methodology}_mvp_format2_restated.jsonl", fresh):
+        for path in (DATA / f"{methodology}_mvp_format2_restated.jsonl",
+                     DATA / f"{methodology}_mvp_format2_snapshot.jsonl", fresh):
             capsys.readouterr()
             code = main(["verify", "--trace", str(path), "--methodology", methodology,
                          "--check", "all"])
             results.append((code, capsys.readouterr().out.splitlines()))
-        old, new = results
-        assert old == new
+        restated, snapshot, new = results
+        assert restated == snapshot == new
         assert new[0] == 0 and len(new[1]) == 7
 
     @pytest.mark.parametrize("methodology", ["pdfd", "pbfd"])
     def test_todays_replay_is_the_old_one_without_the_copies(self, methodology):
         restated = {"batch", "processed", "pattern", "reworked", "finalized",
-                    "finalized_count", "next_pattern", "attempts"}
+                    "finalized_count", "next_pattern", "attempts"} | SNAPSHOT_KEYS
         old = Trace.read_jsonl(DATA / f"{methodology}_mvp_format2_restated.jsonl")
         assert any(restated & set(ev.payload) for ev in old)
         projected = [
@@ -285,6 +303,21 @@ class TestRestatedFormatTwoTraces:
         else:
             result = run_pbfd(geo_hierarchy(), pbfd_mvp_scenario())
         assert result.trace.events == projected
+
+    @pytest.mark.parametrize("methodology", ["pdfd", "pbfd"])
+    def test_todays_replay_is_the_snapshot_one_without_the_seven_keys(
+            self, methodology, tmp_path):
+        projected = []
+        for line in (DATA / f"{methodology}_mvp_format2_snapshot.jsonl").read_text().splitlines():
+            rec = json.loads(line)
+            assert MEASURE_KEYS <= set(rec) and SNAPSHOT_KEYS <= set(rec["payload"])
+            rec = {k: v for k, v in rec.items() if k not in MEASURE_KEYS}
+            rec["payload"] = {k: v for k, v in rec["payload"].items() if k not in SNAPSHOT_KEYS}
+            projected.append(json.dumps(rec, sort_keys=True))
+        fresh = tmp_path / "trace.jsonl"
+        assert main(["replay", "--fixture", f"{methodology}-mvp", "--format", "jsonl-trace",
+                     "--out", str(fresh)]) == 0
+        assert fresh.read_text().splitlines() == projected
 
 
 class TestCodec:
@@ -299,15 +332,15 @@ class TestCodec:
         path = tmp_path / "t.jsonl"
         mvp_trace().write_jsonl(path)
         ev = Trace.read_jsonl(path)[1]
-        assert isinstance(ev.measure_pre, tuple) and isinstance(ev.measure_post, tuple)
+        assert type(ev) is TraceEvent and isinstance(ev, tuple)
         with pytest.raises(AttributeError):
             ev.rule = "PD9"  # type: ignore[misc]
 
     def test_emit_record_and_constructor_build_equal_events(self):
         payload = {"node": 3}
-        emitted = Trace("pdfd").emit("PD2", "S1(1)", "S2(1)", payload, (1, 2, 3, 4), (1, 2, 3, 3))
+        emitted = Trace("pdfd").emit("PD2", "S1(1)", "S2(1)", payload)
         read = TraceEvent.from_record(json.loads(json.dumps(emitted.to_record())))
-        built = TraceEvent(1, "PD2", "S1(1)", "S2(1)", payload, (1, 2, 3, 4), (1, 2, 3, 3))
+        built = TraceEvent(1, "PD2", "S1(1)", "S2(1)", payload)
         assert emitted == read == built
         assert type(emitted) is type(read) is type(built) is TraceEvent
         with pytest.raises(TypeError):
@@ -321,13 +354,40 @@ class TestCodec:
         with pytest.raises(ValueError, match=r"t\.jsonl:1: invalid JSON"):
             Trace.read_jsonl(path)
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_line_and_paragraph_separators_stay_inside_a_string(self, char, tmp_path):
+        """JSON allows these raw in a string; a line ends at a newline only."""
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(('{"seq": 1, "rule": "DF1", "from": "S0", "to": "S1", '
+                          f'"payload": {{"name": "a{char}b"}}}}\n').encode())
+        (ev,) = Trace.read_jsonl(path).events
+        assert ev.payload == {"name": f"a{char}b"}
+
+    def test_crlf_lines_still_read(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        lines = mvp_trace().to_jsonl().splitlines()
+        lines[1] = lines[1].replace('"from": ', '"note": "\u2028", "from": ', 1)
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        back = Trace.read_jsonl(path)
+        assert back.events[0] == mvp_trace().events[0] and len(back) == len(lines)
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_raw_control_characters_are_refused_by_the_decoder(self, char, tmp_path):
+        """Python also breaks lines at these; JSON refuses them raw in a
+        string, as one faulty line."""
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(('{"seq": 1, "rule": "DF1", "from": "S0", "to": "S1", '
+                          f'"payload": {{"name": "a{char}b"}}}}\n').encode())
+        with pytest.raises(TraceFormatError,
+                           match=r"t\.jsonl:1: invalid JSON: Invalid control character at$"):
+            Trace.read_jsonl(path)
+
 
 HAND_MADE = [
     TraceEvent(1, "DF1", "S0", "S1", {"root": 1, "name": "Zürich ☃ \u2028", "rate": 0.1,
                                       "big": 1e300, "none": None, "flags": [True, False]}),
     TraceEvent(2, "PD2", "S1(1)", "S2(1)",
-               {"nested": {"b": [1, {"z": 2.5, "a": -0.0}], "a": {}}, "k": {"10": 1, "9": 2}},
-               (1, 2, 3, 4), (1, 2, 3, 3)),
+               {"nested": {"b": [1, {"z": 2.5, "a": -0.0}], "a": {}}, "k": {"10": 1, "9": 2}}),
     TraceEvent(3, "DF7", "S3", "T", {}),
 ]
 
@@ -381,15 +441,13 @@ def events(faulty: bool) -> st.SearchStrategy:
         | st.dictionaries(TEXT, inner, max_size=3)
         | st.dictionaries(TEXT | INTS, inner, max_size=3)), max_leaves=6)
     odd = FAULTS | value if faulty else FLAT
-    measure = (st.none() | st.tuples(INTS, INTS, INTS, INTS) | st.lists(value, max_size=4).map(tuple)
-               | INT_LISTS)
     payload = (st.dictionaries(TEXT, value | INT_LISTS, max_size=5)
                | st.dictionaries(INTS | TEXT, value, max_size=3)
                | st.dictionaries(TEXT.map(Label), value, max_size=2)
                | st.lists(value, max_size=2))
     return st.builds(
         TraceEvent, INTS | TEXT | FLOATS | st.booleans() | odd, TEXT | odd, TEXT | odd,
-        TEXT | odd, payload, measure | st.just(5) if faulty else measure, measure)
+        TEXT | odd, payload)
 
 
 TRACES = st.lists(events(False), max_size=4) | st.lists(events(True), max_size=3)
@@ -437,11 +495,10 @@ class TestEncoder:
     @settings(max_examples=100, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
     @given(trace=TRACES)
-    @example(trace=[TraceEvent(True, Rank(3), "S0", "S1", {"a": Rank(2), "b": Colour.BLUE, "c": [1, True]},
-                               (1, 2.5, Rank(1), "x"), (Colour.RED, 2, 3, 4))])
+    @example(trace=[TraceEvent(True, Rank(3), "S0", "S1", {"a": Rank(2), "b": Colour.BLUE, "c": [1, True]})])
     @example(trace=[TraceEvent(Opaque(), "DF1", "S0", Other(), {})])
     @example(trace=[TraceEvent(1, "DF1", "S0", "S1", {"a": circular(), "b": Opaque()})])
-    @example(trace=[TraceEvent(Other(), "DF1", "S0", "S1", {}, 5, (Opaque(),))])
+    @example(trace=[TraceEvent(Other(), "DF1", "S0", "S1", {"a": Opaque()})])
     def test_lines_and_errors_equal_json_dumps(self, encoder, trace):
         """Every line is ``json.dumps`` of the event's record; a trace it
         cannot encode raises its error, first fault first."""
@@ -471,19 +528,21 @@ class TestRecordReader:
         ({"from": 1, "to": 2}, "from must be a string, got int"),
         ({"payload": None}, "payload must be a JSON object, got NoneType"),
         ({"payload": [1]}, "payload must be a JSON object, got list"),
-        ({"measure_pre": 5}, "measure_pre and measure_post must be lists"),
-        ({"measure_post": 5.5}, "measure_pre and measure_post must be lists"),
-        ({"measure_pre": "1234"}, "measure_pre and measure_post must be lists"),
-        ({"measure_post": {"a": 1, "b": 2, "c": 3, "d": 4}},
-         "measure_pre and measure_post must be lists"),
-        ({"measure_pre": [1, 2, 3, 4], "measure_post": "1234"},
-         "measure_pre and measure_post must be lists"),
     ])
     def test_field_errors(self, change, message):
         rec = {"seq": 1, "rule": "DF1", "from": "S0", "to": "S1", "payload": {}, **change}
         with pytest.raises(TraceFormatError) as err:
             TraceEvent.from_record(rec)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("measures", [
+        {"measure_pre": [1, 2, 3, 4], "measure_post": [1, 2, 3, 3]},
+        {"measure_pre": 5, "measure_post": "1234"},
+        {"measure_post": {"a": 1, "b": 2, "c": 3, "d": 4}},
+    ])
+    def test_measure_keys_of_older_writers_are_ignored(self, measures):
+        rec = {"seq": 1, "rule": "DF1", "from": "S0", "to": "S1", "payload": {"a": 1}}
+        assert TraceEvent.from_record({**rec, **measures}) == TraceEvent.from_record(rec)
 
     @pytest.mark.parametrize("rec, message", [
         ("DF1", "event must be a JSON object, got str"),

@@ -1,8 +1,13 @@
 """Golden traces: the JSONL bytes every machine writes are pinned by SHA-256.
 
-The engines keep incremental counters for speed; these hashes show that the
-emitted traces (payload snapshots, measures, rule sequence) stay exactly
-what the straightforward full-recompute implementation produced.  The
+These hashes show that the emitted traces (labels, payloads, rule
+sequence) stay exactly what they were.  A hybrid event is its labels, its
+payload fields and its statuses: the engine's state snapshot (``phase``,
+``i``, ``j``, ``i_orig``, ``origin_phase``) and its recorded
+``measure_pre``/``measure_post`` are no longer written, and the hybrid
+pins are the earlier pinned bytes with those seven keys taken out
+(``tests/data/*_mvp_format2_snapshot.jsonl`` keep two replays written
+with them).  The
 hybrid machines write delta-encoded statuses (trace format 2): their
 ``GOLDEN`` pins cover the written trace read back and expanded to a full
 status map per event by the monitors' fold, which is the earlier format's
@@ -107,24 +112,24 @@ GOLDEN = {
     "geo:cdd": "b3b418f473592aad9df5adb3c33c5a65d62a0d4c6ac41a4f2ef3dd66f4f2e308",
     "geo:dad": "bc466a99627481a3615584f8e310f7cc55a56c4bb90ad96c114282ee8bb51100",
     "geo:dfd": "0d2b5b951e50c590da2957bfcc68195ed9630c4fbd2d934d0083465243e0ecb8",
-    "geo:pbfd": "14e7f2c7c9c165e0607fd4e6163ab3f7772021d69f0c19d413eb6a106ca199a2",
-    "geo:pdfd": "c8470f241c1ed3831c3adb90739a0f323596205d1e5a6e45a8480d7e0c910cca",
+    "geo:pbfd": "689ce7de05360dfc3a393e900cb167d80dc5bb76c44097e3414168897ab0648b",
+    "geo:pdfd": "6192e41b4f16b651cdcc21ca476c3e5a315285c8799514ea974c2c2f18677314",
     "uneven:bfd": "8887861120f580519e3531641f7b4a231edb7554bcfc5f002403a8b90226e4f9",
     "uneven:cdd": "7b2d284dc2d7be68db3570e3d9a5c26bf301a48db45a25a73222e4caa00e5511",
     "uneven:dad": "f74491c8b3b26c2bd6571eb8f89ea4f06c9a58926cc9123c0561fce50a79c13c",
     "uneven:dfd": "d63db88c964cf8039669313b5a12196111ef8971fe39df4e24a864455523a477",
-    "uneven:pbfd": "d96aecb371cb02faf3c4d10fefd042eb99e6dc50e9f4ac450132f9b5560d2273",
-    "uneven:pdfd": "f78767c95120c4f7766f5e372cc83c325e742c07ce8c7bc2fa099e780c904948",
-    "visited:pdfd": "ff67c450b00ccf521b1adbe5959f10ee3c1d345efc40f157ce011602744704bc",
+    "uneven:pbfd": "21f7d8b0888228e9a6529b5c5401bc2f10aa907dc2b23ea96d62394f98f4a50f",
+    "uneven:pdfd": "cc0adb47e1f5b5cbd3b665a41df2cf48e961a2ea03af821916ce592b6a2f1dcb",
+    "visited:pdfd": "7832f22f81c986597e739ed59ec9a78e303709982398c4e5f30280e12a6c1f61",
 }
 
 
 GOLDEN_FORMAT2 = {
-    "geo:pbfd": "187385e80f1edc81beef1153b483473a7c0843e4e65ebd7833c8d15bf16a99fa",
-    "geo:pdfd": "73600c35c0dc2494fc07286ace8084824b8c02c524e412f63b370101c0f9cffb",
-    "uneven:pbfd": "70c71c212244cf0f9de17f2cd97e68b92e1744b3977b69c29a6fdf9570fe845e",
-    "uneven:pdfd": "d919231f4c6fbe4edf874189b306968d9a9341a34944bc4aa8773f58eaf09787",
-    "visited:pdfd": "a7159bad804732d84aa3d7b45e205f09c38d66b4080a0303047740ef0639e447",
+    "geo:pbfd": "2cad859e33321c1798f341d344912f2edd8286e01483a76b4a6e814d569e3529",
+    "geo:pdfd": "828302ecfd9e6fc3b056408afc97d1640aeb23b1b1f8c606e2cbaadbd83bb9eb",
+    "uneven:pbfd": "c3321f9cae63cb1c5c2369297620dfed8dd9870b836a4592ea5b53129a6d61d9",
+    "uneven:pdfd": "8494cadbf1945afb2ae08bde93f03a7680d926a731abceaa59935e89d413290f",
+    "visited:pdfd": "b2f614acf75dfc976d8d8c49799ed2fb3d253b3efff96a85f8b7132288ccf57c",
 }
 
 
@@ -197,16 +202,16 @@ def _scripted(name: str) -> Trace:
 # key -> (sha256 of the expanded format-1 bytes, sha256 of the written bytes)
 GOLDEN_SCRIPTED = {
     "pattern:pbfd": (
-        "d080fc55e96f4cc52f78ada2874b6efa945949e3fbcfd56f799460099eb37e6d",
-        "d08e27d5f48a16f0dd773895bba4991ed83791f22073f9621fdcbbcf984c3d63",
+        "16ae61f1b82289eafa1b49501630e3b6d3c4637a1d028ffb35e8d5ab5783dbae",
+        "c3a3092f39a9aac6f59cd9604c67fd42b5eda285534a72594ce4ff2b372aee5e",
     ),
     "refine:pbfd": (
-        "9892c344dd2c3eeb651a7138ba0b91a675a492db3faf8bab8e960ef10eba58c7",
-        "cd7d0bb3d3c986bfe1fc3b101a26daa49c61e07d354e5b25554cfffc2c954444",
+        "4aca5232000341a638f0556b676bc0d72f6bf4bf906b3b2cd792504bad13d67b",
+        "afcfb4e2a44d006c8e2b7c357987e4bedefaaa9166d1e2f0799c2f1d42436efb",
     ),
     "top-down:pdfd": (
-        "1118c5d4d310866f3f5ce748f848e67c572979b96b0ae4b9d5b9a0df49c20db2",
-        "1ff38ac48d848b26b36f3d68f287dbbc1ddcc001098153ab57295dc257346cc2",
+        "a847d8a779c62927d6eee2ad4e3133a517e33101e2f110254357be9078b9337b",
+        "92242738ede916b0bbe4979f424167f437a60d64ef28abb1854a0dd25867f10a",
     ),
 }
 

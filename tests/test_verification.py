@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from test_trace_golden import _scripted
 from treeflow.fixtures import (
     geo_hierarchy,
     pbfd_mvp_scenario,
@@ -15,7 +16,7 @@ from treeflow.fixtures import (
 )
 from treeflow import hybrid_machines
 from treeflow.hybrid_machines import run_pbfd, run_pdfd
-from treeflow.measure import MeasureError, TraceContext, measure_with_counts, trace_length_cap
+from treeflow.measure import MeasureError, TraceContext, measure, trace_length_cap
 from treeflow.scenario import Scenario, TraceOriginStrategy
 from treeflow.trace import Trace, TraceEvent
 from treeflow.verify import (
@@ -50,64 +51,66 @@ def seven_node_ctx():
     )
 
 
-def snapshot(phase, i=1, j=None, i_orig=None, statuses=None, ctx=None):
-    nodes = [n for ids in ctx.levels.values() for n in ids]
-    statuses = statuses or {n: 0 for n in nodes}
-    return {
-        "phase": phase,
-        "i": i,
-        "j": j,
-        "i_orig": i_orig,
-        "origin_phase": None,
-        "statuses": {str(k): v for k, v in statuses.items()},
-    }
-
-
-def measure_of(snap, ctx, spent=0):
-    """M of a full snapshot, with the status counts taken from its map and
-    ``spent`` refinement attempts."""
-    statuses = {int(k): v for k, v in snap["statuses"].items()}
+def measure_at(ctx, family, index, statuses=None, spent=0):
+    """M at the label ``family(index)``, with the status counts taken from
+    ``statuses`` (all unprocessed by default) and ``spent`` attempts."""
+    statuses = statuses or {n: 0 for ids in ctx.levels.values() for n in ids}
     unfinalized = sum(1 for v in statuses.values() if v != 2)
     unvisited = {
         k: sum(1 for n in ids if statuses.get(n, 0) == 0) for k, ids in ctx.levels.items()
     }
-    return measure_with_counts(snap, ctx, unfinalized, spent, unvisited)
+    return measure(ctx, family, index, None, unfinalized, spent, unvisited)
+
+
+def measures_around(trace, rule):
+    """The descent monitor's M before and after the first ``rule`` event."""
+    fold = DescentFold(trace.methodology)
+    for ev in trace:
+        pre = fold.measure
+        fold.feed([ev])
+        if ev.rule == rule:
+            return pre, fold.measure
+    raise AssertionError(f"no {rule} event")
 
 
 class TestMeasureOf:
     def test_initial_state_of_seven_node_tree(self):
         _h, ctx = seven_node_ctx()
-        m = measure_of(snapshot("S1", i=1, ctx=ctx), ctx)
+        m = measure_at(ctx, "S1", 1)
         assert m == (7, 9, 3, 1)  # everything unfinalized, 3x3 budget, |level 1|
 
     def test_terminal_has_no_unfinalized_nodes(self):
         h, ctx = seven_node_ctx()
         done = {n.id: 2 for n in h.nodes.values()}
-        m = measure_of(snapshot("T", statuses=done, ctx=ctx), ctx)
+        m = measure_at(ctx, "T", None, statuses=done)
         assert m[0] == 0
 
     def test_refinement_entry_decreases_k2_by_one(self):
-        """Recompute M from the counters around one scripted backtrack."""
+        """The monitor's M around one scripted backtrack."""
         h = perfect_tree(2, 3)
         sc = Scenario(
             r_max=3,
             trace_origin=TraceOriginStrategy.fixed(2),
             validation_script={("level", 2, 1): {n.id for n in h.level(2)}},
         )
-        res = run_pdfd(h, sc)
-        ev = next(e for e in res.trace if e.rule == "PD2a")
-        assert ev.measure_pre[1] - ev.measure_post[1] == 1
+        pre, post = measures_around(run_pdfd(h, sc).trace, "PD2a")
+        assert pre[1] - post[1] == 1
 
     def test_budget_counts_every_level(self):
         _h, ctx = seven_node_ctx()
-        snap = snapshot("S1", i=1, ctx=ctx)
-        assert measure_of(snap, ctx, spent=1)[1] == 8      # 3x3 budget minus one spent
+        assert measure_at(ctx, "S1", 1, spent=1)[1] == 8      # 3x3 budget minus one spent
 
     def test_negative_component_is_a_typed_error(self):
         _h, ctx = seven_node_ctx()
-        snap = snapshot("S1", i=1, ctx=ctx)
         with pytest.raises(MeasureError, match="must be non-negative"):
-            measure_of(snap, ctx, spent=10)  # k2 = 9 - 10
+            measure_at(ctx, "S1", 1, spent=10)  # k2 = 9 - 10
+
+    def test_the_episode_origin_bounds_the_refinement_range(self):
+        """In an R phase k4 counts the steps left up to the origin level."""
+        _h, ctx = seven_node_ctx()
+        unvisited = {k: len(ids) for k, ids in ctx.levels.items()}
+        assert [measure(ctx, family, 1, 3, 7, 0, unvisited)[3]
+                for family in ("S1R", "S2R", "S3R")] == [4, 3, 3]
 
 
 class TestDescent:
@@ -120,8 +123,7 @@ class TestDescent:
             perfect_tree(2, 3),
             Scenario(r_max=2, trace_origin=TraceOriginStrategy.fixed(1)),
         )
-        ev = next(e for e in res.trace if e.rule == "PD2b")
-        pre, post = ev.measure_pre, ev.measure_post
+        pre, post = measures_around(res.trace, "PD2b")
         assert post[0] < pre[0]      # finalized nodes drop out
         assert post[1] == pre[1]     # no budget spent
         assert post < pre or post[0] < pre[0]  # lexicographic descent via k1
@@ -133,9 +135,7 @@ class TestDescent:
             trace_origin=TraceOriginStrategy.fixed(2),
             validation_script={("pattern", 2, 1): {n.id for n in h.level(2)}},
         )
-        res = run_pbfd(h, sc)
-        ev = next(e for e in res.trace if e.rule == "PB3")
-        pre, post = ev.measure_pre, ev.measure_post
+        pre, post = measures_around(run_pbfd(h, sc).trace, "PB3")
         assert post[0] == pre[0]   # no finalization change
         assert post[1] < pre[1]    # one attempt burned
         assert post[2] > pre[2]    # phase ordinal regresses
@@ -158,21 +158,27 @@ class TestDescent:
             assert pbfd[r] == "step"
 
     def test_manipulated_measure_flagged(self):
+        """A PD2 that finalizes the level it marks in progress moves k1,
+        which the rule must leave equal."""
         res = run_pdfd(
             perfect_tree(2, 3),
             Scenario(r_max=2, trace_origin=TraceOriginStrategy.fixed(1)),
         )
         events = list(res.trace)
         victim = events[3]
-        events[3] = TraceEvent(
-            seq=victim.seq, rule=victim.rule, from_state=victim.from_state,
-            to_state=victim.to_state, payload=victim.payload,
-            measure_pre=victim.measure_pre,
-            measure_post=(victim.measure_post[0] + 1,) + victim.measure_post[1:],
-        )
+        assert victim.rule == "PD2"
+        changes = {n: 2 for n in victim.payload["status_changes"]}
+        events[3] = victim._replace(payload=dict(victim.payload, status_changes=changes))
         verdict = check_measure_descent(Trace("pdfd", events))
-        assert not verdict.ok
-        assert verdict.first_violation_seq == victim.seq
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
+            False, "PD2 component k1 broke pattern =: 6 -> 4", victim.seq)
+
+    def test_a_first_step_event_has_no_measure_before_it(self):
+        events = list(run_pdfd(perfect_tree(2, 3), Scenario(r_max=1)).trace)
+        events[0] = events[0]._replace(rule="PD2", from_state="S1(1)")
+        verdict = check_measure_descent(Trace("pdfd", events))
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
+            False, "PD2 has no measure before it", 1)
 
 
 class TestBoundedRefinement:
@@ -227,6 +233,16 @@ class TestFinalization:
         assert "PD3c" in res.trace.rules()
         assert check_finalization(res.trace).ok
 
+    @pytest.mark.parametrize("run,h,sc", [
+        (run_pdfd, visited_places_hierarchy, pdfd_mvp_scenario),
+        (run_pbfd, geo_hierarchy, pbfd_mvp_scenario),
+    ])
+    def test_pass_detail_counts_each_node_finalized_once(self, run, h, sc):
+        """Kills a count of other status changes: the detail names every
+        node of the tree once, and the runs also mark nodes in progress."""
+        res = run(h(), sc())
+        assert check_finalization(res.trace).detail == f"{len(res.statuses)} nodes finalized"
+
     def test_injected_demotion_is_flagged(self):
         res = run_pdfd(perfect_tree(2, 3), Scenario(r_max=1, trace_origin=TraceOriginStrategy.fixed(1)))
         events = list(res.trace)
@@ -236,7 +252,6 @@ class TestFinalization:
             seq=victim.seq, rule=victim.rule, from_state=victim.from_state,
             to_state=victim.to_state,
             payload=dict(victim.payload, status_changes={demoted: 0}),
-            measure_pre=victim.measure_pre, measure_post=victim.measure_post,
         )
         verdict = check_finalization(Trace("pdfd", events))
         assert not verdict.ok
@@ -258,7 +273,6 @@ class TestLegality:
         events[idx] = TraceEvent(
             seq=ev.seq, rule=ev.rule, from_state=ev.from_state, to_state=ev.to_state,
             payload=dict(ev.payload, status_changes=changes),
-            measure_pre=ev.measure_pre, measure_post=ev.measure_post,
         )
         verdict = check_rule_legality(Trace("pdfd", events))
         assert not verdict.ok
@@ -278,20 +292,6 @@ class TestLegality:
         assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
             False, "pattern derivation with no children", events[idx].seq)
 
-    @pytest.mark.parametrize("rule,key,expected", [
-        ("PD2", "i", "PD2 recorded i=2 for target S2(1)"),
-        ("PD3", "j", "PD3 recorded j=3 for target S2R(2)"),
-    ])
-    def test_snapshot_index_is_the_target_labels(self, rule, key, expected):
-        """``i`` names the level of an S1-S4 target, ``j`` that of an R phase."""
-        events = list(run_pdfd(visited_places_hierarchy(), pdfd_mvp_scenario()).trace)
-        idx = next(i for i, e in enumerate(events) if e.rule == rule)
-        payload = events[idx].payload
-        events[idx] = events[idx]._replace(payload=dict(payload, **{key: payload[key] + 1}))
-        verdict = check_rule_legality(Trace("pdfd", events))
-        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
-            False, expected, events[idx].seq)
-
     def test_target_label_must_name_its_index(self):
         events = list(run_pdfd(visited_places_hierarchy(), pdfd_mvp_scenario()).trace)
         idx = next(i for i, e in enumerate(events) if e.to_state.startswith("S1R("))
@@ -299,7 +299,7 @@ class TestLegality:
         events[idx + 1] = events[idx + 1]._replace(from_state="S1R")
         verdict = check_rule_legality(Trace("pdfd", events))
         assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
-            False, "PD2a recorded j=2 for target S1R", events[idx].seq)
+            False, "PD2a target S1R names no level", events[idx].seq)
 
     @pytest.mark.parametrize("run,r_max,expected", [
         (run_pdfd, 1, (False, "PD2a exceeded the attempt cap", 14)),
@@ -315,6 +315,90 @@ class TestLegality:
         events[0] = events[0]._replace(payload=dict(events[0].payload, r_max=r_max))
         verdict = check_rule_legality(Trace(trace.methodology, events))
         assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == expected
+
+    @staticmethod
+    def _ending_in(run, h, rule, new_rule, to_state):
+        """A genuine trace cut after its last ``rule`` event, which is
+        forged to fire ``new_rule`` into ``to_state``."""
+        trace = run(h, Scenario(r_max=1)).trace
+        events = list(trace)
+        idx = max(i for i, e in enumerate(events) if e.rule == rule)
+        events[idx] = events[idx]._replace(rule=new_rule, to_state=to_state)
+        return Trace(trace.methodology, events[:idx + 1])
+
+    def test_bottom_up_entry_needs_an_empty_next_level(self):
+        """Kills PD4's ``i != L`` made ``==``: level 1 of two is not the last."""
+        trace = self._ending_in(run_pdfd, uniform_hierarchy([1, 2]), "PD2b", "PD4", "S3(1)")
+        verdict = check_rule_legality(trace)
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
+            False, "bottom-up entry with a non-empty next level", trace[-1].seq)
+
+    @pytest.mark.parametrize("run,rule,step", [(run_pdfd, "PD7", "PD6"), (run_pbfd, "PB8", "PB7")])
+    def test_a_sweep_step_from_the_last_level_is_beyond_it(self, run, rule, step):
+        """Kills the sweep step's ``level >= L`` made ``>``: the boundary
+        level L itself is refused."""
+        trace = self._ending_in(run, uniform_hierarchy([1, 2, 2]), rule, step, "S4(4)")
+        verdict = check_rule_legality(trace)
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
+            False, f"{step} beyond the last level", trace[-1].seq)
+
+    def test_no_pattern_is_derived_from_the_last_level(self):
+        """Kills PB4a's ``i >= L`` made ``>``, which reports the next check's
+        message instead."""
+        trace = self._ending_in(run_pbfd, uniform_hierarchy([1, 2, 2]), "PB4b", "PB4a", "S1(4)")
+        verdict = check_rule_legality(trace)
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
+            False, "pattern derivation at the last level", trace[-1].seq)
+
+    def test_failing_nodes_belong_to_the_validated_level(self):
+        events = list(run_pdfd(visited_places_hierarchy(), pdfd_mvp_scenario()).trace)
+        idx = next(i for i, e in enumerate(events) if e.rule == "PD2a")
+        p = events[idx].payload
+        outside = context_of(Trace("pdfd", events)).level_ids(p["level"] + 1)[0]
+        events[idx] = events[idx]._replace(payload=dict(p, failing=p["failing"] + [outside]))
+        verdict = check_rule_legality(Trace("pdfd", events))
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
+            False, f"PD2a failing nodes outside level {p['level']}", events[idx].seq)
+
+    @pytest.mark.parametrize("rule", ["PD2b", "PD4", "PD4a", "PD5", "PD6", "PD7", "PD3a", "PD3b"])
+    def test_a_passed_validation_has_no_failing_nodes(self, rule):
+        events = list(run_pdfd(visited_places_hierarchy(), pdfd_mvp_scenario()).trace)
+        idx = next(i for i, e in enumerate(events) if e.rule == rule)
+        p = events[idx].payload
+        failing = list(context_of(Trace("pdfd", events)).level_ids(p["level"])[:1])
+        events[idx] = events[idx]._replace(payload=dict(p, failing=failing))
+        verdict = check_rule_legality(Trace("pdfd", events))
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
+            False, f"{rule} with failing nodes", events[idx].seq)
+
+    @pytest.mark.parametrize("key", ["top-down:pdfd", "refine:pbfd", "pattern:pbfd"])
+    def test_a_dead_end_names_its_failing_nodes(self, key):
+        """PD6b, PB7b and PB3c end a run on a failed validation with no
+        origin: without failing nodes nothing failed."""
+        trace = _scripted(key)
+        last = trace.events[-1]
+        events = trace.events[:-1] + [last._replace(payload=dict(last.payload, failing=[]))]
+        verdict = check_rule_legality(Trace(trace.methodology, events))
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
+            False, f"{last.rule} without failing nodes", last.seq)
+
+    @pytest.mark.parametrize("run,rule", [(run_pdfd, "PD3a"), (run_pdfd, "PD3b"),
+                                          (run_pbfd, "PB3a1"), (run_pbfd, "PB5"),
+                                          (run_pbfd, "PB6")])
+    def test_range_end_is_the_episode_origin(self, run, rule):
+        """The origin is folded from the labels: the level whose failure
+        entered the episode."""
+        h = visited_places_hierarchy() if run is run_pdfd else geo_hierarchy()
+        sc = pdfd_mvp_scenario() if run is run_pdfd else pbfd_mvp_scenario()
+        trace = run(h, sc).trace
+        events = list(trace)
+        idx = next(i for i, e in enumerate(events) if e.rule == rule)
+        p = events[idx].payload
+        events[idx] = events[idx]._replace(payload=dict(p, range_end=p["range_end"] + 1))
+        verdict = check_rule_legality(Trace(trace.methodology, events))
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
+            False, f"{rule} range_end {p['range_end'] + 1} is not the episode origin",
+            events[idx].seq)
 
     @pytest.mark.parametrize("run,rule", [(run_pdfd, "PD8"), (run_pbfd, "PB9")])
     def test_forged_higher_budget_leaves_exhaustion_with_budget(self, run, rule):
@@ -339,7 +423,7 @@ class TestLegality:
         ev = events[2]
         events[2] = TraceEvent(
             seq=ev.seq, rule=ev.rule, from_state="S4(9)", to_state=ev.to_state,
-            payload=ev.payload, measure_pre=ev.measure_pre, measure_post=ev.measure_post,
+            payload=ev.payload,
         )
         assert not check_well_formed(Trace("pdfd", events)).ok
 
@@ -515,19 +599,22 @@ class TestEnumerateRuns:
             assert md.verdict() == check_measure_descent(res.trace, methodology)
 
 
-def _inject(monkeypatch, skew_origin: bool, misname_end: bool):
-    """Faults on some branches only.  ``skew_origin`` raises ``i_orig`` on
-    each event that failed a level-2 query, which breaks the recorded
-    post-measure; ``misname_end`` gives the last event of every run that
-    burned an attempt a rule that cannot fire there."""
+def _inject(monkeypatch, skew_statuses: bool, misname_end: bool):
+    """Faults on some branches only.  ``skew_statuses`` makes each event
+    that failed a level-2 query also record its failing nodes as finalized,
+    or a finalized one as in progress, which moves k1 where its rule keeps
+    it equal; ``misname_end`` gives the last event of every run that burned
+    an attempt a rule that cannot fire there."""
     original = hybrid_machines._Engine.emit
 
     def emit(self, rule, new_state, payload):
         original(self, rule, new_state, payload)
         ev = self.trace.events[-1]
         p = ev.payload
-        if skew_origin and p.get("failing") and p.get("level") == 2 and p.get("i_orig"):
-            ev = ev._replace(payload=dict(p, i_orig=p["i_orig"] + 1))
+        if skew_statuses and p.get("failing") and p.get("level") == 2:
+            changes = dict(p["status_changes"], **{
+                str(n): 1 if self.statuses[n] == 2 else 2 for n in p["failing"]})
+            ev = ev._replace(payload=dict(p, status_changes=changes))
         if misname_end and self.done and any(self.attempts.values()):
             ev = ev._replace(rule="PB2" if self.methodology == "pbfd" else "PD2")
         self.trace.events[-1] = ev
@@ -581,28 +668,31 @@ class TestMonitorPurity:
 
 
 class TestMonitorIndependence:
-    """The engine counts unfinalized and unvisited nodes incrementally; the
-    descent monitor must recompute M from the payload, not echo the engine."""
+    """The engine's own status map is not the trace: the descent monitor
+    computes M from the status changes the trace records, not from what
+    the engine did."""
 
-    @pytest.mark.parametrize("run", [run_pdfd, run_pbfd])
-    def test_skewed_engine_counter_is_caught(self, run, monkeypatch):
+    @pytest.mark.parametrize("run,rule,pre", [(run_pdfd, "PD2b", "(11, 360, 2, 0)"),
+                                              (run_pbfd, "PB4a", "(11, 360, 1, 0)")],
+                             ids=["run_pdfd", "run_pbfd"])
+    def test_skewed_engine_counter_is_caught(self, run, rule, pre, monkeypatch):
+        """The engine finalizes the one-node root level and leaves the
+        change out of the trace: the finalizing rule does not lower k1, so
+        M rises with the phase ordinal."""
         original = hybrid_machines._Engine.finalize
 
         def skewed_finalize(self, ids):
             original(self, ids)
             if not getattr(self, "_skewed", False):
-                self._unfinalized += 1
+                self._changed.clear()
                 self._skewed = True
 
         monkeypatch.setattr(hybrid_machines._Engine, "finalize", skewed_finalize)
         res = run(visited_places_hierarchy(), pdfd_mvp_scenario())
-        first_finalizing = next(
-            e for e in res.trace if 2 in e.payload.get("status_changes", {}).values())
+        first_finalizing = next(e for e in res.trace if e.rule == rule)
         verdict = check_measure_descent(res.trace)
-        assert not verdict.ok
-        assert verdict.first_violation_seq == first_finalizing.seq
-        assert verdict.detail.startswith("recorded post-measure")
-        assert "!= recomputed" in verdict.detail
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
+            False, f"{rule} did not decrease M: {pre} -> (11, 360, 3, 2)", first_finalizing.seq)
 
 
 class TestTraceLengthCap:
