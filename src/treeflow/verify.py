@@ -414,8 +414,14 @@ def context_of(trace: Trace, methodology: str | None = None) -> TraceContext:
 UNREADABLE = (AttributeError, KeyError, TypeError, ValueError)
 
 
+class LabelError(ValueError):
+    """A target state label whose index is not an integer; the message
+    names the rule and the label."""
+
+
 def _unreadable(name: str, ev: TraceEvent, exc: Exception) -> Verdict:
-    return Verdict(name, False, f"{ev.rule} payload unreadable: {exc}", ev.seq)
+    detail = str(exc) if isinstance(exc, LabelError) else f"{ev.rule} payload unreadable: {exc}"
+    return Verdict(name, False, detail, ev.seq)
 
 
 def _context(name: str, trace: Trace, methodology: str | None) -> TraceContext | Verdict:
@@ -506,6 +512,14 @@ def _label(state: str) -> tuple[str, int | None]:
     return family, int(index[:-1]) if index else None
 
 
+def _target(ev: TraceEvent) -> tuple[str, int | None]:
+    """``_label`` of the event's target; an unreadable index raises LabelError."""
+    try:
+        return _label(ev.to_state)
+    except ValueError:
+        raise LabelError(f"{ev.rule} target {ev.to_state} is not a state label") from None
+
+
 _REFINING = ("S1R", "S2R", "S3R")
 
 
@@ -541,7 +555,7 @@ def check_rule_legality(trace: Trace, methodology: str | None = None) -> Verdict
     try:
         for ev, statuses, _prior in fold_statuses(trace):
             try:
-                family, index = _label(ev.to_state)
+                family, index = _target(ev)
                 problem = _legality_problem(ev, family, index, origin, spent, statuses, ctx)
                 origin = _next_origin(origin, ev, family)
             except UNREADABLE as exc:
@@ -728,7 +742,7 @@ class DescentFold:
             if spec is None:
                 return Verdict(name, False, f"unknown rule {ev.rule}", ev.seq)
             try:
-                family, index = _label(ev.to_state)
+                family, index = _target(ev)
                 spent += family == "S1R"
                 origin = _next_origin(origin, ev, family)
                 m = measure(ctx, family, index, origin and origin[1],
@@ -786,7 +800,7 @@ def check_bounded_refinement(trace: Trace, r_max: int | None = None) -> Verdict:
     spent: dict[int, int] = {}
     for ev in trace:
         try:
-            family, j = _label(ev.to_state)
+            family, j = _target(ev)
         except UNREADABLE as exc:
             return _unreadable(name, ev, exc)
         if family == "S1R":

@@ -346,7 +346,8 @@ class TestVerifyForgedPayloads:
         main(["replay", "--fixture", "pdfd-mvp", "--format", "jsonl-trace", "--out", str(path)])
         if forged == "L":
             self._forge(path, "PD1", L="x")
-            rule, seq, csp = "PD1", 1, "FAIL csp-conformance[pdfd] (event 1: L='x' is not an integer)"
+            csp = "FAIL csp-conformance[pdfd] (event 1: L='x' is not an integer)"
+            unreadable = "(event 1: PD1 payload unreadable: invalid literal for int() with base 10: 'x')"
         else:
             records = [json.loads(line) for line in path.read_text().splitlines()]
             pos = next(i for i, rec in enumerate(records) if rec["to"].startswith("S1R("))
@@ -355,7 +356,7 @@ class TestVerifyForgedPayloads:
             rule, seq = records[pos]["rule"], records[pos]["seq"]
             csp = (f"FAIL csp-conformance[pdfd] (event {seq}: annotation failed: "
                    "invalid literal for int() with base 10: 'x')")
-        unreadable = f"(event {seq}: {rule} payload unreadable: invalid literal for int() with base 10: 'x')"
+            unreadable = f"(event {seq}: {rule} target S1R(x) is not a state label)"
         return path, [
             "PASS well-formed",
             f"FAIL rule-legality {unreadable}",
