@@ -9,10 +9,15 @@ into the package itself must not grow with the rows at all.
 
 Bounded run enumeration is guarded by counting its work directly: each
 distinct event is emitted once and fed to each monitor once.
+
+Memory guards compare the bytes ``tracemalloc`` traces, never a time: a
+read-back trace against the emitted one, and a layer's peak at two sizes.
 """
 
 import cProfile
+import gc
 import pstats
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -187,6 +192,52 @@ class TestSizeIndependentLayers:
         verdict = check_measure_descent(trace, "pdfd")
         assert verdict.ok, verdict.line()
         assert check_bounded_refinement(trace).ok
+
+
+def traced(fn, *args):
+    """``fn(*args)``, the bytes its result still holds once it returns, and
+    the traced peak above the bytes held before the call."""
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        gc.collect()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, current - base, peak - base
+
+
+class TestMemory:
+    def test_read_back_trace_holds_little_more_than_the_emitted_one(self, tmp_path):
+        """Equal labels of one read are one object, and no line is copied
+        out of the text: a read-back dfd trace, whose payload strings are
+        all fresh, stays within 1.6x of the emitted one."""
+        h = perfect_tree(3, 7)
+        run_dfd(h)  # whatever the tree builds lazily is built outside the count
+        emitted, emitted_bytes, _ = traced(run_dfd, h)
+        path = tmp_path / "t.jsonl"
+        emitted.write_jsonl(path)
+        back, back_bytes, _ = traced(Trace.read_jsonl, path, "dfd")
+        assert back.events == emitted.events
+        assert back_bytes <= 1.6 * emitted_bytes
+
+    def test_csp_conformance_holds_no_rendered_trace(self):
+        """The recognizer is fed one rendered trace event at a time: three
+        times the events leave the traced peak above the trace flat."""
+        def peak(levels: int) -> int:
+            trace = run_dfd(perfect_tree(3, levels))
+            check_csp_conformance(trace, "dfd")  # lazy set-up is done before the count
+            verdict, _, above = traced(check_csp_conformance, trace, "dfd")
+            assert verdict.ok, verdict.line()
+            return above
+
+        assert peak(8) <= 1.5 * peak(7)
 
 
 def distinct_prefixes(results) -> int:

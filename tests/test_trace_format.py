@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from test_trace_golden import _hybrid_scenario, _inputs, _trace
 from treeflow import trace as trace_mod
 from treeflow.cli import main
 from treeflow.fixtures import (
@@ -17,9 +18,12 @@ from treeflow.fixtures import (
     geo_hierarchy,
     pbfd_mvp_scenario,
     pdfd_mvp_scenario,
+    perfect_tree,
     visited_places_hierarchy,
 )
+from treeflow.basic_machines import run_dfd
 from treeflow.hybrid_machines import run_pbfd, run_pdfd
+from treeflow.jsondoc import read_text
 from treeflow.trace import (
     TRACE_FORMAT,
     StatusFoldError,
@@ -381,6 +385,99 @@ class TestCodec:
         with pytest.raises(TraceFormatError,
                            match=r"t\.jsonl:1: invalid JSON: Invalid control character at$"):
             Trace.read_jsonl(path)
+
+
+def read_outcome(read, *args):
+    """The events a reader gives, or the type and text of what it raises."""
+    try:
+        return read(*args)
+    except Exception as exc:  # the exception and its text are the pin
+        return type(exc), str(exc)
+
+
+def assert_labels_shared(events) -> None:
+    """Equal rule and state labels of one read are one object."""
+    seen: dict[str, str] = {}
+    for ev in events:
+        for label in (ev.rule, ev.from_state, ev.to_state):
+            assert seen.setdefault(label, label) is label
+
+
+def machine_traces():
+    """Each machine's trace on GEO and on ``perfect_tree(3, 5)``."""
+    tree = perfect_tree(3, 5)
+    inputs = {"geo": _inputs("geo"),
+              "perfect": (tree, {"pdfd": _hybrid_scenario(tree, 11),
+                                 "pbfd": _hybrid_scenario(tree, 23)})}
+    for name, (h, hybrid) in inputs.items():
+        for machine in ("pdfd", "pbfd", "dad", "dfd", "bfd", "cdd"):
+            yield f"{name}:{machine}", _trace(machine, h, hybrid)
+
+
+def edit_line(lines, pos, *replacement):
+    return lines[:pos] + list(replacement) + lines[pos + 1:]
+
+
+# name -> (text from the GEO dfd trace's lines, whether the in-place path reads it)
+EDITS = {
+    "blank line": (lambda ls: "\n".join(edit_line(ls, 2, ls[2], "")) + "\n", False),
+    "whitespace-only line": (lambda ls: "\n".join(edit_line(ls, 2, ls[2], " \t ")) + "\n", False),
+    "CRLF endings": (lambda ls: "\r\n".join(ls) + "\r\n", False),
+    "trailing spaces": (lambda ls: "\n".join(edit_line(ls, 2, ls[2] + "  ")) + "\n", False),
+    "a record over two lines": (lambda ls: "\n".join(
+        edit_line(ls, 2, *ls[2].split(' "payload"', 1))) + "\n", False),
+    "two records on one line": (lambda ls: "\n".join(
+        edit_line(ls[:3] + ls[4:], 2, ls[2] + " " + ls[3])) + "\n", False),
+    "no final newline": (lambda ls: "\n".join(ls), True),
+    "a non-object line": (lambda ls: "\n".join(edit_line(ls, 2, "[1, 2]")) + "\n", False),
+    "a missing rule": (lambda ls: "\n".join(edit_line(
+        ls, 2, re.sub(r'"rule": "[^"]*", ', "", ls[2]))) + "\n", False),
+    "a null payload": (lambda ls: "\n".join(edit_line(
+        ls, 2, re.sub(r'"payload": \{[^}]*\}', '"payload": null', ls[2]))) + "\n", False),
+}
+
+
+class TestReaderPaths:
+    """``Trace.read_jsonl`` parses a clean text in place and reads any other
+    text again with the per-line loop; both give what the loop alone gives."""
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.jsonl")))
+    def test_committed_traces(self, name):
+        text = read_text(DATA / name)
+        expected = trace_mod._read_lines(text, DATA / name)
+        assert trace_mod._read_in_place(text) == expected
+        assert Trace.read_jsonl(DATA / name).events == expected
+
+    def test_machine_traces(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        for key, trace in machine_traces():
+            trace.write_jsonl(path)
+            text = read_text(path)
+            expected = trace_mod._read_lines(text, path)
+            assert expected == trace.events, key
+            assert trace_mod._read_in_place(text) == expected, key
+            assert Trace.read_jsonl(path).events == expected, key
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_edited_copies(self, edit, tmp_path):
+        make, in_place = EDITS[edit]
+        text = make(run_dfd(geo_hierarchy()).to_jsonl().splitlines())
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(text.encode())
+        assert (trace_mod._read_in_place(text) is not None) == in_place
+        loop = read_outcome(trace_mod._read_lines, text, path)
+        assert read_outcome(lambda: Trace.read_jsonl(path).events) == loop
+        if isinstance(loop, list):
+            assert_labels_shared(loop)
+
+    def test_equal_labels_are_one_object(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        mvp_trace().write_jsonl(path)
+        back = Trace.read_jsonl(path)
+        assert_labels_shared(back)
+        assert back[0].to_state is back[1].from_state
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert_labels_shared(Trace.read_jsonl(path))
 
 
 HAND_MADE = [
