@@ -16,8 +16,8 @@ recognizer's level domain (default 5, configurable for deeper trees).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable
 
@@ -429,17 +429,22 @@ def accept_events(
     return ConformanceResult(idx is None, events, reject_index=idx)
 
 
+# Trace events rendered per recognizer feed: the rendered events held at
+# once are bounded, and each feed's set-up is spread over many events.
+_BATCH = 128
+
+
 def check_csp_conformance(
     trace: Trace, methodology: str | None = None, level_domain: int | None = None
 ) -> Verdict:
     """Annotate the trace and run it through the methodology's recognizer.
 
-    Rendering is lazy: the recognizer is fed from a generator that renders
-    one trace event at a time and keeps that event's ``seq`` and a count of
-    the events rendered, so no rendered copy of the whole trace is held.
-    After a refusal the rest of the trace is still rendered, without
-    feeding, so an annotation failure anywhere wins over an earlier illegal
-    event.  A level count L that is not an integer fails on the first event."""
+    Rendering is lazy: the trace is rendered and fed to the recognizer in
+    batches of ``_BATCH`` trace events, so no rendered copy of the whole
+    trace is held.  After a refusal the rest of the trace is still
+    rendered, without feeding, so an annotation failure anywhere wins over
+    an earlier illegal event.  A level count L that is not an integer fails
+    on the first event."""
     methodology = methodology or trace.methodology
     name = f"csp-conformance[{methodology}]"
     try:
@@ -449,33 +454,27 @@ def check_csp_conformance(
         return Verdict(name, False, f"L={first.payload['L']!r} is not an integer", first.seq)
     if methodology in HYBRID and level_domain is None and trace.events:
         level_domain = DEFAULT_LEVEL_DOMAIN if L is None else L
-    seq, group, count, failure = None, (), 0, None
-
-    def groups():
-        """Each trace event's rendered events; the first annotation failure
-        ends it and is kept in ``failure``."""
-        nonlocal seq, group, count, failure
-        for ev in trace.events:
+    recognizer = make_recognizer(methodology, level_domain)
+    trace_events = trace.events
+    count, refused = 0, None  # refused: the first illegal event and its seq
+    for start in range(0, len(trace_events), _BATCH):
+        events: list[tuple[str, ...]] = []
+        ends = []  # per trace event of the batch, the length of ``events`` after its group
+        for ev in trace_events[start:start + _BATCH]:
             try:
-                rendered = _render(methodology, ev, L)
+                events += _render(methodology, ev, L)
             except UNREADABLE as exc:
-                failure = Verdict(name, False, f"annotation failed: {exc}", ev.seq)
-                return
-            seq, group = ev.seq, rendered
-            count += len(rendered)
-            yield rendered
-
-    rest = groups()
-    idx = make_recognizer(methodology, level_domain).feed(chain.from_iterable(rest))
-    if idx is not None:
-        event, at = group[idx - count + len(group)], seq
-        for _ in rest:
-            pass
-    if failure is not None:
-        return failure
-    if idx is None:
+                return Verdict(name, False, f"annotation failed: {exc}", ev.seq)
+            ends.append(len(events))
+        count += len(events)
+        if refused is None:
+            idx = recognizer.feed(events)
+            if idx is not None:
+                refused = events[idx], trace_events[start + bisect_right(ends, idx)].seq
+    if refused is None:
         return Verdict(name, True, f"{count} events accepted")
+    event, seq = refused
     text = ".".join(event)
     if event[0] not in ALPHABETS[methodology]:
-        return Verdict(name, False, f"event {text!r} outside alphabet", at)
-    return Verdict(name, False, f"illegal event {text!r}", at)
+        return Verdict(name, False, f"event {text!r} outside alphabet", seq)
+    return Verdict(name, False, f"illegal event {text!r}", seq)

@@ -217,14 +217,15 @@ def _read_in_place(text: str) -> list[TraceEvent] | None:
     """The events of ``text`` when each of its lines is one record that ends
     exactly at the line's end; None for any other text."""
     events: list[TraceEvent] = []
-    append, find, from_record, labels = events.append, text.find, TraceEvent.from_record, {}
+    append, find, scan = events.append, text.find, _scan
+    from_record, labels = TraceEvent.from_record, {}
     pos, size = 0, len(text)
     try:
         while pos < size:
             end = find("\n", pos)
             if end < 0:  # the last line has no newline
                 end = size
-            rec, stop = _scan(text, pos)
+            rec, stop = scan(text, pos)
             if stop != end:
                 return None
             append(from_record(rec, labels))

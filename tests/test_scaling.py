@@ -228,8 +228,9 @@ class TestMemory:
         assert back_bytes <= 1.6 * emitted_bytes
 
     def test_csp_conformance_holds_no_rendered_trace(self):
-        """The recognizer is fed one rendered trace event at a time: three
-        times the events leave the traced peak above the trace flat."""
+        """The recognizer is fed one batch of rendered trace events at a
+        time: three times the events leave the traced peak above the trace
+        flat."""
         def peak(levels: int) -> int:
             trace = run_dfd(perfect_tree(3, levels))
             check_csp_conformance(trace, "dfd")  # lazy set-up is done before the count
