@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from test_trace_golden import _hybrid_scenario, _inputs, _trace
 from treeflow import trace as trace_mod
+from treeflow.basic_machines import run_dfd
 from treeflow.cli import main
 from treeflow.fixtures import (
     GEO_ROWS,
@@ -21,7 +22,6 @@ from treeflow.fixtures import (
     perfect_tree,
     visited_places_hierarchy,
 )
-from treeflow.basic_machines import run_dfd
 from treeflow.hybrid_machines import run_pbfd, run_pdfd
 from treeflow.jsondoc import read_text
 from treeflow.trace import (
@@ -465,10 +465,10 @@ class TestReaderPaths:
         path = tmp_path / "t.jsonl"
         path.write_bytes(text.encode())
         assert (trace_mod._read_in_place(text) is not None) == in_place
-        loop = read_outcome(trace_mod._read_lines, text, path)
-        assert read_outcome(lambda: Trace.read_jsonl(path).events) == loop
-        if isinstance(loop, list):
-            assert_labels_shared(loop)
+        read = read_outcome(lambda: Trace.read_jsonl(path).events)
+        assert read == read_outcome(trace_mod._read_lines, text, path)
+        if isinstance(read, list):
+            assert_labels_shared(read)
 
     def test_equal_labels_are_one_object(self, tmp_path):
         path = tmp_path / "t.jsonl"
