@@ -76,12 +76,11 @@ class TraceEvent(NamedTuple):
                 "to": self.to_state, "payload": self.payload}
 
     @classmethod
-    def from_record(cls, rec: dict[str, Any],
-                    labels: dict[str, str] | None = None) -> "TraceEvent":
-        """The event of a decoded record.  With ``labels``, each of its
-        ``rule``, ``from`` and ``to`` is the equal string that table already
-        holds, if any, and is added to it if not: a reader passes one table
-        per read, so equal labels of one trace are one object."""
+    def from_record(cls, rec: dict[str, Any], labels: dict[str, str]) -> "TraceEvent":
+        """The event of a decoded record.  Each of its ``rule``, ``from`` and
+        ``to`` is the equal string ``labels`` already holds, and is added to
+        it if new: a reader passes one table per read, so equal labels of one
+        trace are one object."""
         try:
             seq, rule, from_state, to_state = rec["seq"], rec["rule"], rec["from"], rec["to"]
         except KeyError as exc:
@@ -90,21 +89,21 @@ class TraceEvent(NamedTuple):
             raise TraceFormatError(
                 f"event must be a JSON object, got {type(rec).__name__}"
             ) from None
-        if not (rule.__class__ is str and from_state.__class__ is str
-                and to_state.__class__ is str):
+        try:  # the table holds only strings, so a label found there is one
+            rule, from_state, to_state = labels[rule], labels[from_state], labels[to_state]
+        except (KeyError, TypeError):  # a new label, or an unhashable value
             for key, value in (("rule", rule), ("from", from_state), ("to", to_state)):
                 if value.__class__ is not str:
                     raise TraceFormatError(f"{key} must be a string, got {type(value).__name__}")
+            rule = labels.setdefault(rule, rule)
+            from_state = labels.setdefault(from_state, from_state)
+            to_state = labels.setdefault(to_state, to_state)
         payload = rec.get("payload")
         if payload.__class__ is not dict:
             if payload is not None or "payload" in rec:
                 raise TraceFormatError(
                     f"payload must be a JSON object, got {type(payload).__name__}")
             payload = {}
-        if labels is not None:
-            rule = labels.setdefault(rule, rule)
-            from_state = labels.setdefault(from_state, from_state)
-            to_state = labels.setdefault(to_state, to_state)
         # The tuple itself: the NamedTuple constructor would only add a call.
         return _new_tuple(cls, (seq, rule, from_state, to_state, payload))
 
@@ -193,67 +192,43 @@ class Trace:
         """Events of a JSONL file, one record a line.  Lines end at a newline
         only: JSON allows U+2028, U+2029 and U+0085 raw inside a string.
 
-        A text whose every line is one JSON object that fills it exactly, the
-        last with or without its newline, is parsed in place: the decoder's
-        scanner starts at each line start, so no line is copied out of the
-        text.  Any other text (a blank or whitespace-only line, a padded or
-        CRLF line, a record over two lines or two on one, or any fault) is
-        read again from its start, line by line: blank lines are skipped, the
-        JSON decoder reads a padded line (a carriage return before the
-        newline is JSON whitespace), and a bad line raises TraceFormatError
-        naming the file and line.  Both paths give equal events.  Equal
+        The text is parsed in place: the decoder's scanner starts at each
+        line start in the whole text, and a record that ends exactly at the
+        line's end is taken as it is, so no clean line is copied out of the
+        text.  Only any other line (blank or whitespace-only, padded, CRLF,
+        a record over two lines or two on one, or a fault) is cut out and
+        read alone: a blank line is skipped, the JSON decoder reads a padded
+        one (a carriage return before the newline is JSON whitespace), and a
+        bad one raises TraceFormatError naming the file and line.  Equal
         labels (``rule``, ``from`` and ``to``) of one read are one object."""
         try:
             text = read_text(path)
         except JSONDocumentError as exc:
             raise TraceFormatError(f"{path}: {exc}") from None
-        events = _read_in_place(text)
-        if events is None:
-            events = _read_lines(text, path)
-        return cls(methodology, events)
-
-
-def _read_in_place(text: str) -> list[TraceEvent] | None:
-    """The events of ``text`` when each of its lines is one record that ends
-    exactly at the line's end; None for any other text."""
-    events: list[TraceEvent] = []
-    append, find, scan = events.append, text.find, _scan
-    from_record, labels = TraceEvent.from_record, {}
-    pos, size = 0, len(text)
-    try:
-        while pos < size:
-            end = find("\n", pos)
+        events: list[TraceEvent] = []
+        append, find, scan = events.append, text.find, _scan
+        from_record, labels = TraceEvent.from_record, {}
+        start, size = 0, len(text)
+        while start < size:
+            end = find("\n", start)
             if end < 0:  # the last line has no newline
                 end = size
-            rec, stop = scan(text, pos)
-            if stop != end:
-                return None
-            append(from_record(rec, labels))
-            pos = end + 1
-    except (StopIteration, ValueError, RecursionError):  # TraceFormatError is a ValueError
-        return None
-    return events
-
-
-def _read_lines(text: str, path: str | Path) -> list[TraceEvent]:
-    """The events of ``text``, read line by line; a bad line raises
-    TraceFormatError naming ``path`` and the line."""
-    events = []
-    from_record, labels = TraceEvent.from_record, {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        try:  # the common case: one record that fills its line
-            rec, end = _scan(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = -1
-        try:
-            if end != len(line):  # blank, padded or faulty: decode_json decides
-                if not line.strip():
-                    continue
-                rec = decode_json(line)
-            events.append(from_record(rec, labels))
-        except (JSONDocumentError, TraceFormatError) as exc:
-            raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
-    return events
+            pos, start = start, end + 1
+            try:
+                try:  # the common case: one record that fills its line
+                    rec, stop = scan(text, pos)
+                except (StopIteration, ValueError, RecursionError):
+                    stop = -1
+                if stop != end:  # blank, padded or faulty: decode_json decides
+                    line = text[pos:end]
+                    if not line.strip():
+                        continue
+                    rec = decode_json(line)
+                append(from_record(rec, labels))
+            except (JSONDocumentError, TraceFormatError) as exc:
+                lineno = text.count("\n", 0, pos) + 1
+                raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
+        return cls(methodology, events)
 
 
 class StatusFold:

@@ -343,7 +343,7 @@ class TestCodec:
     def test_emit_record_and_constructor_build_equal_events(self):
         payload = {"node": 3}
         emitted = Trace("pdfd").emit("PD2", "S1(1)", "S2(1)", payload)
-        read = TraceEvent.from_record(json.loads(json.dumps(emitted.to_record())))
+        read = TraceEvent.from_record(json.loads(json.dumps(emitted.to_record())), {})
         built = TraceEvent(1, "PD2", "S1(1)", "S2(1)", payload)
         assert emitted == read == built
         assert type(emitted) is type(read) is type(built) is TraceEvent
@@ -387,14 +387,6 @@ class TestCodec:
             Trace.read_jsonl(path)
 
 
-def read_outcome(read, *args):
-    """The events a reader gives, or the type and text of what it raises."""
-    try:
-        return read(*args)
-    except Exception as exc:  # the exception and its text are the pin
-        return type(exc), str(exc)
-
-
 def assert_labels_shared(events) -> None:
     """Equal rule and state labels of one read are one object."""
     seen: dict[str, str] = {}
@@ -418,66 +410,74 @@ def edit_line(lines, pos, *replacement):
     return lines[:pos] + list(replacement) + lines[pos + 1:]
 
 
-# name -> (text from the GEO dfd trace's lines, whether the in-place path reads it)
+# name -> (text from the GEO dfd trace's lines, what reading it raises after
+# the path, or None when it reads as the trace itself)
 EDITS = {
-    "blank line": (lambda ls: "\n".join(edit_line(ls, 2, ls[2], "")) + "\n", False),
-    "whitespace-only line": (lambda ls: "\n".join(edit_line(ls, 2, ls[2], " \t ")) + "\n", False),
-    "CRLF endings": (lambda ls: "\r\n".join(ls) + "\r\n", False),
-    "trailing spaces": (lambda ls: "\n".join(edit_line(ls, 2, ls[2] + "  ")) + "\n", False),
+    "blank line": (lambda ls: "\n".join(edit_line(ls, 2, ls[2], "")) + "\n", None),
+    "whitespace-only line": (lambda ls: "\n".join(edit_line(ls, 2, ls[2], " \t ")) + "\n",
+                             None),
+    "CRLF endings": (lambda ls: "\r\n".join(ls) + "\r\n", None),
+    "trailing spaces": (lambda ls: "\n".join(edit_line(ls, 2, ls[2] + "  ")) + "\n", None),
+    "no final newline": (lambda ls: "\n".join(ls), None),
     "a record over two lines": (lambda ls: "\n".join(
-        edit_line(ls, 2, *ls[2].split(' "payload"', 1))) + "\n", False),
+        edit_line(ls, 2, ls[2].replace(' "payload"', '\n "payload"'))) + "\n",
+        ":3: invalid JSON: Expecting property name enclosed in double quotes"),
     "two records on one line": (lambda ls: "\n".join(
-        edit_line(ls[:3] + ls[4:], 2, ls[2] + " " + ls[3])) + "\n", False),
-    "no final newline": (lambda ls: "\n".join(ls), True),
-    "a non-object line": (lambda ls: "\n".join(edit_line(ls, 2, "[1, 2]")) + "\n", False),
+        edit_line(ls[:3] + ls[4:], 2, ls[2] + " " + ls[3])) + "\n",
+        ":3: invalid JSON: Extra data"),
+    "a non-object line": (lambda ls: "\n".join(edit_line(ls, 2, "[1, 2]")) + "\n",
+                          ":3: event must be a JSON object, got list"),
     "a missing rule": (lambda ls: "\n".join(edit_line(
-        ls, 2, re.sub(r'"rule": "[^"]*", ', "", ls[2]))) + "\n", False),
+        ls, 2, re.sub(r'"rule": "[^"]*", ', "", ls[2]))) + "\n",
+        ":3: event missing field 'rule'"),
     "a null payload": (lambda ls: "\n".join(edit_line(
-        ls, 2, re.sub(r'"payload": \{[^}]*\}', '"payload": null', ls[2]))) + "\n", False),
+        ls, 2, re.sub(r'"payload": \{[^}]*\}', '"payload": null', ls[2]))) + "\n",
+        ":3: payload must be a JSON object, got NoneType"),
+    "a number rule": (lambda ls: "\n".join(edit_line(
+        ls, 2, re.sub(r'"rule": "[^"]*"', '"rule": 7', ls[2]))) + "\n",
+        ":3: rule must be a string, got int"),
+    "a list state": (lambda ls: "\n".join(edit_line(
+        ls, 2, re.sub(r'"to": "[^"]*"', '"to": []', ls[2]))) + "\n",
+        ":3: to must be a string, got list"),
 }
 
 
-class TestReaderPaths:
-    """``Trace.read_jsonl`` parses a clean text in place and reads any other
-    text again with the per-line loop; both give what the loop alone gives."""
+class TestReader:
+    """``Trace.read_jsonl`` parses a clean text in place and cuts out only
+    the lines that are not one record filling the line; either way every
+    event, error text and line number is what a line-by-line read gives,
+    and equal labels of one read are one object."""
 
     @pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.jsonl")))
     def test_committed_traces(self, name):
-        text = read_text(DATA / name)
-        expected = trace_mod._read_lines(text, DATA / name)
-        assert trace_mod._read_in_place(text) == expected
-        assert Trace.read_jsonl(DATA / name).events == expected
+        lines = read_text(DATA / name).split("\n")
+        expected = [TraceEvent.from_record(json.loads(line), {}) for line in lines if line]
+        back = Trace.read_jsonl(DATA / name)
+        assert back.events == expected
+        assert_labels_shared(back)
 
     def test_machine_traces(self, tmp_path):
         path = tmp_path / "t.jsonl"
         for key, trace in machine_traces():
             trace.write_jsonl(path)
-            text = read_text(path)
-            expected = trace_mod._read_lines(text, path)
-            assert expected == trace.events, key
-            assert trace_mod._read_in_place(text) == expected, key
-            assert Trace.read_jsonl(path).events == expected, key
+            back = Trace.read_jsonl(path)
+            assert back.events == trace.events, key
+            assert_labels_shared(back)
 
     @pytest.mark.parametrize("edit", sorted(EDITS))
     def test_edited_copies(self, edit, tmp_path):
-        make, in_place = EDITS[edit]
-        text = make(run_dfd(geo_hierarchy()).to_jsonl().splitlines())
+        make, error = EDITS[edit]
+        trace = run_dfd(geo_hierarchy())
         path = tmp_path / "t.jsonl"
-        path.write_bytes(text.encode())
-        assert (trace_mod._read_in_place(text) is not None) == in_place
-        read = read_outcome(lambda: Trace.read_jsonl(path).events)
-        assert read == read_outcome(trace_mod._read_lines, text, path)
-        if isinstance(read, list):
-            assert_labels_shared(read)
-
-    def test_equal_labels_are_one_object(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        mvp_trace().write_jsonl(path)
-        back = Trace.read_jsonl(path)
-        assert_labels_shared(back)
-        assert back[0].to_state is back[1].from_state
-        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        assert_labels_shared(Trace.read_jsonl(path))
+        path.write_bytes(make(trace.to_jsonl().splitlines()).encode())
+        if error is None:
+            back = Trace.read_jsonl(path)
+            assert back.events == trace.events
+            assert_labels_shared(back)
+        else:
+            with pytest.raises(TraceFormatError) as err:
+                Trace.read_jsonl(path)
+            assert str(err.value) == f"{path}{error}"
 
 
 HAND_MADE = [
@@ -625,12 +625,15 @@ class TestRecordReader:
         ({"from": 1, "to": 2}, "from must be a string, got int"),
         ({"payload": None}, "payload must be a JSON object, got NoneType"),
         ({"payload": [1]}, "payload must be a JSON object, got list"),
+        ({"to": {"S1": 1}}, "to must be a string, got dict"),
     ])
     def test_field_errors(self, change, message):
+        """Whether or not the read's label table already holds the labels."""
         rec = {"seq": 1, "rule": "DF1", "from": "S0", "to": "S1", "payload": {}, **change}
-        with pytest.raises(TraceFormatError) as err:
-            TraceEvent.from_record(rec)
-        assert str(err.value) == message
+        for labels in ({}, {"DF1": "DF1", "S0": "S0", "S1": "S1"}):
+            with pytest.raises(TraceFormatError) as err:
+                TraceEvent.from_record(rec, labels)
+            assert str(err.value) == message
 
     @pytest.mark.parametrize("measures", [
         {"measure_pre": [1, 2, 3, 4], "measure_post": [1, 2, 3, 3]},
@@ -639,7 +642,7 @@ class TestRecordReader:
     ])
     def test_measure_keys_of_older_writers_are_ignored(self, measures):
         rec = {"seq": 1, "rule": "DF1", "from": "S0", "to": "S1", "payload": {"a": 1}}
-        assert TraceEvent.from_record({**rec, **measures}) == TraceEvent.from_record(rec)
+        assert TraceEvent.from_record({**rec, **measures}, {}) == TraceEvent.from_record(rec, {})
 
     @pytest.mark.parametrize("rec, message", [
         ("DF1", "event must be a JSON object, got str"),
@@ -649,7 +652,7 @@ class TestRecordReader:
     ])
     def test_record_errors(self, rec, message):
         with pytest.raises(TraceFormatError) as err:
-            TraceEvent.from_record(rec)
+            TraceEvent.from_record(rec, {})
         assert str(err.value) == message
 
 
