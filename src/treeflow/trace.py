@@ -195,12 +195,12 @@ class Trace:
         The text is parsed in place: the decoder's scanner starts at each
         line start in the whole text, and a record that ends exactly at the
         line's end is taken as it is, so no clean line is copied out of the
-        text.  Only any other line (blank or whitespace-only, padded, CRLF,
-        a record over two lines or two on one, or a fault) is cut out and
-        read alone: a blank line is skipped, the JSON decoder reads a padded
-        one (a carriage return before the newline is JSON whitespace), and a
-        bad one raises TraceFormatError naming the file and line.  Equal
-        labels (``rule``, ``from`` and ``to``) of one read are one object."""
+        text.  Any other line (blank or whitespace-only, padded, CRLF, a
+        record over two lines or two on one, or a fault) is cut out and read
+        alone: a blank line is skipped, the JSON decoder reads a padded one
+        (a carriage return before the newline is JSON whitespace), and a bad
+        one raises TraceFormatError naming the file and line.  Equal labels
+        (``rule``, ``from`` and ``to``) of one read are one object."""
         try:
             text = read_text(path)
         except JSONDocumentError as exc:
