@@ -54,7 +54,7 @@ class TraceContext:
     @classmethod
     def from_payload(cls, methodology: str, payload: dict[str, Any]) -> "TraceContext":
         levels = {
-            int(k): tuple(int(n) for n in v) for k, v in payload["levels"].items()
+            int(k): tuple(map(int, v)) for k, v in payload["levels"].items()
         }
         return cls(
             methodology=methodology,
@@ -94,8 +94,9 @@ def measure(
         k4 = ctx.max_level - index
     else:  # S2, S5, T
         k4 = 0
-    m = (k1, ctx.r_max * max(ctx.max_level, 0) - spent, PHASE_ORDINAL[family], k4)
-    if min(m) < 0:
+    k2 = ctx.r_max * max(ctx.max_level, 0) - spent
+    m = (k1, k2, PHASE_ORDINAL[family], k4)
+    if k1 < 0 or k2 < 0 or k4 < 0:  # every phase ordinal is >= 0
         raise MeasureError(f"measure components must be non-negative: {m}")
     return m
 

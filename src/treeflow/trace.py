@@ -5,7 +5,9 @@ equals ``from_state`` of event n+1.  A record is its rule, its two state
 labels, its sequence number and its payload; hybrid-machine payloads carry
 the committed node statuses, which the verification monitors fold.  Top-level
 keys other than these, such as the ``measure_pre`` and ``measure_post`` of
-older writers, are ignored when read.
+older writers, are ignored when read.  A state label is a family or
+``family(n)``; ``parse_label`` reads it, and a trace's ``labels`` table
+keeps each label's reading for the monitors that check it.
 
 Statuses travel as deltas (``TRACE_FORMAT`` 2): the first event's payload
 holds the full ``statuses`` map and ``"trace_format": 2``, and every later
@@ -18,6 +20,7 @@ every event carries the full map.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
@@ -58,6 +61,36 @@ class StatusFoldError(TraceFormatError):
         super().__init__(f"event {seq}: {detail}")
         self.seq = seq
         self.detail = detail
+
+
+def parse_label(label: str) -> tuple[str, int | None]:
+    """A state label's family and index: ``S1R(2)`` reads ("S1R", 2), ``T``
+    reads ("T", None).  A label is a family alone or ``family(<index>)``,
+    the index written as ``str(int)`` writes an integer >= 1, in ASCII
+    digits: ``S1R(2)``, never ``S1R(02)``, ``S1R(+2)``, ``S1R( 2)`` or an
+    Arabic-Indic two.  The family is the text before the first ``(``, so
+    any other label, such as ``S1R(2]`` or ``S1R(x)``, still has one; its
+    index reads 0, which no label in the grammar has."""
+    family, paren, rest = label.partition("(")
+    if not paren:
+        return family, None
+    digits = rest[:-1]
+    if rest[-1:] == ")" and digits.isascii() and digits.isdigit() and digits[0] != "0":
+        return family, int(digits)
+    return family, 0
+
+
+class LabelTable(dict):
+    """``parse_label`` of each label looked up, made at its first lookup
+    and kept: ``table[label]``.  The monitors of one verify share one
+    table, ``Trace.labels`` or the run enumerator's, so each distinct label
+    is parsed once however many events and monitors read it."""
+
+    __slots__ = ()
+
+    def __missing__(self, label: str) -> tuple[str, int | None]:
+        parsed = self[label] = parse_label(label)
+        return parsed
 
 
 class TraceEvent(NamedTuple):
@@ -114,6 +147,12 @@ class Trace:
     def __init__(self, methodology: str, events: Iterable[TraceEvent] = ()):
         self.methodology = methodology
         self.events: list[TraceEvent] = list(events)
+
+    @cached_property
+    def labels(self) -> LabelTable:
+        """The label table the monitors verifying this trace share, made
+        at first use and dropped with the trace."""
+        return LabelTable()
 
     def emit(
         self,
@@ -246,26 +285,58 @@ class StatusFold:
     a node the map lacks, a node id not written as ``str(int)`` writes it, a
     status other than the JSON integers 0, 1 and 2, an event with neither
     key, or a ``trace_format`` other than 1 or ``TRACE_FORMAT`` raises
-    StatusFoldError."""
+    StatusFoldError.  After it raises, the fold is spent: its ``statuses``
+    may hold part of the faulty event.
+
+    An event that holds only ``status_changes`` (every event of format 2
+    after the first) takes one loop that checks each change and applies it:
+    its key must be one the last full map spelt, so it needs no ``int()``.
+    Any change that loop cannot take sends the whole delta through
+    ``_int_items``, which reads it again and names the fault."""
 
     __slots__ = ("statuses", "_ids")
 
     def __init__(self) -> None:
         self.statuses: dict[int, int] | None = None
         # The node id of each key of the last full map, by its checked
-        # spelling; replaced, never changed in place.  Every delta key must
-        # name a node of that map, so a key found here needs no int() and
-        # no spelling check.
+        # spelling; replaced, never changed in place.
         self._ids: dict[str, int] = {}
 
     def copy(self) -> "StatusFold":
-        other = StatusFold()
-        if self.statuses is not None:
-            other.statuses = dict(self.statuses)
+        other = StatusFold.__new__(StatusFold)
+        statuses = self.statuses
+        other.statuses = None if statuses is None else statuses.copy()
         other._ids = self._ids
         return other
 
     def step(self, ev: TraceEvent) -> dict[int, int | None]:
+        p = ev.payload
+        changes = p.get("status_changes")
+        statuses = self.statuses
+        if (changes.__class__ is not dict or statuses is None
+                or "statuses" in p or "trace_format" in p):
+            return self._step_map(ev)
+        prior: dict[int, int | None] = {}
+        if not changes:
+            return prior
+        ids = self._ids
+        try:
+            for k, v in changes.items():
+                # bool is a subclass of int, so the exact class is tested.
+                if v.__class__ is not int or not 0 <= v <= 2:
+                    raise ValueError
+                n = ids[k]  # a node of the last full map, so statuses[n] exists
+                old = statuses[n]
+                if old != v:
+                    prior[n] = old
+                    statuses[n] = v
+        except (KeyError, ValueError):  # read the delta again: it names the fault
+            _patch(statuses, prior, changes, ev.seq)
+        return prior
+
+    def _step_map(self, ev: TraceEvent) -> dict[int, int | None]:
+        """``step`` for any other event: a full map, a ``trace_format``, a
+        delta that is not a dict or comes first, or neither key."""
         p = ev.payload
         version = p.get("trace_format", TRACE_FORMAT)
         if version not in (1, TRACE_FORMAT):
@@ -276,7 +347,7 @@ class StatusFold:
         statuses = self.statuses
         prior: dict[int, int | None] = {}
         if full is not None:
-            new = dict(_int_items(full, ev.seq, "statuses"))
+            new = _int_items(full, ev.seq, "statuses")
             self._ids = dict(zip(full, new))
             if statuses is None:  # the first map: every node is new
                 prior = dict.fromkeys(new)
@@ -292,28 +363,26 @@ class StatusFold:
         if changes is not None:
             if statuses is None:
                 raise StatusFoldError(ev.seq, "status_changes before any full status map")
-            ids = self._ids
-            items = []
-            try:
-                for k, v in changes.items():
-                    # bool is a subclass of int, so the exact class is tested.
-                    if v.__class__ is not int or not 0 <= v <= 2:
-                        raise ValueError
-                    items.append((ids[k], v))
-            except (AttributeError, KeyError, TypeError, ValueError):
-                items = _int_items(changes, ev.seq, "status_changes")
-            for n, s in items:
-                old = statuses.get(n)
-                if old is None:
-                    raise StatusFoldError(ev.seq, f"status_changes names unknown node {n}")
-                if old == s:
-                    continue
-                if n not in prior:
-                    prior[n] = old
-                elif prior[n] == s:  # a full map and a delta in one event cancel
-                    del prior[n]
-                statuses[n] = s
+            _patch(statuses, prior, changes, ev.seq)
         return prior
+
+
+def _patch(
+    statuses: dict[int, int], prior: dict[int, int | None], changes: Any, seq: Any
+) -> None:
+    """Apply ``changes`` to ``statuses`` and record each node's status before
+    in ``prior``; a change already applied is skipped."""
+    for n, s in _int_items(changes, seq, "status_changes").items():
+        old = statuses.get(n)
+        if old is None:
+            raise StatusFoldError(seq, f"status_changes names unknown node {n}")
+        if old == s:
+            continue
+        if n not in prior:
+            prior[n] = old
+        elif prior[n] == s:  # a full map and a delta in one event cancel
+            del prior[n]
+        statuses[n] = s
 
 
 def fold_statuses(
@@ -327,8 +396,10 @@ def fold_statuses(
         yield ev, fold.statuses, prior  # type: ignore[misc]
 
 
-def _int_items(raw: Any, seq: Any, key: str) -> list[tuple[int, int]]:
-    items = []
+def _int_items(raw: Any, seq: Any, key: str) -> dict[int, int]:
+    """``raw`` read as a status map: its node ids, checked as ``str(int)``
+    writes them, mapped to statuses 0, 1 or 2; the first fault raises."""
+    items = {}
     try:
         for k, v in raw.items():
             n = int(k)
@@ -337,7 +408,7 @@ def _int_items(raw: Any, seq: Any, key: str) -> list[tuple[int, int]]:
             if v.__class__ is not int or not 0 <= v <= 2:  # not a bool, float or string
                 raise StatusFoldError(
                     seq, f"{key} must map node ids to statuses 0, 1 or 2, got {v!r} for {k!r}")
-            items.append((n, v))
+            items[n] = v
     except StatusFoldError:
         raise
     except (AttributeError, TypeError, ValueError):

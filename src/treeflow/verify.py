@@ -30,7 +30,9 @@ The status monitors read statuses through ``trace.StatusFold``, so they
 accept both the delta-encoded format and full per-event snapshots.  The
 episode origin is folded from the labels by ``_next_origin``; what older
 writers recorded beside the labels (a state snapshot, the engine's
-measures) is not read.
+measures) is not read.  Each label is read by ``trace.parse_label`` into
+a label table that the monitors of one trace share (``Trace.labels``),
+and the enumerator's folds share one of their own.
 """
 
 from __future__ import annotations
@@ -38,13 +40,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cache, partial
-from operator import eq, ge, gt, itemgetter, lt, methodcaller
+from operator import itemgetter, methodcaller
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .hierarchy import Hierarchy
 from .measure import Measure, TraceContext, measure
 from .scenario import Scenario, TraceOriginStrategy
-from .trace import StatusFold, StatusFoldError, Trace, TraceEvent, fold_statuses
+from .trace import LabelTable, StatusFold, StatusFoldError, Trace, TraceEvent
 
 
 class Delta(enum.Enum):
@@ -121,8 +123,10 @@ def _to_level(events, ev: TraceEvent, L: int | None):
 
 
 def _to_origin(events, ev: TraceEvent, L: int | None):
-    """The origin j is the level a backtrack enters, read from its target S1R(j)."""
-    return events(dict(ev.payload, j=str(_label(ev.to_state)[1])))
+    """The origin j is the level a backtrack enters, read from its target
+    S1R(j) by ``int()``."""
+    index = ev.to_state.partition("(")[2]
+    return events(dict(ev.payload, j=str(int(index[:-1]) if index else None)))
 
 
 def _next_level(events, ev: TraceEvent, L: int | None):
@@ -143,7 +147,8 @@ def _pd8(exhausted, from_s2, from_s3, other, ev: TraceEvent, L: int | None):
     bottom-up (S3) validation."""
     if ev.payload.get("reason") == "refinement_exhausted":
         return exhausted(ev.payload)
-    return {"S2": from_s2, "S3": from_s3}.get(_family(ev.from_state), other)(ev.payload)
+    family = ev.from_state.partition("(")[0]
+    return {"S2": from_s2, "S3": from_s3}.get(family, other)(ev.payload)
 
 
 def _repeated(refine, done, ev: TraceEvent, L: int | None):
@@ -156,6 +161,33 @@ def _extended(extended, missing, ev: TraceEvent, L: int | None):
     return (extended if "new_node" in ev.payload else missing)(ev.payload)
 
 
+# -- descent checks -------------------------------------------------------------------
+
+
+# The test each pattern puts on a component's value before and after a
+# step, as an operator between the two; ANY puts none.
+_DELTA_TESTS = {Delta.EQ: "==", Delta.DOWN: ">", Delta.UP: "<", Delta.NONINC: ">="}
+
+
+def _descent_check(deltas: tuple[Delta, ...]) -> Callable[[Measure, Measure], str | None]:
+    """Compile a step rule's descent check into one function of the measures
+    ``pre`` and ``post`` around the step: the problem, or None.  M must fall
+    strictly, then each component in turn must follow its pattern."""
+    body = "".join(
+        f"    if not pre[{i}] {_DELTA_TESTS[kind]} post[{i}]:\n"
+        f"        return f'component k{i + 1} broke pattern {kind.value}: "
+        f"{{pre[{i}]}} -> {{post[{i}]}}'\n"
+        for i, kind in enumerate(deltas) if kind is not Delta.ANY)
+    scope: dict[str, Any] = {}
+    exec("def descent(pre, post):\n    if not post < pre:\n"
+         "        return f'did not decrease M: {pre} -> {post}'\n"
+         f"{body}    return None\n", scope)
+    return scope["descent"]
+
+
+_DECREASES = _descent_check(())
+
+
 # -- rule tables: one per machine ------------------------------------------------------
 
 
@@ -164,7 +196,11 @@ class RuleSpec:
     """One rule: the state families it fires from and moves to, its kind,
     the measure's expected per-component deltas (hybrid steps) and its CSP
     expansion, a ``Pick`` or a templates string rendered from the payload.
-    ``render(event, L)`` is the expansion compiled once (None for none)."""
+    ``render(event, L)`` is the expansion compiled once (None for none).
+    ``descent(pre, post)`` is a step rule's descent check, compiled once
+    from its deltas: the problem with M moving from ``pre`` to ``post``
+    after the rule id, or None (None itself for a terminal or initial
+    rule, which need not descend)."""
 
     sources: tuple[str, ...]
     targets: tuple[str, ...]
@@ -173,12 +209,18 @@ class RuleSpec:
     events: Pick | None = None
     render: Callable[[TraceEvent, int | None], list[tuple[str, ...]]] | None = field(
         init=False, repr=False, compare=False)
+    descent: Callable[[Measure, Measure], str | None] | None = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.events, str):
             object.__setattr__(self, "events", _pick(_payload, self.events))
         render = self.events and partial(self.events.fn, *map(_renderer, self.events.alternatives))
         object.__setattr__(self, "render", render)
+        descent = None
+        if self.kind == "step":
+            descent = _descent_check(self.deltas) if self.deltas else _DECREASES
+        object.__setattr__(self, "descent", descent)
 
 
 E, D, U, A, N = Delta.EQ, Delta.DOWN, Delta.UP, Delta.ANY, Delta.NONINC
@@ -399,10 +441,6 @@ class Verdict:
         return f"FAIL {self.name} ({at}{self.detail})"
 
 
-def _family(label: str) -> str:
-    return label.split("(")[0]
-
-
 def context_of(trace: Trace, methodology: str | None = None) -> TraceContext:
     methodology = methodology or trace.methodology
     if not trace.events:
@@ -415,8 +453,8 @@ UNREADABLE = (AttributeError, KeyError, TypeError, ValueError)
 
 
 class LabelError(ValueError):
-    """A target state label whose index is not an integer; the message
-    names the rule and the label."""
+    """A state label outside the grammar ``trace.parse_label`` reads; the
+    message names the rule and the label."""
 
 
 def _unreadable(name: str, ev: TraceEvent, exc: Exception) -> Verdict:
@@ -437,7 +475,7 @@ def _context(name: str, trace: Trace, methodology: str | None) -> TraceContext |
 
 def check_well_formed(trace: Trace, methodology: str | None = None) -> Verdict:
     """Chaining plus rule-id membership and state-family agreement."""
-    fold = WellFormedFold(methodology or trace.methodology)
+    fold = WellFormedFold(methodology or trace.methodology, trace.labels)
     fold.feed(trace.events)
     return fold.verdict()
 
@@ -448,23 +486,25 @@ _START = object()  # the state before the first event
 class WellFormedFold:
     """``check_well_formed`` as a fold: ``feed`` it the next events of a
     trace, in order, ``copy`` it at a branch point, read its ``verdict`` at
-    any point.
+    any point.  It reads each label's family from ``labels``, a table of its
+    own unless one is passed; its copies share it.
 
     A broken chain anywhere wins over an earlier rule problem, so after the
     first rule problem the fold still follows the chain."""
 
-    __slots__ = ("methodology", "rules", "_prev", "_broken", "_problem")
+    __slots__ = ("methodology", "rules", "labels", "_prev", "_broken", "_problem")
 
-    def __init__(self, methodology: str):
+    def __init__(self, methodology: str, labels: LabelTable | None = None):
         self.methodology = methodology
         self.rules = RULE_TABLES.get(methodology)
+        self.labels = LabelTable() if labels is None else labels
         self._prev: Any = _START  # the last event's to_state
         self._broken: int | None = None  # seq of the first chain break
         self._problem: tuple[str, int] | None = None  # the first rule problem
 
     def copy(self) -> "WellFormedFold":
         other = WellFormedFold.__new__(WellFormedFold)
-        other.methodology, other.rules = self.methodology, self.rules
+        other.methodology, other.rules, other.labels = self.methodology, self.rules, self.labels
         other._prev, other._broken, other._problem = self._prev, self._broken, self._problem
         return other
 
@@ -472,7 +512,7 @@ class WellFormedFold:
         rules = self.rules
         if self._broken is not None or rules is None:
             return
-        prev, problem = self._prev, self._problem
+        prev, problem, labels = self._prev, self._problem, self.labels
         for ev in events:
             if ev.from_state != prev and prev is not _START:
                 self._broken = ev.seq
@@ -484,12 +524,17 @@ class WellFormedFold:
             if spec is None:
                 problem = (f"unknown rule {ev.rule}", ev.seq)
                 continue
-            src = _family(ev.from_state)
+            src = labels[ev.from_state][0]
             if src not in spec.sources:
                 problem = (f"{ev.rule} fired from {src}", ev.seq)
-            elif _family(prev) not in spec.targets:
+            elif labels[prev][0] not in spec.targets:
                 problem = (f"{ev.rule} targeted {prev}", ev.seq)
         self._prev, self._problem = prev, problem
+
+    @property
+    def failed(self) -> bool:
+        """Whether ``verdict()`` is a FAIL, without building it."""
+        return self.rules is None or self._broken is not None or self._problem is not None
 
     def verdict(self) -> Verdict:
         name = "well-formed"
@@ -505,36 +550,23 @@ class WellFormedFold:
 # -- rule legality against payloads and folded statuses --------------------------
 
 
-def _label(state: str) -> tuple[str, int | None]:
-    """A state label's family and index: ``S1R(2)`` reads ("S1R", 2), ``T``
-    reads ("T", None).  A target ``S1R(j)`` spends one attempt at level j."""
-    family, _, index = state.partition("(")
-    return family, int(index[:-1]) if index else None
-
-
-def _target(ev: TraceEvent) -> tuple[str, int | None]:
-    """``_label`` of the event's target; an unreadable index raises LabelError."""
-    try:
-        return _label(ev.to_state)
-    except ValueError:
-        raise LabelError(f"{ev.rule} target {ev.to_state} is not a state label") from None
-
-
 _REFINING = ("S1R", "S2R", "S3R")
 
 
 def _next_origin(
-    origin: tuple[str, int | None] | None, ev: TraceEvent, family: str
+    origin: tuple[str, int | None] | None, ev: TraceEvent, labels: LabelTable
 ) -> tuple[str, int | None] | None:
-    """The episode origin after ``ev``, whose target is of ``family``:
-    entering a refinement family from another records the source label's
+    """The episode origin after ``ev``, whose target is of a refinement
+    family: entering one from another family records the source label's
     family and index, the phase and level whose failure the episode
-    repairs; a target outside those families clears it."""
-    if family not in _REFINING:
-        return None
-    if _family(ev.from_state) in _REFINING:
+    repairs.  (A target outside those families clears the origin; the
+    callers test that before the call.)"""
+    source = labels[ev.from_state]
+    if source[0] in _REFINING:
         return origin
-    return _label(ev.from_state)
+    if source[1] == 0:
+        raise LabelError(f"{ev.rule} source {ev.from_state} is not a state label")
+    return source
 
 
 def check_rule_legality(trace: Trace, methodology: str | None = None) -> Verdict:
@@ -544,26 +576,32 @@ def check_rule_legality(trace: Trace, methodology: str | None = None) -> Verdict
     methodology = methodology or trace.methodology
     if methodology not in HYBRID:
         return Verdict(name, True, "basic machine: covered by well-formedness")
-    wf = check_well_formed(trace, methodology)
-    if not wf.ok:
-        return Verdict(name, False, wf.detail, wf.first_violation_seq)
+    wf = WellFormedFold(methodology, trace.labels)
+    wf.feed(trace.events)
+    v = wf.verdict()
+    if not v.ok:
+        return Verdict(name, False, v.detail, v.first_violation_seq)
     ctx = _context(name, trace, methodology)
     if isinstance(ctx, Verdict):
         return ctx
+    labels, fold = trace.labels, StatusFold()
     spent: dict[int, int] = {}
     origin = None
-    try:
-        for ev, statuses, _prior in fold_statuses(trace):
-            try:
-                family, index = _target(ev)
-                problem = _legality_problem(ev, family, index, origin, spent, statuses, ctx)
-                origin = _next_origin(origin, ev, family)
-            except UNREADABLE as exc:
-                return _unreadable(name, ev, exc)
-            if problem:
-                return Verdict(name, False, problem, ev.seq)
-    except StatusFoldError as err:
-        return Verdict(name, False, err.detail, err.seq)
+    for ev in trace.events:
+        try:
+            fold.step(ev)
+        except StatusFoldError as err:
+            return Verdict(name, False, err.detail, err.seq)
+        try:
+            family, index = labels[ev.to_state]
+            if index == 0:
+                raise LabelError(f"{ev.rule} target {ev.to_state} is not a state label")
+            problem = _legality_problem(ev, family, index, origin, spent, fold.statuses, ctx)
+            origin = _next_origin(origin, ev, labels) if family in _REFINING else None
+        except UNREADABLE as exc:
+            return _unreadable(name, ev, exc)
+        if problem:
+            return Verdict(name, False, problem, ev.seq)
     return Verdict(name, True)
 
 
@@ -648,18 +686,11 @@ def _legality_problem(
 # -- measure descent --------------------------------------------------------------
 
 
-# Whether a component's step from pre to post follows each pattern.
-_DELTA_OK: dict[Delta, Callable[[int, int], bool]] = {
-    Delta.EQ: eq, Delta.DOWN: gt, Delta.UP: lt, Delta.NONINC: ge,
-    Delta.ANY: lambda pre, post: True,
-}
-
-
 def check_measure_descent(trace: Trace, methodology: str | None = None) -> Verdict:
     """Strict lexicographic descent of the monitor's own M on every
     non-terminal transition, with per-component deltas matching the rule's
     expected pattern.  An empty hybrid trace raises ValueError."""
-    fold = DescentFold(methodology or trace.methodology)
+    fold = DescentFold(methodology or trace.methodology, trace.labels)
     fold.feed(trace.events)
     return fold.verdict()
 
@@ -674,14 +705,16 @@ class DescentFold:
     episode origin, from the labels.  It never trusts the engine.
     ``measure`` is M after the last event fed (None before the first).
     The first event gives the run parameters; the first failure settles the
-    verdict."""
+    verdict.  Labels are parsed into ``labels`` as for ``WellFormedFold``.
+    """
 
-    __slots__ = ("methodology", "rules", "_ctx", "_level_of", "_statuses",
+    __slots__ = ("methodology", "rules", "labels", "_ctx", "_level_of", "_statuses",
                  "_unfinalized", "_unvisited", "_spent", "_origin", "_measure", "_failure")
 
-    def __init__(self, methodology: str):
+    def __init__(self, methodology: str, labels: LabelTable | None = None):
         self.methodology = methodology
         self.rules = RULE_TABLES[methodology] if methodology in HYBRID else None
+        self.labels = LabelTable() if labels is None else labels
         self._ctx: TraceContext | None = None
         self._level_of: dict[int, int] = {}
         self._statuses = StatusFold()
@@ -696,9 +729,14 @@ class DescentFold:
     def measure(self) -> Measure | None:
         return self._measure
 
+    @property
+    def failed(self) -> bool:
+        """Whether ``verdict()`` is a FAIL, without building it."""
+        return self._failure is not None
+
     def copy(self) -> "DescentFold":
         other = DescentFold.__new__(DescentFold)
-        other.methodology, other.rules = self.methodology, self.rules
+        other.methodology, other.rules, other.labels = self.methodology, self.rules, self.labels
         other._ctx, other._level_of = self._ctx, self._level_of
         other._statuses = self._statuses.copy()
         other._unfinalized, other._spent = self._unfinalized, self._spent
@@ -716,7 +754,7 @@ class DescentFold:
         name = "measure-descent"
         ctx, level_of, unvisited = self._ctx, self._level_of, self._unvisited
         unfinalized, spent, origin = self._unfinalized, self._spent, self._origin
-        prev, fold = self._measure, self._statuses
+        prev, fold, labels = self._measure, self._statuses, self.labels
         for ev in events:
             if ctx is None:
                 try:
@@ -742,16 +780,20 @@ class DescentFold:
             if spec is None:
                 return Verdict(name, False, f"unknown rule {ev.rule}", ev.seq)
             try:
-                family, index = _target(ev)
+                family, index = labels[ev.to_state]
+                if index == 0:
+                    raise LabelError(f"{ev.rule} target {ev.to_state} is not a state label")
                 spent += family == "S1R"
-                origin = _next_origin(origin, ev, family)
+                origin = _next_origin(origin, ev, labels) if family in _REFINING else None
                 m = measure(ctx, family, index, origin and origin[1],
                             unfinalized, spent, unvisited)
             except UNREADABLE as exc:
                 return _unreadable(name, ev, exc)
-            problem = _descent_problem(ev, spec, prev, m)
-            if problem is not None:
-                return Verdict(name, False, problem, ev.seq)
+            descent = spec.descent
+            if descent is not None:
+                problem = "has no measure before it" if prev is None else descent(prev, m)
+                if problem is not None:
+                    return Verdict(name, False, f"{ev.rule} {problem}", ev.seq)
             prev = m
         self._unfinalized, self._spent, self._origin, self._measure = (
             unfinalized, spent, origin, prev)
@@ -766,21 +808,6 @@ class DescentFold:
         if self._ctx is None:
             raise ValueError("empty trace")
         return Verdict(name, True)
-
-
-def _descent_problem(ev: TraceEvent, spec: RuleSpec, pre: Measure | None,
-                     post: Measure) -> str | None:
-    if spec.kind != "step":
-        return None
-    if pre is None:
-        return f"{ev.rule} has no measure before it"
-    if not post < pre:
-        return f"{ev.rule} did not decrease M: {pre} -> {post}"
-    for idx, kind in enumerate(spec.deltas or ()):
-        if not _DELTA_OK[kind](pre[idx], post[idx]):
-            return (f"{ev.rule} component k{idx + 1} broke pattern "
-                    f"{kind.value}: {pre[idx]} -> {post[idx]}")
-    return None
 
 
 def classify_rules(methodology: str) -> dict[str, str]:
@@ -798,9 +825,12 @@ def check_bounded_refinement(trace: Trace, r_max: int | None = None) -> Verdict:
         return ctx
     cap = r_max if r_max is not None else ctx.r_max
     spent: dict[int, int] = {}
-    for ev in trace:
+    labels = trace.labels
+    for ev in trace.events:
         try:
-            family, j = _target(ev)
+            family, j = labels[ev.to_state]
+            if j == 0:
+                raise LabelError(f"{ev.rule} target {ev.to_state} is not a state label")
         except UNREADABLE as exc:
             return _unreadable(name, ev, exc)
         if family == "S1R":
@@ -822,15 +852,19 @@ def check_finalization(trace: Trace) -> Verdict:
     it (a full status map that drops the node changes it too)."""
     name = "finalization-invariance"
     finalized = 0
-    try:
-        for ev, statuses, prior in fold_statuses(trace):
+    fold = StatusFold()
+    for ev in trace.events:
+        try:
+            prior = fold.step(ev)
+        except StatusFoldError as err:
+            return Verdict(name, False, err.detail, err.seq)
+        if prior:
+            statuses = fold.statuses
             for n, old in prior.items():
                 if old == 2:
                     return Verdict(name, False, f"node {n} left FINALIZED", ev.seq)
                 if statuses.get(n) == 2:
                     finalized += 1
-    except StatusFoldError as err:
-        return Verdict(name, False, err.detail, err.seq)
     return Verdict(name, True, f"{finalized} nodes finalized")
 
 
@@ -853,7 +887,8 @@ def enumerate_runs(
     fails that query (every candidate fails) and goes on from there.  The
     last fork kept runs next, so runs come in depth-first order, the run
     that passes everything first.  Every event is emitted once, and each
-    fold is fed it once, as it is emitted.
+    fold is fed it once, after it is emitted: the events since the last
+    feed, at each fork and at the end of each run.
 
     Only ``base``'s budget, thresholds and origin strategy are used.  Yields
     ``(result, folds)`` as each run reaches T or S5: its ``RunResult`` and
@@ -864,13 +899,26 @@ def enumerate_runs(
 
     sc = Scenario(r_max=base.r_max, k_thresholds=dict(base.k_thresholds),
                   trace_origin=base.trace_origin)
-    return _walk(start_run(methodology, hierarchy, sc), tuple(folds))
+    walk = _walk(start_run(methodology, hierarchy, sc), tuple(folds))
+    return ((eng.result(), folds) for eng, folds in walk)
 
 
 def _walk(root, root_folds: tuple) -> Iterator[tuple[Any, tuple]]:
-    # The run being stepped: its engine, folds, queries so far, and whether
-    # its next query is the one its fork was kept to fail.
-    eng, folds, queries, fail = root, root_folds, 0, False
+    """``enumerate_runs`` with each finished run's engine in place of its
+    ``RunResult``."""
+    # The run being stepped: its engine, folds, queries so far, whether its
+    # next query is the one its fork was kept to fail, and the events fed.
+    eng, folds, queries, fail, fed = root, root_folds, 0, False, 0
+    copy = methodcaller("copy")
+
+    def catch_up() -> None:
+        nonlocal fed
+        events = eng.trace.events
+        if fed < len(events):
+            new = events[fed:]
+            for fold in folds:
+                fold.feed(new)
+            fed = len(events)
 
     def answer(phase_tag, index, attempt, candidates):
         nonlocal queries, fail
@@ -879,22 +927,18 @@ def _walk(root, root_folds: tuple) -> Iterator[tuple[Any, tuple]]:
             fail = False
             return candidates
         if query < _MAX_FORK_DEPTH:
-            forks.append((eng.fork(), tuple(f.copy() for f in folds), query, True))
+            catch_up()
+            forks.append((eng.fork(), tuple(map(copy, folds)), query, True, fed))
         return ()
 
     root.answer = answer  # forks share it
-    for fold in root_folds:
-        fold.feed(root.trace.events)
-    forks = [(root, root_folds, 0, False)]
+    forks = [(root, root_folds, 0, False, 0)]
     while forks:
-        eng, folds, queries, fail = forks.pop()
-        events = eng.trace.events
+        eng, folds, queries, fail, fed = forks.pop()
         while not eng.done:
-            fed = len(events)
             eng.step()
-            for fold in folds:
-                fold.feed(events[fed:])
-        yield eng.result(), folds
+        catch_up()
+        yield eng, folds
 
 
 def check_deadlock_freeness(
@@ -925,14 +969,17 @@ def check_deadlock_freeness(
         return Verdict(name, False, f"state family {stuck[0]} has no outgoing rule")
     if hierarchy is None:
         return Verdict(name, True, "static rule coverage only")
-    base = Scenario(r_max=r_max, trace_origin=TraceOriginStrategy.fixed(1))
-    monitors = (WellFormedFold(methodology), DescentFold(methodology))
+    from .hybrid_machines import start_run
+
+    sc = Scenario(r_max=r_max, trace_origin=TraceOriginStrategy.fixed(1))
+    labels = LabelTable()
+    monitors = (WellFormedFold(methodology, labels), DescentFold(methodology, labels))
     n = 0
-    for _result, folds in enumerate_runs(methodology, hierarchy, base, monitors):
+    for _eng, folds in _walk(start_run(methodology, hierarchy, sc), monitors):
         n += 1
         for monitor in folds:
-            v = monitor.verdict()
-            if not v.ok:
+            if monitor.failed:
+                v = monitor.verdict()
                 return Verdict(name, False, f"enumerated run: {v.detail}", v.first_violation_seq)
     return Verdict(name, True, f"{n} enumerated runs, all reached T or S5")
 

@@ -340,8 +340,11 @@ class TestVerifyForgedPayloads:
 
     def _forged_run_parameters(self, tmp_path, forged):
         """The replayed pdfd trace with ``L`` forged on its first event, or
-        the label of its first refinement entry forged to ``S1R(x)``, and
-        the lines ``--check all`` must print for it."""
+        the label of its first refinement entry ``S1R(j)``, and the next
+        event's ``from``, forged to ``forged`` with j filled in (``S1R(x)``
+        for "label"), and the lines ``--check all`` must print for it.  CSP
+        conformance reads the index with ``int()``, so it fails only
+        ``S1R(x)``."""
         path = tmp_path / "pdfd.jsonl"
         main(["replay", "--fixture", "pdfd-mvp", "--format", "jsonl-trace", "--out", str(path)])
         if forged == "L":
@@ -351,12 +354,16 @@ class TestVerifyForgedPayloads:
         else:
             records = [json.loads(line) for line in path.read_text().splitlines()]
             pos = next(i for i, rec in enumerate(records) if rec["to"].startswith("S1R("))
-            records[pos]["to"] = records[pos + 1]["from"] = "S1R(x)"
+            j = int(records[pos]["to"][4:-1])
+            label = "S1R(x)" if forged == "label" else forged.format(j=j, digit=chr(0x660 + j))
+            records[pos]["to"] = records[pos + 1]["from"] = label
             path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
             rule, seq = records[pos]["rule"], records[pos]["seq"]
-            csp = (f"FAIL csp-conformance[pdfd] (event {seq}: annotation failed: "
-                   "invalid literal for int() with base 10: 'x')")
-            unreadable = f"(event {seq}: {rule} target S1R(x) is not a state label)"
+            csp = "PASS csp-conformance[pdfd]"
+            if forged == "label":
+                csp = (f"FAIL csp-conformance[pdfd] (event {seq}: annotation failed: "
+                       "invalid literal for int() with base 10: 'x')")
+            unreadable = f"(event {seq}: {rule} target {label} is not a state label)"
         return path, [
             "PASS well-formed",
             f"FAIL rule-legality {unreadable}",
@@ -367,7 +374,16 @@ class TestVerifyForgedPayloads:
             csp,
         ]
 
-    @pytest.mark.parametrize("forged", ["L", "label"])
+    @pytest.mark.parametrize("forged", [
+        "L", "label",
+        # An index int() reads but the label grammar refuses: a sign, a
+        # space, a wrong bracket, a leading zero, an Arabic-Indic digit.
+        pytest.param("S1R(+{j})", id="plus"),
+        pytest.param("S1R( {j})", id="space"),
+        pytest.param("S1R({j}]", id="bracket"),
+        pytest.param("S1R(0{j})", id="zero"),
+        pytest.param("S1R({digit})", id="arabic-indic"),
+    ])
     def test_pdfd_unreadable_run_parameters(self, tmp_path, capsys, forged):
         path, expected = self._forged_run_parameters(tmp_path, forged)
         assert self._verify(capsys, path, "pdfd") == (2, expected)

@@ -43,6 +43,7 @@ from treeflow.verify import (
     check_bounded_refinement,
     check_deadlock_freeness,
     check_measure_descent,
+    run_all_checks,
 )
 
 LINEAR = 2.2
@@ -64,11 +65,12 @@ def calls(fn, *args) -> int:
     return profiled(fn, *args).total_calls
 
 
-def package_calls(fn, *args) -> int:
+def package_calls(fn, *args, function: str | None = None) -> int:
     """Calls made by ``fn(*args)`` to functions defined in the treeflow
-    package; builtins and generated code are not counted."""
-    return sum(nc for (filename, _, _), (_, nc, *_) in profiled(fn, *args).stats.items()
-               if Path(filename).parent == PACKAGE)
+    package, or only to the one named ``function``; builtins and generated
+    code are not counted."""
+    return sum(nc for (filename, _, name), (_, nc, *_) in profiled(fn, *args).stats.items()
+               if Path(filename).parent == PACKAGE and function in (None, name))
 
 
 def ratio(build, layer, n: int) -> float:
@@ -120,6 +122,16 @@ def pdfd_with_level_count(L: int) -> Trace:
     return Trace("pdfd", events)
 
 
+def pdfd_with_repeated_episodes(levels: int) -> Trace:
+    """pdfd on a path of ``levels`` nodes whose last level fails its first
+    three validations: each failure opens a refinement episode from level 1,
+    which walks the same labels again."""
+    h = load_hierarchy(deep_rows(levels))
+    sc = Scenario(r_max=4, trace_origin=TraceOriginStrategy.fixed(1),
+                  validation_script={("level", levels, a): {levels} for a in (1, 2, 3)})
+    return run_pdfd(h, sc).trace
+
+
 def measure_monitors(trace: Trace) -> None:
     check_measure_descent(trace, "pdfd")
     check_bounded_refinement(trace)
@@ -169,6 +181,22 @@ class TestLinearLayers:
         every event: the engine keeps a running count of those spent."""
         small, large = load_hierarchy(deep_rows(250)), load_hierarchy(deep_rows(500))
         assert calls(run, large, Scenario()) / calls(run, small, Scenario()) <= LINEAR
+
+    @pytest.mark.parametrize("levels", [20, 40])
+    def test_each_distinct_label_parsed_once_per_trace(self, levels):
+        """The monitors of one trace share its label table: ``parse_label``
+        runs once per distinct label, not per event or per monitor.  The
+        table is the trace's own: a second pass over the same trace parses
+        nothing, and a new trace of the same events parses them again."""
+        events = pdfd_with_repeated_episodes(levels).events
+        labels = {ev.from_state for ev in events} | {ev.to_state for ev in events}
+        assert len(labels) < len(events)
+        trace = Trace("pdfd", events)
+        assert package_calls(run_all_checks, trace, function="parse_label") == len(labels)
+        assert package_calls(run_all_checks, trace, function="parse_label") == 0
+        assert all(v.ok for v in run_all_checks(trace))
+        again = Trace("pdfd", events)
+        assert package_calls(run_all_checks, again, function="parse_label") == len(labels)
 
     def test_trace_read_jsonl(self, tmp_path):
         small, large = tmp_path / "small.jsonl", tmp_path / "large.jsonl"
