@@ -4,7 +4,9 @@ level-synchronized breadth-first processing (BF rules), and bounded
 iterative refinement over component increments (CD rules).
 
 Each run returns a Trace whose rule ids come straight from the machine's
-transition table; payloads carry the condition snapshot that fired the rule.
+transition table; payloads carry the condition snapshot that fired the rule,
+in lists of the run's own, never an input's.  Each engine builds its event
+tuples as ``Trace.emit`` does, with no call per event.
 """
 
 from __future__ import annotations
@@ -12,13 +14,14 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import count
 from pathlib import Path
 from typing import Any
 
 from .hierarchy import Hierarchy, load_hierarchy
 from .jsondoc import JSONDocumentError, decode_json, read_text
 from .scenario import Scenario
-from .trace import Trace
+from .trace import Trace, TraceEvent
 
 
 class MachineError(RuntimeError):
@@ -57,8 +60,9 @@ class Dag:
 
     def __post_init__(self) -> None:
         self._next_id = max(self.node_names) + 1 if self.node_names else 1
-        for v in self.node_names:
-            self.deps.setdefault(v, set())
+        if not self.node_names.keys() <= self.deps.keys():
+            for v in self.node_names:
+                self.deps.setdefault(v, set())
 
     @classmethod
     def from_rows(cls, rows: Any, root: Any) -> "Dag":
@@ -100,11 +104,10 @@ class Dag:
 
     @classmethod
     def from_hierarchy(cls, h: Hierarchy) -> "Dag":
-        names = {n.id: n.name for n in h.nodes.values()}
-        deps = {
-            n.id: ({n.parent_id} if n.parent_id is not None else set())
-            for n in h.nodes.values()
-        }
+        nodes = h.nodes.items()
+        names = {v: n.name for v, n in nodes}
+        deps = {v: {n.parent_id} for v, n in nodes}
+        deps[h.root_id] = set()  # the one node whose parent_id is None
         return cls(node_names=names, deps=deps, root_id=h.root_id)
 
     def dependents(self) -> dict[int, list[int]]:
@@ -126,17 +129,19 @@ class Dag:
         return new_id
 
     def is_acyclic(self) -> bool:
-        """Kahn's algorithm, without recursion, so a long chain is fine:
-        every node drains exactly when there is no cycle."""
-        waiting = {v: len(d) for v, d in self.deps.items()}
-        drained = [v for v, n in waiting.items() if n == 0]
-        dependents = self.dependents()
-        for v in drained:  # grows while it is walked
-            for w in dependents[v]:
-                waiting[w] -= 1
-                if not waiting[w]:
-                    drained.append(w)
-        return len(drained) == len(waiting)
+        return _drains({v: len(d) for v, d in self.deps.items()}, self.dependents())
+
+
+def _drains(waiting: dict[int, int], dependents: dict[int, list[int]]) -> bool:
+    """Kahn's algorithm, without recursion, so a long chain is fine: drains
+    ``waiting`` in place, and every node drains exactly when there is no cycle."""
+    drained = [v for v, n in waiting.items() if not n]
+    for v in drained:  # grows while it is walked
+        for w in dependents[v]:
+            left = waiting[w] = waiting[w] - 1
+            if not left:
+                drained.append(w)
+    return len(drained) == len(waiting)
 
 
 def load_dag(path: str | Path) -> Dag:
@@ -168,151 +173,149 @@ def run_dad(dag: Dag, scenario: Scenario | None = None) -> Trace:
 
     ``waiting[v]`` counts v's unprocessed dependencies: DA3 of a node lowers
     it for each dependent and an extension raises it, so telling whether a
-    node is ready costs O(1), not a scan of its dependencies.  The graph is
-    checked for cycles once, at the start; an extension adds a node with no
-    dependencies, which cannot close a cycle.
+    node is ready costs O(1), not a scan of its dependencies.  ``dependents``
+    is built once per run: the cycle check drains it before the first event,
+    and each scripted extension, a node with no dependencies that cannot
+    close a cycle, keeps it current.
     """
     scenario = scenario or Scenario()
-    if not dag.is_acyclic():
-        raise AcyclicityViolationError("input graph has a cycle")
-    trace = Trace("dad")
-    pending_missing = {v: list(names) for v, names in scenario.dad_missing_deps.items()}
-
-    # Built once per run rather than cached on the Dag, whose deps callers
-    # may edit between runs; kept current on every scripted extension.
+    deps = dag.deps
     dependents = dag.dependents()
-    waiting = {v: len(d) for v, d in dag.deps.items()}
+    waiting = {v: len(d) for v, d in deps.items()}
+    if not _drains(dict(waiting), dependents):
+        raise AcyclicityViolationError("input graph has a cycle")
+    pending_missing = {v: list(names) for v, names in scenario.dad_missing_deps.items()}
     processed: set[int] = set()
     queued: set[int] = {dag.root_id}
     queue: deque[int] = deque([dag.root_id])
-    trace.emit("DA1", "S0", "S1", {"root": dag.root_id, "nodes": len(dag.node_names)})
+    trace = Trace("dad")
+    put, seq, new = trace.events.append, count(1).__next__, tuple.__new__
+    put(new(TraceEvent, (seq(), "DA1", "S0", "S1",
+                         {"root": dag.root_id, "nodes": len(dag.node_names)})))
 
     while queue:
         v = queue.popleft()
         queued.discard(v)
-        trace.emit("DA2", "S1", "S2", {"node": v, "deps": sorted(dag.deps[v])})
+        d = deps[v]
+        d = [*d] if len(d) < 2 else sorted(d)  # a tree node has one dependency or none
+        put(new(TraceEvent, (seq(), "DA2", "S1", "S2", {"node": v, "deps": d})))
         if pending_missing.get(v):
             name = pending_missing[v].pop(0)
             new_id = dag.add_dependency_node(name, v)
             dependents[new_id] = [v]
             waiting[new_id] = 0
             waiting[v] += 1
-            trace.emit("DA4", "S2", "S3", {"node": v, "new_node": new_id, "name": name})
-            trace.emit("DA5", "S3", "S1", {"enqueued": [new_id, v]})
-            for w in (new_id, v):
-                if w not in queued:
-                    queue.append(w)
-                    queued.add(w)
+            put(new(TraceEvent, (seq(), "DA4", "S2", "S3",
+                                 {"node": v, "new_node": new_id, "name": name})))
+            put(new(TraceEvent, (seq(), "DA5", "S3", "S1", {"enqueued": [new_id, v]})))
+            queue.extend((new_id, v))  # the new node, and v, which left the queue above
+            queued.update((new_id, v))
             continue
         if waiting[v]:
             # Unprocessed in-graph dependencies: schedule those not yet
             # queued.  v itself waits for DA3 of its last dependency, so a
             # chain costs a few events per node, not a re-trace per link left.
-            missing = sorted(u for u in dag.deps[v] if u not in processed)
+            missing = sorted(u for u in deps[v] if u not in processed)
             enqueued = [u for u in missing if u not in queued]
-            trace.emit("DA4", "S2", "S3", {"node": v, "unresolved": missing})
-            trace.emit("DA5", "S3", "S1", {"enqueued": enqueued})
+            put(new(TraceEvent, (seq(), "DA4", "S2", "S3", {"node": v, "unresolved": missing})))
+            put(new(TraceEvent, (seq(), "DA5", "S3", "S1", {"enqueued": enqueued})))
             queue.extend(enqueued)
             queued.update(enqueued)
             continue
         processed.add(v)
         enq = []
         for c in dependents[v]:
-            waiting[c] -= 1
-            if not waiting[c] and c not in queued:
+            left = waiting[c] = waiting[c] - 1
+            if not left and c not in queued:
                 enq.append(c)
-        trace.emit("DA3", "S2", "S1", {"node": v, "children_enqueued": enq})
-        for c in enq:
-            queue.append(c)
-            queued.add(c)
+        put(new(TraceEvent, (seq(), "DA3", "S2", "S1", {"node": v, "children_enqueued": enq})))
+        if enq:
+            queue.extend(enq)
+            queued.update(enq)
 
     if len(processed) != len(dag.node_names):
-        raise MachineError(
-            f"queue drained with {len(dag.node_names) - len(processed)} nodes unprocessed"
-        )
-    trace.emit("DA6", "S1", "T", {"processed": len(processed)})
+        raise MachineError(f"queue drained with {len(dag.node_names) - len(processed)} "
+                           "nodes unprocessed")
+    put(new(TraceEvent, (seq(), "DA6", "S1", "T", {"processed": len(processed)})))
     return trace
 
 
 def run_dfd(h: Hierarchy) -> Trace:
     """Depth-first traversal: pre-order processing, sibling exploration via
-    backtrack points, one subtree validation per closed backtrack point."""
-    trace = Trace("dfd")
+    backtrack points, one subtree validation per closed backtrack point.
+
+    The walk reads the hierarchy's children index itself: a node pushed by
+    DF2 gets one cursor over its children, and each later visit to it as a
+    backtrack point resumes that cursor.  Children are only ever added to
+    ``processed``, so the ones a cursor has passed stay done."""
+    nodes, children = h.nodes, h._children
     processed: set[int] = set()
-    trace.emit("DF1", "S0", "S1", {"root": h.root_id, "nodes": len(h)})
-
-    def order(node_id: int) -> list[int]:
-        return [c.id for c in h.children(node_id)]
-
-    # One cursor per backtrack point over its children.  Children are only
-    # ever added to ``processed``, so the ones a cursor has passed stay done.
     cursors: dict[int, Iterator[int]] = {}
-
-    def next_unprocessed_child(b: int) -> int | None:
-        cursor = cursors.get(b)
-        if cursor is None:
-            cursor = cursors[b] = iter(order(b))
-        return next((c for c in cursor if c not in processed), None)
+    trace = Trace("dfd")
+    put, seq, new = trace.events.append, count(1).__next__, tuple.__new__
+    put(new(TraceEvent, (seq(), "DF1", "S0", "S1", {"root": h.root_id, "nodes": len(h)})))
 
     current: int | None = h.root_id
     while current is not None:
         node = current
         processed.add(node)
-        kids = order(node)
+        kids = children.get(node)
         if kids:
-            trace.emit("DF2", "S1", "S1", {"node": node, "pushed": kids})
+            put(new(TraceEvent, (seq(), "DF2", "S1", "S1", {"node": node, "pushed": kids[:]})))
+            cursors[node] = iter(kids)
             current = kids[0]
             continue
         # Leaf: start backtracking from the parent (or the node itself at root).
-        parent = h.parent(node)
-        b = parent.id if parent is not None else node
-        trace.emit("DF3", "S1", "S2", {"node": node, "backtrack_point": b})
-        current = None
+        b = nodes[node].parent_id
+        if b is None:
+            b = node
+        put(new(TraceEvent, (seq(), "DF3", "S1", "S2", {"node": node, "backtrack_point": b})))
         while True:
-            nxt = next_unprocessed_child(b)
-            if nxt is not None:
-                trace.emit("DF4", "S2", "S1", {"backtrack_point": b, "sibling": nxt})
-                current = nxt
+            for current in cursors.get(b, ()):
+                if current not in processed:
+                    break
+            else:
+                current = None
+            if current is not None:
+                put(new(TraceEvent, (seq(), "DF4", "S2", "S1",
+                                     {"backtrack_point": b, "sibling": current})))
                 break
-            trace.emit("DF5", "S2", "S3", {"subtree_root": b})
-            parent = h.parent(b)
+            put(new(TraceEvent, (seq(), "DF5", "S2", "S3", {"subtree_root": b})))
+            parent = nodes[b].parent_id
             if parent is None:
-                trace.emit(
-                    "DF7", "S3", "T", {"processed": len(processed), "backtrack_point": b}
-                )
+                put(new(TraceEvent, (seq(), "DF7", "S3", "T",
+                                     {"processed": len(processed), "backtrack_point": b})))
                 break
-            trace.emit("DF6", "S3", "S2", {"subtree_root": b, "to": parent.id})
-            b = parent.id
+            put(new(TraceEvent, (seq(), "DF6", "S3", "S2", {"subtree_root": b, "to": parent})))
+            b = parent
     return trace
 
 
 def dfd_visit_order(trace: Trace) -> list[int]:
-    """Processing order recovered from a depth-first trace."""
-    order = []
-    for ev in trace:
-        if ev.rule == "DF1":
-            order.append(ev.payload["root"])
-        elif ev.rule in ("DF2", "DF3") and ev.payload["node"] not in order:
-            order.append(ev.payload["node"])
-    return order
+    """Processing order recovered from a depth-first trace: the DF1 root,
+    then each node at its first DF2 or DF3; a dict keeps each node once."""
+    return list({ev.payload["root"] if ev.rule == "DF1" else ev.payload["node"]: None
+                 for ev in trace if ev.rule in ("DF1", "DF2", "DF3")})
 
 
 def run_bfd(h: Hierarchy) -> Trace:
     """Level-synchronized breadth-first processing: every node of level k is
     processed (BF2) and the level validated (BF3) before level k+1 starts."""
-    trace = Trace("bfd")
+    children = h._children
     max_level = h.max_level
-    trace.emit("BF1", "S0", "S1", {"root": h.root_id, "max_level": max_level})
+    trace = Trace("bfd")
+    put, seq, new = trace.events.append, count(1).__next__, tuple.__new__
+    put(new(TraceEvent, (seq(), "BF1", "S0", "S1", {"root": h.root_id, "max_level": max_level})))
     for k in range(1, max_level + 1):
         nodes = [n.id for n in h.level(k)]
         for v in nodes:
-            children = [c.id for c in h.children(v)]
-            trace.emit("BF2", "S1", "S1", {"node": v, "level": k, "enqueued": children})
-        trace.emit("BF3", "S1", "S2", {"level": k, "validated": sorted(nodes)})
+            put(new(TraceEvent, (seq(), "BF2", "S1", "S1",
+                                 {"node": v, "level": k, "enqueued": list(children.get(v, ()))})))
+        put(new(TraceEvent, (seq(), "BF3", "S1", "S2", {"level": k, "validated": sorted(nodes)})))
         if k < max_level:
-            trace.emit("BF4", "S2", "S1", {"level": k + 1})
+            put(new(TraceEvent, (seq(), "BF4", "S2", "S1", {"level": k + 1})))
         else:
-            trace.emit("BF5", "S2", "T", {"levels": max_level})
+            put(new(TraceEvent, (seq(), "BF5", "S2", "T", {"levels": max_level})))
     return trace
 
 
@@ -326,11 +329,11 @@ def run_cdd(components: list[int], m_cap: int, scenario: Scenario | None = None)
     LoopUnboundedError after exactly ``m_cap`` refine iterations.
     """
     scenario = scenario or Scenario()
-    trace = Trace("cdd")
     increments = scenario.increments or [list(components)]
-    trace.emit(
-        "CD1", "S0", "S1", {"components": list(components), "increments": len(increments)}
-    )
+    trace = Trace("cdd")
+    put, seq, new = trace.events.append, count(1).__next__, tuple.__new__
+    put(new(TraceEvent, (seq(), "CD1", "S0", "S1",
+                         {"components": list(components), "increments": len(increments)})))
 
     remaining_failures = dict(scenario.cdd.test_failures)
     remaining_feedback = dict(scenario.cdd.feedback_cycles)
@@ -340,40 +343,37 @@ def run_cdd(components: list[int], m_cap: int, scenario: Scenario | None = None)
         iteration = max(scenario.cdd.refine_iterations.get(component, 1), 1)
         if iteration > m_cap:
             raise LoopUnboundedError(component, m_cap, trace)
-        trace.emit(
-            "CD4",
-            "S2",
-            "S1",
-            {"component": component, "refine_iterations": iteration, "reason": reason},
-        )
+        put(new(TraceEvent, (seq(), "CD4", "S2", "S1", {
+            "component": component, "refine_iterations": iteration, "reason": reason})))
 
     for inc_index, increment in enumerate(increments, start=1):
         for component in increment:
-            trace.emit("CD2", "S1", "S1", {"component": component, "increment": inc_index})
+            put(new(TraceEvent, (seq(), "CD2", "S1", "S1",
+                                 {"component": component, "increment": inc_index})))
             if remaining_failures.get(component, 0) > 0:
                 remaining_failures[component] -= 1
-                trace.emit("CD3a", "S1", "S2", {"component": component})
+                put(new(TraceEvent, (seq(), "CD3a", "S1", "S2", {"component": component})))
                 refine(component, "test_failed")
             elif remaining_feedback.get(component, 0) > 0:
                 remaining_feedback[component] -= 1
-                trace.emit("CD3b", "S1", "S2", {"component": component})
+                put(new(TraceEvent, (seq(), "CD3b", "S1", "S2", {"component": component})))
                 refine(component, "feedback_cycle")
-        trace.emit("CD5", "S1", "S3", {"increment": inc_index, "components": increment})
+        put(new(TraceEvent, (seq(), "CD5", "S1", "S3",
+                             {"increment": inc_index, "components": list(increment)})))
         flaw = scenario.cdd.increment_feedback.get(inc_index)
         if flaw is not None:
-            trace.emit("CD6", "S3", "S2", {"increment": inc_index, "component": flaw})
+            put(new(TraceEvent, (seq(), "CD6", "S3", "S2",
+                                 {"increment": inc_index, "component": flaw})))
             refine(flaw, "increment_feedback")
-            trace.emit("CD5", "S1", "S3", {"increment": inc_index, "components": increment})
+            put(new(TraceEvent, (seq(), "CD5", "S1", "S3",
+                                 {"increment": inc_index, "components": list(increment)})))
         if inc_index < len(increments):
             # The only table-legal path back to development is a revision
             # cycle: the next increment's requirements arrive as feedback.
             head = increments[inc_index][0]
-            trace.emit(
-                "CD6",
-                "S3",
-                "S2",
-                {"increment": inc_index, "component": head, "reason": "next_increment"},
-            )
-            trace.emit("CD4", "S2", "S1", {"component": head, "refine_iterations": 0})
-    trace.emit("CD7", "S3", "T", {"increments": len(increments)})
+            put(new(TraceEvent, (seq(), "CD6", "S3", "S2", {
+                "increment": inc_index, "component": head, "reason": "next_increment"})))
+            put(new(TraceEvent, (seq(), "CD4", "S2", "S1",
+                                 {"component": head, "refine_iterations": 0})))
+    put(new(TraceEvent, (seq(), "CD7", "S3", "T", {"increments": len(increments)})))
     return trace

@@ -36,18 +36,18 @@ _new_tuple = tuple.__new__
 _scan = DECODER.scan_once
 
 
-def _line_encoder() -> Callable[[Any], str]:
-    """``_ENCODER.encode`` for the values of one trace.  That method builds
-    the C encoder anew for each call; this builds it once, with the same
-    arguments and its own circular-reference markers.  Without the C
-    encoder it is ``_ENCODER.encode`` itself."""
+def _chunk_encoder() -> Callable[[Any, int], Iterable[str]]:
+    """The encoder ``json.dumps(..., sort_keys=True)`` builds per call, built
+    once for the values of one trace: the C encoder, with the arguments
+    ``_ENCODER.iterencode`` gives it and its own circular-reference
+    markers, called as ``encoder(value, 0)`` for the value's chunks.
+    Without the C encoder, ``_ENCODER.encode`` gives the one chunk."""
     if c_make_encoder is None:
-        return _ENCODER.encode
+        return lambda value, _level: (_ENCODER.encode(value),)
     e = _ENCODER
-    encoder = c_make_encoder({}, e.default, encode_basestring_ascii, e.indent,
-                             e.key_separator, e.item_separator, e.sort_keys,
-                             e.skipkeys, e.allow_nan)
-    return lambda value: "".join(encoder(value, 0))
+    return c_make_encoder({}, e.default, encode_basestring_ascii, e.indent,
+                          e.key_separator, e.item_separator, e.sort_keys,
+                          e.skipkeys, e.allow_nan)
 
 
 class TraceFormatError(ValueError):
@@ -185,38 +185,19 @@ class Trace:
     def to_jsonl(self) -> str:
         """One line per event, newline-terminated: the line, or the error,
         that ``json.dumps(event.to_record(), sort_keys=True)`` gives.  The
-        frame, exact ints and strs, None, lists of exact ints and a payload
-        with only exact str keys are written here, in sorted key order, so
-        the first fault in that order raises; other values go to ``encode``."""
-        encode = _line_encoder()
-        esc = encode_basestring_ascii
+        frame is written here, in sorted key order, with each exact ``str``
+        label escaped and an exact ``int`` seq written as its repr; the
+        payload and any other field value go to the one encoder of this
+        trace, ``json.dumps``'s own, in that order, so the first fault in
+        that order raises."""
+        encoder, join, esc = _chunk_encoder(), "".join, encode_basestring_ascii
         lines = []
         for seq, rule, frm, to, payload in self.events:
-            frm = esc(frm) if type(frm) is str else encode(frm)
-            for k in payload if type(payload) is dict else (None,):
-                if type(k) is not str:  # not a dict, or keys only the encoder sorts
-                    payload = encode(payload)
-                    break
-            else:
-                items = []
-                for k in sorted(payload):
-                    v = payload[k]
-                    c = type(v)
-                    if c is int:
-                        v = str(v)
-                    elif c is str:
-                        v = esc(v)
-                    elif v is None:
-                        v = "null"
-                    elif c is list and {*map(type, v)} <= {int}:
-                        v = str(v)  # a list of exact ints reprs as its JSON text
-                    else:
-                        v = encode(v)
-                    items.append(f"{esc(k)}: {v}")
-                payload = f"{{{', '.join(items)}}}"
-            rule = esc(rule) if type(rule) is str else encode(rule)
-            seq = str(seq) if type(seq) is int else encode(seq)
-            to = esc(to) if type(to) is str else encode(to)
+            frm = esc(frm) if type(frm) is str else join(encoder(frm, 0))
+            payload = join(encoder(payload, 0))
+            rule = esc(rule) if type(rule) is str else join(encoder(rule, 0))
+            seq = str(seq) if type(seq) is int else join(encoder(seq, 0))
+            to = esc(to) if type(to) is str else join(encoder(to, 0))
             lines.append(f'{{"from": {frm}, "payload": {payload}, '
                          f'"rule": {rule}, "seq": {seq}, "to": {to}}}\n')
         return "".join(lines)

@@ -1,5 +1,6 @@
 """The four basic machines against brute-force traversal oracles."""
 
+import copy
 import random
 
 import pytest
@@ -312,3 +313,28 @@ class TestCdd:
             if e.rule == "CD7":
                 assert sorted(validated) == [1, 2, 3]
         assert check_well_formed(trace).ok
+
+
+class TestPayloadsOwnTheirLists:
+    """Every list in an emitted payload is the run's own: mutating it leaves
+    the scenario, the hierarchy and the graph as they were, and no two
+    payloads share a list."""
+
+    @pytest.mark.parametrize("machine", ["dad", "dfd", "bfd", "cdd"])
+    def test_mutating_payload_lists_leaves_the_inputs_unchanged(self, machine):
+        h = perfect_tree(2, 3)
+        children = {v: [c.id for c in h.children(v)] for v in h.nodes}
+        dag = Dag.from_hierarchy(h)
+        scenario = Scenario(dad_missing_deps={2: ["ext"]}, increments=[[1, 2], [3]],
+                            cdd=CddScript(test_failures={1: 1}, increment_feedback={1: 2}))
+        before = copy.deepcopy(scenario)
+        trace = {"dad": lambda: run_dad(dag, scenario), "dfd": lambda: run_dfd(h),
+                 "bfd": lambda: run_bfd(h), "cdd": lambda: run_cdd([1, 2, 3], 3, scenario)}[machine]()
+        deps = copy.deepcopy(dag.deps)  # a dad run extends the graph; its payloads may not
+        lists = [value for ev in trace for value in ev.payload.values() if isinstance(value, list)]
+        assert lists and len({id(value) for value in lists}) == len(lists)
+        for value in lists:
+            value.append(99)
+        assert scenario == before
+        assert {v: [c.id for c in h.children(v)] for v in h.nodes} == children
+        assert dag.deps == deps

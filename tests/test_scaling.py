@@ -25,7 +25,7 @@ import pytest
 
 from test_verification import replay_runs
 import treeflow
-from treeflow.basic_machines import Dag, run_dad, run_dfd
+from treeflow.basic_machines import Dag, dfd_visit_order, run_bfd, run_cdd, run_dad, run_dfd
 from treeflow.csp import check_csp_conformance
 from treeflow.fixtures import (
     pdfd_mvp_scenario,
@@ -35,7 +35,7 @@ from treeflow.fixtures import (
 )
 from treeflow.hierarchy import load_hierarchy
 from treeflow.hybrid_machines import run_pbfd, run_pdfd
-from treeflow.scenario import Scenario, TraceOriginStrategy
+from treeflow.scenario import CddScript, Scenario, TraceOriginStrategy
 from treeflow.trace import Trace
 from treeflow.verify import (
     DescentFold,
@@ -114,6 +114,54 @@ def dfd_trace(levels: int) -> Trace:
     return run_dfd(perfect_tree(2, levels))
 
 
+def cdd_input(n: int, size: int) -> tuple[list[int], int, Scenario]:
+    """n components in increments of ``size``, with scripted test failures,
+    feedback cycles, multi-iteration refinements and increment feedback."""
+    components = list(range(1, n + 1))
+    increments = [components[i:i + size] for i in range(0, n, size)]
+    script = CddScript(
+        test_failures={c: 1 for c in components[::7]},
+        feedback_cycles={c: 1 for c in components[3::7]},
+        refine_iterations={c: 2 for c in components[::5]},
+        increment_feedback={k: increments[k - 1][0] for k in range(1, len(increments) + 1, 3)},
+    )
+    return components, 3, Scenario(r_max=3, cdd=script, increments=increments)
+
+
+def dad_trace(levels: int) -> Trace:
+    """dad on a perfect binary tree, with a scripted missing dependency."""
+    return run_dad(Dag.from_hierarchy(perfect_tree(2, levels)),
+                   Scenario(dad_missing_deps={1: ["ext"], 4: ["ext"]}))
+
+
+def bfd_trace(levels: int) -> Trace:
+    return run_bfd(perfect_tree(2, levels))
+
+
+def cdd_trace(levels: int) -> Trace:
+    """cdd over as many components as perfect_tree(2, levels) has nodes."""
+    return run_cdd(*cdd_input(2 ** (levels + 1) - 1, 10))
+
+
+class CountedId(int):
+    """A node id whose equality test is a Python call, so cProfile counts
+    each comparison a list scan makes; a set lookup makes none."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return int(self) == int(other)
+
+    __hash__ = int.__hash__
+
+
+def dfd_trace_with_counted_ids(levels: int) -> Trace:
+    return Trace("dfd", [
+        ev._replace(payload={k: CountedId(v) if k in ("root", "node") else v
+                             for k, v in ev.payload.items()})
+        for ev in dfd_trace(levels)])
+
+
 def pdfd_with_level_count(L: int) -> Trace:
     """The pdfd-mvp trace with ``L`` forged on its first event; the
     monitors' own measure descends through the whole trace."""
@@ -141,6 +189,35 @@ class TestLinearLayers:
     @pytest.mark.parametrize("shape", [star, chain])
     def test_run_dad(self, shape):
         assert ratio(shape, run_dad, 500) <= LINEAR
+
+    @pytest.mark.parametrize("shape", [star, chain])
+    def test_run_dad_builds_the_dependents_once(self, shape):
+        """The acyclicity check and the run share one ``Dag.dependents``."""
+        assert package_calls(run_dad, shape(500), function="dependents") == 1
+
+    @pytest.mark.parametrize("rows", [deep_rows, wide_rows])
+    @pytest.mark.parametrize("run", [run_dfd, run_bfd])
+    def test_tree_engines(self, run, rows):
+        assert ratio(lambda n: load_hierarchy(rows(n)), run, 500) <= LINEAR
+
+    @pytest.mark.parametrize("rows", [deep_rows, wide_rows])
+    def test_run_dfd_walks_the_children_index(self, rows):
+        """No ``Hierarchy.children`` list is built per step: twice the nodes
+        make the same calls to it."""
+        small, large = load_hierarchy(rows(500)), load_hierarchy(rows(1000))
+        assert (package_calls(run_dfd, large, function="children")
+                == package_calls(run_dfd, small, function="children"))
+
+    @pytest.mark.parametrize("size", [1, 10, None], ids=["one_each", "tens", "one_increment"])
+    def test_run_cdd(self, size):
+        small, large = cdd_input(500, size or 500), cdd_input(1000, size or 1000)
+        assert calls(run_cdd, *large) / calls(run_cdd, *small) <= LINEAR
+
+    def test_dfd_visit_order(self):
+        """Each processed node is looked up by hash, not scanned for in the order so far."""
+        small, large = dfd_trace_with_counted_ids(9), dfd_trace_with_counted_ids(10)
+        assert dfd_visit_order(large) == dfd_visit_order(run_dfd(perfect_tree(2, 10)))
+        assert calls(dfd_visit_order, large) / calls(dfd_visit_order, small) <= LINEAR
 
     @pytest.mark.parametrize("rows", [deep_rows, wide_rows])
     def test_load_hierarchy(self, rows):
@@ -173,6 +250,12 @@ class TestLinearLayers:
 
     def test_csp_conformance(self):
         small, large = dfd_trace(9), dfd_trace(10)
+        assert calls(check_csp_conformance, large) / calls(check_csp_conformance, small) <= LINEAR
+
+    @pytest.mark.parametrize("trace", [dad_trace, bfd_trace, cdd_trace])
+    def test_csp_conformance_on_other_basic_machines(self, trace):
+        small, large = trace(9), trace(10)
+        assert check_csp_conformance(large).ok, check_csp_conformance(large).line()
         assert calls(check_csp_conformance, large) / calls(check_csp_conformance, small) <= LINEAR
 
     @pytest.mark.parametrize("run", [run_pdfd, run_pbfd])
