@@ -5,8 +5,7 @@ iterative refinement over component increments (CD rules).
 
 Each run returns a Trace whose rule ids come straight from the machine's
 transition table; payloads carry the condition snapshot that fired the rule,
-in lists of the run's own, never an input's.  Each engine builds its event
-tuples as ``Trace.emit`` does, with no call per event.
+in lists of the run's own, never an input's.
 """
 
 from __future__ import annotations
@@ -14,14 +13,13 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import count
 from pathlib import Path
 from typing import Any
 
 from .hierarchy import Hierarchy, load_hierarchy
 from .jsondoc import JSONDocumentError, decode_json, read_text
 from .scenario import Scenario
-from .trace import Trace, TraceEvent
+from .trace import Trace
 
 
 class MachineError(RuntimeError):
@@ -60,9 +58,8 @@ class Dag:
 
     def __post_init__(self) -> None:
         self._next_id = max(self.node_names) + 1 if self.node_names else 1
-        if not self.node_names.keys() <= self.deps.keys():
-            for v in self.node_names:
-                self.deps.setdefault(v, set())
+        for v in self.node_names:
+            self.deps.setdefault(v, set())
 
     @classmethod
     def from_rows(cls, rows: Any, root: Any) -> "Dag":
@@ -189,25 +186,22 @@ def run_dad(dag: Dag, scenario: Scenario | None = None) -> Trace:
     queued: set[int] = {dag.root_id}
     queue: deque[int] = deque([dag.root_id])
     trace = Trace("dad")
-    put, seq, new = trace.events.append, count(1).__next__, tuple.__new__
-    put(new(TraceEvent, (seq(), "DA1", "S0", "S1",
-                         {"root": dag.root_id, "nodes": len(dag.node_names)})))
+    trace.emit("DA1", "S0", "S1", {"root": dag.root_id, "nodes": len(dag.node_names)})
 
     while queue:
         v = queue.popleft()
         queued.discard(v)
         d = deps[v]
         d = [*d] if len(d) < 2 else sorted(d)  # a tree node has one dependency or none
-        put(new(TraceEvent, (seq(), "DA2", "S1", "S2", {"node": v, "deps": d})))
+        trace.emit("DA2", "S1", "S2", {"node": v, "deps": d})
         if pending_missing.get(v):
             name = pending_missing[v].pop(0)
             new_id = dag.add_dependency_node(name, v)
             dependents[new_id] = [v]
             waiting[new_id] = 0
             waiting[v] += 1
-            put(new(TraceEvent, (seq(), "DA4", "S2", "S3",
-                                 {"node": v, "new_node": new_id, "name": name})))
-            put(new(TraceEvent, (seq(), "DA5", "S3", "S1", {"enqueued": [new_id, v]})))
+            trace.emit("DA4", "S2", "S3", {"node": v, "new_node": new_id, "name": name})
+            trace.emit("DA5", "S3", "S1", {"enqueued": [new_id, v]})
             queue.extend((new_id, v))  # the new node, and v, which left the queue above
             queued.update((new_id, v))
             continue
@@ -217,8 +211,8 @@ def run_dad(dag: Dag, scenario: Scenario | None = None) -> Trace:
             # chain costs a few events per node, not a re-trace per link left.
             missing = sorted(u for u in deps[v] if u not in processed)
             enqueued = [u for u in missing if u not in queued]
-            put(new(TraceEvent, (seq(), "DA4", "S2", "S3", {"node": v, "unresolved": missing})))
-            put(new(TraceEvent, (seq(), "DA5", "S3", "S1", {"enqueued": enqueued})))
+            trace.emit("DA4", "S2", "S3", {"node": v, "unresolved": missing})
+            trace.emit("DA5", "S3", "S1", {"enqueued": enqueued})
             queue.extend(enqueued)
             queued.update(enqueued)
             continue
@@ -228,15 +222,16 @@ def run_dad(dag: Dag, scenario: Scenario | None = None) -> Trace:
             left = waiting[c] = waiting[c] - 1
             if not left and c not in queued:
                 enq.append(c)
-        put(new(TraceEvent, (seq(), "DA3", "S2", "S1", {"node": v, "children_enqueued": enq})))
+        trace.emit("DA3", "S2", "S1", {"node": v, "children_enqueued": enq})
         if enq:
             queue.extend(enq)
             queued.update(enq)
 
     if len(processed) != len(dag.node_names):
-        raise MachineError(f"queue drained with {len(dag.node_names) - len(processed)} "
-                           "nodes unprocessed")
-    put(new(TraceEvent, (seq(), "DA6", "S1", "T", {"processed": len(processed)})))
+        raise MachineError(
+            f"queue drained with {len(dag.node_names) - len(processed)} nodes unprocessed"
+        )
+    trace.emit("DA6", "S1", "T", {"processed": len(processed)})
     return trace
 
 
@@ -244,24 +239,23 @@ def run_dfd(h: Hierarchy) -> Trace:
     """Depth-first traversal: pre-order processing, sibling exploration via
     backtrack points, one subtree validation per closed backtrack point.
 
-    The walk reads the hierarchy's children index itself: a node pushed by
-    DF2 gets one cursor over its children, and each later visit to it as a
-    backtrack point resumes that cursor.  Children are only ever added to
-    ``processed``, so the ones a cursor has passed stay done."""
-    nodes, children = h.nodes, h._children
+    The walk reads the hierarchy's children index through ``child_ids``: a
+    node pushed by DF2 gets one cursor over its children, and each later
+    visit to it as a backtrack point resumes that cursor.  Children are only
+    ever added to ``processed``, so the ones a cursor has passed stay done."""
+    nodes, child_ids = h.nodes, h.child_ids
     processed: set[int] = set()
     cursors: dict[int, Iterator[int]] = {}
     trace = Trace("dfd")
-    put, seq, new = trace.events.append, count(1).__next__, tuple.__new__
-    put(new(TraceEvent, (seq(), "DF1", "S0", "S1", {"root": h.root_id, "nodes": len(h)})))
+    trace.emit("DF1", "S0", "S1", {"root": h.root_id, "nodes": len(h)})
 
     current: int | None = h.root_id
     while current is not None:
         node = current
         processed.add(node)
-        kids = children.get(node)
+        kids = child_ids(node)
         if kids:
-            put(new(TraceEvent, (seq(), "DF2", "S1", "S1", {"node": node, "pushed": kids[:]})))
+            trace.emit("DF2", "S1", "S1", {"node": node, "pushed": kids[:]})
             cursors[node] = iter(kids)
             current = kids[0]
             continue
@@ -269,7 +263,7 @@ def run_dfd(h: Hierarchy) -> Trace:
         b = nodes[node].parent_id
         if b is None:
             b = node
-        put(new(TraceEvent, (seq(), "DF3", "S1", "S2", {"node": node, "backtrack_point": b})))
+        trace.emit("DF3", "S1", "S2", {"node": node, "backtrack_point": b})
         while True:
             for current in cursors.get(b, ()):
                 if current not in processed:
@@ -277,16 +271,16 @@ def run_dfd(h: Hierarchy) -> Trace:
             else:
                 current = None
             if current is not None:
-                put(new(TraceEvent, (seq(), "DF4", "S2", "S1",
-                                     {"backtrack_point": b, "sibling": current})))
+                trace.emit("DF4", "S2", "S1", {"backtrack_point": b, "sibling": current})
                 break
-            put(new(TraceEvent, (seq(), "DF5", "S2", "S3", {"subtree_root": b})))
+            trace.emit("DF5", "S2", "S3", {"subtree_root": b})
             parent = nodes[b].parent_id
             if parent is None:
-                put(new(TraceEvent, (seq(), "DF7", "S3", "T",
-                                     {"processed": len(processed), "backtrack_point": b})))
+                trace.emit(
+                    "DF7", "S3", "T", {"processed": len(processed), "backtrack_point": b}
+                )
                 break
-            put(new(TraceEvent, (seq(), "DF6", "S3", "S2", {"subtree_root": b, "to": parent})))
+            trace.emit("DF6", "S3", "S2", {"subtree_root": b, "to": parent})
             b = parent
     return trace
 
@@ -301,21 +295,19 @@ def dfd_visit_order(trace: Trace) -> list[int]:
 def run_bfd(h: Hierarchy) -> Trace:
     """Level-synchronized breadth-first processing: every node of level k is
     processed (BF2) and the level validated (BF3) before level k+1 starts."""
-    children = h._children
-    max_level = h.max_level
     trace = Trace("bfd")
-    put, seq, new = trace.events.append, count(1).__next__, tuple.__new__
-    put(new(TraceEvent, (seq(), "BF1", "S0", "S1", {"root": h.root_id, "max_level": max_level})))
+    max_level = h.max_level
+    trace.emit("BF1", "S0", "S1", {"root": h.root_id, "max_level": max_level})
     for k in range(1, max_level + 1):
         nodes = [n.id for n in h.level(k)]
         for v in nodes:
-            put(new(TraceEvent, (seq(), "BF2", "S1", "S1",
-                                 {"node": v, "level": k, "enqueued": list(children.get(v, ()))})))
-        put(new(TraceEvent, (seq(), "BF3", "S1", "S2", {"level": k, "validated": sorted(nodes)})))
+            children = list(h.child_ids(v))
+            trace.emit("BF2", "S1", "S1", {"node": v, "level": k, "enqueued": children})
+        trace.emit("BF3", "S1", "S2", {"level": k, "validated": sorted(nodes)})
         if k < max_level:
-            put(new(TraceEvent, (seq(), "BF4", "S2", "S1", {"level": k + 1})))
+            trace.emit("BF4", "S2", "S1", {"level": k + 1})
         else:
-            put(new(TraceEvent, (seq(), "BF5", "S2", "T", {"levels": max_level})))
+            trace.emit("BF5", "S2", "T", {"levels": max_level})
     return trace
 
 
@@ -329,11 +321,11 @@ def run_cdd(components: list[int], m_cap: int, scenario: Scenario | None = None)
     LoopUnboundedError after exactly ``m_cap`` refine iterations.
     """
     scenario = scenario or Scenario()
-    increments = scenario.increments or [list(components)]
     trace = Trace("cdd")
-    put, seq, new = trace.events.append, count(1).__next__, tuple.__new__
-    put(new(TraceEvent, (seq(), "CD1", "S0", "S1",
-                         {"components": list(components), "increments": len(increments)})))
+    increments = scenario.increments or [list(components)]
+    trace.emit(
+        "CD1", "S0", "S1", {"components": list(components), "increments": len(increments)}
+    )
 
     remaining_failures = dict(scenario.cdd.test_failures)
     remaining_feedback = dict(scenario.cdd.feedback_cycles)
@@ -343,37 +335,40 @@ def run_cdd(components: list[int], m_cap: int, scenario: Scenario | None = None)
         iteration = max(scenario.cdd.refine_iterations.get(component, 1), 1)
         if iteration > m_cap:
             raise LoopUnboundedError(component, m_cap, trace)
-        put(new(TraceEvent, (seq(), "CD4", "S2", "S1", {
-            "component": component, "refine_iterations": iteration, "reason": reason})))
+        trace.emit(
+            "CD4",
+            "S2",
+            "S1",
+            {"component": component, "refine_iterations": iteration, "reason": reason},
+        )
 
     for inc_index, increment in enumerate(increments, start=1):
         for component in increment:
-            put(new(TraceEvent, (seq(), "CD2", "S1", "S1",
-                                 {"component": component, "increment": inc_index})))
+            trace.emit("CD2", "S1", "S1", {"component": component, "increment": inc_index})
             if remaining_failures.get(component, 0) > 0:
                 remaining_failures[component] -= 1
-                put(new(TraceEvent, (seq(), "CD3a", "S1", "S2", {"component": component})))
+                trace.emit("CD3a", "S1", "S2", {"component": component})
                 refine(component, "test_failed")
             elif remaining_feedback.get(component, 0) > 0:
                 remaining_feedback[component] -= 1
-                put(new(TraceEvent, (seq(), "CD3b", "S1", "S2", {"component": component})))
+                trace.emit("CD3b", "S1", "S2", {"component": component})
                 refine(component, "feedback_cycle")
-        put(new(TraceEvent, (seq(), "CD5", "S1", "S3",
-                             {"increment": inc_index, "components": list(increment)})))
+        trace.emit("CD5", "S1", "S3", {"increment": inc_index, "components": list(increment)})
         flaw = scenario.cdd.increment_feedback.get(inc_index)
         if flaw is not None:
-            put(new(TraceEvent, (seq(), "CD6", "S3", "S2",
-                                 {"increment": inc_index, "component": flaw})))
+            trace.emit("CD6", "S3", "S2", {"increment": inc_index, "component": flaw})
             refine(flaw, "increment_feedback")
-            put(new(TraceEvent, (seq(), "CD5", "S1", "S3",
-                                 {"increment": inc_index, "components": list(increment)})))
+            trace.emit("CD5", "S1", "S3", {"increment": inc_index, "components": list(increment)})
         if inc_index < len(increments):
             # The only table-legal path back to development is a revision
             # cycle: the next increment's requirements arrive as feedback.
             head = increments[inc_index][0]
-            put(new(TraceEvent, (seq(), "CD6", "S3", "S2", {
-                "increment": inc_index, "component": head, "reason": "next_increment"})))
-            put(new(TraceEvent, (seq(), "CD4", "S2", "S1",
-                                 {"component": head, "refine_iterations": 0})))
-    put(new(TraceEvent, (seq(), "CD7", "S3", "T", {"increments": len(increments)})))
+            trace.emit(
+                "CD6",
+                "S3",
+                "S2",
+                {"increment": inc_index, "component": head, "reason": "next_increment"},
+            )
+            trace.emit("CD4", "S2", "S1", {"component": head, "refine_iterations": 0})
+    trace.emit("CD7", "S3", "T", {"increments": len(increments)})
     return trace

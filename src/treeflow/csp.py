@@ -34,8 +34,7 @@ def annotate_trace(trace: Trace, methodology: str | None = None) -> list[tuple[i
     """Expand each trace event into (seq, csp_event) pairs."""
     methodology = methodology or trace.methodology
     L = _level_count(trace)
-    renders = _renderers(methodology)
-    return [(ev.seq, ".".join(event)) for ev in trace for event in renders[ev.rule](ev, L)]
+    return [(ev.seq, ".".join(event)) for ev in trace for event in _render(methodology, ev, L)]
 
 
 def _level_count(trace: Trace) -> int | None:
@@ -45,22 +44,12 @@ def _level_count(trace: Trace) -> int | None:
     return None
 
 
-class _Renderers(dict):
-    """Each rule's compiled ``render(event, L)``, which renders the events of
-    its row from the event's payload.  A rule with no row, or with a row
-    that renders nothing, raises ValueError."""
-
-    __slots__ = ()
-
-    def __missing__(self, rule: Any) -> Any:
-        raise ValueError(f"unknown rule {rule}")
-
-
-def _renderers(methodology: str) -> _Renderers:
-    """The methodology's renderers, looked up in its rule rows once per
-    trace, so that a row replaced between traces renders its own events."""
-    return _Renderers((rule, spec.render) for rule, spec in RULE_TABLES[methodology].items()
-                      if spec.render is not None)
+def _render(methodology: str, ev: TraceEvent, L: int | None) -> list[tuple[str, ...]]:
+    """The events of the event's rule row, rendered from its payload."""
+    spec = RULE_TABLES[methodology].get(ev.rule)
+    if spec is None or spec.render is None:
+        raise ValueError(f"unknown rule {ev.rule}")
+    return spec.render(ev, L)
 
 
 # -- transition tables: one per methodology ---------------------------------------
@@ -466,7 +455,8 @@ def check_csp_conformance(
     if methodology in HYBRID and level_domain is None and trace.events:
         level_domain = DEFAULT_LEVEL_DOMAIN if L is None else L
     recognizer = make_recognizer(methodology, level_domain)
-    renders = _renderers(methodology)
+    # Each rule's renderer, looked up in its row once per trace, as _render does.
+    renders = {rule: spec.render for rule, spec in RULE_TABLES[methodology].items()}
     trace_events = trace.events
     count, refused = 0, None  # refused: the first illegal event and its seq
     for start in range(0, len(trace_events), _BATCH):
@@ -474,7 +464,10 @@ def check_csp_conformance(
         ends = []  # per trace event of the batch, the length of ``events`` after its group
         for ev in trace_events[start:start + _BATCH]:
             try:
-                events += renders[ev.rule](ev, L)
+                render = renders.get(ev.rule)
+                if render is None:
+                    raise ValueError(f"unknown rule {ev.rule}")
+                events += render(ev, L)
             except UNREADABLE as exc:
                 return Verdict(name, False, f"annotation failed: {exc}", ev.seq)
             ends.append(len(events))

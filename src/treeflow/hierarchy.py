@@ -8,6 +8,7 @@ is the capacity of the node's *own* children bitmask.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -64,6 +65,11 @@ class Hierarchy:
     def children(self, node_id: int) -> list[HierarchyNode]:
         """Children ordered by child_index ascending."""
         return [self.nodes[c] for c in self._children.get(node_id, [])]
+
+    def child_ids(self, node_id: int) -> Sequence[int]:
+        """The ids of ``children(node_id)``, in the same order, without a
+        list built per call; the caller must not change them."""
+        return self._children.get(node_id, ())
 
     def level(self, k: int) -> list[HierarchyNode]:
         """All nodes at depth ``k`` (1-based), ordered by id."""

@@ -44,6 +44,12 @@ class TestLoading:
         assert h.node(2).name == "North America"
         assert h.node(2).child_index == 0
 
+    def test_child_ids_follow_children(self):
+        h = load_hierarchy(GOOD)
+        for v in h.nodes:
+            assert list(h.child_ids(v)) == [n.id for n in h.children(v)]
+        assert list(h.child_ids(4)) == []
+
     def test_single_node_document(self):
         h = load_hierarchy([row(0, None, 0, 1)])
         assert h.max_level == 1 and len(h) == 1
@@ -60,6 +66,7 @@ class TestLoading:
         wide, far = f"var:{MAX_VAR_BITS}", MAX_VAR_BITS - 1
         h = load_hierarchy([row(1, None, 0, 1, width=wide), row(2, 1, far, 2), row(3, 1, 5, 2)])
         assert [n.id for n in h.children(1)] == [3, 2]
+        assert list(h.child_ids(1)) == [3, 2]
         with pytest.raises(HierarchyError, match=f"collision under parent 1: 2 and 3 both at {far}"):
             load_hierarchy([row(1, None, 0, 1, width=wide), row(2, 1, far, 2), row(3, 1, far, 2)])
 

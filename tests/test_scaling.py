@@ -202,8 +202,8 @@ class TestLinearLayers:
 
     @pytest.mark.parametrize("rows", [deep_rows, wide_rows])
     def test_run_dfd_walks_the_children_index(self, rows):
-        """No ``Hierarchy.children`` list is built per step: twice the nodes
-        make the same calls to it."""
+        """No ``Hierarchy.children`` list of nodes is built per step: twice
+        the nodes make the same calls to it; the ids come from ``child_ids``."""
         small, large = load_hierarchy(rows(500)), load_hierarchy(rows(1000))
         assert (package_calls(run_dfd, large, function="children")
                 == package_calls(run_dfd, small, function="children"))
