@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .jsondoc import JSONDocumentError, decode_json, read_text, write_text
+from .jsondoc import IntKeyError, JSONDocumentError, decode_json, int_key, read_text, write_text
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -287,18 +287,14 @@ def load_pages(path: str | Path) -> list[TraversalPage]:
             raise PagesError(
                 f"{where}.selections: must map node ids to true or false, got {selections!r}"
             )
-        selected = {}
-        for k, v in selections.items():
-            try:
-                n = int(k)
-            except ValueError:
-                raise PagesError(
-                    f"{where}.selections: keys must be node ids, got {selections!r}"
-                ) from None
-            # int() also reads " 3", "+3", "03", "1_0" and non-ASCII digits.
-            if str(n) != k:
-                raise PagesError(f"{where}.selections: key {k!r} must be written {str(n)!r}")
-            selected[n] = v
+        try:
+            selected = {int_key(k): v for k, v in selections.items()}
+        except IntKeyError as exc:
+            raise PagesError(f"{where}.selections: {exc}") from None
+        except ValueError:
+            raise PagesError(
+                f"{where}.selections: keys must be node ids, got {selections!r}"
+            ) from None
         pages.append(TraversalPage(tuple(parents), selected))
     return pages
 

@@ -2,11 +2,12 @@
 
 Each trace rule expands into a short sequence of named events, which the
 ``render`` compiled into its row of ``verify.RULE_TABLES`` builds from the
-event payload.  Each methodology's process definitions are one transition
-table, written here and compiled at import into match plans (``_plans``),
-and its alphabet is the set of event names the table can consume.  A
-recognizer walks the table and accepts exactly the event sequences the
-process allows, prefix-closed; rejection reports the first illegal event.
+event, reading a target label and the level count L as the monitors do.
+Each methodology's process definitions are one transition table, written
+here and compiled at import into match plans (``_plans``), and its
+alphabet is the set of event names the table can consume.  A recognizer
+walks the table and accepts exactly the event sequences the process
+allows, prefix-closed; rejection reports the first illegal event.
 The tables describe the process definitions, not the engines, and the
 alphabets come from the tables, not from the rule rows, so the engines and
 the annotations are checked against something they do not own.  Events
@@ -21,8 +22,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable
 
-from .trace import Trace, TraceEvent
-from .verify import HYBRID, RULE_TABLES, UNREADABLE, Verdict, split_templates
+from .jsondoc import exact_int
+from .trace import Trace
+from .verify import HYBRID, RULE_TABLES, UNREADABLE, LabelError, Verdict, split_templates
 
 DEFAULT_LEVEL_DOMAIN = 5
 
@@ -32,24 +34,27 @@ DEFAULT_LEVEL_DOMAIN = 5
 
 def annotate_trace(trace: Trace, methodology: str | None = None) -> list[tuple[int, str]]:
     """Expand each trace event into (seq, csp_event) pairs."""
-    methodology = methodology or trace.methodology
+    renders = _Renders(methodology or trace.methodology)
     L = _level_count(trace)
-    return [(ev.seq, ".".join(event)) for ev in trace for event in _render(methodology, ev, L)]
+    return [(ev.seq, ".".join(event)) for ev in trace for event in renders[ev.rule](ev, L)]
 
 
 def _level_count(trace: Trace) -> int | None:
-    """The first event's level count L, or None when it has none."""
+    """The first event's level count L, an exact integer, or None if it has none."""
     if trace.events and "L" in trace.events[0].payload:
-        return int(trace.events[0].payload["L"])
+        return exact_int(trace.events[0].payload["L"], "L")
     return None
 
 
-def _render(methodology: str, ev: TraceEvent, L: int | None) -> list[tuple[str, ...]]:
-    """The events of the event's rule row, rendered from its payload."""
-    spec = RULE_TABLES[methodology].get(ev.rule)
-    if spec is None or spec.render is None:
-        raise ValueError(f"unknown rule {ev.rule}")
-    return spec.render(ev, L)
+class _Renders(dict):
+    """Each rule's ``render(event, L)``, looked up in its row once per trace;
+    a rule with no row or no expansion raises ValueError."""
+
+    def __init__(self, methodology: str):
+        super().__init__((r, s.render) for r, s in RULE_TABLES[methodology].items() if s.render)
+
+    def __missing__(self, rule: str):
+        raise ValueError(f"unknown rule {rule}")
 
 
 # -- transition tables: one per methodology ---------------------------------------
@@ -443,20 +448,19 @@ def check_csp_conformance(
     batches of ``_BATCH`` trace events, so no rendered copy of the whole
     trace is held.  After a refusal the rest of the trace is still
     rendered, without feeding, so an annotation failure anywhere wins over
-    an earlier illegal event.  A level count L that is not an integer fails
-    on the first event."""
+    an earlier illegal event.  A level count L that is not an exact integer
+    fails on the first event."""
     methodology = methodology or trace.methodology
     name = f"csp-conformance[{methodology}]"
     try:
         L = _level_count(trace)
-    except (TypeError, ValueError):
+    except ValueError:
         first = trace.events[0]
         return Verdict(name, False, f"L={first.payload['L']!r} is not an integer", first.seq)
     if methodology in HYBRID and level_domain is None and trace.events:
         level_domain = DEFAULT_LEVEL_DOMAIN if L is None else L
     recognizer = make_recognizer(methodology, level_domain)
-    # Each rule's renderer, looked up in its row once per trace, as _render does.
-    renders = {rule: spec.render for rule, spec in RULE_TABLES[methodology].items()}
+    renders = _Renders(methodology)
     trace_events = trace.events
     count, refused = 0, None  # refused: the first illegal event and its seq
     for start in range(0, len(trace_events), _BATCH):
@@ -464,12 +468,10 @@ def check_csp_conformance(
         ends = []  # per trace event of the batch, the length of ``events`` after its group
         for ev in trace_events[start:start + _BATCH]:
             try:
-                render = renders.get(ev.rule)
-                if render is None:
-                    raise ValueError(f"unknown rule {ev.rule}")
-                events += render(ev, L)
+                events += renders[ev.rule](ev, L)
             except UNREADABLE as exc:
-                return Verdict(name, False, f"annotation failed: {exc}", ev.seq)
+                detail = str(exc) if isinstance(exc, LabelError) else f"annotation failed: {exc}"
+                return Verdict(name, False, detail, ev.seq)
             ends.append(len(events))
         count += len(events)
         if refused is None:

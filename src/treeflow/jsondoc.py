@@ -1,5 +1,6 @@
-"""The UTF-8 reader and JSON decoding shared by every document loader, and
-the one writer of output files."""
+"""The UTF-8 reader and JSON decoding shared by every document loader, the
+rules for integers in a decoded document, and the one writer of output
+files."""
 
 from __future__ import annotations
 
@@ -37,6 +38,32 @@ def decode_json(text: str) -> Any:
         raise JSONDocumentError(f"invalid JSON: {exc.msg}") from None
     except RecursionError:
         raise JSONDocumentError("invalid JSON: nested too deeply") from None
+
+
+class IntKeyError(ValueError):
+    """A map key ``int()`` reads that is not written as ``str(int)`` writes it."""
+
+
+def exact(value: Any, types: tuple[type, ...], noun: str, what: str = "") -> Any:
+    """``value`` when its class is one of ``types``, else ValueError: ``what`` must be ``noun``."""
+    # bool is a subclass of int, so the exact class is tested.
+    if value.__class__ not in types:
+        raise ValueError(f"{what} must be {noun}, got {value!r}".lstrip())
+    return value
+
+
+def exact_int(value: Any, what: str = "") -> int:
+    """``value`` when it is a JSON integer: not a bool, a float or a string."""
+    return exact(value, (int,), "an integer", what)
+
+
+def int_key(key: str, what: str = "") -> int:
+    """The integer a map key writes as ``str(int)`` writes it.  A key written
+    any other way raises IntKeyError, one ``int()`` cannot read its ValueError."""
+    n = int(key)  # also reads " 3", "+3", "03", "1_0" and non-ASCII digits
+    if str(n) != key:
+        raise IntKeyError(f"{what} key {key!r} must be written {str(n)!r}".lstrip())
+    return n
 
 
 def read_text(path: str | Path) -> str:

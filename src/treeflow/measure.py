@@ -12,13 +12,16 @@ Every non-terminal transition of both hybrid machines strictly decreases M.
 The engines never compute M and the trace does not record it: the descent
 monitor computes it from each event's target label, the refinement episode's
 origin, which it folds from the labels, and its own counts over the folded
-statuses, and checks the descent event by event.
+statuses, and checks the descent event by event.  ``TraceContext.from_payload``
+is the one reader of a trace's run parameters, each an exact JSON integer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any
+
+from .jsondoc import exact_int, int_key
 
 Measure = tuple[int, int, int, int]
 
@@ -53,15 +56,20 @@ class TraceContext:
 
     @classmethod
     def from_payload(cls, methodology: str, payload: dict[str, Any]) -> "TraceContext":
-        levels = {
-            int(k): tuple(map(int, v)) for k, v in payload["levels"].items()
-        }
+        """The run parameters of a first event's payload, map keys written as
+        ``str(int)`` writes them; any other value raises ValueError naming it."""
+        levels = {}
+        for k, ids in payload["levels"].items():
+            if ids.__class__ is not list or any(n.__class__ is not int for n in ids):
+                raise ValueError(f"levels[{k!r}] must be a list of node ids, got {ids!r}")
+            levels[int_key(k, "levels")] = tuple(ids)
         return cls(
             methodology=methodology,
             levels=levels,
-            max_level=int(payload["L"]),
-            r_max=int(payload["r_max"]),
-            k_thresholds={int(k): int(v) for k, v in payload.get("k", {}).items()},
+            max_level=exact_int(payload["L"], "L"),
+            r_max=exact_int(payload["r_max"], "r_max"),
+            k_thresholds={int_key(k, "k"): exact_int(v, f"k[{k!r}]")
+                          for k, v in payload.get("k", {}).items()},
         )
 
     def level_ids(self, k: int) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any
 
 from .hierarchy import Hierarchy
-from .jsondoc import JSONDocumentError, decode_json, read_text
+from .jsondoc import JSONDocumentError, decode_json, exact, exact_int, int_key, read_text
 
 
 # The largest per-level refinement budget a scenario may ask for.  A run's
@@ -176,36 +176,14 @@ class Scenario:
         return set()
 
 
-def _exact(value: Any, types: tuple[type, ...], noun: str, what: str = "") -> Any:
-    """``value`` when its class is one of ``types``, else a ScenarioError
-    saying it must be ``noun``; ``what`` names the value within its field."""
-    # bool is a subclass of int, so the exact class is tested.
-    if value.__class__ not in types:
-        subject = f"{what} " if what else ""
-        raise ScenarioError(f"{subject}must be {noun}, got {value!r}")
-    return value
-
-
-def _int(value: Any, what: str = "") -> int:
-    return _exact(value, (int,), "an integer", what)
-
-
-def _int_key(key: str) -> int:
-    """A map key that writes an integer as ``str(int)`` writes it."""
-    n = int(key)  # also reads " 3", "+3", "03", "1_0" and non-ASCII digits
-    if str(n) != key:
-        raise ScenarioError(f"key {key!r} must be written {str(n)!r}")
-    return n
-
-
 def _int_map(value: dict) -> dict[int, int]:
-    return {_int_key(k): _int(v, f"value of {k!r}") for k, v in value.items()}
+    return {int_key(k): exact_int(v, f"value of {k!r}") for k, v in value.items()}
 
 
 def _origin_from_json(obj: dict[str, Any]) -> TraceOriginStrategy:
     kind = obj.get("strategy", "fixed")
     if kind == "fixed":
-        return TraceOriginStrategy.fixed(_int(obj["level"], "level"))
+        return TraceOriginStrategy.fixed(exact_int(obj["level"], "level"))
     if kind == "scripted":
         return TraceOriginStrategy.scripted_map(_int_map(obj["map"]))
     if kind == "dependency_min":
@@ -215,17 +193,17 @@ def _origin_from_json(obj: dict[str, Any]) -> TraceOriginStrategy:
 
 # Top-level scenario document keys: the Scenario field and its conversion.
 _FIELDS: dict[str, tuple[str, Any]] = {
-    "r_max": ("r_max", _int),
+    "r_max": ("r_max", exact_int),
     "k": ("k_thresholds", _int_map),
-    "implicated_nodes": ("implicated_nodes", lambda v: {_int(n, "node id") for n in v}),
-    "seed": ("seed", _int),
+    "implicated_nodes": ("implicated_nodes", lambda v: {exact_int(n, "node id") for n in v}),
+    "seed": ("seed", exact_int),
     "random_failure_rate": ("random_failure_rate",
-                            lambda v: float(_exact(v, (int, float), "a number"))),
+                            lambda v: float(exact(v, (int, float), "a number"))),
     "dad_missing_deps": ("dad_missing_deps", lambda v: {
-        _int_key(k): [_exact(d, (str,), "a string", "dependency name")
-                      for d in _exact(deps, (list,), "a list", f"value of {k!r}")]
+        int_key(k): [exact(d, (str,), "a string", "dependency name")
+                     for d in exact(deps, (list,), "a list", f"value of {k!r}")]
         for k, deps in v.items()}),
-    "increments": ("increments", lambda v: [[_int(c, "component") for c in inc] for inc in v]),
+    "increments": ("increments", lambda v: [[exact_int(c, "component") for c in inc] for inc in v]),
 }
 _CDD_FIELDS = ("test_failures", "feedback_cycles", "refine_iterations", "increment_feedback")
 
@@ -258,9 +236,9 @@ def load_scenario(source: str | Path | dict) -> Scenario:
         script = fields["validation_script"] = {}
         for index, entry in enumerate(obj.get(field, [])):
             field = f"validation_script[{index}]"
-            key = (_exact(entry["phase"], (str,), "a string", "phase"),
-                   _int(entry["index"], "index"), _int(entry["attempt"], "attempt"))
-            script[key] = {_int(n, "failing node id") for n in entry["failing_node_ids"]}
+            key = (exact(entry["phase"], (str,), "a string", "phase"),
+                   exact_int(entry["index"], "index"), exact_int(entry["attempt"], "attempt"))
+            script[key] = {exact_int(n, "failing node id") for n in entry["failing_node_ids"]}
         cdd_obj, cdd = obj.get("cdd", {}), {}
         for part in _CDD_FIELDS:
             field = f"cdd.{part}"

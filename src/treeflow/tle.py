@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterable
 
 from .bitmask import BitmaskError, DanglingBitError, WidthClass
 from .hierarchy import Hierarchy, HierarchyNode
-from .jsondoc import JSONDocumentError, decode_json, read_text, write_text
+from .jsondoc import JSONDocumentError, decode_json, exact_int, read_text, write_text
 from .trace import Trace
 
 # A node is selectable iff it sits at or below this depth: the top two levels
@@ -59,13 +59,6 @@ class ShallowHierarchyError(TleError):
 
 class SnapshotError(TleError):
     """A store snapshot that is not valid JSON or does not fit the schema."""
-
-
-def _json_int(value: object) -> int:
-    # bool is a subclass of int, so the exact class is tested.
-    if value.__class__ is not int:
-        raise ValueError(f"must be an integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -356,9 +349,9 @@ class TleStore:
                 raise SnapshotError(f"{where}: not an object")
             field = "subject_id"
             try:
-                subject = _json_int(raw[field])
+                subject = exact_int(raw[field])
                 field = "unit_id"
-                unit_id = _json_int(raw[field])
+                unit_id = exact_int(raw[field])
                 unit = store.schema.units.get(unit_id)
                 if unit is None:
                     raise ValueError(f"unknown unit {unit_id}")

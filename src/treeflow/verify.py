@@ -3,15 +3,15 @@
 Each machine has one rule table in ``RULE_TABLES``.  A row holds what is
 known about one rule: the state families it fires from and moves to, its
 kind, the measure's expected per-component deltas (hybrid machines) and
-its CSP expansion, compiled once into the row's ``render``, which ``csp``
-calls on each event.  ``HYBRID`` names the machines with a measure.
+its CSP expansion, compiled once into the row's ``render(event, L)``, which
+``csp`` calls on each event.  ``HYBRID`` names the machines with a measure.
 
 Checks provided, all pure over immutable traces:
 
 * well-formedness: events chain and every rule is known for the methodology;
 * rule legality: each rule's firing condition is re-evaluated from the
-  event payload and labels, the episode origin, the attempts spent and the
-  statuses;
+  event payload (its level and range end exact integers) and labels, the
+  episode origin, the attempts spent and the statuses;
 * measure descent: the monitor computes M after each event from its target
   label, the episode origin, the folded status changes and the attempts
   spent; every non-terminal transition strictly decreases it, with
@@ -32,7 +32,9 @@ episode origin is folded from the labels by ``_next_origin``; what older
 writers recorded beside the labels (a state snapshot, the engine's
 measures) is not read.  Each label is read by ``trace.parse_label`` into
 a label table that the monitors of one trace share (``Trace.labels``),
-and the enumerator's folds share one of their own.
+and the enumerator's folds share one of their own; a CSP expansion's
+``{@}`` reads its event's target label by ``parse_label`` too.  The run
+parameters are read by ``measure.TraceContext.from_payload`` alone.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ from operator import itemgetter, methodcaller
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .hierarchy import Hierarchy
+from .jsondoc import exact_int
 from .measure import Measure, TraceContext, measure
 from .scenario import Scenario, TraceOriginStrategy
-from .trace import LabelTable, StatusFold, StatusFoldError, Trace, TraceEvent
+from .trace import LabelTable, StatusFold, StatusFoldError, Trace, TraceEvent, parse_label
 
 
 class Delta(enum.Enum):
@@ -61,9 +64,10 @@ class Delta(enum.Enum):
 #
 # A rule's CSP expansion and a process table's branches share one template
 # syntax: space-separated ``name.param[.param]``, split at import into tuples
-# of segments.  In a rule row ``{field}`` reads the payload's ``p[field]`` and
-# ``{field?}`` its ``p.get(field)``; in a process table ``{k}`` is the state's
-# k-th value.  Each side compiles its templates once.
+# of segments.  In a rule row ``{field}`` reads the payload's ``p[field]``,
+# ``{field?}`` its ``p.get(field)`` and ``{@}`` the index of the event's
+# target label; in a process table ``{k}`` is the state's k-th value.  Each
+# side compiles its templates once.
 
 
 Templates = tuple[tuple[Any, ...], ...]
@@ -78,87 +82,88 @@ def split_templates(text: str, param: Callable[[str], Any]) -> Templates:
     )
 
 
+class LabelError(ValueError):
+    """A state label outside the grammar ``trace.parse_label`` reads; the
+    message names the rule and the label."""
+
+
+def _target_index(ev: TraceEvent) -> int | None:
+    """``{@}``: the index of the event's target label, read by ``parse_label``."""
+    index = parse_label(ev.to_state)[1]
+    if index == 0:
+        raise LabelError(f"{ev.rule} target {ev.to_state} is not a state label")
+    return index
+
+
 @cache
-def _field(name: str) -> Callable[[dict], Any]:
+def _field(name: str) -> Callable[[Any], Any]:
     """One getter per field name, so a renderer can tell repeated fields."""
+    if name == "@":
+        return _target_index
     return methodcaller("get", name[:-1]) if name[-1] == "?" else itemgetter(name)
 
 
 class Pick(NamedTuple):
     """A rule's CSP expansion: the templates it may render, and
     ``fn(*renderers, event, L)``, which renders the events of the one it
-    chooses, from the payload or from values computed from it.  L is the
-    first event's level count, or None."""
+    chooses; None for a plain templates string, whose one renderer is the
+    row's.  L is the first event's level count, or None."""
 
-    fn: Callable[..., list[tuple[str, ...]]]
+    fn: Callable[..., list[tuple[str, ...]]] | None
     alternatives: tuple[Templates, ...]
 
 
-def _pick(fn: Callable[..., Any], *texts: str) -> Pick:
+def _pick(fn: Callable[..., Any] | None, *texts: str) -> Pick:
     return Pick(fn, tuple(split_templates(text, _field) for text in texts))
 
 
-def _renderer(templates: Templates) -> Callable[[Any], list[tuple[str, ...]]]:
-    """Compile templates into one function of a fields mapping that returns
-    their events as tuples of ``str`` segments.  It reads each field once,
-    in the order the templates first name it, so the first unreadable field
-    is the one a left-to-right reading would meet."""
+def _renderer(templates: Templates) -> Callable[[TraceEvent, Any], list[tuple[str, ...]]]:
+    """Compile templates into ``render(event, L)``, which returns their events
+    as tuples of ``str`` segments.  It reads each field once (``{@}`` from the
+    event, others from its payload) in the order the templates first name
+    it, so the first unreadable field is the one a left-to-right reading meets."""
     reads = {get: f"v{n}" for n, get in enumerate(dict.fromkeys(
         get for template in templates for get in template[1:]))}
-    body = "".join(f"    {v} = str(g{v}(fields))\n" for v in reads.values())
+    body = "".join(f"    {v} = str(g{v}({'ev' if get is _target_index else 'ev[4]'}))\n"
+                   for get, v in reads.items())
     events = ", ".join(f"({t[0]!r}, {''.join(reads[get] + ', ' for get in t[1:])})"
                        for t in templates)
     scope = {f"g{v}": get for get, v in reads.items()}
-    exec(f"def render(fields):\n{body}    return [{events}]\n", scope)
+    exec(f"def render(ev, L):\n{body}    return [{events}]\n", scope)
     return scope["render"]
 
 
-def _payload(events, ev: TraceEvent, L: int | None):
-    return events(ev.payload)
-
-
-def _to_level(events, ev: TraceEvent, L: int | None):
-    """The level is the one the rule enters, read from its target state."""
-    return events({"to_level": str(int(ev.to_state[3:-1]))})
-
-
-def _to_origin(events, ev: TraceEvent, L: int | None):
-    """The origin j is the level a backtrack enters, read from its target
-    S1R(j) by ``int()``."""
-    index = ev.to_state.partition("(")[2]
-    return events(dict(ev.payload, j=str(int(index[:-1]) if index else None)))
-
-
 def _next_level(events, ev: TraceEvent, L: int | None):
-    return events(dict(ev.payload, next_level=str(int(ev.payload.get("level")) + 1)))
+    return events(ev._replace(payload=dict(
+        ev.payload, next_level=int(ev.payload.get("level")) + 1)), L)
 
 
 def _prev_level(events, ev: TraceEvent, L: int | None):
-    return events({"prev_level": str(ev.payload["level"] - 1)})
+    return events(ev._replace(payload={"prev_level": ev.payload["level"] - 1}), L)
 
 
 def _at_last_level(last, other, ev: TraceEvent, L: int | None):
     level = ev.payload.get("level")
-    return (last if int(level) == (level if L is None else L) else other)(ev.payload)
+    return (last if int(level) == (level if L is None else L) else other)(ev, L)
 
 
 def _pd8(exhausted, from_s2, from_s3, other, ev: TraceEvent, L: int | None):
     """Exhaustion, or no refinement path after a failed level (S2) or
     bottom-up (S3) validation."""
     if ev.payload.get("reason") == "refinement_exhausted":
-        return exhausted(ev.payload)
-    family = ev.from_state.partition("(")[0]
-    return {"S2": from_s2, "S3": from_s3}.get(family, other)(ev.payload)
+        return exhausted(ev, L)
+    family = parse_label(ev.from_state)[0]
+    return {"S2": from_s2, "S3": from_s3}.get(family, other)(ev, L)
 
 
 def _repeated(refine, done, ev: TraceEvent, L: int | None):
     """One refine event per iteration after the first, then completion."""
     times = max(int(ev.payload.get("refine_iterations", 1)) - 1, 0)
-    return refine(ev.payload) * times + done(ev.payload)
+    return refine(ev, L) * times + done(ev, L)
 
 
 def _extended(extended, missing, ev: TraceEvent, L: int | None):
-    return (extended if "new_node" in ev.payload else missing)(ev.payload)
+    return (extended if "new_node" in ev.payload else missing)(ev, L)
 
 
 # -- descent checks -------------------------------------------------------------------
@@ -195,7 +200,7 @@ _DECREASES = _descent_check(())
 class RuleSpec:
     """One rule: the state families it fires from and moves to, its kind,
     the measure's expected per-component deltas (hybrid steps) and its CSP
-    expansion, a ``Pick`` or a templates string rendered from the payload.
+    expansion, a ``Pick`` or a templates string rendered from the event.
     ``render(event, L)`` is the expansion compiled once (None for none).
     ``descent(pre, post)`` is a step rule's descent check, compiled once
     from its deltas: the problem with M moving from ``pre`` to ``post``
@@ -214,9 +219,10 @@ class RuleSpec:
 
     def __post_init__(self) -> None:
         if isinstance(self.events, str):
-            object.__setattr__(self, "events", _pick(_payload, self.events))
-        render = self.events and partial(self.events.fn, *map(_renderer, self.events.alternatives))
-        object.__setattr__(self, "render", render)
+            object.__setattr__(self, "events", _pick(None, self.events))
+        fn, alternatives = self.events or (None, ())
+        renders = [_renderer(templates) for templates in alternatives] or [None]
+        object.__setattr__(self, "render", partial(fn, *renders) if fn else renders[0])
         descent = None
         if self.kind == "step":
             descent = _descent_check(self.deltas) if self.deltas else _DECREASES
@@ -228,11 +234,11 @@ E, D, U, A, N = Delta.EQ, Delta.DOWN, Delta.UP, Delta.ANY, Delta.NONINC
 PDFD_RULES: dict[str, RuleSpec] = {
     "PD1": RuleSpec(("S0",), ("S1",), "initial",
                     events="load_tree_actual initialize_refinement_attempts_actual"),
-    "PD2": RuleSpec(("S1",), ("S2",), deltas=(E, E, D, D), events=_pick(
-        _to_level, "determine_ki_actual.{to_level} process_level_actual.{to_level}")),
-    "PD2a": RuleSpec(("S2",), ("S1R",), deltas=(E, D, U, A), events=_pick(
-        _to_origin, "is_level_validation_failed.{level?} get_trace_origin_actual.{level?}.{j} "
-        "can_attempt_refinement.{j} increment_refinement_attempts_actual.{j}")),
+    "PD2": RuleSpec(("S1",), ("S2",), deltas=(E, E, D, D), events=(
+        "determine_ki_actual.{@} process_level_actual.{@}")),
+    "PD2a": RuleSpec(("S2",), ("S1R",), deltas=(E, D, U, A), events=(
+        "is_level_validation_failed.{level?} get_trace_origin_actual.{level?}.{@} "
+        "can_attempt_refinement.{@} increment_refinement_attempts_actual.{@}")),
     "PD2b": RuleSpec(("S2",), ("S1",), deltas=(D, E, A, A), events=(
         "level_validation_successful.{level?} cond_threshold_met.{level?}")),
     "PD3": RuleSpec(("S1R",), ("S2R",), deltas=(E, E, D, D), events=(
@@ -251,19 +257,19 @@ PDFD_RULES: dict[str, RuleSpec] = {
     "PD4a": RuleSpec(("S3",), ("S3",), deltas=(E, E, E, D), events=(
         "finalize_subtrees_actual.{level?} bottom_up_validation_successful.{level?} "
         "cond_all_descendants_validated.{level?}")),
-    "PD4b": RuleSpec(("S3",), ("S1R",), deltas=(E, D, U, A), events=_pick(
-        _to_origin, "finalize_subtrees_actual.{level?} is_bottom_up_validation_failed.{level?} "
-        "get_trace_origin_actual.{level?}.{j} can_attempt_refinement.{j} "
-        "increment_refinement_attempts_actual.{j}")),
+    "PD4b": RuleSpec(("S3",), ("S1R",), deltas=(E, D, U, A), events=(
+        "finalize_subtrees_actual.{level?} is_bottom_up_validation_failed.{level?} "
+        "get_trace_origin_actual.{level?}.{@} can_attempt_refinement.{@} "
+        "increment_refinement_attempts_actual.{@}")),
     "PD5": RuleSpec(("S3",), ("S4",), deltas=(E, E, D, A), events=(
         "finalize_subtrees_actual.{level?} bottom_up_validation_successful.{level?} "
         "cond_all_descendants_validated.{level?}")),
     "PD6": RuleSpec(("S4",), ("S4",), deltas=(E, E, E, D), events=(
         "finalize_unprocessed_nodes_actual.{level?} top_down_validation_successful.{level?}")),
-    "PD6a": RuleSpec(("S4",), ("S1R",), deltas=(E, D, U, A), events=_pick(
-        _to_origin, "finalize_unprocessed_nodes_actual.{level?} "
-        "is_top_down_validation_failed.{level?} get_trace_origin_actual.{level?}.{j} "
-        "can_attempt_refinement.{j} increment_refinement_attempts_actual.{j}")),
+    "PD6a": RuleSpec(("S4",), ("S1R",), deltas=(E, D, U, A), events=(
+        "finalize_unprocessed_nodes_actual.{level?} "
+        "is_top_down_validation_failed.{level?} get_trace_origin_actual.{level?}.{@} "
+        "can_attempt_refinement.{@} increment_refinement_attempts_actual.{@}")),
     "PD6b": RuleSpec(("S4",), ("S5",), "terminal", events=(
         "finalize_unprocessed_nodes_actual.{level?} is_top_down_validation_failed.{level?} "
         "no_refinement_path_available.{level?} terminate_with_error_actual")),
@@ -283,14 +289,14 @@ PDFD_RULES: dict[str, RuleSpec] = {
 PBFD_RULES: dict[str, RuleSpec] = {
     "PB1": RuleSpec(("S0",), ("S1",), "initial",
                     events="load_tree_actual initialize_refinement_attempts_actual"),
-    "PB2": RuleSpec(("S1",), ("S2",), deltas=(E, E, D, D), events=_pick(
-        _to_level, "process_pattern_actual.{to_level} cond_not_all_validated.{to_level}")),
-    "PB2a": RuleSpec(("S1",), ("S3",), deltas=(E, E, D, A), events=_pick(
-        _to_level, "process_pattern_actual.{to_level} cond_all_validated.{to_level}")),
-    "PB3": RuleSpec(("S2",), ("S1R",), deltas=(E, D, U, A), events=_pick(
-        _to_origin, "validate_pattern_actual.{level?} cond_not_all_validated.{level?} "
-        "cond_j_exists_for_i.{level?}.{j} cond_ref_attempts_lt_Rmax.{j} "
-        "increment_refinement_attempts_actual.{j}")),
+    "PB2": RuleSpec(("S1",), ("S2",), deltas=(E, E, D, D), events=(
+        "process_pattern_actual.{@} cond_not_all_validated.{@}")),
+    "PB2a": RuleSpec(("S1",), ("S3",), deltas=(E, E, D, A), events=(
+        "process_pattern_actual.{@} cond_all_validated.{@}")),
+    "PB3": RuleSpec(("S2",), ("S1R",), deltas=(E, D, U, A), events=(
+        "validate_pattern_actual.{level?} cond_not_all_validated.{level?} "
+        "cond_j_exists_for_i.{level?}.{@} cond_ref_attempts_lt_Rmax.{@} "
+        "increment_refinement_attempts_actual.{@}")),
     "PB3a": RuleSpec(("S1R",), ("S2R",), deltas=(E, E, D, D), events=(
         "process_refinement_pattern_actual.{level?} cond_not_all_validated.{level?}")),
     "PB3a1": RuleSpec(("S2R",), ("S3R",), deltas=(E, E, D, E), events=(
@@ -319,10 +325,10 @@ PBFD_RULES: dict[str, RuleSpec] = {
         "resolve_refinement_depth_actual.{level?} cond_j_eq_i.{level?}.{range_end}")),
     "PB7": RuleSpec(("S4",), ("S4",), deltas=(E, E, E, D), events=(
         "finalize_pattern_actual.{level?} cond_all_processed.{level?} cond_i_lt_L.{level?}")),
-    "PB7a": RuleSpec(("S4",), ("S1R",), deltas=(E, D, U, A), events=_pick(
-        _to_origin, "finalize_pattern_actual.{level?} cond_not_all_processed.{level?} "
-        "cond_trace_origin_exists_for_unprocessed.{level?}.{j} cond_ref_attempts_lt_Rmax.{j} "
-        "increment_refinement_attempts_actual.{j}")),
+    "PB7a": RuleSpec(("S4",), ("S1R",), deltas=(E, D, U, A), events=(
+        "finalize_pattern_actual.{level?} cond_not_all_processed.{level?} "
+        "cond_trace_origin_exists_for_unprocessed.{level?}.{@} cond_ref_attempts_lt_Rmax.{@} "
+        "increment_refinement_attempts_actual.{@}")),
     "PB7b": RuleSpec(("S4",), ("S5",), "terminal", events=(
         "finalize_pattern_actual.{level?} cond_not_all_processed.{level?} "
         "cond_trace_origin_not_exists_for_unprocessed.{level?} terminate_failure_actual")),
@@ -441,20 +447,8 @@ class Verdict:
         return f"FAIL {self.name} ({at}{self.detail})"
 
 
-def context_of(trace: Trace, methodology: str | None = None) -> TraceContext:
-    methodology = methodology or trace.methodology
-    if not trace.events:
-        raise ValueError("empty trace")
-    return TraceContext.from_payload(methodology, trace.events[0].payload)
-
-
 # What reading a forged payload value raises: int("x"), a list for a map, a missing key.
 UNREADABLE = (AttributeError, KeyError, TypeError, ValueError)
-
-
-class LabelError(ValueError):
-    """A state label outside the grammar ``trace.parse_label`` reads; the
-    message names the rule and the label."""
 
 
 def _unreadable(name: str, ev: TraceEvent, exc: Exception) -> Verdict:
@@ -463,14 +457,16 @@ def _unreadable(name: str, ev: TraceEvent, exc: Exception) -> Verdict:
 
 
 def _context(name: str, trace: Trace, methodology: str | None) -> TraceContext | Verdict:
-    """The run parameters of the first event, or a FAIL naming that event
-    when they are unreadable.  An empty trace still raises."""
+    """The run parameters of the first event, read by ``TraceContext.from_payload``,
+    or a FAIL naming that event when they are unreadable.  An empty trace
+    raises ValueError."""
+    if not trace.events:
+        raise ValueError("empty trace")
+    first = trace.events[0]
     try:
-        return context_of(trace, methodology)
+        return TraceContext.from_payload(methodology or trace.methodology, first.payload)
     except UNREADABLE as exc:
-        if not trace.events:
-            raise
-        return _unreadable(name, trace.events[0], exc)
+        return _unreadable(name, first, exc)
 
 
 def check_well_formed(trace: Trace, methodology: str | None = None) -> Verdict:
@@ -576,9 +572,7 @@ def check_rule_legality(trace: Trace, methodology: str | None = None) -> Verdict
     methodology = methodology or trace.methodology
     if methodology not in HYBRID:
         return Verdict(name, True, "basic machine: covered by well-formedness")
-    wf = WellFormedFold(methodology, trace.labels)
-    wf.feed(trace.events)
-    v = wf.verdict()
+    v = check_well_formed(trace, methodology)
     if not v.ok:
         return Verdict(name, False, v.detail, v.first_violation_seq)
     ctx = _context(name, trace, methodology)
@@ -610,6 +604,10 @@ _BACKTRACKS = frozenset({"PD2a", "PD3c", "PD4b", "PD6a", "PB3", "PB3a2", "PB7a"}
 # carry failing nodes, and no other rule does.  PD8 also ends an exhausted
 # budget, with no query.
 _FAILED = _BACKTRACKS | {"PD8", "PD6b", "PB3c", "PB7b"}
+# The rules that fire from S0 or S1 carry no level: theirs is their target's
+# index.  The rules that step through an episode's range carry its end.
+_LEVEL_FROM_TARGET = frozenset({"PD1", "PD2", "PB1", "PB2", "PB2a"})
+_RANGED = frozenset({"PD3a", "PD3b", "PB5", "PB6"})
 
 
 def _legality_problem(
@@ -626,60 +624,58 @@ def _legality_problem(
     rule = ev.rule
     p = ev.payload
     failing = p.get("failing", [])
-    level = p.get("level")
     if index is None and family not in ("S5", "T"):
         return f"{rule} target {ev.to_state} names no level"
+    level = index if rule in _LEVEL_FROM_TARGET else exact_int(p["level"], "level")
+    range_end = (exact_int(p["range_end"], "range_end")
+                 if "range_end" in p or rule in _RANGED else None)
     if family == "S1R":
         spent[index] = spent.get(index, 0) + 1
         if spent[index] > ctx.r_max:
             return f"{rule} exceeded the attempt cap"
     if failing:
-        if not set(failing) <= set(ctx.level_ids(int(level))):
+        if not set(failing) <= set(ctx.level_ids(level)):
             return f"{rule} failing nodes outside level {level}"
         if rule not in _FAILED:
             return f"{rule} with failing nodes"
-    if "range_end" in p and (origin is None or int(p["range_end"]) != origin[1]):
-        return f"{rule} range_end {p['range_end']} is not the episode origin"
+    if range_end is not None and (origin is None or range_end != origin[1]):
+        return f"{rule} range_end {range_end} is not the episode origin"
     if not failing and rule in _FAILED and p.get("reason") != "refinement_exhausted":
         return f"{rule} without failing nodes"
-    if rule in _BACKTRACKS and not 1 <= index <= int(level):
+    if rule in _BACKTRACKS and not 1 <= index <= level:
         return f"{rule} origin {index} outside [1, {level}]"
     if rule in ("PD3a", "PB5"):
-        if not index <= int(p["range_end"]):
+        if not index <= range_end:
             return f"{rule} progressed past the episode range"
     if rule in ("PD3b", "PB6"):
-        if int(p["level"]) != int(p["range_end"]):
+        if level != range_end:
             return f"{rule} before the episode range was complete"
     if rule == "PD2b":
-        i = int(level)
-        k_i = ctx.k_thresholds.get(i, len(ctx.level_ids(i)))
-        done = sum(1 for n in ctx.level_ids(i) if statuses.get(n) == 2)
+        k_i = ctx.k_thresholds.get(level, len(ctx.level_ids(level)))
+        done = sum(1 for n in ctx.level_ids(level) if statuses.get(n) == 2)
         if done < k_i:
-            return f"advance from level {i} with {done} finalized < K={k_i}"
+            return f"advance from level {level} with {done} finalized < K={k_i}"
     if rule == "PD4":
-        i = int(level)
-        if i != ctx.max_level and ctx.level_ids(i + 1):
+        if level != ctx.max_level and ctx.level_ids(level + 1):
             return "bottom-up entry with a non-empty next level"
     if rule in ("PD7", "PB8"):
         if any(v != 2 for v in statuses.values()):
             return f"{rule} with unfinalized nodes"
-        if int(level) != ctx.max_level:
+        if level != ctx.max_level:
             return f"{rule} before the last level"
     if rule in ("PD6", "PB7"):
-        if int(level) >= ctx.max_level:
+        if level >= ctx.max_level:
             return f"{rule} beyond the last level"
     if rule == "PB4a":
-        i = int(level)
-        if i >= ctx.max_level:
+        if level >= ctx.max_level:
             return "pattern derivation at the last level"
-        if not ctx.level_ids(i + 1):
+        if not ctx.level_ids(level + 1):
             return "pattern derivation with no children"
-        if any(statuses.get(n) != 2 for n in ctx.level_ids(i)):
+        if any(statuses.get(n) != 2 for n in ctx.level_ids(level)):
             return "pattern derivation from unfinalized nodes"
     if rule in ("PD8", "PB9") and p.get("reason") == "refinement_exhausted":
-        j = int(p["level"])
-        if spent.get(j, 0) < ctx.r_max:
-            return f"{rule} with remaining budget at level {j}"
+        if spent.get(level, 0) < ctx.r_max:
+            return f"{rule} with remaining budget at level {level}"
     return None
 
 

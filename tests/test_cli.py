@@ -338,44 +338,71 @@ class TestVerifyForgedPayloads:
         assert code == 2
         assert out == ["FAIL csp-conformance[pdfd] (event 1: L='x' is not an integer)"]
 
+    # A run parameter or payload integer forged on the pdfd replay: the
+    # event, the payload edit, the monitors that read the field, and what
+    # they and CSP conformance print for it.  Each value but "x" is one
+    # int() reads as the integer the engine wrote.
+    _RUN_PARAMETERS = ("rule-legality", "measure-descent", "bounded-refinement")
+    _FORGED = {
+        "L": (1, lambda p: p.update(L="x"), _RUN_PARAMETERS,
+              "L must be an integer, got 'x'", "L='x' is not an integer"),
+        "L-string": (1, lambda p: p.update(L="6"), _RUN_PARAMETERS,
+                     "L must be an integer, got '6'", "L='6' is not an integer"),
+        "L-float": (1, lambda p: p.update(L=6.0), _RUN_PARAMETERS,
+                    "L must be an integer, got 6.0", "L=6.0 is not an integer"),
+        "r_max-string": (1, lambda p: p.update(r_max="60"), _RUN_PARAMETERS,
+                         "r_max must be an integer, got '60'", None),
+        "r_max-float": (1, lambda p: p.update(r_max=60.0), _RUN_PARAMETERS,
+                        "r_max must be an integer, got 60.0", None),
+        "k-float": (1, lambda p: p["k"].update({"2": 1.0}), _RUN_PARAMETERS,
+                    "k['2'] must be an integer, got 1.0", None),
+        "levels-float-id": (1, lambda p: p["levels"].update({"1": [1.0]}), _RUN_PARAMETERS,
+                            "levels['1'] must be a list of node ids, got [1.0]", None),
+        "levels-key": (1, lambda p: p["levels"].update({"01": p["levels"].pop("1")}),
+                       _RUN_PARAMETERS, "levels key '01' must be written '1'", None),
+        "level-string": (7, lambda p: p.update(level="3"), ("rule-legality",),
+                         "level must be an integer, got '3'", None),
+        "range_end-string": (9, lambda p: p.update(range_end="3"), ("rule-legality",),
+                             "range_end must be an integer, got '3'", None),
+    }
+
     def _forged_run_parameters(self, tmp_path, forged):
-        """The replayed pdfd trace with ``L`` forged on its first event, or
-        the label of its first refinement entry ``S1R(j)``, and the next
-        event's ``from``, forged to ``forged`` with j filled in (``S1R(x)``
-        for "label"), and the lines ``--check all`` must print for it.  CSP
-        conformance reads the index with ``int()``, so it fails only
-        ``S1R(x)``."""
+        """The replayed pdfd trace forged as ``_FORGED[forged]`` names, or
+        with the label of its first refinement entry ``S1R(j)``, and the
+        next event's ``from``, forged to ``forged`` with j filled in
+        (``S1R(x)`` for "label"); and the lines ``--check all`` must print
+        for it.  CSP conformance reads the label through ``parse_label``, so
+        it fails each forged label with the monitors' text."""
         path = tmp_path / "pdfd.jsonl"
         main(["replay", "--fixture", "pdfd-mvp", "--format", "jsonl-trace", "--out", str(path)])
-        if forged == "L":
-            self._forge(path, "PD1", L="x")
-            csp = "FAIL csp-conformance[pdfd] (event 1: L='x' is not an integer)"
-            unreadable = "(event 1: PD1 payload unreadable: invalid literal for int() with base 10: 'x')"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        if forged in self._FORGED:
+            seq, edit, monitors, detail, csp = self._FORGED[forged]
+            pos = next(i for i, rec in enumerate(records) if rec["seq"] == seq)
+            edit(records[pos]["payload"])
+            rule = records[pos]["rule"]
+            unreadable = f"(event {seq}: {rule} payload unreadable: {detail})"
+            csp = f"FAIL csp-conformance[pdfd] (event {seq}: {csp})" if csp else None
         else:
-            records = [json.loads(line) for line in path.read_text().splitlines()]
             pos = next(i for i, rec in enumerate(records) if rec["to"].startswith("S1R("))
             j = int(records[pos]["to"][4:-1])
             label = "S1R(x)" if forged == "label" else forged.format(j=j, digit=chr(0x660 + j))
             records[pos]["to"] = records[pos + 1]["from"] = label
-            path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
-            rule, seq = records[pos]["rule"], records[pos]["seq"]
-            csp = "PASS csp-conformance[pdfd]"
-            if forged == "label":
-                csp = (f"FAIL csp-conformance[pdfd] (event {seq}: annotation failed: "
-                       "invalid literal for int() with base 10: 'x')")
+            seq, rule, monitors = records[pos]["seq"], records[pos]["rule"], self._RUN_PARAMETERS
             unreadable = f"(event {seq}: {rule} target {label} is not a state label)"
+            csp = f"FAIL csp-conformance[pdfd] {unreadable}"
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
         return path, [
             "PASS well-formed",
-            f"FAIL rule-legality {unreadable}",
-            f"FAIL measure-descent {unreadable}",
-            f"FAIL bounded-refinement {unreadable}",
+            *(f"FAIL {check} {unreadable}" if check in monitors else f"PASS {check}"
+              for check in self._RUN_PARAMETERS),
             "PASS finalization-invariance",
             "PASS deadlock-freeness[pdfd]",
-            csp,
+            csp or "PASS csp-conformance[pdfd]",
         ]
 
     @pytest.mark.parametrize("forged", [
-        "L", "label",
+        "label", *_FORGED,
         # An index int() reads but the label grammar refuses: a sign, a
         # space, a wrong bracket, a leading zero, an Arabic-Indic digit.
         pytest.param("S1R(+{j})", id="plus"),
@@ -390,7 +417,7 @@ class TestVerifyForgedPayloads:
 
     def test_pdfd_unreadable_level_count_without_asserts(self, tmp_path):
         """Under ``python -O`` asserts vanish; the verdicts must not need them."""
-        path, expected = self._forged_run_parameters(tmp_path, "L")
+        path, expected = self._forged_run_parameters(tmp_path, "L-string")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(

@@ -174,11 +174,11 @@ GOLDEN = {
     ),
     "geo:pbfd": (
         "49b337bcaf35776313db322f9c2070d4c5e47b9ccf5b73b4273409402d169d31",
-        "b18ff3b0e7a07eb1ed07a39ebe646970700fa941535887fff1dd6df37fa87183",
+        "21d1de55829754ac43b0915384e590b9c23c6c04d8ebfacac31b2552dee80c7d",
     ),
     "geo:pdfd": (
         "dfc6fcc1c5cac32717dbf42cecb07d060c6d51499f50d395ca82ff90dbbd1780",
-        "f0c641008739792f16ad8b4bdfbbea6c99f50f21d825690d4857df54c642d603",
+        "21c89cba3ad936b53e0b28bfc222d638522f3031f44241d2f9badb7b99c84a83",
     ),
     "geo:tle": (
         "adde2ea87cdc1200fdbff076eb99bfdea7e0a64754292240326ba6446e9226ea",
@@ -202,11 +202,11 @@ GOLDEN = {
     ),
     "uneven:pbfd": (
         "eb6ab552ac519fb910941de46b0955fa21f5f1e34a4ce937dfc5a1d8fff40fd2",
-        "4bd07afa115cc7aeff6b03095f702f0284a5d895dc34f91397864e67f022ebcd",
+        "86028eebec60332d9d2bcd6e12821aba93e9501c41472355968c18602b3d7f24",
     ),
     "uneven:pdfd": (
         "467402ab04c02f7fab6f20fbc309ca70b1e9c899254d2921d47908ee183d3dc3",
-        "255643f59ff985f599176cf95a0cb6a0f6b15c61eb848f47550e73dad35c7775",
+        "32f693edab0590c95195e10775eaaad7c1afec43d8a1f0da1eece2beff28ebdc",
     ),
     "uneven:tle": (
         "37be2ea5a04e9b4aaf2254840afad992994536bae17cea0a5108c6fa7eea9661",
@@ -307,7 +307,7 @@ def test_every_rule_row_emits_only_alphabet_events(machine):
         assert spec.events, rule
         templates = _row_templates(spec)
         assert {template[0] for template in templates} <= ALPHABETS[machine], rule
-        # Every parameter is a payload field, read by a getter.
+        # Every parameter is read by a getter: a payload field, or {@}.
         assert all(callable(seg) for template in templates for seg in template[1:]), rule
 
 

@@ -38,8 +38,10 @@ from treeflow.hybrid_machines import run_pbfd, run_pdfd
 from treeflow.scenario import CddScript, Scenario, TraceOriginStrategy
 from treeflow.trace import Trace
 from treeflow.verify import (
+    RULE_TABLES,
     DescentFold,
     WellFormedFold,
+    _field,
     check_bounded_refinement,
     check_deadlock_freeness,
     check_measure_descent,
@@ -251,6 +253,27 @@ class TestLinearLayers:
     def test_csp_conformance(self):
         small, large = dfd_trace(9), dfd_trace(10)
         assert calls(check_csp_conformance, large) / calls(check_csp_conformance, small) <= LINEAR
+
+    def test_csp_conformance_makes_no_package_call_per_event(self):
+        """A plain-template row's compiled renderer is the row's ``render``,
+        called on the event itself, with no wrapper in the package.  Every
+        dfd row is plain, so a dfd trace makes fewer calls into the package
+        than it has events: only the recognizer's feed, once per batch, and
+        its next-state functions, once per process branch that needs one."""
+        trace = dfd_trace(10)
+        assert package_calls(check_csp_conformance, trace) < len(trace.events)
+
+    def test_csp_parses_target_labels_only_for_rows_that_read_them(self):
+        """``{@}`` reads the target label's index through ``parse_label``:
+        once per event whose row reads it, and no other row parses a label."""
+        trace = pdfd_with_repeated_episodes(20)
+        target = _field("@")
+        rows = {rule for rule, spec in RULE_TABLES["pdfd"].items() if spec.events and any(
+            target in template for templates in spec.events.alternatives for template in templates)}
+        reads = sum(ev.rule in rows for ev in trace.events)
+        assert rows == {"PD2", "PD2a", "PD4b", "PD6a"}
+        assert check_csp_conformance(trace).ok
+        assert package_calls(check_csp_conformance, trace, function="parse_label") == reads
 
     @pytest.mark.parametrize("trace", [dad_trace, bfd_trace, cdd_trace])
     def test_csp_conformance_on_other_basic_machines(self, trace):

@@ -35,7 +35,6 @@ from treeflow.verify import (
     Verdict,
     WellFormedFold,
     classify_rules,
-    context_of,
     enumerate_runs,
 )
 
@@ -208,7 +207,7 @@ class TestBoundedRefinement:
 
     def test_total_increment_cap(self):
         res = run_pdfd(visited_places_hierarchy(), pdfd_mvp_scenario())
-        ctx = context_of(res.trace)
+        ctx = TraceContext.from_payload("pdfd", res.trace.events[0].payload)
         total = sum(res.attempts.values())
         assert total <= ctx.max_level * ctx.r_max
 
@@ -354,7 +353,7 @@ class TestLegality:
         events = list(run_pdfd(visited_places_hierarchy(), pdfd_mvp_scenario()).trace)
         idx = next(i for i, e in enumerate(events) if e.rule == "PD2a")
         p = events[idx].payload
-        outside = context_of(Trace("pdfd", events)).level_ids(p["level"] + 1)[0]
+        outside = TraceContext.from_payload("pdfd", events[0].payload).level_ids(p["level"] + 1)[0]
         events[idx] = events[idx]._replace(payload=dict(p, failing=p["failing"] + [outside]))
         verdict = check_rule_legality(Trace("pdfd", events))
         assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
@@ -365,7 +364,8 @@ class TestLegality:
         events = list(run_pdfd(visited_places_hierarchy(), pdfd_mvp_scenario()).trace)
         idx = next(i for i, e in enumerate(events) if e.rule == rule)
         p = events[idx].payload
-        failing = list(context_of(Trace("pdfd", events)).level_ids(p["level"])[:1])
+        ctx = TraceContext.from_payload("pdfd", events[0].payload)
+        failing = list(ctx.level_ids(p["level"])[:1])
         events[idx] = events[idx]._replace(payload=dict(p, failing=failing))
         verdict = check_rule_legality(Trace("pdfd", events))
         assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
