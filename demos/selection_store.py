@@ -22,7 +22,7 @@ for unit in store.schema.units.values():
 print("\n== selecting continents ==")
 for name in ("north_america", "europe", "asia"):
     store.update(person, GEO[name], True)
-mask = store.records[(person, GEO["root"])].cells[GEO["anchor"]]
+mask = store.records[(person, GEO["root"])][GEO["anchor"]]
 print(f"continent mask: {mask} (binary {mask:08b})")
 print("decoded:", sorted(n.name for n in decode(mask, h.node(GEO["anchor"]), h)))
 
@@ -33,7 +33,7 @@ for name in (
     "howard_county", "columbia_md", "ellicott_city",
 ):
     store.update(person, GEO[name], True)
-us_mask = store.records[(person, GEO["north_america"])].cells[GEO["united_states"]]
+us_mask = store.records[(person, GEO["north_america"])][GEO["united_states"]]
 us_bits = [i for i in range(us_mask.bit_length()) if (us_mask >> i) & 1]
 print(f"state mask for the US column: {us_mask} (bits {us_bits})")
 print(f"lookup(maryland) -> {store.lookup(person, GEO['maryland'])}")
@@ -47,7 +47,7 @@ for line in store.report_paths(person):
 # wipes every cell under it; 21 becomes 20.
 print("\n== cascading reset ==")
 store.reset_subtree(person, GEO["north_america"])
-mask = store.records[(person, GEO["root"])].cells[GEO["anchor"]]
+mask = store.records[(person, GEO["root"])][GEO["anchor"]]
 print(f"continent mask after reset: {mask}")
 print("report now:")
 for line in store.report_paths(person):

@@ -16,6 +16,13 @@ from .fixtures import bench_hierarchy, uniform_hierarchy
 from .hierarchy import Hierarchy
 from .tle import TleStore
 
+SCALES = ("small", "medium", "large")
+PROBES, PROBE_SEED = 64, 7
+BATCH_SUBJECTS = (1, 8, 64)
+FULL_LEVELS = (1, 1, 32, 32 * 32)  # "full 32x32": 32 parents of 32 children
+DENSITIES = (0.5, 0.25)
+KEY_BITS = 32
+
 
 class StepCountError(RuntimeError):
     """A single lookup or update took a number of steps that depends on
@@ -43,9 +50,9 @@ class BatchSample:
         return self.steps / self.records if self.records else 0.0
 
 
-def _measure_store(h: Hierarchy, scale: str, probes: int = 64, seed: int = 7) -> StepSample:
+def _measure_store(h: Hierarchy, scale: str) -> StepSample:
     store = TleStore(h)
-    rng = random.Random(seed)
+    rng = random.Random(PROBE_SEED)
     deepest = h.level(h.max_level)
     subject = 1
     # Select every deepest-level node's ancestor chain top-down.
@@ -58,7 +65,7 @@ def _measure_store(h: Hierarchy, scale: str, probes: int = 64, seed: int = 7) ->
             if not store.lookup(subject, node):
                 store.update(subject, node, True)
 
-    targets = [rng.choice(deepest).id for _ in range(probes)]
+    targets = [rng.choice(deepest).id for _ in range(PROBES)]
     lookup_counts = set()
     for t in targets:
         before = store.counter.steps
@@ -88,17 +95,17 @@ def _measure_store(h: Hierarchy, scale: str, probes: int = 64, seed: int = 7) ->
     )
 
 
-def step_count_table(scales: tuple[str, ...] = ("small", "medium", "large")) -> list[StepSample]:
-    return [_measure_store(bench_hierarchy(scale), scale) for scale in scales]
+def step_count_table() -> list[StepSample]:
+    return [_measure_store(bench_hierarchy(scale), scale) for scale in SCALES]
 
 
-def batch_scaling_table(subject_counts: tuple[int, ...] = (1, 8, 64)) -> list[BatchSample]:
+def batch_scaling_table() -> list[BatchSample]:
     """Batch-scan work per record as the record population grows.
 
     The schema is fixed, so the per-record constant must not drift."""
     h = uniform_hierarchy([1, 1, 8, 32])
     out = []
-    for subjects in subject_counts:
+    for subjects in BATCH_SUBJECTS:
         store = TleStore(h)
         for s in range(1, subjects + 1):
             for node in h.level(3):
@@ -125,9 +132,9 @@ class StorageRow:
         return "n/a" if self.ratio is None else f"{self.ratio} ({float(self.ratio):.6f})"
 
 
-def full_selection_store(parents: int = 32, children: int = 32) -> TleStore:
+def full_selection_store() -> TleStore:
     """Every parent fully selected: the C = c-hat configuration."""
-    h = uniform_hierarchy([1, 1, parents, parents * children])
+    h = uniform_hierarchy(FULL_LEVELS)
     store = TleStore(h)
     for node in h.level(3):
         store.update(1, node.id, True)
@@ -136,22 +143,22 @@ def full_selection_store(parents: int = 32, children: int = 32) -> TleStore:
     return store
 
 
-def storage_table(key_bits: int = 32, densities: tuple[float, ...] = (1.0, 0.5, 0.25)) -> list[StorageRow]:
+def storage_table() -> list[StorageRow]:
     rows = []
     full = full_selection_store()
-    rep = full.storage_report(key_bits)
+    rep = full.storage_report(KEY_BITS)
     rows.append(StorageRow("full 32x32", rep["selected"], rep["tle_bits"],
                            rep["traditional_bits"], rep["ratio"]))
     rng = random.Random(11)
-    for density in densities[1:]:
-        h = uniform_hierarchy([1, 1, 32, 32 * 32])
+    for density in DENSITIES:
+        h = uniform_hierarchy(FULL_LEVELS)
         store = TleStore(h)
         for node in h.level(3):
             store.update(1, node.id, True)
         for node in h.level(4):
             if rng.random() < density:
                 store.update(1, node.id, True)
-        rep = store.storage_report(key_bits)
+        rep = store.storage_report(KEY_BITS)
         rows.append(
             StorageRow(
                 f"density {density:.2f}", rep["selected"], rep["tle_bits"],
@@ -161,32 +168,27 @@ def storage_table(key_bits: int = 32, densities: tuple[float, ...] = (1.0, 0.5, 
     return rows
 
 
-def empty_store_row(key_bits: int = 32) -> StorageRow:
+def empty_store_row() -> StorageRow:
     h = uniform_hierarchy([1, 1, 2, 4])
-    rep = TleStore(h).storage_report(key_bits)
+    rep = TleStore(h).storage_report(KEY_BITS)
     return StorageRow("empty", rep["selected"], rep["tle_bits"],
                       rep["traditional_bits"], rep["ratio"])
 
 
 def format_report(
-    samples: list[StepSample],
-    rows: list[StorageRow],
-    batches: list[BatchSample] | None = None,
+    samples: list[StepSample], rows: list[StorageRow], batches: list[BatchSample]
 ) -> str:
     lines = ["# step counts (flat across sizes)"]
     lines.append("scale      nodes    lookup  update")
     for s in samples:
         lines.append(f"{s.scale:<10} {s.nodes:<8} {s.lookup_steps:<7} {s.update_steps}")
     lines.append("")
-    if batches:
-        lines.append("# batch scan (fixed schema, growing record count)")
-        lines.append("subjects  records  steps   steps/record")
-        for b in batches:
-            lines.append(
-                f"{b.subjects:<9} {b.records:<8} {b.steps:<7} {b.constant:.3f}"
-            )
-        lines.append("")
-    lines.append("# storage (key bits = 32)")
+    lines.append("# batch scan (fixed schema, growing record count)")
+    lines.append("subjects  records  steps   steps/record")
+    for b in batches:
+        lines.append(f"{b.subjects:<9} {b.records:<8} {b.steps:<7} {b.constant:.3f}")
+    lines.append("")
+    lines.append(f"# storage (key bits = {KEY_BITS})")
     lines.append("case           selections  store_bits  rowmodel_bits  ratio")
     for r in rows:
         lines.append(

@@ -57,6 +57,13 @@ def exact_int(value: Any, what: str = "") -> int:
     return exact(value, (int,), "an integer", what)
 
 
+def node_ids(value: Any, what: str = "") -> list[int]:
+    """``value`` when it is a JSON list of integers, as node ids are written."""
+    if value.__class__ is not list or any(n.__class__ is not int for n in value):
+        raise ValueError(f"{what} must be a list of node ids, got {value!r}".lstrip())
+    return value
+
+
 def int_key(key: str, what: str = "") -> int:
     """The integer a map key writes as ``str(int)`` writes it.  A key written
     any other way raises IntKeyError, one ``int()`` cannot read its ValueError."""

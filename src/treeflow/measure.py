@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .jsondoc import exact_int, int_key
+from .jsondoc import exact_int, int_key, node_ids
 
 Measure = tuple[int, int, int, int]
 
@@ -60,9 +60,7 @@ class TraceContext:
         ``str(int)`` writes them; any other value raises ValueError naming it."""
         levels = {}
         for k, ids in payload["levels"].items():
-            if ids.__class__ is not list or any(n.__class__ is not int for n in ids):
-                raise ValueError(f"levels[{k!r}] must be a list of node ids, got {ids!r}")
-            levels[int_key(k, "levels")] = tuple(ids)
+            levels[int_key(k, "levels")] = tuple(node_ids(ids, f"levels[{k!r}]"))
         return cls(
             methodology=methodology,
             levels=levels,

@@ -6,11 +6,11 @@ children, and each column's bitmask encodes the selection of the column
 node's own children.  The bottom two levels are therefore embedded as
 columns/bits of level L-2 units and never get units of their own.
 
-Selection state lives per subject (e.g. a person).  A record's cells map
-each column id to its mask as a plain int; the column's width lives only in
-the schema (``TleUnit.child_widths``).  ``lookup`` and ``update`` touch
-exactly one record cell; an instrumented step counter provides the
-constant-work evidence used by the benchmark suite.
+Selection state lives per subject (e.g. a person).  A record is its cells,
+a dict of each column id's mask as a plain int; a column's width is its
+node's ``width_class``.  ``lookup`` and ``update`` touch exactly one record
+cell; an instrumented step counter provides the constant-work evidence used
+by the benchmark suite.
 
 Concurrency: a single writer per (subject, unit) record with any number of
 readers is safe because cells are immutable ints and records swap whole
@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from .bitmask import BitmaskError, DanglingBitError, WidthClass
+from .bitmask import BitmaskError, DanglingBitError
 from .hierarchy import Hierarchy, HierarchyNode
 from .jsondoc import JSONDocumentError, decode_json, exact_int, read_text, write_text
 from .trace import Trace
@@ -63,11 +63,10 @@ class SnapshotError(TleError):
 
 @dataclass(frozen=True)
 class TleUnit:
-    """One grandparent table: ordered parent columns with per-column widths."""
+    """One grandparent table: its parent columns in child_index order."""
 
     grandparent_id: int
     parent_column_ids: tuple[int, ...]
-    child_widths: dict[int, WidthClass]
 
 
 @dataclass(frozen=True)
@@ -99,16 +98,8 @@ def generate_schema(h: Hierarchy) -> TleSchema:
             units[g.id] = TleUnit(
                 grandparent_id=g.id,
                 parent_column_ids=tuple(c.id for c in columns),
-                child_widths={c.id: c.width_class for c in columns},
             )
     return TleSchema(units=units, embedded_levels=(h.max_level - 1, h.max_level))
-
-
-@dataclass(slots=True)
-class TleRecord:
-    subject_id: int
-    unit_id: int
-    cells: dict[int, int]  # column id -> mask value
 
 
 class StepCounter:
@@ -117,36 +108,34 @@ class StepCounter:
     def __init__(self) -> None:
         self.steps = 0
 
-    def tick(self, n: int = 1) -> None:
-        self.steps += n
+    def tick(self) -> None:
+        self.steps += 1
 
 
 class TleStore:
-    def __init__(self, hierarchy: Hierarchy, schema: TleSchema | None = None):
+    def __init__(self, hierarchy: Hierarchy):
         self.hierarchy = hierarchy
-        self.schema = schema or generate_schema(hierarchy)
-        self.records: dict[tuple[int, int], TleRecord] = {}
-        self.subjects: set[int] = set()
+        self.schema = generate_schema(hierarchy)
+        # (subject, unit id) -> that record's cells: column id -> mask value
+        self.records: dict[tuple[int, int], dict[int, int]] = {}
         self.counter = StepCounter()
 
     # -- record plumbing ----------------------------------------------------
 
-    def _empty_record(self, subject: int, unit: TleUnit) -> TleRecord:
-        return TleRecord(subject, unit.grandparent_id, dict.fromkeys(unit.parent_column_ids, 0))
-
-    def _record(self, subject: int, unit: TleUnit) -> TleRecord:
+    def _record(self, subject: int, unit: TleUnit) -> dict[int, int]:
         """The subject's record of ``unit``, allocated on first use."""
         key = (subject, unit.grandparent_id)
         rec = self.records.get(key)
         if rec is None:
-            rec = self.records[key] = self._empty_record(subject, unit)
-            self.subjects.add(subject)
+            rec = self.records[key] = dict.fromkeys(unit.parent_column_ids, 0)
         return rec
 
     def _locate(self, child_id: int) -> tuple[HierarchyNode, HierarchyNode, TleUnit]:
         """A selectable node, its parent (the column) and the grandparent's
         unit.  A selectable node sits at level 3 or deeper of a validated
-        hierarchy, so its parent and grandparent exist."""
+        hierarchy, so its parent and grandparent exist; the grandparent is at
+        level <= L-2 with the node as its grandchild, so it has a unit, and
+        the parent is one of that unit's columns."""
         nodes = self.hierarchy.nodes
         node = nodes.get(child_id)
         if node is None:
@@ -156,10 +145,7 @@ class TleStore:
                 f"node {child_id} at level {node.level} is structural"
             )
         parent = nodes[node.parent_id]
-        unit = self.schema.units.get(parent.parent_id)
-        if unit is None or parent.id not in unit.child_widths:
-            raise UnknownChildError(f"no unit column for node {child_id}")
-        return node, parent, unit
+        return node, parent, self.schema.units[parent.parent_id]
 
     # -- public operations --------------------------------------------------
 
@@ -168,7 +154,7 @@ class TleStore:
         node, parent, unit = self._locate(child_id)
         self.counter.steps += LOOKUP_STEP_BUDGET  # record fetch, cell fetch, bit test
         rec = self.records.get((subject, unit.grandparent_id))
-        return rec is not None and (rec.cells[parent.id] >> node.child_index) & 1 == 1
+        return rec is not None and (rec[parent.id] >> node.child_index) & 1 == 1
 
     def update(self, subject: int, child_id: int, selected: bool) -> None:
         """Set or clear one selection bit.
@@ -188,7 +174,7 @@ class TleStore:
                 f"parent {parent.id} of node {child_id} is not selected"
             )
         self.counter.steps += 3  # record fetch, cell fetch, bit write
-        cells = self._record(subject, unit).cells
+        cells = self._record(subject, unit)
         bit = 1 << node.child_index
         cell = cells[parent.id]
         cells[parent.id] = cell | bit if selected else cell & ~bit
@@ -200,12 +186,12 @@ class TleStore:
         if node.level >= MIN_SELECTABLE_LEVEL:
             self.update(subject, node_id, False)
         subtree = self.hierarchy.subtree_ids(node_id)
-        for (subj, unit_id), rec in self.records.items():
+        for (subj, _), cells in self.records.items():
             if subj != subject:
                 continue
-            for col, mask in rec.cells.items():
+            for col, mask in cells.items():
                 if mask and col in subtree:
-                    rec.cells[col] = 0
+                    cells[col] = 0
 
     def batch_query(
         self, predicate: Callable[[int, int, int], bool]
@@ -213,9 +199,9 @@ class TleStore:
         """Visit every stored cell once; matches are
         (subject, unit, column, mask) tuples.  Work is linear in records."""
         matches = []
-        for (subject, unit_id), rec in self.records.items():
+        for (subject, unit_id), cells in self.records.items():
             self.counter.tick()  # record visit
-            for col, mask in rec.cells.items():
+            for col, mask in cells.items():
                 self.counter.tick()  # one mask op per column
                 if predicate(unit_id, col, mask):
                     matches.append((subject, unit_id, col, mask))
@@ -237,7 +223,7 @@ class TleStore:
         rec = self.records.get((subject, unit.grandparent_id))
         if rec is None:
             return []
-        mask = rec.cells[column.id]
+        mask = rec[column.id]
         return [c for c in children if (mask >> c.child_index) & 1]
 
     def selection_set(self, subject: int) -> set[int]:
@@ -279,12 +265,12 @@ class TleStore:
         capacity of all allocated cells.  The ratio is exact."""
         if key_bits < 1:
             raise TleError("key_bits must be >= 1")
+        nodes = self.hierarchy.nodes
         tle_bits = 0
         selected = 0
-        for (_, unit_id), rec in self.records.items():
-            widths = self.schema.units[unit_id].child_widths
-            for col, mask in rec.cells.items():
-                tle_bits += widths[col].capacity
+        for cells in self.records.values():
+            for col, mask in cells.items():
+                tle_bits += nodes[col].width_class.capacity
                 selected += mask.bit_count()
         traditional = selected * key_bits
         ratio = Fraction(tle_bits, traditional) if traditional else None
@@ -301,7 +287,7 @@ class TleStore:
         """Write the schema and every record as sorted-key JSON through
         ``jsondoc.write_text``: an existing file is overwritten in place,
         keeping its inode and mode."""
-        units = self.schema.units
+        nodes = self.hierarchy.nodes
         doc = {
             "schema": {
                 "embedded_levels": list(self.schema.embedded_levels),
@@ -309,23 +295,23 @@ class TleStore:
                     {
                         "grandparent_id": u.grandparent_id,
                         "columns": [
-                            {"id": c, "width_class": u.child_widths[c].serialize()}
+                            {"id": c, "width_class": nodes[c].width_class.serialize()}
                             for c in u.parent_column_ids
                         ],
                     }
-                    for u in units.values()
+                    for u in self.schema.units.values()
                 ],
             },
             "records": [
                 {
-                    "subject_id": rec.subject_id,
-                    "unit_id": rec.unit_id,
+                    "subject_id": subject,
+                    "unit_id": unit_id,
                     "cells": {
-                        str(col): units[rec.unit_id].child_widths[col].dump_mask(mask)
-                        for col, mask in rec.cells.items()
+                        str(col): nodes[col].width_class.dump_mask(mask)
+                        for col, mask in cells.items()
                     },
                 }
-                for rec in self.records.values()
+                for (subject, unit_id), cells in self.records.items()
             ],
         }
         write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -360,12 +346,12 @@ class TleStore:
                 if cells.__class__ is not dict:
                     raise ValueError(f"must be an object, got {cells!r}")
                 columns = {str(col): col for col in unit.parent_column_ids}
-                rec = store._empty_record(subject, unit)
+                rec = dict.fromkeys(unit.parent_column_ids, 0)
                 for col_text, value in cells.items():
                     col = columns.get(col_text)
                     if col is None:
                         raise ValueError(f"unknown column {col_text} of unit {unit_id}")
-                    rec.cells[col] = unit.child_widths[col].load_mask(value)
+                    rec[col] = hierarchy.nodes[col].width_class.load_mask(value)
             except KeyError:
                 raise SnapshotError(f"{where}: missing field {field!r}") from None
             except BitmaskError as exc:
@@ -373,7 +359,6 @@ class TleStore:
             except ValueError as exc:
                 raise SnapshotError(f"{where}.{field}: {exc}") from None
             store.records[(subject, unit_id)] = rec
-            store.subjects.add(subject)
         return store
 
 

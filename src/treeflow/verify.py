@@ -46,7 +46,7 @@ from operator import itemgetter, methodcaller
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .hierarchy import Hierarchy
-from .jsondoc import exact_int
+from .jsondoc import exact_int, node_ids
 from .measure import Measure, TraceContext, measure
 from .scenario import Scenario, TraceOriginStrategy
 from .trace import LabelTable, StatusFold, StatusFoldError, Trace, TraceEvent, parse_label
@@ -623,7 +623,7 @@ def _legality_problem(
     the episode of ``origin``, or None; an S1R entry adds to ``spent``."""
     rule = ev.rule
     p = ev.payload
-    failing = p.get("failing", [])
+    failing = node_ids(p["failing"], "failing") if "failing" in p else ()
     if index is None and family not in ("S5", "T"):
         return f"{rule} target {ev.to_state} names no level"
     level = index if rule in _LEVEL_FROM_TARGET else exact_int(p["level"], "level")

@@ -76,7 +76,7 @@ def test_01_bit_exact_decode_of_worked_values():
         store = geo_store()
 
         def cell(unit, col):
-            return store.records[(1, GEO[unit])].cells[GEO[col]]
+            return store.records[(1, GEO[unit])][GEO[col]]
 
         def names(mask, parent):
             return {n.name for n in decode(mask, h.node(GEO[parent]), h)}
@@ -124,7 +124,7 @@ def test_01_bit_exact_decode_of_worked_values():
         fresh = TleStore(h)
         fresh.update(1, GEO["north_america"], True)
         fresh.update(1, GEO["asia"], True)
-        assert fresh.records[(1, GEO["root"])].cells[GEO["anchor"]] == 17
+        assert fresh.records[(1, GEO["root"])][GEO["anchor"]] == 17
     report(1, "all worked bitmask values decode bit-exactly")
 
 
@@ -163,7 +163,7 @@ def test_03_storage_ratio_exact_and_randomized():
                     selections += 1
         assert selections >= 10_000
         rep2 = store2.storage_report(32)
-        cells = sum(len(r.cells) for r in store2.records.values())
+        cells = sum(len(r) for r in store2.records.values())
         c_hat = rep2["selected"] / cells
         capacity = 32  # uniform cell width in this hierarchy
         expected = capacity / (c_hat * 32)
@@ -222,7 +222,7 @@ def test_05_oracle_equivalence():
 
         def key_of(store, oracle):
             cells = tuple(
-                (k, tuple(sorted((c, m) for c, m in rec.cells.items())))
+                (k, tuple(sorted((c, m) for c, m in rec.items())))
                 for k, rec in sorted(store.records.items())
             )
             rows = tuple((r.node_id, r.is_deleted) for r in oracle.rows)

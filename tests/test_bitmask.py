@@ -33,11 +33,11 @@ def child(i: int) -> int:
 
 def cell(store: TleStore) -> int:
     rec = store.records.get((SUBJECT, 0))
-    return 0 if rec is None else rec.cells[1]
+    return 0 if rec is None else rec[1]
 
 
 def set_cell(store: TleStore, value: int) -> None:
-    store._record(SUBJECT, store.schema.units[0]).cells[1] = value
+    store._record(SUBJECT, store.schema.units[0])[1] = value
 
 
 def toggle(store: TleStore, node_id: int) -> None:
@@ -45,7 +45,7 @@ def toggle(store: TleStore, node_id: int) -> None:
 
 
 def geo_cell(store: TleStore, unit: str, column: str) -> int:
-    return store.records[(SUBJECT, GEO[unit])].cells[GEO[column]]
+    return store.records[(SUBJECT, GEO[unit])][GEO[column]]
 
 
 class TestWorkedValues:

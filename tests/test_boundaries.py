@@ -303,7 +303,7 @@ class TestSnapshotLoader:
         tree, snap = files
         self._edit(snap, lambda rec: rec["cells"].update({"2": "0x3", "4": 3}))
         store = self._load(tree, snap)
-        assert store.records[(1, 1)].cells[2] == store.records[(1, 1)].cells[4] == 3
+        assert store.records[(1, 1)][2] == store.records[(1, 1)][4] == 3
 
     def test_cli_report_prints_one_error_line(self, files, capsys):
         tree, snap = files

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and exit-code conventions."""
 
+import hashlib
 import json
 import os
 import stat
@@ -364,6 +365,8 @@ class TestVerifyForgedPayloads:
                          "level must be an integer, got '3'", None),
         "range_end-string": (9, lambda p: p.update(range_end="3"), ("rule-legality",),
                              "range_end must be an integer, got '3'", None),
+        "failing-float": (7, lambda p: p.update(failing=[4.0, 5]), ("rule-legality",),
+                          "failing must be a list of node ids, got [4.0, 5]", None),
     }
 
     def _forged_run_parameters(self, tmp_path, forged):
@@ -476,6 +479,13 @@ class TestReportAndBench:
         out = capsys.readouterr().out
         assert "1/32" in out
         assert "lookup" in out
+
+    def test_bench_output_pinned(self, capsys):
+        """Every table ``bench`` prints, byte for byte: (size, sha256)."""
+        assert main(["bench"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert (len(out), hashlib.sha256(out).hexdigest()) == (
+            708, "480f392b2d15ddb1d74f56a512e52fd840ae2e72a0764a390ea068f5e988dbc6")
 
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -56,7 +56,7 @@ def _oracle_op(oracle: NormalizedStore, op: str, node: int):
 
 def store_state_key(store: TleStore):
     return tuple(
-        (k, tuple(sorted((c, m) for c, m in rec.cells.items())))
+        (k, tuple(sorted((c, m) for c, m in rec.items())))
         for k, rec in sorted(store.records.items())
     )
 

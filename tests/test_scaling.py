@@ -36,6 +36,7 @@ from treeflow.fixtures import (
 from treeflow.hierarchy import load_hierarchy
 from treeflow.hybrid_machines import run_pbfd, run_pdfd
 from treeflow.scenario import CddScript, Scenario, TraceOriginStrategy
+from treeflow.tle import MIN_SELECTABLE_LEVEL, TleStore
 from treeflow.trace import Trace
 from treeflow.verify import (
     RULE_TABLES,
@@ -67,12 +68,16 @@ def calls(fn, *args) -> int:
     return profiled(fn, *args).total_calls
 
 
+def _package_calls(stats: pstats.Stats, function: str | None = None) -> int:
+    return sum(nc for (filename, _, name), (_, nc, *_) in stats.stats.items()
+               if Path(filename).parent == PACKAGE and function in (None, name))
+
+
 def package_calls(fn, *args, function: str | None = None) -> int:
     """Calls made by ``fn(*args)`` to functions defined in the treeflow
     package, or only to the one named ``function``; builtins and generated
     code are not counted."""
-    return sum(nc for (filename, _, name), (_, nc, *_) in profiled(fn, *args).stats.items()
-               if Path(filename).parent == PACKAGE and function in (None, name))
+    return _package_calls(profiled(fn, *args), function)
 
 
 def ratio(build, layer, n: int) -> float:
@@ -326,6 +331,54 @@ class TestSizeIndependentLayers:
         verdict = check_measure_descent(trace, "pdfd")
         assert verdict.ok, verdict.line()
         assert check_bounded_refinement(trace).ok
+
+
+def wide_tree(n: int):
+    """Two structural levels over n parents of four children each."""
+    return uniform_hierarchy([1, 1, n, 4 * n])
+
+
+def path_tree(n: int):
+    """A path of n nodes, one per level."""
+    return uniform_hierarchy([1] * n)
+
+
+def store_op_calls(h, subjects: int) -> dict[str, tuple[int, int]]:
+    """(calls, package calls) of one lookup, select, deselect and
+    selected_children at the last node of ``h``'s deepest level, for
+    subject 1 of ``subjects`` that each have the node's ancestors selected."""
+    node = h.level(h.max_level)[-1]
+    chain = [a.id for a in reversed(h.ancestors(node.id)) if a.level >= MIN_SELECTABLE_LEVEL]
+    store = TleStore(h)
+    for subject in range(1, subjects + 1):
+        for a in chain:
+            store.update(subject, a, True)
+    ops = {
+        "lookup": (store.lookup, 1, node.id),
+        "select": (store.update, 1, node.id, True),
+        "deselect": (store.update, 1, node.id, False),
+        "selected_children": (store.selected_children, 1, node.parent_id),
+    }
+    out = {}
+    for name, (fn, *args) in ops.items():
+        stats = profiled(fn, *args)
+        out[name] = (stats.total_calls, _package_calls(stats))
+    return out
+
+
+class TestStoreOps:
+    """One lookup, select, deselect or selected_children makes the same
+    calls at n and 2n nodes and at n and 2n subjects.  ``reset_subtree`` is
+    left out: its scan of every record of the store makes no call per
+    record, so a call count cannot show how its work grows."""
+
+    @pytest.mark.parametrize("shape", [wide_tree, path_tree])
+    def test_same_calls_at_n_and_2n_nodes(self, shape):
+        assert store_op_calls(shape(64), 8) == store_op_calls(shape(128), 8)
+
+    @pytest.mark.parametrize("shape", [wide_tree, path_tree])
+    def test_same_calls_at_n_and_2n_subjects(self, shape):
+        assert store_op_calls(shape(64), 8) == store_op_calls(shape(64), 16)
 
 
 def traced(fn, *args):

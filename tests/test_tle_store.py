@@ -53,7 +53,7 @@ class TestSchema:
         unit = generate_schema(geo).units[2]  # North America
         names = [geo.node(c).name for c in unit.parent_column_ids]
         assert names == ["United States", "Canada", "Mexico", "Guatemala", "Honduras"]
-        assert unit.child_widths[9].capacity == 64
+        assert geo.node(unit.parent_column_ids[0]).width_class.capacity == 64
 
     def test_three_level_minimum(self):
         h = uniform_hierarchy([1, 3])
@@ -77,45 +77,45 @@ class TestSchema:
 class TestWorkedSelectionState:
     def test_continent_mask_is_21(self, store):
         rec = store.records[(1, GEO["root"])]
-        assert rec.cells[GEO["anchor"]] == 21
+        assert rec[GEO["anchor"]] == 21
 
     def test_country_masks(self, store):
         rec = store.records[(1, GEO["anchor"])]
-        assert rec.cells[GEO["north_america"]] == 3
-        assert rec.cells[GEO["europe"]] == 3
-        assert rec.cells[GEO["asia"]] == 0
+        assert rec[GEO["north_america"]] == 3
+        assert rec[GEO["europe"]] == 3
+        assert rec[GEO["asia"]] == 0
 
     def test_state_masks(self, store):
         rec = store.records[(1, GEO["north_america"])]
-        assert rec.cells[GEO["united_states"]] == 264192
-        assert rec.cells[GEO["canada"]] == 4097
+        assert rec[GEO["united_states"]] == 264192
+        assert rec[GEO["canada"]] == 4097
 
     def test_county_masks(self, store):
         rec = store.records[(1, GEO["united_states"])]
-        assert rec.cells[GEO["maryland"]] == 4100
-        assert rec.cells[GEO["virginia"]] == 268435520
+        assert rec[GEO["maryland"]] == 4100
+        assert rec[GEO["virginia"]] == 268435520
 
     def test_city_masks(self, store):
         md = store.records[(1, GEO["maryland"])]
-        assert md.cells[GEO["baltimore_county"]] == 3
-        assert md.cells[GEO["howard_county"]] == 3
+        assert md[GEO["baltimore_county"]] == 3
+        assert md[GEO["howard_county"]] == 3
         va = store.records[(1, GEO["virginia"])]
-        assert va.cells[GEO["arlington_county"]] == 257
-        assert va.cells[GEO["fairfax_county"]] == 0
+        assert va[GEO["arlington_county"]] == 257
+        assert va[GEO["fairfax_county"]] == 0
 
 
 class TestDecode:
     def test_decode_21_names_three_continents(self, store, geo):
-        mask = store.records[(1, GEO["root"])].cells[GEO["anchor"]]
+        mask = store.records[(1, GEO["root"])][GEO["anchor"]]
         names = {n.name for n in decode(mask, geo.node(GEO["anchor"]), geo)}
         assert names == {"North America", "Europe", "Asia"}
 
     def test_decode_empty(self, store, geo):
-        mask = store.records[(1, GEO["anchor"])].cells[GEO["asia"]]
+        mask = store.records[(1, GEO["anchor"])][GEO["asia"]]
         assert decode(mask, geo.node(GEO["asia"]), geo) == set()
 
     def test_decode_howard_cities(self, store, geo):
-        mask = store.records[(1, GEO["maryland"])].cells[GEO["howard_county"]]
+        mask = store.records[(1, GEO["maryland"])][GEO["howard_county"]]
         names = {n.name for n in decode(mask, geo.node(GEO["howard_county"]), geo)}
         assert names == {"Columbia MD", "Ellicott City"}
 
@@ -161,17 +161,17 @@ class TestLookupUpdate:
             store.lookup(1, GEO["anchor"])  # structural
 
     def test_update_involution(self, store):
-        before = store.records[(1, GEO["north_america"])].cells[GEO["united_states"]]
+        before = store.records[(1, GEO["north_america"])][GEO["united_states"]]
         store.update(1, GEO["california"], True)
         store.update(1, GEO["california"], False)
-        after = store.records[(1, GEO["north_america"])].cells[GEO["united_states"]]
+        after = store.records[(1, GEO["north_america"])][GEO["united_states"]]
         assert before == after
 
     def test_update_sequence_builds_21(self, geo):
         s = TleStore(geo)
         for node in ("asia", "europe", "north_america"):
             s.update(7, GEO[node], True)
-        assert s.records[(7, GEO["root"])].cells[GEO["anchor"]] == 21
+        assert s.records[(7, GEO["root"])][GEO["anchor"]] == 21
 
     def test_orphan_selection_rejected(self, geo):
         s = TleStore(geo)
@@ -183,8 +183,8 @@ class TestLookupUpdate:
         s.update(1, GEO["asia"], True)
         s.update(2, GEO["europe"], True)
         first, second = s.records[(1, GEO["root"])], s.records[(2, GEO["root"])]
-        assert first.cells is not second.cells
-        assert first.cells[GEO["anchor"]] != second.cells[GEO["anchor"]]
+        assert first is not second
+        assert first[GEO["anchor"]] != second[GEO["anchor"]]
 
     def test_exact_step_counts(self, geo):
         s = TleStore(geo)
@@ -214,13 +214,13 @@ class TestLookupUpdate:
 class TestResetSubtree:
     def test_deselect_north_america_cascades(self, store):
         store.reset_subtree(1, GEO["north_america"])
-        assert store.records[(1, GEO["root"])].cells[GEO["anchor"]] == 20
-        assert store.records[(1, GEO["anchor"])].cells[GEO["north_america"]] == 0
+        assert store.records[(1, GEO["root"])][GEO["anchor"]] == 20
+        assert store.records[(1, GEO["anchor"])][GEO["north_america"]] == 0
         us = store.records[(1, GEO["north_america"])]
-        assert us.cells[GEO["united_states"]] == 0
-        assert us.cells[GEO["canada"]] == 0
-        assert store.records[(1, GEO["united_states"])].cells[GEO["maryland"]] == 0
-        assert store.records[(1, GEO["maryland"])].cells[GEO["howard_county"]] == 0
+        assert us[GEO["united_states"]] == 0
+        assert us[GEO["canada"]] == 0
+        assert store.records[(1, GEO["united_states"])][GEO["maryland"]] == 0
+        assert store.records[(1, GEO["maryland"])][GEO["howard_county"]] == 0
         for node in ("maryland", "howard_county", "ellicott_city", "ontario"):
             assert not store.lookup(1, GEO[node])
         # Other continents untouched.
@@ -228,7 +228,7 @@ class TestResetSubtree:
 
     def test_reset_leaf_is_clear_bit_only(self, store):
         store.reset_subtree(1, GEO["ellicott_city"])
-        assert store.records[(1, GEO["maryland"])].cells[GEO["howard_county"]] == 1
+        assert store.records[(1, GEO["maryland"])][GEO["howard_county"]] == 1
         assert store.lookup(1, GEO["columbia_md"])
         assert not store.lookup(1, GEO["ellicott_city"])
 
@@ -259,7 +259,7 @@ class TestBatchQuery:
         matches = store.batch_query(lambda u, c, m: m.bit_count() >= 2)
         brute = []
         for (subject, unit_id), rec in store.records.items():
-            for col, mask in rec.cells.items():
+            for col, mask in rec.items():
                 if len(decode(mask, geo.node(col), geo)) >= 2:
                     brute.append((subject, unit_id, col, mask))
         assert sorted(matches) == sorted(brute)
@@ -268,7 +268,7 @@ class TestBatchQuery:
         before = store.counter.steps
         store.batch_query(lambda u, c, m: False)
         steps = store.counter.steps - before
-        cells = sum(len(r.cells) for r in store.records.values())
+        cells = sum(len(r) for r in store.records.values())
         assert steps == len(store.records) + cells
 
 
@@ -286,12 +286,12 @@ class TestStorageReport:
         rep = TleStore(geo).storage_report(32)
         assert rep == {"tle_bits": 0, "traditional_bits": 0, "selected": 0, "ratio": None}
 
-    def test_ratio_formula_from_counts(self, store):
+    def test_ratio_formula_from_counts(self, store, geo):
         rep = store.storage_report(32)
-        cells = sum(len(r.cells) for r in store.records.values())
+        cells = sum(len(r) for r in store.records.values())
         capacity = sum(
-            store.schema.units[u].child_widths[c].capacity
-            for (_, u), r in store.records.items() for c in r.cells
+            geo.node(c).width_class.capacity
+            for r in store.records.values() for c in r
         )
         assert rep["tle_bits"] == capacity
         c_hat = rep["selected"] / cells
@@ -343,7 +343,7 @@ class TestTraversal:
         applied = next(e.payload["applied"] for e in trace if e.rule == "TLE6")
         assert applied == {GEO["asia"]: False}
         assert not store.lookup(1, GEO["asia"])
-        assert store.records[(1, GEO["root"])].cells[GEO["anchor"]] == 5
+        assert store.records[(1, GEO["root"])][GEO["anchor"]] == 5
 
     def test_unknown_parent_page(self, geo):
         with pytest.raises(Exception, match="unknown|grandparent"):
@@ -416,7 +416,7 @@ class TestHierarchicalConsistency:
         s.reset_subtree(1, GEO["united_states"])
         s.reset_subtree(1, GEO["europe"])
         for (subject, unit_id), rec in s.records.items():
-            for col, mask in rec.cells.items():
+            for col, mask in rec.items():
                 for child in decode(mask, geo.node(col), geo):
                     parent = geo.parent(child.id)
                     if parent is not None and parent.level >= 3:
