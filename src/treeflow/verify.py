@@ -623,7 +623,9 @@ def _legality_problem(
     the episode of ``origin``, or None; an S1R entry adds to ``spent``."""
     rule = ev.rule
     p = ev.payload
-    failing = node_ids(p["failing"], "failing") if "failing" in p else ()
+    failing = p.get("failing", [])
+    if failing or failing.__class__ is not list:
+        node_ids(failing, "failing")  # 4.0 or True would pass the set test below
     if index is None and family not in ("S5", "T"):
         return f"{rule} target {ev.to_state} names no level"
     level = index if rule in _LEVEL_FROM_TARGET else exact_int(p["level"], "level")

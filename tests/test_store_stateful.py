@@ -35,16 +35,13 @@ SUBJECTS = (1, 2, 3)
 subjects = st.sampled_from(SUBJECTS)
 
 
-def _select(target, subject, node):
-    """"orphan" when ``target`` refuses the select, else None."""
+def _refused(select, subject, node):
+    """Whether ``select(subject, node)`` refuses the node as an orphan."""
     try:
-        if isinstance(target, TleStore):
-            target.update(subject, node, True)
-        else:
-            target.select(subject, node)
+        select(subject, node)
     except OrphanSelectionError:
-        return "orphan"
-    return None
+        return True
+    return False
 
 
 class StoreMachine(RuleBasedStateMachine):
@@ -63,14 +60,17 @@ class StoreMachine(RuleBasedStateMachine):
         store.save_snapshot(path)
         return path
 
-    def _both_select(self, subject, node):
-        outcomes = {_select(t, subject, node) for t in (self.store, self.twin, self.oracle)}
-        assert len(outcomes) == 1, (subject, node, outcomes)
+    def _select(self, subject, node):
+        outcomes = [_refused(select, subject, node) for select in (
+            lambda s, n: self.store.update(s, n, True),
+            lambda s, n: self.twin.update(s, n, True),
+            self.oracle.select)]
+        assert len(set(outcomes)) == 1, (subject, node, outcomes)
 
     @rule(subject=subjects, node=st.sampled_from(SELECTABLE))
     def select_any(self, subject, node):
         """Any selectable node: deep ones are mostly orphans and refused."""
-        self._both_select(subject, node)
+        self._select(subject, node)
 
     @rule(subject=subjects, data=st.data())
     def select_below(self, subject, data):
@@ -78,7 +78,7 @@ class StoreMachine(RuleBasedStateMachine):
         live = self.oracle.selection_set(subject)
         candidates = sorted(set(TOP).union(
             c.id for n in live for c in GEO_TREE.children(n)))
-        self._both_select(subject, data.draw(st.sampled_from(candidates)))
+        self._select(subject, data.draw(st.sampled_from(candidates)))
 
     @rule(subject=subjects, node=st.sampled_from(SELECTABLE))
     def deselect(self, subject, node):
