@@ -3,8 +3,10 @@
 Hypothesis draws sequences of selects (orphan refusals included),
 deselects, subtree resets, lookups and snapshot round trips over three
 subjects on the GEO hierarchy, whose columns are 32-bit, 64-bit and
-``var:n`` wide.  A round trip saves the store under test and replaces it
-with the store ``load_snapshot`` reads back.  After every step:
+``var:n`` wide.  Selects, deselects and resets each draw from any node and
+from the nodes around the subject's selection, so chains grow deep and
+resets clear whole columns.  A round trip saves the store under test and
+replaces it with the store ``load_snapshot`` reads back.  After every step:
 
 - each subject's ``selection_set`` equals the normalized oracle's, and
   ``lookup`` answers True for exactly the nodes whose oracle row is live;
@@ -80,17 +82,38 @@ class StoreMachine(RuleBasedStateMachine):
             c.id for n in live for c in GEO_TREE.children(n)))
         self._select(subject, data.draw(st.sampled_from(candidates)))
 
-    @rule(subject=subjects, node=st.sampled_from(SELECTABLE))
-    def deselect(self, subject, node):
+    def _deselect(self, subject, node):
         self.store.update(subject, node, False)
         self.twin.update(subject, node, False)
         self.oracle.deselect(subject, node)
 
-    @rule(subject=subjects, node=st.sampled_from(ALL_NODES))
-    def reset_subtree(self, subject, node):
+    @rule(subject=subjects, node=st.sampled_from(SELECTABLE))
+    def deselect_any(self, subject, node):
+        """Any selectable node: most are not selected."""
+        self._deselect(subject, node)
+
+    @rule(subject=subjects, data=st.data())
+    def deselect_selected(self, subject, data):
+        """A selected node, whose siblings' bits share its cell."""
+        live = sorted(self.oracle.selection_set(subject)) or TOP
+        self._deselect(subject, data.draw(st.sampled_from(live)))
+
+    def _reset(self, subject, node):
         self.store.reset_subtree(subject, node)
         self.twin.reset_subtree(subject, node)
         self.oracle.reset_subtree(subject, node)
+
+    @rule(subject=subjects, node=st.sampled_from(ALL_NODES))
+    def reset_any(self, subject, node):
+        """Any node, structural ones included."""
+        self._reset(subject, node)
+
+    @rule(subject=subjects, data=st.data())
+    def reset_above_selected(self, subject, data):
+        """The parent of a selected node, so the reset clears a whole column."""
+        parents = sorted({GEO_TREE.node(n).parent_id
+                          for n in self.oracle.selection_set(subject)}) or ALL_NODES
+        self._reset(subject, data.draw(st.sampled_from(parents)))
 
     def _live(self, subject, node):
         row = self.oracle.row_for(subject, node)
@@ -119,6 +142,6 @@ class StoreMachine(RuleBasedStateMachine):
 
 
 StoreMachine.TestCase.settings = settings(
-    max_examples=40, stateful_step_count=30, deadline=None, derandomize=True,
+    max_examples=60, stateful_step_count=40, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow])
 TestStoreMachine = StoreMachine.TestCase
