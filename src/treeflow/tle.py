@@ -8,9 +8,20 @@ columns/bits of level L-2 units and never get units of their own.
 
 Selection state lives per subject (e.g. a person).  A record is its cells,
 a dict of each column id's mask as a plain int; a column's width is its
-node's ``width_class``.  ``lookup`` and ``update`` touch exactly one record
-cell; an instrumented step counter provides the constant-work evidence used
-by the benchmark suite.
+node's ``width_class``.  An instrumented step counter provides the
+constant-work evidence used by the benchmark suite.
+
+What each operation costs:
+
+* ``lookup`` and ``update``: two node reads (the node, then its parent, the
+  column) and one record, keyed by the parent's ``parent_id``; a select adds
+  the parent's lookup.
+* ``selected_children``, ``selection_set`` and ``report_paths``: the
+  structural levels plus the selected nodes.  Each visited parent's cell is
+  read once and only its set bits are walked; a parent whose children have
+  a gap in their child_index numbering reads all its children.
+* ``reset_subtree``: the node's subtree plus every record of every subject,
+  until a per-subject index lands (ROADMAP items 1 and 2).
 
 Concurrency: a single writer per (subject, unit) record with any number of
 readers is safe because cells are immutable ints and records swap whole
@@ -102,6 +113,14 @@ def generate_schema(h: Hierarchy) -> TleSchema:
     return TleSchema(units=units, embedded_levels=(h.max_level - 1, h.max_level))
 
 
+def _unselectable(child_id: int, node: HierarchyNode | None) -> UnknownChildError:
+    """The error for an id outside the hierarchy or above the selectable
+    levels."""
+    if node is None:
+        return UnknownChildError(f"unknown node id {child_id}")
+    return UnknownChildError(f"node {child_id} at level {node.level} is structural")
+
+
 class StepCounter:
     """Counts elementary store steps: record fetch, cell fetch, bit op."""
 
@@ -120,51 +139,36 @@ class TleStore:
         self.records: dict[tuple[int, int], dict[int, int]] = {}
         self.counter = StepCounter()
 
-    # -- record plumbing ----------------------------------------------------
-
-    def _record(self, subject: int, unit: TleUnit) -> dict[int, int]:
-        """The subject's record of ``unit``, allocated on first use."""
-        key = (subject, unit.grandparent_id)
-        rec = self.records.get(key)
-        if rec is None:
-            rec = self.records[key] = dict.fromkeys(unit.parent_column_ids, 0)
-        return rec
-
-    def _locate(self, child_id: int) -> tuple[HierarchyNode, HierarchyNode, TleUnit]:
-        """A selectable node, its parent (the column) and the grandparent's
-        unit.  A selectable node sits at level 3 or deeper of a validated
-        hierarchy, so its parent and grandparent exist; the grandparent is at
-        level <= L-2 with the node as its grandchild, so it has a unit, and
-        the parent is one of that unit's columns."""
-        nodes = self.hierarchy.nodes
-        node = nodes.get(child_id)
-        if node is None:
-            raise UnknownChildError(f"unknown node id {child_id}")
-        if node.level < MIN_SELECTABLE_LEVEL:
-            raise UnknownChildError(
-                f"node {child_id} at level {node.level} is structural"
-            )
-        parent = nodes[node.parent_id]
-        return node, parent, self.schema.units[parent.parent_id]
-
     # -- public operations --------------------------------------------------
 
     def lookup(self, subject: int, child_id: int) -> bool:
-        """Selection status of one node; constant elementary steps."""
-        node, parent, unit = self._locate(child_id)
+        """Selection status of one node: two node reads (the node and its
+        parent, the column) and one record, keyed by the parent's
+        ``parent_id``; constant elementary steps."""
+        nodes = self.hierarchy.nodes
+        node = nodes.get(child_id)
+        if node is None or node.level < MIN_SELECTABLE_LEVEL:
+            raise _unselectable(child_id, node)
+        parent = nodes[node.parent_id]
         self.counter.steps += LOOKUP_STEP_BUDGET  # record fetch, cell fetch, bit test
-        rec = self.records.get((subject, unit.grandparent_id))
-        return rec is not None and (rec[parent.id] >> node.child_index) & 1 == 1
+        cells = self.records.get((subject, parent.parent_id))
+        return cells is not None and (cells[parent.id] >> node.child_index) & 1 == 1
 
     def update(self, subject: int, child_id: int, selected: bool) -> None:
-        """Set or clear one selection bit.
+        """Set or clear one selection bit: two node reads and one record, as
+        in ``lookup``; the unit's columns are read only to allocate the
+        record on its first write.
 
         Selecting checks that the parent is live (mirrors the normalized
         store's orphan rule) with a lookup of the parent; deselecting
         touches only the single bit, the cascading wipe is
         ``reset_subtree``.
         """
-        node, parent, unit = self._locate(child_id)
+        nodes = self.hierarchy.nodes
+        node = nodes.get(child_id)
+        if node is None or node.level < MIN_SELECTABLE_LEVEL:
+            raise _unselectable(child_id, node)
+        parent = nodes[node.parent_id]
         if (
             selected
             and parent.level >= MIN_SELECTABLE_LEVEL
@@ -174,14 +178,26 @@ class TleStore:
                 f"parent {parent.id} of node {child_id} is not selected"
             )
         self.counter.steps += 3  # record fetch, cell fetch, bit write
-        cells = self._record(subject, unit)
+        key = (subject, parent.parent_id)
+        cells = self.records.get(key)
+        if cells is None:
+            # A selectable node's grandparent is at level <= L-2 with the
+            # node as its grandchild, so it has a unit whose columns include
+            # the parent.
+            columns = self.schema.units[parent.parent_id].parent_column_ids
+            cells = self.records[key] = dict.fromkeys(columns, 0)
         bit = 1 << node.child_index
         cell = cells[parent.id]
         cells[parent.id] = cell | bit if selected else cell & ~bit
 
     def reset_subtree(self, subject: int, node_id: int) -> None:
         """Clear the node's own bit and zero every cell whose column lies in
-        the node's subtree, for this subject."""
+        the node's subtree, for this subject.
+
+        Costs the node's subtree plus every record of every subject: no
+        index from a subject to its records exists yet.  Such an index waits
+        until the store benchmark holds its record population steady, so
+        that a faster reset does not grow the store (ROADMAP items 1, 2)."""
         node = self.hierarchy.node(node_id)
         if node.level >= MIN_SELECTABLE_LEVEL:
             self.update(subject, node_id, False)
@@ -209,51 +225,80 @@ class TleStore:
 
     # -- decoding and reporting ----------------------------------------------
 
+    def _set_children(self, subject: int, parent: HierarchyNode) -> list[HierarchyNode]:
+        """Children of ``parent`` whose bits are set, in child_index order.
+
+        Reads the parent's cell once and visits only its set bits, lowest
+        first, as ``decode`` does; a bit with no child is ignored.  Bit i is
+        the i-th child when the children are numbered 0..n-1, so the walk
+        reads the last child and each selected one.  A parent with a gap in
+        its numbering maps bits by child_index and reads every child.  The
+        root's children are structural and all count as set."""
+        h = self.hierarchy
+        ids = h.child_ids(parent.id)
+        if not ids:
+            return []
+        nodes = h.nodes
+        if parent.level + 1 < MIN_SELECTABLE_LEVEL:
+            return [nodes[c] for c in ids]
+        # The parent is a column of its own parent's unit.
+        cells = self.records.get((subject, parent.parent_id))
+        if cells is None:
+            return []
+        mask = cells[parent.id]
+        last = nodes[ids[-1]].child_index
+        by_index = None if last == len(ids) - 1 else {nodes[c].child_index: c for c in ids}
+        out = []
+        while mask:
+            low = mask & -mask
+            i = low.bit_length() - 1
+            if i > last:
+                break  # every bit left is past the last child
+            child = ids[i] if by_index is None else by_index.get(i)
+            if child is not None:
+                out.append(nodes[child])
+            mask ^= low
+        return out
+
     def selected_children(self, subject: int, parent_id: int) -> list[HierarchyNode]:
         """Children of ``parent_id`` whose bits are set (raw, not reachability
-        filtered).  Structural parents resolve through the root unit."""
-        children = self.hierarchy.children(parent_id)
-        if not children:
-            return []
-        first = children[0]
-        if first.level < MIN_SELECTABLE_LEVEL:
-            # children are structural too; all "selected"
-            return children
-        _, column, unit = self._locate(first.id)
-        rec = self.records.get((subject, unit.grandparent_id))
-        if rec is None:
-            return []
-        mask = rec[column.id]
-        return [c for c in children if (mask >> c.child_index) & 1]
+        filtered), in child_index order; the root's structural children are
+        all "selected", and an unknown id has none.  Costs the parent, one
+        record cell and the selected children (see ``_set_children``)."""
+        parent = self.hierarchy.nodes.get(parent_id)
+        return [] if parent is None else self._set_children(subject, parent)
 
     def selection_set(self, subject: int) -> set[int]:
         """Selected nodes reachable from the root through selected bits.
-        Bits left set under a deselected ancestor are not visible."""
+        Bits left set under a deselected ancestor are not visible.  Costs
+        the structural levels plus the selected nodes: each visited parent's
+        cell is read once and only its set bits are walked."""
         out: set[int] = set()
-        frontier = [self.hierarchy.root_id]
+        frontier = [self.hierarchy.root]
         while frontier:
-            parent = frontier.pop()
-            for child in self.selected_children(subject, parent):
+            for child in self._set_children(subject, frontier.pop()):
                 if child.level >= MIN_SELECTABLE_LEVEL:
                     out.add(child.id)
-                frontier.append(child.id)
+                frontier.append(child)
         return out
 
     def report_paths(self, subject: int) -> list[str]:
         """Root-to-selected-node paths, ``" > "``-joined, sorted
         lexicographically.  A selected node with no selected children
-        terminates its path."""
+        terminates its path.  Costs what ``selection_set`` does, plus the
+        path strings and the sort."""
         paths = []
-        names: dict[int, str] = {self.hierarchy.root_id: self.hierarchy.root.name}
-        frontier = [self.hierarchy.root_id]
+        root = self.hierarchy.root
+        names: dict[int, str] = {root.id: root.name}
+        frontier = [root]
         while frontier:
             parent = frontier.pop()
-            selected = self.selected_children(subject, parent)
+            selected = self._set_children(subject, parent)
             for child in selected:
-                names[child.id] = f"{names[parent]} > {child.name}"
-                frontier.append(child.id)
-            if not selected and self.hierarchy.node(parent).level >= MIN_SELECTABLE_LEVEL:
-                paths.append(names[parent])
+                names[child.id] = f"{names[parent.id]} > {child.name}"
+                frontier.append(child)
+            if not selected and parent.level >= MIN_SELECTABLE_LEVEL:
+                paths.append(names[parent.id])
         return sorted(paths)
 
     # -- storage accounting ---------------------------------------------------
@@ -421,8 +466,8 @@ def tle_traverse(
             grandparents.append(g.id)
         trace.emit("TLE3", "S1", "S2", {"page": page_no, "grandparents": grandparents})
         for g in grandparents:
-            store.counter.tick()  # record fetch
-            store._record(subject, store.schema.units[g])
+            store.counter.tick()  # record fetch; a write allocates it, not a read
+            store.records.get((subject, g))
         trace.emit("TLE4", "S2", "S3", {"page": page_no, "units": grandparents})
         preset: dict[int, bool] = {}
         for p in parents:

@@ -37,7 +37,7 @@ def cell(store: TleStore) -> int:
 
 
 def set_cell(store: TleStore, value: int) -> None:
-    store._record(SUBJECT, store.schema.units[0])[1] = value
+    store.records[(SUBJECT, 0)] = {1: value}  # node 1 is unit 0's one column
 
 
 def toggle(store: TleStore, node_id: int) -> None:

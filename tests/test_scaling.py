@@ -366,11 +366,52 @@ def store_op_calls(h, subjects: int) -> dict[str, tuple[int, int]]:
     return out
 
 
+class CountedNodes(dict):
+    """A node table that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
+def fanout_tree(n: int):
+    """Two structural levels over three selectable levels of fanout n."""
+    return uniform_hierarchy([1, 1, n, n**2, n**3])
+
+
+def store_query_reads(h) -> dict[str, int]:
+    """Node reads of one report_paths and one selection_set for a subject
+    with one selected chain, down to the last node of ``h``'s deepest
+    level.  A call count cannot show these: the filter over a parent's
+    whole children list builds that list in one call."""
+    node = h.level(h.max_level)[-1]
+    chain = [a.id for a in reversed(h.ancestors(node.id)) if a.level >= MIN_SELECTABLE_LEVEL]
+    store = TleStore(h)
+    for a in chain + [node.id]:
+        store.update(1, a, True)
+    h.nodes = counted = CountedNodes(h.nodes)
+    out = {}
+    for name, fn in (("report_paths", store.report_paths), ("selection_set", store.selection_set)):
+        counted.reads = 0
+        result = fn(1)
+        out[name] = counted.reads
+        assert len(result) == (1 if name == "report_paths" else len(chain) + 1)
+    return out
+
+
 class TestStoreOps:
     """One lookup, select, deselect or selected_children makes the same
-    calls at n and 2n nodes and at n and 2n subjects.  ``reset_subtree`` is
-    left out: its scan of every record of the store makes no call per
-    record, so a call count cannot show how its work grows."""
+    calls at n and 2n nodes and at n and 2n subjects, and a query over one
+    selected chain reads the same nodes at fanout n and 2n.
+    ``reset_subtree`` is left out: its scan of every record of the store
+    makes no call per record, so a call count cannot show how its work
+    grows."""
 
     @pytest.mark.parametrize("shape", [wide_tree, path_tree])
     def test_same_calls_at_n_and_2n_nodes(self, shape):
@@ -379,6 +420,9 @@ class TestStoreOps:
     @pytest.mark.parametrize("shape", [wide_tree, path_tree])
     def test_same_calls_at_n_and_2n_subjects(self, shape):
         assert store_op_calls(shape(64), 8) == store_op_calls(shape(64), 16)
+
+    def test_queries_read_the_same_nodes_at_fanout_n_and_2n(self):
+        assert store_query_reads(fanout_tree(8)) == store_query_reads(fanout_tree(16))
 
 
 def traced(fn, *args):

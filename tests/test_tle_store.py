@@ -3,6 +3,7 @@ instrumentation, subtree reset, batch scans, storage accounting, paged
 traversal, path report, and snapshots."""
 
 import hashlib
+import json
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,7 @@ from treeflow.fixtures import (
 from treeflow.hierarchy import remaining_after_prune
 from treeflow.tle import (
     LOOKUP_STEP_BUDGET,
+    MIN_SELECTABLE_LEVEL,
     UPDATE_STEP_BUDGET,
     OrphanSelectionError,
     ShallowHierarchyError,
@@ -345,6 +347,20 @@ class TestTraversal:
         assert not store.lookup(1, GEO["asia"])
         assert store.records[(1, GEO["root"])][GEO["anchor"]] == 5
 
+    def test_page_without_selections_allocates_no_record(self, geo):
+        """TLE4 fetches each page grandparent's record; only a write
+        allocates one, so a page that selects nothing leaves the store
+        empty."""
+        s = TleStore(geo)
+        page = TraversalPage((GEO["anchor"], GEO["europe"]), {})
+        trace = tle_traverse(s, 1, [page])
+        assert next(e.payload for e in trace if e.rule == "TLE4") == {
+            "page": 1, "units": [GEO["root"], GEO["anchor"]]}
+        assert s.counter.steps == 2 + LOOKUP_STEP_BUDGET * 10  # 2 records, 10 presets
+        assert s.records == {}
+        report = s.storage_report(key_bits=32)
+        assert (report["tle_bits"], report["selected"]) == (0, 0)
+
     def test_unknown_parent_page(self, geo):
         with pytest.raises(Exception, match="unknown|grandparent"):
             tle_traverse(TleStore(geo), 1, [TraversalPage((GEO["root"],), {})])
@@ -373,6 +389,86 @@ class TestReportPaths:
                 cur = geo.parent(cur.id)
             paths.add(" > ".join(reversed(chain)))
         assert sorted(paths) == store.report_paths(1)
+
+
+def reference_selected_children(store, subject, parent_id):
+    """The filter over the parent's whole children list that the set-bit
+    walk replaced: each child whose bit is set, so a bit with no child is
+    never seen."""
+    h = store.hierarchy
+    children = h.children(parent_id)
+    if not children:
+        return []
+    if children[0].level < MIN_SELECTABLE_LEVEL:
+        return children
+    cells = store.records.get((subject, h.node(parent_id).parent_id))
+    if cells is None:
+        return []
+    mask = cells[parent_id]
+    return [c for c in children if (mask >> c.child_index) & 1]
+
+
+def reference_report(store, subject):
+    """(selection set, report paths) over ``reference_selected_children``."""
+    h = store.hierarchy
+    selected, paths = set(), []
+    names = {h.root_id: h.root.name}
+    frontier = [h.root_id]
+    while frontier:
+        parent = frontier.pop()
+        children = reference_selected_children(store, subject, parent)
+        for child in children:
+            if child.level >= MIN_SELECTABLE_LEVEL:
+                selected.add(child.id)
+            names[child.id] = f"{names[parent]} > {child.name}"
+            frontier.append(child.id)
+        if not children and h.node(parent).level >= MIN_SELECTABLE_LEVEL:
+            paths.append(names[parent])
+    return selected, sorted(paths)
+
+
+class TestDanglingBits:
+    """A snapshot may set a bit that has no child; every query ignores it."""
+
+    # (column, bit) of each added bit, in the worked state of subject 1:
+    # past the last child of a dense parent, selected (Europe: bits 0..2)
+    # or childless in the selection (Asia: bits 0..1, none set), and in the
+    # gaps of sparse parents (the United States: children at 1, 4, 11 and
+    # 18; Canada: at 0 and 12; Maryland: at 2 and 12).
+    DANGLING = [
+        ("europe", 5), ("europe", 31), ("asia", 7),
+        ("united_states", 0), ("united_states", 2), ("united_states", 63),
+        ("canada", 5), ("maryland", 3),
+    ]
+
+    @pytest.fixture()
+    def dangling_store(self, store, geo, tmp_path):
+        path = tmp_path / "snap.json"
+        store.save_snapshot(path)
+        doc = json.loads(path.read_text())
+        for column, bit in self.DANGLING:
+            col = GEO[column]
+            parent = geo.node(col).parent_id
+            record = next(r for r in doc["records"] if r["unit_id"] == parent)
+            record["cells"][str(col)] |= 1 << bit
+        path.write_text(json.dumps(doc))
+        return TleStore.load_snapshot(geo, path)
+
+    def test_bits_are_set_and_childless(self, dangling_store, geo):
+        for column, bit in self.DANGLING:
+            col = geo.node(GEO[column])
+            assert dangling_store.records[(1, col.parent_id)][col.id] >> bit & 1
+            assert bit not in {c.child_index for c in geo.children(col.id)}
+
+    def test_selected_children_equal_the_reference(self, dangling_store, geo):
+        for parent_id in geo.nodes:
+            assert dangling_store.selected_children(1, parent_id) == (
+                reference_selected_children(dangling_store, 1, parent_id)), parent_id
+
+    def test_selection_set_and_report_equal_the_reference(self, dangling_store):
+        selected, paths = reference_report(dangling_store, 1)
+        assert dangling_store.selection_set(1) == selected == set(GEO_SELECTIONS)
+        assert dangling_store.report_paths(1) == paths == GEO_REPORT_LINES
 
 
 class TestSnapshot:
