@@ -20,8 +20,8 @@ What each operation costs:
   structural levels plus the selected nodes.  Each visited parent's cell is
   read once and only its set bits are walked; a parent whose children have
   a gap in their child_index numbering reads all its children.
-* ``reset_subtree``: the node's subtree plus every record of every subject,
-  until a per-subject index lands (ROADMAP items 1 and 2).
+* ``reset_subtree``: the node's subtree plus every record of every subject;
+  its docstring says why.
 
 Concurrency: a single writer per (subject, unit) record with any number of
 readers is safe because cells are immutable ints and records swap whole
@@ -196,8 +196,8 @@ class TleStore:
 
         Costs the node's subtree plus every record of every subject: no
         index from a subject to its records exists yet.  Such an index waits
-        until the store benchmark holds its record population steady, so
-        that a faster reset does not grow the store (ROADMAP items 1, 2)."""
+        until the store benchmark holds its record population steady, since
+        a faster reset there lets the record count grow with the op count."""
         node = self.hierarchy.node(node_id)
         if node.level >= MIN_SELECTABLE_LEVEL:
             self.update(subject, node_id, False)
