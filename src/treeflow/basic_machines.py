@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .hierarchy import Hierarchy, load_hierarchy
+from .hierarchy import Hierarchy, HierarchyError, load_hierarchy
 from .jsondoc import JSONDocumentError, decode_json, read_text
 from .scenario import Scenario
 from .trace import Trace
@@ -145,14 +145,17 @@ def load_dag(path: str | Path) -> Dag:
     """The dad input at ``path``: a graph document
     ``{"nodes": [{"id": 1, "name": "a", "deps": [2]}, ...], "root": 1}``, or
     else a hierarchy document, in which each node depends on its parent.
-    Graph errors name the file, the node index and the field
-    (``g.json: nodes[0].deps: unknown node 2``)."""
+    The file is read once.  Graph errors name the file, the node index and
+    the field (``g.json: nodes[0].deps: unknown node 2``)."""
     try:
         doc = decode_json(read_text(path))
     except JSONDocumentError as exc:
         raise GraphError(f"{path}: {exc}") from None
     if not (isinstance(doc, dict) and "nodes" in doc):
-        return Dag.from_hierarchy(load_hierarchy(Path(path)))
+        try:  # a decoded JSON string is no rows: load_hierarchy would read it as text
+            return Dag.from_hierarchy(load_hierarchy(() if isinstance(doc, str) else doc))
+        except HierarchyError as exc:
+            raise HierarchyError(f"{Path(path)}: {exc}") from None
     try:
         if "root" not in doc:
             raise GraphError("missing field 'root'")

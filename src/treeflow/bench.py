@@ -35,8 +35,6 @@ class StepSample:
     nodes: int
     lookup_steps: int
     update_steps: int
-    batch_steps: int
-    batch_records: int
 
 
 @dataclass
@@ -81,17 +79,11 @@ def _measure_store(h: Hierarchy, scale: str) -> StepSample:
             f"step counts must be probe-independent: lookup {sorted(lookup_counts)}, "
             f"update {sorted(update_counts)} on the {scale} tree"
         )
-
-    before = store.counter.steps
-    store.batch_query(lambda unit, col, mask: mask != 0)
-    batch_steps = store.counter.steps - before
     return StepSample(
         scale=scale,
         nodes=len(h),
         lookup_steps=lookup_counts.pop(),
         update_steps=update_counts.pop(),
-        batch_steps=batch_steps,
-        batch_records=len(store.records),
     )
 
 

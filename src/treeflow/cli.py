@@ -91,7 +91,7 @@ def _scenario_from_args(args) -> Scenario:
 
     from .scenario import Scenario, load_scenario
 
-    sc = load_scenario(args.scenario) if args.scenario else Scenario()
+    sc = load_scenario(Path(args.scenario)) if args.scenario else Scenario()
     overrides = {}
     if getattr(args, "rmax", None) is not None:
         overrides["r_max"] = args.rmax

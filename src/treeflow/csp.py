@@ -12,7 +12,9 @@ The tables describe the process definitions, not the engines, and the
 alphabets come from the tables, not from the rule rows, so the engines and
 the annotations are checked against something they do not own.  Events
 serialize as ``name.param[.param]``; level parameters are bounded by the
-recognizer's level domain (default 5, configurable for deeper trees).
+recognizer's level domain: a trace's level count L, read by
+``_level_count`` (the one reader of a run parameter outside
+``measure.TraceContext.from_payload``), or 5 without one.
 """
 
 from __future__ import annotations
@@ -439,17 +441,16 @@ def accept_events(
 _BATCH = 128
 
 
-def check_csp_conformance(
-    trace: Trace, methodology: str | None = None, level_domain: int | None = None
-) -> Verdict:
+def check_csp_conformance(trace: Trace, methodology: str | None = None) -> Verdict:
     """Annotate the trace and run it through the methodology's recognizer.
 
     Rendering is lazy: the trace is rendered and fed to the recognizer in
     batches of ``_BATCH`` trace events, so no rendered copy of the whole
     trace is held.  After a refusal the rest of the trace is still
     rendered, without feeding, so an annotation failure anywhere wins over
-    an earlier illegal event.  A level count L that is not an exact integer
-    fails on the first event."""
+    an earlier illegal event.  A hybrid trace's level domain is its first
+    event's level count L; a level count that is not an exact integer fails
+    on the first event."""
     methodology = methodology or trace.methodology
     name = f"csp-conformance[{methodology}]"
     try:
@@ -457,9 +458,7 @@ def check_csp_conformance(
     except ValueError:
         first = trace.events[0]
         return Verdict(name, False, f"L={first.payload['L']!r} is not an integer", first.seq)
-    if methodology in HYBRID and level_domain is None and trace.events:
-        level_domain = DEFAULT_LEVEL_DOMAIN if L is None else L
-    recognizer = make_recognizer(methodology, level_domain)
+    recognizer = make_recognizer(methodology, L)
     renders = _Renders(methodology)
     trace_events = trace.events
     count, refused = 0, None  # refused: the first illegal event and its seq

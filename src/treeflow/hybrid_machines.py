@@ -55,7 +55,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from .hierarchy import Hierarchy
-from .measure import TraceContext, trace_length_cap
+from .measure import trace_length_cap
 from .scenario import (
     Scenario,
     UndefinedTraceOriginError,
@@ -83,10 +83,12 @@ class RunResult:
 
 @dataclass
 class _State:
+    """A phase and its level i; a refinement phase reworks level j, and its
+    i is the level whose failure in ``origin_phase`` opened the episode."""
+
     phase: str = "S0"
     i: int = 1
     j: int | None = None
-    i_orig: int | None = None
     origin_phase: str | None = None
 
     def label(self) -> str:
@@ -103,8 +105,8 @@ class _Engine:
     each event's labels and status changes themselves.
 
     ``fork`` copies only what a step changes in place; the hierarchy, the
-    scenario, the context and the ``_State`` (replaced, never mutated) are
-    shared.
+    scenario, the level map and the ``_State`` (replaced, never mutated)
+    are shared.
     """
 
     def __init__(self, methodology: str, h: Hierarchy, scenario: Scenario):
@@ -126,13 +128,7 @@ class _Engine:
         self.trace = Trace(methodology)
         self.reason: str | None = None
         self.cap = trace_length_cap(len(h), self.L, scenario.r_max)
-        self.ctx = TraceContext(
-            methodology=methodology,
-            levels={k: tuple(n.id for n in h.level(k)) for k in h.levels()},
-            max_level=self.L,
-            r_max=scenario.r_max,
-            k_thresholds=dict(scenario.k_thresholds),
-        )
+        self.levels = {k: tuple(n.id for n in h.level(k)) for k in h.levels()}
 
     # -- stepping ----------------------------------------------------------------
 
@@ -157,7 +153,7 @@ class _Engine:
         # Never changed in place during a run: shared.
         other.methodology, other.h, other.sc, other.answer = (
             self.methodology, self.h, self.sc, self.answer)
-        other.L, other.cap, other.ctx = self.L, self.cap, self.ctx
+        other.L, other.cap, other.levels = self.L, self.cap, self.levels
         # Replaced, never mutated: the new run rebinds its own.
         other.state, other.reason = self.state, self.reason
         # Changed in place by a step: copied.
@@ -204,6 +200,9 @@ class _Engine:
 
     # -- scenario hooks ----------------------------------------------------------
 
+    def level_ids(self, k: int) -> tuple[int, ...]:
+        return self.levels.get(k, ())
+
     def next_attempt(self, phase_tag: str, index: int) -> int:
         """The attempt number the next validation at (phase, index) gets."""
         return self.queries.get((phase_tag, index), 0) + 1
@@ -211,7 +210,7 @@ class _Engine:
     def validate(self, phase_tag: str, index: int):
         attempt = self.next_attempt(phase_tag, index)
         # Asked before the query is counted: the engine is still as the step found it.
-        failing = self.answer(phase_tag, index, attempt, list(self.ctx.level_ids(index)))
+        failing = self.answer(phase_tag, index, attempt, list(self.level_ids(index)))
         self.queries[(phase_tag, index)] = attempt
         return attempt, sorted(failing)
 
@@ -236,7 +235,7 @@ class _Engine:
 
 def _init_payload(eng: _Engine) -> dict[str, Any]:
     return {
-        "levels": {str(k): list(eng.ctx.level_ids(k)) for k in sorted(eng.ctx.levels)},
+        "levels": {str(k): list(ids) for k, ids in sorted(eng.levels.items())},
         "L": eng.L,
         "r_max": eng.sc.r_max,
         "k": {str(k): v for k, v in eng.sc.k_thresholds.items()},
@@ -252,13 +251,12 @@ def _terminal_error(eng: _Engine, rule: str, reason: str, extra: dict) -> None:
 
 
 def _enter_refinement(
-    eng: _Engine, rule: str, j: int, i_orig: int, origin_phase: str, payload: dict
+    eng: _Engine, rule: str, j: int, i: int, origin_phase: str, payload: dict
 ) -> None:
-    """Move into the refinement pass at level j, burning one attempt there."""
+    """Move into the refinement pass at level j, burning one attempt there;
+    i, the level that failed in ``origin_phase``, ends the pass's range."""
     eng.attempts[j] += 1
-    eng.emit(
-        rule, _State(phase="S1R", i=i_orig, j=j, i_orig=i_orig, origin_phase=origin_phase), payload
-    )
+    eng.emit(rule, _State(phase="S1R", i=i, j=j, origin_phase=origin_phase), payload)
 
 
 def _validated(eng: _Engine, tag: str, fail_rule: str, dead_rule: str) -> dict | None:
@@ -293,17 +291,17 @@ def _refinement_validated(eng: _Engine, fail_rule: str) -> dict | None:
     and return None; on success return the payload the next rule carries."""
     st = eng.state
     attempt, failing = eng.validate("refine", st.j)
-    base = {"level": st.j, "attempt": attempt, "failing": failing, "range_end": st.i_orig}
+    base = {"level": st.j, "attempt": attempt, "failing": failing, "range_end": st.i}
     if not failing:
         return base
-    _enter_refinement(eng, fail_rule, st.j, st.i_orig, st.origin_phase, base)
+    _enter_refinement(eng, fail_rule, st.j, st.i, st.origin_phase, base)
     return None
 
 
 def _return_state(eng: _Engine) -> _State:
     """Episode complete: resume the phase that detected the failure."""
     st = eng.state
-    return _State(phase=st.origin_phase, i=st.i_orig)
+    return _State(phase=st.origin_phase, i=st.i)
 
 
 def _top_down(eng: _Engine, fail_rule: str, dead_rule: str, forward_rule: str, done_rule: str) -> None:
@@ -340,7 +338,7 @@ def _pdfd_start(eng: _Engine) -> None:
 def _pdfd_step(eng: _Engine) -> None:
     st = eng.state
     if st.phase == "S1":
-        eng.mark_in_progress(eng.ctx.level_ids(st.i))
+        eng.mark_in_progress(eng.level_ids(st.i))
         eng.emit("PD2", _State(phase="S2", i=st.i), {})
     elif st.phase == "S2":
         _forward_validation(eng)
@@ -362,10 +360,10 @@ def _forward_validation(eng: _Engine) -> None:
     if base is None:
         return
     i = eng.state.i
-    level = eng.ctx.level_ids(i)
+    level = eng.level_ids(i)
     eng.sc.k_for(i, len(level))  # a threshold above the level's size is refused
     eng.finalize(level)
-    if i < eng.L and eng.ctx.level_ids(i + 1):
+    if i < eng.L and eng.level_ids(i + 1):
         eng.emit("PD2b", _State(phase="S1", i=i + 1), base)
     else:
         eng.emit("PD4", _State(phase="S3", i=i), base)
@@ -376,8 +374,8 @@ def _pdfd_refinement_validation(eng: _Engine) -> None:
     if base is None:
         return
     st = eng.state
-    if st.j < st.i_orig:
-        _enter_refinement(eng, "PD3a", st.j + 1, st.i_orig, st.origin_phase, base)
+    if st.j < st.i:
+        _enter_refinement(eng, "PD3a", st.j + 1, st.i, st.origin_phase, base)
     else:
         eng.emit("PD3b", _return_state(eng), base)
 
@@ -414,7 +412,7 @@ def _pbfd_start(eng: _Engine) -> None:
 def _pbfd_step(eng: _Engine) -> None:
     st = eng.state
     if st.phase == "S1":
-        eng.mark_in_progress(eng.ctx.level_ids(st.i))
+        eng.mark_in_progress(eng.level_ids(st.i))
         eng.emit("PB2", _State(phase="S2", i=st.i), {})
     elif st.phase == "S2":
         base = _validated(eng, "pattern", "PB3", "PB3c")
@@ -440,7 +438,7 @@ def _pbfd_step(eng: _Engine) -> None:
 def _pbfd_refinement_process(eng: _Engine) -> None:
     st = eng.state
     j = st.j
-    already_done = all(eng.statuses[n] == 2 for n in eng.ctx.level_ids(j))
+    already_done = all(eng.statuses[n] == 2 for n in eng.level_ids(j))
     if already_done and not eng.sc.has_script_for("refine", j, eng.next_attempt("refine", j)):
         eng.emit("PB3b", replace(st, phase="S3R"), {"level": j})
     else:
@@ -449,23 +447,23 @@ def _pbfd_refinement_process(eng: _Engine) -> None:
 
 def _pbfd_refinement_depth(eng: _Engine) -> None:
     st = eng.state
-    base = {"level": st.j, "range_end": st.i_orig}
-    if st.j < st.i_orig:
-        _enter_refinement(eng, "PB5", st.j + 1, st.i_orig, st.origin_phase, base)
+    base = {"level": st.j, "range_end": st.i}
+    if st.j < st.i:
+        _enter_refinement(eng, "PB5", st.j + 1, st.i, st.origin_phase, base)
         return
     target = _return_state(eng)
     # An episode opened during forward validation resumes at the depth
     # resolution of the origin pattern (its validation succeeded inside
     # the episode); completion-phase episodes resume the sweep.
     if target.phase == "S2":
-        target = _State(phase="S3", i=st.i_orig)
+        target = _State(phase="S3", i=st.i)
     eng.emit("PB6", target, base)
 
 
 def _pbfd_depth_resolution(eng: _Engine) -> None:
     i = eng.state.i
-    eng.finalize(eng.ctx.level_ids(i))
-    if eng.ctx.level_ids(i + 1):  # the children of every level-i node
+    eng.finalize(eng.level_ids(i))
+    if eng.level_ids(i + 1):  # the children of every level-i node
         eng.emit("PB4a", _State(phase="S1", i=i + 1), {"level": i})
     else:
         eng.emit("PB4b", _State(phase="S4", i=1), {"level": i})

@@ -13,7 +13,9 @@ The engines never compute M and the trace does not record it: the descent
 monitor computes it from each event's target label, the refinement episode's
 origin, which it folds from the labels, and its own counts over the folded
 statuses, and checks the descent event by event.  ``TraceContext.from_payload``
-is the one reader of a trace's run parameters, each an exact JSON integer.
+is the monitors' one reader of a trace's run parameters, each an exact JSON
+integer; ``csp._level_count`` reads the level count L alone, for the
+recognizer's level domain.
 """
 
 from __future__ import annotations

@@ -32,9 +32,11 @@ episode origin is folded from the labels by ``_next_origin``; what older
 writers recorded beside the labels (a state snapshot, the engine's
 measures) is not read.  Each label is read by ``trace.parse_label`` into
 a label table that the monitors of one trace share (``Trace.labels``),
-and the enumerator's folds share one of their own; a CSP expansion's
-``{@}`` reads its event's target label by ``parse_label`` too.  The run
-parameters are read by ``measure.TraceContext.from_payload`` alone.
+and the enumerator's folds share one of their own.  ``_target`` reads
+every target label, a monitor's or a CSP expansion's ``{@}``, and refuses
+one outside the grammar.  The monitors read the run parameters by
+``measure.TraceContext.from_payload`` alone; ``csp._level_count`` reads
+the level count L itself, for the recognizer's level domain.
 """
 
 from __future__ import annotations
@@ -87,19 +89,20 @@ class LabelError(ValueError):
     message names the rule and the label."""
 
 
-def _target_index(ev: TraceEvent) -> int | None:
-    """``{@}``: the index of the event's target label, read by ``parse_label``."""
-    index = parse_label(ev.to_state)[1]
-    if index == 0:
+def _target(ev: TraceEvent, labels: LabelTable | None = None) -> tuple[str, int | None]:
+    """The family and index of the event's target label, from ``labels`` or
+    else by ``parse_label``; one outside the grammar raises LabelError."""
+    label = parse_label(ev.to_state) if labels is None else labels[ev.to_state]
+    if label[1] == 0:
         raise LabelError(f"{ev.rule} target {ev.to_state} is not a state label")
-    return index
+    return label
 
 
 @cache
 def _field(name: str) -> Callable[[Any], Any]:
     """One getter per field name, so a renderer can tell repeated fields."""
     if name == "@":
-        return _target_index
+        return _target
     return methodcaller("get", name[:-1]) if name[-1] == "?" else itemgetter(name)
 
 
@@ -124,7 +127,7 @@ def _renderer(templates: Templates) -> Callable[[TraceEvent, Any], list[tuple[st
     it, so the first unreadable field is the one a left-to-right reading meets."""
     reads = {get: f"v{n}" for n, get in enumerate(dict.fromkeys(
         get for template in templates for get in template[1:]))}
-    body = "".join(f"    {v} = str(g{v}({'ev' if get is _target_index else 'ev[4]'}))\n"
+    body = "".join(f"    {v} = str({f'g{v}(ev)[1]' if get is _target else f'g{v}(ev[4])'})\n"
                    for get, v in reads.items())
     events = ", ".join(f"({t[0]!r}, {''.join(reads[get] + ', ' for get in t[1:])})"
                        for t in templates)
@@ -587,9 +590,7 @@ def check_rule_legality(trace: Trace, methodology: str | None = None) -> Verdict
         except StatusFoldError as err:
             return Verdict(name, False, err.detail, err.seq)
         try:
-            family, index = labels[ev.to_state]
-            if index == 0:
-                raise LabelError(f"{ev.rule} target {ev.to_state} is not a state label")
+            family, index = _target(ev, labels)
             problem = _legality_problem(ev, family, index, origin, spent, fold.statuses, ctx)
             origin = _next_origin(origin, ev, labels) if family in _REFINING else None
         except UNREADABLE as exc:
@@ -599,14 +600,12 @@ def check_rule_legality(trace: Trace, methodology: str | None = None) -> Verdict
     return Verdict(name, True)
 
 
-_BACKTRACKS = frozenset({"PD2a", "PD3c", "PD4b", "PD6a", "PB3", "PB3a2", "PB7a"})
-# A failed validation backtracks or, with no origin, dead-ends: those rules
-# carry failing nodes, and no other rule does.  PD8 also ends an exhausted
-# budget, with no query.
-_FAILED = _BACKTRACKS | {"PD8", "PD6b", "PB3c", "PB7b"}
-# The rules that fire from S0 or S1 carry no level: theirs is their target's
-# index.  The rules that step through an episode's range carry its end.
-_LEVEL_FROM_TARGET = frozenset({"PD1", "PD2", "PB1", "PB2", "PB2a"})
+# A failed validation backtracks to its origin, the index of its S1R target,
+# or, with no origin, dead-ends in S5: those rules carry failing nodes, and no
+# other rule does.  PD8 also ends an exhausted budget, with no query.
+_FAILED = frozenset({"PD2a", "PD3c", "PD4b", "PD6a", "PB3", "PB3a2", "PB7a",
+                     "PD8", "PD6b", "PB3c", "PB7b"})
+# The rules that step through an episode's range carry its end.
 _RANGED = frozenset({"PD3a", "PD3b", "PB5", "PB6"})
 
 
@@ -628,7 +627,10 @@ def _legality_problem(
         node_ids(failing, "failing")  # 4.0 or True would pass the set test below
     if index is None and family not in ("S5", "T"):
         return f"{rule} target {ev.to_state} names no level"
-    level = index if rule in _LEVEL_FROM_TARGET else exact_int(p["level"], "level")
+    # A rule that fires from S0 or S1, its one source, carries no level: its
+    # level is its target's index.
+    from_start = RULE_TABLES[ctx.methodology][rule].sources[0] in ("S0", "S1")
+    level = index if from_start else exact_int(p["level"], "level")
     range_end = (exact_int(p["range_end"], "range_end")
                  if "range_end" in p or rule in _RANGED else None)
     if family == "S1R":
@@ -644,7 +646,7 @@ def _legality_problem(
         return f"{rule} range_end {range_end} is not the episode origin"
     if not failing and rule in _FAILED and p.get("reason") != "refinement_exhausted":
         return f"{rule} without failing nodes"
-    if rule in _BACKTRACKS and not 1 <= index <= level:
+    if family == "S1R" and rule in _FAILED and not 1 <= index <= level:
         return f"{rule} origin {index} outside [1, {level}]"
     if rule in ("PD3a", "PB5"):
         if not index <= range_end:
@@ -778,9 +780,7 @@ class DescentFold:
             if spec is None:
                 return Verdict(name, False, f"unknown rule {ev.rule}", ev.seq)
             try:
-                family, index = labels[ev.to_state]
-                if index == 0:
-                    raise LabelError(f"{ev.rule} target {ev.to_state} is not a state label")
+                family, index = _target(ev, labels)
                 spent += family == "S1R"
                 origin = _next_origin(origin, ev, labels) if family in _REFINING else None
                 m = measure(ctx, family, index, origin and origin[1],
@@ -826,9 +826,7 @@ def check_bounded_refinement(trace: Trace, r_max: int | None = None) -> Verdict:
     labels = trace.labels
     for ev in trace.events:
         try:
-            family, j = labels[ev.to_state]
-            if j == 0:
-                raise LabelError(f"{ev.rule} target {ev.to_state} is not a state label")
+            family, j = _target(ev, labels)
         except UNREADABLE as exc:
             return _unreadable(name, ev, exc)
         if family == "S1R":
@@ -953,13 +951,11 @@ def check_deadlock_freeness(
     T or S5 with a well-formed, measure-decreasing trace; the first run in
     enumeration order that is not gives the verdict.  An unknown
     methodology is a FAIL; a basic machine with a hierarchy raises
-    ValueError."""
+    ``start_run``'s ValueError."""
     name = f"deadlock-freeness[{methodology}]"
     rules = RULE_TABLES.get(methodology)
     if rules is None:
         return Verdict(name, False, f"unknown methodology {methodology!r}")
-    if hierarchy is not None and methodology not in HYBRID:
-        raise ValueError(f"{methodology!r} is not a hybrid machine (pdfd, pbfd)")
     sources = {src for s in rules.values() for src in s.sources}
     final = {t for s in rules.values() if s.kind == "terminal" for t in s.targets}
     stuck = sorted({t for s in rules.values() for t in s.targets} - sources - final)

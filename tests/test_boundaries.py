@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from treeflow import bench
-from treeflow.basic_machines import Dag, GraphError
+from treeflow.basic_machines import Dag, GraphError, load_dag
 from treeflow.cli import main
 from treeflow.fixtures import GEO_ROWS, VISITED_PLACES_ROWS, geo_store, uniform_hierarchy
 from treeflow.hierarchy import load_hierarchy
@@ -63,6 +63,17 @@ class TestScenarioLoader:
         assert rc == 1
         assert captured.out == ""
         assert captured.err == f"error: {sc}: {message}\n"
+
+    def test_cli_run_names_a_missing_scenario_file(self, tmp_path, capsys):
+        """A missing ``--scenario`` file is reported as missing, not read as
+        JSON text."""
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(VISITED_PLACES_ROWS))
+        sc = tmp_path / "missing.json"
+        rc = main(["run", "--methodology", "pdfd", "--hierarchy", str(tree), "--scenario", str(sc)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "")
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{sc}'\n"
 
     @pytest.mark.parametrize("doc,message", [
         # int() once read this document as thresholds {2: 1, 3: 1}, seed 7
@@ -382,6 +393,10 @@ class TestGraphLoader:
          "nodes: the dependencies form a cycle"),
         ({"nodes": [{"id": 1}, {"id": 2, "deps": [3]}, {"id": 3}], "root": 1},
          "queue drained with 2 nodes unprocessed"),
+        # Else a hierarchy document; a JSON string holding rows is not the rows.
+        ("[1]", "hierarchy document must be a non-empty list of rows"),
+        ({}, "hierarchy document must be a non-empty list of rows"),
+        ([{"id": 1}], "rows[0]: missing field 'name'"),
     ])
     def test_cli_dad_prints_one_error_line(self, tmp_path, capsys, doc, message):
         rc, err, path = _cli_error(tmp_path, capsys, "graph.json", json.dumps(doc),
@@ -396,6 +411,14 @@ class TestGraphLoader:
         rows[0]["deps"] = [n]
         with pytest.raises(GraphError, match="cycle"):
             Dag.from_rows(rows, 1)
+
+    def test_a_hierarchy_document_is_read_once(self, tmp_path, monkeypatch):
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(GEO_ROWS))
+        reads, read_bytes = [], Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
+        assert sorted(load_dag(str(tree)).node_names) == sorted(row["id"] for row in GEO_ROWS)
+        assert reads == [tree]
 
 
 class TestJsonBoundary:

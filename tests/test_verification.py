@@ -400,6 +400,56 @@ class TestLegality:
             False, f"{rule} range_end {p['range_end'] + 1} is not the episode origin",
             events[idx].seq)
 
+    @pytest.mark.parametrize("run,tag,rule", [
+        (run_pdfd, "level", "PD2a"), (run_pdfd, "refine", "PD3c"),
+        (run_pdfd, "bottom_up", "PD4b"), (run_pdfd, "top_down", "PD6a"),
+        (run_pbfd, "pattern", "PB3"), (run_pbfd, "refine", "PB3a2"),
+        (run_pbfd, "top_down", "PB7a"),
+    ])
+    def test_a_backtrack_origin_above_its_level_is_refused(self, run, tag, rule):
+        """A backtrack from each source family (S2, S2R, S3, S4) whose S1R
+        target is forged one level above the failed one; the next event's
+        source is forged with it, so the chain holds."""
+        h = perfect_tree(2, 3)
+        fails = {n.id for n in h.level(2)}
+        script = {(tag, 2, 1): fails}
+        if tag == "refine":  # level 2 fails, then its rework of level 1
+            script = {("level", 2, 1): fails, ("pattern", 2, 1): fails,
+                      ("refine", 1, 1): {n.id for n in h.level(1)}}
+        sc = Scenario(r_max=3, trace_origin=TraceOriginStrategy.scripted_map({2: 1}),
+                      validation_script=script)
+        trace = run(h, sc).trace
+        events = list(trace)
+        idx = next(i for i, e in enumerate(events) if e.rule == rule)
+        level = events[idx].payload["level"]
+        forged = f"S1R({level + 1})"
+        events[idx] = events[idx]._replace(to_state=forged)
+        events[idx + 1] = events[idx + 1]._replace(from_state=forged)
+        verdict = check_rule_legality(Trace(trace.methodology, events))
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
+            False, f"{rule} origin {level + 1} outside [1, {level}]", events[idx].seq)
+
+    @pytest.mark.parametrize("key,rule", [("top-down:pdfd", "PD6b"), ("refine:pbfd", "PB7b")])
+    def test_a_dead_end_is_no_backtrack(self, key, rule):
+        """A dead end fails a validation like a backtrack, but its S5 target
+        names no origin, so the origin check does not read it."""
+        trace = _scripted(key)
+        assert trace.events[-1].rule == rule
+        verdict = check_rule_legality(trace)
+        assert (verdict.ok, verdict.detail) == (True, "")
+
+    @pytest.mark.parametrize("level", [0, 99, "x"])
+    @pytest.mark.parametrize("run,rule", [(run_pdfd, "PD2"), (run_pbfd, "PB2")])
+    def test_a_step_from_s1_reads_its_level_from_its_target(self, run, rule, level):
+        """PD2 and PB2 fire from S1 and carry no level: a forged payload
+        ``level`` is not read."""
+        trace = run(perfect_tree(2, 3), Scenario(r_max=1)).trace
+        events = [ev._replace(payload=dict(ev.payload, level=level)) if ev.rule == rule else ev
+                  for ev in trace]
+        assert sum(ev.rule == rule for ev in events) == 3
+        verdict = check_rule_legality(Trace(trace.methodology, events))
+        assert (verdict.ok, verdict.detail) == (True, "")
+
     @pytest.mark.parametrize("run,rule", [(run_pdfd, "PD8"), (run_pbfd, "PB9")])
     def test_forged_higher_budget_leaves_exhaustion_with_budget(self, run, rule):
         """A run that exhausts its budget of one at level 2, with the first
