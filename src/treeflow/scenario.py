@@ -211,18 +211,20 @@ _CDD_FIELDS = ("test_failures", "feedback_cycles", "refine_iterations", "increme
 def load_scenario(source: str | Path | dict) -> Scenario:
     """Load a scenario JSON document (path, JSON text, or parsed object).
 
-    Raises ScenarioError naming the source and the field
+    A string is JSON text when it starts with ``{`` or ``[`` after leading
+    whitespace, and a path otherwise, as in ``load_hierarchy``: a missing
+    file raises FileNotFoundError naming it.  Raises ScenarioError naming
+    the source and the field
     (``sc.json: validation_script[0]: missing field 'phase'``)."""
     name = "scenario"
+    if isinstance(source, str) and not source.lstrip().startswith(("{", "[")):
+        source = Path(source)
     try:
         if isinstance(source, Path):
             name = str(source)
             obj = decode_json(read_text(source))
         elif isinstance(source, str):
-            p = Path(source)
-            if p.exists():
-                name = source
-            obj = decode_json(read_text(p) if p.exists() else source)
+            obj = decode_json(source)
         else:
             obj = source
     except JSONDocumentError as exc:

@@ -15,7 +15,9 @@ What each operation costs:
 
 * ``lookup`` and ``update``: two node reads (the node, then its parent, the
   column) and one record, keyed by the parent's ``parent_id``; a select adds
-  the parent's lookup.
+  a read of the grandparent and of the parent's bit in its record.
+* building the store (``generate_schema``): the nodes at levels 1..L-2 and
+  the units' columns, never the leaves.
 * ``selected_children``, ``selection_set`` and ``report_paths``: the
   structural levels plus the selected nodes.  Each visited parent's cell is
   read once and only its set bits are walked; a parent whose children have
@@ -89,27 +91,30 @@ class TleSchema:
 def generate_schema(h: Hierarchy) -> TleSchema:
     """One unit per node at levels 1..L-2 with grandchildren; columns ordered
     by child_index; column width taken from the column node's width class.
-    The two deepest levels are flagged embedded."""
+    The two deepest levels are flagged embedded.
+
+    Columns, their children and the child counts come from ``child_ids``;
+    a column's node is read only for its width class.  The cost is the
+    nodes at levels 1..L-2 and the units' columns, never the leaves."""
     if h.max_level < 3:
         raise ShallowHierarchyError(
             f"need at least 3 levels for a storage unit, got {h.max_level}"
         )
+    nodes, child_ids = h.nodes, h.child_ids
     units: dict[int, TleUnit] = {}
     for level in range(1, h.max_level - 1):
         for g in h.level(level):
-            columns = h.children(g.id)
-            if not any(h.children(c.id) for c in columns):
+            columns = child_ids(g.id)
+            if not any(child_ids(c) for c in columns):
                 continue
             for c in columns:
-                if len(h.children(c.id)) > c.width_class.capacity:
+                width, count = nodes[c].width_class, len(child_ids(c))
+                if count > width.capacity:
                     raise TleError(
-                        f"column {c.id} width {c.width_class.serialize()} too "
-                        f"small for {len(h.children(c.id))} children"
+                        f"column {c} width {width.serialize()} too "
+                        f"small for {count} children"
                     )
-            units[g.id] = TleUnit(
-                grandparent_id=g.id,
-                parent_column_ids=tuple(c.id for c in columns),
-            )
+            units[g.id] = TleUnit(grandparent_id=g.id, parent_column_ids=tuple(columns))
     return TleSchema(units=units, embedded_levels=(h.max_level - 1, h.max_level))
 
 
@@ -160,23 +165,24 @@ class TleStore:
         record on its first write.
 
         Selecting checks that the parent is live (mirrors the normalized
-        store's orphan rule) with a lookup of the parent; deselecting
-        touches only the single bit, the cascading wipe is
-        ``reset_subtree``.
+        store's orphan rule): it reads the grandparent node, then the
+        parent's bit in the grandparent's record, for the steps of a
+        ``lookup``.  Deselecting touches only the single bit, the cascading
+        wipe is ``reset_subtree``.
         """
         nodes = self.hierarchy.nodes
         node = nodes.get(child_id)
         if node is None or node.level < MIN_SELECTABLE_LEVEL:
             raise _unselectable(child_id, node)
         parent = nodes[node.parent_id]
-        if (
-            selected
-            and parent.level >= MIN_SELECTABLE_LEVEL
-            and not self.lookup(subject, parent.id)
-        ):
-            raise OrphanSelectionError(
-                f"parent {parent.id} of node {child_id} is not selected"
-            )
+        if selected and parent.level >= MIN_SELECTABLE_LEVEL:
+            grand = nodes[parent.parent_id]
+            self.counter.steps += LOOKUP_STEP_BUDGET  # record fetch, cell fetch, bit test
+            cells = self.records.get((subject, grand.parent_id))
+            if cells is None or not (cells[grand.id] >> parent.child_index) & 1:
+                raise OrphanSelectionError(
+                    f"parent {parent.id} of node {child_id} is not selected"
+                )
         self.counter.steps += 3  # record fetch, cell fetch, bit write
         key = (subject, parent.parent_id)
         cells = self.records.get(key)

@@ -75,6 +75,20 @@ class TestScenarioLoader:
         assert (rc, captured.out) == (1, "")
         assert captured.err == f"error: [Errno 2] No such file or directory: '{sc}'\n"
 
+    def test_a_string_that_is_no_json_text_is_a_path(self, tmp_path):
+        """As in ``load_hierarchy``: a string is JSON text only when it
+        starts with ``{`` or ``[``, so a missing file is reported as
+        missing and an existing one is read."""
+        with pytest.raises(FileNotFoundError, match="missing.json"):
+            load_scenario(str(tmp_path / "missing.json"))
+        sc = tmp_path / "sc.json"
+        sc.write_text('{"r_max": 4}')
+        assert load_scenario(str(sc)).r_max == 4
+        assert load_scenario(' \n{"r_max": 5}').r_max == 5
+        sc.write_text('{"seed": "7"}')
+        with pytest.raises(ScenarioError, match=f"^{sc}: seed: must be an integer"):
+            load_scenario(str(sc))
+
     @pytest.mark.parametrize("doc,message", [
         # int() once read this document as thresholds {2: 1, 3: 1}, seed 7
         # and the script key ('level', 2, 1) failing node 3.

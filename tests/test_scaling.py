@@ -405,10 +405,18 @@ def store_query_reads(h) -> dict[str, int]:
     return out
 
 
+def build_reads(h) -> int:
+    """Node reads of building a store over ``h``."""
+    h.nodes = counted = CountedNodes(h.nodes)
+    TleStore(h)
+    return counted.reads
+
+
 class TestStoreOps:
     """One lookup, select, deselect or selected_children makes the same
-    calls at n and 2n nodes and at n and 2n subjects, and a query over one
-    selected chain reads the same nodes at fanout n and 2n.
+    calls at n and 2n nodes and at n and 2n subjects, a query over one
+    selected chain reads the same nodes at fanout n and 2n, and building
+    the store reads the same nodes at n and 2n leaves.
     ``reset_subtree`` is left out: its scan of every record of the store
     makes no call per record, so a call count cannot show how its work
     grows."""
@@ -423,6 +431,27 @@ class TestStoreOps:
 
     def test_queries_read_the_same_nodes_at_fanout_n_and_2n(self):
         assert store_query_reads(fanout_tree(8)) == store_query_reads(fanout_tree(16))
+
+    def test_build_reads_the_same_nodes_at_n_and_2n_leaves(self):
+        """The schema reads the units and their columns, never the leaves."""
+        assert build_reads(uniform_hierarchy([1, 1, 4, 16, 16 * 8])) == build_reads(
+            uniform_hierarchy([1, 1, 4, 16, 16 * 16])
+        )
+
+    def test_a_select_reads_three_nodes(self):
+        """A select under a selected chain reads the node, its parent and
+        its grandparent, and adds the parent check's steps to its own."""
+        h = fanout_tree(8)
+        node = h.level(h.max_level)[-1]
+        store = TleStore(h)
+        for a in reversed(h.ancestors(node.id)):
+            if a.level >= MIN_SELECTABLE_LEVEL:
+                store.update(1, a.id, True)
+        h.nodes = counted = CountedNodes(h.nodes)
+        before = store.counter.steps
+        store.update(1, node.id, True)
+        assert (counted.reads, store.counter.steps - before) == (3, 6)
+        assert store.lookup(1, node.id)
 
 
 def traced(fn, *args):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treeflow.bitmask import BitmaskError, DanglingBitError
+from treeflow.bitmask import BitmaskError, DanglingBitError, WidthClass
 from treeflow.fixtures import (
     GEO,
     GEO_REPORT_LINES,
@@ -26,6 +26,7 @@ from treeflow.tle import (
     UPDATE_STEP_BUDGET,
     OrphanSelectionError,
     ShallowHierarchyError,
+    TleError,
     TleStore,
     TraversalPage,
     UnknownChildError,
@@ -66,6 +67,15 @@ class TestSchema:
         h = uniform_hierarchy([1, 2, 4])
         schema = generate_schema(h)
         assert set(schema.units) == {h.root_id}
+
+    def test_a_column_narrower_than_its_children_is_refused(self):
+        # load_hierarchy refuses such a tree, so one column is narrowed
+        # after loading: four children under a 3-bit column.
+        h = uniform_hierarchy([1, 2, 8])
+        col = h.level(2)[0]
+        h.nodes[col.id] = col._replace(width_class=WidthClass.parse("var:3"))
+        with pytest.raises(TleError, match=f"^column {col.id} width var:3 too small for 4 children$"):
+            generate_schema(h)
 
     def test_unit_count_matches_pruned_node_count(self):
         # Perfect ternary tree, 7 levels: every node above the bottom two
