@@ -467,6 +467,78 @@ class TestLegality:
         assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
             False, f"{rule} with remaining budget at level 2", events[-1].seq)
 
+    @pytest.mark.parametrize("run,rule", [(run_pdfd, "PD7"), (run_pbfd, "PB8")])
+    def test_a_successful_end_needs_every_node_finalized(self, run, rule):
+        """The last event forged to move a finalized node back in progress."""
+        trace = run(perfect_tree(2, 3), Scenario(r_max=1)).trace
+        events = list(trace)
+        last = events[-1]
+        assert last.rule == rule
+        node = next(iter(events[0].payload["statuses"]))
+        events[-1] = last._replace(payload=dict(last.payload, status_changes={node: 1}))
+        verdict = check_rule_legality(Trace(trace.methodology, events))
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
+            False, f"{rule} with unfinalized nodes", last.seq)
+
+    @staticmethod
+    def _one_change_dropped(run, rule):
+        """A genuine trace whose last ``rule`` event, which finalizes its
+        level, leaves one node of it out of its status changes."""
+        trace = run(perfect_tree(2, 3), Scenario(r_max=1)).trace
+        events = list(trace)
+        idx = max(i for i, e in enumerate(events) if e.rule == rule)
+        changes = dict(events[idx].payload["status_changes"])
+        changes.popitem()
+        events[idx] = events[idx]._replace(
+            payload=dict(events[idx].payload, status_changes=changes))
+        return Trace(trace.methodology, events), events[idx]
+
+    def test_pattern_derivation_needs_its_level_finalized(self):
+        trace, ev = self._one_change_dropped(run_pbfd, "PB4a")
+        verdict = check_rule_legality(trace)
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
+            False, "pattern derivation from unfinalized nodes", ev.seq)
+
+    def test_an_advance_needs_k_nodes_finalized(self):
+        """Level 2 of the seven-node tree has two nodes, and K defaults to
+        the level's size."""
+        trace, ev = self._one_change_dropped(run_pdfd, "PD2b")
+        verdict = check_rule_legality(trace)
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
+            False, "advance from level 2 with 1 finalized < K=2", ev.seq)
+
+    @staticmethod
+    def _mvp(run):
+        h = visited_places_hierarchy() if run is run_pdfd else geo_hierarchy()
+        sc = pdfd_mvp_scenario() if run is run_pdfd else pbfd_mvp_scenario()
+        return run(h, sc).trace
+
+    @pytest.mark.parametrize("run,rule", [(run_pdfd, "PD3a"), (run_pbfd, "PB5")])
+    def test_a_range_step_stays_inside_the_episode_range(self, run, rule):
+        """The step's S1R target forged one level past the range end, the
+        next event's source with it."""
+        trace = self._mvp(run)
+        events = list(trace)
+        idx = next(i for i, e in enumerate(events) if e.rule == rule)
+        past = f"S1R({events[idx].payload['range_end'] + 1})"
+        events[idx] = events[idx]._replace(to_state=past)
+        events[idx + 1] = events[idx + 1]._replace(from_state=past)
+        verdict = check_rule_legality(Trace(trace.methodology, events))
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
+            False, f"{rule} progressed past the episode range", events[idx].seq)
+
+    @pytest.mark.parametrize("run,rule", [(run_pdfd, "PD3b"), (run_pbfd, "PB6")])
+    def test_an_episode_closes_at_its_range_end(self, run, rule):
+        """The closing event's ``level`` forged one below its range end."""
+        trace = self._mvp(run)
+        events = list(trace)
+        idx = next(i for i, e in enumerate(events) if e.rule == rule)
+        p = events[idx].payload
+        events[idx] = events[idx]._replace(payload=dict(p, level=p["range_end"] - 1))
+        verdict = check_rule_legality(Trace(trace.methodology, events))
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
+            False, f"{rule} before the episode range was complete", events[idx].seq)
+
     def test_broken_chain_flagged(self):
         res = run_pdfd(perfect_tree(2, 3), Scenario(r_max=1, trace_origin=TraceOriginStrategy.fixed(1)))
         events = list(res.trace)
