@@ -4,18 +4,17 @@ M = (k1, k2, k3, k4):
   k1  nodes not yet finalized (committed statuses),
   k2  remaining refinement budget, summed over all levels,
   k3  phase ordinal (processing 3, validation 2, bottom-up/depth 1, completion 0),
-  k4  intra-phase progress (unvisited nodes in the current batch during
-      processing; remaining range steps inside a refinement episode;
+  k4  intra-phase progress (unvisited nodes of the level at S1(i), which
+      is all of it; remaining range steps inside a refinement episode;
       remaining sweep levels in the bottom-up and completion phases).
 
 Every non-terminal transition of both hybrid machines strictly decreases M.
 The engines never compute M and the trace does not record it: the descent
-monitor computes it from each event's target label, the refinement episode's
-origin, which it folds from the labels, and its own counts over the folded
-statuses, and checks the descent event by event.  ``TraceContext.from_payload``
-is the monitors' one reader of a trace's run parameters, each an exact JSON
-integer; ``csp._level_count`` reads the level count L alone, for the
-recognizer's level domain.
+monitor computes it from each event's target label, the episode origin it
+folds from the labels and its own counts, and checks the descent event by
+event.  ``TraceContext.from_payload`` is the monitors' one reader of a
+trace's run parameters, each an exact JSON integer; ``csp._level_count``
+reads the level count L alone, for the recognizer's level domain.
 """
 
 from __future__ import annotations
@@ -27,18 +26,8 @@ from .jsondoc import exact_int, int_key, node_ids
 
 Measure = tuple[int, int, int, int]
 
-PHASE_ORDINAL = {
-    "S0": 3,
-    "S1": 3,
-    "S1R": 3,
-    "S2": 2,
-    "S2R": 2,
-    "S3": 1,
-    "S3R": 1,
-    "S4": 0,
-    "S5": 0,
-    "T": 0,
-}
+PHASE_ORDINAL = {"S0": 3, "S1": 3, "S1R": 3, "S2": 2, "S2R": 2, "S3": 1, "S3R": 1,
+                 "S4": 0, "S5": 0, "T": 0}
 
 
 class MeasureError(ValueError):
@@ -83,15 +72,16 @@ def measure(
     origin: int | None,
     k1: int,
     spent: int,
-    unvisited: dict[int, int],
 ) -> Measure:
     """M at the state label ``family(index)``, from a monitor's counts:
-    ``k1`` unfinalized nodes, ``spent`` refinement attempts and the
-    unvisited nodes of each level (a node missing from the status map counts
-    as unvisited).  ``origin`` is the level whose failure opened the current
-    refinement episode; only the R phases read it."""
+    ``k1`` unfinalized nodes and ``spent`` refinement attempts.  ``origin``
+    is the level whose failure opened the current refinement episode; only
+    the R phases read it.  At S1(i) k4 is the size of level i, which is its
+    unvisited count: rule legality holds the first map to all 0 and every
+    later status change to its rule's effect, and no effect moves level i
+    before the rule that leaves S1(i) marks it."""
     if family == "S1":
-        k4 = unvisited.get(index, 0)
+        k4 = len(ctx.level_ids(index))
     elif family == "S1R":
         k4 = origin - index + 2
     elif family in ("S2R", "S3R"):

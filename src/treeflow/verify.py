@@ -2,16 +2,18 @@
 
 Each machine has one rule table in ``RULE_TABLES``.  A row holds what is
 known about one rule: the state families it fires from and moves to, its
-kind, the measure's expected per-component deltas (hybrid machines) and
+kind, the measure's expected per-component deltas and, for a hybrid rule,
+its firing condition (its guards and status effect, see ``RuleSpec``), and
 its CSP expansion, compiled once into the row's ``render(event, L)``, which
 ``csp`` calls on each event.  ``HYBRID`` names the machines with a measure.
 
 Checks provided, all pure over immutable traces:
 
 * well-formedness: events chain and every rule is known for the methodology;
-* rule legality: each rule's firing condition is re-evaluated from the
-  event payload (its level and range end exact integers) and labels, the
-  episode origin, the attempts spent and the statuses;
+* rule legality: each event is held to its rule's row, read from the
+  payload (its level, range end and attempt exact integers), the labels,
+  the episode origin, the attempts spent, the statuses and the status
+  changes, which must be the rule's effect;
 * measure descent: the monitor computes M after each event from its target
   label, the episode origin, the folded status changes and the attempts
   spent; every non-terminal transition strictly decreases it, with
@@ -28,15 +30,11 @@ Well-formedness and measure descent are folds, ``WellFormedFold`` and
 for a verdict at any point; the run enumerator forks them with the engine.
 The status monitors read statuses through ``trace.StatusFold``, so they
 accept both the delta-encoded format and full per-event snapshots.  The
-episode origin is folded from the labels by ``_next_origin``; what older
-writers recorded beside the labels (a state snapshot, the engine's
-measures) is not read.  Each label is read by ``trace.parse_label`` into
-a label table that the monitors of one trace share (``Trace.labels``),
-and the enumerator's folds share one of their own.  ``_target`` reads
-every target label, a monitor's or a CSP expansion's ``{@}``, and refuses
-one outside the grammar.  The monitors read the run parameters by
-``measure.TraceContext.from_payload`` alone; ``csp._level_count`` reads
-the level count L itself, for the recognizer's level domain.
+episode origin is folded from the labels by ``_next_origin``.  Labels are
+read by ``trace.parse_label`` into a table the monitors of one trace share
+(``Trace.labels``; the enumerator's folds share one of their own), and
+``_target`` refuses a target label outside the grammar.  The monitors read
+the run parameters by ``measure.TraceContext.from_payload`` alone.
 """
 
 from __future__ import annotations
@@ -150,7 +148,7 @@ def _at_last_level(last, other, ev: TraceEvent, L: int | None):
     return (last if int(level) == (level if L is None else L) else other)(ev, L)
 
 
-def _pd8(exhausted, from_s2, from_s3, other, ev: TraceEvent, L: int | None):
+def _error_end(exhausted, from_s2, from_s3, other, ev: TraceEvent, L: int | None):
     """Exhaustion, or no refinement path after a failed level (S2) or
     bottom-up (S3) validation."""
     if ev.payload.get("reason") == "refinement_exhausted":
@@ -199,11 +197,51 @@ _DECREASES = _descent_check(())
 # -- rule tables: one per machine ------------------------------------------------------
 
 
+# The paper's firing conditions as guards: ``guard(rule, level, p, ctx, statuses,
+# spent)``, the problem or None, with the statuses after the event.
+Guard = Callable[[str, int, dict, TraceContext, dict, dict], str | None]
+
+
+def _k_gate(rule, level, p, ctx, statuses, spent):  # K_i is the level's size by default
+    ids = ctx.level_ids(level)
+    k_i, done = ctx.k_thresholds.get(level, len(ids)), sum(statuses.get(n) == 2 for n in ids)
+    return f"advance from level {level} with {done} finalized < K={k_i}" if done < k_i else None
+
+
+def _all_finalized(rule, level, p, ctx, statuses, spent):
+    return f"{rule} with unfinalized nodes" if any(v != 2 for v in statuses.values()) else None
+
+
+def _budget_spent(rule, level, p, ctx, statuses, spent):  # an exhaustion's level
+    if p.get("reason") == "refinement_exhausted" and spent.get(level, 0) < ctx.r_max:
+        return f"{rule} with remaining budget at level {level}"
+    return None
+
+
+def _on_level(holds: Callable[[int, TraceContext], bool], problem: str) -> Guard:
+    """``problem``, naming the rule, when ``holds(level, ctx)`` is false."""
+    return lambda rule, level, p, ctx, statuses, spent: (
+        None if holds(level, ctx) else problem.format(rule=rule))
+
+
+_AT_LAST = _on_level(lambda i, ctx: i == ctx.max_level, "{rule} before the last level")
+_BELOW_LAST = _on_level(lambda i, ctx: i < ctx.max_level, "{rule} beyond the last level")
+
+
 @dataclass(frozen=True)
 class RuleSpec:
     """One rule: the state families it fires from and moves to, its kind,
     the measure's expected per-component deltas (hybrid steps) and its CSP
     expansion, a ``Pick`` or a templates string rendered from the event.
+
+    A hybrid rule's firing condition is the rest of its row, which rule
+    legality interprets: ``fails`` if it carries failing nodes (a backtrack
+    or a dead end); its ``range`` role in an episode, "step" up the range or
+    "close" at its end; its ``guards``; and its status ``effect`` on its
+    level i, the status it raises each node of level i below it to, changing
+    no other node: 1 marks the level in progress, 2 finalizes it, None
+    changes nothing, and 0, the initial rule's, is a first map of all 0s.
+
     ``render(event, L)`` is the expansion compiled once (None for none).
     ``descent(pre, post)`` is a step rule's descent check, compiled once
     from its deltas: the problem with M moving from ``pre`` to ``post``
@@ -215,6 +253,10 @@ class RuleSpec:
     kind: str = "step"  # "step" | "terminal" | "initial"
     deltas: tuple[Delta, Delta, Delta, Delta] | None = None
     events: Pick | None = None
+    fails: bool = False
+    range: str | None = None  # "step" | "close"
+    guards: tuple[Guard, ...] = ()
+    effect: int | None = None
     render: Callable[[TraceEvent, int | None], list[tuple[str, ...]]] | None = field(
         init=False, repr=False, compare=False)
     descent: Callable[[Measure, Measure], str | None] | None = field(
@@ -235,53 +277,56 @@ class RuleSpec:
 E, D, U, A, N = Delta.EQ, Delta.DOWN, Delta.UP, Delta.ANY, Delta.NONINC
 
 PDFD_RULES: dict[str, RuleSpec] = {
-    "PD1": RuleSpec(("S0",), ("S1",), "initial",
+    "PD1": RuleSpec(("S0",), ("S1",), "initial", effect=0,
                     events="load_tree_actual initialize_refinement_attempts_actual"),
-    "PD2": RuleSpec(("S1",), ("S2",), deltas=(E, E, D, D), events=(
+    "PD2": RuleSpec(("S1",), ("S2",), deltas=(E, E, D, D), effect=1, events=(
         "determine_ki_actual.{@} process_level_actual.{@}")),
-    "PD2a": RuleSpec(("S2",), ("S1R",), deltas=(E, D, U, A), events=(
+    "PD2a": RuleSpec(("S2",), ("S1R",), deltas=(E, D, U, A), fails=True, events=(
         "is_level_validation_failed.{level?} get_trace_origin_actual.{level?}.{@} "
         "can_attempt_refinement.{@} increment_refinement_attempts_actual.{@}")),
-    "PD2b": RuleSpec(("S2",), ("S1",), deltas=(D, E, A, A), events=(
+    "PD2b": RuleSpec(("S2",), ("S1",), deltas=(D, E, A, A), guards=(_k_gate,), effect=2, events=(
         "level_validation_successful.{level?} cond_threshold_met.{level?}")),
     "PD3": RuleSpec(("S1R",), ("S2R",), deltas=(E, E, D, D), events=(
         "determine_ki_actual.{level?} process_level_actual.{level?}")),
-    "PD3a": RuleSpec(("S2R",), ("S1R",), deltas=(E, D, A, E), events=_pick(
+    "PD3a": RuleSpec(("S2R",), ("S1R",), deltas=(E, D, A, E), range="step", events=_pick(
         _next_level, "is_refactor_validation_successful.{level?}.{range_end} "
         "increment_refinement_attempts_actual.{next_level}")),
-    "PD3b": RuleSpec(("S2R",), ("S2", "S3", "S4"), deltas=(E, E, N, A), events=(
+    "PD3b": RuleSpec(("S2R",), ("S2", "S3", "S4"), deltas=(E, E, N, A), range="close", events=(
         "is_refactor_validation_successful.{level?}.{range_end}")),
-    "PD3c": RuleSpec(("S2R",), ("S1R",), deltas=(E, D, U, A), events=(
+    "PD3c": RuleSpec(("S2R",), ("S1R",), deltas=(E, D, U, A), fails=True, events=(
         "refinement_failed_no_retry.{level?}.{range_end} can_attempt_refinement.{level?} "
         "increment_refinement_attempts_actual.{level?}")),
-    "PD4": RuleSpec(("S2",), ("S3",), deltas=(D, E, D, A), events=_pick(
+    "PD4": RuleSpec(("S2",), ("S3",), deltas=(D, E, D, A), guards=(_on_level(
+        lambda i, ctx: i == ctx.max_level or not ctx.level_ids(i + 1),
+        "bottom-up entry with a non-empty next level"),), effect=2, events=_pick(
         _at_last_level, "level_validation_successful.{level?} cond_threshold_met.{level?}",
         "level_validation_successful.{level?} cond_has_no_children.{level?}")),
     "PD4a": RuleSpec(("S3",), ("S3",), deltas=(E, E, E, D), events=(
         "finalize_subtrees_actual.{level?} bottom_up_validation_successful.{level?} "
         "cond_all_descendants_validated.{level?}")),
-    "PD4b": RuleSpec(("S3",), ("S1R",), deltas=(E, D, U, A), events=(
+    "PD4b": RuleSpec(("S3",), ("S1R",), deltas=(E, D, U, A), fails=True, events=(
         "finalize_subtrees_actual.{level?} is_bottom_up_validation_failed.{level?} "
         "get_trace_origin_actual.{level?}.{@} can_attempt_refinement.{@} "
         "increment_refinement_attempts_actual.{@}")),
     "PD5": RuleSpec(("S3",), ("S4",), deltas=(E, E, D, A), events=(
         "finalize_subtrees_actual.{level?} bottom_up_validation_successful.{level?} "
         "cond_all_descendants_validated.{level?}")),
-    "PD6": RuleSpec(("S4",), ("S4",), deltas=(E, E, E, D), events=(
+    "PD6": RuleSpec(("S4",), ("S4",), deltas=(E, E, E, D), guards=(_BELOW_LAST,), events=(
         "finalize_unprocessed_nodes_actual.{level?} top_down_validation_successful.{level?}")),
-    "PD6a": RuleSpec(("S4",), ("S1R",), deltas=(E, D, U, A), events=(
+    "PD6a": RuleSpec(("S4",), ("S1R",), deltas=(E, D, U, A), fails=True, events=(
         "finalize_unprocessed_nodes_actual.{level?} "
         "is_top_down_validation_failed.{level?} get_trace_origin_actual.{level?}.{@} "
         "can_attempt_refinement.{@} increment_refinement_attempts_actual.{@}")),
-    "PD6b": RuleSpec(("S4",), ("S5",), "terminal", events=(
+    "PD6b": RuleSpec(("S4",), ("S5",), "terminal", fails=True, events=(
         "finalize_unprocessed_nodes_actual.{level?} is_top_down_validation_failed.{level?} "
         "no_refinement_path_available.{level?} terminate_with_error_actual")),
-    "PD7": RuleSpec(("S4",), ("T",), "terminal", events=(
+    "PD7": RuleSpec(("S4",), ("T",), "terminal", guards=(_all_finalized, _AT_LAST), events=(
         "finalize_unprocessed_nodes_actual.{level?} top_down_validation_successful.{level?} "
         "top_down_reaches_L5.{level?} terminate_successfully_actual")),
     # Exhaustion and path-less failures also end the validation phases.
-    "PD8": RuleSpec(("S1R", "S2", "S2R", "S3"), ("S5",), "terminal", events=_pick(
-        _pd8, "has_exhausted_rmax_for_level.{level?} terminate_with_error_actual",
+    "PD8": RuleSpec(("S1R", "S2", "S2R", "S3"), ("S5",), "terminal", fails=True,
+                    guards=(_budget_spent,), events=_pick(
+        _error_end, "has_exhausted_rmax_for_level.{level?} terminate_with_error_actual",
         "is_level_validation_failed.{level?} no_refinement_path_available.{level?} "
         "terminate_with_error_actual",
         "finalize_subtrees_actual.{level?} is_bottom_up_validation_failed.{level?} "
@@ -290,13 +335,13 @@ PDFD_RULES: dict[str, RuleSpec] = {
 }
 
 PBFD_RULES: dict[str, RuleSpec] = {
-    "PB1": RuleSpec(("S0",), ("S1",), "initial",
+    "PB1": RuleSpec(("S0",), ("S1",), "initial", effect=0,
                     events="load_tree_actual initialize_refinement_attempts_actual"),
-    "PB2": RuleSpec(("S1",), ("S2",), deltas=(E, E, D, D), events=(
+    "PB2": RuleSpec(("S1",), ("S2",), deltas=(E, E, D, D), effect=1, events=(
         "process_pattern_actual.{@} cond_not_all_validated.{@}")),
     "PB2a": RuleSpec(("S1",), ("S3",), deltas=(E, E, D, A), events=(
         "process_pattern_actual.{@} cond_all_validated.{@}")),
-    "PB3": RuleSpec(("S2",), ("S1R",), deltas=(E, D, U, A), events=(
+    "PB3": RuleSpec(("S2",), ("S1R",), deltas=(E, D, U, A), fails=True, events=(
         "validate_pattern_actual.{level?} cond_not_all_validated.{level?} "
         "cond_j_exists_for_i.{level?}.{@} cond_ref_attempts_lt_Rmax.{@} "
         "increment_refinement_attempts_actual.{@}")),
@@ -304,41 +349,44 @@ PBFD_RULES: dict[str, RuleSpec] = {
         "process_refinement_pattern_actual.{level?} cond_not_all_validated.{level?}")),
     "PB3a1": RuleSpec(("S2R",), ("S3R",), deltas=(E, E, D, E), events=(
         "validate_refinement_pattern_actual.{level?} cond_all_validated.{level?}")),
-    "PB3a2": RuleSpec(("S2R",), ("S1R",), deltas=(E, D, U, A), events=(
+    "PB3a2": RuleSpec(("S2R",), ("S1R",), deltas=(E, D, U, A), fails=True, events=(
         "validate_refinement_pattern_actual.{level?} cond_not_all_validated.{level?} "
         "cond_ref_attempts_lt_Rmax.{level?} increment_refinement_attempts_actual.{level?}")),
     # No engine emits PB3a3 and no process event stands for it.
     "PB3a3": RuleSpec(("S2R",), ("S5",), "terminal"),
     "PB3b": RuleSpec(("S1R",), ("S3R",), deltas=(E, E, D, D), events=(
         "process_refinement_pattern_actual.{level?} cond_all_validated.{level?}")),
-    "PB3c": RuleSpec(("S2",), ("S5",), "terminal", events=(
+    "PB3c": RuleSpec(("S2",), ("S5",), "terminal", fails=True, events=(
         "validate_pattern_actual.{level?} cond_not_all_validated.{level?} "
         "cond_j_not_exists_for_i.{level?} terminate_failure_actual")),
     "PB4": RuleSpec(("S2",), ("S3",), deltas=(E, E, D, E), events=(
         "validate_pattern_actual.{level?} cond_all_validated.{level?}")),
-    "PB4a": RuleSpec(("S3",), ("S1",), deltas=(D, E, A, A), events=(
+    "PB4a": RuleSpec(("S3",), ("S1",), deltas=(D, E, A, A), guards=(
+        _on_level(lambda i, ctx: i < ctx.max_level, "pattern derivation at the last level"),
+        _on_level(lambda i, ctx: ctx.level_ids(i + 1), "pattern derivation with no children"),
+    ), effect=2, events=(
         "resolve_depth_actual.{level?} cond_i_lt_L.{level?} cond_pattern_next_nonempty.{level?}")),
-    "PB4b": RuleSpec(("S3",), ("S4",), deltas=(D, E, D, A), events=_pick(
+    "PB4b": RuleSpec(("S3",), ("S4",), deltas=(D, E, D, A), effect=2, events=_pick(
         _at_last_level, "resolve_depth_actual.{level?} cond_i_eq_L.{level?}",
         "resolve_depth_actual.{level?} cond_pattern_next_empty.{level?}")),
-    "PB5": RuleSpec(("S3R",), ("S1R",), deltas=(E, D, A, E), events=_pick(
+    "PB5": RuleSpec(("S3R",), ("S1R",), deltas=(E, D, A, E), range="step", events=_pick(
         _next_level, "resolve_refinement_depth_actual.{level?} cond_j_lt_i.{level?}.{range_end} "
         "increment_refinement_attempts_actual.{next_level}")),
-    "PB6": RuleSpec(("S3R",), ("S3", "S4"), deltas=(E, E, N, A), events=(
+    "PB6": RuleSpec(("S3R",), ("S3", "S4"), deltas=(E, E, N, A), range="close", events=(
         "resolve_refinement_depth_actual.{level?} cond_j_eq_i.{level?}.{range_end}")),
-    "PB7": RuleSpec(("S4",), ("S4",), deltas=(E, E, E, D), events=(
+    "PB7": RuleSpec(("S4",), ("S4",), deltas=(E, E, E, D), guards=(_BELOW_LAST,), events=(
         "finalize_pattern_actual.{level?} cond_all_processed.{level?} cond_i_lt_L.{level?}")),
-    "PB7a": RuleSpec(("S4",), ("S1R",), deltas=(E, D, U, A), events=(
+    "PB7a": RuleSpec(("S4",), ("S1R",), deltas=(E, D, U, A), fails=True, events=(
         "finalize_pattern_actual.{level?} cond_not_all_processed.{level?} "
         "cond_trace_origin_exists_for_unprocessed.{level?}.{@} cond_ref_attempts_lt_Rmax.{@} "
         "increment_refinement_attempts_actual.{@}")),
-    "PB7b": RuleSpec(("S4",), ("S5",), "terminal", events=(
+    "PB7b": RuleSpec(("S4",), ("S5",), "terminal", fails=True, events=(
         "finalize_pattern_actual.{level?} cond_not_all_processed.{level?} "
         "cond_trace_origin_not_exists_for_unprocessed.{level?} terminate_failure_actual")),
-    "PB8": RuleSpec(("S4",), ("T",), "terminal", events=(
+    "PB8": RuleSpec(("S4",), ("T",), "terminal", guards=(_all_finalized, _AT_LAST), events=(
         "finalize_pattern_actual.{level?} cond_all_processed.{level?} cond_i_eq_L.{level?} "
         "terminate_success_actual")),
-    "PB9": RuleSpec(("S1R",), ("S5",), "terminal", events=(
+    "PB9": RuleSpec(("S1R",), ("S5",), "terminal", guards=(_budget_spent,), events=(
         "cond_ref_attempts_ge_Rmax.{level?} terminate_failure_actual")),
 }
 
@@ -569,8 +617,7 @@ def _next_origin(
 
 
 def check_rule_legality(trace: Trace, methodology: str | None = None) -> Verdict:
-    """Re-evaluate each hybrid rule's condition from the event payloads and
-    labels."""
+    """Hold each hybrid event to its rule's row."""
     name = "rule-legality"
     methodology = methodology or trace.methodology
     if methodology not in HYBRID:
@@ -581,17 +628,18 @@ def check_rule_legality(trace: Trace, methodology: str | None = None) -> Verdict
     ctx = _context(name, trace, methodology)
     if isinstance(ctx, Verdict):
         return ctx
-    labels, fold = trace.labels, StatusFold()
-    spent: dict[int, int] = {}
-    origin = None
+    rules, labels, fold = RULE_TABLES[methodology], trace.labels, StatusFold()
+    spent, queries, origin = {}, {}, None
     for ev in trace.events:
         try:
-            fold.step(ev)
+            prior = fold.step(ev)
         except StatusFoldError as err:
             return Verdict(name, False, err.detail, err.seq)
         try:
             family, index = _target(ev, labels)
-            problem = _legality_problem(ev, family, index, origin, spent, fold.statuses, ctx)
+            problem = _legality_problem(ev, rules[ev.rule], family, index,
+                                        labels[ev.from_state][0], origin, spent, queries,
+                                        prior, fold.statuses, ctx)
             origin = _next_origin(origin, ev, labels) if family in _REFINING else None
         except UNREADABLE as exc:
             return _unreadable(name, ev, exc)
@@ -600,28 +648,17 @@ def check_rule_legality(trace: Trace, methodology: str | None = None) -> Verdict
     return Verdict(name, True)
 
 
-# A failed validation backtracks to its origin, the index of its S1R target,
-# or, with no origin, dead-ends in S5: those rules carry failing nodes, and no
-# other rule does.  PD8 also ends an exhausted budget, with no query.
-_FAILED = frozenset({"PD2a", "PD3c", "PD4b", "PD6a", "PB3", "PB3a2", "PB7a",
-                     "PD8", "PD6b", "PB3c", "PB7b"})
-# The rules that step through an episode's range carry its end.
-_RANGED = frozenset({"PD3a", "PD3b", "PB5", "PB6"})
-
-
 def _legality_problem(
-    ev: TraceEvent,
-    family: str,
-    index: int | None,
-    origin: tuple[str, int | None] | None,
-    spent: dict[int, int],
-    statuses: dict[int, int],
-    ctx: TraceContext,
-) -> str | None:
-    """The problem with ``ev``, whose target label is ``family(index)``, in
-    the episode of ``origin``, or None; an S1R entry adds to ``spent``."""
-    rule = ev.rule
-    p = ev.payload
+    ev: TraceEvent, spec: RuleSpec, family: str, index: int | None, source: str,
+    origin: tuple[str, int | None] | None, spent: dict[int, int],
+    queries: dict[tuple[str, int], int], prior: dict[int, int | None],
+    statuses: dict[int, int], ctx: TraceContext) -> str | None:
+    """The problem with ``ev``, a ``spec`` event from the family ``source``
+    to ``family(index)`` in the episode of ``origin``, or None.  An S1R entry
+    adds to ``spent``, an ``attempt`` to ``queries`` at (source, level).
+    Last, the status changes ``prior``, with ``statuses`` after them, are
+    held to the row's effect."""
+    rule, p = ev.rule, ev.payload
     failing = p.get("failing", [])
     if failing or failing.__class__ is not list:
         node_ids(failing, "failing")  # 4.0 or True would pass the set test below
@@ -629,10 +666,9 @@ def _legality_problem(
         return f"{rule} target {ev.to_state} names no level"
     # A rule that fires from S0 or S1, its one source, carries no level: its
     # level is its target's index.
-    from_start = RULE_TABLES[ctx.methodology][rule].sources[0] in ("S0", "S1")
-    level = index if from_start else exact_int(p["level"], "level")
+    level = index if spec.sources[0] in ("S0", "S1") else exact_int(p["level"], "level")
     range_end = (exact_int(p["range_end"], "range_end")
-                 if "range_end" in p or rule in _RANGED else None)
+                 if "range_end" in p or spec.range else None)
     if family == "S1R":
         spent[index] = spent.get(index, 0) + 1
         if spent[index] > ctx.r_max:
@@ -640,46 +676,43 @@ def _legality_problem(
     if failing:
         if not set(failing) <= set(ctx.level_ids(level)):
             return f"{rule} failing nodes outside level {level}"
-        if rule not in _FAILED:
+        if not spec.fails:
             return f"{rule} with failing nodes"
     if range_end is not None and (origin is None or range_end != origin[1]):
         return f"{rule} range_end {range_end} is not the episode origin"
-    if not failing and rule in _FAILED and p.get("reason") != "refinement_exhausted":
-        return f"{rule} without failing nodes"
-    if family == "S1R" and rule in _FAILED and not 1 <= index <= level:
-        return f"{rule} origin {index} outside [1, {level}]"
-    if rule in ("PD3a", "PB5"):
-        if not index <= range_end:
-            return f"{rule} progressed past the episode range"
-    if rule in ("PD3b", "PB6"):
-        if level != range_end:
-            return f"{rule} before the episode range was complete"
-    if rule == "PD2b":
-        k_i = ctx.k_thresholds.get(level, len(ctx.level_ids(level)))
-        done = sum(1 for n in ctx.level_ids(level) if statuses.get(n) == 2)
-        if done < k_i:
-            return f"advance from level {level} with {done} finalized < K={k_i}"
-    if rule == "PD4":
-        if level != ctx.max_level and ctx.level_ids(level + 1):
-            return "bottom-up entry with a non-empty next level"
-    if rule in ("PD7", "PB8"):
-        if any(v != 2 for v in statuses.values()):
-            return f"{rule} with unfinalized nodes"
-        if level != ctx.max_level:
-            return f"{rule} before the last level"
-    if rule in ("PD6", "PB7"):
-        if level >= ctx.max_level:
-            return f"{rule} beyond the last level"
-    if rule == "PB4a":
-        if level >= ctx.max_level:
-            return "pattern derivation at the last level"
-        if not ctx.level_ids(level + 1):
-            return "pattern derivation with no children"
-        if any(statuses.get(n) != 2 for n in ctx.level_ids(level)):
-            return "pattern derivation from unfinalized nodes"
-    if rule in ("PD8", "PB9") and p.get("reason") == "refinement_exhausted":
-        if spent.get(level, 0) < ctx.r_max:
-            return f"{rule} with remaining budget at level {level}"
+    if spec.fails:
+        if not failing and p.get("reason") != "refinement_exhausted":
+            return f"{rule} without failing nodes"
+        if family == "S1R" and not 1 <= index <= level:
+            return f"{rule} origin {index} outside [1, {level}]"
+    if spec.range == "step" and not index <= range_end:
+        return f"{rule} progressed past the episode range"
+    if spec.range == "close" and level != range_end:
+        return f"{rule} before the episode range was complete"
+    for guard in spec.guards:
+        problem = guard(rule, level, p, ctx, statuses, spent)
+        if problem:
+            return problem
+    if "attempt" in p:
+        n = queries[source, level] = queries.get((source, level), 0) + 1
+        if exact_int(p["attempt"], "attempt") != n:
+            return f"{rule} attempt {p['attempt']} is not query {n} at {source}({level})"
+    effect = spec.effect
+    if effect == 0:  # the first map
+        n = next((n for n, s in statuses.items() if s), None)
+        return None if n is None else f"{rule} first map has node {n} at status {statuses[n]}"
+    # Each change, then each node of the level of a rule that marks or finalizes it.
+    ids = ctx.level_ids(level) if effect else ()
+    members = set(ids)
+    for n, old in prior.items():
+        new = statuses.get(n)
+        if effect is None or old is None or not old < effect == new:
+            return f"{rule} moved node {n} from {old} to {new}"
+        if n not in members:
+            return f"{rule} moved node {n} outside level {level}"
+    for n in ids:
+        if statuses.get(n, 0) < effect:
+            return f"{rule} left node {n} of level {level} at status {statuses.get(n, 0)}"
     return None
 
 
@@ -700,34 +733,27 @@ class DescentFold:
     ``WellFormedFold``.
 
     The fold computes M after each event from the event's target label and
-    its own counts: unfinalized nodes and unvisited nodes per level, from the
-    folded status changes; the attempts spent, from the S1R targets; and the
-    episode origin, from the labels.  It never trusts the engine.
+    its own counts: the unfinalized nodes, from the folded status changes;
+    the attempts spent, from the S1R targets; and the episode origin, from
+    the labels.  It never trusts the engine.
     ``measure`` is M after the last event fed (None before the first).
     The first event gives the run parameters; the first failure settles the
     verdict.  Labels are parsed into ``labels`` as for ``WellFormedFold``.
     """
 
-    __slots__ = ("methodology", "rules", "labels", "_ctx", "_level_of", "_statuses",
-                 "_unfinalized", "_unvisited", "_spent", "_origin", "_measure", "_failure")
+    __slots__ = ("methodology", "rules", "labels", "_ctx", "_statuses", "_unfinalized",
+                 "_spent", "_origin", "measure", "_failure")
 
     def __init__(self, methodology: str, labels: LabelTable | None = None):
         self.methodology = methodology
         self.rules = RULE_TABLES[methodology] if methodology in HYBRID else None
         self.labels = LabelTable() if labels is None else labels
         self._ctx: TraceContext | None = None
-        self._level_of: dict[int, int] = {}
         self._statuses = StatusFold()
-        self._unfinalized = 0
-        self._unvisited: dict[int, int] = {}
-        self._spent = 0
+        self._unfinalized = self._spent = 0
         self._origin: tuple[str, int | None] | None = None
-        self._measure: Measure | None = None
+        self.measure: Measure | None = None
         self._failure: Verdict | None = None
-
-    @property
-    def measure(self) -> Measure | None:
-        return self._measure
 
     @property
     def failed(self) -> bool:
@@ -737,11 +763,9 @@ class DescentFold:
     def copy(self) -> "DescentFold":
         other = DescentFold.__new__(DescentFold)
         other.methodology, other.rules, other.labels = self.methodology, self.rules, self.labels
-        other._ctx, other._level_of = self._ctx, self._level_of
-        other._statuses = self._statuses.copy()
+        other._ctx, other._statuses = self._ctx, self._statuses.copy()
         other._unfinalized, other._spent = self._unfinalized, self._spent
-        other._unvisited = dict(self._unvisited)
-        other._origin, other._measure, other._failure = self._origin, self._measure, self._failure
+        other._origin, other.measure, other._failure = self._origin, self.measure, self._failure
         return other
 
     def feed(self, events: Iterable[TraceEvent]) -> None:
@@ -752,18 +776,14 @@ class DescentFold:
 
     def _fold(self, rules: dict[str, RuleSpec], events: Iterable[TraceEvent]) -> Verdict | None:
         name = "measure-descent"
-        ctx, level_of, unvisited = self._ctx, self._level_of, self._unvisited
-        unfinalized, spent, origin = self._unfinalized, self._spent, self._origin
-        prev, fold, labels = self._measure, self._statuses, self.labels
+        ctx, unfinalized, spent, origin = self._ctx, self._unfinalized, self._spent, self._origin
+        prev, fold, labels = self.measure, self._statuses, self.labels
         for ev in events:
             if ctx is None:
                 try:
                     ctx = self._ctx = TraceContext.from_payload(self.methodology, ev.payload)
                 except UNREADABLE as exc:
                     return _unreadable(name, ev, exc)
-                level_of = self._level_of = {n: k for k, ids in ctx.levels.items() for n in ids}
-                # Nodes the status map lacks count as unvisited, so every level starts full.
-                unvisited = self._unvisited = {k: len(ids) for k, ids in ctx.levels.items()}
             try:
                 prior = fold.step(ev)
             except StatusFoldError as err:
@@ -773,9 +793,6 @@ class DescentFold:
                 for n, old in prior.items():
                     new = statuses.get(n)
                     unfinalized += (new is not None and new != 2) - (old is not None and old != 2)
-                    k = level_of.get(n)
-                    if k is not None:
-                        unvisited[k] += (not new) - (not old)
             spec = rules.get(ev.rule)
             if spec is None:
                 return Verdict(name, False, f"unknown rule {ev.rule}", ev.seq)
@@ -783,8 +800,7 @@ class DescentFold:
                 family, index = _target(ev, labels)
                 spent += family == "S1R"
                 origin = _next_origin(origin, ev, labels) if family in _REFINING else None
-                m = measure(ctx, family, index, origin and origin[1],
-                            unfinalized, spent, unvisited)
+                m = measure(ctx, family, index, origin and origin[1], unfinalized, spent)
             except UNREADABLE as exc:
                 return _unreadable(name, ev, exc)
             descent = spec.descent
@@ -793,7 +809,7 @@ class DescentFold:
                 if problem is not None:
                     return Verdict(name, False, f"{ev.rule} {problem}", ev.seq)
             prev = m
-        self._unfinalized, self._spent, self._origin, self._measure = (
+        self._unfinalized, self._spent, self._origin, self.measure = (
             unfinalized, spent, origin, prev)
         return None
 
@@ -806,11 +822,6 @@ class DescentFold:
         if self._ctx is None:
             raise ValueError("empty trace")
         return Verdict(name, True)
-
-
-def classify_rules(methodology: str) -> dict[str, str]:
-    """Terminal/non-terminal/initial classification per rule id."""
-    return {r: s.kind for r, s in RULE_TABLES[methodology].items()}
 
 
 # -- bounded refinement -------------------------------------------------------------
@@ -946,12 +957,11 @@ def check_deadlock_freeness(
 
     Statically, every state family a rule moves to needs an outgoing rule,
     unless it is final: the target of a terminal rule (T and S5, or the tle
-    process's end).  When a hierarchy is supplied, all
-    validation-outcome assignments are enumerated and every run must end in
-    T or S5 with a well-formed, measure-decreasing trace; the first run in
-    enumeration order that is not gives the verdict.  An unknown
-    methodology is a FAIL; a basic machine with a hierarchy raises
-    ``start_run``'s ValueError."""
+    process's end).  When a hierarchy is supplied, all validation-outcome
+    assignments are enumerated and every run must end in T or S5 with a
+    well-formed, measure-decreasing trace; the first run in enumeration
+    order that is not gives the verdict.  An unknown methodology is a FAIL;
+    a basic machine with a hierarchy raises ``start_run``'s ValueError."""
     name = f"deadlock-freeness[{methodology}]"
     rules = RULE_TABLES.get(methodology)
     if rules is None:

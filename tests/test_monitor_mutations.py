@@ -7,7 +7,10 @@ one event:
 
 * an integer by -1 or +1;
 * a list of integers by dropping its last item, or by appending one more
-  than its largest item.
+  than its largest item;
+* a status map, the first event's ``statuses`` or a later event's
+  ``status_changes``, by setting one entry to each other status, or by
+  dropping one ``status_changes`` entry.
 
 A mutant survives when every ``run_all_checks`` verdict and the
 ``check_csp_conformance`` verdict pass.  ``PINNED`` holds, per (machine,
@@ -43,6 +46,14 @@ def _trace(machine: str) -> Trace:
     return run_dfd(h) if machine == "dfd" else run_bfd(h)
 
 
+def _status_forgeries(field: str, value: dict):
+    for node, status in value.items():
+        if field == "status_changes":
+            yield {n: s for n, s in value.items() if n != node}
+        for other in sorted({0, 1, 2} - {status}):
+            yield dict(value, **{node: other})
+
+
 def _mutants(trace: Trace):
     """(field, mutated trace) for every mutant of ``trace``, in event order."""
     for idx, ev in enumerate(trace.events):
@@ -51,6 +62,8 @@ def _mutants(trace: Trace):
                 forged = [value - 1, value + 1]
             elif value.__class__ is list and all(v.__class__ is int for v in value):
                 forged = ([value[:-1]] if value else []) + [value + [max(value, default=0) + 1]]
+            elif field in ("statuses", "status_changes"):
+                forged = list(_status_forgeries(field, value))
             else:
                 continue
             for v in forged:
@@ -82,12 +95,14 @@ PINNED: dict[str, dict[str, tuple[int, int]]] = {
         "to": (28, 28),
     },
     "pbfd": {
-        "L": (2, 0), "attempt": (30, 30), "failing": (16, 1), "level": (56, 0), "r_max": (2, 2),
-        "range_end": (8, 0), "trace_format": (2, 1),
+        "L": (2, 0), "attempt": (30, 0), "failing": (16, 1), "level": (56, 0), "r_max": (2, 2),
+        "range_end": (8, 0), "status_changes": (240, 0), "statuses": (80, 0),
+        "trace_format": (2, 1),
     },
     "pdfd": {
-        "L": (2, 0), "attempt": (40, 40), "failing": (20, 0), "level": (40, 0),
-        "r_max": (2, 2), "trace_format": (2, 1),
+        "L": (2, 0), "attempt": (40, 0), "failing": (20, 0), "level": (40, 0),
+        "r_max": (2, 2), "status_changes": (240, 0), "statuses": (80, 0),
+        "trace_format": (2, 1),
     },
 }
 

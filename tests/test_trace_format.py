@@ -230,8 +230,9 @@ class TestFold:
 class TestFormatOneTraces:
     """Full-snapshot traces written before the delta format, with the
     verdict lines today's monitors give them.  The demoted trace's node 0
-    leaves FINALIZED at event 17; the monitor's own k1 rises there and falls
-    back at event 18, a PB2, which must keep it equal."""
+    leaves FINALIZED at event 17, a PB4a, whose effect only finalizes; the
+    monitor's own k1 rises there and falls back at event 18, a PB2, which
+    must keep it equal."""
 
     EXPECTED = {
         ("pdfd_mvp_format1.jsonl", "pdfd"): [
@@ -245,7 +246,7 @@ class TestFormatOneTraces:
         ],
         ("pbfd_mvp_format1_demoted.jsonl", "pbfd"): [
             "PASS well-formed",
-            "PASS rule-legality",
+            "FAIL rule-legality (event 17: PB4a moved node 0 from 2 to 1)",
             "FAIL measure-descent (event 18: PB2 component k1 broke pattern =: 32 -> 31)",
             "PASS bounded-refinement",
             "FAIL finalization-invariance (event 17: node 0 left FINALIZED)",

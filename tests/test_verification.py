@@ -34,7 +34,6 @@ from treeflow.verify import (
     DescentFold,
     Verdict,
     WellFormedFold,
-    classify_rules,
     enumerate_runs,
 )
 
@@ -51,14 +50,11 @@ def seven_node_ctx():
 
 
 def measure_at(ctx, family, index, statuses=None, spent=0):
-    """M at the label ``family(index)``, with the status counts taken from
-    ``statuses`` (all unprocessed by default) and ``spent`` attempts."""
+    """M at the label ``family(index)``, with the unfinalized count taken
+    from ``statuses`` (all unprocessed by default) and ``spent`` attempts."""
     statuses = statuses or {n: 0 for ids in ctx.levels.values() for n in ids}
     unfinalized = sum(1 for v in statuses.values() if v != 2)
-    unvisited = {
-        k: sum(1 for n in ids if statuses.get(n, 0) == 0) for k, ids in ctx.levels.items()
-    }
-    return measure(ctx, family, index, None, unfinalized, spent, unvisited)
+    return measure(ctx, family, index, None, unfinalized, spent)
 
 
 def measures_around(trace, rule):
@@ -107,8 +103,7 @@ class TestMeasureOf:
     def test_the_episode_origin_bounds_the_refinement_range(self):
         """In an R phase k4 counts the steps left up to the origin level."""
         _h, ctx = seven_node_ctx()
-        unvisited = {k: len(ids) for k, ids in ctx.levels.items()}
-        assert [measure(ctx, family, 1, 3, 7, 0, unvisited)[3]
+        assert [measure(ctx, family, 1, 3, 7, 0)[3]
                 for family in ("S1R", "S2R", "S3R")] == [4, 3, 3]
 
 
@@ -141,14 +136,14 @@ class TestDescent:
         assert post < pre          # still descends lexicographically
 
     def test_rule_classification_matches_tables(self):
-        pdfd = classify_rules("pdfd")
+        pdfd = {r: spec.kind for r, spec in RULE_TABLES["pdfd"].items()}
         assert pdfd["PD1"] == "initial"
         for r in ("PD6b", "PD7", "PD8"):
             assert pdfd[r] == "terminal"
         for r in ("PD2", "PD2a", "PD2b", "PD3", "PD3a", "PD3b", "PD3c",
                   "PD4", "PD4a", "PD4b", "PD5", "PD6", "PD6a"):
             assert pdfd[r] == "step"
-        pbfd = classify_rules("pbfd")
+        pbfd = {r: spec.kind for r, spec in RULE_TABLES["pbfd"].items()}
         assert pbfd["PB1"] == "initial"
         for r in ("PB3a3", "PB3c", "PB7b", "PB8", "PB9"):
             assert pbfd[r] == "terminal"
@@ -494,10 +489,12 @@ class TestLegality:
         return Trace(trace.methodology, events), events[idx]
 
     def test_pattern_derivation_needs_its_level_finalized(self):
+        """PB4a's effect finalizes its level, so a node of it left in
+        progress breaks the effect."""
         trace, ev = self._one_change_dropped(run_pbfd, "PB4a")
         verdict = check_rule_legality(trace)
         assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
-            False, "pattern derivation from unfinalized nodes", ev.seq)
+            False, "PB4a left node 2 of level 2 at status 1", ev.seq)
 
     def test_an_advance_needs_k_nodes_finalized(self):
         """Level 2 of the seven-node tree has two nodes, and K defaults to
@@ -539,6 +536,17 @@ class TestLegality:
         assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
             False, f"{rule} before the episode range was complete", events[idx].seq)
 
+    @pytest.mark.parametrize("run,rule", [(run_pdfd, "PD3a"), (run_pbfd, "PB6")])
+    def test_a_ranged_rule_carries_its_range_end(self, run, rule):
+        trace = self._mvp(run)
+        events = list(trace)
+        idx = next(i for i, e in enumerate(events) if e.rule == rule)
+        events[idx] = events[idx]._replace(payload={
+            k: v for k, v in events[idx].payload.items() if k != "range_end"})
+        verdict = check_rule_legality(Trace(trace.methodology, events))
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
+            False, f"{rule} payload unreadable: 'range_end'", events[idx].seq)
+
     def test_broken_chain_flagged(self):
         res = run_pdfd(perfect_tree(2, 3), Scenario(r_max=1, trace_origin=TraceOriginStrategy.fixed(1)))
         events = list(res.trace)
@@ -560,6 +568,102 @@ class TestLegality:
         del events[4:]
         verdict = check_well_formed(Trace("pdfd", events))
         assert (verdict.detail, verdict.first_violation_seq) == ("unknown rule PDX", events[1].seq)
+
+
+class TestRowEffects:
+    """Rule legality holds each event's status changes to its rule's effect
+    and each ``attempt`` to the queries at its source and level so far."""
+
+    @staticmethod
+    def _forged(run, rule, forge, nth=0):
+        """The seven-node run with the ``nth`` ``rule`` event's payload
+        replaced by ``forge(payload)``; that event and the verdict."""
+        trace = run(perfect_tree(2, 3), Scenario(r_max=1)).trace
+        events = list(trace)
+        idx = [i for i, e in enumerate(events) if e.rule == rule][nth]
+        events[idx] = events[idx]._replace(payload=forge(dict(events[idx].payload)))
+        verdict = check_rule_legality(Trace(trace.methodology, events))
+        return events[idx], (verdict.ok, verdict.detail, verdict.first_violation_seq)
+
+    @pytest.mark.parametrize("run,rule", [(run_pdfd, "PD1"), (run_pbfd, "PB1")])
+    def test_the_first_map_is_all_unprocessed(self, run, rule):
+        ev, verdict = self._forged(run, rule, lambda p: dict(
+            p, statuses=dict(p["statuses"], **{"2": 1})))
+        assert verdict == (False, f"{rule} first map has node 2 at status 1", ev.seq)
+
+    @pytest.mark.parametrize("run,rule", [(run_pdfd, "PD2"), (run_pbfd, "PB2")])
+    def test_a_mark_reaches_every_node_of_its_level(self, run, rule):
+        """Level 3 of the seven-node tree is nodes 3 to 6; node 6 is left out."""
+        ev, verdict = self._forged(run, rule, lambda p: dict(
+            p, status_changes={"3": 1, "4": 1, "5": 1}), nth=2)
+        assert verdict == (False, f"{rule} left node 6 of level 3 at status 0", ev.seq)
+
+    def test_a_mark_moves_a_node_to_in_progress_only(self):
+        ev, verdict = self._forged(run_pdfd, "PD2", lambda p: dict(
+            p, status_changes=dict(p["status_changes"], **{"1": 2})), nth=1)
+        assert verdict == (False, "PD2 moved node 1 from 0 to 2", ev.seq)
+
+    def test_an_effect_changes_no_other_level(self):
+        """PB4b finalizes level 3, where node 0, of level 1, is already
+        finalized; PB2 marks level 2, not level 3's node 3."""
+        ev, verdict = self._forged(run_pbfd, "PB4b", lambda p: dict(
+            p, status_changes=dict(p["status_changes"], **{"0": 1})))
+        assert verdict == (False, "PB4b moved node 0 from 2 to 1", ev.seq)
+        ev, verdict = self._forged(run_pbfd, "PB2", lambda p: dict(
+            p, status_changes=dict(p["status_changes"], **{"3": 1})), nth=1)
+        assert verdict == (False, "PB2 moved node 3 outside level 2", ev.seq)
+
+    def test_a_mark_moves_no_node_the_first_map_lacks(self):
+        """Node 6 is left out of the first map, and level 3's mark restates
+        the whole map with it in progress."""
+        trace = run_pdfd(perfect_tree(2, 3), Scenario(r_max=1)).trace
+        events = list(trace)
+        first = events[0].payload
+        events[0] = events[0]._replace(payload=dict(
+            first, statuses={k: v for k, v in first["statuses"].items() if k != "6"}))
+        idx = [i for i, e in enumerate(events) if e.rule == "PD2"][2]
+        full = {"0": 2, "1": 2, "2": 2, "3": 1, "4": 1, "5": 1, "6": 1}
+        events[idx] = events[idx]._replace(payload={"statuses": full})
+        verdict = check_rule_legality(Trace("pdfd", events))
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
+            False, "PD2 moved node 6 from None to 1", events[idx].seq)
+
+    @pytest.mark.parametrize("run,rule", [(run_pdfd, "PD6"), (run_pbfd, "PB4")])
+    def test_a_rule_without_an_effect_changes_nothing(self, run, rule):
+        """The last such event, when node 0 is finalized."""
+        ev, verdict = self._forged(run, rule, lambda p: dict(p, status_changes={"0": 1}), -1)
+        assert verdict == (False, f"{rule} moved node 0 from 2 to 1", ev.seq)
+
+    @pytest.mark.parametrize("run,rule,source", [
+        (run_pdfd, "PD2b", "S2"), (run_pdfd, "PD6", "S4"), (run_pbfd, "PB4", "S2")])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_an_attempt_counts_the_queries_at_its_source_and_level(
+            self, run, rule, source, delta):
+        ev, verdict = self._forged(run, rule, lambda p: dict(p, attempt=p["attempt"] + delta))
+        level = ev.payload["level"]
+        assert verdict == (
+            False, f"{rule} attempt {1 + delta} is not query 1 at {source}({level})", ev.seq)
+
+    def test_a_retried_query_counts_on(self):
+        """A level that fails once is queried again: its second attempt is 2."""
+        h = perfect_tree(2, 3)
+        sc = Scenario(r_max=3, trace_origin=TraceOriginStrategy.fixed(2),
+                      validation_script={("level", 2, 1): {n.id for n in h.level(2)}})
+        trace = run_pdfd(h, sc).trace
+        assert [(e.rule, e.payload["attempt"]) for e in trace if e.from_state == "S2(2)"] == [
+            ("PD2a", 1), ("PD2b", 2)]
+        assert check_rule_legality(trace).ok
+
+    @pytest.mark.parametrize("run", [run_pdfd, run_pbfd])
+    def test_k4_at_s1_is_the_size_of_the_level(self, run):
+        trace = run(perfect_tree(2, 3), Scenario(r_max=1)).trace
+        fold = DescentFold(trace.methodology)
+        at_s1 = []
+        for ev in trace:
+            fold.feed([ev])
+            if ev.to_state.startswith("S1("):
+                at_s1.append(fold.measure[3])
+        assert at_s1 == [1, 2, 4]
 
 
 class TestDeadlock:
