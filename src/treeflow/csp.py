@@ -4,10 +4,12 @@ Each trace rule expands into a short sequence of named events, which the
 ``render`` compiled into its row of ``verify.RULE_TABLES`` builds from the
 event, reading a target label and the level count L as the monitors do.
 Each methodology's process definitions are one transition table, written
-here and compiled at import into match plans (``_plans``), and its
-alphabet is the set of event names the table can consume.  A recognizer
-walks the table and accepts exactly the event sequences the process
-allows, prefix-closed; rejection reports the first illegal event.
+here; at import each branch of it is compiled into one matcher function
+(``_compile``), which checks the branch's events in straight-line code and
+returns the next state.  The table's alphabet is the set of event names it
+can consume.  A recognizer walks the table and accepts exactly the event
+sequences the process allows, prefix-closed; rejection reports the first
+illegal event, at its exact index however the events are split into feeds.
 The tables describe the process definitions, not the engines, and the
 alphabets come from the tables, not from the rule rows, so the engines and
 the annotations are checked against something they do not own.  Events
@@ -21,12 +23,19 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Any, Callable
 
 from .jsondoc import exact_int
 from .trace import Trace
-from .verify import HYBRID, RULE_TABLES, UNREADABLE, LabelError, Verdict, split_templates
+from .verify import (
+    HYBRID,
+    RULE_TABLES,
+    UNREADABLE,
+    LabelError,
+    Templates,
+    Verdict,
+    split_templates,
+)
 
 DEFAULT_LEVEL_DOMAIN = 5
 
@@ -83,55 +92,87 @@ class _Renders(dict):
 # function returns an intermediate kind whose one branch consumes that
 # event.  A kind with no branch for an event, like STOP, refuses it.
 
-Plan = tuple[str, int, Any, Any, int, Any, Any, Any]
-Entry = tuple[tuple[Plan, ...], Any]
+Branch = Callable[[tuple, list, int, int, dict, Any], tuple[int, Any]]
+Entry = tuple[Templates, Branch]
 ANY = "*"
 START = ("start",)
 STOP = ("STOP",)
 
 
-def _table(spec: dict[str, list]) -> dict[str, dict[str, Entry]]:
-    """Index each kind's branches by the event that selects them; STOP has none."""
+def _table(spec: dict[str, list], bounded: bool = False) -> dict[str, dict[str, Entry]]:
+    """Index each kind's branches by the event that selects them, each with
+    its templates and its compiled matcher (``_compile``); STOP has none.
+    A ``bounded`` table's matchers refuse a level above the level domain."""
     table: dict[str, dict[str, Entry]] = {STOP[0]: {}}
     for kind, branches in spec.items():
         entries = table[kind] = {}
         for text, nxt in branches:
-            plans = _plans(split_templates(text, int))
-            event = plans[0][0]
+            templates = split_templates(text, int)
+            event = templates[0][0]
             if event in entries:
                 raise ValueError(f"two {kind} branches start with {event}")
-            entries[event] = (plans, nxt)
+            entries[event] = (templates, _compile(templates, nxt, bounded))
     return table
 
 
-def _plans(templates: tuple[tuple[Any, ...], ...]) -> tuple[Plan, ...]:
-    """Each template of a branch as a match plan: its name and segment
-    count; getters of its ``{k}`` segments and of the state values they
-    must equal (None for none); the index of its one wildcard or new
-    capture (0 for none), which must hold no dot, and that capture; and
-    getters of the segments that repeat a capture and of its value."""
-    bound: set[str | None] = set()
-    plans = []
-    for name, *params in templates:
-        state, free, capture, repeated = [], 0, None, []
+def _compile(templates: Templates, nxt: Any, bounded: bool) -> Branch:
+    """Compile a branch into ``match(state, events, i, pos, caps, L)``, which
+    checks ``events[i]``, ``events[i + 1]``, ... against the branch's
+    templates from its ``pos``-th on, in straight-line code: each event's
+    name and segment count, its ``{k}`` segments against the state's
+    values, its wildcards and new captures (no dot), its repeated captures
+    and, in a ``bounded`` table, that no decimal segment exceeds the level
+    domain L.  It returns ``(i, out)``: ``out`` is the next state once the
+    last template is consumed, None when ``events[i]`` is refused, or the
+    template it stopped at when the events ran out, with the captures so
+    far saved in ``caps`` and read back from it on resumption."""
+    lines = ["def match(state, events, i, pos, caps, L):", "    n = len(events)"]
+    names: dict[str, str] = {}  # capture -> its local
+    for want in (w for _name, *params in templates for w in params):
+        if want.__class__ is str and want[0] == "$":
+            names.setdefault(want, f"c{len(names)}")
+    if names:
+        lines.append("    if pos:")
+        lines += [f"        {v} = caps.get({c!r})" for c, v in names.items()]
+    bound: dict[str, str] = {}  # capture -> where its value is read, once bound
+    for t, (name, *params) in enumerate(templates):
+        lines.append(f"    if pos <= {t}:")
+        if t:  # entered at an earlier template: the events may have run out
+            lines.append("        if i == n:")
+            lines += [f"            caps[{c!r}] = {v}" for c, v in bound.items()]
+            lines.append(f"            return i, {t}")
+        tests = [f"len(e) != {len(params) + 1}", f"e[0] != {name!r}"]
+        binds = []
         for k, want in enumerate(params, 1):
             if want.__class__ is int:
-                state.append((k, want))
+                tests.append(f"e[{k}] != state[{want}]")
             elif want in bound:
-                repeated.append((k, want))
-            elif (want == ANY or want[0] == "$") and not free:
-                free, capture = k, None if want == ANY else want
-                bound.add(capture)
+                tests.append(f"e[{k}] != {bound[want]}")
+            elif want == ANY or want[0] == "$":
+                tests.append(f"'.' in e[{k}]")
+                if want != ANY:
+                    bound[want] = f"e[{k}]"
+                    binds.append(f"{names[want]} = e[{k}]")
             else:
                 raise ValueError(f"{name}: unsupported parameter {want!r}")
-        plans.append((name, len(params) + 1, *_getters(state), free, capture,
-                      *_getters(repeated)))
-    return tuple(plans)
-
-
-def _getters(pairs: list[tuple[int, Any]]) -> tuple[Any, Any]:
-    """Getters of the event segments and of the values they must equal."""
-    return tuple(itemgetter(*side) for side in zip(*pairs)) if pairs else (None, None)
+        if bounded and params:
+            over = (f"e[{k}].isdecimal() and int(e[{k}]) > L" for k in range(1, len(params) + 1))
+            tests.append(f"L is not None and ({' or '.join(over)})")
+        lines.append("        e = events[i]")
+        lines.append(f"        if {' or '.join(tests)}: return i, None")
+        lines += [f"        {b}" for b in binds]
+        lines.append("        i += 1")
+        for c in bound:
+            bound[c] = names[c]
+    if nxt.__class__ is tuple:
+        lines.append("    return i, NEXT")
+    else:
+        captures = ", ".join(f"{c!r}: {v}" for c, v in names.items())
+        lines += [f"    after = NEXT(state, {{{captures}}}, L)",
+                  "    return (i, after) if after is not None else (i - 1, None)"]
+    scope = {"NEXT": nxt}
+    exec("\n".join(lines) + "\n", scope)
+    return scope["match"]
 
 
 def _as(kind: str) -> Callable[[tuple, dict, Any], tuple]:
@@ -211,7 +252,7 @@ PDFD_TABLE = _table({
             ("top_down_validation_successful.{1}", _pdfd_top_down_ok)],
     "S4last": [("top_down_reaches_L5.{1} terminate_successfully_actual", STOP)],
     "S4fail": [("get_trace_origin_actual.{1}.$j", _refine("RAL", "S4")), _NO_PATH],
-})
+}, bounded=True)
 
 
 # S1..S4 (i) are the pattern phases; Retry and S1R..S3Rnext (j, i, origin)
@@ -253,7 +294,7 @@ PBFD_TABLE = _table({
     "S4fail": [("cond_trace_origin_exists_for_unprocessed.{1}.$j", _refine("Retry", "S4")),
                ("cond_trace_origin_not_exists_for_unprocessed.{1} terminate_failure_actual",
                 STOP)],
-})
+}, bounded=True)
 
 DAD_TABLE = _table({
     "start": [("load_dag_actual initialize_queue_actual.*", ("S1",))],
@@ -352,19 +393,21 @@ class Recognizer:
     """Prefix-closed acceptor over one methodology's transition table.
 
     With no branch in progress, the next event selects one through the
-    table; the branch's match plans then consume that event and the ones
-    after it.  When the last is consumed, the process moves to the next
-    state.  Level parameters above the level domain are refused, and so is
-    an event outside the alphabet: it selects no branch and fits no plan."""
+    table; the branch's compiled matcher then consumes that event and the
+    ones after it, and on its last returns the next state.  A branch may
+    span two feeds: the matcher stops where the events run out and resumes
+    at that template on the next feed.  An event outside the alphabet
+    selects no branch and fits no template, and a hybrid table's matchers
+    refuse a level above the level domain.  A refused event ends the run:
+    the recognizer then refuses every event, as in STOP."""
 
     def __init__(self, methodology: str, level_domain: int | None = None):
         self.table = TABLES[methodology]
         self.level_domain = level_domain
         self.state: tuple = START
-        self.branch: tuple[Plan, ...] = ()
-        self.pos = 0
-        self.next: Any = None
-        self.captures: dict[str, str] = {}
+        self.match: Branch | None = None  # the branch in progress
+        self.pos = 0  # its next template
+        self.captures: dict[str, str] = {}  # its captures, saved between feeds
 
     def step(self, event: str) -> bool:
         return self.feed([event.split(".")]) is None
@@ -373,43 +416,29 @@ class Recognizer:
         """Consume segment sequences in order; the index of the first one
         refused, or None when all are accepted.  A captured or wildcard
         segment holds no dot: joined and split again, it would be several."""
-        table, domain = self.table, self.level_domain
-        state, branch, pos, nxt, captures = (
-            self.state, self.branch, self.pos, self.next, self.captures)
-        refused = None
-        for idx, event in enumerate(events):
-            if domain is not None and any(seg.isdecimal() and int(seg) > domain for seg in event[1:]):
-                refused = idx
-                break
-            if pos == len(branch):
-                entry = table[state[0]].get(event[0])
+        if events.__class__ is not list:
+            events = list(events)
+        table, L, caps = self.table, self.level_domain, self.captures
+        state, match, pos = self.state, self.match, self.pos
+        i, n = 0, len(events)
+        while i < n:
+            if match is None:
+                entry = table[state[0]].get(events[i][0])
                 if entry is None:
-                    refused = idx
                     break
-                branch, nxt = entry
-                pos = 0
-                captures = {}
-            name, size, at, values, free, capture, at_repeated, captured = branch[pos]
-            if (event[0] != name or len(event) != size
-                    or (at is not None and at(event) != values(state))
-                    or (free and "." in event[free])):
-                refused = idx
+                match, pos = entry[1], 0
+            i, out = match(state, events, i, pos, caps, L)
+            if out.__class__ is tuple:
+                state, match = out, None
+            elif out is None:
                 break
-            if capture is not None:
-                captures[capture] = event[free]
-            if at_repeated is not None and at_repeated(event) != captured(captures):
-                refused = idx
-                break
-            if pos + 1 == len(branch):
-                after = nxt if nxt.__class__ is tuple else nxt(state, captures, domain)
-                if after is None:
-                    refused = idx
-                    break
-                state = after
-            pos += 1
-        self.state, self.branch, self.pos, self.next, self.captures = (
-            state, branch, pos, nxt, captures)
-        return refused
+            else:  # the events ran out inside the branch
+                pos = out
+        if i == n:  # every event accepted
+            self.state, self.match, self.pos = state, match, pos
+            return None
+        self.state, self.match = STOP, None
+        return i
 
 
 def make_recognizer(methodology: str, level_domain: int | None = None) -> Recognizer:

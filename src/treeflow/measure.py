@@ -30,6 +30,10 @@ PHASE_ORDINAL = {"S0": 3, "S1": 3, "S1R": 3, "S2": 2, "S2R": 2, "S3": 1, "S3R": 
                  "S4": 0, "S5": 0, "T": 0}
 
 
+# What reading a forged payload value raises: int("x"), a list for a map, a missing key.
+UNREADABLE = (AttributeError, KeyError, TypeError, ValueError)
+
+
 class MeasureError(ValueError):
     """A measure component came out negative: the run parameters (for
     example a negative refinement budget) admit no well-founded descent."""

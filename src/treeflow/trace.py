@@ -14,7 +14,9 @@ holds the full ``statuses`` map and ``"trace_format": 2``, and every later
 event holds ``status_changes``, the new status of exactly the nodes that step
 changed.  ``StatusFold`` rebuilds each event's map, one event at a time,
 and ``fold_statuses`` runs it over a trace.  It also reads format 1, where
-every event carries the full map.
+every event carries the full map.  A trace's ``status_reading()`` keeps one
+fold's pass, each event's changed nodes before and after it, with the run
+parameters of its first event, for all the monitors that check it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .jsondoc import DECODER, JSONDocumentError, decode_json, read_text, write_text
+from .measure import UNREADABLE, TraceContext
 
 TRACE_FORMAT = 2
 
@@ -147,12 +150,23 @@ class Trace:
     def __init__(self, methodology: str, events: Iterable[TraceEvent] = ()):
         self.methodology = methodology
         self.events: list[TraceEvent] = list(events)
+        self._reading: StatusReading | None = None
 
     @cached_property
     def labels(self) -> LabelTable:
         """The label table the monitors verifying this trace share, made
         at first use and dropped with the trace."""
         return LabelTable()
+
+    def status_reading(self) -> "StatusReading":
+        """The status reading the monitors verifying this trace share, made
+        at first use and kept while ``events`` equals the list it was read
+        from, checked on each call: after an event is added, removed or
+        replaced by an unequal one, it is made again."""
+        reading = self._reading
+        if reading is None or reading.events != self.events:
+            reading = self._reading = StatusReading(self.methodology, self.events)
+        return reading
 
     def emit(
         self,
@@ -251,6 +265,10 @@ class Trace:
         return cls(methodology, events)
 
 
+# ``StatusFold.changes`` of an event that changes no status.
+_UNCHANGED: tuple[dict, dict] = ({}, {})
+
+
 class StatusFold:
     """Rebuild a hybrid trace's committed node statuses, one event at a time.
 
@@ -289,6 +307,22 @@ class StatusFold:
         other.statuses = None if statuses is None else statuses.copy()
         other._ids = self._ids
         return other
+
+    def changes(self, events: Iterable[TraceEvent]) -> Iterator[tuple[dict, dict]]:
+        """``step`` each event in turn and yield ``(prior, after)``: after
+        maps each node of ``prior`` to its status after the event, leaving
+        out a node a full map dropped.  A faulty event raises its
+        StatusFoldError."""
+        for ev in events:
+            first = self.statuses is None
+            prior = self.step(ev)
+            statuses: dict[int, int] = self.statuses  # type: ignore[assignment]
+            if not prior:
+                yield _UNCHANGED
+            elif first:  # the first map: every node is new
+                yield prior, statuses.copy()
+            else:
+                yield prior, {n: statuses[n] for n in prior if n in statuses}
 
     def step(self, ev: TraceEvent) -> dict[int, int | None]:
         p = ev.payload
@@ -364,6 +398,47 @@ def _patch(
         elif prior[n] == s:  # a full map and a delta in one event cancel
             del prior[n]
         statuses[n] = s
+
+
+class StatusReading:
+    """What the status monitors read of one hybrid trace, read once for all
+    of them (``Trace.status_reading``).
+
+    ``context`` holds the run parameters, ``TraceContext.from_payload`` of
+    the first event's payload (None for an empty trace), or the exception
+    reading them raised.  ``changes`` holds one ``StatusFold`` pass: for each
+    event up to the first faulty one, ``(prior, after)`` as
+    ``StatusFold.changes`` yields it, the statuses of the nodes it changed
+    before it and after it.  ``error`` is the faulty event's
+    StatusFoldError, or None.
+    ``events`` is the list read, which the trace's must equal for the
+    reading to hold.  The monitors read it and never change it."""
+
+    __slots__ = ("events", "context", "changes", "error")
+
+    def __init__(self, methodology: str, events: list[TraceEvent]):
+        self.events = events = list(events)
+        self.context: TraceContext | Exception | None = None
+        if events:
+            try:
+                self.context = TraceContext.from_payload(methodology, events[0].payload)
+            except UNREADABLE as exc:
+                self.context = exc.with_traceback(None)
+        self.changes: list[tuple[dict, dict]] = []
+        self.error: StatusFoldError | None = None
+        append = self.changes.append
+        try:
+            for change in StatusFold().changes(events):
+                append(change)
+        except StatusFoldError as err:
+            self.error = err.with_traceback(None)
+
+    def stream(self) -> Iterator[tuple[dict, dict]]:
+        """Each event's ``(prior, after)`` in turn; at the faulty event, if
+        any, raises its StatusFoldError, as ``StatusFold.changes`` does."""
+        yield from self.changes
+        if self.error is not None:  # a new one, so no traceback keeps this trace
+            raise StatusFoldError(self.error.seq, self.error.detail)
 
 
 def fold_statuses(

@@ -28,26 +28,31 @@ Checks provided, all pure over immutable traces:
 Well-formedness and measure descent are folds, ``WellFormedFold`` and
 ``DescentFold``: fed one event at a time, copied at a branch point, read
 for a verdict at any point; the run enumerator forks them with the engine.
-The status monitors read statuses through ``trace.StatusFold``, so they
-accept both the delta-encoded format and full per-event snapshots.  The
-episode origin is folded from the labels by ``_next_origin``.  Labels are
-read by ``trace.parse_label`` into a table the monitors of one trace share
-(``Trace.labels``; the enumerator's folds share one of their own), and
-``_target`` refuses a target label outside the grammar.  The monitors read
-the run parameters by ``measure.TraceContext.from_payload`` alone.
+Rule legality, measure descent, bounded refinement and finalization read
+the statuses and the run parameters from one status reading per trace
+(``Trace.status_reading``): ``measure.TraceContext.from_payload`` of the
+first payload, the monitors' one reader of the run parameters, and one
+``trace.StatusFold`` pass, which accepts both the delta-encoded format and
+full per-event snapshots.  Each monitor keeps its own state; the
+enumerator's ``DescentFold`` steps a ``StatusFold`` of its own through the
+same loop.  The episode origin is folded from the labels by
+``_next_origin``.  Labels are read by ``trace.parse_label`` into a table
+the monitors of one trace share (``Trace.labels``; the enumerator's folds
+share one of their own), and ``_target`` refuses a target label outside
+the grammar.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, partial
-from operator import itemgetter, methodcaller
+from operator import countOf, itemgetter, methodcaller
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .hierarchy import Hierarchy
 from .jsondoc import exact_int, node_ids
-from .measure import Measure, TraceContext, measure
+from .measure import UNREADABLE, Measure, TraceContext, measure
 from .scenario import Scenario, TraceOriginStrategy
 from .trace import LabelTable, StatusFold, StatusFoldError, Trace, TraceEvent, parse_label
 
@@ -498,26 +503,22 @@ class Verdict:
         return f"FAIL {self.name} ({at}{self.detail})"
 
 
-# What reading a forged payload value raises: int("x"), a list for a map, a missing key.
-UNREADABLE = (AttributeError, KeyError, TypeError, ValueError)
-
-
 def _unreadable(name: str, ev: TraceEvent, exc: Exception) -> Verdict:
     detail = str(exc) if isinstance(exc, LabelError) else f"{ev.rule} payload unreadable: {exc}"
     return Verdict(name, False, detail, ev.seq)
 
 
 def _context(name: str, trace: Trace, methodology: str | None) -> TraceContext | Verdict:
-    """The run parameters of the first event, read by ``TraceContext.from_payload``,
-    or a FAIL naming that event when they are unreadable.  An empty trace
-    raises ValueError."""
+    """The run parameters of the first event, from the trace's status
+    reading, or a FAIL naming that event when they are unreadable.  An
+    empty trace raises ValueError."""
     if not trace.events:
         raise ValueError("empty trace")
-    first = trace.events[0]
-    try:
-        return TraceContext.from_payload(methodology or trace.methodology, first.payload)
-    except UNREADABLE as exc:
-        return _unreadable(name, first, exc)
+    ctx = trace.status_reading().context
+    if not isinstance(ctx, TraceContext):
+        return _unreadable(name, trace.events[0], ctx)  # type: ignore[arg-type]
+    methodology = methodology or trace.methodology
+    return ctx if ctx.methodology == methodology else replace(ctx, methodology=methodology)
 
 
 def check_well_formed(trace: Trace, methodology: str | None = None) -> Verdict:
@@ -628,23 +629,28 @@ def check_rule_legality(trace: Trace, methodology: str | None = None) -> Verdict
     ctx = _context(name, trace, methodology)
     if isinstance(ctx, Verdict):
         return ctx
-    rules, labels, fold = RULE_TABLES[methodology], trace.labels, StatusFold()
+    rules, labels = RULE_TABLES[methodology], trace.labels
+    statuses: dict[int, int] = {}  # after each event, rebuilt from the reading
     spent, queries, origin = {}, {}, None
-    for ev in trace.events:
-        try:
-            prior = fold.step(ev)
-        except StatusFoldError as err:
-            return Verdict(name, False, err.detail, err.seq)
-        try:
-            family, index = _target(ev, labels)
-            problem = _legality_problem(ev, rules[ev.rule], family, index,
-                                        labels[ev.from_state][0], origin, spent, queries,
-                                        prior, fold.statuses, ctx)
-            origin = _next_origin(origin, ev, labels) if family in _REFINING else None
-        except UNREADABLE as exc:
-            return _unreadable(name, ev, exc)
-        if problem:
-            return Verdict(name, False, problem, ev.seq)
+    try:
+        for ev, (prior, after) in zip(trace.events, trace.status_reading().stream()):
+            if prior:
+                statuses.update(after)
+                if len(after) < len(prior):  # a full map dropped these nodes
+                    for n in prior.keys() - after.keys():
+                        del statuses[n]
+            try:
+                family, index = _target(ev, labels)
+                problem = _legality_problem(ev, rules[ev.rule], family, index,
+                                            labels[ev.from_state][0], origin, spent, queries,
+                                            prior, statuses, ctx)
+                origin = _next_origin(origin, ev, labels) if family in _REFINING else None
+            except UNREADABLE as exc:
+                return _unreadable(name, ev, exc)
+            if problem:
+                return Verdict(name, False, problem, ev.seq)
+    except StatusFoldError as err:
+        return Verdict(name, False, err.detail, err.seq)
     return Verdict(name, True)
 
 
@@ -724,7 +730,7 @@ def check_measure_descent(trace: Trace, methodology: str | None = None) -> Verdi
     non-terminal transition, with per-component deltas matching the rule's
     expected pattern.  An empty hybrid trace raises ValueError."""
     fold = DescentFold(methodology or trace.methodology, trace.labels)
-    fold.feed(trace.events)
+    fold.feed_trace(trace)
     return fold.verdict()
 
 
@@ -733,12 +739,15 @@ class DescentFold:
     ``WellFormedFold``.
 
     The fold computes M after each event from the event's target label and
-    its own counts: the unfinalized nodes, from the folded status changes;
-    the attempts spent, from the S1R targets; and the episode origin, from
-    the labels.  It never trusts the engine.
+    its own counts: the unfinalized nodes, from the status changes; the
+    attempts spent, from the S1R targets; and the episode origin, from the
+    labels.  It never trusts the engine.
     ``measure`` is M after the last event fed (None before the first).
     The first event gives the run parameters; the first failure settles the
     verdict.  Labels are parsed into ``labels`` as for ``WellFormedFold``.
+    Fed by ``feed``, as the run enumerator feeds it, the fold steps its own
+    ``StatusFold``; ``feed_trace``, for ``check_measure_descent``, gives
+    the same loop the trace's status reading instead.
     """
 
     __slots__ = ("methodology", "rules", "labels", "_ctx", "_statuses", "_unfinalized",
@@ -768,47 +777,65 @@ class DescentFold:
         other._origin, other.measure, other._failure = self._origin, self.measure, self._failure
         return other
 
-    def feed(self, events: Iterable[TraceEvent]) -> None:
+    def feed(self, events: list[TraceEvent]) -> None:
         rules = self.rules
-        if self._failure is not None or rules is None:
+        if self._failure is not None or rules is None or not events:
             return
-        self._failure = self._fold(rules, events)
+        if self._ctx is None:
+            try:
+                self._ctx = TraceContext.from_payload(self.methodology, events[0].payload)
+            except UNREADABLE as exc:
+                self._failure = _unreadable("measure-descent", events[0], exc)
+                return
+        self._failure = self._fold(rules, events, self._statuses.changes(events))
 
-    def _fold(self, rules: dict[str, RuleSpec], events: Iterable[TraceEvent]) -> Verdict | None:
+    def feed_trace(self, trace: Trace) -> None:
+        """Fold the whole of a new fold's ``trace`` as ``feed`` would, with the
+        run parameters and status changes of the trace's status reading."""
+        rules = self.rules
+        if rules is None:
+            return
+        ctx = _context("measure-descent", trace, self.methodology)
+        if isinstance(ctx, Verdict):
+            self._failure = ctx
+            return
+        self._ctx = ctx
+        self._failure = self._fold(rules, trace.events, trace.status_reading().stream())
+
+    def _fold(
+        self, rules: dict[str, RuleSpec], events: Iterable[TraceEvent],
+        changes: Iterator[tuple[dict, dict]],
+    ) -> Verdict | None:
+        """Fold ``events``, each with its ``(prior, after)`` from ``changes``,
+        which raises StatusFoldError at a faulty event: the first failure,
+        or None."""
         name = "measure-descent"
         ctx, unfinalized, spent, origin = self._ctx, self._unfinalized, self._spent, self._origin
-        prev, fold, labels = self.measure, self._statuses, self.labels
-        for ev in events:
-            if ctx is None:
+        prev, labels = self.measure, self.labels
+        try:
+            for ev, (prior, after) in zip(events, changes):
+                if prior:  # nodes below FINALIZED after the event less those before it
+                    before = prior.values()
+                    unfinalized += (len(after) - countOf(after.values(), 2) - len(before)
+                                    + countOf(before, None) + countOf(before, 2))
+                spec = rules.get(ev.rule)
+                if spec is None:
+                    return Verdict(name, False, f"unknown rule {ev.rule}", ev.seq)
                 try:
-                    ctx = self._ctx = TraceContext.from_payload(self.methodology, ev.payload)
+                    family, index = _target(ev, labels)
+                    spent += family == "S1R"
+                    origin = _next_origin(origin, ev, labels) if family in _REFINING else None
+                    m = measure(ctx, family, index, origin and origin[1], unfinalized, spent)
                 except UNREADABLE as exc:
                     return _unreadable(name, ev, exc)
-            try:
-                prior = fold.step(ev)
-            except StatusFoldError as err:
-                return Verdict(name, False, err.detail, err.seq)
-            if prior:
-                statuses = fold.statuses
-                for n, old in prior.items():
-                    new = statuses.get(n)
-                    unfinalized += (new is not None and new != 2) - (old is not None and old != 2)
-            spec = rules.get(ev.rule)
-            if spec is None:
-                return Verdict(name, False, f"unknown rule {ev.rule}", ev.seq)
-            try:
-                family, index = _target(ev, labels)
-                spent += family == "S1R"
-                origin = _next_origin(origin, ev, labels) if family in _REFINING else None
-                m = measure(ctx, family, index, origin and origin[1], unfinalized, spent)
-            except UNREADABLE as exc:
-                return _unreadable(name, ev, exc)
-            descent = spec.descent
-            if descent is not None:
-                problem = "has no measure before it" if prev is None else descent(prev, m)
-                if problem is not None:
-                    return Verdict(name, False, f"{ev.rule} {problem}", ev.seq)
-            prev = m
+                descent = spec.descent
+                if descent is not None:
+                    problem = "has no measure before it" if prev is None else descent(prev, m)
+                    if problem is not None:
+                        return Verdict(name, False, f"{ev.rule} {problem}", ev.seq)
+                prev = m
+        except StatusFoldError as err:
+            return Verdict(name, False, err.detail, err.seq)
         self._unfinalized, self._spent, self._origin, self.measure = (
             unfinalized, spent, origin, prev)
         return None
@@ -859,19 +886,14 @@ def check_finalization(trace: Trace) -> Verdict:
     it (a full status map that drops the node changes it too)."""
     name = "finalization-invariance"
     finalized = 0
-    fold = StatusFold()
-    for ev in trace.events:
-        try:
-            prior = fold.step(ev)
-        except StatusFoldError as err:
-            return Verdict(name, False, err.detail, err.seq)
-        if prior:
-            statuses = fold.statuses
-            for n, old in prior.items():
-                if old == 2:
-                    return Verdict(name, False, f"node {n} left FINALIZED", ev.seq)
-                if statuses.get(n) == 2:
-                    finalized += 1
+    try:
+        for ev, (prior, after) in zip(trace.events, trace.status_reading().stream()):
+            if 2 in prior.values():
+                n = next(n for n, old in prior.items() if old == 2)
+                return Verdict(name, False, f"node {n} left FINALIZED", ev.seq)
+            finalized += countOf(after.values(), 2)
+    except StatusFoldError as err:
+        return Verdict(name, False, err.detail, err.seq)
     return Verdict(name, True, f"{finalized} nodes finalized")
 
 

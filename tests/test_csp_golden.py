@@ -20,7 +20,14 @@ import random
 import pytest
 
 from test_trace_golden import _inputs, _trace, uneven_tree
-from treeflow.csp import ALPHABETS, TABLES, accept_events, annotate_trace, check_csp_conformance
+from treeflow.csp import (
+    ALPHABETS,
+    TABLES,
+    accept_events,
+    annotate_trace,
+    check_csp_conformance,
+    make_recognizer,
+)
 from treeflow.fixtures import geo_hierarchy
 from treeflow.tle import TleStore, TraversalPage, tle_traverse
 from treeflow.trace import Trace, TraceEvent
@@ -225,6 +232,41 @@ def test_accept_events_match_golden_hash(key):
 def test_verdicts_match_golden_hash(key):
     machine = key.split(":")[1]
     assert _digest(verdict_lines(machine, _golden_trace(key))) == GOLDEN[key][1]
+
+
+def _chunked_refusal(machine: str, domain, events: list[list[str]], size: int):
+    """The index of the first event refused when ``events`` are fed in
+    chunks of ``size``, or None."""
+    recognizer = make_recognizer(machine, domain)
+    for start in range(0, len(events), size):
+        idx = recognizer.feed(events[start:start + size])
+        if idx is not None:
+            return start + idx
+    return None
+
+
+def _stepped_refusal(machine: str, domain, events: list[str]):
+    recognizer = make_recognizer(machine, domain)
+    return next((k for k, name in enumerate(events) if not recognizer.step(name)), None)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_chunked_feeds_refuse_where_one_feed_does(key):
+    """A branch split across feeds resumes at the template it stopped at:
+    the annotated events and every mutant ``accept_lines`` pins, fed in
+    chunks of 1, 2, 3 and 5 and one by one through ``step``, are refused
+    at the index one whole feed refuses."""
+    machine = key.split(":")[1]
+    trace = _golden_trace(key)
+    events = [name for _seq, name in annotate_trace(trace, machine)]
+    domain = _domain(machine, trace)
+    rng = random.Random(f"accept:{machine}:{len(events)}")
+    for label, mutant in [("as is", events)] + list(_event_mutants(events, rng)):
+        split = [name.split(".") for name in mutant]
+        whole = make_recognizer(machine, domain).feed(split)
+        for size in (1, 2, 3, 5):
+            assert _chunked_refusal(machine, domain, split, size) == whole, (label, size)
+        assert _stepped_refusal(machine, domain, mutant) == whole, label
 
 
 def test_golden_set_covers_every_machine_on_both_trees():

@@ -45,7 +45,9 @@ from treeflow.verify import (
     _field,
     check_bounded_refinement,
     check_deadlock_freeness,
+    check_finalization,
     check_measure_descent,
+    check_rule_legality,
     run_all_checks,
 )
 
@@ -192,6 +194,13 @@ def measure_monitors(trace: Trace) -> None:
     check_bounded_refinement(trace)
 
 
+def status_monitors(trace: Trace) -> None:
+    """The four monitors that read a hybrid trace's statuses or run parameters."""
+    for verdict in (check_rule_legality(trace), check_measure_descent(trace),
+                    check_bounded_refinement(trace), check_finalization(trace)):
+        assert verdict.ok, verdict.line()
+
+
 class TestLinearLayers:
     @pytest.mark.parametrize("shape", [star, chain])
     def test_run_dad(self, shape):
@@ -279,6 +288,26 @@ class TestLinearLayers:
         assert rows == {"PD2", "PD2a", "PD4b", "PD6a"}
         assert check_csp_conformance(trace).ok
         assert package_calls(check_csp_conformance, trace, function="parse_label") == reads
+
+    @pytest.mark.parametrize("run", [run_pdfd, run_pbfd])
+    def test_csp_conformance_on_hybrid_machines(self, run):
+        """On a path the trace, and the recognizer's level domain L, grow
+        with the nodes; the package calls (the feeds, the next-state
+        functions and the renders' choosers) may at most double."""
+        small, large = (run(load_hierarchy(deep_rows(n)), Scenario()).trace for n in (250, 500))
+        assert check_csp_conformance(large).ok, check_csp_conformance(large).line()
+        assert (package_calls(check_csp_conformance, large)
+                / package_calls(check_csp_conformance, small)) <= LINEAR
+
+    @pytest.mark.parametrize("run", [run_pdfd, run_pbfd])
+    def test_one_status_reading_per_trace(self, run):
+        """The four status monitors share one reading of a trace: one
+        ``StatusFold.step`` per event and one ``TraceContext.from_payload``
+        call, however many monitors read them."""
+        events = run(visited_places_hierarchy(), pdfd_mvp_scenario()).trace.events
+        stats = profiled(status_monitors, Trace(run.__name__[4:], events))
+        assert _package_calls(stats, "step") == len(events)
+        assert _package_calls(stats, "from_payload") == 1
 
     @pytest.mark.parametrize("trace", [dad_trace, bfd_trace, cdd_trace])
     def test_csp_conformance_on_other_basic_machines(self, trace):

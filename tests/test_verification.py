@@ -892,6 +892,26 @@ class TestMonitorPurity:
                 second.ok, second.detail, second.first_violation_seq
             )
 
+    def test_an_event_replaced_in_place_is_read_again(self):
+        """The status reading the monitors share holds only while the
+        trace's list holds the events it was read from: after one event is
+        replaced in place, by a copy that drops one of PD2's status
+        changes, rule legality fails at that event."""
+        trace = run_pdfd(visited_places_hierarchy(), pdfd_mvp_scenario()).trace
+        for checker in (check_rule_legality, check_measure_descent,
+                        check_bounded_refinement, check_finalization):
+            assert checker(trace).ok
+        pos, ev = next((i, ev) for i, ev in enumerate(trace.events) if ev.rule == "PD2"
+                       and len(ev.payload["status_changes"]) > 1)
+        changes = dict(ev.payload["status_changes"])
+        dropped = max(changes, key=int)
+        del changes[dropped]
+        trace.events[pos] = ev._replace(payload=dict(ev.payload, status_changes=changes))
+        verdict = check_rule_legality(trace)
+        level = trace.labels[ev.to_state][1]
+        assert (verdict.ok, verdict.detail, verdict.first_violation_seq) == (
+            False, f"PD2 left node {dropped} of level {level} at status 0", ev.seq)
+
 
 class TestMonitorIndependence:
     """The engine's own status map is not the trace: the descent monitor
