@@ -21,12 +21,11 @@ recognizer's level domain: a trace's level count L, read by
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .jsondoc import exact_int
-from .trace import Trace
+from .trace import Trace, TraceEvent
 from .verify import (
     HYBRID,
     RULE_TABLES,
@@ -84,13 +83,23 @@ class _Renders(dict):
 #     $x    a capture: binds on first use in the branch, must agree after
 #     *     any one segment without a dot
 #
-# ``next`` is the state once the branch is consumed: a state tuple, or a
-# function ``(state, captures, L) -> state`` whose captures are keyed "$x"
-# and whose L is the level domain; a function that returns None refuses the
-# branch's last event.  Whatever depends on the state's values beyond
-# ``{k}`` lives in that function: where a later event depends on them, the
-# function returns an intermediate kind whose one branch consumes that
-# event.  A kind with no branch for an event, like STOP, refuses it.
+# ``next`` is the state once the branch is consumed: a state tuple, whose
+# values may name the branch's captures (``("S2", "$v")``); ``_As(kind)``,
+# the state's values under another kind; or a function
+# ``(state, captures, L) -> state`` whose captures are keyed "$x" and whose
+# L is the level domain.  The first two are compiled into the branch's
+# matcher; a function that returns None refuses the branch's last event.
+# Whatever depends on the state's values beyond ``{k}`` lives in that
+# function: where a later event depends on them, the function returns an
+# intermediate kind whose one branch consumes that event.  A kind with no
+# branch for an event, like STOP, refuses it.
+
+
+class _As(NamedTuple):
+    """Next state: the same values under another kind."""
+
+    kind: str
+
 
 Branch = Callable[[tuple, list, int, int, dict, Any], tuple[int, Any]]
 Entry = tuple[Templates, Branch]
@@ -164,8 +173,10 @@ def _compile(templates: Templates, nxt: Any, bounded: bool) -> Branch:
         lines.append("        i += 1")
         for c in bound:
             bound[c] = names[c]
-    if nxt.__class__ is tuple:
-        lines.append("    return i, NEXT")
+    if nxt.__class__ is _As:
+        lines.append(f"    return i, ({nxt.kind!r},) + state[1:]")
+    elif nxt.__class__ is tuple:  # a value that names a capture is the captured value
+        lines.append(f"    return i, ({''.join(f'{names.get(v, repr(v))}, ' for v in nxt)})")
     else:
         captures = ", ".join(f"{c!r}: {v}" for c, v in names.items())
         lines += [f"    after = NEXT(state, {{{captures}}}, L)",
@@ -173,11 +184,6 @@ def _compile(templates: Templates, nxt: Any, bounded: bool) -> Branch:
     scope = {"NEXT": nxt}
     exec("\n".join(lines) + "\n", scope)
     return scope["match"]
-
-
-def _as(kind: str) -> Callable[[tuple, dict, Any], tuple]:
-    """Next state: the same values under another kind."""
-    return lambda s, _b, _L: (kind, *s[1:])
 
 
 def _next_level(kind: str) -> Callable[[tuple, dict, Any], tuple]:
@@ -228,27 +234,27 @@ _NO_PATH = ("no_refinement_path_available.{1} terminate_with_error_actual", STOP
 # the failing level i, then resume in the origin phase.
 PDFD_TABLE = _table({
     "start": [("load_tree_actual initialize_refinement_attempts_actual", ("S1", "1"))],
-    "S1": [("determine_ki_actual.{1} process_level_actual.{1}", _as("S2"))],
-    "S2": [("is_level_validation_failed.{1}", _as("S2fail")),
-           ("level_validation_successful.{1}", _as("S2ok"))],
+    "S1": [("determine_ki_actual.{1} process_level_actual.{1}", _As("S2"))],
+    "S2": [("is_level_validation_failed.{1}", _As("S2fail")),
+           ("level_validation_successful.{1}", _As("S2ok"))],
     "S2fail": [("get_trace_origin_actual.{1}.$j", _refine("RAL", "S2")), _NO_PATH],
     "S2ok": [("cond_threshold_met.{1}", _pdfd_threshold_met),
-             ("cond_has_no_children.{1}", _as("S3")), _NO_PATH],
+             ("cond_has_no_children.{1}", _As("S3")), _NO_PATH],
     "RAL": [("has_exhausted_rmax_for_level.{1} terminate_with_error_actual", STOP),
-            ("can_attempt_refinement.{1} increment_refinement_attempts_actual.{1}", _as("S1R")),
+            ("can_attempt_refinement.{1} increment_refinement_attempts_actual.{1}", _As("S1R")),
             ("no_refinement_path_available.* terminate_with_error_actual", STOP)],
     "S1R": [("has_exhausted_rmax_for_level.{1} terminate_with_error_actual", STOP),
-            ("determine_ki_actual.{1} process_level_actual.{1}", _as("S2R"))],
+            ("determine_ki_actual.{1} process_level_actual.{1}", _As("S2R"))],
     "S2R": [("is_refactor_validation_successful.{1}.{2}", _pdfd_refactor_checked),
-            ("refinement_failed_no_retry.{1}.{2}", _as("RAL"))],
-    "S2Rnext": [("increment_refinement_attempts_actual.{1}", _as("S1R"))],
-    "S3": [("finalize_subtrees_actual.{1}", _as("S3v"))],
-    "S3v": [("is_bottom_up_validation_failed.{1}", _as("S3fail")),
+            ("refinement_failed_no_retry.{1}.{2}", _As("RAL"))],
+    "S2Rnext": [("increment_refinement_attempts_actual.{1}", _As("S1R"))],
+    "S3": [("finalize_subtrees_actual.{1}", _As("S3v"))],
+    "S3v": [("is_bottom_up_validation_failed.{1}", _As("S3fail")),
             ("bottom_up_validation_successful.{1} cond_all_descendants_validated.{1}",
              _pdfd_bottom_up_ok)],
     "S3fail": [("get_trace_origin_actual.{1}.$j", _refine("RAL", "S3")), _NO_PATH],
-    "S4": [("finalize_unprocessed_nodes_actual.{1}", _as("S4v"))],
-    "S4v": [("is_top_down_validation_failed.{1}", _as("S4fail")),
+    "S4": [("finalize_unprocessed_nodes_actual.{1}", _As("S4v"))],
+    "S4v": [("is_top_down_validation_failed.{1}", _As("S4fail")),
             ("top_down_validation_successful.{1}", _pdfd_top_down_ok)],
     "S4last": [("top_down_reaches_L5.{1} terminate_successfully_actual", STOP)],
     "S4fail": [("get_trace_origin_actual.{1}.$j", _refine("RAL", "S4")), _NO_PATH],
@@ -260,35 +266,35 @@ PDFD_TABLE = _table({
 # origin phase.
 PBFD_TABLE = _table({
     "start": [("load_tree_actual initialize_refinement_attempts_actual", ("S1", "1"))],
-    "S1": [("process_pattern_actual.{1}", _as("S1c"))],
-    "S1c": [("cond_all_validated.{1}", _as("S3")), ("cond_not_all_validated.{1}", _as("S2"))],
-    "S2": [("validate_pattern_actual.{1}", _as("S2c"))],
-    "S2c": [("cond_all_validated.{1}", _as("S3")),
-            ("cond_not_all_validated.{1}", _as("S2fail"))],
+    "S1": [("process_pattern_actual.{1}", _As("S1c"))],
+    "S1c": [("cond_all_validated.{1}", _As("S3")), ("cond_not_all_validated.{1}", _As("S2"))],
+    "S2": [("validate_pattern_actual.{1}", _As("S2c"))],
+    "S2c": [("cond_all_validated.{1}", _As("S3")),
+            ("cond_not_all_validated.{1}", _As("S2fail"))],
     "S2fail": [("cond_j_exists_for_i.{1}.$j", _refine("Retry", "S2")),
                ("cond_j_not_exists_for_i.{1} terminate_failure_actual", STOP)],
     "Retry": [("cond_ref_attempts_lt_Rmax.{1} increment_refinement_attempts_actual.{1}",
-               _as("S1R")),
+               _As("S1R")),
               ("cond_ref_attempts_ge_Rmax.{1} terminate_failure_actual", STOP)],
     "S1R": [("cond_ref_attempts_ge_Rmax.{1} terminate_failure_actual", STOP),
-            ("process_refinement_pattern_actual.{1}", _as("S1Rc"))],
-    "S1Rc": [("cond_all_validated.{1}", _as("S3R")),
-             ("cond_not_all_validated.{1}", _as("S2R"))],
-    "S2R": [("validate_refinement_pattern_actual.{1}", _as("S2Rc"))],
-    "S2Rc": [("cond_all_validated.{1}", _as("S3R")),
-             ("cond_not_all_validated.{1}", _as("Retry"))],
-    "S3R": [("resolve_refinement_depth_actual.{1}", _as("S3Rc"))],
+            ("process_refinement_pattern_actual.{1}", _As("S1Rc"))],
+    "S1Rc": [("cond_all_validated.{1}", _As("S3R")),
+             ("cond_not_all_validated.{1}", _As("S2R"))],
+    "S2R": [("validate_refinement_pattern_actual.{1}", _As("S2Rc"))],
+    "S2Rc": [("cond_all_validated.{1}", _As("S3R")),
+             ("cond_not_all_validated.{1}", _As("Retry"))],
+    "S3R": [("resolve_refinement_depth_actual.{1}", _As("S3Rc"))],
     "S3Rc": [("cond_j_lt_i.{1}.{2}", lambda s, _b, _L: ("S3Rnext", _inc(s[1]), *s[2:])),
              ("cond_j_eq_i.{1}.{2}",
               lambda s, _b, _L: ("S3" if s[3] == "S2" else "S4", s[2]))],
-    "S3Rnext": [("increment_refinement_attempts_actual.{1}", _as("S1R"))],
-    "S3": [("resolve_depth_actual.{1}", _as("S3c"))],
+    "S3Rnext": [("increment_refinement_attempts_actual.{1}", _As("S1R"))],
+    "S3": [("resolve_depth_actual.{1}", _As("S3c"))],
     "S3c": [("cond_i_lt_L.{1} cond_pattern_next_nonempty.{1}", _next_level("S1")),
             ("cond_i_eq_L.{1}", ("S4", "1")),
             ("cond_pattern_next_empty.{1}", ("S4", "1"))],
-    "S4": [("finalize_pattern_actual.{1}", _as("S4c"))],
-    "S4c": [("cond_all_processed.{1}", _as("S4ok")),
-            ("cond_not_all_processed.{1}", _as("S4fail"))],
+    "S4": [("finalize_pattern_actual.{1}", _As("S4c"))],
+    "S4c": [("cond_all_processed.{1}", _As("S4ok")),
+            ("cond_not_all_processed.{1}", _As("S4fail"))],
     "S4ok": [("cond_i_lt_L.{1}", _next_level("S4")),
              ("cond_i_eq_L.{1} terminate_success_actual", STOP)],
     "S4fail": [("cond_trace_origin_exists_for_unprocessed.{1}.$j", _refine("Retry", "S4")),
@@ -301,18 +307,18 @@ DAD_TABLE = _table({
     "S1": [("all_nodes_processed perform_final_validation_actual "
             "terminate_successfully_actual", STOP),
            ("queue_not_empty dequeue_actual.$v process_actual.$v "
-            "validate_dependencies_actual.$v", lambda _s, b, _L: ("S2", b["$v"]))],
+            "validate_dependencies_actual.$v", ("S2", "$v"))],
     "S2": [("all_dependencies_processed.{1} generate_children_actual.{1} enqueue_nodes_actual",
             ("S1",)),
-           ("missing_dependency.{1}", _as("S3"))],
-    "S3": [("extend_graph_actual.{1}.*", _as("S3")), ("enqueue_nodes_actual", ("S1",))],
+           ("missing_dependency.{1}", _As("S3"))],
+    "S3": [("extend_graph_actual.{1}.*", _As("S3")), ("enqueue_nodes_actual", ("S1",))],
 })
 
 DFD_TABLE = _table({
     "start": [("load_tree_actual initialize_stack_actual.*", ("S1",))],
     "S1": [("stack_is_empty terminate_successfully_actual", STOP),
            ("stack_not_empty.$c dequeue_actual.$c process_actual.$c",
-            lambda _s, b, _L: ("S1p", b["$c"]))],
+            ("S1p", "$c"))],
     "S1p": [("is_non_leaf.{1} process_child_actual.{1} push_children_actual.{1}", ("S1",)),
             ("is_leaf.{1} set_backtrack_point_actual.{1}", ("S2",))],
     "S2": [("has_unprocessed_sibling.$b get_unprocessed_sibling_actual.$b push_sibling_actual.$b",
@@ -325,29 +331,24 @@ DFD_TABLE = _table({
 BFD_TABLE = _table({
     "start": [("load_project_actual initialize_queue_actual.*", ("S1",))],
     "S1": [("dequeue_actual.$c develop_actual.$c enqueue_children_actual.$c", ("S1",)),
-           ("current_level_processed_actual validate_level_actual.$k",
-            lambda _s, b, _L: ("S2", b["$k"]))],
+           ("current_level_processed_actual validate_level_actual.$k", ("S2", "$k"))],
     "S2": [("not_last_level_actual.{1} advance_level_actual.{1}", ("S1",)),
            ("last_level_actual.{1} terminate_successfully_actual", STOP)],
 })
 
 
-def _component(_s: tuple, b: dict, _L: Any) -> tuple:
-    return ("S2", b["$c"])
-
-
 CDD_TABLE = _table({
     "start": [("load_graph_actual initialize_dependencies_actual", ("S1",))],
     "S1": [("process_node_actual.*", ("S1",)),
-           ("test_failed.$c refine_component_actual.$c", _component),
-           ("feedback_cycle_detected.$c trigger_revision_actual.$c", _component),
+           ("test_failed.$c refine_component_actual.$c", ("S2", "$c")),
+           ("feedback_cycle_detected.$c trigger_revision_actual.$c", ("S2", "$c")),
            ("all_components_written_actual.$k validate_increment_actual.$k", ("S3",))],
-    "S2": [("refine_component_actual.{1}", _as("S2")),
+    "S2": [("refine_component_actual.{1}", _As("S2")),
            ("refactor_complete_actual.{1}", ("S1",))],
     "S3": [("feedback_received_actual identify_flaw_actual flaw_identified_actual.$c",
-            _component),
+            ("S2", "$c")),
            ("validation_failed_actual identify_flaw_actual flaw_identified_actual.$c",
-            _component),
+            ("S2", "$c")),
            ("all_increments_validated_actual final_deployment_actual "
             "terminate_successfully_actual", STOP)],
 })
@@ -470,6 +471,16 @@ def accept_events(
 _BATCH = 128
 
 
+def _owner(batch: list[TraceEvent], renders: _Renders, L: int | None, idx: int) -> TraceEvent:
+    """The trace event of ``batch`` whose rendered events hold the
+    ``idx``-th of the batch's, rendered again: only a refusal needs it."""
+    for ev in batch:
+        idx -= len(renders[ev.rule](ev, L))
+        if idx < 0:
+            break
+    return ev
+
+
 def check_csp_conformance(trace: Trace, methodology: str | None = None) -> Verdict:
     """Annotate the trace and run it through the methodology's recognizer.
 
@@ -492,20 +503,19 @@ def check_csp_conformance(trace: Trace, methodology: str | None = None) -> Verdi
     trace_events = trace.events
     count, refused = 0, None  # refused: the first illegal event and its seq
     for start in range(0, len(trace_events), _BATCH):
+        batch = trace_events[start:start + _BATCH]
         events: list[tuple[str, ...]] = []
-        ends = []  # per trace event of the batch, the length of ``events`` after its group
-        for ev in trace_events[start:start + _BATCH]:
+        for ev in batch:
             try:
                 events += renders[ev.rule](ev, L)
             except UNREADABLE as exc:
                 detail = str(exc) if isinstance(exc, LabelError) else f"annotation failed: {exc}"
                 return Verdict(name, False, detail, ev.seq)
-            ends.append(len(events))
         count += len(events)
         if refused is None:
             idx = recognizer.feed(events)
             if idx is not None:
-                refused = events[idx], trace_events[start + bisect_right(ends, idx)].seq
+                refused = events[idx], _owner(batch, renders, L, idx).seq
     if refused is None:
         return Verdict(name, True, f"{count} events accepted")
     event, seq = refused
