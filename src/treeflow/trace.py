@@ -162,7 +162,8 @@ class Trace:
         """The status reading the monitors verifying this trace share, made
         at first use and kept while ``events`` equals the list it was read
         from, checked on each call: after an event is added, removed or
-        replaced by an unequal one, it is made again."""
+        replaced by an unequal one, it is made again.  A payload edited in
+        place is not seen: the monitors take events as immutable."""
         reading = self._reading
         if reading is None or reading.events != self.events:
             reading = self._reading = StatusReading(self.methodology, self.events)
