@@ -23,7 +23,9 @@ if TYPE_CHECKING:
 
 # Each command imports the modules it runs in its handler, so a call pays
 # only for its own imports: ``verify --check csp`` loads no store, bench or
-# fixture module.
+# fixture module.  Importing the monitors compiles nothing; ``verify``
+# compiles the rule rows and builds the CSP table of the one machine it
+# checks, on their first use.
 
 METHODOLOGIES = ("dad", "dfd", "bfd", "cdd", "pdfd", "pbfd")
 

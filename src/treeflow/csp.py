@@ -1,15 +1,17 @@
 """Event-level conformance: table-driven recognizers over the rules' events.
 
 Each trace rule expands into a short sequence of named events, which the
-``render`` compiled into its row of ``verify.RULE_TABLES`` builds from the
-event, reading a target label and the level count L as the monitors do.
-Each methodology's process definitions are one transition table, written
-here; at import each branch of it is compiled into one matcher function
+``render`` of its row of ``verify.RULE_TABLES``, compiled on first use,
+builds from the event, reading a target label and the level count L as
+the monitors do.  Each methodology's process definitions are one
+transition table, written here in ``TABLE_SPECS``; ``table(m)`` builds it
+when m is first checked, compiling each branch into one matcher function
 (``_compile``), which checks the branch's events in straight-line code and
-returns the next state.  The table's alphabet is the set of event names it
-can consume.  A recognizer walks the table and accepts exactly the event
-sequences the process allows, prefix-closed; rejection reports the first
-illegal event, at its exact index however the events are split into feeds.
+returns the next state.  Nothing is compiled at import.  The table's
+alphabet is the set of event names it can consume.  A recognizer walks
+the table and accepts exactly the event sequences the process allows,
+prefix-closed; rejection reports the first illegal event, at its exact
+index however the events are split into feeds.
 The tables describe the process definitions, not the engines, and the
 alphabets come from the tables, not from the rule rows, so the engines and
 the annotations are checked against something they do not own.  Events
@@ -22,6 +24,7 @@ recognizer's level domain: a trace's level count L, read by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Any, Callable, NamedTuple
 
 from .jsondoc import exact_int
@@ -108,20 +111,24 @@ START = ("start",)
 STOP = ("STOP",)
 
 
-def _table(spec: dict[str, list], bounded: bool = False) -> dict[str, dict[str, Entry]]:
-    """Index each kind's branches by the event that selects them, each with
-    its templates and its compiled matcher (``_compile``); STOP has none.
-    A ``bounded`` table's matchers refuse a level above the level domain."""
-    table: dict[str, dict[str, Entry]] = {STOP[0]: {}}
-    for kind, branches in spec.items():
-        entries = table[kind] = {}
+@cache
+def table(methodology: str) -> dict[str, dict[str, Entry]]:
+    """The methodology's transition table, built on its first use from its
+    spec in ``TABLE_SPECS``: each kind's branches indexed by the event that
+    selects them, each with its templates and its compiled matcher
+    (``_compile``); STOP has none.  A hybrid table's matchers refuse a
+    level above the level domain.  An unknown methodology raises KeyError."""
+    bounded = methodology in HYBRID
+    built: dict[str, dict[str, Entry]] = {STOP[0]: {}}
+    for kind, branches in TABLE_SPECS[methodology].items():
+        entries = built[kind] = {}
         for text, nxt in branches:
             templates = split_templates(text, int)
             event = templates[0][0]
             if event in entries:
                 raise ValueError(f"two {kind} branches start with {event}")
             entries[event] = (templates, _compile(templates, nxt, bounded))
-    return table
+    return built
 
 
 def _compile(templates: Templates, nxt: Any, bounded: bool) -> Branch:
@@ -130,11 +137,12 @@ def _compile(templates: Templates, nxt: Any, bounded: bool) -> Branch:
     templates from its ``pos``-th on, in straight-line code: each event's
     name and segment count, its ``{k}`` segments against the state's
     values, its wildcards and new captures (no dot), its repeated captures
-    and, in a ``bounded`` table, that no decimal segment exceeds the level
-    domain L.  It returns ``(i, out)``: ``out`` is the next state once the
-    last template is consumed, None when ``events[i]`` is refused, or the
-    template it stopped at when the events ran out, with the captures so
-    far saved in ``caps`` and read back from it on resumption."""
+    and, in a hybrid table (``bounded``), that no decimal segment exceeds
+    the level domain L.  It returns ``(i, out)``: ``out`` is the next state
+    once the last template is consumed, None when ``events[i]`` is refused,
+    or the template it stopped at when the events ran out, with the
+    captures so far saved in ``caps`` and read back from it on
+    resumption."""
     lines = ["def match(state, events, i, pos, caps, L):", "    n = len(events)"]
     names: dict[str, str] = {}  # capture -> its local
     for want in (w for _name, *params in templates for w in params):
@@ -229,150 +237,135 @@ def _pdfd_top_down_ok(s: tuple, _b: dict, L: int) -> tuple:
 
 _NO_PATH = ("no_refinement_path_available.{1} terminate_with_error_actual", STOP)
 
-# S1..S4 (i) are the level phases, and S4last (L) ends the top-down phase;
-# RAL, S1R, S2R and S2Rnext (j, i, origin) refine from level j back up to
-# the failing level i, then resume in the origin phase.
-PDFD_TABLE = _table({
-    "start": [("load_tree_actual initialize_refinement_attempts_actual", ("S1", "1"))],
-    "S1": [("determine_ki_actual.{1} process_level_actual.{1}", _As("S2"))],
-    "S2": [("is_level_validation_failed.{1}", _As("S2fail")),
-           ("level_validation_successful.{1}", _As("S2ok"))],
-    "S2fail": [("get_trace_origin_actual.{1}.$j", _refine("RAL", "S2")), _NO_PATH],
-    "S2ok": [("cond_threshold_met.{1}", _pdfd_threshold_met),
-             ("cond_has_no_children.{1}", _As("S3")), _NO_PATH],
-    "RAL": [("has_exhausted_rmax_for_level.{1} terminate_with_error_actual", STOP),
-            ("can_attempt_refinement.{1} increment_refinement_attempts_actual.{1}", _As("S1R")),
-            ("no_refinement_path_available.* terminate_with_error_actual", STOP)],
-    "S1R": [("has_exhausted_rmax_for_level.{1} terminate_with_error_actual", STOP),
-            ("determine_ki_actual.{1} process_level_actual.{1}", _As("S2R"))],
-    "S2R": [("is_refactor_validation_successful.{1}.{2}", _pdfd_refactor_checked),
-            ("refinement_failed_no_retry.{1}.{2}", _As("RAL"))],
-    "S2Rnext": [("increment_refinement_attempts_actual.{1}", _As("S1R"))],
-    "S3": [("finalize_subtrees_actual.{1}", _As("S3v"))],
-    "S3v": [("is_bottom_up_validation_failed.{1}", _As("S3fail")),
-            ("bottom_up_validation_successful.{1} cond_all_descendants_validated.{1}",
-             _pdfd_bottom_up_ok)],
-    "S3fail": [("get_trace_origin_actual.{1}.$j", _refine("RAL", "S3")), _NO_PATH],
-    "S4": [("finalize_unprocessed_nodes_actual.{1}", _As("S4v"))],
-    "S4v": [("is_top_down_validation_failed.{1}", _As("S4fail")),
-            ("top_down_validation_successful.{1}", _pdfd_top_down_ok)],
-    "S4last": [("top_down_reaches_L5.{1} terminate_successfully_actual", STOP)],
-    "S4fail": [("get_trace_origin_actual.{1}.$j", _refine("RAL", "S4")), _NO_PATH],
-}, bounded=True)
-
-
-# S1..S4 (i) are the pattern phases; Retry and S1R..S3Rnext (j, i, origin)
-# refine from level j back up to the failing level i, then resume in the
-# origin phase.
-PBFD_TABLE = _table({
-    "start": [("load_tree_actual initialize_refinement_attempts_actual", ("S1", "1"))],
-    "S1": [("process_pattern_actual.{1}", _As("S1c"))],
-    "S1c": [("cond_all_validated.{1}", _As("S3")), ("cond_not_all_validated.{1}", _As("S2"))],
-    "S2": [("validate_pattern_actual.{1}", _As("S2c"))],
-    "S2c": [("cond_all_validated.{1}", _As("S3")),
-            ("cond_not_all_validated.{1}", _As("S2fail"))],
-    "S2fail": [("cond_j_exists_for_i.{1}.$j", _refine("Retry", "S2")),
-               ("cond_j_not_exists_for_i.{1} terminate_failure_actual", STOP)],
-    "Retry": [("cond_ref_attempts_lt_Rmax.{1} increment_refinement_attempts_actual.{1}",
-               _As("S1R")),
-              ("cond_ref_attempts_ge_Rmax.{1} terminate_failure_actual", STOP)],
-    "S1R": [("cond_ref_attempts_ge_Rmax.{1} terminate_failure_actual", STOP),
-            ("process_refinement_pattern_actual.{1}", _As("S1Rc"))],
-    "S1Rc": [("cond_all_validated.{1}", _As("S3R")),
-             ("cond_not_all_validated.{1}", _As("S2R"))],
-    "S2R": [("validate_refinement_pattern_actual.{1}", _As("S2Rc"))],
-    "S2Rc": [("cond_all_validated.{1}", _As("S3R")),
-             ("cond_not_all_validated.{1}", _As("Retry"))],
-    "S3R": [("resolve_refinement_depth_actual.{1}", _As("S3Rc"))],
-    "S3Rc": [("cond_j_lt_i.{1}.{2}", lambda s, _b, _L: ("S3Rnext", _inc(s[1]), *s[2:])),
-             ("cond_j_eq_i.{1}.{2}",
-              lambda s, _b, _L: ("S3" if s[3] == "S2" else "S4", s[2]))],
-    "S3Rnext": [("increment_refinement_attempts_actual.{1}", _As("S1R"))],
-    "S3": [("resolve_depth_actual.{1}", _As("S3c"))],
-    "S3c": [("cond_i_lt_L.{1} cond_pattern_next_nonempty.{1}", _next_level("S1")),
-            ("cond_i_eq_L.{1}", ("S4", "1")),
-            ("cond_pattern_next_empty.{1}", ("S4", "1"))],
-    "S4": [("finalize_pattern_actual.{1}", _As("S4c"))],
-    "S4c": [("cond_all_processed.{1}", _As("S4ok")),
-            ("cond_not_all_processed.{1}", _As("S4fail"))],
-    "S4ok": [("cond_i_lt_L.{1}", _next_level("S4")),
-             ("cond_i_eq_L.{1} terminate_success_actual", STOP)],
-    "S4fail": [("cond_trace_origin_exists_for_unprocessed.{1}.$j", _refine("Retry", "S4")),
-               ("cond_trace_origin_not_exists_for_unprocessed.{1} terminate_failure_actual",
-                STOP)],
-}, bounded=True)
-
-DAD_TABLE = _table({
-    "start": [("load_dag_actual initialize_queue_actual.*", ("S1",))],
-    "S1": [("all_nodes_processed perform_final_validation_actual "
-            "terminate_successfully_actual", STOP),
-           ("queue_not_empty dequeue_actual.$v process_actual.$v "
-            "validate_dependencies_actual.$v", ("S2", "$v"))],
-    "S2": [("all_dependencies_processed.{1} generate_children_actual.{1} enqueue_nodes_actual",
-            ("S1",)),
-           ("missing_dependency.{1}", _As("S3"))],
-    "S3": [("extend_graph_actual.{1}.*", _As("S3")), ("enqueue_nodes_actual", ("S1",))],
-})
-
-DFD_TABLE = _table({
-    "start": [("load_tree_actual initialize_stack_actual.*", ("S1",))],
-    "S1": [("stack_is_empty terminate_successfully_actual", STOP),
-           ("stack_not_empty.$c dequeue_actual.$c process_actual.$c",
-            ("S1p", "$c"))],
-    "S1p": [("is_non_leaf.{1} process_child_actual.{1} push_children_actual.{1}", ("S1",)),
-            ("is_leaf.{1} set_backtrack_point_actual.{1}", ("S2",))],
-    "S2": [("has_unprocessed_sibling.$b get_unprocessed_sibling_actual.$b push_sibling_actual.$b",
-            ("S1",)),
-           ("no_unprocessed_sibling.$b validate_subtree_actual.$b", ("S3",))],
-    "S3": [("no_more_backtrack_points_above.* terminate_successfully_actual", STOP),
-           ("subtree_validated.$b backtrack_to_actual.*", ("S2",))],
-})
-
-BFD_TABLE = _table({
-    "start": [("load_project_actual initialize_queue_actual.*", ("S1",))],
-    "S1": [("dequeue_actual.$c develop_actual.$c enqueue_children_actual.$c", ("S1",)),
-           ("current_level_processed_actual validate_level_actual.$k", ("S2", "$k"))],
-    "S2": [("not_last_level_actual.{1} advance_level_actual.{1}", ("S1",)),
-           ("last_level_actual.{1} terminate_successfully_actual", STOP)],
-})
-
-
-CDD_TABLE = _table({
-    "start": [("load_graph_actual initialize_dependencies_actual", ("S1",))],
-    "S1": [("process_node_actual.*", ("S1",)),
-           ("test_failed.$c refine_component_actual.$c", ("S2", "$c")),
-           ("feedback_cycle_detected.$c trigger_revision_actual.$c", ("S2", "$c")),
-           ("all_components_written_actual.$k validate_increment_actual.$k", ("S3",))],
-    "S2": [("refine_component_actual.{1}", _As("S2")),
-           ("refactor_complete_actual.{1}", ("S1",))],
-    "S3": [("feedback_received_actual identify_flaw_actual flaw_identified_actual.$c",
-            ("S2", "$c")),
-           ("validation_failed_actual identify_flaw_actual flaw_identified_actual.$c",
-            ("S2", "$c")),
-           ("all_increments_validated_actual final_deployment_actual "
-            "terminate_successfully_actual", STOP)],
-})
-
-TLE_TABLE = _table({
-    "start": [("start_actual", ("S0",))],
-    "S0": [("load_page_actual parent_nodes_received_actual", ("S1",)),
-           ("no_more_pages_exist_actual", ("S6",))],
-    "S1": [("resolve_grandparent_actual", ("S2",))],
-    "S2": [("load_grandparent_table_actual", ("S3",))],
-    "S3": [("resolve_child_actual preset_child_status_actual", ("S4",))],
-    "S4": [("update_bitmask_actual", ("S5",))],
-    "S5": [("more_pages_exist_actual", ("S0",)), ("no_more_pages_exist_actual", ("S6",))],
-    "S6": [("finalize_process_actual", STOP)],
-})
-
-TABLES: dict[str, dict[str, dict[str, Entry]]] = {
-    "pdfd": PDFD_TABLE,
-    "pbfd": PBFD_TABLE,
-    "dad": DAD_TABLE,
-    "dfd": DFD_TABLE,
-    "bfd": BFD_TABLE,
-    "cdd": CDD_TABLE,
-    "tle": TLE_TABLE,
+# Each methodology's table spec, in the form described above.
+TABLE_SPECS: dict[str, dict[str, list]] = {
+    # S1..S4 (i) are the level phases, and S4last (L) ends the top-down phase;
+    # RAL, S1R, S2R and S2Rnext (j, i, origin) refine from level j back up to
+    # the failing level i, then resume in the origin phase.
+    "pdfd": {
+        "start": [("load_tree_actual initialize_refinement_attempts_actual", ("S1", "1"))],
+        "S1": [("determine_ki_actual.{1} process_level_actual.{1}", _As("S2"))],
+        "S2": [("is_level_validation_failed.{1}", _As("S2fail")),
+               ("level_validation_successful.{1}", _As("S2ok"))],
+        "S2fail": [("get_trace_origin_actual.{1}.$j", _refine("RAL", "S2")), _NO_PATH],
+        "S2ok": [("cond_threshold_met.{1}", _pdfd_threshold_met),
+                 ("cond_has_no_children.{1}", _As("S3")), _NO_PATH],
+        "RAL": [("has_exhausted_rmax_for_level.{1} terminate_with_error_actual", STOP),
+                ("can_attempt_refinement.{1} increment_refinement_attempts_actual.{1}", _As("S1R")),
+                ("no_refinement_path_available.* terminate_with_error_actual", STOP)],
+        "S1R": [("has_exhausted_rmax_for_level.{1} terminate_with_error_actual", STOP),
+                ("determine_ki_actual.{1} process_level_actual.{1}", _As("S2R"))],
+        "S2R": [("is_refactor_validation_successful.{1}.{2}", _pdfd_refactor_checked),
+                ("refinement_failed_no_retry.{1}.{2}", _As("RAL"))],
+        "S2Rnext": [("increment_refinement_attempts_actual.{1}", _As("S1R"))],
+        "S3": [("finalize_subtrees_actual.{1}", _As("S3v"))],
+        "S3v": [("is_bottom_up_validation_failed.{1}", _As("S3fail")),
+                ("bottom_up_validation_successful.{1} cond_all_descendants_validated.{1}",
+                 _pdfd_bottom_up_ok)],
+        "S3fail": [("get_trace_origin_actual.{1}.$j", _refine("RAL", "S3")), _NO_PATH],
+        "S4": [("finalize_unprocessed_nodes_actual.{1}", _As("S4v"))],
+        "S4v": [("is_top_down_validation_failed.{1}", _As("S4fail")),
+                ("top_down_validation_successful.{1}", _pdfd_top_down_ok)],
+        "S4last": [("top_down_reaches_L5.{1} terminate_successfully_actual", STOP)],
+        "S4fail": [("get_trace_origin_actual.{1}.$j", _refine("RAL", "S4")), _NO_PATH],
+    },
+    # S1..S4 (i) are the pattern phases; Retry and S1R..S3Rnext (j, i, origin)
+    # refine from level j back up to the failing level i, then resume in the
+    # origin phase.
+    "pbfd": {
+        "start": [("load_tree_actual initialize_refinement_attempts_actual", ("S1", "1"))],
+        "S1": [("process_pattern_actual.{1}", _As("S1c"))],
+        "S1c": [("cond_all_validated.{1}", _As("S3")), ("cond_not_all_validated.{1}", _As("S2"))],
+        "S2": [("validate_pattern_actual.{1}", _As("S2c"))],
+        "S2c": [("cond_all_validated.{1}", _As("S3")),
+                ("cond_not_all_validated.{1}", _As("S2fail"))],
+        "S2fail": [("cond_j_exists_for_i.{1}.$j", _refine("Retry", "S2")),
+                   ("cond_j_not_exists_for_i.{1} terminate_failure_actual", STOP)],
+        "Retry": [("cond_ref_attempts_lt_Rmax.{1} increment_refinement_attempts_actual.{1}",
+                   _As("S1R")),
+                  ("cond_ref_attempts_ge_Rmax.{1} terminate_failure_actual", STOP)],
+        "S1R": [("cond_ref_attempts_ge_Rmax.{1} terminate_failure_actual", STOP),
+                ("process_refinement_pattern_actual.{1}", _As("S1Rc"))],
+        "S1Rc": [("cond_all_validated.{1}", _As("S3R")),
+                 ("cond_not_all_validated.{1}", _As("S2R"))],
+        "S2R": [("validate_refinement_pattern_actual.{1}", _As("S2Rc"))],
+        "S2Rc": [("cond_all_validated.{1}", _As("S3R")),
+                 ("cond_not_all_validated.{1}", _As("Retry"))],
+        "S3R": [("resolve_refinement_depth_actual.{1}", _As("S3Rc"))],
+        "S3Rc": [("cond_j_lt_i.{1}.{2}", lambda s, _b, _L: ("S3Rnext", _inc(s[1]), *s[2:])),
+                 ("cond_j_eq_i.{1}.{2}",
+                  lambda s, _b, _L: ("S3" if s[3] == "S2" else "S4", s[2]))],
+        "S3Rnext": [("increment_refinement_attempts_actual.{1}", _As("S1R"))],
+        "S3": [("resolve_depth_actual.{1}", _As("S3c"))],
+        "S3c": [("cond_i_lt_L.{1} cond_pattern_next_nonempty.{1}", _next_level("S1")),
+                ("cond_i_eq_L.{1}", ("S4", "1")),
+                ("cond_pattern_next_empty.{1}", ("S4", "1"))],
+        "S4": [("finalize_pattern_actual.{1}", _As("S4c"))],
+        "S4c": [("cond_all_processed.{1}", _As("S4ok")),
+                ("cond_not_all_processed.{1}", _As("S4fail"))],
+        "S4ok": [("cond_i_lt_L.{1}", _next_level("S4")),
+                 ("cond_i_eq_L.{1} terminate_success_actual", STOP)],
+        "S4fail": [("cond_trace_origin_exists_for_unprocessed.{1}.$j", _refine("Retry", "S4")),
+                   ("cond_trace_origin_not_exists_for_unprocessed.{1} terminate_failure_actual",
+                    STOP)],
+    },
+    "dad": {
+        "start": [("load_dag_actual initialize_queue_actual.*", ("S1",))],
+        "S1": [("all_nodes_processed perform_final_validation_actual "
+                "terminate_successfully_actual", STOP),
+               ("queue_not_empty dequeue_actual.$v process_actual.$v "
+                "validate_dependencies_actual.$v", ("S2", "$v"))],
+        "S2": [("all_dependencies_processed.{1} generate_children_actual.{1} enqueue_nodes_actual",
+                ("S1",)),
+               ("missing_dependency.{1}", _As("S3"))],
+        "S3": [("extend_graph_actual.{1}.*", _As("S3")), ("enqueue_nodes_actual", ("S1",))],
+    },
+    "dfd": {
+        "start": [("load_tree_actual initialize_stack_actual.*", ("S1",))],
+        "S1": [("stack_is_empty terminate_successfully_actual", STOP),
+               ("stack_not_empty.$c dequeue_actual.$c process_actual.$c",
+                ("S1p", "$c"))],
+        "S1p": [("is_non_leaf.{1} process_child_actual.{1} push_children_actual.{1}", ("S1",)),
+                ("is_leaf.{1} set_backtrack_point_actual.{1}", ("S2",))],
+        "S2": [("has_unprocessed_sibling.$b get_unprocessed_sibling_actual.$b "
+                "push_sibling_actual.$b", ("S1",)),
+               ("no_unprocessed_sibling.$b validate_subtree_actual.$b", ("S3",))],
+        "S3": [("no_more_backtrack_points_above.* terminate_successfully_actual", STOP),
+               ("subtree_validated.$b backtrack_to_actual.*", ("S2",))],
+    },
+    "bfd": {
+        "start": [("load_project_actual initialize_queue_actual.*", ("S1",))],
+        "S1": [("dequeue_actual.$c develop_actual.$c enqueue_children_actual.$c", ("S1",)),
+               ("current_level_processed_actual validate_level_actual.$k", ("S2", "$k"))],
+        "S2": [("not_last_level_actual.{1} advance_level_actual.{1}", ("S1",)),
+               ("last_level_actual.{1} terminate_successfully_actual", STOP)],
+    },
+    "cdd": {
+        "start": [("load_graph_actual initialize_dependencies_actual", ("S1",))],
+        "S1": [("process_node_actual.*", ("S1",)),
+               ("test_failed.$c refine_component_actual.$c", ("S2", "$c")),
+               ("feedback_cycle_detected.$c trigger_revision_actual.$c", ("S2", "$c")),
+               ("all_components_written_actual.$k validate_increment_actual.$k", ("S3",))],
+        "S2": [("refine_component_actual.{1}", _As("S2")),
+               ("refactor_complete_actual.{1}", ("S1",))],
+        "S3": [("feedback_received_actual identify_flaw_actual flaw_identified_actual.$c",
+                ("S2", "$c")),
+               ("validation_failed_actual identify_flaw_actual flaw_identified_actual.$c",
+                ("S2", "$c")),
+               ("all_increments_validated_actual final_deployment_actual "
+                "terminate_successfully_actual", STOP)],
+    },
+    "tle": {
+        "start": [("start_actual", ("S0",))],
+        "S0": [("load_page_actual parent_nodes_received_actual", ("S1",)),
+               ("no_more_pages_exist_actual", ("S6",))],
+        "S1": [("resolve_grandparent_actual", ("S2",))],
+        "S2": [("load_grandparent_table_actual", ("S3",))],
+        "S3": [("resolve_child_actual preset_child_status_actual", ("S4",))],
+        "S4": [("update_bitmask_actual", ("S5",))],
+        "S5": [("more_pages_exist_actual", ("S0",)), ("no_more_pages_exist_actual", ("S6",))],
+        "S6": [("finalize_process_actual", STOP)],
+    },
 }
 
 
@@ -380,11 +373,6 @@ def _alphabet(table: dict[str, dict[str, Entry]]) -> set[str]:
     """The event names a table can consume: those of its branches' templates."""
     return {t[0] for entries in table.values() for templates, _ in entries.values()
             for t in templates}
-
-
-# The alphabet of a process is its table's, never the rule rows': an
-# annotation that names any other event is refused as outside the alphabet.
-ALPHABETS: dict[str, set[str]] = {m: _alphabet(table) for m, table in TABLES.items()}
 
 
 # -- the recognizer ----------------------------------------------------------------
@@ -403,7 +391,7 @@ class Recognizer:
     the recognizer then refuses every event, as in STOP."""
 
     def __init__(self, methodology: str, level_domain: int | None = None):
-        self.table = TABLES[methodology]
+        self.table = table(methodology)
         self.level_domain = level_domain
         self.state: tuple = START
         self.match: Branch | None = None  # the branch in progress
@@ -520,6 +508,8 @@ def check_csp_conformance(trace: Trace, methodology: str | None = None) -> Verdi
         return Verdict(name, True, f"{count} events accepted")
     event, seq = refused
     text = ".".join(event)
-    if event[0] not in ALPHABETS[methodology]:
+    # The alphabet is the table's, never the rule rows': an annotation that
+    # names any other event is refused as outside the alphabet.
+    if event[0] not in _alphabet(recognizer.table):
         return Verdict(name, False, f"event {text!r} outside alphabet", seq)
     return Verdict(name, False, f"illegal event {text!r}", seq)

@@ -12,11 +12,11 @@ keeps each label's reading for the monitors that check it.
 Statuses travel as deltas (``TRACE_FORMAT`` 2): the first event's payload
 holds the full ``statuses`` map and ``"trace_format": 2``, and every later
 event holds ``status_changes``, the new status of exactly the nodes that step
-changed.  ``StatusFold`` rebuilds each event's map, one event at a time,
-and ``fold_statuses`` runs it over a trace.  It also reads format 1, where
-every event carries the full map.  A trace's ``status_reading()`` keeps one
-fold's pass, each event's changed nodes before and after it, with the run
-parameters of its first event, for all the monitors that check it.
+changed.  ``StatusFold`` rebuilds each event's map, one event at a time.
+It also reads format 1, where every event carries the full map.  A
+trace's ``status_reading()`` keeps one fold's pass, each event's changed
+nodes before and after it, with the run parameters of its first event,
+for all the monitors that check it.
 """
 
 from __future__ import annotations
@@ -440,17 +440,6 @@ class StatusReading:
         yield from self.changes
         if self.error is not None:  # a new one, so no traceback keeps this trace
             raise StatusFoldError(self.error.seq, self.error.detail)
-
-
-def fold_statuses(
-    events: Iterable[TraceEvent],
-) -> Iterator[tuple[TraceEvent, dict[int, int], dict[int, int | None]]]:
-    """``StatusFold`` over ``events``: yields ``(event, statuses, prior)``
-    after each step, and raises its StatusFoldError."""
-    fold = StatusFold()
-    for ev in events:
-        prior = fold.step(ev)
-        yield ev, fold.statuses, prior  # type: ignore[misc]
 
 
 def _int_items(raw: Any, seq: Any, key: str) -> dict[int, int]:

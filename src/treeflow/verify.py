@@ -4,8 +4,9 @@ Each machine has one rule table in ``RULE_TABLES``.  A row holds what is
 known about one rule: the state families it fires from and moves to, its
 kind, the measure's expected per-component deltas and, for a hybrid rule,
 its firing condition (its guards and status effect, see ``RuleSpec``), and
-its CSP expansion, compiled once into the row's ``render(event, L)``, which
-``csp`` calls on each event.  ``HYBRID`` names the machines with a measure.
+its CSP expansion, compiled into the row's ``render(event, L)`` when
+``csp`` first renders one of the machine's events.  ``HYBRID`` names the
+machines with a measure.
 
 Checks provided, all pure over immutable traces:
 
@@ -22,8 +23,8 @@ Checks provided, all pure over immutable traces:
   attempt at level j), no level spends more than the cap, and all together
   at most levels x cap;
 * finalization invariance: no status change moves a FINALIZED node;
-* deadlock freeness: static rule-table coverage plus bounded exhaustive
-  enumeration of runs over all validation outcomes.
+* deadlock freeness: static rule-table coverage plus exhaustive enumeration
+  of runs over all validation outcomes.
 
 Well-formedness and measure descent are folds, ``WellFormedFold`` and
 ``DescentFold``: fed one event at a time, copied at a branch point, read
@@ -45,8 +46,8 @@ the grammar.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from dataclasses import dataclass, replace
+from functools import cache, cached_property, partial
 from operator import countOf, itemgetter, methodcaller
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
@@ -68,11 +69,11 @@ class Delta(enum.Enum):
 # -- event templates ------------------------------------------------------------------
 #
 # A rule's CSP expansion and a process table's branches share one template
-# syntax: space-separated ``name.param[.param]``, split at import into tuples
-# of segments.  In a rule row ``{field}`` reads the payload's ``p[field]``,
+# syntax: space-separated ``name.param[.param]``, split into tuples of
+# segments.  In a rule row ``{field}`` reads the payload's ``p[field]``,
 # ``{field?}`` its ``p.get(field)`` and ``{@}`` the index of the event's
 # target label; in a process table ``{k}`` is the state's k-th value.  Each
-# side compiles its templates once.
+# side compiles a machine's templates when that machine is first checked.
 
 
 Templates = tuple[tuple[Any, ...], ...]
@@ -180,10 +181,12 @@ def _extended(extended, missing, ev: TraceEvent, L: int | None):
 _DELTA_TESTS = {Delta.EQ: "==", Delta.DOWN: ">", Delta.UP: "<", Delta.NONINC: ">="}
 
 
+@cache
 def _descent_check(deltas: tuple[Delta, ...]) -> Callable[[Measure, Measure], str | None]:
     """Compile a step rule's descent check into one function of the measures
     ``pre`` and ``post`` around the step: the problem, or None.  M must fall
-    strictly, then each component in turn must follow its pattern."""
+    strictly, then each component in turn must follow its pattern.  The
+    rows with one delta pattern share its function."""
     body = "".join(
         f"    if not pre[{i}] {_DELTA_TESTS[kind]} post[{i}]:\n"
         f"        return f'component k{i + 1} broke pattern {kind.value}: "
@@ -194,9 +197,6 @@ def _descent_check(deltas: tuple[Delta, ...]) -> Callable[[Measure, Measure], st
          "        return f'did not decrease M: {pre} -> {post}'\n"
          f"{body}    return None\n", scope)
     return scope["descent"]
-
-
-_DECREASES = _descent_check(())
 
 
 # -- rule tables: one per machine ------------------------------------------------------
@@ -247,11 +247,12 @@ class RuleSpec:
     no other node: 1 marks the level in progress, 2 finalizes it, None
     changes nothing, and 0, the initial rule's, is a first map of all 0s.
 
-    ``render(event, L)`` is the expansion compiled once (None for none).
-    ``descent(pre, post)`` is a step rule's descent check, compiled once
-    from its deltas: the problem with M moving from ``pre`` to ``post``
-    after the rule id, or None (None itself for a terminal or initial
-    rule, which need not descend)."""
+    ``render(event, L)`` is the expansion, compiled on first use (None for
+    none).  ``descent(pre, post)`` is a hybrid step rule's descent check,
+    compiled on first use from its deltas: the problem with M moving from
+    ``pre`` to ``post`` after the rule id, or None (None itself for a row
+    without deltas: a terminal or initial rule, which need not descend, or
+    a basic rule, which has no measure)."""
 
     sources: tuple[str, ...]
     targets: tuple[str, ...]
@@ -262,21 +263,20 @@ class RuleSpec:
     range: str | None = None  # "step" | "close"
     guards: tuple[Guard, ...] = ()
     effect: int | None = None
-    render: Callable[[TraceEvent, int | None], list[tuple[str, ...]]] | None = field(
-        init=False, repr=False, compare=False)
-    descent: Callable[[Measure, Measure], str | None] | None = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.events, str):
             object.__setattr__(self, "events", _pick(None, self.events))
+
+    @cached_property
+    def render(self) -> Callable[[TraceEvent, int | None], list[tuple[str, ...]]] | None:
         fn, alternatives = self.events or (None, ())
         renders = [_renderer(templates) for templates in alternatives] or [None]
-        object.__setattr__(self, "render", partial(fn, *renders) if fn else renders[0])
-        descent = None
-        if self.kind == "step":
-            descent = _descent_check(self.deltas) if self.deltas else _DECREASES
-        object.__setattr__(self, "descent", descent)
+        return partial(fn, *renders) if fn else renders[0]
+
+    @cached_property
+    def descent(self) -> Callable[[Measure, Measure], str | None] | None:
+        return _descent_check(self.deltas) if self.deltas else None
 
 
 E, D, U, A, N = Delta.EQ, Delta.DOWN, Delta.UP, Delta.ANY, Delta.NONINC
@@ -900,24 +900,20 @@ def check_finalization(trace: Trace) -> Verdict:
 # -- deadlock freeness --------------------------------------------------------------
 
 
-# Forks are not kept past this many validation queries in one run.
-_MAX_FORK_DEPTH = 64
-
-
 def enumerate_runs(
     methodology: str, hierarchy: Hierarchy, base: Scenario, folds: tuple = ()
 ) -> Iterator[tuple[Any, tuple]]:
     """Every run of a hybrid machine over the pass and fail answers to its
-    validation queries, bounded, each distinct run once.
+    validation queries, each distinct run once.
 
     The walk visits the run tree once.  A run answers its queries pass; at
-    each of its first ``_MAX_FORK_DEPTH`` queries not yet forked it keeps a
-    fork of the engine, taken before that step, and of each fold.  The fork
-    fails that query (every candidate fails) and goes on from there.  The
-    last fork kept runs next, so runs come in depth-first order, the run
-    that passes everything first.  Every event is emitted once, and each
-    fold is fed it once, after it is emitted: the events since the last
-    feed, at each fork and at the end of each run.
+    each query not yet forked it keeps a fork of the engine, taken before
+    that step, and of each fold.  The fork fails that query (every
+    candidate fails) and goes on from there.  The last fork kept runs
+    next, so runs come in depth-first order, the run that passes
+    everything first.  Every event is emitted once, and each fold is fed
+    it once, after it is emitted: the events since the last feed, at each
+    fork and at the end of each run.
 
     Only ``base``'s budget, thresholds and origin strategy are used.  Yields
     ``(result, folds)`` as each run reaches T or S5: its ``RunResult`` and
@@ -935,9 +931,9 @@ def enumerate_runs(
 def _walk(root, root_folds: tuple) -> Iterator[tuple[Any, tuple]]:
     """``enumerate_runs`` with each finished run's engine in place of its
     ``RunResult``."""
-    # The run being stepped: its engine, folds, queries so far, whether its
-    # next query is the one its fork was kept to fail, and the events fed.
-    eng, folds, queries, fail, fed = root, root_folds, 0, False, 0
+    # The run being stepped: its engine, folds, whether its next query is
+    # the one its fork was kept to fail, and the events fed.
+    eng, folds, fail, fed = root, root_folds, False, 0
     copy = methodcaller("copy")
 
     def catch_up() -> None:
@@ -950,20 +946,18 @@ def _walk(root, root_folds: tuple) -> Iterator[tuple[Any, tuple]]:
             fed = len(events)
 
     def answer(phase_tag, index, attempt, candidates):
-        nonlocal queries, fail
-        query, queries = queries, queries + 1
+        nonlocal fail
         if fail:
             fail = False
             return candidates
-        if query < _MAX_FORK_DEPTH:
-            catch_up()
-            forks.append((eng.fork(), tuple(map(copy, folds)), query, True, fed))
+        catch_up()
+        forks.append((eng.fork(), tuple(map(copy, folds)), True, fed))
         return ()
 
     root.answer = answer  # forks share it
-    forks = [(root, root_folds, 0, False, 0)]
+    forks = [(root, root_folds, False, 0)]
     while forks:
-        eng, folds, queries, fail, fed = forks.pop()
+        eng, folds, fail, fed = forks.pop()
         while not eng.done:
             eng.step()
         catch_up()
@@ -975,7 +969,7 @@ def check_deadlock_freeness(
     hierarchy: Hierarchy | None = None,
     r_max: int = 1,
 ) -> Verdict:
-    """Static rule coverage plus bounded exhaustive run enumeration.
+    """Static rule coverage plus exhaustive run enumeration.
 
     Statically, every state family a rule moves to needs an outgoing rule,
     unless it is final: the target of a terminal rule (T and S5, or the tle

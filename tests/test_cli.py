@@ -67,6 +67,61 @@ def test_verify_csp_imports_no_store_bench_or_fixture_module(tmp_path):
     assert not set(loaded) & {"treeflow.tle", "treeflow.bench", "treeflow.fixtures"}
 
 
+# Counts the generated checker functions exec'd (CSP matchers, rule
+# renderers and descent checks) at import, then runs ``verify --check all``
+# on the trace named by argv[1] and reports what that built.
+LAZY_BUILD_PROBE = """
+import builtins, contextlib, io, json, sys
+kinds, real_exec = [], builtins.exec
+
+def counting_exec(source, *args, **kwargs):
+    if isinstance(source, str) and source.startswith(("def match(", "def render(", "def descent(")):
+        kinds.append(source[4:source.index("(")])
+    return real_exec(source, *args, **kwargs)
+
+builtins.exec = counting_exec
+from treeflow import csp, verify
+from treeflow.cli import main
+at_import = len(kinds)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(["verify", "--methodology", "pdfd", "--check", "all", "--trace", sys.argv[1]])
+print(json.dumps({
+    "at_import": at_import, "code": code, "verdicts": out.getvalue().splitlines(),
+    "execs": {kind: kinds.count(kind) for kind in ("match", "render", "descent")},
+    "tables": csp.table.cache_info().currsize,
+    "rows": {m: sorted(r for r, spec in rows.items() if {"render", "descent"} & vars(spec).keys())
+             for m, rows in verify.RULE_TABLES.items()},
+}))
+"""
+
+
+def test_verify_builds_only_the_checked_machine(tmp_path):
+    """Importing the monitors compiles no checker; ``verify --check all``
+    on a pdfd trace builds the pdfd table and compiles pdfd rows only."""
+    from treeflow.csp import TABLE_SPECS
+    from treeflow.verify import PDFD_RULES, RULE_TABLES
+
+    trace = tmp_path / "pdfd.jsonl"
+    assert main(["replay", "--fixture", "pdfd-mvp", "--format", "jsonl-trace",
+                 "--out", str(trace)]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    optimize = ["-O"] if sys.flags.optimize else []
+    proc = subprocess.run([sys.executable, *optimize, "-c", LAZY_BUILD_PROBE, str(trace)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["at_import"] == 0
+    assert report["code"] == 0
+    assert report["verdicts"] and all(line.startswith("PASS ") for line in report["verdicts"])
+    assert report["tables"] == 1
+    assert report["execs"]["match"] == sum(map(len, TABLE_SPECS["pdfd"].values()))
+    assert report["execs"]["render"] == sum(
+        len(spec.events.alternatives) for spec in PDFD_RULES.values() if spec.events)
+    assert 0 < report["execs"]["descent"] <= 9
+    assert report["rows"] == {m: sorted(PDFD_RULES) if m == "pdfd" else [] for m in RULE_TABLES}
+
+
 class TestOutFile:
     """``--out`` writes exactly what the command prints, over any old file."""
 

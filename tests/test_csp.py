@@ -1,15 +1,20 @@
 """Event-level conformance: alphabets, acceptance, prefix closure,
 transposition rejection."""
 
+import re
+
 import pytest
 
 from treeflow.basic_machines import Dag, run_bfd, run_cdd, run_dad, run_dfd
 from treeflow.csp import (
-    ALPHABETS,
+    STOP,
+    TABLE_SPECS,
+    _alphabet,
     accept_events,
     annotate_trace,
     check_csp_conformance,
     make_recognizer,
+    table,
 )
 from treeflow.fixtures import (
     geo_hierarchy,
@@ -132,11 +137,23 @@ class TestRejection:
 class TestAlphabets:
     @pytest.mark.parametrize("methodology,trace", list(golden_traces()))
     def test_all_annotated_events_inside_alphabet(self, methodology, trace):
+        alphabet = _alphabet(table(methodology))
         for _seq, name in annotate_trace(trace, methodology):
-            assert name.split(".")[0] in ALPHABETS[methodology]
+            assert name.split(".")[0] in alphabet
 
     def test_alphabets_are_disjoint_enough(self):
         # Shared generic names exist, but each alphabet is its own contract.
-        assert "process_pattern_actual" in ALPHABETS["pbfd"]
-        assert "process_pattern_actual" not in ALPHABETS["pdfd"]
-        assert "finalize_subtrees_actual" in ALPHABETS["pdfd"]
+        assert "process_pattern_actual" in _alphabet(table("pbfd"))
+        assert "process_pattern_actual" not in _alphabet(table("pdfd"))
+        assert "finalize_subtrees_actual" in _alphabet(table("pdfd"))
+
+
+class TestTableBuild:
+    @pytest.mark.parametrize("spec,error", [
+        ({"S": [("a.{1}", STOP), ("a.{2}", STOP)]}, "two S branches start with a"),
+        ({"S": [("a.lit", STOP)]}, "a: unsupported parameter 'lit'"),
+    ], ids=["duplicate-branch", "unsupported-parameter"])
+    def test_a_faulty_spec_raises_at_its_first_build(self, monkeypatch, spec, error):
+        monkeypatch.setitem(TABLE_SPECS, "forged", spec)
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            table("forged")

@@ -21,12 +21,13 @@ import pytest
 
 from test_trace_golden import _inputs, _trace, uneven_tree
 from treeflow.csp import (
-    ALPHABETS,
-    TABLES,
+    TABLE_SPECS,
+    _alphabet,
     accept_events,
     annotate_trace,
     check_csp_conformance,
     make_recognizer,
+    table,
 )
 from treeflow.fixtures import geo_hierarchy
 from treeflow.tle import TleStore, TraversalPage, tle_traverse
@@ -317,10 +318,12 @@ def test_annotation_failure_wins_over_an_earlier_illegal_event():
 
 @pytest.mark.parametrize("machine", MACHINES)
 def test_every_table_event_is_in_the_alphabet(machine):
-    for entries in TABLES[machine].values():
+    built = table(machine)
+    alphabet = _alphabet(built)
+    for entries in built.values():
         for event, entry in entries.items():
-            assert event in ALPHABETS[machine]
-            assert {t[0] for t in entry[0]} <= ALPHABETS[machine]
+            assert event in alphabet
+            assert {t[0] for t in entry[0]} <= alphabet
 
 
 ALPHABET_SIZES = {"pdfd": 25, "pbfd": 28, "dad": 14, "dfd": 20, "bfd": 11, "cdd": 17, "tle": 11}
@@ -330,8 +333,9 @@ ALPHABETS_SHA256 = "cb9efa1b4f6e6b24e89a498cae79e1d235994ce8a148cf4a257f682bfe33
 def test_alphabets_are_pinned():
     """Every alphabet, as the SHA-256 of its sorted JSON: a change to how
     the alphabets are derived from the tables may not change them."""
-    assert {m: len(names) for m, names in ALPHABETS.items()} == ALPHABET_SIZES
-    text = json.dumps({m: sorted(names) for m, names in ALPHABETS.items()}, sort_keys=True)
+    alphabets = {m: _alphabet(table(m)) for m in TABLE_SPECS}
+    assert {m: len(names) for m, names in alphabets.items()} == ALPHABET_SIZES
+    text = json.dumps({m: sorted(names) for m, names in alphabets.items()}, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == ALPHABETS_SHA256
 
 
@@ -348,7 +352,7 @@ def test_every_rule_row_emits_only_alphabet_events(machine):
             continue
         assert spec.events, rule
         templates = _row_templates(spec)
-        assert {template[0] for template in templates} <= ALPHABETS[machine], rule
+        assert {template[0] for template in templates} <= _alphabet(table(machine)), rule
         # Every parameter is read by a getter: a payload field, or {@}.
         assert all(callable(seg) for template in templates for seg in template[1:]), rule
 

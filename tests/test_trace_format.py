@@ -26,11 +26,11 @@ from treeflow.hybrid_machines import run_pbfd, run_pdfd
 from treeflow.jsondoc import read_text
 from treeflow.trace import (
     TRACE_FORMAT,
+    StatusFold,
     StatusFoldError,
     Trace,
     TraceEvent,
     TraceFormatError,
-    fold_statuses,
 )
 from treeflow.verify import (
     check_finalization,
@@ -55,6 +55,14 @@ def replace_payload(trace: Trace, index: int, **payload) -> Trace:
     return Trace(trace.methodology, events)
 
 
+def fold_through(events) -> StatusFold:
+    """A new StatusFold stepped through ``events``."""
+    fold = StatusFold()
+    for ev in events:
+        fold.step(ev)
+    return fold
+
+
 class TestEngineOutput:
     @pytest.mark.parametrize("run", [run_pdfd, run_pbfd])
     def test_full_map_first_then_only_changes(self, run):
@@ -70,10 +78,12 @@ class TestEngineOutput:
     @pytest.mark.parametrize("run", [run_pdfd, run_pbfd])
     def test_changes_are_exactly_the_changed_nodes(self, run):
         res = run(visited_places_hierarchy(), pdfd_mvp_scenario())
-        for ev, statuses, prior in fold_statuses(res.trace):
+        fold = StatusFold()
+        for ev in res.trace:
+            prior = fold.step(ev)
             if ev.seq > 1:
                 assert set(ev.payload["status_changes"]) == {str(n) for n in prior}
-        assert statuses == res.statuses
+        assert fold.statuses == res.statuses
 
     @pytest.mark.parametrize("run", [run_pdfd, run_pbfd])
     def test_payload_equals_its_json_round_trip(self, run):
@@ -144,7 +154,7 @@ class TestFold:
     def test_malformed_changes(self, bad):
         forged = replace_payload(mvp_trace(), 2, status_changes=bad)
         with pytest.raises(StatusFoldError, match="status_changes must map node ids"):
-            list(fold_statuses(forged))
+            fold_through(forged)
 
     @pytest.mark.parametrize("status", [1.9, 2.0, "2", True, False, None, 3, -1])
     def test_statuses_are_the_integers_0_1_and_2(self, status):
@@ -158,7 +168,7 @@ class TestFold:
         for index, key, value in ((3, "status_changes", {node: status}), (0, "statuses", first)):
             forged = replace_payload(trace, index, **{key: value})
             with pytest.raises(StatusFoldError, match=re.escape(f"{key} {detail}")):
-                list(fold_statuses(forged))
+                fold_through(forged)
             for check in (check_rule_legality, check_measure_descent, check_finalization):
                 verdict = check(forged)
                 assert (verdict.ok, verdict.first_violation_seq, verdict.detail) == (
@@ -172,7 +182,7 @@ class TestFold:
         forged = replace_payload(trace, 3, status_changes={key: 2})
         detail = f"status_changes key {key!r} must be written '{node}'"
         with pytest.raises(StatusFoldError, match=re.escape(detail)):
-            list(fold_statuses(forged))
+            fold_through(forged)
         for check in (check_rule_legality, check_measure_descent, check_finalization):
             verdict = check(forged)
             assert (verdict.ok, verdict.first_violation_seq, verdict.detail) == (
@@ -196,7 +206,10 @@ class TestFold:
             TraceEvent(2, "PD2", "S1", "S2", dict(base, statuses={"1": 2, "2": 0})),
             TraceEvent(3, "PD2", "S1", "S2", dict(base, statuses={"1": 2})),
         ]
-        seen = [(dict(s), p) for _ev, s, p in fold_statuses(events)]
+        fold, seen = StatusFold(), []
+        for ev in events:
+            prior = fold.step(ev)
+            seen.append((dict(fold.statuses), prior))
         assert seen == [
             ({1: 0, 2: 0}, {1: None, 2: None}),
             ({1: 2, 2: 0}, {1: 0}),
@@ -211,11 +224,13 @@ class TestFold:
             TraceEvent(3, "PD2", "S1", "S2", dict(base, status_changes={"3": 2})),
             TraceEvent(4, "PD2", "S1", "S2", dict(base, status_changes={"2": 2})),
         ]
-        folded = fold_statuses(events)
-        assert [dict(next(folded)[1]) for _ in range(3)] == [
-            {1: 0, 2: 0}, {1: 1, 3: 0}, {1: 1, 3: 2}]
+        fold, seen = StatusFold(), []
+        for ev in events[:3]:
+            fold.step(ev)
+            seen.append(dict(fold.statuses))
+        assert seen == [{1: 0, 2: 0}, {1: 1, 3: 0}, {1: 1, 3: 2}]
         with pytest.raises(StatusFoldError, match="^event 4: status_changes names unknown node 2$"):
-            next(folded)
+            fold.step(events[3])
 
     def test_full_map_and_delta_in_one_event_cancel(self):
         base = {"attempts": {}}
@@ -224,7 +239,8 @@ class TestFold:
             TraceEvent(2, "PD2", "S1", "S2",
                        dict(base, statuses={"1": 1}, status_changes={"1": 2})),
         ]
-        assert [p for _ev, _s, p in fold_statuses(events)] == [{1: None}, {}]
+        fold = StatusFold()
+        assert [fold.step(ev) for ev in events] == [{1: None}, {}]
 
 
 class TestFormatOneTraces:

@@ -33,7 +33,7 @@ from treeflow.fixtures import (
 from treeflow.hierarchy import Hierarchy, load_hierarchy
 from treeflow.hybrid_machines import run_pbfd, run_pdfd
 from treeflow.scenario import CddScript, Scenario, TraceOriginStrategy
-from treeflow.trace import Trace, fold_statuses
+from treeflow.trace import StatusFold, Trace
 from treeflow.verify import RULE_TABLES, run_all_checks
 
 HYBRID = ("pdfd", "pbfd")
@@ -136,11 +136,12 @@ GOLDEN_FORMAT2 = {
 def _full_snapshots(trace: Trace) -> Trace:
     """The trace with each event's folded status map written out in full,
     as the earlier full-snapshot format carried it."""
-    events = []
-    for ev, statuses, _prior in fold_statuses(trace):
+    events, fold = [], StatusFold()
+    for ev in trace:
+        fold.step(ev)
         payload = {k: v for k, v in ev.payload.items()
                    if k not in ("status_changes", "trace_format")}
-        payload["statuses"] = {str(n): s for n, s in statuses.items()}
+        payload["statuses"] = {str(n): s for n, s in fold.statuses.items()}
         events.append(ev._replace(payload=payload))
     return Trace(trace.methodology, events)
 

@@ -30,7 +30,6 @@ from treeflow.verify import (
     check_measure_descent,
     check_rule_legality,
     check_well_formed,
-    _MAX_FORK_DEPTH,
     DescentFold,
     Verdict,
     WellFormedFold,
@@ -108,6 +107,11 @@ class TestMeasureOf:
 
 
 class TestDescent:
+    def test_hybrid_step_rows_share_nine_descent_checks(self):
+        """One descent check per delta pattern, whichever row asks first."""
+        checks = {spec.descent for rows in (PDFD_RULES, PBFD_RULES) for spec in rows.values()}
+        assert len(checks - {None}) == 9
+
     def test_pdfd_mvp_full_descent(self):
         res = run_pdfd(visited_places_hierarchy(), pdfd_mvp_scenario())
         assert check_measure_descent(res.trace).ok
@@ -740,14 +744,14 @@ RUNNERS = {"pdfd": run_pdfd, "pbfd": run_pbfd}
 def replay_runs(methodology, h, base):
     """Each distinct run, replayed from its first event under its decision
     prefix, in depth-first order: a run forks once per query it answered by
-    default, below ``_MAX_FORK_DEPTH``, and the deepest fork runs next."""
+    default, and the deepest fork runs next."""
     runner = RUNNERS[methodology]
     results, stack = [], [[]]
     while stack:
         prefix = stack.pop()
         sc = _ForkingScenario(base, prefix)
         results.append(runner(h, sc))
-        for depth in range(len(prefix), min(sc.queries, _MAX_FORK_DEPTH)):
+        for depth in range(len(prefix), sc.queries):
             stack.append(prefix + [False] * (depth - len(prefix)) + [True])
     return results
 
@@ -761,7 +765,7 @@ def _forking_both_ways(methodology, h, base):
         prefix = stack.pop()
         sc = _ForkingScenario(base, prefix)
         results.append(RUNNERS[methodology](h, sc))
-        if len(prefix) < _MAX_FORK_DEPTH and sc.queries > len(prefix):
+        if sc.queries > len(prefix):
             stack += [prefix + [True], prefix + [False]]
     return results
 
@@ -798,18 +802,22 @@ class TestEnumerateRuns:
         reference = {r.trace.to_jsonl() for r in _forking_both_ways(methodology, h, base)}
         assert set(traces) == reference
 
-    @pytest.mark.parametrize("methodology,levels", [("pdfd", 24), ("pbfd", 34)])
-    def test_runs_past_the_fork_depth(self, methodology, levels):
-        """A chain this deep asks more than ``_MAX_FORK_DEPTH`` queries in
-        its passing run (pdfd three per level, pbfd two), so the cut decides
-        which forks are kept."""
+    @pytest.mark.parametrize("methodology,levels,count", [("pdfd", 24, 72), ("pbfd", 34, 69)])
+    def test_deep_chains_enumerate_every_run(self, methodology, levels, count):
+        """A chain this deep asks more than 64 queries in its passing run
+        (pdfd three per level, pbfd two); each of them is forked, so every
+        run is met, however deep its first failing query."""
         h = uniform_hierarchy([1] * levels)
         base = Scenario(r_max=1, trace_origin=TraceOriginStrategy.fixed(1))
         runs = list(enumerate_runs(methodology, h, base))
         first = runs[0][0].trace
-        assert sum(1 for ev in first if "failing" in ev.payload) > _MAX_FORK_DEPTH
+        assert sum(1 for ev in first if "failing" in ev.payload) > 64
         assert [r.trace.to_jsonl() for r, _ in runs] == [
             r.trace.to_jsonl() for r in replay_runs(methodology, h, base)]
+        assert len(runs) == count
+        v = check_deadlock_freeness(methodology, h, r_max=1)
+        assert v.line() == f"PASS deadlock-freeness[{methodology}]"
+        assert v.detail == f"{count} enumerated runs, all reached T or S5"
 
     @pytest.mark.parametrize("r_max", [1, 2])
     @pytest.mark.parametrize("methodology", ["pdfd", "pbfd"])
@@ -957,3 +965,66 @@ class TestTraceLengthCap:
             res = runner(h, sc)
             cap = trace_length_cap(len(h), h.max_level, sc.r_max)
             assert len(res.trace) <= cap
+
+
+class TestForgedVerdicts:
+    """Monitor branches no engine run reaches, each pinned on a forged copy
+    of the pdfd replay (or, for the total cap, a three-event trace)."""
+
+    @staticmethod
+    def forged(edit) -> Trace:
+        events = list(run_pdfd(visited_places_hierarchy(), pdfd_mvp_scenario()).trace.events)
+        edit(events)
+        return Trace("pdfd", events)
+
+    def test_well_formedness_names_a_target_outside_the_rule(self):
+        def edit(events):  # event 2, a PD2 into S2(1), moved to S3(1) with its successor
+            events[1] = events[1]._replace(to_state="S3(1)")
+            events[2] = events[2]._replace(from_state="S3(1)")
+
+        assert check_well_formed(self.forged(edit)).line() == (
+            "FAIL well-formed (event 2: PD2 targeted S3(1))")
+
+    def test_rule_legality_reads_a_node_a_full_map_dropped(self):
+        """Event 4's delta, restated as a full map without node 3: the
+        dropped node leaves the statuses, so PD2 moved it to None."""
+
+        def edit(events):
+            statuses = {str(n): 0 for n in range(1, 12) if n != 3}
+            statuses.update({"1": 2, "2": 1})
+            payload = {k: v for k, v in events[3].payload.items() if k != "status_changes"}
+            events[3] = events[3]._replace(payload=dict(payload, statuses=statuses))
+
+        assert check_rule_legality(self.forged(edit)).line() == (
+            "FAIL rule-legality (event 4: PD2 moved node 3 from 0 to None)")
+
+    def test_descent_names_an_unknown_rule(self):
+        def edit(events):
+            events[5] = events[5]._replace(rule="PD9")
+
+        assert check_measure_descent(self.forged(edit)).line() == (
+            "FAIL measure-descent (event 6: unknown rule PD9)")
+
+    def test_descent_refuses_an_episode_source_outside_the_grammar(self):
+        """Event 7, a PD2a into S1R(2), forged to come from S2(x): the
+        episode origin is read from its source label.  The descent monitor
+        does not check the chain, so only the source is forged."""
+
+        def edit(events):
+            events[6] = events[6]._replace(from_state="S2(x)")
+
+        assert check_measure_descent(self.forged(edit)).line() == (
+            "FAIL measure-descent (event 7: PD2a source S2(x) is not a state label)")
+
+    def test_bounded_refinement_caps_the_total(self):
+        """One attempt at each of levels 1 and 2 keeps each level within the
+        cap of 1, but one level allows one attempt in all."""
+        first = {"L": 1, "r_max": 1, "levels": {"1": [1]}, "statuses": {"1": 0},
+                 "trace_format": 2}
+        trace = Trace("pdfd", [
+            TraceEvent(1, "PD1", "S0", "S1(1)", first),
+            TraceEvent(2, "PD2a", "S2(1)", "S1R(1)", {"status_changes": {}}),
+            TraceEvent(3, "PD3a", "S2R(1)", "S1R(2)", {"status_changes": {}}),
+        ])
+        assert check_bounded_refinement(trace).line() == (
+            "FAIL bounded-refinement (event 3: total increments 2 exceed levels x cap = 1)")
